@@ -125,7 +125,12 @@ from .harness.alternatives import culling_alternatives, rival_techniques
 from .harness.balance import pipeline_balance_report
 from .harness.timeseries import frame_series, write_csv
 from .harness.report import render_report
-from .harness.runner import RunMetrics, SuiteRunner, metrics_from_result
+from .harness.runner import (
+    RunMetrics,
+    SuiteRunner,
+    metrics_from_result,
+    simulate_benchmark,
+)
 from .harness.bench import (
     BENCH_PRESETS,
     check_bench_regression,
@@ -154,7 +159,6 @@ from .obs import (
     write_jsonl,
 )
 from .obs.dashboard import write_dashboard
-from .obs.events import RunFinished, RunStarted, get_bus
 from .obs.ledger import (
     DEFAULT_RATE_TOLERANCE,
     DEFAULT_RATIO_TOLERANCE,
@@ -606,23 +610,10 @@ def _command_run(args: argparse.Namespace) -> int:
                             stream = benchmark_stream(benchmark, config)
                         out.detail(f"simulating {benchmark}:{mode.value} "
                                    f"({config.frames} frames, {scheduler!r})")
-                        bus = get_bus()
-                        started = time.perf_counter()
-                        if bus.enabled:
-                            bus.emit(RunStarted(benchmark=benchmark,
-                                                mode=mode.value,
-                                                frames=config.frames))
-                        result = GPU.from_spec(
-                            spec, mode, scheduler=scheduler
-                        ).render_stream(stream)
-                        if bus.enabled:
-                            bus.emit(RunFinished(
-                                benchmark=benchmark, mode=mode.value,
-                                seconds=time.perf_counter() - started,
-                                frames=len(result.frames),
-                                fragments=(result.total_stats()
-                                           .fragments_shaded),
-                            ))
+                        result = simulate_benchmark(
+                            benchmark, mode, spec=spec,
+                            scheduler=scheduler, stream=stream,
+                        )
                         if args.csv:
                             path = (f"{args.csv.rstrip('.csv')}"
                                     f"_{mode.value}.csv")
@@ -772,11 +763,8 @@ def _command_profile(args: argparse.Namespace) -> int:
                                        out, tracer):
         with make_scheduler(spec.scheduler.jobs,
                             profiler=profiler) as scheduler:
-            with tracer.span(f"run {args.benchmark}:{mode.value}",
-                             category="harness"):
-                stream = benchmark_stream(args.benchmark, config)
-                GPU.from_spec(spec, mode,
-                              scheduler=scheduler).render_stream(stream)
+            simulate_benchmark(args.benchmark, mode, spec=spec,
+                               scheduler=scheduler)
 
     phase_rows = [
         [row["span"], row["count"], row["total_ms"], row["mean_ms"]]

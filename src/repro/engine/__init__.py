@@ -14,6 +14,10 @@ Every outer loop of the simulator goes through this layer:
   inline loop) and :class:`ProcessPoolScheduler` implementations.  The
   same protocol drives per-frame tile fan-out and suite-level
   (benchmark, mode) fan-out.
+* :mod:`repro.engine.job` — the picklable job envelope every scheduler
+  (the resilient one included) runs jobs through when a profiler, bus
+  or fault plan is armed, and the ``settle`` step that publishes a kept
+  job's timing and events in the parent.
 * :mod:`repro.engine.instrumentation` — the mergeable
   :class:`Instrumentation` record that tile jobs and pipeline phases
   return and the engine reduces, so serial and parallel executions

@@ -16,17 +16,13 @@ style request into the right implementation.
 
 Either scheduler accepts an optional
 :class:`~repro.obs.profile.SchedulerProfiler` (the ``profiler``
-attribute, or the ``profiler`` argument of :func:`make_scheduler`).  When
-attached, every mapped call is wrapped so the executing process measures
-its own wall time; the profiler unwraps the results on the way back.  The
-wrapper passes results through untouched — profiled and unprofiled runs
-are bit-identical, only observability output differs.
-
-The pool scheduler applies the same pattern to the structured event bus
-(:mod:`repro.obs.events`): when a bus is installed, mapped calls are
-wrapped in :class:`~repro.obs.events.EventForwardingCall` so events a
-job emits inside a worker ride the result channel home and are re-emitted
-on the parent's bus, in submission order, before results are returned.
+attribute, or the ``profiler`` argument of :func:`make_scheduler`), and
+the pool scheduler also forwards worker events to the structured event
+bus (:mod:`repro.obs.events`).  When either is armed, ``map`` runs every
+item through the job envelope (:mod:`repro.engine.job`), settles the
+records in submission order and closes one profiler batch.  Results pass
+through untouched — profiled and observed runs are bit-identical to bare
+ones.  With nothing armed, ``map`` calls ``fn`` directly.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Iterable,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -45,7 +41,8 @@ from typing import (
     TypeVar,
 )
 
-from ..obs.events import EventForwardingCall, get_bus, replay_forwarded
+from ..obs.events import get_bus
+from .job import Job, settle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.profile import SchedulerProfiler
@@ -82,11 +79,15 @@ class SerialScheduler:
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         profiler = self.profiler
         if profiler is None:
+            # In-process: events already reach the live bus directly.
             return [fn(item) for item in items]
         submit = time.perf_counter()
-        timed_fn = profiler.wrap(fn)
-        return profiler.collect(submit, items,
-                                [timed_fn(item) for item in items])
+        job = Job(fn)
+        try:
+            return [settle(job(item), item, index, submit, profiler)
+                    for index, item in enumerate(items)]
+        finally:
+            profiler.close_batch(submit)
 
     def close(self) -> None:
         pass
@@ -141,24 +142,26 @@ class ProcessPoolScheduler:
         if not items:
             return []
         profiler = self.profiler
-        if profiler is not None:
-            submit = time.perf_counter()
-            timed = self._map(profiler.wrap(fn), items)
-            return profiler.collect(submit, items, timed)
-        return self._map(fn, items)
+        if profiler is None and not get_bus().enabled:
+            return list(self._map(fn, items))
+        submit = time.perf_counter()
+        try:
+            return [settle(record, item, index, submit, profiler)
+                    for index, (item, record) in enumerate(
+                        zip(items, self._map(Job(fn), items)))]
+        finally:
+            if profiler is not None:
+                profiler.close_batch(submit)
 
-    def _map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+    def _map(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
+        """Apply ``fn`` across the pool; results stream back lazily, in
+        submission order."""
         if len(items) == 1:
             # One item gains nothing from a round-trip through the pool.
-            return [fn(items[0])]
+            return iter([fn(items[0])])
         executor = self._ensure_executor()
         chunksize = max(1, len(items) // (self.jobs * 4))
-        bus = get_bus()
-        if bus.enabled:
-            forwarding = EventForwardingCall(fn)
-            results = executor.map(forwarding, items, chunksize=chunksize)
-            return [replay_forwarded(value, bus) for value in results]
-        return list(executor.map(fn, items, chunksize=chunksize))
+        return executor.map(fn, items, chunksize=chunksize)
 
     def close(self) -> None:
         """Shut the executor down gracefully (idempotent).
@@ -189,6 +192,7 @@ class ProcessPoolScheduler:
             return
         processes = list((getattr(executor, "_processes", None) or {})
                          .values())
+        manager = getattr(executor, "_executor_manager_thread", None)
         try:
             executor.shutdown(wait=False, cancel_futures=True)
         except Exception:
@@ -203,6 +207,11 @@ class ProcessPoolScheduler:
                 process.join(timeout=1.0)
             except Exception:
                 pass
+        if manager is not None:
+            # The executor's manager thread reaps the dead workers too.
+            # While its waitpid is in flight, another thread's
+            # ``is_alive()`` on the same worker can misreport it alive.
+            manager.join(timeout=1.0)
 
     def __enter__(self) -> "ProcessPoolScheduler":
         return self

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..commands import FrameStream
 from ..config import GPUConfig
 from ..engine.diskcache import DiskCache, run_cache_key
 from ..engine.scheduler import Scheduler, make_scheduler
@@ -153,22 +154,26 @@ def metrics_from_result(benchmark: str, mode: Technique,
     )
 
 
-def run_benchmark(
+def simulate_benchmark(
     benchmark: str,
     mode: object,
+    spec: Optional[RunSpec] = None,
     config: Optional[GPUConfig] = None,
     frames: Optional[int] = None,
     scheduler: Optional[Scheduler] = None,
-    spec: Optional[RunSpec] = None,
-) -> RunMetrics:
-    """Render one benchmark under one mode and return its metrics.
+    stream: Optional[FrameStream] = None,
+) -> RunResult:
+    """Render one benchmark under one mode and return the full result.
 
-    ``spec`` supplies the feature overrides and cost/energy parameters
-    (defaults reproduce the historical behaviour exactly); an explicit
+    The one simulate path behind ``run_benchmark``, ``repro run`` and
+    ``repro profile``: it owns the run's ``RunStarted``/``RunFinished``
+    events and its ``run <benchmark>:<mode>`` trace span.  ``spec``
+    supplies the feature overrides and cost/energy parameters (defaults
+    reproduce the historical behaviour exactly); an explicit
     ``config``/``frames`` wins over ``spec.gpu`` for callers that sweep
     around a fixed spec.  ``scheduler`` optionally fans the per-frame
-    tile work out (see :mod:`repro.engine`); metrics are identical
-    whichever scheduler runs.
+    tile work out (see :mod:`repro.engine`); results are identical
+    whichever scheduler runs.  ``stream`` reuses a built frame stream.
     """
     mode = resolve_technique(mode)
     if spec is None:
@@ -184,10 +189,10 @@ def run_benchmark(
         ))
     with get_tracer().span(f"run {benchmark}:{mode.value}",
                            category="harness"):
-        stream = benchmark_stream(benchmark, config, frames)
+        if stream is None:
+            stream = benchmark_stream(benchmark, config, frames)
         gpu = GPU.from_spec(spec, mode, scheduler=scheduler, config=config)
         result = gpu.render_stream(stream)
-        metrics = metrics_from_result(benchmark, mode, result)
     if bus.enabled:
         bus.emit(RunFinished(
             benchmark=benchmark, mode=mode.value,
@@ -195,7 +200,23 @@ def run_benchmark(
             frames=len(result.frames),
             fragments=result.total_stats().fragments_shaded,
         ))
-    return metrics
+    return result
+
+
+def run_benchmark(
+    benchmark: str,
+    mode: object,
+    config: Optional[GPUConfig] = None,
+    frames: Optional[int] = None,
+    scheduler: Optional[Scheduler] = None,
+    spec: Optional[RunSpec] = None,
+) -> RunMetrics:
+    """Render one benchmark under one mode and return its metrics
+    (:func:`simulate_benchmark`, then :func:`metrics_from_result`)."""
+    mode = resolve_technique(mode)
+    result = simulate_benchmark(benchmark, mode, spec=spec, config=config,
+                                frames=frames, scheduler=scheduler)
+    return metrics_from_result(benchmark, mode, result)
 
 
 def _run_pair(

@@ -13,6 +13,7 @@ import csv
 from dataclasses import dataclass
 from typing import IO, List, Union
 
+from ..obs.metrics import frame_record
 from ..pipeline import RunResult
 
 _COLUMNS = [
@@ -66,37 +67,27 @@ class FrameRecord:
 
 
 def frame_series(result: RunResult) -> List[FrameRecord]:
-    """Per-frame metrics for every frame of the run (no warm-up cut)."""
+    """Per-frame metrics for every frame of the run (no warm-up cut),
+    taken from each frame's :func:`~repro.obs.metrics.frame_record`."""
     assert result.cost_model is not None
     assert result.energy_model is not None
     records: List[FrameRecord] = []
     for frame_result in result.frames:
-        stats = frame_result.stats
-        geometry = result.cost_model.geometry_cycles(
-            stats, frame_result.geometry_dram_cycles
-        )
-        raster = result.cost_model.raster_cycles(
-            stats, frame_result.raster_dram_cycles
-        )
-        energy = result.energy_model.compute(
-            stats,
-            frame_result.merged_snapshot(),
-            geometry + raster,
-            evr_enabled=result.features.evr_hardware,
-            re_enabled=result.features.rendering_elimination,
-        )
+        record = frame_record("", "", frame_result, result.cost_model,
+                              result.energy_model, result.features)
+        stats = record["stats"]
         records.append(
             FrameRecord(
-                frame=frame_result.index,
-                geometry_cycles=geometry,
-                raster_cycles=raster,
-                energy_joules=energy.total,
-                tiles_rendered=stats.tiles_rendered,
-                tiles_skipped=stats.tiles_skipped,
-                fragments_shaded=stats.fragments_shaded,
-                early_z_kills=stats.early_z_kills,
-                predicted_occluded=stats.predicted_occluded,
-                signature_poisons=stats.signature_poisons,
+                frame=record["frame"],
+                geometry_cycles=record["geometry_cycles"],
+                raster_cycles=record["raster_cycles"],
+                energy_joules=record["energy_joules"],
+                tiles_rendered=stats["tiles_rendered"],
+                tiles_skipped=stats["tiles_skipped"],
+                fragments_shaded=stats["fragments_shaded"],
+                early_z_kills=stats["early_z_kills"],
+                predicted_occluded=stats["predicted_occluded"],
+                signature_poisons=stats["signature_poisons"],
             )
         )
     return records

@@ -40,7 +40,6 @@ span emission happens at frame / phase / command / tile granularity.
 from .events import (
     EVENT_SCHEMA_VERSION,
     EventBus,
-    EventForwardingCall,
     FaultInjected,
     JsonlEventWriter,
     MetricSample,
@@ -56,7 +55,6 @@ from .events import (
     get_bus,
     publishing,
     read_event_log,
-    replay_forwarded,
     set_bus,
     to_wire,
 )
@@ -114,7 +112,6 @@ __all__ = [
     "tracing",
     "EVENT_SCHEMA_VERSION",
     "EventBus",
-    "EventForwardingCall",
     "FaultInjected",
     "JsonlEventWriter",
     "MetricSample",
@@ -130,7 +127,6 @@ __all__ = [
     "get_bus",
     "publishing",
     "read_event_log",
-    "replay_forwarded",
     "set_bus",
     "to_wire",
     "PhaseAccumulator",

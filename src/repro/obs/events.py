@@ -24,11 +24,11 @@ ignores unknown fields for exactly that reason.
 
 **Worker forwarding.**  Pipeline events fire inside whichever process
 executes the work.  Under a :class:`~repro.engine.ProcessPoolScheduler`
-that is a worker without access to the parent's subscribers, so the
-schedulers wrap mapped calls in :class:`EventForwardingCall`: the worker
-buffers its events next to the job's result (the same wire the profiler
-uses), and the parent re-emits them — re-stamped, so the merged stream
-stays monotonically ordered — when it unwraps the result.
+that is a worker without access to the parent's subscribers, so the job
+envelope (:mod:`repro.engine.job`) buffers them on a plain
+:class:`EventBus` beside the job's result, and the parent re-emits the
+events of every record it keeps — re-stamped, so the merged stream stays
+monotonically ordered.
 
 **One-way by construction.**  Nothing here is read back by the
 simulation, and a subscriber that raises is disconnected with a warning
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -321,65 +320,6 @@ def publishing(bus: Bus) -> Iterator[Bus]:
         yield bus
     finally:
         set_bus(previous)
-
-
-# ---------------------------------------------------------------------------
-# Worker-side forwarding (the result-channel wire)
-# ---------------------------------------------------------------------------
-
-class _BufferBus(EventBus):
-    """The bus installed inside a worker: buffers instead of delivering."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.events: List[Event] = []
-        self.subscribe(self.events.append)
-
-
-@dataclass
-class ForwardedResult:
-    """Wire record pairing a job's result with its buffered events."""
-
-    result: Any
-    events: List[Event]
-
-
-class EventForwardingCall:
-    """Picklable wrapper buffering a mapped call's events where it runs.
-
-    In the parent process (serial scheduler, or a pool's single-item
-    shortcut) events already reach the live bus, so the call passes
-    through and forwards nothing.  In a worker — including one forked
-    with the parent's bus object inherited — a fresh buffering bus is
-    installed for the call's duration, and the buffered events ride home
-    next to the result for the parent to re-emit in submission order.
-    """
-
-    def __init__(self, fn: Callable[[Any], Any],
-                 parent_pid: Optional[int] = None):
-        self.fn = fn
-        self.parent_pid = os.getpid() if parent_pid is None else parent_pid
-
-    def __call__(self, item: Any) -> ForwardedResult:
-        if os.getpid() == self.parent_pid:
-            return ForwardedResult(self.fn(item), [])
-        buffer = _BufferBus()
-        with publishing(buffer):
-            result = self.fn(item)
-        return ForwardedResult(result, buffer.events)
-
-
-def replay_forwarded(value: Any, bus: Optional[Bus] = None) -> Any:
-    """Parent-side unwrap: re-emit a job's buffered events, return its
-    result.  Passes non-forwarded values through untouched, so unwrap
-    sites need not know whether forwarding was armed."""
-    if not isinstance(value, ForwardedResult):
-        return value
-    target = get_bus() if bus is None else bus
-    if target.enabled:
-        for event in value.events:
-            target.emit(event)
-    return value.result
 
 
 # ---------------------------------------------------------------------------

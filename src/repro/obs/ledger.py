@@ -309,9 +309,10 @@ class PhaseAccumulator:
     per-cell totals — the ledger's ``phases`` field.
 
     Attribution relies on each run's events being contiguous on the
-    parent bus, which the forwarding protocol guarantees: a worker
-    job's buffered stream (``RunStarted … PhaseCompleted … RunFinished``)
-    is replayed atomically when its result is unwrapped.
+    parent bus, which the job envelope guarantees: a worker job's (or
+    resilient attempt's) buffered stream (``RunStarted …
+    PhaseCompleted … RunFinished``) is replayed atomically when its
+    record is settled, and a discarded attempt's never is.
     """
 
     def __init__(self) -> None:

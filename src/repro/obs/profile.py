@@ -7,10 +7,12 @@ and which worker ran it.  From those it derives worker occupancy — the
 fraction of the fan-out window each worker spent busy — for both the
 Serial and ProcessPool schedulers.
 
-The measurement path is deliberately one-way: the wrapper times the call
-and passes the job's return value through untouched, so profiled and
-unprofiled executions produce bit-identical simulated results; only
-observability output differs.  Job timings also feed the process-wide
+The measurement path is deliberately one-way: the job envelope
+(:mod:`repro.engine.job`) times the call and passes the job's return
+value through untouched, so profiled and unprofiled executions produce
+bit-identical simulated results; only observability output differs.
+The parent records one timing per kept job and closes one batch per
+``Scheduler.map`` call.  Job timings also feed the process-wide
 metrics registry (``scheduler.*`` histograms) and, when a
 :class:`~repro.obs.trace.ChromeTracer` is attached, become per-tile trace
 spans — on the ``main`` track when the job ran in-process (serial
@@ -20,9 +22,8 @@ scheduler), on a ``worker-<pid>`` track when a pool worker ran it.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from .metrics import global_registry
 from .trace import MAIN_TRACK, Tracer
@@ -57,28 +58,6 @@ class BatchTiming:
         return self.end - self.submit
 
 
-@dataclass
-class _Timed:
-    """Wire record a wrapped call sends back from the executing process."""
-
-    result: Any
-    start: float
-    end: float
-    worker: int
-
-
-class _TimedCall:
-    """Picklable wrapper timing ``fn(item)`` where it runs."""
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def __call__(self, item: Any) -> _Timed:
-        start = time.perf_counter()
-        result = self.fn(item)
-        return _Timed(result, start, time.perf_counter(), os.getpid())
-
-
 def _label_for(item: Any, index: int) -> str:
     """A human label for one work item (tile jobs and suite pairs get
     recognizable names; anything else falls back to its index)."""
@@ -99,50 +78,48 @@ class SchedulerProfiler:
         self.timings: List[JobTiming] = []
         self.batches: List[BatchTiming] = []
         self._parent_pid = os.getpid()
+        self._batch_start = 0  # first timing of the open batch
 
     # -- scheduler-facing API ------------------------------------------------
 
-    def wrap(self, fn: Callable[[Any], Any]) -> _TimedCall:
-        """The timed, picklable stand-in schedulers map instead of ``fn``."""
-        return _TimedCall(fn)
-
-    def collect(self, submit: float, items: Sequence[Any],
-                timed: Sequence[_Timed]) -> List[Any]:
-        """Record one batch's timings; returns the unwrapped results."""
-        batch = len(self.batches)
+    def record_job(self, item: Any, index: int, submitted: float,
+                   record: Any) -> None:
+        """Record one kept job of the open batch.  ``record`` is the
+        job's :class:`~repro.engine.job.JobRecord`; its queue wait runs
+        from ``submitted`` to the measured start."""
+        timing = JobTiming(
+            label=_label_for(item, index),
+            batch=len(self.batches),
+            start=record.start,
+            end=record.end,
+            worker=record.worker,
+            queue_wait=max(0.0, record.start - submitted),
+        )
+        self.timings.append(timing)
         registry = global_registry()
-        job_hist = registry.histogram("scheduler.job_seconds")
-        wait_hist = registry.histogram("scheduler.queue_wait_seconds")
-        results: List[Any] = []
-        batch_end = submit
-        for index, (item, record) in enumerate(zip(items, timed)):
-            timing = JobTiming(
-                label=_label_for(item, index),
-                batch=batch,
-                start=record.start,
-                end=record.end,
-                worker=record.worker,
-                queue_wait=max(0.0, record.start - submit),
+        registry.histogram("scheduler.job_seconds").observe(timing.duration)
+        registry.histogram("scheduler.queue_wait_seconds").observe(
+            timing.queue_wait)
+        if self.tracer is not None and self.tracer.enabled:
+            track = (MAIN_TRACK if record.worker == self._parent_pid
+                     else f"worker-{record.worker}")
+            self.tracer.complete(
+                timing.label, "tile", record.start, record.end,
+                track=track,
+                args={"queue_wait_ms": timing.queue_wait * 1e3,
+                      "batch": timing.batch},
             )
-            self.timings.append(timing)
-            job_hist.observe(timing.duration)
-            wait_hist.observe(timing.queue_wait)
-            if record.end > batch_end:
-                batch_end = record.end
-            if self.tracer is not None and self.tracer.enabled:
-                track = (MAIN_TRACK if record.worker == self._parent_pid
-                         else f"worker-{record.worker}")
-                self.tracer.complete(
-                    timing.label, "tile", record.start, record.end,
-                    track=track,
-                    args={"queue_wait_ms": timing.queue_wait * 1e3,
-                          "batch": batch},
-                )
-            results.append(record.result)
-        self.batches.append(BatchTiming(submit, batch_end, len(timed)))
-        registry.counter("scheduler.jobs").inc(len(timed))
+
+    def close_batch(self, submit: float) -> None:
+        """Close the open batch: one ``Scheduler.map`` call submitted at
+        ``submit``, covering every job recorded since the last close."""
+        jobs = self.timings[self._batch_start:]
+        self._batch_start = len(self.timings)
+        end = max([submit] + [timing.end for timing in jobs])
+        self.batches.append(BatchTiming(submit, end, len(jobs)))
+        registry = global_registry()
+        registry.counter("scheduler.jobs").inc(len(jobs))
         registry.counter("scheduler.batches").inc()
-        return results
 
     # -- summaries -----------------------------------------------------------
 

@@ -21,12 +21,10 @@ The typed failure taxonomy lives in :mod:`repro.errors`
 events go through :mod:`repro.obs`.
 """
 
+from ..engine.job import CRASH_EXIT_CODE, CorruptedResult
 from .faults import (
-    CRASH_EXIT_CODE,
-    CorruptedResult,
     FAULT_KINDS,
     FaultPlan,
-    FaultyCall,
     ScriptedFaultPlan,
     corrupt_pixel,
     stable_unit,
@@ -40,7 +38,6 @@ __all__ = [
     "CorruptedResult",
     "FAULT_KINDS",
     "FaultPlan",
-    "FaultyCall",
     "JobFailure",
     "ResilientScheduler",
     "RetryPolicy",

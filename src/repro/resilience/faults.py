@@ -11,8 +11,9 @@ Five fault kinds, mirroring how real suite runs die:
 
 ========  ==============================================================
 raise     the job raises :class:`~repro.errors.InjectedFaultError`
-corrupt   the job completes but returns a :class:`CorruptedResult`
-          sentinel in place of its real output
+corrupt   the job completes but returns a
+          :class:`~repro.engine.job.CorruptedResult` sentinel in place
+          of its real output
 hang      the job sleeps for ``hang_seconds`` before completing
           normally (long enough to trip a per-job timeout when one is
           armed; merely slow otherwise — an injected hang can never
@@ -22,9 +23,9 @@ crash     the job kills its worker process with ``os._exit`` (the pool
           so the parent can never kill itself
 pixel     a rendered image acquires a deterministic single-pixel diff
           (:func:`corrupt_pixel`).  Render-level corruption recognized
-          only by the corpus differential gate; job-level execution
-          (:class:`FaultyCall`) ignores it, because the retry machinery
-          has no pixels to damage
+          only by the corpus differential gate; the job envelope
+          ignores it, because the retry machinery has no pixels to
+          damage
 ========  ==============================================================
 
 Plans are parsed from ``--inject-faults``/``REPRO_FAULTS`` specs such as
@@ -32,23 +33,20 @@ Plans are parsed from ``--inject-faults``/``REPRO_FAULTS`` specs such as
 machinery re-draws per attempt, so a job that crashed on attempt 1 will
 usually succeed on attempt 2 — exactly the transient-fault model the
 resilient scheduler is built to absorb.
+
+This module only *decides*.  Job-level faults are applied by the job
+envelope (:class:`~repro.engine.job.Job`) in the process that executes
+the attempt — an injected crash must kill the worker, not the scheduler.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import time
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
-
-from ..errors import InjectedFaultError
+from typing import Dict, Mapping, Optional, Tuple
 
 #: Recognized fault kinds, in the (fixed) order they are drawn.
 #: ``pixel`` is appended so pre-existing plans keep their draw order.
 FAULT_KINDS = ("raise", "corrupt", "hang", "crash", "pixel")
-
-#: Worker exit code used by injected crashes (BSD's EX_SOFTWARE).
-CRASH_EXIT_CODE = 70
 
 
 def stable_unit(text: str) -> float:
@@ -76,24 +74,6 @@ def corrupt_pixel(image, key: str, seed: int = 0):
     # An additive nudge can never be a no-op (flipping 0.5 would be).
     corrupted[y, x, 0] += 0.125
     return corrupted
-
-
-class CorruptedResult:
-    """Sentinel standing in for a job result mangled by a corrupt fault.
-
-    The resilient scheduler recognizes instances and treats them as a
-    failed attempt; anything else receiving one would crash loudly
-    rather than silently propagate garbage.
-    """
-
-    __slots__ = ("key", "attempt")
-
-    def __init__(self, key: str, attempt: int):
-        self.key = key
-        self.attempt = attempt
-
-    def __repr__(self) -> str:
-        return f"CorruptedResult(key={self.key!r}, attempt={self.attempt})"
 
 
 class FaultPlan:
@@ -198,40 +178,3 @@ class ScriptedFaultPlan(FaultPlan):
 
     def __repr__(self) -> str:
         return f"ScriptedFaultPlan({len(self.script)} entries)"
-
-
-class FaultyCall:
-    """Picklable wrapper applying one attempt's fault decision around
-    ``fn(item)`` *in the process that executes it* — injected crashes
-    must kill the worker, not the scheduler."""
-
-    def __init__(self, fn: Callable[[Any], Any], plan: Optional[FaultPlan],
-                 key: str, attempt: int, parent_pid: int):
-        self.fn = fn
-        self.plan = plan
-        self.key = key
-        self.attempt = attempt
-        self.parent_pid = parent_pid
-
-    def __call__(self, item: Any) -> Any:
-        kind = (self.plan.decide(self.key, self.attempt)
-                if self.plan is not None else None)
-        if kind == "crash":
-            if os.getpid() != self.parent_pid:
-                os._exit(CRASH_EXIT_CODE)
-            # In-process execution (serial scheduler or degraded
-            # fallback): killing the parent would defeat the harness.
-            raise InjectedFaultError(
-                f"injected crash for {self.key} "
-                f"(attempt {self.attempt}, converted in-process)"
-            )
-        if kind == "raise":
-            raise InjectedFaultError(
-                f"injected failure for {self.key} (attempt {self.attempt})"
-            )
-        if kind == "hang":
-            time.sleep(self.plan.hang_seconds)
-        result = self.fn(item)
-        if kind == "corrupt":
-            return CorruptedResult(self.key, self.attempt)
-        return result

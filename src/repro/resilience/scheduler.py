@@ -25,18 +25,23 @@ runner uses it to complete a sweep with failed cells marked as such).
 Both accept an ``on_result`` callback invoked as each job settles, which
 is what makes incremental checkpointing possible.
 
-Everything observable goes through :mod:`repro.obs`: retry/timeout/
+Every attempt, on every path, is one supervised job envelope
+(:class:`~repro.engine.job.Job`), which buffers its events even in the
+parent.  Only an attempt whose result is kept is settled, so a raised,
+corrupt, crashed or timed-out attempt reaches neither the profiler nor
+the bus, and one ``map`` call is one profiler batch.
+
+Everything else observable goes through :mod:`repro.obs`: retry/timeout/
 crash/rebuild counters in the process-wide metrics registry, ``retry``
 spans and fault instants in the process-wide tracer, warnings via the
 package logger.  With neither a fault plan nor a timeout armed, a pool
-batch takes an optimistic unsupervised pass through the bare scheduler
-(chunked, zero overhead) and is only re-run supervised if that pass
-fails; results are bit-identical to the bare scheduler's either way.
+batch takes an optimistic unsupervised pass (chunked, like the bare pool
+scheduler) and is only re-run supervised if that pass fails; results
+are bit-identical to the bare scheduler's either way.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -53,6 +58,7 @@ from typing import (
     Tuple,
 )
 
+from ..engine.job import CorruptedResult, Job, settle
 from ..engine.scheduler import ProcessPoolScheduler, Scheduler
 from ..errors import (
     InjectedFaultError,
@@ -61,16 +67,11 @@ from ..errors import (
     ResilienceError,
     WorkerCrashError,
 )
-from ..obs.events import (
-    EventForwardingCall,
-    FaultInjected,
-    ForwardedResult,
-    get_bus,
-)
+from ..obs.events import FaultInjected, get_bus
 from ..obs.log import get_logger
 from ..obs.metrics import global_registry
 from ..obs.trace import get_tracer
-from .faults import CorruptedResult, FaultPlan, FaultyCall
+from .faults import FaultPlan
 from .policy import RetryPolicy, backoff_delay
 
 logger = get_logger("resilience")
@@ -132,7 +133,6 @@ class ResilientScheduler:
         self.inner = inner
         self.policy = policy or RetryPolicy()
         self.fault_plan = fault_plan
-        self._parent_pid = os.getpid()
         self._batch = 0
         self._rebuilds = 0
         self._degraded = False
@@ -191,28 +191,32 @@ class ResilientScheduler:
         batch = self._batch
         results: List[Any] = [_UNSET] * len(items)
         attempts = [0] * len(items)
-
-        pool = self._pool()
-        if (pool is not None and self.fault_plan is None
-                and self.policy.timeout_seconds is None):
-            # Nothing to inject and nothing to time: one chunked pass
-            # through the bare pool is bit-identical and pays zero
-            # supervision overhead.  Supervision kicks in only if the
-            # optimistic pass fails.
-            if self._map_pool_optimistic(pool, fn, items, attempts,
-                                         results, on_result):
-                return results
-            pool = self._pool()  # the failure may have degraded us
-        if pool is not None:
-            remaining = self._map_pool(pool, fn, items, batch, attempts,
-                                       results, on_result)
-        else:
-            remaining = [index for index, value in enumerate(results)
-                         if value is _UNSET]
-        for index in remaining:
-            self._run_item_serial(fn, items, index, batch, attempts,
-                                  results, on_result)
-        return results
+        submit = time.perf_counter()
+        try:
+            pool = self._pool()
+            if (pool is not None and self.fault_plan is None
+                    and self.policy.timeout_seconds is None):
+                # Nothing to inject and nothing to time: one chunked
+                # pass through the pool is bit-identical and pays no
+                # supervision overhead.  Supervision kicks in only if
+                # the optimistic pass fails.
+                if self._map_pool_optimistic(pool, fn, items, submit,
+                                             attempts, results, on_result):
+                    return results
+                pool = self._pool()  # the failure may have degraded us
+            if pool is not None:
+                remaining = self._map_pool(pool, fn, items, batch,
+                                           attempts, results, on_result)
+            else:
+                remaining = [index for index, value in enumerate(results)
+                             if value is _UNSET]
+            for index in remaining:
+                self._run_item_serial(fn, items, index, batch, attempts,
+                                      results, on_result)
+            return results
+        finally:
+            if self.profiler is not None:
+                self.profiler.close_batch(submit)
 
     # -- shared helpers ------------------------------------------------------
 
@@ -227,40 +231,7 @@ class ResilientScheduler:
     def _key(self, batch: int, index: int) -> str:
         return f"{batch}:{index}"
 
-    def _call(self, fn: Callable[[Any], Any], key: str,
-              attempt: int) -> Callable[[Any], Any]:
-        call: Callable[[Any], Any] = FaultyCall(
-            fn, self.fault_plan, key, attempt, self._parent_pid
-        )
-        profiler = self.profiler
-        if profiler is not None:
-            call = profiler.wrap(call)
-        if get_bus().enabled:
-            # Outermost, so buffer install/teardown is outside the
-            # profiler's measured window.
-            call = EventForwardingCall(call, self._parent_pid)
-        return call
-
-    def _unwrap(self, item: Any, submitted: float, value: Any) -> Any:
-        """Undo :meth:`_call` wrapping for one settled job: replay the
-        worker's forwarded events and feed the profiler its timing."""
-        events: Sequence[Any] = ()
-        if isinstance(value, ForwardedResult):
-            events = value.events
-            value = value.result
-        profiler = self.profiler
-        if profiler is not None:
-            [value] = profiler.collect(submitted, [item], [value])
-        if events and not isinstance(value, CorruptedResult):
-            # A corrupted attempt is retried; dropping its events keeps
-            # the stream free of duplicate per-attempt telemetry.
-            bus = get_bus()
-            if bus.enabled:
-                for event in events:
-                    bus.emit(event)
-        return value
-
-    def _settle(self, index: int, value: Any, results: List[Any],
+    def _finish(self, index: int, value: Any, results: List[Any],
                 on_result: Optional[Callable[[int, Any], None]]) -> None:
         results[index] = value
         if on_result is not None:
@@ -281,7 +252,7 @@ class ResilientScheduler:
         global_registry().counter("resilience.jobs_failed").inc()
         logger.warning("job %s failed permanently after %d attempt(s): %s",
                        key, attempts, message)
-        self._settle(index, JobFailure(index, key, kind, message, attempts),
+        self._finish(index, JobFailure(index, key, kind, message, attempts),
                      results, on_result)
 
     def _retry_span(self, key: str, attempt: int, start: float) -> None:
@@ -326,23 +297,23 @@ class ResilientScheduler:
             if first_start is None:
                 first_start = start
             try:
-                value = self._unwrap(
-                    items[index], start,
-                    self._call(fn, key, attempt)(items[index]),
-                )
+                record = Job(fn, supervised=True, plan=self.fault_plan,
+                             key=key, attempt=attempt)(items[index])
             except Exception as exc:  # noqa: BLE001 - retry boundary
                 kind = ("injected_faults"
                         if isinstance(exc, InjectedFaultError) else "errors")
                 self._note_retryable(key, attempt, kind, repr(exc))
                 failure_kind, message = "error", repr(exc)
             else:
-                if isinstance(value, CorruptedResult):
+                if isinstance(record.result, CorruptedResult):
                     self._note_retryable(key, attempt, "corrupt_results",
-                                         repr(value))
-                    failure_kind, message = "corrupt", repr(value)
+                                         repr(record.result))
+                    failure_kind, message = "corrupt", repr(record.result)
                 else:
                     self._retry_span(key, attempt, first_start)
-                    self._settle(index, value, results, on_result)
+                    value = settle(record, items[index], index, start,
+                                   self.profiler)
+                    self._finish(index, value, results, on_result)
                     return
             if attempt >= self.policy.max_attempts:
                 self._give_up(index, key, attempt, failure_kind, message,
@@ -357,22 +328,24 @@ class ResilientScheduler:
         pool: ProcessPoolScheduler,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
+        submit: float,
         attempts: List[int],
         results: List[Any],
         on_result: Optional[Callable[[int, Any], None]],
     ) -> bool:
-        """One unsupervised, chunked pass through the bare pool.
+        """One unsupervised, chunked pass through the pool.
 
         This is the fast path when neither a fault plan nor a timeout is
-        armed: ``pool.map`` batches jobs into chunks exactly as an
-        unwrapped scheduler would, so arming ``--retries`` alone costs
-        nothing until something actually fails.  Returns True when every
-        job settled; on any failure the whole batch is charged one
-        attempt and handed to the supervised machinery (jobs are pure,
-        so re-running already-succeeded ones changes nothing).
+        armed: jobs travel in chunks exactly as under a bare pool
+        scheduler, so arming ``--retries`` alone costs nothing until
+        something actually fails.  Returns True when every job settled;
+        nothing is published until then.  On any failure the whole batch
+        is discarded, charged one attempt and handed to the supervised
+        machinery (jobs are pure, so re-running already-succeeded ones
+        changes nothing).
         """
         try:
-            values = pool.map(fn, items)
+            records = list(pool._map(Job(fn, supervised=True), items))
         except BrokenProcessPool as exc:
             failure_kind, message = "crash", repr(exc)
             global_registry().counter("resilience.crashes").inc()
@@ -381,9 +354,11 @@ class ResilientScheduler:
             failure_kind, message = "error", repr(exc)
             global_registry().counter("resilience.errors").inc()
         else:
-            for index, value in enumerate(values):
+            for index, record in enumerate(records):
                 attempts[index] = 1
-                self._settle(index, value, results, on_result)
+                value = settle(record, items[index], index, submit,
+                               self.profiler)
+                self._finish(index, value, results, on_result)
             return True
         logger.warning("optimistic pool pass failed (%s); re-running "
                        "batch supervised", message)
@@ -435,7 +410,9 @@ class ResilientScheduler:
                 deadline = (submitted + policy.timeout_seconds
                             if policy.timeout_seconds else None)
                 future = pool._ensure_executor().submit(
-                    self._call(fn, key, attempt), items[index]
+                    Job(fn, supervised=True, plan=self.fault_plan,
+                        key=key, attempt=attempt),
+                    items[index],
                 )
                 inflight[future] = _InFlight(index, key, attempt,
                                              submitted, deadline)
@@ -490,7 +467,7 @@ class ResilientScheduler:
             for future in done:
                 meta = inflight.pop(future)
                 try:
-                    value = future.result()
+                    record = future.result()
                 except BrokenProcessPool as exc:
                     broken = True
                     self._note_retryable(meta.key, meta.attempt, "crashes",
@@ -505,16 +482,18 @@ class ResilientScheduler:
                                          repr(exc))
                     after_failure(meta, "error", repr(exc))
                 else:
-                    value = self._unwrap(items[meta.index], meta.submitted,
-                                         value)
-                    if isinstance(value, CorruptedResult):
+                    if isinstance(record.result, CorruptedResult):
                         self._note_retryable(meta.key, meta.attempt,
-                                             "corrupt_results", repr(value))
-                        after_failure(meta, "corrupt", repr(value))
+                                             "corrupt_results",
+                                             repr(record.result))
+                        after_failure(meta, "corrupt", repr(record.result))
                     else:
                         self._retry_span(meta.key, meta.attempt,
                                          first_start[meta.index])
-                        self._settle(meta.index, value, results, on_result)
+                        value = settle(record, items[meta.index],
+                                       meta.index, meta.submitted,
+                                       self.profiler)
+                        self._finish(meta.index, value, results, on_result)
             if broken:
                 abort_inflight(())
                 continue

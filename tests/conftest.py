@@ -16,10 +16,13 @@ from repro.math3d import Mat4, Vec3, Vec4, orthographic
 
 
 @pytest.fixture(autouse=True)
-def _isolated_ledger(tmp_path, monkeypatch):
-    """Point the run ledger at a per-test directory so CLI tests never
-    append to (or read) a developer's real ``.repro_ledger/``."""
+def _isolated_state_dirs(tmp_path, monkeypatch):
+    """Point the run ledger and the run cache at per-test directories so
+    CLI tests never append to (or read) a developer's real
+    ``.repro_ledger/``, and never write run-cache pickles or resume
+    journals into ``./.repro_cache/`` — or get cells from it."""
     monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "test_ledger"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "test_cache"))
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import repro.cli
+import repro.harness.runner
 from repro.cli import build_parser, main
 from repro.engine import SerialScheduler
 from repro.obs import NULL_TRACER, get_tracer
@@ -194,7 +195,8 @@ class TestObservabilityFlags:
 
         monkeypatch.setattr(repro.cli, "make_scheduler",
                             lambda jobs, profiler=None: _SpyScheduler())
-        monkeypatch.setattr(repro.cli, "GPU", _ExplodingGPU)
+        # `repro run` builds its GPU in the runner's one simulate path.
+        monkeypatch.setattr(repro.harness.runner, "GPU", _ExplodingGPU)
         with pytest.raises(RuntimeError):
             main(["run", "hop"] + self.SMALL)
         assert closes  # the with-block released the scheduler anyway
@@ -337,6 +339,25 @@ class TestEventBusCli:
         kinds = {r["kind"] for r in records}
         assert {"run-started", "phase-completed", "tile-job-finished",
                 "run-finished"} <= kinds
+
+    def test_serial_retries_publish_each_cell_once(self, tmp_path,
+                                                   capsys):
+        # Fault seed 6 corrupts the first two attempts of cell 1:0 and
+        # the first of 1:1; only the kept attempt of each cell may
+        # reach the event log.
+        path = str(tmp_path / "events.jsonl")
+        assert main(["figure", "fig9", "--benchmarks", "hop",
+                     "--retries", "6", "--inject-faults", "corrupt:0.5",
+                     "--fault-seed", "6", "--events", path,
+                     "--ledger", "off"] + self.SMALL) == 0
+        with open(path) as handle:
+            records = [json.loads(line) for line in handle]
+        faults = [r for r in records if r["kind"] == "fault-injected"]
+        assert len(faults) == 3
+        for kind in ("run-started", "run-finished"):
+            cells = [(r["benchmark"], r["mode"]) for r in records
+                     if r["kind"] == kind]
+            assert len(cells) == 3 and len(set(cells)) == 3, kind
 
     def test_pool_figure_bit_identical_with_full_observability(
             self, tmp_path, monkeypatch, capsys):

@@ -18,14 +18,13 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.engine import ProcessPoolScheduler, SerialScheduler
+from repro.engine.job import Job, JobRecord, settle
 from repro.harness.runner import metrics_from_result
 from repro.obs import ChromeTracer, MetricsRegistry
 from repro.obs.events import (
     CorpusFamilyChecked,
     EVENT_SCHEMA_VERSION,
     EventBus,
-    EventForwardingCall,
-    ForwardedResult,
     JsonlEventWriter,
     MetricSample,
     MetricsSubscriber,
@@ -39,7 +38,6 @@ from repro.obs.events import (
     get_bus,
     publishing,
     read_event_log,
-    replay_forwarded,
     set_bus,
     to_wire,
 )
@@ -178,6 +176,8 @@ def _square_and_emit(item):
 
 
 class TestForwarding:
+    """Event forwarding through the job envelope (:mod:`repro.engine.job`)."""
+
     def test_in_parent_passes_through_without_buffering(self):
         bus = EventBus()
         seen = []
@@ -188,11 +188,10 @@ class TestForwarding:
             return item * 2
 
         with publishing(bus):
-            wrapped = EventForwardingCall(fn)
-            result = wrapped(21)
-        assert isinstance(result, ForwardedResult)
-        assert result.result == 42
-        assert result.events == []  # emitted live, nothing buffered
+            record = Job(fn)(21)
+        assert isinstance(record, JobRecord)
+        assert record.result == 42
+        assert record.events == []  # emitted live, nothing buffered
         assert [event.name for event in seen] == ["inner"]
 
     def test_in_worker_buffers_even_with_inherited_bus(self):
@@ -207,27 +206,63 @@ class TestForwarding:
             return item
 
         with publishing(parent_bus):
-            wrapped = EventForwardingCall(fn, parent_pid=os.getpid() + 1)
-            result = wrapped(7)
-        assert result.result == 7
-        assert [event.name for event in result.events] == ["inner"]
+            job = Job(fn)
+            job.parent_pid = os.getpid() + 1  # as seen from a worker
+            record = job(7)
+        assert record.result == 7
+        assert [event.name for event in record.events] == ["inner"]
         assert parent_subscribers == []  # parent saw nothing in-worker
 
-    def test_replay_forwarded_restamps_on_parent_bus(self):
+    def test_supervised_attempt_buffers_in_parent(self):
+        # A resilient attempt may still be discarded, so even in the
+        # parent its events wait in the record until it is kept.
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+
+        def fn(item):
+            get_bus().emit(MetricSample(name="inner", value=item))
+            return item
+
+        with publishing(bus):
+            record = Job(fn, supervised=True)(3)
+        assert [event.name for event in record.events] == ["inner"]
+        assert seen == []
+
+    def test_nothing_buffered_without_a_bus(self):
+        def fn(item):
+            get_bus().emit(MetricSample(name="inner", value=item))
+            return item
+
+        job = Job(fn, supervised=True)
+        job.parent_pid = os.getpid() + 1
+        assert job(5).events == []
+
+    def test_settle_restamps_on_parent_bus(self):
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
         bus.emit(MetricSample(name="before", value=0.0))
-        forwarded = ForwardedResult(
-            "payload",
+        record = JobRecord(
+            "payload", 0.0, 0.0, os.getpid(),
             [MetricSample(name="a", value=1.0, seq=1, ts=5.0),
              MetricSample(name="b", value=2.0, seq=2, ts=6.0)],
         )
-        assert replay_forwarded(forwarded, bus) == "payload"
+        with publishing(bus):
+            assert settle(record, None, 0, 0.0, None) == "payload"
         assert [event.seq for event in seen] == [1, 2, 3]  # re-stamped
+        assert [event.ts for event in seen[1:]] == [5.0, 6.0]
 
     def test_replay_passes_plain_values_through(self):
-        assert replay_forwarded(123) == 123
+        # A record with nothing buffered settles to its bare result and
+        # publishes nothing.
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        with publishing(bus):
+            record = JobRecord(123, 0.0, 0.0, os.getpid())
+            assert settle(record, None, 0, 0.0, None) == 123
+        assert seen == []
 
     def test_pool_scheduler_forwards_worker_events(self):
         calls = list(range(8))

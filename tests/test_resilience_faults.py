@@ -8,17 +8,18 @@ that promise, the spec parser, and the fault semantics themselves.
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from repro.engine.job import Job
 from repro.errors import InjectedFaultError
 from repro.resilience import (
+    CRASH_EXIT_CODE,
     CorruptedResult,
     FAULT_KINDS,
     FaultPlan,
-    FaultyCall,
     RetryPolicy,
     ScriptedFaultPlan,
     backoff_delay,
@@ -107,51 +108,69 @@ class TestFaultPlanDecide:
         with pytest.raises(ValueError):
             ScriptedFaultPlan({("1:0", 1): "meltdown"})
 
-
-class TestFaultyCall:
-    def test_no_plan_is_passthrough(self):
-        call = FaultyCall(lambda x: x + 1, None, "1:0", 1, os.getpid())
-        assert call(41) == 42
-
-    def test_raise_fault(self):
-        plan = ScriptedFaultPlan({("1:0", 1): "raise"})
-        call = FaultyCall(lambda x: x, plan, "1:0", 1, os.getpid())
-        with pytest.raises(InjectedFaultError):
-            call(0)
-        # A different attempt of the same job is clean.
-        assert FaultyCall(lambda x: x, plan, "1:0", 2, os.getpid())(5) == 5
-
-    def test_corrupt_fault_returns_sentinel(self):
-        plan = ScriptedFaultPlan({("1:0", 1): "corrupt"})
-        value = FaultyCall(lambda x: x, plan, "1:0", 1, os.getpid())(9)
-        assert isinstance(value, CorruptedResult)
-        assert (value.key, value.attempt) == ("1:0", 1)
-
-    def test_hang_fault_completes_normally(self):
-        plan = ScriptedFaultPlan({("1:0", 1): "hang"}, hang_seconds=0.01)
-        call = FaultyCall(lambda x: x * 2, plan, "1:0", 1, os.getpid())
-        assert call(4) == 8  # merely slow, never wedged
-
-    def test_crash_fault_converted_in_process(self):
-        # In the parent process an injected crash must become an
-        # ordinary exception — the harness must never kill itself.
-        plan = ScriptedFaultPlan({("1:0", 1): "crash"})
-        call = FaultyCall(lambda x: x, plan, "1:0", 1, os.getpid())
-        with pytest.raises(InjectedFaultError, match="converted in-process"):
-            call(0)
-
     def test_fault_kinds_cover_all_paths(self):
         # "pixel" is appended (never inserted) so pre-existing plans
         # keep their draw order.
         assert FAULT_KINDS == ("raise", "corrupt", "hang", "crash",
                                "pixel")
 
+
+class TestJobFaults:
+    """Faults as the job envelope applies them, in the process that runs
+    the attempt (:class:`repro.engine.job.Job`)."""
+
+    def test_no_plan_is_passthrough(self):
+        assert Job(lambda x: x + 1, key="1:0", attempt=1)(41).result == 42
+
+    def test_raise_fault(self):
+        plan = ScriptedFaultPlan({("1:0", 1): "raise"})
+        job = Job(lambda x: x, plan=plan, key="1:0", attempt=1)
+        with pytest.raises(InjectedFaultError):
+            job(0)
+        # A different attempt of the same job is clean.
+        retry = Job(lambda x: x, plan=plan, key="1:0", attempt=2)
+        assert retry(5).result == 5
+
+    def test_corrupt_fault_returns_sentinel(self):
+        plan = ScriptedFaultPlan({("1:0", 1): "corrupt"})
+        value = Job(lambda x: x, plan=plan, key="1:0", attempt=1)(9).result
+        assert isinstance(value, CorruptedResult)
+        assert (value.key, value.attempt) == ("1:0", 1)
+
+    def test_hang_fault_completes_normally(self):
+        plan = ScriptedFaultPlan({("1:0", 1): "hang"}, hang_seconds=0.01)
+        job = Job(lambda x: x * 2, plan=plan, key="1:0", attempt=1)
+        assert job(4).result == 8  # merely slow, never wedged
+
+    def test_crash_fault_converted_in_process(self):
+        # In the parent process an injected crash must become an
+        # ordinary exception — the harness must never kill itself.
+        plan = ScriptedFaultPlan({("1:0", 1): "crash"})
+        job = Job(lambda x: x, plan=plan, key="1:0", attempt=1)
+        with pytest.raises(InjectedFaultError, match="converted in-process"):
+            job(0)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_crash_fault_exits_the_worker(self):
+        # Anywhere but the parent, an injected crash kills the process
+        # with the documented exit code.
+        plan = ScriptedFaultPlan({("1:0", 1): "crash"})
+        job = Job(lambda x: x, plan=plan, key="1:0", attempt=1)
+        worker = multiprocessing.get_context("fork").Process(
+            target=job, args=(0,))
+        worker.start()
+        worker.join(timeout=60)
+        assert worker.exitcode == CRASH_EXIT_CODE == 70
+
     def test_pixel_fault_ignored_by_job_execution(self):
         # Render-level corruption means nothing to the retry machinery:
         # a job under a pixel-only plan must run untouched.
         plan = ScriptedFaultPlan({("1:0", 1): "pixel"})
-        call = FaultyCall(lambda x: x * 2, plan, "1:0", 1, os.getpid())
-        assert call(4) == 8
+        job = Job(lambda x: x * 2, plan=plan, key="1:0", attempt=1)
+        assert job(4).result == 8
 
 
 class TestCorruptPixel:

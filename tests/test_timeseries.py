@@ -7,6 +7,7 @@ import pytest
 
 from repro import GPU, GPUConfig, PipelineMode
 from repro.harness import frame_series, write_csv
+from repro.obs.metrics import frame_record
 from repro.scenes import benchmark_stream
 
 
@@ -37,6 +38,24 @@ class TestFrameSeries:
 
     def test_energy_positive_per_frame(self, run_result):
         assert all(r.energy_joules > 0 for r in frame_series(run_result))
+
+    def test_rows_equal_frame_record(self, run_result):
+        """The series and the ``--metrics`` frame records are one
+        calculation: every row matches its frame's record exactly."""
+        for series_row, frame in zip(frame_series(run_result),
+                                     run_result.frames):
+            record = frame_record("cde", "evr", frame, run_result.cost_model,
+                                  run_result.energy_model,
+                                  run_result.features)
+            stats = record["stats"]
+            assert series_row.as_row() == [
+                record["frame"], record["geometry_cycles"],
+                record["raster_cycles"], record["total_cycles"],
+                record["energy_joules"], stats["tiles_rendered"],
+                stats["tiles_skipped"], stats["fragments_shaded"],
+                stats["early_z_kills"], stats["predicted_occluded"],
+                stats["signature_poisons"],
+            ]
 
 
 class TestCSV:
