@@ -8,12 +8,12 @@ shaded work (nearly) order-independent without any application sorting.
 
 from repro.harness import ablation_draw_order
 
-from conftest import bench_config, publish
+from conftest import publish
 
 
-def test_ablation_draw_order(benchmark, capsys):
+def test_ablation_draw_order(benchmark, suite_runner, capsys):
     result = benchmark.pedantic(
-        lambda: ablation_draw_order(bench_config()),
+        lambda: ablation_draw_order(suite_runner),
         rounds=1, iterations=1,
     )
     publish(capsys, result)

@@ -7,12 +7,12 @@ conservative: fewer mispredictions (poisons), fewer detections.
 
 from repro.harness import ablation_history
 
-from conftest import bench_config, publish
+from conftest import publish
 
 
-def test_ablation_history(benchmark, capsys):
+def test_ablation_history(benchmark, suite_runner, capsys):
     result = benchmark.pedantic(
-        lambda: ablation_history(bench_config()),
+        lambda: ablation_history(suite_runner),
         rounds=1, iterations=1,
     )
     publish(capsys, result)

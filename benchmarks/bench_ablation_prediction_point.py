@@ -9,12 +9,12 @@ tiles) instead of image errors thanks to the taint repair.
 
 from repro.harness import ablation_prediction_point
 
-from conftest import bench_config, publish
+from conftest import publish
 
 
-def test_ablation_prediction_point(benchmark, capsys):
+def test_ablation_prediction_point(benchmark, suite_runner, capsys):
     result = benchmark.pedantic(
-        lambda: ablation_prediction_point(bench_config()),
+        lambda: ablation_prediction_point(suite_runner),
         rounds=1, iterations=1,
     )
     publish(capsys, result)

@@ -8,12 +8,12 @@ suite — supporting the paper's single 4-byte FVP per tile.
 
 from repro.harness import ablation_subtile
 
-from conftest import bench_config, publish
+from conftest import publish
 
 
-def test_ablation_subtile(benchmark, capsys):
+def test_ablation_subtile(benchmark, suite_runner, capsys):
     result = benchmark.pedantic(
-        lambda: ablation_subtile(bench_config()),
+        lambda: ablation_subtile(suite_runner),
         rounds=1, iterations=1,
     )
     publish(capsys, result)

@@ -11,16 +11,16 @@ effective when combined.
 from repro.harness import culling_alternatives
 from repro.scenes import benchmark_names
 
-from conftest import bench_config, publish
+from conftest import publish
 
 
-def test_culling_alternatives(benchmark, subset, capsys):
+def test_culling_alternatives(benchmark, suite_runner, subset, capsys):
     benchmarks_3d = [
         alias for alias in (subset or ("tib", "ata"))
         if alias in benchmark_names("3D")
     ] or ["tib", "ata"]
     result = benchmark.pedantic(
-        lambda: culling_alternatives(bench_config(), benchmarks_3d),
+        lambda: culling_alternatives(suite_runner, benchmarks_3d),
         rounds=1, iterations=1,
     )
     publish(capsys, result)
@@ -29,8 +29,8 @@ def test_culling_alternatives(benchmark, subset, capsys):
         # Z-prepass culls like the oracle...
         assert rows["z-prepass"][2] == rows["oracle"][2]
         # ...but pays more cycles than EVR's reordering.
-        assert rows["z-prepass"][3] > rows["evr-reorder"][3]
+        assert rows["z-prepass"][3] > rows["evr-reorder-only"][3]
         # EVR reordering beats the baseline.
-        assert rows["evr-reorder"][3] < 1.0
+        assert rows["evr-reorder-only"][3] < 1.0
         # HiZ composes with reordering.
-        assert rows["evr+hiz"][4] >= rows["hiz"][4]
+        assert rows["evr-hiz"][4] >= rows["hiz"][4]

@@ -1,8 +1,10 @@
 """Shared infrastructure for the figure-regeneration bench targets.
 
-All bench targets share one memoizing :class:`SuiteRunner` so that the
-~90 (benchmark, mode) simulations are executed once per session even
-though several figures consume the same runs.
+All bench targets share one memoizing :class:`SuiteRunner`, built from
+one :class:`~repro.spec.RunSpec`, so that the ~90 (benchmark, mode)
+simulations are executed once per session even though several figures
+consume the same runs; the ablation and analysis targets build their
+GPUs from the same spec.
 
 Environment knobs:
 
@@ -28,7 +30,7 @@ from typing import List, Optional
 
 import pytest
 
-from repro import GPUConfig
+from repro import GPUConfig, RunSpec, SchedulerSpec
 from repro.config import default_jobs
 from repro.engine import default_cache_dir
 from repro.harness.runner import SuiteRunner
@@ -36,11 +38,14 @@ from repro.harness.runner import SuiteRunner
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-def bench_config() -> GPUConfig:
+def bench_spec() -> RunSpec:
     frames = int(os.environ.get("REPRO_BENCH_FRAMES", "10"))
     width = int(os.environ.get("REPRO_BENCH_WIDTH", "192"))
     height = int(os.environ.get("REPRO_BENCH_HEIGHT", "160"))
-    return GPUConfig(screen_width=width, screen_height=height, frames=frames)
+    config = GPUConfig(screen_width=width, screen_height=height,
+                       frames=frames)
+    return RunSpec.from_config(
+        config, scheduler=SchedulerSpec(jobs=default_jobs()))
 
 
 def bench_subset() -> Optional[List[str]]:
@@ -56,8 +61,7 @@ def suite_runner():
         None if os.environ.get("REPRO_BENCH_CACHE", "1") == "0"
         else default_cache_dir()
     )
-    with SuiteRunner(bench_config(), jobs=default_jobs(),
-                     cache_dir=cache_dir) as runner:
+    with SuiteRunner(bench_spec(), cache_dir=cache_dir) as runner:
         yield runner
         print(f"\n{runner.cache_summary()}")
 

@@ -20,7 +20,6 @@ from repro import (
     FrameStream,
     GPU,
     GPUConfig,
-    PipelineMode,
     RenderState,
     ShaderProfile,
 )
@@ -34,6 +33,7 @@ from repro.math3d import (
     orthographic,
     perspective,
 )
+from repro.techniques import EVR
 
 
 def build_frame(config, index):
@@ -87,7 +87,7 @@ def main() -> None:
     config = GPUConfig.default(frames=6)
     stream = FrameStream(lambda i: build_frame(config, i), config.frames)
 
-    gpu = GPU(config, PipelineMode.EVR)
+    gpu = GPU(config, EVR)
     result = gpu.render_stream(stream)
 
     for frame_result in result.frames:

@@ -16,10 +16,11 @@ Usage::
 
 import sys
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig
 from repro.harness import format_table
 from repro.math3d import Vec3, Vec4
 from repro.scenes import BoxSpec, HUDSpec, KeyframePath, Scene3D
+from repro.techniques import BASELINE, RE, EVR
 
 
 class FlythroughScene(Scene3D):
@@ -64,11 +65,11 @@ def main() -> None:
     stream = scene.stream(frames)
 
     rows = []
-    for mode in (PipelineMode.BASELINE, PipelineMode.RE, PipelineMode.EVR):
+    for mode in (BASELINE, RE, EVR):
         result = GPU(config, mode).render_stream(stream)
         stats = result.total_stats()
         rows.append([
-            mode.value,
+            mode.name,
             result.redundant_tile_rate(),
             result.shaded_fragments_per_pixel(),
             stats.early_z_kills,

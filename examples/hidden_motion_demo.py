@@ -19,9 +19,10 @@ import sys
 
 import numpy as np
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig
 from repro.harness import format_table
 from repro.scenes import benchmark_stream
+from repro.techniques import RE, EVR
 
 
 def per_frame_skips(config, stream, mode):
@@ -40,8 +41,8 @@ def main() -> None:
     config = GPUConfig.default(frames=frames)
     stream = benchmark_stream("hay", config)
 
-    re_skips, re_images = per_frame_skips(config, stream, PipelineMode.RE)
-    evr_skips, evr_images = per_frame_skips(config, stream, PipelineMode.EVR)
+    re_skips, re_images = per_frame_skips(config, stream, RE)
+    evr_skips, evr_images = per_frame_skips(config, stream, EVR)
 
     rows = [
         [index, config.num_tiles, re_count, evr_count,

@@ -13,10 +13,11 @@ Usage::
 
 import sys
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig
 from repro.harness import format_table
 from repro.math3d import Vec3, Vec4
 from repro.scenes import BoxSpec, LinearOscillation, Scene3D
+from repro.techniques import BASELINE, EVR_REORDER_ONLY, ORACLE
 
 
 def build_scene(config, num_boxes):
@@ -62,9 +63,9 @@ def main() -> None:
 
     rows = []
     for mode, label in (
-        (PipelineMode.BASELINE, "baseline (early-Z only)"),
-        (PipelineMode.EVR_REORDER_ONLY, "EVR reordering"),
-        (PipelineMode.ORACLE, "oracle (perfect Z prepass)"),
+        (BASELINE, "baseline (early-Z only)"),
+        (EVR_REORDER_ONLY, "EVR reordering"),
+        (ORACLE, "oracle (perfect Z prepass)"),
     ):
         result = GPU(config, mode).render_stream(stream)
         stats = result.total_stats()

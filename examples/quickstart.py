@@ -13,9 +13,10 @@ Usage::
 
 import sys
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig
 from repro.harness import format_table
 from repro.scenes import benchmark_info, benchmark_stream
+from repro.techniques import BASELINE, RE, EVR
 
 
 def main() -> None:
@@ -33,7 +34,7 @@ def main() -> None:
     rows = []
     baseline_cycles = None
     baseline_energy = None
-    for mode in (PipelineMode.BASELINE, PipelineMode.RE, PipelineMode.EVR):
+    for mode in (BASELINE, RE, EVR):
         result = GPU(config, mode).render_stream(stream)
         cycles = result.total_cycles()
         energy = result.total_energy().total
@@ -41,7 +42,7 @@ def main() -> None:
             baseline_cycles = cycles.total
             baseline_energy = energy
         rows.append([
-            mode.value,
+            mode.name,
             cycles.geometry,
             cycles.raster,
             cycles.total / baseline_cycles,

@@ -17,9 +17,10 @@ import sys
 
 import numpy as np
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig
 from repro.commands import load_trace, save_trace
 from repro.scenes import benchmark_stream
+from repro.techniques import EVR
 from repro.validate import validate_stream
 
 
@@ -36,8 +37,8 @@ def main() -> None:
           f"({size_kb:.0f} KiB)")
 
     replayed = load_trace(trace_path)
-    direct = GPU(config, PipelineMode.EVR).render_stream(stream)
-    from_trace = GPU(config, PipelineMode.EVR).render_stream(replayed)
+    direct = GPU(config, EVR).render_stream(stream)
+    from_trace = GPU(config, EVR).render_stream(replayed)
     for expected, actual in zip(direct.frames, from_trace.frames):
         assert np.array_equal(expected.image, actual.image)
     print("replay is bit-identical to direct rendering")

@@ -46,7 +46,6 @@ from .pipeline import (
     GPU,
     FrameResult,
     PipelineFeatures,
-    PipelineMode,
     RunResult,
 )
 from .spec import (
@@ -89,7 +88,6 @@ __all__ = [
     "FrameStream",
     "GPU",
     "PipelineFeatures",
-    "PipelineMode",
     "FrameResult",
     "RunResult",
     "SpecError",

@@ -9,7 +9,9 @@ Subcommands:
 * ``run`` — simulate one benchmark under one or more registered
   techniques (``--modes``, or ``--mode`` for a single one) and print
   the headline metrics.
-* ``figure`` — regenerate one of the paper's figures/tables.
+* ``figure`` — regenerate one of the paper's figures/tables, an
+  ablation or an analysis; each is ``fn(runner, benchmarks)`` over a
+  runner built from the resolved spec, so spec overrides reach all.
 * ``render`` — render a benchmark's frames to PPM images.
 * ``report`` — paper-vs-measured markdown report (EXPERIMENTS.md body).
 * ``profile`` — run one benchmark under the profiler and print where the
@@ -192,27 +194,13 @@ _FIGURES = {
     "fig9": figure9_redundant_tiles,
     "fig10": figure10_energy_vs_re,
     "fig11": figure11_time_vs_re,
-    "ablation-point": lambda runner, subset: ablation_prediction_point(
-        runner.config, benchmarks=subset or ("tib", "ata"), jobs=runner.jobs
-    ),
-    "ablation-history": lambda runner, subset: ablation_history(
-        runner.config, benchmarks=subset or ("tib", "ata"), jobs=runner.jobs
-    ),
-    "ablation-order": lambda runner, subset: ablation_draw_order(
-        runner.config, jobs=runner.jobs
-    ),
-    "ablation-subtile": lambda runner, subset: ablation_subtile(
-        runner.config, benchmarks=subset or ("tib", "ata"), jobs=runner.jobs
-    ),
-    "balance": lambda runner, subset: pipeline_balance_report(
-        runner.config, benchmarks=subset or ("cde", "tib", "300")
-    ),
-    "alternatives": lambda runner, subset: culling_alternatives(
-        runner.config, benchmarks=subset or ("tib", "ata"), runner=runner
-    ),
-    "rivals": lambda runner, subset: rival_techniques(
-        runner.config, benchmarks=subset or ("tib", "ata"), runner=runner
-    ),
+    "ablation-point": ablation_prediction_point,
+    "ablation-history": ablation_history,
+    "ablation-order": ablation_draw_order,
+    "ablation-subtile": ablation_subtile,
+    "balance": pipeline_balance_report,
+    "alternatives": culling_alternatives,
+    "rivals": rival_techniques,
 }
 
 
@@ -395,9 +383,9 @@ def _report_failures(runner: SuiteRunner, out: Output,
     if not runner.failures:
         return 0
     for (benchmark, mode), failure in sorted(
-        runner.failures.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
+        runner.failures.items(), key=lambda kv: (kv[0][0], kv[0][1].name)
     ):
-        out.result(f"FAILED {benchmark}:{mode.value} "
+        out.result(f"FAILED {benchmark}:{mode.name} "
                    f"after {failure.attempts} attempt(s): {failure.message}")
     out.result(f"{len(runner.failures)} suite cell(s) failed permanently"
                + ("" if strict else " (exit 0; use --strict to fail)"))
@@ -494,11 +482,11 @@ def _ledger_record_suite(spec: RunSpec, runner: SuiteRunner,
     appended = 0
     for (benchmark, mode), metrics in sorted(
         runner.results().items(),
-        key=lambda kv: (kv[0][0], kv[0][1].value),
+        key=lambda kv: (kv[0][0], kv[0][1].name),
     ):
         if ledger.record_run(
             spec.spec_hash(), metrics,
-            phases=session.phases_for(benchmark, mode.value),
+            phases=session.phases_for(benchmark, mode.name),
             source=source,
         ) is not None:
             appended += 1
@@ -598,7 +586,7 @@ def _command_run(args: argparse.Namespace) -> int:
                     metrics: Optional[RunMetrics] = None
                     key = ""
                     if disk is not None:
-                        key = run_cache_key(spec, benchmark, mode.value)
+                        key = run_cache_key(spec, benchmark, mode.name)
                         value = disk.get(key)
                         if isinstance(value, RunMetrics):
                             metrics = value
@@ -608,27 +596,27 @@ def _command_run(args: argparse.Namespace) -> int:
                             cache_misses += 1
                         if stream is None:
                             stream = benchmark_stream(benchmark, config)
-                        out.detail(f"simulating {benchmark}:{mode.value} "
+                        out.detail(f"simulating {benchmark}:{mode.name} "
                                    f"({config.frames} frames, {scheduler!r})")
                         result = simulate_benchmark(
                             benchmark, mode, spec=spec,
                             scheduler=scheduler, stream=stream,
                         )
                         if args.csv:
-                            path = (f"{args.csv.rstrip('.csv')}"
-                                    f"_{mode.value}.csv")
+                            path = (f"{args.csv.removesuffix('.csv')}"
+                                    f"_{mode.name}.csv")
                             write_csv(frame_series(result), path)
                             out.info(f"per-frame series -> {path}")
                         if spec.obs.metrics:
                             records.extend(
-                                frame_record(benchmark, mode.value, frame,
+                                frame_record(benchmark, mode.name, frame,
                                              result.cost_model,
                                              result.energy_model,
                                              result.features)
                                 for frame in result.frames
                             )
                             records.append(
-                                run_record(benchmark, mode.value, result)
+                                run_record(benchmark, mode.name, result)
                             )
                         metrics = metrics_from_result(benchmark, mode,
                                                       result)
@@ -636,13 +624,13 @@ def _command_run(args: argparse.Namespace) -> int:
                             disk.put(key, metrics)
                     if ledger.record_run(
                         spec.spec_hash(), metrics,
-                        phases=session.phases_for(benchmark, mode.value),
+                        phases=session.phases_for(benchmark, mode.name),
                     ) is not None:
                         ledger_entries += 1
                     if baseline_cycles is None:
                         baseline_cycles = metrics.total_cycles
                     rows.append([
-                        mode.value,
+                        mode.name,
                         round(metrics.geometry_cycles),
                         round(metrics.raster_cycles),
                         metrics.total_cycles / baseline_cycles,
@@ -772,7 +760,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     ]
     out.result(format_table(
         ["span", "count", "total ms", "mean ms"], phase_rows,
-        title=f"phase breakdown: {args.benchmark}:{mode.value} @ "
+        title=f"phase breakdown: {args.benchmark}:{mode.name} @ "
               f"{config.screen_width}x{config.screen_height}, "
               f"{config.frames} frames",
     ))
@@ -1261,8 +1249,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="benchmark alias (default: the spec's "
                                  "workload.benchmarks)")
     run_parser.add_argument(
-        "--csv", default="",
-        help="also dump a per-frame CSV per mode (prefix path)",
+        "--csv", default="", metavar="PREFIX",
+        help="also dump a per-frame CSV per mode to PREFIX_<mode>.csv "
+             "(a trailing .csv on PREFIX is dropped)",
     )
     run_parser.add_argument(
         "--modes", nargs="+", default=None,

@@ -110,7 +110,7 @@ def _violation_document(
             "screen_height": config.screen_height,
             "frames": config.frames,
         },
-        "modes": [mode.value for mode in modes],
+        "modes": [mode.name for mode in modes],
         "backends": list(backends),
         "fault_plan": plan.describe() if plan is not None else "",
         "fault_seed": plan.seed if plan is not None else 0,

@@ -38,29 +38,12 @@ from ..hw.buffers import ColorBuffer, LayerBuffer, ZBuffer
 from ..hw.parameter_buffer import POINTER_BYTES, DisplayListEntry
 from ..kernels import DEFAULT_BACKEND, resolve_backend
 from ..kernels.tile_geometry import tile_origin, valid_mask
+from ..memsys.ops import FlushOp, MemOp, MemOps, PBReadOp, TextureOp
 from ..obs.events import TileJobFinished, get_bus
 from ..pipeline.features import PipelineFeatures
 from ..timing.stats import FrameStats
 
 _ALPHA_OPAQUE = 1.0 - 1e-9
-
-# The memory-trace op types moved to repro.memsys.ops (so the batched
-# memory system can consume traces without an engine<->memsys layering
-# cycle); re-exported here because they are part of this module's
-# historical public surface.
-from ..memsys.ops import (  # noqa: E402  (re-export)
-    OP_FLUSH,
-    OP_PB_READ,
-    OP_TEXTURE,
-    FlushOp,
-    MemOp,
-    MemOps,
-    PBReadOp,
-    TextureOp,
-    _pack_memory_ops,
-    _unpack_memory_ops,
-    replay_memory_trace,
-)
 
 
 class MemoryTrace:

@@ -1,10 +1,12 @@
 """Experiment harness: runs benchmarks and regenerates the paper's figures.
 
 * :mod:`repro.harness.runner` — run one benchmark under one pipeline mode
-  and distill a :class:`RunMetrics` record.
+  and distill a :class:`RunMetrics` record; :class:`SuiteRunner` memoizes
+  a sweep.  Every entry point takes a :class:`~repro.spec.RunSpec`.
 * :mod:`repro.harness.experiments` — one function per paper table/figure,
   each returning a structured result and able to print the same rows the
-  paper plots.
+  paper plots.  Figures, ablations and analyses share the signature
+  ``fn(runner, benchmarks)``.
 * :mod:`repro.harness.tables` — plain-text table rendering.
 """
 
@@ -12,7 +14,7 @@ from .alternatives import culling_alternatives
 from .balance import pipeline_balance_report
 from .timeseries import FrameRecord, frame_series, write_csv
 from .report import paper_vs_measured, render_report
-from .runner import RunMetrics, run_benchmark, run_suite
+from .runner import RunMetrics, run_benchmark
 from .tables import format_table
 from .ablations import (
     ablation_draw_order,
@@ -34,7 +36,6 @@ from .experiments import (
 __all__ = [
     "RunMetrics",
     "run_benchmark",
-    "run_suite",
     "format_table",
     "table2_parameters",
     "table3_suite",

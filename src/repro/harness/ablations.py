@@ -15,60 +15,74 @@ at a time and report how the trade-off moves.
 * **Draw order** (Section IV-A): how much submission order hurts the
   baseline's Early Depth Test, and how much of that Algorithm 1 recovers
   without any application-side sorting.
+
+Every ablation takes the figure signature ``fn(runner, benchmarks)`` and
+builds each GPU from ``runner.spec``: its GPU configuration, feature
+overrides, cost/energy parameters, backend and worker count.  The swept
+field is applied last, so it wins over a spec override of the same field.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..config import GPUConfig
 from ..engine.scheduler import make_scheduler
 from ..math3d import Vec3, Vec4
-from ..pipeline import GPU, PipelineFeatures
+from ..pipeline import GPU, RunResult
 from ..scenes import BoxSpec, LinearOscillation, Scene3D, benchmark_stream
-from .experiments import ExperimentResult, _mean
+from ..techniques import EVR
+from .experiments import ExperimentResult
+from .runner import SuiteRunner
 
 _DEFAULT_3D = ("tib", "ata")
 
 
-def _evr_features(**overrides: object) -> PipelineFeatures:
-    base = dict(
-        rendering_elimination=True,
-        evr_hardware=True,
-        evr_reorder=True,
-        evr_signature_filter=True,
-    )
-    base.update(overrides)
-    return PipelineFeatures(**base)  # type: ignore[arg-type]
+def _sweep(
+    runner: Optional[SuiteRunner],
+    benchmarks: Optional[Sequence[str]],
+    field: str,
+    points: Sequence[Tuple[object, object]],
+    columns: Callable[[RunResult], List[object]],
+) -> List[List[object]]:
+    """Render each benchmark under EVR once per ``(label, value)`` of the
+    swept feature ``field``; one row ``[benchmark, label, *columns]``
+    per render.
+
+    The swept value becomes one more feature override of the runner's
+    spec, replacing any override of the same field.
+    """
+    spec = (runner or SuiteRunner()).spec
+    rows: List[List[object]] = []
+    with make_scheduler(spec.scheduler.jobs) as scheduler:
+        for alias in benchmarks or _DEFAULT_3D:
+            stream = benchmark_stream(alias, spec.gpu)
+            for label, value in points:
+                swept = replace(spec, features=replace(spec.features,
+                                                       **{field: value}))
+                gpu = GPU.from_spec(swept, EVR, scheduler=scheduler)
+                rows.append([alias, label]
+                            + columns(gpu.render_stream(stream)))
+    return rows
+
+
+def _predicted_rate(result: RunResult) -> float:
+    stats = result.total_stats()
+    return stats.predicted_occluded / max(stats.predictions_made, 1)
 
 
 def ablation_prediction_point(
-    config: Optional[GPUConfig] = None,
-    benchmarks: Sequence[str] = _DEFAULT_3D,
-    jobs: Optional[int] = None,
+    runner: Optional[SuiteRunner] = None,
+    benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """Conservatism of the predicted depth: near vs centroid vs far."""
-    config = config or GPUConfig.default()
-    rows: List[List[object]] = []
-    scheduler = make_scheduler(jobs)
-    try:
-        for alias in benchmarks:
-            stream = benchmark_stream(alias, config)
-            for point in ("near", "centroid", "far"):
-                gpu = GPU(config, _evr_features(prediction_point=point),
-                          scheduler=scheduler)
-                result = gpu.render_stream(stream)
-                stats = result.total_stats()
-                rows.append([
-                    alias,
-                    point,
-                    stats.predicted_occluded / max(stats.predictions_made, 1),
-                    result.redundant_tile_rate(),
-                    stats.signature_poisons,
-                    result.shaded_fragments_per_pixel(),
-                ])
-    finally:
-        scheduler.close()
+    points = [(point, point) for point in ("near", "centroid", "far")]
+    rows = _sweep(runner, benchmarks, "prediction_point", points,
+                  lambda result: [_predicted_rate(result),
+                                  result.redundant_tile_rate(),
+                                  result.total_stats().signature_poisons,
+                                  result.shaded_fragments_per_pixel()])
     return ExperimentResult(
         "Ablation A1",
         "Prediction point: conservative Z_near vs centroid vs Z_far",
@@ -79,32 +93,16 @@ def ablation_prediction_point(
 
 
 def ablation_history(
-    config: Optional[GPUConfig] = None,
-    benchmarks: Sequence[str] = _DEFAULT_3D,
+    runner: Optional[SuiteRunner] = None,
+    benchmarks: Optional[Sequence[str]] = None,
     depths: Sequence[int] = (1, 2, 3),
-    jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """FVP history depth: previous frame only (paper) vs last k frames."""
-    config = config or GPUConfig.default()
-    rows: List[List[object]] = []
-    scheduler = make_scheduler(jobs)
-    try:
-        for alias in benchmarks:
-            stream = benchmark_stream(alias, config)
-            for depth in depths:
-                gpu = GPU(config, _evr_features(fvp_history=depth),
-                          scheduler=scheduler)
-                result = gpu.render_stream(stream)
-                stats = result.total_stats()
-                rows.append([
-                    alias,
-                    depth,
-                    stats.predicted_occluded / max(stats.predictions_made, 1),
-                    result.redundant_tile_rate(),
-                    stats.signature_poisons,
-                ])
-    finally:
-        scheduler.close()
+    points = [(depth, depth) for depth in depths]
+    rows = _sweep(runner, benchmarks, "fvp_history", points,
+                  lambda result: [_predicted_rate(result),
+                                  result.redundant_tile_rate(),
+                                  result.total_stats().signature_poisons])
     return ExperimentResult(
         "Ablation A2",
         "FVP history depth: 1 frame (paper) vs k-frame conservative merge",
@@ -114,9 +112,8 @@ def ablation_history(
 
 
 def ablation_subtile(
-    config: Optional[GPUConfig] = None,
-    benchmarks: Sequence[str] = _DEFAULT_3D,
-    jobs: Optional[int] = None,
+    runner: Optional[SuiteRunner] = None,
+    benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """FVP granularity: one FVP per tile (paper) vs 2x2 quadrant FVPs.
 
@@ -127,26 +124,11 @@ def ablation_subtile(
     this suite the two effects roughly cancel — evidence for the paper's
     choice of a single 4-byte FVP per tile.
     """
-    config = config or GPUConfig.default()
-    rows: List[List[object]] = []
-    scheduler = make_scheduler(jobs)
-    try:
-        for alias in benchmarks:
-            stream = benchmark_stream(alias, config)
-            for label, flag in (("tile", False), ("2x2-subtile", True)):
-                gpu = GPU(config, _evr_features(subtile_fvp=flag),
-                          scheduler=scheduler)
-                result = gpu.render_stream(stream)
-                stats = result.total_stats()
-                rows.append([
-                    alias,
-                    label,
-                    stats.predicted_occluded / max(stats.predictions_made, 1),
-                    result.redundant_tile_rate(),
-                    result.shaded_fragments_per_pixel(),
-                ])
-    finally:
-        scheduler.close()
+    points = [("tile", False), ("2x2-subtile", True)]
+    rows = _sweep(runner, benchmarks, "subtile_fvp", points,
+                  lambda result: [_predicted_rate(result),
+                                  result.redundant_tile_rate(),
+                                  result.shaded_fragments_per_pixel()])
     return ExperimentResult(
         "Ablation A4",
         "FVP granularity: per-tile (paper) vs 2x2 sub-tile",
@@ -182,31 +164,32 @@ def _slab_scene(config: GPUConfig, draw_order: str) -> Scene3D:
     )
 
 
-def ablation_draw_order(config: Optional[GPUConfig] = None,
-                        jobs: Optional[int] = None) -> ExperimentResult:
+def ablation_draw_order(
+    runner: Optional[SuiteRunner] = None,
+    benchmarks: Optional[Sequence[str]] = None,
+) -> ExperimentResult:
     """Submission-order sensitivity, with and without EVR reordering.
 
     The baseline's shaded-fragment count should swing wildly between
     front-to-back and back-to-front submission, while EVR's reordering
     should flatten the difference — order-insensitivity is the point of
-    Algorithm 1.
+    Algorithm 1.  The ablation renders its own slab scene, so
+    ``benchmarks`` is ignored.
     """
-    config = config or GPUConfig.default()
+    spec = (runner or SuiteRunner()).spec
+    config = spec.gpu
     rows: List[List[object]] = []
     spread: dict = {}
-    scheduler = make_scheduler(jobs)
-    try:
+    with make_scheduler(spec.scheduler.jobs) as scheduler:
         for order in ("front_to_back", "submission", "back_to_front"):
             stream = _slab_scene(config, order).stream(config.frames)
             for mode, label in (("baseline", "baseline"),
                                 ("evr-reorder-only", "evr")):
-                result = GPU(config, mode,
-                             scheduler=scheduler).render_stream(stream)
+                result = GPU.from_spec(
+                    spec, mode, scheduler=scheduler).render_stream(stream)
                 frags = result.shaded_fragments_per_pixel()
                 rows.append([order, label, frags])
                 spread.setdefault(label, []).append(frags)
-    finally:
-        scheduler.close()
     summary = {
         f"{label}_spread": max(values) - min(values)
         for label, values in spread.items()

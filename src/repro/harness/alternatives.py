@@ -27,10 +27,8 @@ paper-figure runs:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import List, Optional, Sequence, Tuple
 
-from ..config import GPUConfig
 from .experiments import ExperimentResult
 from .runner import SuiteRunner
 
@@ -43,23 +41,17 @@ _MECHANISMS: Tuple[str, ...] = (
 #: Registered technique names for the rival-technique comparison.
 _RIVALS: Tuple[str, ...] = ("baseline", "evr", "dsr", "fhv", "vrpipe-et")
 
-
-def _runner_for(runner: Optional[SuiteRunner],
-                config: Optional[GPUConfig]):
-    """An owned (context-managed) runner when none was passed in."""
-    if runner is not None:
-        return nullcontext(runner)
-    return SuiteRunner(config or GPUConfig.default())
+_DEFAULT_3D = ("tib", "ata")
 
 
 def culling_alternatives(
-    config: Optional[GPUConfig] = None,
-    benchmarks: Sequence[str] = ("tib", "ata"),
     runner: Optional[SuiteRunner] = None,
+    benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """Shaded work and total cycles for each culling mechanism."""
-    with _runner_for(runner, config) as suite:
-        results = suite.run_many(benchmarks, _MECHANISMS)
+    runner = runner or SuiteRunner()
+    benchmarks = benchmarks or _DEFAULT_3D
+    results = runner.run_many(benchmarks, _MECHANISMS)
     rows: List[List[object]] = []
     for alias in benchmarks:
         baseline_cycles = results[(alias, _MECHANISMS[0])].total_cycles
@@ -83,9 +75,8 @@ def culling_alternatives(
 
 
 def rival_techniques(
-    config: Optional[GPUConfig] = None,
-    benchmarks: Sequence[str] = ("tib", "ata"),
     runner: Optional[SuiteRunner] = None,
+    benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """EVR vs the approximate rivals: shading saved vs cycles paid.
 
@@ -93,8 +84,9 @@ def rival_techniques(
     counter (fragments DSR reused, FHV reconstructed, VR-Pipe killed);
     exact techniques show a dash.
     """
-    with _runner_for(runner, config) as suite:
-        results = suite.run_many(benchmarks, _RIVALS)
+    runner = runner or SuiteRunner()
+    benchmarks = benchmarks or _DEFAULT_3D
+    results = runner.run_many(benchmarks, _RIVALS)
     rows: List[List[object]] = []
     for alias in benchmarks:
         baseline_cycles = results[(alias, _RIVALS[0])].total_cycles

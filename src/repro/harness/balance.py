@@ -10,30 +10,33 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..config import GPUConfig
 from ..pipeline import GPU
 from ..scenes import benchmark_stream
 from ..techniques import resolve_technique
 from ..timing import geometry_balance, raster_balance
 from .experiments import ExperimentResult
+from .runner import SuiteRunner
 
 
 def pipeline_balance_report(
-    config: Optional[GPUConfig] = None,
-    benchmarks: Sequence[str] = ("cde", "tib", "300"),
+    runner: Optional[SuiteRunner] = None,
+    benchmarks: Optional[Sequence[str]] = None,
     mode: object = "baseline",
 ) -> ExperimentResult:
-    """Bottleneck analysis across benchmarks under one pipeline mode."""
+    """Bottleneck analysis across benchmarks under one pipeline mode,
+    with the GPU and the balance model's costs taken from
+    ``runner.spec``."""
     mode = resolve_technique(mode)
-    config = config or GPUConfig.default()
+    spec = (runner or SuiteRunner()).spec
+    config = spec.gpu
     rows: List[List[object]] = []
-    for alias in benchmarks:
+    for alias in benchmarks or ("cde", "tib", "300"):
         stream = benchmark_stream(alias, config)
-        result = GPU(config, mode).render_stream(stream)
+        result = GPU.from_spec(spec, mode).render_stream(stream)
         stats = result.total_stats()
         for pipeline_name, balance in (
-            ("geometry", geometry_balance(stats, config)),
-            ("raster", raster_balance(stats, config)),
+            ("geometry", geometry_balance(stats, config, spec.cost)),
+            ("raster", raster_balance(stats, config, spec.cost)),
         ):
             bottleneck = balance.bottleneck
             overlap = (
@@ -51,7 +54,7 @@ def pipeline_balance_report(
             ])
     return ExperimentResult(
         "Analysis",
-        f"Pipeline balance under {mode.value}: bottleneck stage and "
+        f"Pipeline balance under {mode.name}: bottleneck stage and "
         "queue-mediated overlap",
         ["benchmark", "pipeline", "bottleneck", "bottleneck cycles",
          "pipelined cycles", "pipelined/additive"],

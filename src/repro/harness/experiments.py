@@ -29,16 +29,8 @@ from typing import Dict, List, Optional, Sequence
 from ..config import GPUConfig
 from ..techniques import BASELINE, EVR, EVR_REORDER_ONLY, ORACLE, RE
 from ..scenes import BENCHMARKS, benchmark_names
-from ..spec import RunSpec
-from .runner import RunMetrics, SuiteRunner
+from .runner import SuiteRunner
 from .tables import format_table
-
-
-def _default_runner() -> SuiteRunner:
-    """Figure functions default to the ``scaled`` preset spec — the same
-    configuration (192x160, 16 frames) the test-suite and harness have
-    always used, now named and hashable."""
-    return SuiteRunner(spec=RunSpec.preset("scaled"))
 
 
 @dataclass
@@ -120,10 +112,10 @@ def figure6_energy(runner: Optional[SuiteRunner] = None,
     Also reports the two overheads the paper singles out: extra Parameter
     Buffer writes for layer identifiers, and the added EVR/RE hardware.
     """
-    runner = runner or _default_runner()
+    runner = runner or SuiteRunner()
     names = list(benchmarks or benchmark_names())
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [BASELINE, EVR])
+    runner.run_many(names, [BASELINE, EVR])
     rows: List[List[object]] = []
     normalized: List[float] = []
     for name in names:
@@ -156,10 +148,10 @@ def figure7_time(runner: Optional[SuiteRunner] = None,
                  benchmarks: Optional[Sequence[str]] = None) -> ExperimentResult:
     """Figure 7: EVR execution time normalized to baseline, split into
     Geometry and Raster pipeline cycles."""
-    runner = runner or _default_runner()
+    runner = runner or SuiteRunner()
     names = list(benchmarks or benchmark_names())
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [BASELINE, EVR])
+    runner.run_many(names, [BASELINE, EVR])
     rows: List[List[object]] = []
     normalized: List[float] = []
     for name in names:
@@ -191,10 +183,10 @@ def figure8_overshading(runner: Optional[SuiteRunner] = None,
     the reorder-only mode: Rendering Elimination would remove whole tiles
     and conflate the two effects the paper separates.
     """
-    runner = runner or _default_runner()
+    runner = runner or SuiteRunner()
     names = list(benchmarks or benchmark_names("3D"))
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [BASELINE, EVR_REORDER_ONLY, ORACLE])
+    runner.run_many(names, [BASELINE, EVR_REORDER_ONLY, ORACLE])
     rows: List[List[object]] = []
     reductions: List[float] = []
     for name in names:
@@ -225,10 +217,10 @@ def figure9_redundant_tiles(runner: Optional[SuiteRunner] = None,
                             benchmarks: Optional[Sequence[str]] = None) -> ExperimentResult:
     """Figure 9: fraction of tiles detected redundant by RE, EVR-aided RE
     and the pixel-exact oracle."""
-    runner = runner or _default_runner()
+    runner = runner or SuiteRunner()
     names = list(benchmarks or benchmark_names())
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [RE, EVR, ORACLE])
+    runner.run_many(names, [RE, EVR, ORACLE])
     rows: List[List[object]] = []
     re_rates: List[float] = []
     evr_rates: List[float] = []
@@ -264,10 +256,10 @@ def figure9_redundant_tiles(runner: Optional[SuiteRunner] = None,
 def figure10_energy_vs_re(runner: Optional[SuiteRunner] = None,
                           benchmarks: Optional[Sequence[str]] = None) -> ExperimentResult:
     """Figure 10: EVR energy normalized to the RE GPU."""
-    runner = runner or _default_runner()
+    runner = runner or SuiteRunner()
     names = list(benchmarks or benchmark_names())
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [RE, EVR])
+    runner.run_many(names, [RE, EVR])
     rows: List[List[object]] = []
     normalized: List[float] = []
     for name in names:
@@ -292,10 +284,10 @@ def figure11_time_vs_re(runner: Optional[SuiteRunner] = None,
                         benchmarks: Optional[Sequence[str]] = None) -> ExperimentResult:
     """Figure 11: RE and EVR execution time normalized to baseline,
     split into Geometry and Raster cycles."""
-    runner = runner or _default_runner()
+    runner = runner or SuiteRunner()
     names = list(benchmarks or benchmark_names())
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [BASELINE, RE, EVR])
+    runner.run_many(names, [BASELINE, RE, EVR])
     rows: List[List[object]] = []
     re_norms: List[float] = []
     evr_norms: List[float] = []

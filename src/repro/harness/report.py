@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..spec import RunSpec
 from .experiments import (
     figure6_energy,
     figure7_time,
@@ -88,7 +87,7 @@ def paper_vs_measured(
 ) -> List[Dict[str, object]]:
     """Evaluate every claim; returns rows of experiment/metric/paper/
     measured/ratio."""
-    runner = runner or SuiteRunner(spec=RunSpec.preset("scaled"))
+    runner = runner or SuiteRunner()
     rows: List[Dict[str, object]] = []
     for claim in _claims():
         measured = claim.extract(runner)
@@ -104,7 +103,7 @@ def paper_vs_measured(
 
 def render_report(runner: Optional[SuiteRunner] = None) -> str:
     """Markdown paper-vs-measured table plus the per-figure tables."""
-    runner = runner or SuiteRunner(spec=RunSpec.preset("scaled"))
+    runner = runner or SuiteRunner()
     spec = runner.spec
     lines = [
         "# Paper vs measured",

@@ -2,8 +2,11 @@
 
 This is the outer loop of the evaluation: for a (benchmark, mode) pair it
 builds the scene stream, renders it on a fresh GPU instance and extracts
-the scalar metrics every figure consumes.  Three layers of reuse stack on
-top of each other:
+the scalar metrics every figure consumes.  A :class:`~repro.spec.RunSpec`
+is the only description of a run: it carries the GPU configuration
+(frames included), feature overrides, cost/energy parameters and the
+execution policy (jobs, retries, faults, resume, strict), and every entry
+point here takes one.  Three layers of reuse stack on top of each other:
 
 * an in-memory memo per :class:`SuiteRunner` instance (several figures
   share the same underlying runs — Figures 6, 7, 10 and 11 all need
@@ -15,7 +18,7 @@ top of each other:
   constructing a GPU;
 * an optional :class:`~repro.engine.ProcessPoolScheduler` fan-out, so the
   independent (benchmark, mode) simulations of a suite sweep run in
-  parallel (``--jobs N`` / ``REPRO_JOBS``).
+  parallel (``scheduler.jobs`` — ``--jobs N`` / ``REPRO_JOBS``).
 
 When a retry policy or fault plan is armed (``--retries``,
 ``--job-timeout``, ``--inject-faults``) the fan-out additionally runs
@@ -33,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..commands import FrameStream
-from ..config import GPUConfig
 from ..engine.diskcache import DiskCache, run_cache_key
 from ..engine.scheduler import Scheduler, make_scheduler
 from ..errors import ConfigError
@@ -48,7 +50,7 @@ from ..resilience import (
     RetryPolicy,
     RunJournal,
 )
-from ..scenes import benchmark_names, benchmark_stream
+from ..scenes import benchmark_stream
 from ..spec import RunSpec
 from ..techniques import Technique, metric_extras, resolve_technique
 
@@ -68,7 +70,7 @@ class RunMetrics:
 
     Attributes:
         benchmark: benchmark alias.
-        mode: pipeline mode value string.
+        mode: canonical technique name.
         geometry_cycles: steady-state Geometry Pipeline cycles.
         raster_cycles: steady-state Raster Pipeline cycles.
         energy_joules: total steady-state energy.
@@ -115,7 +117,7 @@ def failed_metrics(benchmark: str, mode: Technique,
     nan = float("nan")
     return RunMetrics(
         benchmark=benchmark,
-        mode=mode.value,
+        mode=mode.name,
         geometry_cycles=nan,
         raster_cycles=nan,
         energy_joules=nan,
@@ -137,7 +139,7 @@ def metrics_from_result(benchmark: str, mode: Technique,
     stats = result.total_stats()
     return RunMetrics(
         benchmark=benchmark,
-        mode=mode.value,
+        mode=mode.name,
         geometry_cycles=cycles.geometry,
         raster_cycles=cycles.raster,
         energy_joules=energy.total,
@@ -150,7 +152,7 @@ def metrics_from_result(benchmark: str, mode: Technique,
             if stats.predictions_made
             else 0.0
         ),
-        extra=metric_extras(mode.value, result),
+        extra=metric_extras(mode.name, result),
     )
 
 
@@ -158,8 +160,6 @@ def simulate_benchmark(
     benchmark: str,
     mode: object,
     spec: Optional[RunSpec] = None,
-    config: Optional[GPUConfig] = None,
-    frames: Optional[int] = None,
     scheduler: Optional[Scheduler] = None,
     stream: Optional[FrameStream] = None,
 ) -> RunResult:
@@ -168,34 +168,28 @@ def simulate_benchmark(
     The one simulate path behind ``run_benchmark``, ``repro run`` and
     ``repro profile``: it owns the run's ``RunStarted``/``RunFinished``
     events and its ``run <benchmark>:<mode>`` trace span.  ``spec``
-    supplies the feature overrides and cost/energy parameters (defaults
-    reproduce the historical behaviour exactly); an explicit
-    ``config``/``frames`` wins over ``spec.gpu`` for callers that sweep
-    around a fixed spec.  ``scheduler`` optionally fans the per-frame
-    tile work out (see :mod:`repro.engine`); results are identical
-    whichever scheduler runs.  ``stream`` reuses a built frame stream.
+    supplies the GPU configuration, feature overrides and cost/energy
+    parameters (default: the ``scaled`` preset).  ``scheduler``
+    optionally fans the per-frame tile work out (see
+    :mod:`repro.engine`); results are identical whichever scheduler
+    runs.  ``stream`` reuses a built frame stream.
     """
     mode = resolve_technique(mode)
-    if spec is None:
-        spec = RunSpec.from_config(config or GPUConfig.default())
-    config = config or spec.gpu
+    spec = spec or RunSpec.preset("scaled")
     bus = get_bus()
     started = time.perf_counter()
     if bus.enabled:
-        bus.emit(RunStarted(
-            benchmark=benchmark, mode=mode.value,
-            frames=frames if frames is not None
-            else getattr(config, "frames", 0),
-        ))
-    with get_tracer().span(f"run {benchmark}:{mode.value}",
+        bus.emit(RunStarted(benchmark=benchmark, mode=mode.name,
+                            frames=spec.gpu.frames))
+    with get_tracer().span(f"run {benchmark}:{mode.name}",
                            category="harness"):
         if stream is None:
-            stream = benchmark_stream(benchmark, config, frames)
-        gpu = GPU.from_spec(spec, mode, scheduler=scheduler, config=config)
+            stream = benchmark_stream(benchmark, spec.gpu)
+        gpu = GPU.from_spec(spec, mode, scheduler=scheduler)
         result = gpu.render_stream(stream)
     if bus.enabled:
         bus.emit(RunFinished(
-            benchmark=benchmark, mode=mode.value,
+            benchmark=benchmark, mode=mode.name,
             seconds=time.perf_counter() - started,
             frames=len(result.frames),
             fragments=result.total_stats().fragments_shaded,
@@ -206,16 +200,14 @@ def simulate_benchmark(
 def run_benchmark(
     benchmark: str,
     mode: object,
-    config: Optional[GPUConfig] = None,
-    frames: Optional[int] = None,
-    scheduler: Optional[Scheduler] = None,
     spec: Optional[RunSpec] = None,
+    scheduler: Optional[Scheduler] = None,
 ) -> RunMetrics:
     """Render one benchmark under one mode and return its metrics
     (:func:`simulate_benchmark`, then :func:`metrics_from_result`)."""
     mode = resolve_technique(mode)
-    result = simulate_benchmark(benchmark, mode, spec=spec, config=config,
-                                frames=frames, scheduler=scheduler)
+    result = simulate_benchmark(benchmark, mode, spec=spec,
+                                scheduler=scheduler)
     return metrics_from_result(benchmark, mode, result)
 
 
@@ -232,71 +224,45 @@ class SuiteRunner:
 
     The runner's identity is a :class:`~repro.spec.RunSpec`: disk-cache
     and journal keys derive from ``spec.spec_hash()`` plus the simulator
-    code version, and execution policy (jobs, retries, faults, resume)
-    defaults from the spec's scheduler/resilience sections.  The legacy
-    keyword arguments still work — they are folded into an equivalent
-    spec — and explicit keywords win over the spec's sections.
+    code version, and execution policy — worker count, retries, faults,
+    resume, strict — comes from the spec's scheduler and resilience
+    sections.
 
     Args:
-        config: simulation configuration (default: ``spec.gpu``, or the
-            scaled config when no spec is given).
-        frames: frame-count override; folded into the spec's GPU config
-            (``benchmark_stream`` reads the count from there).
-        jobs: worker processes for suite-level fan-out; ``None``/1 runs
-            serially, exactly as before.
+        spec: the declarative experiment spec this runner executes
+            (default: the ``scaled`` preset).
         cache_dir: directory of the persistent run cache; ``None``
             disables disk caching (the in-memory memo always applies).
         profiler: optional :class:`~repro.obs.SchedulerProfiler`
             attached to the suite scheduler (observability only).
-        retry_policy: arming this (or ``fault_plan``) routes the suite
-            fan-out through a :class:`~repro.resilience.ResilientScheduler`
-            — per-job timeouts, bounded retries, pool rebuilds and
-            graceful degradation.  ``None`` (default) preserves the
-            historical fail-fast behaviour bit-for-bit.
-        fault_plan: deterministic fault injection for the suite jobs
-            (``--inject-faults``); implies a default retry policy.
+        retry_policy: an explicit retry policy for the suite fan-out,
+            overriding the spec's resilience section (its backoff fields
+            have no spec form).  Arming this (or ``fault_plan``) routes
+            the fan-out through a
+            :class:`~repro.resilience.ResilientScheduler` — per-job
+            timeouts, bounded retries, pool rebuilds and graceful
+            degradation.
+        fault_plan: deterministic fault injection for the suite jobs,
+            overriding the spec's; implies a default retry policy.
         journal_dir: directory for the crash-durable checkpoint journal;
-            ``None`` disables journaling.
-        resume: replay completed cells from the journal before running
-            (``--resume``); ignored when ``journal_dir`` is None.
-        strict: when True the caller is expected to exit non-zero if
-            :attr:`failures` is non-empty; the runner itself always
-            completes the sweep either way.
-        spec: the declarative experiment spec this runner executes.
-            ``None`` builds one from the legacy keyword arguments.
+            ``None`` disables journaling.  ``spec.resilience.resume``
+            replays it before running.
     """
 
-    def __init__(self, config: Optional[GPUConfig] = None,
-                 frames: Optional[int] = None,
-                 jobs: Optional[int] = None,
+    def __init__(self, spec: Optional[RunSpec] = None,
                  cache_dir: Optional[str] = None,
                  profiler: Optional[SchedulerProfiler] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 journal_dir: Optional[str] = None,
-                 resume: bool = False,
-                 strict: bool = False,
-                 spec: Optional[RunSpec] = None):
-        if spec is None:
-            spec = RunSpec.from_config(config or GPUConfig.default())
-        gpu = config if config is not None else spec.gpu
-        if frames is not None:
-            gpu = gpu.scaled(frames=frames)
-        if gpu != spec.gpu:
-            spec = dataclasses.replace(spec, gpu=gpu)
-        if jobs is None:
-            jobs = spec.scheduler.jobs
+                 journal_dir: Optional[str] = None):
+        spec = spec or RunSpec.preset("scaled")
         if retry_policy is None and fault_plan is None:
             retry_policy = spec.resilience.retry_policy()
             fault_plan = spec.resilience.fault_plan()
         self.spec = spec
-        self.config = spec.gpu
-        self.jobs = jobs or 1
         self.profiler = profiler
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
-        self.strict = strict or spec.resilience.strict
-        resume = resume or spec.resilience.resume
         self._cache: Dict[Tuple[str, Technique], RunMetrics] = {}
         self._disk = DiskCache(cache_dir) if cache_dir else None
         self._scheduler: Optional[Scheduler] = None
@@ -306,6 +272,7 @@ class SuiteRunner:
         self.failures: Dict[Tuple[str, Technique], JobFailure] = {}
         self._journal: Optional[RunJournal] = None
         if journal_dir:
+            resume = spec.resilience.resume
             self._journal = RunJournal.for_spec(journal_dir, spec)
             if resume:
                 self._replay_journal()
@@ -316,11 +283,19 @@ class SuiteRunner:
         """Whether suite fan-out runs under the resilient scheduler."""
         return self.retry_policy is not None or self.fault_plan is not None
 
+    @property
+    def jobs(self) -> int:
+        """Worker processes of the suite fan-out, as the suite scheduler
+        resolved ``spec.scheduler.jobs`` (a negative value means every
+        CPU core)."""
+        return self._suite_scheduler().jobs
+
     # -- lifecycle ----------------------------------------------------------
 
     def _suite_scheduler(self) -> Scheduler:
         if self._scheduler is None:
-            scheduler = make_scheduler(self.jobs, profiler=self.profiler)
+            scheduler = make_scheduler(self.spec.scheduler.jobs,
+                                       profiler=self.profiler)
             if self.resilient:
                 scheduler = ResilientScheduler(
                     scheduler,
@@ -363,7 +338,7 @@ class SuiteRunner:
     # -- disk cache ---------------------------------------------------------
 
     def _disk_key(self, benchmark: str, mode: Technique) -> str:
-        return run_cache_key(self.spec, benchmark, mode.value)
+        return run_cache_key(self.spec, benchmark, mode.name)
 
     def _load_cached(self, benchmark: str,
                      mode: Technique) -> Optional[RunMetrics]:
@@ -381,7 +356,7 @@ class SuiteRunner:
         if to_disk and self._disk is not None:
             self._disk.put(self._disk_key(*key), metrics)
         if to_disk and self._journal is not None:
-            self._journal.record_ok(key[0], key[1].value,
+            self._journal.record_ok(key[0], key[1].name,
                                     dataclasses.asdict(metrics))
 
     def _record_failure(self, key: Tuple[str, Technique],
@@ -392,7 +367,7 @@ class SuiteRunner:
         self.failures[key] = failure
         self._cache[key] = failed_metrics(key[0], key[1], failure.message)
         if self._journal is not None:
-            self._journal.record_failed(key[0], key[1].value,
+            self._journal.record_failed(key[0], key[1].name,
                                         failure.message)
 
     def cache_summary(self) -> str:
@@ -421,7 +396,7 @@ class SuiteRunner:
             {"record": "suite-run", **dataclasses.asdict(metrics)}
             for (_, _), metrics in sorted(
                 self._cache.items(),
-                key=lambda kv: (kv[0][0], kv[0][1].value),
+                key=lambda kv: (kv[0][0], kv[0][1].name),
             )
         ]
         records.append({
@@ -433,7 +408,7 @@ class SuiteRunner:
             "journal_hits": self.journal_hits,
             "failures": len(self.failures),
             "failed_cells": sorted(
-                f"{benchmark}:{mode.value}"
+                f"{benchmark}:{mode.name}"
                 for benchmark, mode in self.failures
             ),
         })
@@ -461,7 +436,8 @@ class SuiteRunner:
         self, benchmarks: Sequence[str], modes: Sequence[object]
     ) -> Dict[Tuple[str, str], RunMetrics]:
         """Run the (benchmark, mode) cross product, fanning uncached pairs
-        out through the suite scheduler when ``jobs > 1``."""
+        out through the suite scheduler when it has more than one
+        worker."""
         techniques = [resolve_technique(mode) for mode in modes]
         pairs = [(benchmark, mode) for benchmark in benchmarks
                  for mode in techniques]
@@ -508,7 +484,7 @@ class SuiteRunner:
                     self._suite_scheduler().map_resilient(
                         _run_pair, payloads, on_result=_settle
                     )
-            elif self.jobs > 1 and len(missing) > 1:
+            elif len(missing) > 1 and self.jobs > 1:
                 with get_tracer().span("suite.map", category="harness",
                                        runs=len(missing)):
                     results = self._suite_scheduler().map(
@@ -527,24 +503,7 @@ class SuiteRunner:
                     _progress()
 
         return {
-            (benchmark, mode.value): self._cache[(benchmark, mode)]
+            (benchmark, mode.name): self._cache[(benchmark, mode)]
             for benchmark, mode in pairs
         }
 
-    # Alias that reads naturally at figure-function call sites.
-    prefetch = run_many
-
-
-def run_suite(
-    modes: Sequence[object],
-    config: Optional[GPUConfig] = None,
-    frames: Optional[int] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    spec: Optional[RunSpec] = None,
-) -> Dict[Tuple[str, str], RunMetrics]:
-    """Run (a subset of) the 20-benchmark suite under several modes."""
-    with SuiteRunner(config, frames, jobs=jobs, cache_dir=cache_dir,
-                     spec=spec) as runner:
-        return runner.run_many(benchmarks or benchmark_names(), modes)

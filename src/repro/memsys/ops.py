@@ -7,10 +7,9 @@ recorded as one flat op list and replayed later, either through the
 scalar reference model (one method call per op) or through the batched
 model (one structure-of-arrays drain per phase).
 
-The op types historically lived in :mod:`repro.engine.tile_job`; they
-moved here so the memory system can consume traces natively without the
-engine/memsys layering cycle.  ``tile_job`` re-exports them, so existing
-imports keep working.
+The op types live here, not in :mod:`repro.engine.tile_job` (which
+records them), so the memory system can consume traces natively without
+an engine/memsys layering cycle.
 
 ``MemOps`` lists pickle in packed form (one code byte per op, all int
 operands in one flat tuple) because tile results cross process

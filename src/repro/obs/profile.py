@@ -65,7 +65,7 @@ def _label_for(item: Any, index: int) -> str:
     if tile is not None:
         return f"tile {tile}"
     if isinstance(item, tuple) and len(item) >= 2:
-        mode = getattr(item[1], "value", item[1])
+        mode = getattr(item[1], "name", item[1])
         return f"{item[0]}:{mode}"
     return f"job {index}"
 

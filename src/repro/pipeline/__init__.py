@@ -1,7 +1,7 @@
 """The TBR graphics pipeline (Figure 1), functional + event-counting.
 
-* :mod:`repro.pipeline.rasterizer` — edge-function triangle rasterization
-  restricted to one tile, producing fragment batches.
+* :mod:`repro.pipeline.features` — the feature flags selecting which
+  mechanisms run.
 * :mod:`repro.pipeline.geometry` — the Geometry Pipeline: vertex fetch and
   shading, primitive assembly, and the Polygon List Builder with all the
   EVR hooks (layer assignment, prediction, reordering, signatures).
@@ -11,15 +11,11 @@
   loop, and result collection.
 """
 
-from .rasterizer import FragmentBatch, rasterize_in_tile
-from .features import PipelineFeatures, PipelineMode
+from .features import PipelineFeatures
 from .gpu import GPU, FrameResult, RunResult
 
 __all__ = [
-    "FragmentBatch",
-    "rasterize_in_tile",
     "PipelineFeatures",
-    "PipelineMode",
     "GPU",
     "FrameResult",
     "RunResult",

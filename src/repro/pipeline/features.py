@@ -1,20 +1,15 @@
-"""Feature flags selecting which techniques the simulated GPU runs.
+"""Feature flags selecting which mechanisms the simulated GPU runs.
 
-The paper compares four configurations; ablations recombine the same
-flags:
-
-* ``BASELINE`` — plain TBR GPU with Early Depth Test.
-* ``RE`` — baseline + Rendering Elimination.
-* ``EVR`` — RE + both EVR optimizations (Algorithm 1 reordering and
-  signature filtering of predicted-occluded primitives).
-* ``ORACLE`` — perfect-visibility references for Figures 8/9: the
-  Z-buffer is pre-filled with final depths and redundant tiles are
-  detected pixel-exactly.
+:class:`PipelineFeatures` is the one switchboard every mechanism reads.
+Named combinations of these flags — the paper's Baseline, RE, EVR,
+EVR-reorder-only and Oracle configurations, plus the alternative and
+rival techniques — are registered :class:`~repro.techniques.Technique`
+descriptors (``repro/techniques/catalog.py``); ablations and spec
+overrides recombine the same flags.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -130,25 +125,3 @@ class PipelineFeatures:
     def uses_layers(self) -> bool:
         return self.evr_hardware
 
-
-class PipelineMode(enum.Enum):
-    """Compatibility shim for the paper's named configurations.
-
-    The mode axis now lives in :mod:`repro.techniques` — an open
-    registry where the paper modes are simply the first five entries.
-    This enum survives for callers written against the original closed
-    axis; it resolves through the registry, so the feature constructions
-    are defined exactly once (``repro/techniques/catalog.py``).
-    """
-
-    BASELINE = "baseline"
-    RE = "re"
-    EVR = "evr"
-    EVR_REORDER_ONLY = "evr-reorder-only"
-    ORACLE = "oracle"
-
-    def features(self) -> PipelineFeatures:
-        """The feature-flag combination this mode stands for."""
-        from ..techniques import get_technique
-
-        return get_technique(self.value).features()

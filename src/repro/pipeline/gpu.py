@@ -2,9 +2,12 @@
 
 A :class:`GPU` owns one memory system, one Parameter Buffer and — when the
 corresponding features are on — the Rendering Elimination controller and
-the EVR structures.  :meth:`GPU.render_stream` consumes a
-:class:`repro.commands.FrameStream` and returns a :class:`RunResult` with
-per-frame statistics, memory snapshots and the rendered images.
+the EVR structures.  Its mode is a raw :class:`PipelineFeatures` set or a
+technique (a :class:`~repro.techniques.Technique` or a registered name);
+:meth:`GPU.from_spec` builds one from a :class:`repro.spec.RunSpec`.
+:meth:`GPU.render_stream` consumes a :class:`repro.commands.FrameStream`
+and returns a :class:`RunResult` with per-frame statistics, memory
+snapshots and the rendered images.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from ..memsys import create_memory_system
 from ..obs.events import PhaseCompleted, cache_ops_of, get_bus
 from ..obs.trace import get_tracer
 from ..techniques.dsr import DSRController
-from ..techniques.registry import resolve_features
+from ..techniques.registry import Technique, resolve_features
 from ..timing import CostModel, CostParameters, FrameStats, StatsAccumulator
 from ..energy import EnergyBreakdown, EnergyModel, EnergyParameters
-from .features import PipelineFeatures, PipelineMode
+from .features import PipelineFeatures
 from .geometry import GeometryPipeline
 from .raster import RasterPipeline
 
@@ -45,8 +48,7 @@ class FrameResult:
 
     The two pipeline phases each contribute one mergeable
     :class:`~repro.engine.Instrumentation` record (memory-unit counters
-    plus DRAM roofline cycles); the historical ``*_snapshot`` /
-    ``*_dram_cycles`` accessors remain as read-only views.
+    plus DRAM roofline cycles).
     """
 
     index: int
@@ -54,22 +56,6 @@ class FrameResult:
     image: np.ndarray
     geometry: Instrumentation
     raster: Instrumentation
-
-    @property
-    def geometry_snapshot(self) -> Dict[str, Dict[str, int]]:
-        return self.geometry.units
-
-    @property
-    def raster_snapshot(self) -> Dict[str, Dict[str, int]]:
-        return self.raster.units
-
-    @property
-    def geometry_dram_cycles(self) -> float:
-        return self.geometry.dram_cycles
-
-    @property
-    def raster_dram_cycles(self) -> float:
-        return self.raster.dram_cycles
 
     def merged_snapshot(self) -> Dict[str, Dict[str, int]]:
         """Geometry + raster memory counters combined (for energy)."""
@@ -127,10 +113,10 @@ class RunResult:
         raster = 0.0
         for frame_result in self._steady_frames(warmup):
             geometry += self.cost_model.geometry_cycles(
-                frame_result.stats, frame_result.geometry_dram_cycles
+                frame_result.stats, frame_result.geometry.dram_cycles
             )
             raster += self.cost_model.raster_cycles(
-                frame_result.stats, frame_result.raster_dram_cycles
+                frame_result.stats, frame_result.raster.dram_cycles
             )
         return CycleTotals(geometry=geometry, raster=raster)
 
@@ -192,15 +178,15 @@ class GPU:
     def __init__(
         self,
         config: GPUConfig,
-        features: Union[PipelineFeatures, PipelineMode, str] = "baseline",
+        features: Union[PipelineFeatures, Technique, str] = "baseline",
         cost_params: CostParameters = CostParameters(),
         energy_params: EnergyParameters = EnergyParameters(),
         scheduler: Optional[Scheduler] = None,
         backend: Optional[str] = None,
         memory_system=None,
     ):
-        # ``features`` accepts raw flags, a registered technique name
-        # (or alias), a Technique descriptor or the legacy PipelineMode.
+        # ``features`` accepts raw flags, a Technique descriptor or a
+        # registered technique name (or alias).
         features = resolve_features(features)
         self.config = config
         self.features = features
@@ -261,24 +247,22 @@ class GPU:
     def from_spec(
         cls,
         spec,
-        mode: Union[PipelineFeatures, PipelineMode, str] = "baseline",
+        mode: Union[PipelineFeatures, Technique, str] = "baseline",
         scheduler: Optional[Scheduler] = None,
-        config: Optional[GPUConfig] = None,
     ) -> "GPU":
         """Build a GPU from a :class:`repro.spec.RunSpec`.
 
         ``mode`` selects the pipeline variant; the spec's feature
         overrides are applied on top of the mode's feature set, and the
-        spec's cost/energy parameters flow into the models.  ``config``
-        overrides ``spec.gpu`` for callers that sweep resolutions or
-        frame counts around a fixed spec.  The spec is duck-typed so
-        this module never imports :mod:`repro.spec` (which imports the
-        feature definitions from this package).  The kernel backend
-        rides in ``spec.scheduler.backend`` (execution policy, outside
-        the spec hash — backends are bit-identical).
+        spec's GPU configuration and cost/energy parameters flow into
+        the models.  The spec is duck-typed so this module never imports
+        :mod:`repro.spec` (which imports the feature definitions from
+        this package).  The kernel backend rides in
+        ``spec.scheduler.backend`` (execution policy, outside the spec
+        hash — backends are bit-identical).
         """
         return cls(
-            config=config if config is not None else spec.gpu,
+            config=spec.gpu,
             features=spec.features.apply(resolve_features(mode)),
             cost_params=spec.cost,
             energy_params=spec.energy,

@@ -31,16 +31,12 @@ from ..core.evr import VisibilityPredictor
 from ..core.oracle import OracleTileComparator
 from ..core.rendering_elimination import RenderingElimination
 from ..engine.scheduler import Scheduler, SerialScheduler
-from ..engine.tile_job import (
-    TileJob,
-    TileResult,
-    execute_tile_job,
-    replay_memory_trace,
-)
+from ..engine.tile_job import TileJob, TileResult, execute_tile_job
 from ..hw.parameter_buffer import ParameterBuffer
 from ..kernels import DEFAULT_BACKEND, normalize_backend
 from ..kernels.tile_geometry import tile_region
 from ..memsys import MemorySystem
+from ..memsys.ops import replay_memory_trace
 from ..obs.trace import get_tracer
 from ..timing import FrameStats
 from .features import PipelineFeatures

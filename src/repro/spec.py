@@ -111,7 +111,7 @@ class WorkloadSpec:
         canonical: List[str] = []
         for mode in self.modes:
             try:
-                canonical.append(get_technique(mode).value)
+                canonical.append(get_technique(mode).name)
             except ConfigError:
                 raise SpecError(
                     f"workload.modes: {unknown_mode_message(mode)}"

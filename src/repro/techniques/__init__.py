@@ -17,7 +17,6 @@ new), ``register(Technique(...))`` with a validation contract
 
 from .registry import (
     Technique,
-    all_techniques,
     default_modes,
     get_technique,
     metric_extras,
@@ -51,7 +50,6 @@ __all__ = [
     "resolve_technique",
     "resolve_features",
     "default_modes",
-    "all_techniques",
     "technique_names",
     "unknown_mode_message",
     "metric_extras",

@@ -3,7 +3,8 @@
 Three tiers, mirroring how the repo grew:
 
 * **paper** — the four configurations the HPCA 2019 paper evaluates
-  (plus the Figure 8/9 oracle), previously the ``PipelineMode`` enum.
+  (plus the Figure 8/9 oracle): ``BASELINE``, ``RE``, ``EVR``,
+  ``EVR_REORDER_ONLY`` and ``ORACLE``.
 * **alternative** — the culling mechanisms the paper *discusses* as
   rivals (software Z-prepass, Hierarchical-Z, and EVR composed with
   Hi-Z), previously the ad-hoc ``_CONFIGURATIONS`` table in
@@ -16,9 +17,7 @@ Three tiers, mirroring how the repo grew:
   pixel identity.
 
 Importing this module (via ``repro.techniques``) populates the registry;
-paper-mode feature constructions live here now — ``PipelineMode`` in
-``repro.pipeline.features`` is a thin compatibility shim delegating to
-this catalog.
+every feature construction a mode name stands for is defined here, once.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ __all__ = [
 _PAPER = "Anglada et al., 'Early Visibility Resolution' (HPCA 2019)"
 
 # ---------------------------------------------------------------------------
-# Paper reference set (the former PipelineMode enum, same names/features).
+# Paper reference set.
 # ---------------------------------------------------------------------------
 
 BASELINE = register(Technique(

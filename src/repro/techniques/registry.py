@@ -1,20 +1,16 @@
-"""The technique registry: the open axis that replaces ``PipelineMode``.
+"""The technique registry: the mode axis as data.
 
-Historically the mode axis was a closed five-member enum hardcoded in
-nine modules; every rival technique required forking the spec layer, the
-validator, the corpus gate, the harness and the CLI.  This module turns
-the axis into data: a :class:`Technique` is a frozen descriptor (name,
-aliases, feature construction, validation contract, distilled-metric
-contributions) and every former ``PipelineMode`` call site resolves
-names through the registry instead.
+A :class:`Technique` is a frozen descriptor (name, aliases, feature
+construction, validation contract, distilled-metric contributions); every
+layer that sweeps modes — the spec, the validator, the corpus gate, the
+harness and the CLI — resolves mode names through this registry.  A mode
+is a :class:`Technique` or a registered name (or alias); nothing else.
 
 Design constraints the descriptor honors:
 
-* **Duck-compatible with the old enum.**  ``technique.value`` and
-  ``technique.features()`` mirror ``PipelineMode.value`` /
-  ``PipelineMode.features()``, so cache keys, run-ledger entries, journal
-  rows and check labels are byte-identical for the paper modes and the
-  refactor invalidates nothing.
+* **The name is the identity.**  ``technique.name`` is the string that
+  appears in cache keys, run-ledger entries, journal rows and check
+  labels, so those stay byte-identical however a mode was designated.
 * **Picklable.**  Descriptors ride inside scheduler payloads
   (``SuiteRunner`` fan-out) and must cross process boundaries; they
   therefore carry no callables.  Per-technique metric extractors live in
@@ -28,8 +24,8 @@ Design constraints the descriptor honors:
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 from ..errors import ConfigError
 from ..pipeline.features import PipelineFeatures
@@ -42,7 +38,6 @@ __all__ = [
     "resolve_technique",
     "resolve_features",
     "default_modes",
-    "all_techniques",
     "technique_names",
     "metric_extras",
 ]
@@ -98,16 +93,6 @@ class Technique:
             raise ConfigError(
                 f"{self.name}: approximate techniques need error_tolerance > 0"
             )
-
-    # -- PipelineMode duck compatibility ---------------------------------
-    @property
-    def value(self) -> str:
-        """The mode string (``PipelineMode.value`` compatibility)."""
-        return self.name
-
-    def features(self) -> PipelineFeatures:
-        """The feature-flag combination this technique stands for."""
-        return self.feature_set
 
     @property
     def paper(self) -> bool:
@@ -181,32 +166,27 @@ def unknown_mode_message(name: str) -> str:
 
 
 def resolve_technique(mode: object) -> Technique:
-    """Coerce a Technique / ``PipelineMode`` / name string to a
-    registered :class:`Technique`."""
+    """Coerce a :class:`Technique` or a registered name (or alias) to a
+    :class:`Technique`; anything else raises :class:`ConfigError`."""
     if isinstance(mode, Technique):
         return mode
-    value = getattr(mode, "value", mode)
-    if isinstance(value, str):
-        return get_technique(value)
+    if isinstance(mode, str):
+        return get_technique(mode)
     raise ConfigError(f"cannot resolve {mode!r} to a registered technique")
 
 
 def resolve_features(mode: object) -> PipelineFeatures:
-    """Coerce any mode designator (or a raw :class:`PipelineFeatures`)
-    to the feature flags to run."""
+    """Coerce a mode (or a raw :class:`PipelineFeatures`) to the feature
+    flags to run."""
     if isinstance(mode, PipelineFeatures):
         return mode
-    return resolve_technique(mode).features()
+    return resolve_technique(mode).feature_set
 
 
 def default_modes() -> Tuple[Technique, ...]:
     """Every registered technique, in registration order — the default
     modes × backends matrix for ``repro validate`` and the corpus gate."""
     return tuple(_REGISTRY.values())
-
-
-def all_techniques() -> Tuple[Technique, ...]:
-    return default_modes()
 
 
 def technique_names(include_aliases: bool = False) -> Tuple[str, ...]:

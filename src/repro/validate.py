@@ -102,10 +102,9 @@ def validate_stream(
     Args:
         stream: the frames to validate.
         config: GPU configuration (default :meth:`GPUConfig.default`).
-        modes: technique designators (names, Techniques or legacy
-            ``PipelineMode`` members) to cross-compare; ``None`` takes
-            every registered technique, so the matrix grows as
-            techniques are registered.
+        modes: techniques (or registered names) to cross-compare;
+            ``None`` takes every registered technique, so the matrix
+            grows as techniques are registered.
         backends: kernel backends to render under.  ``None`` keeps the
             single default backend and the report's historical check
             labels; two or more makes the run differential.
@@ -133,13 +132,13 @@ def validate_stream(
                 config, technique, backend=backend
             ).render_stream(stream)
             if corruptor is not None:
-                result = corruptor(technique.value, backend, result)
-            results[(technique.value, backend)] = result
+                result = corruptor(technique.name, backend, result)
+            results[(technique.name, backend)] = result
 
     reference_backend = resolved_backends[0]
     baseline = results.get(("baseline", reference_backend))
     for (name, backend), result in results.items():
-        technique = next(t for t in techniques if t.value == name)
+        technique = next(t for t in techniques if t.name == name)
         at_reference = backend == reference_backend
         if technique.pixel_exact:
             if baseline is None or (name == "baseline" and at_reference):

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro import ConfigError, GPU, GPUConfig, PipelineFeatures
+from repro import ConfigError, GPU, GPUConfig, PipelineFeatures, RunSpec
 from repro.core import VisibilityPredictor
 from repro.harness import (
     ablation_draw_order,
     ablation_history,
     ablation_prediction_point,
 )
+from repro.harness.runner import SuiteRunner
+from repro.spec import FeatureOverrides
 from repro.hw import FVPEntry, FVPType, LayerBuffer, ZBuffer
 from repro.scenes import benchmark_stream
 
@@ -83,10 +85,10 @@ class TestPredictionPointFeature:
         assert results["far"] >= results["near"]
 
     def test_aggressive_point_still_renders_correctly(self):
-        from repro.pipeline import PipelineMode
+        from repro.techniques import BASELINE
         config = GPUConfig.tiny(frames=5)
         stream = benchmark_stream("tib", config)
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(stream)
+        baseline = GPU(config, BASELINE).render_stream(stream)
         aggressive = GPU(config, _evr(prediction_point="far")).render_stream(
             stream
         )
@@ -95,21 +97,34 @@ class TestPredictionPointFeature:
 
 
 class TestAblationHarness:
-    CONFIG = GPUConfig.tiny(frames=5)
+    SPEC = RunSpec.from_config(GPUConfig.tiny(frames=5))
 
     def test_prediction_point_rows(self):
-        result = ablation_prediction_point(self.CONFIG, benchmarks=["tib"])
+        result = ablation_prediction_point(SuiteRunner(self.SPEC),
+                                           benchmarks=["tib"])
         assert len(result.rows) == 3
         points = [row[1] for row in result.rows]
         assert points == ["near", "centroid", "far"]
 
+    def test_swept_field_wins_over_spec_override(self):
+        default = ablation_prediction_point(SuiteRunner(self.SPEC),
+                                            benchmarks=["tib"])
+        near, _, far = (row[2:] for row in default.rows)
+        assert near != far  # else the check below could not tell
+        overridden = RunSpec.from_config(
+            self.SPEC.gpu, features=FeatureOverrides(prediction_point="far"))
+        swept = ablation_prediction_point(SuiteRunner(overridden),
+                                          benchmarks=["tib"])
+        assert swept.rows == default.rows
+
     def test_history_rows(self):
-        result = ablation_history(self.CONFIG, benchmarks=["tib"],
+        result = ablation_history(SuiteRunner(self.SPEC), benchmarks=["tib"],
                                   depths=(1, 2))
         assert len(result.rows) == 2
 
     def test_draw_order_spread(self):
-        result = ablation_draw_order(GPUConfig.default(frames=5))
+        spec = RunSpec.from_config(GPUConfig.default(frames=5))
+        result = ablation_draw_order(SuiteRunner(spec))
         assert result.summary["evr_spread"] <= result.summary[
             "baseline_spread"
         ] + 1e-9

@@ -8,14 +8,16 @@ from repro import (
     GPU,
     GPUConfig,
     PipelineFeatures,
-    PipelineMode,
+    RunSpec,
 )
 from repro.harness import culling_alternatives
+from repro.harness.runner import SuiteRunner
 from repro.scenes import benchmark_stream
 
 from tests.conftest import make_depth_frame
 from repro import FrameStream
 from repro.math3d import Vec4, orthographic
+from repro.techniques import BASELINE, ORACLE
 
 
 @pytest.fixture
@@ -50,14 +52,14 @@ class TestZPrepass:
         prepass = GPU(config, PipelineFeatures(z_prepass=True)).render_stream(
             b2f_stream
         )
-        oracle = GPU(config, PipelineMode.ORACLE).render_stream(b2f_stream)
+        oracle = GPU(config, ORACLE).render_stream(b2f_stream)
         assert (
             prepass.total_stats(warmup=0).fragments_shaded
             == oracle.total_stats(warmup=0).fragments_shaded
         )
 
     def test_prepass_image_matches_baseline(self, config, b2f_stream):
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(b2f_stream)
+        baseline = GPU(config, BASELINE).render_stream(b2f_stream)
         prepass = GPU(config, PipelineFeatures(z_prepass=True)).render_stream(
             b2f_stream
         )
@@ -65,7 +67,7 @@ class TestZPrepass:
             assert np.array_equal(expected.image, actual.image)
 
     def test_prepass_overhead_charged(self, config, b2f_stream):
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(b2f_stream)
+        baseline = GPU(config, BASELINE).render_stream(b2f_stream)
         prepass = GPU(config, PipelineFeatures(z_prepass=True)).render_stream(
             b2f_stream
         )
@@ -103,7 +105,7 @@ class TestHierarchicalZ:
         stats = hiz.total_stats(warmup=0)
         assert stats.hiz_culled > 0
         # The far quad never even rasterizes in fully-covered tiles.
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(stream)
+        baseline = GPU(config, BASELINE).render_stream(stream)
         assert (
             stats.primitives_rasterized
             < baseline.total_stats(warmup=0).primitives_rasterized
@@ -116,7 +118,7 @@ class TestHierarchicalZ:
         assert hiz.total_stats(warmup=0).hiz_culled == 0
 
     def test_image_unchanged(self, config, b2f_stream):
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(b2f_stream)
+        baseline = GPU(config, BASELINE).render_stream(b2f_stream)
         hiz = GPU(config, PipelineFeatures(hierarchical_z=True)).render_stream(
             b2f_stream
         )
@@ -141,9 +143,12 @@ class TestHierarchicalZ:
 
 
 class TestAlternativesHarness:
+    @staticmethod
+    def _runner():
+        return SuiteRunner(RunSpec.from_config(GPUConfig.tiny(frames=3)))
+
     def test_report_shape(self):
-        result = culling_alternatives(GPUConfig.tiny(frames=3),
-                                      benchmarks=["tib"])
+        result = culling_alternatives(self._runner(), benchmarks=["tib"])
         mechanisms = [row[1] for row in result.rows]
         assert mechanisms == ["baseline", "hiz", "z-prepass",
                               "evr-reorder-only", "evr-hiz", "oracle"]
@@ -155,8 +160,7 @@ class TestAlternativesHarness:
     def test_rivals_report_shape(self):
         from repro.harness.alternatives import rival_techniques
 
-        result = rival_techniques(GPUConfig.tiny(frames=3),
-                                  benchmarks=["tib"])
+        result = rival_techniques(self._runner(), benchmarks=["tib"])
         techniques = [row[1] for row in result.rows]
         assert techniques == ["baseline", "evr", "dsr", "fhv", "vrpipe-et"]
         frags = {row[1]: row[2] for row in result.rows}

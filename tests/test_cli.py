@@ -87,6 +87,19 @@ class TestCommands:
                     + self.SMALL) == 0
         assert "hop" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("prefix, written", [
+        ("metrics", "metrics_baseline.csv"),
+        ("out.csv", "out_baseline.csv"),
+    ])
+    def test_run_csv_prefix(self, tmp_path, prefix, written):
+        out = tmp_path / "csv"
+        out.mkdir()
+        assert main(["run", "hop", "--modes", "baseline", "-q",
+                     "--csv", str(out / prefix)] + self.SMALL) == 0
+        assert os.listdir(out) == [written]
+        with open(out / written) as handle:
+            assert len(handle.readlines()) == 1 + 3  # header + 3 frames
+
     def test_render(self, tmp_path, capsys):
         output = str(tmp_path / "frames")
         assert main(["render", "hop", "--output", output, "--mode",
@@ -103,6 +116,39 @@ class TestCommands:
         assert "geometry" in out and "raster" in out
         assert "worker occupancy" in out
         assert "main" in out  # serial run: everything on the main track
+
+
+class TestFigureSpecOverrides:
+    """Spec feature and cost overrides reach the ablation and analysis
+    figures too, not only Figures 6-11."""
+
+    ARGS = ["--frames", "4", "--width", "96", "--height", "80",
+            "--benchmarks", "tib", "-q"]
+
+    def _table(self, capsys, figure, *sets):
+        argv = ["figure", figure] + self.ARGS
+        for expression in sets:
+            argv += ["--set", expression]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_feature_override_changes_ablation(self, capsys):
+        default = self._table(capsys, "ablation-point")
+        overridden = self._table(capsys, "ablation-point",
+                                 "features.evr_reorder=false")
+        assert "near" in default
+        assert overridden != default
+
+    def test_cost_override_changes_balance(self, capsys):
+        def raster_row(text):
+            [row] = [line for line in text.splitlines()
+                     if line.split()[:2] == ["tib", "raster"]]
+            return row
+
+        default = self._table(capsys, "balance")
+        overridden = self._table(capsys, "balance",
+                                 "cost.tile_schedule_cycles=500")
+        assert raster_row(overridden) != raster_row(default)
 
 
 class TestObservabilityFlags:

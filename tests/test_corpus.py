@@ -189,11 +189,12 @@ class TestPixelCorruptor:
         assert make_pixel_corruptor(plan, "fam") is None
 
     def test_corruptor_changes_exactly_one_pixel(self):
-        from repro.pipeline import GPU, PipelineMode
+        from repro.pipeline import GPU
+        from repro.techniques import BASELINE
         plan = FaultPlan({"pixel": 1.0}, seed=9)
         corruptor = make_pixel_corruptor(plan, "fam")
         stream = family_stream("sliver", CONFIG)
-        result = GPU(CONFIG, PipelineMode.BASELINE).render_stream(stream)
+        result = GPU(CONFIG, BASELINE).render_stream(stream)
         mangled = corruptor("baseline", "python", result)
         diff = (mangled.frames[0].image != result.frames[0].image)
         assert diff.sum() == 1

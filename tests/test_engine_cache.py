@@ -12,9 +12,11 @@ from repro.engine import DiskCache, default_cache_dir
 from repro.engine.diskcache import code_version
 from repro.harness.runner import RunMetrics, SuiteRunner
 from repro.obs.metrics import global_registry
-from repro.pipeline import PipelineMode
+from repro.spec import RunSpec
+from repro.techniques import BASELINE, EVR
 
 CONFIG = GPUConfig.tiny(frames=2)
+SPEC = RunSpec.from_config(CONFIG)
 
 
 class TestDiskCache:
@@ -70,28 +72,28 @@ class TestDiskCache:
 
 class TestSuiteRunnerDiskCache:
     def test_second_runner_hits_disk(self, tmp_path):
-        with SuiteRunner(CONFIG, cache_dir=str(tmp_path)) as runner:
-            first = runner.run("ata", PipelineMode.EVR)
+        with SuiteRunner(SPEC, cache_dir=str(tmp_path)) as runner:
+            first = runner.run("ata", EVR)
             assert (runner.cache_hits, runner.cache_misses) == (0, 1)
         # A fresh runner (fresh in-memory memo) must load from disk.
-        with SuiteRunner(CONFIG, cache_dir=str(tmp_path)) as runner:
-            second = runner.run("ata", PipelineMode.EVR)
+        with SuiteRunner(SPEC, cache_dir=str(tmp_path)) as runner:
+            second = runner.run("ata", EVR)
             assert isinstance(second, RunMetrics)
             assert second == first
             assert (runner.cache_hits, runner.cache_misses) == (1, 0)
             assert "1 hits, 0 misses" in runner.cache_summary()
 
     def test_config_change_misses(self, tmp_path):
-        with SuiteRunner(CONFIG, cache_dir=str(tmp_path)) as runner:
-            runner.run("ata", PipelineMode.EVR)
+        with SuiteRunner(SPEC, cache_dir=str(tmp_path)) as runner:
+            runner.run("ata", EVR)
         other = GPUConfig.tiny(frames=3)
-        with SuiteRunner(other, cache_dir=str(tmp_path)) as runner:
-            runner.run("ata", PipelineMode.EVR)
+        with SuiteRunner(RunSpec.from_config(other), cache_dir=str(tmp_path)) as runner:
+            runner.run("ata", EVR)
             assert (runner.cache_hits, runner.cache_misses) == (0, 1)
 
     def test_no_cache_dir_disables_disk(self):
-        with SuiteRunner(CONFIG) as runner:
-            runner.run("ata", PipelineMode.BASELINE)
+        with SuiteRunner(SPEC) as runner:
+            runner.run("ata", BASELINE)
             assert runner.cache_summary() == "run cache: disabled"
 
 

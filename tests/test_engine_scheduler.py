@@ -19,18 +19,20 @@ from repro.engine import (
     make_scheduler,
 )
 from repro.harness.runner import run_benchmark
-from repro.pipeline import GPU, PipelineMode
+from repro.pipeline import GPU
 from repro.scenes import benchmark_stream
+from repro.spec import RunSpec
+from repro.techniques import BASELINE, RE, EVR, Technique
 
 CONFIG = GPUConfig.tiny(frames=3)
-MODES = (PipelineMode.BASELINE, PipelineMode.RE, PipelineMode.EVR)
+MODES = (BASELINE, RE, EVR)
 
 # One 3D benchmark (exercises depth, layers, FVP prediction) and one 2D
 # benchmark (UI layers, blending) — the two scene families of Table III.
 BENCHMARKS = ("ata", "hop")
 
 
-def _render(benchmark: str, mode: PipelineMode, scheduler):
+def _render(benchmark: str, mode: Technique, scheduler):
     stream = benchmark_stream(benchmark, CONFIG)
     gpu = GPU(CONFIG, mode, scheduler=scheduler)
     return gpu.render_stream(stream)
@@ -38,7 +40,7 @@ def _render(benchmark: str, mode: PipelineMode, scheduler):
 
 class TestSchedulerDeterminism:
     @pytest.mark.parametrize("alias", BENCHMARKS)
-    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name)
     def test_images_bit_identical(self, alias, mode):
         serial = _render(alias, mode, SerialScheduler())
         with ProcessPoolScheduler(2) as pool:
@@ -48,7 +50,7 @@ class TestSchedulerDeterminism:
             assert frame_s.image.tobytes() == frame_p.image.tobytes()
 
     @pytest.mark.parametrize("alias", BENCHMARKS)
-    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name)
     def test_stats_and_memory_equal(self, alias, mode):
         serial = _render(alias, mode, SerialScheduler())
         with ProcessPoolScheduler(2) as pool:
@@ -62,10 +64,10 @@ class TestSchedulerDeterminism:
     def test_run_metrics_equal(self):
         with ProcessPoolScheduler(2) as pool:
             for benchmark in BENCHMARKS:
-                serial = run_benchmark(benchmark, PipelineMode.EVR, CONFIG)
-                parallel = run_benchmark(
-                    benchmark, PipelineMode.EVR, CONFIG, scheduler=pool
-                )
+                spec = RunSpec.from_config(CONFIG)
+                serial = run_benchmark(benchmark, EVR, spec)
+                parallel = run_benchmark(benchmark, EVR, spec,
+                                         scheduler=pool)
                 assert serial == parallel
 
 

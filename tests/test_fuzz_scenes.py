@@ -21,11 +21,11 @@ from repro import (
     FrameStream,
     GPU,
     GPUConfig,
-    PipelineMode,
     RenderState,
 )
 from repro.geom import quad
 from repro.math3d import Vec3, Vec4, orthographic
+from repro.techniques import BASELINE, RE, EVR, EVR_REORDER_ONLY, ORACLE
 
 WIDTH, HEIGHT = 48, 32
 CONFIG = GPUConfig(screen_width=WIDTH, screen_height=HEIGHT, frames=5)
@@ -92,7 +92,7 @@ def build_stream(specs):
 def test_all_modes_pixel_identical_on_random_scenes(specs):
     stream = build_stream(specs)
     reference = None
-    for mode in (PipelineMode.BASELINE, PipelineMode.RE, PipelineMode.EVR):
+    for mode in (BASELINE, RE, EVR):
         result = GPU(CONFIG, mode).render_stream(stream)
         images = [frame.image for frame in result.frames]
         if reference is None:
@@ -101,7 +101,7 @@ def test_all_modes_pixel_identical_on_random_scenes(specs):
         for index, (expected, actual) in enumerate(zip(reference, images)):
             np.testing.assert_array_equal(
                 expected, actual,
-                err_msg=f"{mode.value} frame {index} diverged",
+                err_msg=f"{mode.name} frame {index} diverged",
             )
 
 
@@ -110,8 +110,8 @@ def test_all_modes_pixel_identical_on_random_scenes(specs):
           suppress_health_check=[HealthCheck.too_slow])
 def test_reorder_only_never_changes_image(specs):
     stream = build_stream(specs)
-    baseline = GPU(CONFIG, PipelineMode.BASELINE).render_stream(stream)
-    reorder = GPU(CONFIG, PipelineMode.EVR_REORDER_ONLY).render_stream(stream)
+    baseline = GPU(CONFIG, BASELINE).render_stream(stream)
+    reorder = GPU(CONFIG, EVR_REORDER_ONLY).render_stream(stream)
     for expected, actual in zip(baseline.frames, reorder.frames):
         np.testing.assert_array_equal(expected.image, actual.image)
 
@@ -122,8 +122,8 @@ def test_reorder_only_never_changes_image(specs):
 def test_skip_counts_within_oracle_bound(specs):
     """EVR may never skip more tiles than are pixel-identical."""
     stream = build_stream(specs)
-    evr = GPU(CONFIG, PipelineMode.EVR).render_stream(stream)
-    oracle = GPU(CONFIG, PipelineMode.ORACLE).render_stream(stream)
+    evr = GPU(CONFIG, EVR).render_stream(stream)
+    oracle = GPU(CONFIG, ORACLE).render_stream(stream)
     # Per-frame: skipped tiles must be a subset of truly-equal tiles,
     # so the counts must satisfy skipped <= equal.
     evr_skipped = sum(f.stats.tiles_skipped for f in evr.frames)
@@ -161,7 +161,6 @@ def test_stress_families_differential_across_backends(family, seed):
     adversarial geometry (slivers, zero-area, deep stacks) too."""
     stream = family_stream(family, STRESS_CONFIG, seed=seed)
     report = validate_stream(stream, STRESS_CONFIG,
-                             modes=(PipelineMode.BASELINE,
-                                    PipelineMode.EVR),
+                             modes=(BASELINE, EVR),
                              backends=("python", "numpy"))
     assert report.passed, f"{family} seed={seed}\n{report.render()}"

@@ -1,8 +1,10 @@
 """Tests for the experiment harness: runner, tables, experiments."""
 
+import os
+
 import pytest
 
-from repro import GPUConfig
+from repro import GPUConfig, RunSpec, SchedulerSpec
 from repro.harness import (
     figure6_energy,
     figure7_time,
@@ -15,14 +17,15 @@ from repro.harness import (
     table2_parameters,
     table3_suite,
 )
-from repro.harness.runner import SuiteRunner, run_suite
-from repro.pipeline import PipelineMode
+from repro.harness.runner import SuiteRunner
+from repro.obs import SchedulerProfiler
+from repro.techniques import BASELINE
 
 
 @pytest.fixture(scope="module")
 def runner():
     """Shared memoizing runner on a small config."""
-    return SuiteRunner(GPUConfig.tiny(frames=5))
+    return SuiteRunner(RunSpec.from_config(GPUConfig.tiny(frames=5)))
 
 
 class TestFormatTable:
@@ -41,8 +44,8 @@ class TestFormatTable:
 
 class TestRunner:
     def test_run_benchmark_metrics(self):
-        metrics = run_benchmark("hop", PipelineMode.BASELINE,
-                                GPUConfig.tiny(frames=3))
+        metrics = run_benchmark(
+            "hop", BASELINE, RunSpec.from_config(GPUConfig.tiny(frames=3)))
         assert metrics.benchmark == "hop"
         assert metrics.mode == "baseline"
         assert metrics.total_cycles > 0
@@ -50,16 +53,24 @@ class TestRunner:
         assert metrics.redundant_tile_rate == 0.0
 
     def test_suite_runner_memoizes(self, runner):
-        first = runner.run("hop", PipelineMode.BASELINE)
-        second = runner.run("hop", PipelineMode.BASELINE)
+        first = runner.run("hop", BASELINE)
+        second = runner.run("hop", BASELINE)
         assert first is second
 
-    def test_run_suite_subset(self):
-        results = run_suite(
-            [PipelineMode.BASELINE], GPUConfig.tiny(frames=2),
-            benchmarks=["hop"],
-        )
-        assert ("hop", "baseline") in results
+    def test_negative_jobs_fan_out_over_every_core(self, monkeypatch):
+        """``scheduler.jobs = -1`` means one worker per CPU core, so the
+        sweep must take the pooled path, not the serial loop."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = RunSpec.from_config(GPUConfig.tiny(frames=2),
+                                   scheduler=SchedulerSpec(jobs=-1))
+        profiler = SchedulerProfiler()
+        with SuiteRunner(spec=spec, profiler=profiler) as runner:
+            results = runner.run_many(["hop", "cde"], ["baseline", "re"])
+            assert runner.jobs == 2
+        assert len(results) == 4
+        assert len(profiler.batches) == 1
+        assert sorted(timing.label for timing in profiler.timings) == [
+            "cde:baseline", "cde:re", "hop:baseline", "hop:re"]
 
 
 class TestTables:

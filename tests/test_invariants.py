@@ -13,8 +13,9 @@
 import numpy as np
 import pytest
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig
 from repro.scenes import benchmark_names, benchmark_stream
+from repro.techniques import BASELINE, RE, EVR, EVR_REORDER_ONLY, ORACLE
 
 CONFIG = GPUConfig.tiny(frames=5)
 SPOT_CHECK = ["cde", "hay", "hop", "tib", "ata", "300", "wog"]
@@ -24,8 +25,7 @@ SPOT_CHECK = ["cde", "hay", "hop", "tib", "ata", "300", "wog"]
 def test_all_modes_render_identical_images(alias):
     stream = benchmark_stream(alias, CONFIG)
     reference = None
-    for mode in (PipelineMode.BASELINE, PipelineMode.RE, PipelineMode.EVR,
-                 PipelineMode.ORACLE, PipelineMode.EVR_REORDER_ONLY):
+    for mode in (BASELINE, RE, EVR, ORACLE, EVR_REORDER_ONLY):
         result = GPU(CONFIG, mode).render_stream(stream)
         images = [frame.image for frame in result.frames]
         if reference is None:
@@ -33,16 +33,16 @@ def test_all_modes_render_identical_images(alias):
             continue
         for index, (expected, actual) in enumerate(zip(reference, images)):
             assert np.array_equal(expected, actual), (
-                f"{alias}/{mode.value} diverged at frame {index}"
+                f"{alias}/{mode.name} diverged at frame {index}"
             )
 
 
 @pytest.mark.parametrize("alias", benchmark_names("3D"))
 def test_shading_order_oracle_evr_baseline(alias):
     stream = benchmark_stream(alias, CONFIG)
-    base = GPU(CONFIG, PipelineMode.BASELINE).render_stream(stream)
-    evr = GPU(CONFIG, PipelineMode.EVR_REORDER_ONLY).render_stream(stream)
-    oracle = GPU(CONFIG, PipelineMode.ORACLE).render_stream(stream)
+    base = GPU(CONFIG, BASELINE).render_stream(stream)
+    evr = GPU(CONFIG, EVR_REORDER_ONLY).render_stream(stream)
+    oracle = GPU(CONFIG, ORACLE).render_stream(stream)
     base_shaded = base.total_stats().fragments_shaded
     evr_shaded = evr.total_stats().fragments_shaded
     oracle_shaded = oracle.total_stats().fragments_shaded
@@ -53,8 +53,8 @@ def test_shading_order_oracle_evr_baseline(alias):
 @pytest.mark.parametrize("alias", ["cde", "hay", "tib", "mto"])
 def test_evr_detects_at_least_as_many_redundant_tiles(alias):
     stream = benchmark_stream(alias, CONFIG)
-    re_run = GPU(CONFIG, PipelineMode.RE).render_stream(stream)
-    evr_run = GPU(CONFIG, PipelineMode.EVR).render_stream(stream)
+    re_run = GPU(CONFIG, RE).render_stream(stream)
+    evr_run = GPU(CONFIG, EVR).render_stream(stream)
     assert (
         evr_run.total_stats().tiles_skipped
         >= re_run.total_stats().tiles_skipped
@@ -64,8 +64,8 @@ def test_evr_detects_at_least_as_many_redundant_tiles(alias):
 def test_skip_rate_never_exceeds_oracle():
     for alias in ["cde", "hay", "tib"]:
         stream = benchmark_stream(alias, CONFIG)
-        evr = GPU(CONFIG, PipelineMode.EVR).render_stream(stream)
-        oracle = GPU(CONFIG, PipelineMode.ORACLE).render_stream(stream)
+        evr = GPU(CONFIG, EVR).render_stream(stream)
+        oracle = GPU(CONFIG, ORACLE).render_stream(stream)
         # A sound skipper cannot beat pixel-exact equality detection.
         assert (
             evr.redundant_tile_rate()
@@ -100,7 +100,7 @@ def test_static_scene_predictions_are_exact():
         )
 
     stream = FrameStream(build, config.frames)
-    result = GPU(config, PipelineMode.EVR).render_stream(stream)
+    result = GPU(config, EVR).render_stream(stream)
     steady = result.total_stats(warmup=2)
     assert steady.tiles_skipped == steady.tiles_total
     # Predictions fired: the far quad is predicted occluded everywhere
@@ -116,8 +116,8 @@ def test_evr_strictly_better_where_hidden_motion_exists():
     tiles than RE in steady state."""
     config = GPUConfig.default(frames=6)
     stream = benchmark_stream("hay", config)
-    re_run = GPU(config, PipelineMode.RE).render_stream(stream)
-    evr_run = GPU(config, PipelineMode.EVR).render_stream(stream)
+    re_run = GPU(config, RE).render_stream(stream)
+    evr_run = GPU(config, EVR).render_stream(stream)
     assert (
         evr_run.total_stats().tiles_skipped
         > re_run.total_stats().tiles_skipped

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig
 from repro.engine.diskcache import run_cache_key
 from repro.harness.runner import RunMetrics, SuiteRunner
 from repro.kernels import (
@@ -31,6 +31,7 @@ from repro.kernels.tile_geometry import (
     valid_mask,
 )
 from repro.spec import RunSpec, SpecError
+from repro.techniques import BASELINE, EVR, ORACLE
 
 from tests.test_fuzz_scenes import CONFIG as FUZZ_CONFIG
 from tests.test_fuzz_scenes import build_stream, rect_specs
@@ -121,7 +122,7 @@ class TestPrepareTile:
     def _one_batch(self, backend):
         config = GPUConfig.tiny(frames=1)
         from repro.scenes import benchmark_stream
-        gpu = GPU(config, PipelineMode.BASELINE, backend=backend)
+        gpu = GPU(config, BASELINE, backend=backend)
         result = gpu.render_stream(benchmark_stream("tib", config))
         assert result.frames  # smoke: the pipeline ran through the seam
 
@@ -201,15 +202,14 @@ def _render(specs, mode, backend):
 def test_backends_bit_identical_on_random_scenes(specs):
     """Scalar and numpy backends agree bit-for-bit: images, stats and
     simulated memory-traffic counters (the disk cache depends on it)."""
-    for mode in (PipelineMode.BASELINE, PipelineMode.EVR,
-                 PipelineMode.ORACLE):
+    for mode in (BASELINE, EVR, ORACLE):
         scalar = _render(specs, mode, "python")
         batched = _render(specs, mode, "numpy")
         for index, (a, b) in enumerate(zip(scalar.frames, batched.frames)):
             np.testing.assert_array_equal(
                 a.image, b.image,
-                err_msg=f"{mode.value} frame {index} image diverged")
-            assert a.stats == b.stats, f"{mode.value} frame {index} stats"
+                err_msg=f"{mode.name} frame {index} image diverged")
+            assert a.stats == b.stats, f"{mode.name} frame {index} stats"
             assert a.geometry.units == b.geometry.units
             assert a.raster.units == b.raster.units
         assert (scalar.total_stats(warmup=0)
@@ -242,10 +242,10 @@ class TestCrossBackendCache:
             spec, scheduler=dataclasses.replace(spec.scheduler,
                                                 backend="numpy"))
         with SuiteRunner(cache_dir=str(tmp_path), spec=scalar) as runner:
-            first = runner.run("ata", PipelineMode.EVR)
+            first = runner.run("ata", EVR)
             assert (runner.cache_hits, runner.cache_misses) == (0, 1)
         with SuiteRunner(cache_dir=str(tmp_path), spec=batched) as runner:
-            second = runner.run("ata", PipelineMode.EVR)
+            second = runner.run("ata", EVR)
             assert (runner.cache_hits, runner.cache_misses) == (1, 0)
         assert isinstance(second, RunMetrics)
         assert second == first

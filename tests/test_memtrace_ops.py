@@ -1,4 +1,4 @@
-"""Tests for the typed memory-trace ops (``repro.engine.tile_job``).
+"""Tests for the typed memory-trace ops (``repro.memsys.ops``).
 
 Tile jobs record their memory accesses as typed NamedTuples and replay
 them in tile order; under the pool scheduler the trace crosses a
@@ -14,10 +14,10 @@ import pickle
 
 import numpy as np
 
-from repro.engine.tile_job import (
+from repro.engine.tile_job import MemoryTrace
+from repro.memsys.ops import (
     FlushOp,
     MemOps,
-    MemoryTrace,
     PBReadOp,
     TextureOp,
     replay_memory_trace,

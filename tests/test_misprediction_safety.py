@@ -24,11 +24,11 @@ from repro import (
     FrameStream,
     GPU,
     GPUConfig,
-    PipelineMode,
     RenderState,
 )
 from repro.geom import quad
 from repro.math3d import Vec3, Vec4, orthographic
+from repro.techniques import BASELINE, EVR
 
 WIDTH, HEIGHT = 32, 16   # a 2x1-tile screen
 
@@ -64,7 +64,7 @@ def stream(config):
 def test_prediction_is_actually_wrong(config, stream):
     """Sanity: the scene really does trigger occluded-predictions for a
     visible primitive (otherwise this regression test tests nothing)."""
-    gpu = GPU(config, PipelineMode.EVR)
+    gpu = GPU(config, EVR)
     result = gpu.render_stream(stream)
     stats = result.total_stats(warmup=0)
     assert stats.predicted_occluded > 0
@@ -72,8 +72,8 @@ def test_prediction_is_actually_wrong(config, stream):
 
 
 def test_images_match_baseline_despite_mispredictions(config, stream):
-    baseline = GPU(config, PipelineMode.BASELINE).render_stream(stream)
-    evr = GPU(config, PipelineMode.EVR).render_stream(stream)
+    baseline = GPU(config, BASELINE).render_stream(stream)
+    evr = GPU(config, EVR).render_stream(stream)
     for index, (expected, actual) in enumerate(
         zip(baseline.frames, evr.frames)
     ):
@@ -84,7 +84,7 @@ def test_images_match_baseline_despite_mispredictions(config, stream):
 
 def test_poisoned_tiles_rerender(config, stream):
     """Tiles with a visible mispredicted primitive must not be skipped."""
-    gpu = GPU(config, PipelineMode.EVR)
+    gpu = GPU(config, EVR)
     for frame in stream:
         result = gpu.render_frame(frame)
         if result.stats.signature_poisons:
@@ -96,7 +96,7 @@ def test_poisoned_tiles_rerender(config, stream):
 
 
 def test_poison_counters_exposed(config, stream):
-    gpu = GPU(config, PipelineMode.EVR)
+    gpu = GPU(config, EVR)
     gpu.render_stream(stream)
     assert gpu.re is not None
     assert gpu.re.stats.tiles_poisoned > 0
@@ -120,7 +120,7 @@ def test_no_poisoning_without_mispredictions(config):
         )
         return Frame([far, near], projection=projection, index=index)
 
-    gpu = GPU(config, PipelineMode.EVR)
+    gpu = GPU(config, EVR)
     result = gpu.render_stream(FrameStream(build, 6))
     assert result.total_stats(warmup=0).signature_poisons == 0
     assert result.total_stats(warmup=0).predicted_occluded > 0

@@ -41,8 +41,9 @@ from repro.obs.events import (
     set_bus,
     to_wire,
 )
-from repro.pipeline import GPU, PipelineMode
+from repro.pipeline import GPU
 from repro.scenes import benchmark_stream
+from repro.techniques import EVR
 
 
 class TestBusBasics:
@@ -315,12 +316,12 @@ def _render(config, scheduler=None, subscribers=()):
         for subscriber in subscribers:
             bus.subscribe(subscriber)
         with publishing(bus):
-            result = GPU(config, PipelineMode.EVR,
+            result = GPU(config, EVR,
                          scheduler=scheduler).render_stream(stream)
     else:
-        result = GPU(config, PipelineMode.EVR,
+        result = GPU(config, EVR,
                      scheduler=scheduler).render_stream(stream)
-    return metrics_from_result("hop", PipelineMode.EVR, result)
+    return metrics_from_result("hop", EVR, result)
 
 
 class TestBitIdentity:
@@ -361,16 +362,16 @@ class TestBitIdentity:
         for benchmark, frames in (("hop", 2), ("cde", 2), ("tib", 3)):
             config = GPUConfig.tiny(frames=frames)
             stream = benchmark_stream(benchmark, config)
-            bare = GPU(config, PipelineMode.EVR).render_stream(stream)
+            bare = GPU(config, EVR).render_stream(stream)
             bus = EventBus()
             bus.subscribe(lambda event: None)
             with publishing(bus):
                 stream = benchmark_stream(benchmark, config)
-                observed = GPU(config, PipelineMode.EVR).render_stream(stream)
-            bare_metrics = metrics_from_result(benchmark, PipelineMode.EVR,
+                observed = GPU(config, EVR).render_stream(stream)
+            bare_metrics = metrics_from_result(benchmark, EVR,
                                                bare)
             observed_metrics = metrics_from_result(benchmark,
-                                                   PipelineMode.EVR,
+                                                   EVR,
                                                    observed)
             assert (dataclasses.asdict(observed_metrics)
                     == dataclasses.asdict(bare_metrics))

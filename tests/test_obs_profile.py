@@ -10,15 +10,16 @@ from repro.config import GPUConfig
 from repro.engine import ProcessPoolScheduler, SerialScheduler
 from repro.obs import ChromeTracer, SchedulerProfiler, global_registry, tracing
 from repro.obs.profile import phase_breakdown
-from repro.pipeline import GPU, PipelineMode
+from repro.pipeline import GPU
 from repro.scenes import benchmark_stream
+from repro.techniques import EVR
 
 CONFIG = GPUConfig.tiny(frames=3)
 
 
 def _render(scheduler):
     stream = benchmark_stream("hop", CONFIG)
-    gpu = GPU(CONFIG, PipelineMode.EVR, scheduler=scheduler)
+    gpu = GPU(CONFIG, EVR, scheduler=scheduler)
     return gpu.render_stream(stream)
 
 

@@ -27,8 +27,9 @@ from repro.obs import (
     tracing,
 )
 from repro.engine import SerialScheduler
-from repro.pipeline import GPU, PipelineMode
+from repro.pipeline import GPU
 from repro.scenes import benchmark_stream
+from repro.techniques import EVR
 
 
 class TestNullTracer:
@@ -131,7 +132,7 @@ class TestGoldenTrace:
         with tracing(tracer):
             scheduler = SerialScheduler(profiler=SchedulerProfiler(tracer))
             stream = benchmark_stream("hop", config)
-            GPU(config, PipelineMode.EVR,
+            GPU(config, EVR,
                 scheduler=scheduler).render_stream(stream)
         cls.trace = tracer.export()
         cls.events = cls.trace["traceEvents"]
@@ -203,7 +204,7 @@ class TestGoldenTraceReduce:
         tracer = ChromeTracer()
         with tracing(tracer):
             stream = benchmark_stream("hop", config)
-            GPU(config, PipelineMode.EVR,
+            GPU(config, EVR,
                 backend=backend).render_stream(stream)
         return tracer.export()["traceEvents"]
 

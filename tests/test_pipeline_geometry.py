@@ -9,17 +9,17 @@ from repro import (
     GPU,
     GPUConfig,
     PipelineFeatures,
-    PipelineMode,
     RenderState,
 )
 from repro.geom import box_mesh, quad, screen_quad
 from repro.math3d import Mat4, Vec3, Vec4, look_at, orthographic, perspective
+from repro.techniques import BASELINE, RE, EVR
 from repro.timing import FrameStats
 
 import math
 
 
-def render_one(config, frame, mode=PipelineMode.BASELINE):
+def render_one(config, frame, mode=BASELINE):
     gpu = GPU(config, mode)
     return gpu, gpu.render_frame(frame)
 
@@ -129,7 +129,7 @@ class TestBinning:
             projection=ortho_screen,
         )
         _, base = render_one(tiny_config, frame_builder())
-        _, evr = render_one(tiny_config, frame_builder(), PipelineMode.EVR)
+        _, evr = render_one(tiny_config, frame_builder(), EVR)
         assert base.stats.layer_id_bytes == 0
         assert evr.stats.layer_id_bytes == 2 * 2  # 2 pairs x 2 bytes
         assert evr.stats.lgt_accesses == 2
@@ -146,7 +146,7 @@ class TestSignatures:
 
     def test_signature_changes_when_object_moves(self, tiny_config,
                                                  ortho_screen):
-        gpu = GPU(tiny_config, PipelineMode.RE)
+        gpu = GPU(tiny_config, RE)
         gpu.render_frame(self._frame(tiny_config, ortho_screen, 0))
         moved = self._frame(tiny_config, ortho_screen, 1)
         result = gpu.render_frame(moved)
@@ -154,7 +154,7 @@ class TestSignatures:
 
     def test_signature_stable_for_static_object(self, tiny_config,
                                                 ortho_screen):
-        gpu = GPU(tiny_config, PipelineMode.RE)
+        gpu = GPU(tiny_config, RE)
         gpu.render_frame(self._frame(tiny_config, ortho_screen, 0))
         result = gpu.render_frame(self._frame(tiny_config, ortho_screen, 0))
         assert result.stats.tiles_skipped == tiny_config.num_tiles
@@ -174,7 +174,7 @@ class TestSignatures:
                 projection=ortho_screen,
             )
 
-        gpu = GPU(tiny_config, PipelineMode.RE)
+        gpu = GPU(tiny_config, RE)
         gpu.render_frame(frame_with_model(0.0))
         result = gpu.render_frame(frame_with_model(3.0))
         assert result.stats.tiles_skipped < tiny_config.num_tiles

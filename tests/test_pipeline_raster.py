@@ -10,12 +10,12 @@ from repro import (
     GPU,
     GPUConfig,
     PipelineFeatures,
-    PipelineMode,
     RenderState,
     ShaderProfile,
 )
 from repro.geom import quad, screen_quad
 from repro.math3d import Vec3, Vec4
+from repro.techniques import BASELINE, RE, ORACLE
 
 from tests.conftest import make_depth_frame, make_sprite_frame
 
@@ -26,7 +26,7 @@ class TestEarlyZ:
             tiny_config, ortho_screen, 0,
             [(0.5, Vec4(0, 1, 0, 1)), (-0.5, Vec4(1, 0, 0, 1))],  # near first
         )
-        gpu = GPU(tiny_config, PipelineMode.BASELINE)
+        gpu = GPU(tiny_config, BASELINE)
         result = gpu.render_frame(frame)
         pixels = tiny_config.num_pixels
         assert result.stats.fragments_shaded == pixels
@@ -37,7 +37,7 @@ class TestEarlyZ:
             tiny_config, ortho_screen, 0,
             [(-0.5, Vec4(1, 0, 0, 1)), (0.5, Vec4(0, 1, 0, 1))],  # far first
         )
-        gpu = GPU(tiny_config, PipelineMode.BASELINE)
+        gpu = GPU(tiny_config, BASELINE)
         result = gpu.render_frame(frame)
         assert result.stats.fragments_shaded == 2 * tiny_config.num_pixels
         assert result.stats.early_z_kills == 0
@@ -59,7 +59,7 @@ class TestEarlyZ:
             tiny_config, ortho_screen, 0,
             [(0.5, Vec4(0, 1, 0, 1)), (-0.5, Vec4(1, 0, 0, 1))],
         )
-        with_z = GPU(tiny_config, PipelineMode.BASELINE).render_frame(frame)
+        with_z = GPU(tiny_config, BASELINE).render_frame(frame)
         without_z = GPU(
             tiny_config, PipelineFeatures(early_z=False)
         ).render_frame(frame)
@@ -77,7 +77,7 @@ class TestSpritesAndBlending:
                 (8, 8, 16, 16, Vec4(1, 0, 0, 1)),   # drawn later, on top
             ],
         )
-        result = GPU(tiny_config, PipelineMode.BASELINE).render_frame(frame)
+        result = GPU(tiny_config, BASELINE).render_frame(frame)
         assert np.allclose(result.image[12, 12], [1, 0, 0, 1])
         assert np.allclose(result.image[40, 40], [0, 0, 1, 1])
 
@@ -91,7 +91,7 @@ class TestSpritesAndBlending:
             state=RenderState.sprite_2d(blend=BlendMode.ALPHA),
         )
         frame = Frame([background, translucent], projection=ortho_screen)
-        result = GPU(tiny_config, PipelineMode.BASELINE).render_frame(frame)
+        result = GPU(tiny_config, BASELINE).render_frame(frame)
         assert np.allclose(result.image[10, 10, :3], [0.5, 0.5, 0.5])
 
     def test_sprites_skip_early_z(self, tiny_config, ortho_screen):
@@ -99,7 +99,7 @@ class TestSpritesAndBlending:
             tiny_config, ortho_screen, 0,
             [(0, 0, 64, 48, Vec4(0, 0, 1, 1))],
         )
-        result = GPU(tiny_config, PipelineMode.BASELINE).render_frame(frame)
+        result = GPU(tiny_config, BASELINE).render_frame(frame)
         assert result.stats.early_z_tests == 0
 
 
@@ -112,23 +112,23 @@ class TestTextureTraffic:
                 state=RenderState.sprite_2d(shader=shader))],
             projection=ortho_screen,
         )
-        gpu = GPU(tiny_config, PipelineMode.BASELINE)
+        gpu = GPU(tiny_config, BASELINE)
         result = gpu.render_frame(frame)
         assert result.stats.texture_samples == 2 * result.stats.fragments_shaded
-        texture_accesses = result.raster_snapshot["texture1"]["accesses"]
+        texture_accesses = result.raster.units["texture1"]["accesses"]
         assert texture_accesses > 0
 
 
 class TestTileSkipping:
     def test_skipped_tiles_reuse_previous_colors(self, tiny_config,
                                                  static_2d_stream):
-        gpu = GPU(tiny_config, PipelineMode.RE)
+        gpu = GPU(tiny_config, RE)
         results = [gpu.render_frame(f) for f in static_2d_stream]
         assert results[1].stats.tiles_skipped == tiny_config.num_tiles
         assert np.array_equal(results[1].image, results[0].image)
 
     def test_skipped_tiles_flush_nothing(self, tiny_config, static_2d_stream):
-        gpu = GPU(tiny_config, PipelineMode.RE)
+        gpu = GPU(tiny_config, RE)
         results = [gpu.render_frame(f) for f in static_2d_stream]
         assert results[1].stats.color_flush_bytes == 0
         assert results[1].stats.fragments_shaded == 0
@@ -137,7 +137,7 @@ class TestTileSkipping:
 class TestOracleZ:
     def test_oracle_shades_only_visible(self, tiny_config,
                                         back_to_front_stream):
-        gpu = GPU(tiny_config, PipelineMode.ORACLE)
+        gpu = GPU(tiny_config, ORACLE)
         frames = list(back_to_front_stream)
         result = gpu.render_frame(frames[0])
         assert result.stats.fragments_shaded == tiny_config.num_pixels
@@ -145,8 +145,8 @@ class TestOracleZ:
     def test_oracle_image_matches_baseline(self, tiny_config,
                                            back_to_front_stream):
         frames = list(back_to_front_stream)
-        base = GPU(tiny_config, PipelineMode.BASELINE).render_frame(frames[0])
-        oracle = GPU(tiny_config, PipelineMode.ORACLE).render_frame(frames[0])
+        base = GPU(tiny_config, BASELINE).render_frame(frames[0])
+        oracle = GPU(tiny_config, ORACLE).render_frame(frames[0])
         assert np.array_equal(base.image, oracle.image)
 
 
@@ -161,7 +161,7 @@ class TestPartialTiles:
                                    state=RenderState.sprite_2d())],
             projection=proj,
         )
-        result = GPU(config, PipelineMode.BASELINE).render_frame(frame)
+        result = GPU(config, BASELINE).render_frame(frame)
         assert result.image.shape == (24, 40, 4)
         # Every on-screen pixel covered exactly once.
         assert result.stats.fragments_shaded == 40 * 24

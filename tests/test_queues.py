@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig, RunSpec
 from repro.harness.balance import pipeline_balance_report
+from repro.harness.runner import SuiteRunner
 from repro.scenes import benchmark_stream
+from repro.techniques import BASELINE, EVR
 from repro.timing import (
     FrameStats,
     PipelineBalance,
@@ -88,15 +90,15 @@ class TestOnRealWorkloads:
         fragments."""
         config = GPUConfig.tiny(frames=3)
         stream = benchmark_stream("tib", config)
-        result = GPU(config, PipelineMode.BASELINE).render_stream(stream)
+        result = GPU(config, BASELINE).render_stream(stream)
         balance = raster_balance(result.total_stats(), config)
         assert balance.bottleneck.name == "fragment-processors"
 
     def test_evr_relieves_the_bottleneck(self):
         config = GPUConfig.tiny(frames=5)
         stream = benchmark_stream("tib", config)
-        base = GPU(config, PipelineMode.BASELINE).render_stream(stream)
-        evr = GPU(config, PipelineMode.EVR).render_stream(stream)
+        base = GPU(config, BASELINE).render_stream(stream)
+        evr = GPU(config, EVR).render_stream(stream)
         base_balance = raster_balance(base.total_stats(), config)
         evr_balance = raster_balance(evr.total_stats(), config)
         assert (
@@ -105,9 +107,8 @@ class TestOnRealWorkloads:
         )
 
     def test_report_renders(self):
-        result = pipeline_balance_report(
-            GPUConfig.tiny(frames=3), benchmarks=["hop"]
-        )
+        runner = SuiteRunner(RunSpec.from_config(GPUConfig.tiny(frames=3)))
+        result = pipeline_balance_report(runner, benchmarks=["hop"])
         text = result.render()
         assert "bottleneck" in text
         assert len(result.rows) == 2  # geometry + raster

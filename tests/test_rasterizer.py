@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro import RenderState
 from repro.geom import ScreenTriangle, VertexAttributes
 from repro.math3d import Vec2, Vec4
-from repro.pipeline import rasterize_in_tile
+from repro.kernels.reference import rasterize_in_tile
 
 
 def make_triangle(points, z=(0.5, 0.5, 0.5), colors=None):

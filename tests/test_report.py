@@ -7,7 +7,7 @@ and the extraction plumbing on a reduced suite.
 
 import pytest
 
-from repro import GPUConfig
+from repro import GPUConfig, RunSpec
 from repro.harness.report import _claims, paper_vs_measured, render_report
 from repro.harness.runner import SuiteRunner
 
@@ -30,7 +30,7 @@ class TestClaimRegistry:
 class TestReducedSuiteReport:
     @pytest.fixture(scope="class")
     def runner(self):
-        return SuiteRunner(GPUConfig.tiny(frames=4))
+        return SuiteRunner(RunSpec.from_config(GPUConfig.tiny(frames=4)))
 
     def test_rows_schema(self, runner, monkeypatch):
         # Reduce every figure to a two-benchmark subset for speed.

@@ -14,12 +14,18 @@ import os
 import pytest
 
 from repro.config import GPUConfig
-from repro.pipeline import PipelineMode
 from repro.harness.runner import RunMetrics, SuiteRunner, failed_metrics
 from repro.resilience import RetryPolicy, RunJournal, ScriptedFaultPlan
+from repro.spec import ResilienceSpec, RunSpec
+from repro.techniques import BASELINE, RE, EVR
 
 CONFIG = GPUConfig.tiny(frames=2)
 FAST = RetryPolicy(max_attempts=2, backoff_base=0.001, backoff_max=0.002)
+
+
+def _spec(config: GPUConfig = CONFIG, resume: bool = False) -> RunSpec:
+    return RunSpec.from_config(config,
+                               resilience=ResilienceSpec(resume=resume))
 
 
 class TestRunJournal:
@@ -102,23 +108,22 @@ class TestRunJournal:
 
 class TestSuiteRunnerResume:
     def _runner(self, tmp_path, resume, **kwargs):
-        return SuiteRunner(CONFIG, jobs=1, retry_policy=FAST,
-                           journal_dir=str(tmp_path), resume=resume,
-                           **kwargs)
+        return SuiteRunner(_spec(resume=resume), retry_policy=FAST,
+                           journal_dir=str(tmp_path), **kwargs)
 
     def test_interrupted_then_resumed_is_bit_identical(self, tmp_path):
         # Reference: one uninterrupted sweep (no journal, no resilience).
-        with SuiteRunner(CONFIG) as runner:
+        with SuiteRunner(_spec()) as runner:
             reference = runner.run_many(
-                ["hop"], [PipelineMode.BASELINE, PipelineMode.EVR]
+                ["hop"], [BASELINE, EVR]
             )
         # Pass 1 "dies" after completing only the BASELINE cell.
         with self._runner(tmp_path, resume=False) as runner:
-            runner.run_many(["hop"], [PipelineMode.BASELINE])
+            runner.run_many(["hop"], [BASELINE])
         # Pass 2 resumes: replays BASELINE, computes only EVR.
         with self._runner(tmp_path, resume=True) as runner:
             resumed = runner.run_many(
-                ["hop"], [PipelineMode.BASELINE, PipelineMode.EVR]
+                ["hop"], [BASELINE, EVR]
             )
             assert runner.journal_hits == 1
             assert runner.cache_misses == 1
@@ -126,7 +131,7 @@ class TestSuiteRunnerResume:
         assert resumed == reference
 
     def test_resume_skips_all_finished_work(self, tmp_path):
-        modes = [PipelineMode.BASELINE, PipelineMode.RE]
+        modes = [BASELINE, RE]
         with self._runner(tmp_path, resume=False) as runner:
             first = runner.run_many(["hop"], modes)
         with self._runner(tmp_path, resume=True) as runner:
@@ -137,19 +142,19 @@ class TestSuiteRunnerResume:
 
     def test_without_resume_journal_is_restarted(self, tmp_path):
         with self._runner(tmp_path, resume=False) as runner:
-            runner.run_many(["hop"], [PipelineMode.BASELINE])
+            runner.run_many(["hop"], [BASELINE])
         with self._runner(tmp_path, resume=False) as runner:
-            runner.run_many(["hop"], [PipelineMode.BASELINE])
+            runner.run_many(["hop"], [BASELINE])
             assert runner.journal_hits == 0
             assert runner.cache_misses == 1
 
     def test_config_change_invalidates_journal(self, tmp_path):
         with self._runner(tmp_path, resume=False) as runner:
-            runner.run_many(["hop"], [PipelineMode.BASELINE])
+            runner.run_many(["hop"], [BASELINE])
         other = GPUConfig.tiny(frames=3)
-        with SuiteRunner(other, jobs=1, retry_policy=FAST,
-                         journal_dir=str(tmp_path), resume=True) as runner:
-            runner.run_many(["hop"], [PipelineMode.BASELINE])
+        with SuiteRunner(_spec(other, resume=True), retry_policy=FAST,
+                         journal_dir=str(tmp_path)) as runner:
+            runner.run_many(["hop"], [BASELINE])
             assert runner.journal_hits == 0
 
 
@@ -158,10 +163,10 @@ class TestGracefulDegradation:
         # Suite job 0 fails on every permitted attempt.
         plan = ScriptedFaultPlan({("1:0", attempt): "raise"
                                   for attempt in (1, 2)})
-        with SuiteRunner(CONFIG, jobs=1, retry_policy=FAST, fault_plan=plan,
+        with SuiteRunner(_spec(), retry_policy=FAST, fault_plan=plan,
                          journal_dir=str(tmp_path)) as runner:
             results = runner.run_many(
-                ["hop"], [PipelineMode.BASELINE, PipelineMode.EVR]
+                ["hop"], [BASELINE, EVR]
             )
             assert len(runner.failures) == 1
             assert "1 cells FAILED" in runner.cache_summary()
@@ -178,21 +183,21 @@ class TestGracefulDegradation:
     def test_failed_cells_are_retried_on_resume(self, tmp_path):
         plan = ScriptedFaultPlan({("1:0", attempt): "raise"
                                   for attempt in (1, 2)})
-        with SuiteRunner(CONFIG, jobs=1, retry_policy=FAST, fault_plan=plan,
+        with SuiteRunner(_spec(), retry_policy=FAST, fault_plan=plan,
                          journal_dir=str(tmp_path)) as runner:
-            runner.run_many(["hop"], [PipelineMode.BASELINE])
+            runner.run_many(["hop"], [BASELINE])
             assert runner.failures
         # The resumed pass runs without a fault plan (the transient
         # condition cleared) and must recompute the failed cell.
-        with SuiteRunner(CONFIG, jobs=1, retry_policy=FAST,
-                         journal_dir=str(tmp_path), resume=True) as runner:
-            results = runner.run_many(["hop"], [PipelineMode.BASELINE])
+        with SuiteRunner(_spec(resume=True), retry_policy=FAST,
+                         journal_dir=str(tmp_path)) as runner:
+            results = runner.run_many(["hop"], [BASELINE])
             assert runner.journal_hits == 0  # failed cells are not replayed
             assert not runner.failures
         assert not results[("hop", "baseline")].failed
 
     def test_failed_metrics_shape(self):
-        metrics = failed_metrics("hop", PipelineMode.EVR, "boom")
+        metrics = failed_metrics("hop", EVR, "boom")
         assert isinstance(metrics, RunMetrics)
         assert metrics.error == "boom"
         assert math.isnan(metrics.total_cycles)
@@ -201,9 +206,9 @@ class TestGracefulDegradation:
     def test_journal_records_failure(self, tmp_path):
         plan = ScriptedFaultPlan({("1:0", attempt): "raise"
                                   for attempt in (1, 2)})
-        with SuiteRunner(CONFIG, jobs=1, retry_policy=FAST, fault_plan=plan,
+        with SuiteRunner(_spec(), retry_policy=FAST, fault_plan=plan,
                          journal_dir=str(tmp_path)) as runner:
-            runner.run_many(["hop"], [PipelineMode.BASELINE])
+            runner.run_many(["hop"], [BASELINE])
             journal_path = runner._journal.path
         records = [json.loads(line) for line in open(journal_path)]
         failed = [r for r in records if r.get("status") == "failed"]

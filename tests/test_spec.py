@@ -16,10 +16,8 @@ import textwrap
 import pytest
 
 from repro.cli import main
-from repro.config import GPUConfig
 from repro.errors import ConfigError, SpecError
 from repro.obs.log import reset_warn_once
-from repro.pipeline import PipelineMode
 from repro.spec import (
     PRESETS,
     FeatureOverrides,
@@ -31,6 +29,7 @@ from repro.spec import (
     resolve_spec,
     spec_from_dict,
 )
+from repro.techniques import BASELINE, EVR
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -182,17 +181,17 @@ class TestValidation:
 class TestFeatureOverrides:
     def test_apply_overrides_mode_features(self):
         overrides = FeatureOverrides(evr_reorder=False)
-        features = overrides.apply(PipelineMode.EVR.features())
+        features = overrides.apply(EVR.feature_set)
         assert features.evr_hardware and not features.evr_reorder
 
     def test_empty_overrides_are_identity(self):
-        features = PipelineMode.EVR.features()
+        features = EVR.feature_set
         assert FeatureOverrides().apply(features) is features
 
     def test_features_for(self):
         spec = resolve_spec(sets=["features.evr_reorder=false"], env={}).spec
-        assert not spec.features_for(PipelineMode.EVR).evr_reorder
-        assert spec.features_for(PipelineMode.BASELINE).early_z
+        assert not spec.features_for(EVR).evr_reorder
+        assert spec.features_for(BASELINE).early_z
 
     def test_invalid_override_rejected(self):
         with pytest.raises(SpecError):
@@ -410,32 +409,6 @@ class TestCliIntegration:
 
 
 class TestRunnerSpecIdentity:
-    def test_legacy_kwargs_and_spec_share_cache_keys(self, tmp_path):
-        from repro.harness.runner import SuiteRunner
-
-        config = GPUConfig.tiny(frames=2)
-        with SuiteRunner(config, cache_dir=str(tmp_path)) as runner:
-            legacy = runner.run("hop", PipelineMode.BASELINE)
-        spec = RunSpec.from_config(config)
-        with SuiteRunner(spec=spec, cache_dir=str(tmp_path)) as runner:
-            from_spec = runner.run("hop", PipelineMode.BASELINE)
-            assert runner.cache_hits == 1
-        assert legacy == from_spec
-
-    def test_frames_kwarg_folds_into_spec(self, tmp_path):
-        from repro.harness.runner import SuiteRunner
-
-        config = GPUConfig.tiny(frames=9)
-        with SuiteRunner(config, frames=2,
-                         cache_dir=str(tmp_path)) as runner:
-            folded = runner.run("hop", PipelineMode.BASELINE)
-            assert runner.spec.gpu.frames == 2
-        with SuiteRunner(GPUConfig.tiny(frames=2),
-                         cache_dir=str(tmp_path)) as runner:
-            direct = runner.run("hop", PipelineMode.BASELINE)
-            assert runner.cache_hits == 1
-        assert folded == direct
-
     def test_spec_supplies_execution_policy(self):
         from repro.harness.runner import SuiteRunner
 
@@ -445,6 +418,6 @@ class TestRunnerSpecIdentity:
         runner = SuiteRunner(spec=spec)
         assert runner.jobs == 3
         assert runner.retry_policy.max_attempts == 2
-        assert runner.strict
+        assert runner.spec.resilience.strict
         assert runner.resilient
         runner.close()

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro import ConfigError, GPU, GPUConfig, PipelineFeatures, PipelineMode
+from repro import ConfigError, GPU, GPUConfig, PipelineFeatures
 from repro.core.subtile import (
     SubTileVisibilityPredictor,
     compute_quadrant_fvps,
 )
 from repro.hw import FVPType, LayerBuffer, ZBuffer
 from repro.scenes import benchmark_stream
+from repro.techniques import BASELINE
 
 
 def full():
@@ -117,7 +118,7 @@ class TestFeatureIntegration:
             rendering_elimination=True, evr_hardware=True,
             evr_reorder=True, evr_signature_filter=True, subtile_fvp=True,
         )
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(stream)
+        baseline = GPU(config, BASELINE).render_stream(stream)
         subtile = GPU(config, features).render_stream(stream)
         for expected, actual in zip(baseline.frames, subtile.frames):
             assert np.array_equal(expected.image, actual.image)

@@ -3,15 +3,13 @@
 Covers the registry contract (registration, aliasing, resolution,
 diagnostics), pickling of technique-bearing payloads through the process
 pool, the compatibility guarantees the refactor must uphold (spec-hash
-and paper-mode image/metric pins), FeatureOverrides/PipelineFeatures
-field parity, and a lint forbidding new ``PipelineMode.X`` literals
-outside the shim and the techniques package.
+and paper-mode image/metric pins) and FeatureOverrides/PipelineFeatures
+field parity.
 """
 
 import hashlib
 import os
 import pickle
-import re
 import subprocess
 import sys
 
@@ -21,7 +19,6 @@ import pytest
 from repro import GPU, GPUConfig, RunSpec
 from repro.errors import ConfigError, SpecError
 from repro.pipeline import PipelineFeatures
-from repro.pipeline.features import PipelineMode
 from repro.scenes import benchmark_stream
 from repro.techniques import (
     Technique,
@@ -101,24 +98,25 @@ class TestRegistry:
         evr = get_technique("evr")
         assert resolve_technique(evr) is evr
         assert resolve_technique("evr") is evr
-        assert resolve_technique(PipelineMode.EVR) is evr
         with pytest.raises(ConfigError):
             resolve_technique(42)
+
+        class _Designator:
+            value = "evr"
+
+        with pytest.raises(ConfigError):
+            resolve_technique(_Designator())
 
     def test_resolve_features_passthrough(self):
         features = PipelineFeatures(hierarchical_z=True)
         assert resolve_features(features) is features
         assert resolve_features("baseline") == PipelineFeatures()
 
-    def test_shim_features_delegate_to_registry(self):
-        for mode in PipelineMode:
-            assert mode.features() == get_technique(mode.value).features()
-
     def test_techniques_pickle_roundtrip(self):
         for technique in default_modes():
             clone = pickle.loads(pickle.dumps(technique))
             assert clone == technique
-            assert clone.features() == technique.features()
+            assert clone.feature_set == technique.feature_set
 
     def test_metric_extras_unknown_name_empty(self):
         assert metric_extras("baseline", object()) == {}
@@ -261,35 +259,3 @@ class TestFeatureOverridesParity:
         from repro.spec import FeatureOverrides
         with pytest.raises(SpecError):
             FeatureOverrides(vrpipe_threshold=-0.1)
-
-
-# ---------------------------------------------------------------------------
-# Lint: no new PipelineMode.X literals outside the shim + registry
-# ---------------------------------------------------------------------------
-
-class TestModeLiteralLint:
-    _ALLOWED = (
-        os.path.join("repro", "pipeline", "features.py"),
-        os.path.join("repro", "techniques") + os.sep,
-    )
-
-    def test_no_pipeline_mode_literals_in_src(self):
-        root = os.path.join(os.path.dirname(__file__), "..", "src")
-        pattern = re.compile(r"PipelineMode\.[A-Z]")
-        offenders = []
-        for dirpath, _, filenames in os.walk(root):
-            for filename in filenames:
-                if not filename.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                relative = os.path.relpath(path, root)
-                if any(allowed in relative for allowed in self._ALLOWED):
-                    continue
-                with open(path) as handle:
-                    if pattern.search(handle.read()):
-                        offenders.append(relative)
-        assert not offenders, (
-            f"PipelineMode literals outside the shim/registry: "
-            f"{offenders} — resolve technique names through "
-            f"repro.techniques instead"
-        )

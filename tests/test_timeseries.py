@@ -5,17 +5,18 @@ import io
 
 import pytest
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig
 from repro.harness import frame_series, write_csv
 from repro.obs.metrics import frame_record
 from repro.scenes import benchmark_stream
+from repro.techniques import EVR
 
 
 @pytest.fixture(scope="module")
 def run_result():
     config = GPUConfig.tiny(frames=4)
     stream = benchmark_stream("cde", config)
-    return GPU(config, PipelineMode.EVR).render_stream(stream)
+    return GPU(config, EVR).render_stream(stream)
 
 
 class TestFrameSeries:

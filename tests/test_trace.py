@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from repro import CommandError, GPU, GPUConfig, PipelineMode
+from repro import CommandError, GPU, GPUConfig
 from repro.commands import load_trace, save_trace
 from repro.scenes import benchmark_stream
+from repro.techniques import EVR
 
 
 @pytest.fixture
@@ -50,8 +51,8 @@ class TestRoundtrip:
         path = str(tmp_path / "trace.json")
         save_trace(stream, path)
         replayed = load_trace(path)
-        direct = GPU(config, PipelineMode.EVR).render_stream(stream)
-        from_trace = GPU(config, PipelineMode.EVR).render_stream(replayed)
+        direct = GPU(config, EVR).render_stream(stream)
+        from_trace = GPU(config, EVR).render_stream(replayed)
         for a, b in zip(direct.frames, from_trace.frames):
             assert np.array_equal(a.image, b.image)
 

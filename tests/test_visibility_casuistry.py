@@ -18,11 +18,11 @@ from repro import (
     FrameStream,
     GPU,
     GPUConfig,
-    PipelineMode,
     RenderState,
 )
 from repro.geom import quad
 from repro.math3d import Vec3, Vec4, orthographic
+from repro.techniques import BASELINE, RE, EVR
 
 WIDTH, HEIGHT = 64, 48
 
@@ -48,15 +48,15 @@ def woz_quad(x, y, w, h, world_z, color):
 
 def render_all_modes(config, stream):
     outputs = {}
-    for mode in (PipelineMode.BASELINE, PipelineMode.RE, PipelineMode.EVR):
+    for mode in (BASELINE, RE, EVR):
         gpu = GPU(config, mode)
         outputs[mode] = gpu.render_stream(stream)
     return outputs
 
 
 def assert_images_identical(outputs):
-    baseline_frames = outputs[PipelineMode.BASELINE].frames
-    for mode in (PipelineMode.RE, PipelineMode.EVR):
+    baseline_frames = outputs[BASELINE].frames
+    for mode in (RE, EVR):
         for base_frame, frame in zip(baseline_frames, outputs[mode].frames):
             assert np.array_equal(base_frame.image, frame.image), (
                 f"{mode} diverged at frame {frame.index}"
@@ -79,9 +79,9 @@ class TestScenarioA:
         stream = FrameStream(build, config.frames)
         outputs = render_all_modes(config, stream)
         assert_images_identical(outputs)
-        re_skips = outputs[PipelineMode.RE].total_stats().tiles_skipped
-        evr_skips = outputs[PipelineMode.EVR].total_stats().tiles_skipped
-        steady = outputs[PipelineMode.RE].total_stats().tiles_total
+        re_skips = outputs[RE].total_stats().tiles_skipped
+        evr_skips = outputs[EVR].total_stats().tiles_skipped
+        steady = outputs[RE].total_stats().tiles_total
         assert re_skips == evr_skips == steady
 
 
@@ -136,15 +136,15 @@ class TestScenarioC:
 
     def test_evr_skips_what_re_cannot(self, config, projection):
         outputs = render_all_modes(config, self._stream(config, projection))
-        re_stats = outputs[PipelineMode.RE].total_stats()
-        evr_stats = outputs[PipelineMode.EVR].total_stats()
+        re_stats = outputs[RE].total_stats()
+        evr_stats = outputs[EVR].total_stats()
         # RE skips only the tiles P never touches; EVR skips everything.
         assert re_stats.tiles_skipped < re_stats.tiles_total
         assert evr_stats.tiles_skipped == evr_stats.tiles_total
 
     def test_signature_updates_saved(self, config, projection):
         outputs = render_all_modes(config, self._stream(config, projection))
-        evr_stats = outputs[PipelineMode.EVR].total_stats()
+        evr_stats = outputs[EVR].total_stats()
         assert evr_stats.signature_skips > 0
 
 
@@ -170,7 +170,7 @@ class TestScenarioD:
         outputs = render_all_modes(config, stream)
         assert_images_identical(outputs)
         # P is visible (red) at frame 3+ in all modes.
-        final = outputs[PipelineMode.EVR].frames[-1].image
+        final = outputs[EVR].frames[-1].image
         assert np.allclose(final[12, 12], [1, 0, 0, 1])
 
     def test_occluder_disappears(self, config, projection):
@@ -188,7 +188,7 @@ class TestScenarioD:
         stream = FrameStream(build, config.frames)
         outputs = render_all_modes(config, stream)
         assert_images_identical(outputs)
-        final = outputs[PipelineMode.EVR].frames[-1].image
+        final = outputs[EVR].frames[-1].image
         assert np.allclose(final[12, 12], [1, 0, 0, 1])
 
     def test_occluder_moves_aside(self, config, projection):
