@@ -44,7 +44,9 @@ class ScreenTriangle:
         z: three window-space depths in [0, 1] (0 = near plane).
         attributes: the three vertices' interpolatable attributes.
         command_id: index of the draw command that produced the triangle.
-        primitive_id: index of the triangle within the frame.
+        primitive_id: index of the triangle among the *surviving*
+            (not culled) triangles of its draw command, restarting at 0
+            for every command.
         state: the owning command's render state (travels with the
             primitive through the Parameter Buffer, as in hardware).
         signature_bytes: the canonical attribute encoding fed to the
@@ -112,13 +114,9 @@ class ScreenTriangle:
         which the rasterizer later resolves to zero fragments, exactly as
         in hardware.
         """
-        min_x, min_y, max_x, max_y = self.bounding_box()
-        first_tx = max(0, int(min_x) // tile_w)
-        first_ty = max(0, int(min_y) // tile_h)
-        last_tx = min(tiles_x - 1, int(max_x) // tile_w)
-        last_ty = min(tiles_y - 1, int(max_y) // tile_h)
-        if last_tx < first_tx or last_ty < first_ty:
-            return ()
+        first_tx, first_ty, last_tx, last_ty = tile_span(
+            self.bounding_box(), tile_w, tile_h, tiles_x, tiles_y
+        )
         return tuple(
             (tx, ty)
             for ty in range(first_ty, last_ty + 1)
@@ -134,3 +132,19 @@ class ScreenTriangle:
         3 normal per vertex-averaged fragment setup.
         """
         return 12
+
+
+def tile_span(
+    bbox: Tuple[float, float, float, float],
+    tile_w: int, tile_h: int, tiles_x: int, tiles_y: int,
+) -> Tuple[int, int, int, int]:
+    """``(first_tx, first_ty, last_tx, last_ty)`` of the tiles a window-
+    space bounding box overlaps, clamped to the screen; the span is
+    empty (``last < first`` on some axis) when the box is off screen."""
+    min_x, min_y, max_x, max_y = bbox
+    return (
+        max(0, int(min_x) // tile_w),
+        max(0, int(min_y) // tile_h),
+        min(tiles_x - 1, int(max_x) // tile_w),
+        min(tiles_y - 1, int(max_y) // tile_h),
+    )

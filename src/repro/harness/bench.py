@@ -1,6 +1,6 @@
 """``repro bench``: backend throughput benchmarking and regression gating.
 
-Measures two things per kernel backend, on a preset workload:
+Measures three things per kernel backend, on a preset workload:
 
 1. **End-to-end pipeline throughput** — a full :meth:`GPU.render_stream`
    run under the paper's EVR configuration, with the observability
@@ -20,11 +20,16 @@ Measures two things per kernel backend, on a preset workload:
    fragments delivered across both passes.  This is the ``>= 10x``
    headline metric for the numpy backend.
 
-The emitted ``BENCH_<preset>.json`` also records the
-``fragments_per_second`` ratio between backends.  Because the ratio
-compares two measurements from the same process on the same machine,
-it is far more stable across hardware than absolute numbers — the CI
-perf-smoke job gates on it via :func:`check_bench_regression`.
+3. **Geometry throughput** — the preset's frames replayed through each
+   backend's geometry phase alone (vertex transform, Primitive
+   Assembly and the shared Polygon List Builder) on the same
+   memory-system implementation: ``primitives_per_second``.
+
+The emitted ``BENCH_<preset>.json`` also records the numpy/python
+ratio of every sweep (``speedup``).  Because a ratio compares two
+measurements from the same process on the same machine, it is far more
+stable across hardware than absolute numbers — the CI perf-smoke job
+gates on the ratios via :func:`check_bench_regression`.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from ..obs.profile import phase_breakdown
 from ..obs.trace import ChromeTracer, tracing
 from ..pipeline import GPU
 from ..scenes import benchmark_stream, scaled_world_stream
+from ..timing import FrameStats
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +387,74 @@ def _memsys_sweeps(ops: MemOps, config: GPUConfig,
     }
 
 
+def _geometry_once(frames: Sequence, config: GPUConfig,
+                   backend: str) -> Dict[str, object]:
+    """Replay ``frames`` through a fresh EVR GPU's geometry phase on
+    ``backend``, resetting the per-frame structures exactly as
+    :meth:`GPU.render_frame` does (no raster phase runs, so every FVP
+    lookup finds an empty table).  The memory system is the batched one
+    on every backend: geometry traffic is queued, never simulated, so
+    the timing is the geometry phase's own.  Returns the elapsed
+    seconds, the counters and every frame's display lists."""
+    gpu = GPU(config, "evr", backend=backend,
+              memory_system=create_memory_system(config, "numpy"))
+    snapshots = []
+    primitives = 0
+    elapsed = 0.0
+    for frame in frames:
+        stats = FrameStats()
+        start = time.perf_counter()
+        gpu.parameter_buffer.reset()
+        gpu.lgt.reset()
+        gpu.geometry.process_frame(frame, stats)
+        gpu.re.end_frame()
+        elapsed += time.perf_counter() - start
+        primitives += stats.primitives_in
+        snapshots.append((stats, [(list(display_list.first),
+                                   list(display_list.second))
+                                  for _, display_list
+                                  in gpu.parameter_buffer.tiles()]))
+    return {"seconds": elapsed, "primitives": primitives,
+            "snapshots": snapshots}
+
+
+def _geometry_sweeps(frames: Sequence, config: GPUConfig,
+                     backends: Sequence[str],
+                     repeat: int) -> Dict[str, Dict]:
+    """Best-of-``repeat`` geometry throughput for every backend,
+    interleaved round by round like the other sweeps.  The warm-up
+    round is the bit-identity check: every backend must build the first
+    backend's exact display lists and ``FrameStats``."""
+    reference: Optional[Dict[str, object]] = None
+    for backend in backends:           # warm-up + bit-identity check
+        outcome = _geometry_once(frames, config, backend)
+        if reference is None:
+            reference = outcome
+        elif outcome["snapshots"] != reference["snapshots"]:
+            raise AssertionError(
+                f"geometry on backend {backend!r} diverged from "
+                f"{backends[0]!r} on the preset's frames"
+            )
+    primitives = reference["primitives"]
+    reference = None                   # release the snapshots
+    best = {backend: float("inf") for backend in backends}
+    for _ in range(max(1, repeat)):
+        for backend in backends:
+            best[backend] = min(
+                best[backend],
+                _geometry_once(frames, config, backend)["seconds"],
+            )
+    return {
+        backend: {
+            "frames": len(frames),
+            "primitives": primitives,
+            "best_seconds": best[backend],
+            "primitives_per_second": primitives / best[backend],
+        }
+        for backend in backends
+    }
+
+
 def run_bench(preset_name: str,
               backends: Optional[Sequence[str]] = None,
               repeat: int = 3) -> Dict:
@@ -426,6 +500,10 @@ def run_bench(preset_name: str,
         sweeps = _memsys_sweeps(trace, preset.config(), chosen, repeat)
         for backend, sweep in sweeps.items():
             results[backend]["memsys_sweep"] = sweep
+    sweeps = _geometry_sweeps(list(preset.stream()), preset.config(),
+                              chosen, repeat)
+    for backend, sweep in sweeps.items():
+        results[backend]["geometry_sweep"] = sweep
 
     record = {
         "preset": preset.name,
@@ -452,6 +530,10 @@ def run_bench(preset_name: str,
             ),
             "frames_per_second": (
                 batched["frames_per_second"] / scalar["frames_per_second"]
+            ),
+            "primitives_per_second": (
+                batched["geometry_sweep"]["primitives_per_second"]
+                / scalar["geometry_sweep"]["primitives_per_second"]
             ),
         }
         if "memsys_sweep" in scalar and "memsys_sweep" in batched:
@@ -492,6 +574,9 @@ def format_bench_summary(record: Dict) -> str:
         if memsys:
             line += (f"  {memsys['cache_ops_per_second']:>11,.0f}"
                      f" replay ops/s")
+        geometry = result["geometry_sweep"]
+        line += (f"  {geometry['primitives_per_second']:>9,.0f}"
+                 f" geometry prims/s")
         lines.append(line)
     speedup = record.get("speedup")
     if speedup:
@@ -503,6 +588,7 @@ def format_bench_summary(record: Dict) -> str:
         if "cache_ops_per_second" in speedup:
             line += (f", {speedup['cache_ops_per_second']:.2f}x "
                      f"memsys replay")
+        line += f", {speedup['primitives_per_second']:.2f}x geometry"
         lines.append(line)
     return "\n".join(lines)
 
@@ -513,10 +599,11 @@ def check_bench_regression(record: Dict, baseline_path: str,
 
     Gates on the backend *speedup ratios* (machine-independent), not on
     absolute throughput: a regression is the numpy/python
-    ``fragments_per_second`` (kernel sweep) or ``cache_ops_per_second``
-    (memsys replay sweep) ratio dropping more than ``tolerance``
-    (fractional) below the baseline's.  Returns failure messages,
-    empty when the bench is clean.
+    ``fragments_per_second`` (kernel sweep), ``cache_ops_per_second``
+    (memsys replay sweep) or ``primitives_per_second`` (geometry sweep)
+    ratio dropping more than ``tolerance`` (fractional) below the
+    baseline's; the last two are gated when the baseline has them.
+    Returns failure messages, empty when the bench is clean.
     """
     with open(baseline_path) as handle:
         baseline = json.load(handle)
@@ -533,6 +620,8 @@ def check_bench_regression(record: Dict, baseline_path: str,
     gated = [("fragments_per_second", "kernel fragments/sec")]
     if base.get("cache_ops_per_second") is not None:
         gated.append(("cache_ops_per_second", "memsys replay ops/sec"))
+    if base.get("primitives_per_second") is not None:
+        gated.append(("primitives_per_second", "geometry primitives/sec"))
     for key, label in gated:
         base_speedup = base[key]
         new_speedup = new.get(key)

@@ -1,22 +1,24 @@
-"""Kernel backends: interchangeable implementations of the fragment hot
-path.
+"""Kernel backends: interchangeable implementations of the geometry and
+fragment hot paths.
 
-The raster pipeline's per-tile inner loops — coverage/edge tests,
-barycentric interpolation, Early-Z, blending and the overshading/taint
-bookkeeping — are expressed as pure array-in/array-out kernel functions
-behind this seam.  Two backends implement the contract declared in
-:mod:`repro.kernels.api`:
+The geometry pipeline's vertex transform and Primitive Assembly (one
+``assemble`` call per draw command) and the raster pipeline's per-tile
+inner loops — coverage/edge tests, barycentric interpolation, Early-Z,
+blending and the overshading/taint bookkeeping — are expressed as pure
+kernel functions behind this seam.  Two backends implement the contract
+declared in :mod:`repro.kernels.api`:
 
 ``python``
     The scalar reference (:mod:`repro.kernels.reference`): the
-    historical per-entry loop, moved verbatim.  Defines the bit-exact
-    semantics.
+    historical per-triangle and per-entry loops, moved verbatim.
+    Defines the bit-exact semantics.
 
 ``numpy``
-    The batched backend (:mod:`repro.kernels.batched`): rasterizes and
-    interpolates a tile's whole display list as ``(N, h, w)`` array
-    expressions.  Bit-identical to the reference by construction and by
-    test, an order of magnitude faster — the default.
+    The batched backend (:mod:`repro.kernels.batched`): transforms and
+    culls a whole draw command as ``(n, 3)`` coordinate arrays, and
+    rasterizes and interpolates a tile's whole display list as
+    ``(N, h, w)`` array expressions.  Bit-identical to the reference by
+    construction and by test, several times faster — the default.
 
 Because backends are proven bit-identical, the selected backend is
 execution policy: it lives in ``RunSpec.scheduler`` (excluded from

@@ -6,6 +6,20 @@ A backend is a module exposing the following attributes (see
 ``NAME``
     The canonical backend name (``"python"``, ``"numpy"``).
 
+``assemble(command, command_id, mvp, viewport) -> List[ScreenTriangle]``
+    Vertex shading and Primitive Assembly for one draw command: every
+    object-space vertex is transformed by ``mvp`` (a ``Mat4``), a
+    triangle with any vertex at ``w <= 1e-6`` or all three vertices
+    outside the same clip plane is rejected, the rest go through the
+    perspective divide and ``viewport``, depth is clamped to [0, 1], and
+    zero-area triangles (and back-facing ones when
+    ``command.state.cull_backface``) are culled.  Returns the survivors
+    in submission order; ``primitive_id`` is the index among the
+    command's survivors, ``command_id`` is passed through, and every
+    coordinate in ``xy``/``z`` is a Python ``float``.  A triangle with a
+    non-finite clip-space coordinate raises :func:`non_finite_vertex`'s
+    ``PipelineError`` — the first such triangle in submission order.
+
 ``prepare_tile(entries, x0, y0, tile_width, tile_height, valid)``
     Build a tile batch for one display list.  Returns an object with a
     single method ``fragments(index) -> Optional[Fragments]`` yielding
@@ -30,8 +44,9 @@ a tile-shaped bool array and the op touches only masked lanes):
 Backends must be **bit-identical**: for every op the masked output
 values must equal the scalar reference exactly (same IEEE-754 ops in the
 same association order), and the returned counts must match.  The
-property suite in ``tests/test_kernels.py`` enforces this on fuzzed
-scenes; it is what lets the disk cache share entries across backends.
+property suites in ``tests/test_kernels.py`` and
+``tests/test_geometry_backends.py`` enforce this on fuzzed scenes; it is
+what lets the disk cache share entries across backends.
 """
 
 from __future__ import annotations
@@ -39,6 +54,24 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+from ..errors import PipelineError
+
+#: Primitive Assembly rejects a triangle with any vertex at ``w`` at or
+#: below this (near-plane clipping is not modelled: such triangles are
+#: dropped whole).
+W_EPSILON = 1e-6
+
+
+def non_finite_vertex(command, command_id: int,
+                      triangle_index: int) -> PipelineError:
+    """The error both ``assemble`` paths raise for a triangle whose
+    clip-space position has a NaN or infinite coordinate (a degenerate
+    matrix or vertex; binning it would silently produce garbage)."""
+    return PipelineError(
+        f"draw command {command_id} ({command.label!r}): triangle "
+        f"{triangle_index} has a non-finite clip-space vertex"
+    )
 
 
 class Fragments(NamedTuple):

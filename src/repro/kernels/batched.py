@@ -1,6 +1,10 @@
 """The batched numpy backend (``backend="numpy"``).
 
-Rasterizes a tile's *entire* display list in one shot: vertex data is
+Geometry: :func:`assemble` transforms, clip-tests and culls a whole draw
+command at once as ``(n, 3)`` coordinate arrays; only the survivors
+become Python objects.
+
+Raster: rasterizes a tile's *entire* display list in one shot: vertex data is
 gathered into structure-of-arrays form (one Python pass over the
 entries), then coverage, edge functions and barycentric interpolation
 run as ``(N, tile_h, tile_w)`` array expressions — no per-fragment or
@@ -15,8 +19,8 @@ performs the same IEEE-754 float64 operations in the same association
 order as the scalar reference — e.g. interpolation stays the
 left-associated ``b0*v0 + b1*v1 + b2*v2``, and the winding swap happens
 in the Python gather exactly as ``rasterize_in_tile`` does it.  The
-property suite in ``tests/test_kernels.py`` enforces this on fuzzed
-scenes.
+property suites in ``tests/test_kernels.py`` and
+``tests/test_geometry_backends.py`` enforce this on fuzzed scenes.
 
 The batch is computed eagerly for all entries, including ones the main
 loop may later skip via hierarchical-Z (rasterization has no side
@@ -30,10 +34,117 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .api import Fragments
+from ..geom import ScreenTriangle
+from ..math3d import Mat4, Vec2
+from .api import W_EPSILON, Fragments, non_finite_vertex
 from .tile_geometry import pixel_centers
 
 NAME = "numpy"
+
+
+# ---------------------------------------------------------------------------
+# Vertex transform and Primitive Assembly: one array pass per command
+# ---------------------------------------------------------------------------
+
+def _rows(matrix: Mat4, count: int) -> np.ndarray:
+    """The first ``count`` rows of ``matrix`` as a ``(count, 4, 1, 1)``
+    column block, ready to broadcast against ``(n, 3)`` coordinates."""
+    return np.array(matrix.m[:4 * count]).reshape(count, 4, 1, 1)
+
+
+def assemble(command, command_id: int, mvp: Mat4,
+             viewport: Mat4) -> List[ScreenTriangle]:
+    """:func:`repro.kernels.reference.assemble` over the whole command.
+
+    Every ``Mat4 @ Vec4`` product becomes the reference's explicit
+    left-associated sum ``m0*x + m1*y + m2*z + m3`` over ``(n, 3)``
+    coordinate arrays — the same IEEE-754 operations in the same order
+    (``m3 * 1.0`` is exactly ``m3``; never ``matmul``, whose BLAS
+    kernels may fuse multiply-adds).  Rejection and culling are masks;
+    only the survivors become Python objects, their coordinates taken
+    with ``tolist()`` so they are plain ``float``s.
+    """
+    triangles = list(command.iter_triangles())
+    state = command.state
+    # The scalar reference never warns on float overflow: neither do we.
+    with np.errstate(all="ignore"):
+        index, packed = _transform(command, command_id, triangles, mvp,
+                                   viewport, state.cull_backface)
+    if index.size == 0:
+        return []
+
+    position_bytes = packed.astype("<f8", copy=False).tobytes()
+    rows = packed.tolist()
+    state_bytes = state.pack()
+    survivors: List[ScreenTriangle] = []
+    for primitive_id, source in enumerate(index.tolist()):
+        vertices = triangles[source].vertices
+        attributes = (vertices[0].attributes, vertices[1].attributes,
+                      vertices[2].attributes)
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows[primitive_id]
+        base = 72 * primitive_id
+        survivors.append(ScreenTriangle(
+            xy=(Vec2(x0, y0), Vec2(x1, y1), Vec2(x2, y2)),
+            z=(z0, z1, z2),
+            attributes=attributes,
+            command_id=command_id,
+            primitive_id=primitive_id,
+            state=state,
+            signature_bytes=b"".join((
+                state_bytes,
+                position_bytes[base:base + 24], attributes[0].pack(),
+                position_bytes[base + 24:base + 48], attributes[1].pack(),
+                position_bytes[base + 48:base + 72], attributes[2].pack(),
+            )),
+        ))
+    return survivors
+
+
+def _transform(command, command_id: int, triangles, mvp: Mat4,
+               viewport: Mat4, cull_backface: bool):
+    """The array half of :func:`assemble`: the surviving triangles'
+    indices into ``triangles`` and their window-space ``(x, y, z)`` per
+    vertex, a ``(s, 3, 3)`` float64 array."""
+    positions = np.array(
+        [(p.x, p.y, p.z)
+         for triangle in triangles
+         for p in (triangle.v0.position, triangle.v1.position,
+                   triangle.v2.position)],
+        dtype=np.float64,
+    ).reshape(-1, 3, 3)
+    x, y, z = positions[:, :, 0], positions[:, :, 1], positions[:, :, 2]
+    m = _rows(mvp, 4)
+    clip = m[:, 0] * x + m[:, 1] * y + m[:, 2] * z + m[:, 3]   # (4, n, 3)
+
+    finite = np.isfinite(clip).all(axis=(0, 2))
+    if not finite.all():
+        raise non_finite_vertex(command, command_id,
+                                int(np.argmin(finite)))
+    w = clip[3]
+    # w rejection, then frustum rejection: all three vertices outside
+    # the same clip plane.
+    reject = (w <= W_EPSILON).any(axis=1)
+    reject |= (clip[:3] < -w).all(axis=2).any(axis=0)
+    reject |= (clip[:3] > w).all(axis=2).any(axis=0)
+    kept = np.flatnonzero(~reject)
+
+    clip = clip[:, kept]
+    ndc = clip[:3] / clip[3]
+    v = _rows(viewport, 3)
+    wx, wy, depth = (v[:, 0] * ndc[0] + v[:, 1] * ndc[1]
+                     + v[:, 2] * ndc[2] + v[:, 3])          # 3 x (k, 3)
+    # ``min(max(z, 0.0), 1.0)`` with Python's argument-order semantics.
+    depth = np.where(0.0 > depth, 0.0, depth)
+    depth = np.where(1.0 < depth, 1.0, depth)
+
+    # Twice the signed area, as ScreenTriangle.signed_area computes it.
+    area = ((wx[:, 1] - wx[:, 0]) * (wy[:, 2] - wy[:, 0])
+            - (wy[:, 1] - wy[:, 0]) * (wx[:, 2] - wx[:, 0]))
+    culled = area == 0.0
+    if cull_backface:
+        culled |= area > 0.0
+    survive = np.flatnonzero(~culled)
+    return kept[survive], np.stack((wx, wy, depth), axis=-1)[survive]
 
 
 class BatchedTileBatch:

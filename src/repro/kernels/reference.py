@@ -1,29 +1,134 @@
 """The scalar reference backend (``backend="python"``).
 
-This is the historical per-entry hot path, moved here verbatim from
-``repro.pipeline.rasterizer`` and the ``repro.hw.buffers`` method bodies
-when the kernel seam was introduced — it defines the bit-exact semantics
-every other backend must reproduce.  ``repro.pipeline.rasterizer`` and
-the buffer classes now delegate to these functions, so there is exactly
-one copy of each rule.
+This is the historical per-triangle and per-entry hot path, moved here
+verbatim from ``repro.pipeline.geometry`` (vertex transform and
+Primitive Assembly), ``repro.pipeline.rasterizer`` and the
+``repro.hw.buffers`` method bodies when the kernel seam was introduced —
+it defines the bit-exact semantics every other backend must reproduce.
+The pipeline and the buffer classes delegate to these functions, so
+there is exactly one copy of each rule.
 
-Everything here is a pure function: arrays in, arrays (or counts) out.
-The only state is the caller's buffers, mutated in place exactly where
-the mask selects.
+Everything here is a pure function: objects or arrays in, objects,
+arrays (or counts) out.  The only state is the caller's buffers, mutated
+in place exactly where the mask selects.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..geom import ScreenTriangle
-from .api import Fragments
+from ..geom import ScreenTriangle, Triangle
+from ..math3d import Mat4, Vec2, Vec4
+from .api import W_EPSILON, Fragments, non_finite_vertex
 from .tile_geometry import pixel_centers
 
 NAME = "python"
+
+
+# ---------------------------------------------------------------------------
+# Vertex transform and Primitive Assembly (one draw command at a time)
+# ---------------------------------------------------------------------------
+
+def assemble(command, command_id: int, mvp: Mat4,
+             viewport: Mat4) -> List[ScreenTriangle]:
+    """Transform, clip-test and cull one command's triangles, one
+    ``Mat4 @ Vec4`` product per vertex; returns the survivors."""
+    state = command.state
+    survivors: List[ScreenTriangle] = []
+    for tri_index, triangle in enumerate(command.iter_triangles()):
+        clip = [mvp @ v.position.to_vec4(1.0) for v in triangle.vertices]
+        if not all(math.isfinite(value) for c in clip for value in c):
+            raise non_finite_vertex(command, command_id, tri_index)
+        screen = _transform_triangle(clip, viewport, triangle, command_id,
+                                     len(survivors), state)
+        if screen is None or _should_cull(screen, state):
+            continue
+        survivors.append(screen)
+    return survivors
+
+
+def _transform_triangle(
+    clip: List[Vec4],
+    viewport: Mat4,
+    triangle: Triangle,
+    command_id: int,
+    primitive_id: int,
+    state,
+) -> Optional[ScreenTriangle]:
+    """Clip-test one triangle's clip-space vertices and transform them
+    to window coordinates.
+
+    Near-plane clipping is not implemented: triangles crossing the
+    camera plane are dropped entirely (the scene generators keep
+    geometry safely inside the frustum).
+    """
+    if any(c.w <= W_EPSILON for c in clip):
+        return None
+    # Frustum rejection: all vertices outside the same clip plane.
+    for axis in ("x", "y", "z"):
+        if all(getattr(c, axis) < -c.w for c in clip):
+            return None
+        if all(getattr(c, axis) > c.w for c in clip):
+            return None
+
+    window = [
+        viewport @ c.perspective_divide().to_vec4(1.0)
+        for c in clip
+    ]
+    xy = tuple(Vec2(w.x, w.y) for w in window)
+    z = tuple(min(max(w.z, 0.0), 1.0) for w in window)
+    attributes = tuple(v.attributes for v in triangle.vertices)
+
+    signature_bytes = _signature_bytes(xy, z, attributes, state)
+    return ScreenTriangle(
+        xy=xy,  # type: ignore[arg-type]
+        z=z,  # type: ignore[arg-type]
+        attributes=attributes,  # type: ignore[arg-type]
+        command_id=command_id,
+        primitive_id=primitive_id,
+        state=state,
+        signature_bytes=signature_bytes,
+    )
+
+
+def _signature_bytes(xy, z, attributes, state) -> bytes:
+    """Post-transform encoding fed to the RE CRC.
+
+    The signature must change whenever anything that can affect the
+    tile's colors changes: window-space positions (so moving objects
+    are caught even when their object-space mesh is static), vertex
+    attributes, and the render state / shader identity.  Positions
+    are packed at full f64 precision: the rasterizer interpolates in
+    f64, so motion below f32 epsilon still changes blended colors,
+    and an f32-quantized signature would wrongly match across such a
+    frame pair and skip a tile whose true colors differ.
+    """
+    parts = [state.pack()]
+    for position, depth, attrs in zip(xy, z, attributes):
+        parts.append(struct.pack("<3d", position.x, position.y, depth))
+        parts.append(attrs.pack())
+    return b"".join(parts)
+
+
+def _should_cull(screen: ScreenTriangle, state) -> bool:
+    """Back-face and degeneracy culling in Primitive Assembly.
+
+    Window coordinates are y-down, so a front-facing (counter-
+    clockwise in NDC) triangle has *negative* signed area here.
+    Back-face culling applies only when the command enables it;
+    zero-area triangles are always dropped.
+    """
+    area = screen.signed_area()
+    if area == 0.0:
+        return True
+    if state.cull_backface and area > 0.0:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ All EVR hooks live in the Polygon List Builder (Figure 5): layer
 assignment via the Layer Generator Table, visibility prediction via the
 FVP Table, Algorithm-1 reordering into the two-part Display Lists, and
 the (possibly filtered) Rendering Elimination signature updates.
+
+Vertex shading and Primitive Assembly run behind the kernel-backend seam
+(``assemble`` in :mod:`repro.kernels`); the Polygon List Builder is one
+sequential loop shared by every backend.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import List, Optional
 
 from ..commands import DrawCommand, Frame
@@ -21,7 +24,8 @@ from ..config import GPUConfig
 from ..core.evr import VisibilityPredictor
 from ..core.rendering_elimination import RenderingElimination
 from ..core.reorder import place_in_display_list
-from ..geom import ScreenTriangle, Triangle
+from ..geom import ScreenTriangle
+from ..geom.triangle import tile_span
 from ..hw.lgt import LayerGeneratorTable
 from ..hw.parameter_buffer import (
     LAYER_ID_BYTES,
@@ -29,7 +33,8 @@ from ..hw.parameter_buffer import (
     DisplayListEntry,
     ParameterBuffer,
 )
-from ..math3d import Mat4, Vec2, viewport
+from ..kernels import DEFAULT_BACKEND, resolve_backend
+from ..math3d import Mat4, viewport
 from ..memsys import MemorySystem
 from ..obs.trace import get_tracer
 from ..techniques.dsr import dsr_signature
@@ -37,7 +42,6 @@ from ..timing import FrameStats
 from .features import PipelineFeatures
 
 _VERTEX_BYTES = 48
-_W_EPSILON = 1e-6
 
 # Display-list pointers live in their own Parameter Buffer region so the
 # pointer stream and the attribute stream do not alias in the tile cache.
@@ -45,7 +49,13 @@ _POINTER_REGION_OFFSET = 32 * 1024 * 1024
 
 
 class GeometryPipeline:
-    """Runs the geometry half of the pipeline for one frame at a time."""
+    """Runs the geometry half of the pipeline for one frame at a time.
+
+    Vertex shading and Primitive Assembly go through the kernel
+    backend's ``assemble`` (one call per draw command); the Polygon
+    List Builder is shared by every backend and stays sequential, in
+    primitive order, because each of its hooks updates per-tile state.
+    """
 
     def __init__(
         self,
@@ -57,6 +67,7 @@ class GeometryPipeline:
         predictor: Optional[VisibilityPredictor],
         rendering_elimination: Optional[RenderingElimination],
         dsr=None,
+        backend: str = DEFAULT_BACKEND,
     ):
         self.config = config
         self.features = features
@@ -66,6 +77,7 @@ class GeometryPipeline:
         self.predictor = predictor
         self.re = rendering_elimination
         self.dsr = dsr
+        self._kernels = resolve_backend(backend)
         self._viewport = viewport(config.screen_width, config.screen_height)
         self._pointer_cursor = 0
         self._vertex_base = 0
@@ -77,143 +89,67 @@ class GeometryPipeline:
         self._pointer_cursor = 0
         self._vertex_base = 0
         tracer = get_tracer()
+        # ``projection @ view`` once per distinct matrix pair per frame:
+        # ``projection @ view @ model`` associates left, so reusing the
+        # product is exact.  Keyed by identity — the frame keeps every
+        # matrix alive while the dict lives.
+        view_projections = {}
         for command_id, command in enumerate(frame.commands):
             stats.commands_processed += 1
             with tracer.span("command", category="geometry",
                              label=command.label, frame=frame.index):
+                projection = command.projection or frame.projection
+                view = command.view or frame.view
+                key = (id(projection), id(view))
+                view_projection = view_projections.get(key)
+                if view_projection is None:
+                    view_projection = projection @ view
+                    view_projections[key] = view_projection
                 triangles = self._shade_and_assemble(
-                    frame, command_id, command, stats
+                    command_id, command, view_projection @ command.model,
+                    stats,
                 )
-                for triangle in triangles:
-                    self._bin_primitive(triangle, command, stats)
+                self._bin_command(triangles, command_id, command, stats)
 
     def _shade_and_assemble(
         self,
-        frame: Frame,
         command_id: int,
         command: DrawCommand,
+        mvp: Mat4,
         stats: FrameStats,
     ) -> List[ScreenTriangle]:
         """Vertex fetch + shade + primitive assembly for one command."""
-        projection = command.projection or frame.projection
-        view = command.view or frame.view
-        mvp = projection @ view @ command.model
         state = command.state
-        survivors: List[ScreenTriangle] = []
         command_vertex_base = self._vertex_base
         self._vertex_base += command.vertex_count
-
-        # A software Z-prepass (Section IV-A) resubmits the opaque
-        # geometry with a depth-only shader: the vertex fetch, transform
-        # and assembly work is paid twice for WOZ commands.
-        prepass = self.features.z_prepass and state.writes_z
-        depth_only_instructions = max(4, state.shader.vertex_instructions // 2)
 
         # The whole command's vertex stream is one consecutive index
         # range and nothing else touches memory until binning, so the
         # per-vertex fetch loop collapses into a single ranged access —
         # the same address sequence, one call.
-        triangles = list(command.iter_triangles())
+        count = command.triangle_count
         self.memory.fetch_vertex_range(
-            command_vertex_base, 3 * len(triangles), _VERTEX_BYTES
+            command_vertex_base, 3 * count, _VERTEX_BYTES
         )
+        vertex_instructions = state.shader.vertex_instructions
+        stats.primitives_in += count
+        stats.vertices_fetched += 3 * count
+        stats.vertex_instructions += 3 * count * vertex_instructions
+        # A software Z-prepass (Section IV-A) resubmits the opaque
+        # geometry with a depth-only shader: the vertex fetch, transform
+        # and assembly work is paid twice for WOZ commands.
+        if self.features.z_prepass and state.writes_z:
+            stats.primitives_in += count
+            stats.vertices_fetched += 3 * count
+            stats.vertex_instructions += (
+                3 * count * max(4, vertex_instructions // 2)
+            )
 
-        for tri_index, triangle in enumerate(triangles):
-            stats.primitives_in += 1
-            stats.vertices_fetched += 3
-            stats.vertex_instructions += 3 * state.shader.vertex_instructions
-            if prepass:
-                stats.primitives_in += 1
-                stats.vertices_fetched += 3
-                stats.vertex_instructions += 3 * depth_only_instructions
-
-            screen = self._transform_triangle(mvp, triangle, command_id,
-                                              len(survivors), state)
-            if screen is None or self._should_cull(screen, state):
-                stats.primitives_culled += 1
-                continue
-            survivors.append(screen)
-
+        survivors = self._kernels.assemble(command, command_id, mvp,
+                                           self._viewport)
+        stats.primitives_culled += count - len(survivors)
         stats.primitives_binned += len(survivors)
         return survivors
-
-    def _transform_triangle(
-        self,
-        mvp: Mat4,
-        triangle: Triangle,
-        command_id: int,
-        primitive_id: int,
-        state,
-    ) -> Optional[ScreenTriangle]:
-        """Clip-test and transform one triangle to window coordinates.
-
-        Near-plane clipping is not implemented: triangles crossing the
-        camera plane are dropped entirely (the scene generators keep
-        geometry safely inside the frustum).
-        """
-        clip = [mvp @ v.position.to_vec4(1.0) for v in triangle.vertices]
-        if any(c.w <= _W_EPSILON for c in clip):
-            return None
-        # Frustum rejection: all vertices outside the same clip plane.
-        for axis in ("x", "y", "z"):
-            if all(getattr(c, axis) < -c.w for c in clip):
-                return None
-            if all(getattr(c, axis) > c.w for c in clip):
-                return None
-
-        window = [
-            self._viewport @ c.perspective_divide().to_vec4(1.0)
-            for c in clip
-        ]
-        xy = tuple(Vec2(w.x, w.y) for w in window)
-        z = tuple(min(max(w.z, 0.0), 1.0) for w in window)
-        attributes = tuple(v.attributes for v in triangle.vertices)
-
-        signature_bytes = self._signature_bytes(xy, z, attributes, state)
-        return ScreenTriangle(
-            xy=xy,  # type: ignore[arg-type]
-            z=z,  # type: ignore[arg-type]
-            attributes=attributes,  # type: ignore[arg-type]
-            command_id=command_id,
-            primitive_id=primitive_id,
-            state=state,
-            signature_bytes=signature_bytes,
-        )
-
-    @staticmethod
-    def _signature_bytes(xy, z, attributes, state) -> bytes:
-        """Post-transform encoding fed to the RE CRC.
-
-        The signature must change whenever anything that can affect the
-        tile's colors changes: window-space positions (so moving objects
-        are caught even when their object-space mesh is static), vertex
-        attributes, and the render state / shader identity.  Positions
-        are packed at full f64 precision: the rasterizer interpolates in
-        f64, so motion below f32 epsilon still changes blended colors,
-        and an f32-quantized signature would wrongly match across such a
-        frame pair and skip a tile whose true colors differ.
-        """
-        parts = [state.pack()]
-        for position, depth, attrs in zip(xy, z, attributes):
-            parts.append(struct.pack("<3d", position.x, position.y, depth))
-            parts.append(attrs.pack())
-        return b"".join(parts)
-
-    @staticmethod
-    def _should_cull(screen: ScreenTriangle, state) -> bool:
-        """Back-face and degeneracy culling in Primitive Assembly.
-
-        Window coordinates are y-down, so a front-facing (counter-
-        clockwise in NDC) triangle has *negative* signed area here.
-        Back-face culling applies only when the command enables it;
-        zero-area triangles are always dropped.
-        """
-        area = screen.signed_area()
-        if area == 0.0:
-            return True
-        if state.cull_backface and area > 0.0:
-            return True
-        return False
 
     def _prediction_depth(self, triangle: ScreenTriangle) -> float:
         """The primitive depth compared against ``Z_far`` (Section III-A).
@@ -231,99 +167,123 @@ class GeometryPipeline:
 
     # -- Polygon List Builder (binning + EVR hooks) -------------------------
 
-    def _bin_primitive(
-        self, triangle: ScreenTriangle, command: DrawCommand, stats: FrameStats
+    def _bin_command(
+        self,
+        triangles: List[ScreenTriangle],
+        command_id: int,
+        command: DrawCommand,
+        stats: FrameStats,
     ) -> None:
-        """Sort one assembled primitive into all tiles it overlaps."""
+        """Sort one command's assembled primitives, in order, into all
+        tiles each one overlaps.
+
+        Everything that is fixed per command or per primitive — the
+        command's WOZ class, the pointer size, a primitive's bounding
+        box, tile span and prediction depth — is computed once outside
+        the per-tile loop; the counters advance once per primitive.
+        """
         config = self.config
         features = self.features
-        state = command.state
+        memory = self.memory
+        parameter_buffer = self.parameter_buffer
+        lgt = self.lgt
+        predictor = self.predictor
+        re = self.re
+        dsr = self.dsr
+        tile_w = config.tile_width
+        tile_h = config.tile_height
+        tiles_x = config.tiles_x
+        tiles_y = config.tiles_y
+        uses_layers = features.uses_layers
+        evr_hardware = features.evr_hardware
+        reorder = features.evr_reorder
+        writes_z = command.state.writes_z
+        prepass = features.z_prepass and writes_z
+        attribute_bytes = parameter_buffer.attribute_bytes_per_primitive
+        pointer_bytes = POINTER_BYTES + (LAYER_ID_BYTES if uses_layers else 0)
+        assert lgt is not None or not uses_layers
+        assert predictor is not None or not evr_hardware
+        pointer = _POINTER_REGION_OFFSET + self._pointer_cursor
 
-        offset = self.parameter_buffer.store_primitive(triangle)
-        attribute_bytes = self.parameter_buffer.attribute_bytes_per_primitive
-        self.memory.parameter_buffer_write(offset, attribute_bytes)
-        stats.parameter_buffer_bytes += attribute_bytes
+        for triangle in triangles:
+            offset = parameter_buffer.store_primitive(triangle)
+            memory.parameter_buffer_write(offset, attribute_bytes)
+            stats.parameter_buffer_bytes += attribute_bytes
 
-        crc = (
-            RenderingElimination.primitive_crc(triangle)
-            if self.re is not None
-            else 0
-        )
-        # DSR tracks tile stability with a *coarse* signature so slow
-        # sub-pixel motion still reads as stable (repro.techniques.dsr).
-        dsr_crc = dsr_signature(triangle) if self.dsr is not None else 0
+            crc = (
+                RenderingElimination.primitive_crc(triangle)
+                if re is not None
+                else 0
+            )
+            # DSR tracks tile stability with a *coarse* signature so slow
+            # sub-pixel motion still reads as stable (repro.techniques.dsr).
+            dsr_crc = dsr_signature(triangle) if dsr is not None else 0
 
-        prepass = features.z_prepass and triangle.writes_z
-        if prepass:
-            # The depth-only pass stores its own (position-only) records.
-            prepass_offset = self.parameter_buffer.store_primitive(triangle)
-            self.memory.parameter_buffer_write(prepass_offset, 48)
-            stats.parameter_buffer_bytes += 48
-
-        tiles = triangle.overlapped_tiles(
-            config.tile_width, config.tile_height, config.tiles_x, config.tiles_y
-        )
-        for tile_x, tile_y in tiles:
-            tile = tile_y * config.tiles_x + tile_x
-            stats.primitive_tile_pairs += 1
             if prepass:
-                stats.primitive_tile_pairs += 1
-                stats.display_list_writes += 1
+                # The depth-only pass stores its own (position-only) records.
+                prepass_offset = parameter_buffer.store_primitive(triangle)
+                memory.parameter_buffer_write(prepass_offset, 48)
+                stats.parameter_buffer_bytes += 48
 
-            layer = 0
-            if features.uses_layers:
-                assert self.lgt is not None
-                layer = self.lgt.assign_layer(
-                    tile, triangle.command_id, triangle.writes_z
-                )
-                stats.lgt_accesses += 1
-                stats.layer_id_bytes += LAYER_ID_BYTES
-                stats.parameter_buffer_bytes += LAYER_ID_BYTES
-
+            bbox = triangle.bounding_box()
+            first_tx, first_ty, last_tx, last_ty = tile_span(
+                bbox, tile_w, tile_h, tiles_x, tiles_y
+            )
+            tiles = [
+                row + tile_x
+                for row in range(first_ty * tiles_x, (last_ty + 1) * tiles_x,
+                                 tiles_x)
+                for tile_x in range(first_tx, last_tx + 1)
+            ]
+            if evr_hardware:
+                depth = self._prediction_depth(triangle)
             predicted_occluded = False
-            if features.evr_hardware:
-                assert self.predictor is not None
-                predicted_occluded = self.predictor.predict(
-                    tile, triangle.writes_z,
-                    self._prediction_depth(triangle), layer,
-                    bbox=triangle.bounding_box(),
+            occluded = 0
+            signature_updates = 0
+            for tile in tiles:
+                layer = 0
+                if uses_layers:
+                    layer = lgt.assign_layer(tile, command_id, writes_z)
+                if evr_hardware:
+                    predicted_occluded = predictor.predict(
+                        tile, writes_z, depth, layer, bbox
+                    )
+                    if predicted_occluded:
+                        occluded += 1
+
+                # Positional arguments: this is the hottest call site.
+                place_in_display_list(
+                    parameter_buffer.display_list(tile),
+                    DisplayListEntry(triangle, offset, layer,
+                                     predicted_occluded, pointer),
+                    writes_z, predicted_occluded, reorder,
                 )
-                stats.fvp_lookups += 1
-                stats.predictions_made += 1
-                if predicted_occluded:
-                    stats.predicted_occluded += 1
+                memory.parameter_buffer_write(pointer, pointer_bytes)
+                pointer += pointer_bytes
 
-            entry = DisplayListEntry(
-                primitive=triangle,
-                offset=offset,
-                layer=layer,
-                predicted_occluded=predicted_occluded,
-                pointer_offset=_POINTER_REGION_OFFSET + self._pointer_cursor,
-            )
-            display_list = self.parameter_buffer.display_list(tile)
-            place_in_display_list(
-                display_list,
-                entry,
-                writes_z=triangle.writes_z,
-                predicted_occluded=predicted_occluded,
-                reorder_enabled=features.evr_reorder,
-            )
-            pointer_bytes = POINTER_BYTES + (
-                LAYER_ID_BYTES if features.uses_layers else 0
-            )
-            self.memory.parameter_buffer_write(
-                _POINTER_REGION_OFFSET + self._pointer_cursor, pointer_bytes
-            )
-            self._pointer_cursor += pointer_bytes
-            stats.display_list_writes += 1
+                if re is not None and re.on_primitive_binned(
+                        tile, crc, predicted_occluded):
+                    signature_updates += 1
+                if dsr is not None:
+                    dsr.on_primitive_binned(tile, dsr_crc)
 
-            if self.re is not None:
-                updated = self.re.on_primitive_binned(tile, crc, predicted_occluded)
-                if updated:
-                    stats.signature_updates += 1
-                else:
-                    stats.signature_skips += 1
-
-            if self.dsr is not None:
-                self.dsr.on_primitive_binned(tile, dsr_crc)
-                stats.signature_updates += 1
+            pairs = len(tiles)
+            stats.primitive_tile_pairs += pairs
+            stats.display_list_writes += pairs
+            if prepass:
+                stats.primitive_tile_pairs += pairs
+                stats.display_list_writes += pairs
+            if uses_layers:
+                stats.lgt_accesses += pairs
+                stats.layer_id_bytes += LAYER_ID_BYTES * pairs
+                stats.parameter_buffer_bytes += LAYER_ID_BYTES * pairs
+            if evr_hardware:
+                stats.fvp_lookups += pairs
+                stats.predictions_made += pairs
+                stats.predicted_occluded += occluded
+            if re is not None:
+                stats.signature_updates += signature_updates
+                stats.signature_skips += pairs - signature_updates
+            if dsr is not None:
+                stats.signature_updates += pairs
+        self._pointer_cursor = pointer - _POINTER_REGION_OFFSET

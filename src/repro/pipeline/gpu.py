@@ -232,6 +232,7 @@ class GPU:
             config, features, self.memory, self.parameter_buffer,
             self.lgt, self.predictor, self.re,
             dsr=self.dsr,
+            backend=self.backend,
         )
         self.raster = RasterPipeline(
             config, features, self.memory, self.parameter_buffer,

@@ -85,6 +85,18 @@ class TestRunBench:
             assert sweep["cache_ops_per_second"] == pytest.approx(
                 sweep["cache_ops"] / sweep["best_seconds"])
 
+    def test_geometry_sweep_replays_the_same_frames(self, tiny_record):
+        sweeps = [result["geometry_sweep"]
+                  for result in tiny_record["backends"].values()]
+        # The warm-up round already asserted identical display lists
+        # and stats; both sides replay the same primitives.
+        assert sweeps[0]["primitives"] == sweeps[1]["primitives"] > 0
+        for sweep in sweeps:
+            assert sweep["frames"] == BENCH_PRESETS["tiny"].frames
+            assert sweep["primitives_per_second"] == pytest.approx(
+                sweep["primitives"] / sweep["best_seconds"])
+        assert tiny_record["speedup"]["primitives_per_second"] > 0
+
     def test_reduce_phase_is_subdivided(self, tiny_record):
         for result in tiny_record["backends"].values():
             phases = result["raster_phase_ms"]
@@ -107,6 +119,21 @@ class TestRunBench:
         assert restored["preset"] == "tiny"
         assert restored["speedup"]["fragments_per_second"] == pytest.approx(
             tiny_record["speedup"]["fragments_per_second"])
+
+
+class TestGeometrySweep:
+    def test_divergent_backend_is_refused(self, monkeypatch):
+        from repro.harness.bench import _geometry_sweeps
+        from repro.kernels import batched
+
+        preset = BENCH_PRESETS["tiny"]
+        frames = list(preset.stream())[:1]
+        assemble = batched.assemble
+        monkeypatch.setattr(
+            batched, "assemble", lambda *args: assemble(*args)[:-1])
+        with pytest.raises(AssertionError, match="geometry on backend"):
+            _geometry_sweeps(frames, preset.config(), ("python", "numpy"),
+                             repeat=1)
 
 
 class TestRegressionGate:
@@ -156,6 +183,19 @@ class TestRegressionGate:
         failures = check_bench_regression(self._record(10.0), baseline,
                                           tolerance=0.2)
         assert failures
+
+    def test_gates_geometry_ratio_when_baselined(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"speedup": {
+            "fragments_per_second": 10.0, "primitives_per_second": 2.0}}))
+        record = self._record(10.0)
+        record["speedup"]["primitives_per_second"] = 1.7
+        assert check_bench_regression(record, str(path),
+                                      tolerance=0.2) == []
+        record["speedup"]["primitives_per_second"] = 1.5
+        failures = check_bench_regression(record, str(path), tolerance=0.2)
+        assert len(failures) == 1
+        assert "geometry" in failures[0]
 
     def test_old_baseline_without_replay_ratio_still_gates_kernel(
             self, tmp_path):

@@ -1,0 +1,424 @@
+"""Cross-backend bit-identity of vertex transform and Primitive Assembly.
+
+The scalar ``assemble`` in :mod:`repro.kernels.reference` defines the
+geometry semantics; the batched numpy ``assemble`` must reproduce them
+bit for bit, so that the shared Polygon List Builder sees the same
+primitives in the same order under either backend.  Random frames of
+WOZ, NWOZ and translucent commands (with per-command view/projection
+overrides, degenerate and back-facing triangles and vertices behind the
+camera) are rendered under every registered technique plus the
+prediction ablations, and after each frame's geometry phase the suite
+compares every display-list entry, every ``ScreenTriangle`` field (bit
+patterns, and ``type(...) is float`` for every coordinate), the tile
+signatures, ``FrameStats`` and the recorded memory-op sequence.
+Directed tests pin the rejection and culling rules, the
+``primitive_id`` numbering and the non-finite-vertex error.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import struct
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    BlendMode,
+    DrawCommand,
+    Frame,
+    GPU,
+    GPUConfig,
+    PipelineError,
+    RenderState,
+)
+from repro.geom import Triangle, Vertex, VertexAttributes
+from repro.kernels import available_backends, resolve_backend
+from repro.math3d import (
+    Mat4,
+    Vec3,
+    Vec4,
+    look_at,
+    orthographic,
+    perspective,
+    rotate_x,
+    rotate_y,
+    translate,
+    viewport,
+)
+from repro.memsys import MemorySystem
+from repro.techniques.registry import resolve_features, technique_names
+
+WIDTH, HEIGHT = 64, 48
+CONFIG = GPUConfig(screen_width=WIDTH, screen_height=HEIGHT, frames=3)
+VIEWPORT = viewport(WIDTH, HEIGHT)
+ORTHO = orthographic(0.0, float(WIDTH), float(HEIGHT), 0.0, -1.0, 1.0)
+#: An oblique camera: every view row mixes x, y and z, so the fuzzed
+#: transforms exercise the association order of every sum.
+CAMERA = look_at(Vec3(2.0, 3.0, 5.0), Vec3(0.0, 0.0, 0.0),
+                 Vec3(0.0, 1.0, 0.0))
+PERSPECTIVE = perspective(math.radians(60.0), WIDTH / HEIGHT, 0.5, 50.0)
+
+_EVR = resolve_features("evr")
+#: Every registered technique plus the geometry-side ablations (the
+#: prediction point, the FVP history and the sub-tile predictor are
+#: read by the Polygon List Builder).
+FEATURE_SETS = {
+    **{name: resolve_features(name) for name in technique_names()},
+    "evr-centroid": dataclasses.replace(_EVR, prediction_point="centroid"),
+    "evr-far": dataclasses.replace(_EVR, prediction_point="far"),
+    "evr-history2": dataclasses.replace(_EVR, fvp_history=2),
+    "evr-subtile": dataclasses.replace(_EVR, subtile_fvp=True),
+}
+
+
+class _RecordingMemory(MemorySystem):
+    """The scalar memory system, recording the geometry-side op stream."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.ops = []
+
+    def fetch_vertex_range(self, start, count, vertex_bytes=48):
+        self.ops.append(("vertex_range", start, count, vertex_bytes))
+        super().fetch_vertex_range(start, count, vertex_bytes)
+
+    def parameter_buffer_write(self, offset, size):
+        self.ops.append(("pb_write", offset, size))
+        super().parameter_buffer_write(offset, size)
+
+
+def _float_bits(value):
+    assert type(value) is float, (type(value), value)
+    return struct.pack("<d", value)
+
+
+def _triangle_key(triangle):
+    """Every ``ScreenTriangle`` field, floats as bit patterns."""
+    return (
+        tuple((_float_bits(v.x), _float_bits(v.y)) for v in triangle.xy),
+        tuple(_float_bits(z) for z in triangle.z),
+        triangle.attributes,
+        triangle.command_id,
+        triangle.primitive_id,
+        triangle.state,
+        triangle.signature_bytes,
+    )
+
+
+def _entry_key(entry):
+    return (_triangle_key(entry.primitive), entry.offset, entry.layer,
+            entry.predicted_occluded, entry.pointer_offset)
+
+
+def _geometry_snapshot(gpu, stats):
+    """Display lists, tile signatures, counters and memory ops as the
+    geometry phase left them (taken when the raster phase starts)."""
+    lists = tuple(
+        (tile, tuple(map(_entry_key, dl.first)),
+         tuple(map(_entry_key, dl.second)))
+        for tile, dl in gpu.parameter_buffer.tiles()
+    )
+    signatures = None
+    if gpu.re is not None:
+        signatures = tuple(gpu.re.signature_buffer.current_signature(tile)
+                           for tile in range(CONFIG.num_tiles))
+    if gpu.dsr is not None:
+        signatures = (signatures, tuple(
+            gpu.dsr.signatures.current_signature(tile)
+            for tile in range(CONFIG.num_tiles)))
+    ops = tuple(gpu.memory.ops)
+    gpu.memory.ops.clear()
+    return lists, signatures, stats.as_dict(), ops
+
+
+def _render_snapshots(features, frames, backend):
+    """Render ``frames`` end to end on ``backend`` (so EVR predicts from
+    real FVPs) and return one geometry snapshot per frame."""
+    gpu = GPU(CONFIG, features, backend=backend,
+              memory_system=_RecordingMemory(CONFIG))
+    snapshots = []
+    render_raster = gpu.raster.render_frame
+
+    def capture(image, previous_image, stats):
+        snapshots.append(_geometry_snapshot(gpu, stats))
+        return render_raster(image, previous_image, stats)
+
+    gpu.raster.render_frame = capture
+    for frame in frames:
+        gpu.render_frame(frame)
+    return snapshots
+
+
+# ---------------------------------------------------------------------------
+# Random frames
+# ---------------------------------------------------------------------------
+
+#: Coordinates drawn from a small set collide often, which makes
+#: zero-area and axis-aligned triangles common; the wide float range
+#: puts vertices behind the camera and outside single clip planes.
+_COORD = st.one_of(st.sampled_from([-6.0, -1.0, 0.0, 0.5, 1.0, 4.0]),
+                   st.floats(min_value=-12.0, max_value=12.0,
+                             allow_nan=False))
+_PIXEL = st.one_of(st.sampled_from([-8.0, 0.0, 16.0, 32.0, 70.0]),
+                   st.floats(min_value=-20.0, max_value=WIDTH + 20.0,
+                             allow_nan=False))
+
+
+@st.composite
+def _vertex(draw, screen_space):
+    if screen_space:
+        position = Vec3(draw(_PIXEL), draw(_PIXEL),
+                        draw(st.sampled_from([-0.5, 0.0, 0.25])))
+    else:
+        position = Vec3(draw(_COORD), draw(_COORD), draw(_COORD))
+    color = Vec4(draw(st.sampled_from([0.2, 0.6, 1.0])), 0.5, 0.25,
+                 draw(st.sampled_from([0.45, 1.0])))
+    return Vertex(position, VertexAttributes(color=color))
+
+
+@st.composite
+def _command(draw, label):
+    kind = draw(st.sampled_from(["woz", "nwoz", "translucent"]))
+    if kind == "woz":
+        state = RenderState.opaque_3d(cull_backface=draw(st.booleans()))
+    elif kind == "translucent":
+        state = RenderState.translucent_3d()
+    else:
+        state = RenderState.sprite_2d(
+            blend=draw(st.sampled_from([BlendMode.OPAQUE, BlendMode.ALPHA])))
+    override = draw(st.sampled_from(["frame", "screen", "projection"]))
+    screen_space = override == "screen"
+    triangles = [
+        Triangle(*(draw(_vertex(screen_space)) for _ in range(3)))
+        for _ in range(draw(st.integers(min_value=1, max_value=6)))
+    ]
+    model = Mat4.identity()
+    if not screen_space and draw(st.booleans()):
+        angle = st.floats(min_value=-3.0, max_value=3.0)
+        model = (translate(Vec3(draw(_COORD), draw(_COORD), draw(_COORD)))
+                 @ rotate_y(draw(angle)) @ rotate_x(draw(angle)))
+    view = projection = None
+    if screen_space:
+        view, projection = Mat4.identity(), ORTHO
+    elif override == "projection":
+        projection = perspective(math.radians(40.0), 1.0, 0.25, 30.0)
+    return DrawCommand(triangles, model=model, state=state, label=label,
+                       view=view, projection=projection)
+
+
+@st.composite
+def _frames(draw):
+    commands = [draw(_command(f"c{index}"))
+                for index in range(draw(st.integers(min_value=1,
+                                                    max_value=5)))]
+    # The same commands every frame, the first one moving: frame 1 and
+    # later predict from real FVPs and compare real signatures.
+    frames = []
+    for index in range(draw(st.integers(min_value=1, max_value=3))):
+        moved = dataclasses.replace(
+            commands[0],
+            model=translate(Vec3(0.25 * index, 0.0, 0.0)) @ commands[0].model)
+        frames.append(Frame([moved] + commands[1:], view=CAMERA,
+                            projection=PERSPECTIVE, index=index))
+    return frames
+
+
+class TestFuzzBitIdentity:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(frames=_frames(),
+           feature_name=st.sampled_from(sorted(FEATURE_SETS)))
+    def test_geometry_phase_matches(self, frames, feature_name):
+        features = FEATURE_SETS[feature_name]
+        scalar = _render_snapshots(features, frames, "python")
+        batched = _render_snapshots(features, frames, "numpy")
+        assert len(scalar) == len(batched) == len(frames)
+        for frame_index, (expected, actual) in enumerate(zip(scalar,
+                                                             batched)):
+            assert actual == expected, f"frame {frame_index} diverged"
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=_command("fuzz"),
+           mvp=st.sampled_from(["identity", "perspective", "ortho"]))
+    def test_assemble_matches(self, command, mvp):
+        matrix = {"identity": Mat4.identity(),
+                  "perspective": PERSPECTIVE @ CAMERA @ command.model,
+                  "ortho": ORTHO}[mvp]
+        results = [
+            list(map(_triangle_key,
+                     resolve_backend(name).assemble(command, 3, matrix,
+                                                    VIEWPORT)))
+            for name in ("python", "numpy")
+        ]
+        assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# Directed cases
+# ---------------------------------------------------------------------------
+
+def _tri(*points, alpha=1.0):
+    return Triangle(*(Vertex(Vec3(*point),
+                             VertexAttributes(color=Vec4(1.0, 0.5, 0.0,
+                                                         alpha)))
+                      for point in points))
+
+
+#: A projection whose clip ``w`` is the vertex's z (and x, y pass
+#: through), so a test can place a vertex exactly at any ``w``.
+_W_IS_Z = Mat4.from_rows((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                         (0.0, 0.0, 0.0, 0.5), (0.0, 0.0, 1.0, 0.0))
+
+
+def _assemble_both(command, mvp):
+    """Survivors per backend, asserting the two agree bit for bit."""
+    results = {name: resolve_backend(name).assemble(command, 0, mvp,
+                                                    VIEWPORT)
+               for name in available_backends()}
+    keys = {name: list(map(_triangle_key, survivors))
+            for name, survivors in results.items()}
+    assert keys["numpy"] == keys["python"]
+    return results["python"]
+
+
+def _command_of(*triangles, cull_backface=False, label="directed"):
+    return DrawCommand(list(triangles),
+                       state=RenderState.opaque_3d(
+                           cull_backface=cull_backface),
+                       label=label)
+
+
+class TestDirectedCases:
+    def test_vertex_at_w_epsilon_is_rejected(self):
+        inside = (0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (0.0, 0.5, 1.0)
+        at_epsilon = (0.0, 0.0, 1e-6), (0.5, 0.0, 1.0), (0.0, 0.5, 1.0)
+        below = (0.0, 0.0, -1.0), (0.5, 0.0, 1.0), (0.0, 0.5, 1.0)
+        survivors = _assemble_both(
+            _command_of(_tri(*inside), _tri(*at_epsilon), _tri(*below)),
+            _W_IS_Z)
+        assert len(survivors) == 1
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_outside_exactly_one_plane(self, axis, sign):
+        def point(offset, spread):
+            coords = [0.1 * spread, 0.1 * spread * spread, 0.0]
+            coords[axis] = sign * (1.5 + offset)
+            return tuple(coords)
+        outside = _tri(point(0.0, 1), point(0.5, 2), point(1.0, 3))
+        # The same triangle with one vertex pulled back inside the
+        # volume straddles the plane and survives.
+        straddling = _tri(point(0.0, 1), point(0.5, 2),
+                          tuple(0.0 if i == axis else c
+                                for i, c in enumerate(point(1.0, 3))))
+        survivors = _assemble_both(_command_of(outside, straddling),
+                                   Mat4.identity())
+        assert len(survivors) == 1
+        assert survivors[0].primitive_id == 0
+
+    def test_zero_area_is_culled_either_way(self):
+        collinear = _tri((0.0, 0.0, 0.0), (0.25, 0.25, 0.0),
+                         (0.5, 0.5, 0.0))
+        repeated = _tri((0.3, 0.1, 0.0), (0.3, 0.1, 0.0), (0.0, 0.4, 0.0))
+        for cull in (False, True):
+            assert _assemble_both(
+                _command_of(collinear, repeated, cull_backface=cull),
+                Mat4.identity()) == []
+
+    def test_back_facing_culled_only_when_enabled(self):
+        front = _tri((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.5, 0.0))
+        back = _tri((0.0, 0.0, 0.0), (0.0, 0.5, 0.0), (0.5, 0.0, 0.0))
+        kept = _assemble_both(_command_of(front, back, cull_backface=False),
+                              Mat4.identity())
+        assert len(kept) == 2
+        culled = _assemble_both(_command_of(front, back, cull_backface=True),
+                                Mat4.identity())
+        assert len(culled) == 1
+        assert culled[0].signed_area() < 0.0
+
+    def test_depth_clamped_to_unit_range(self):
+        # Depth outside [0, 1] after the viewport is clamped, not culled.
+        near = _tri((0.0, 0.0, -0.99), (0.5, 0.0, 0.99), (0.0, 0.5, 0.0))
+        clamp = Mat4.from_rows((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                               (0.0, 0.0, 2.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+        (survivor,) = _assemble_both(_command_of(near), clamp)
+        assert survivor.z[0] == 0.0 and survivor.z[1] == 1.0
+        assert all(type(z) is float for z in survivor.z)
+
+
+class TestPrimitiveIdRule:
+    """``primitive_id`` indexes the command's *surviving* triangles and
+    restarts at 0 for every command."""
+
+    def test_ids_skip_culled_triangles(self):
+        good = [_tri((0.1 * i, 0.0, 0.0), (0.1 * i + 0.3, 0.0, 0.0),
+                     (0.1 * i, 0.3, 0.0)) for i in range(3)]
+        degenerate = _tri((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1, 0.1, 0.0))
+        survivors = _assemble_both(
+            _command_of(good[0], degenerate, good[1], good[2]),
+            Mat4.identity())
+        assert [t.primitive_id for t in survivors] == [0, 1, 2]
+        assert survivors[1].xy == _assemble_both(
+            _command_of(good[1]), Mat4.identity())[0].xy
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_ids_restart_per_command_in_display_lists(self, backend):
+        quad_tris = [
+            _tri((2.0, 2.0, 0.0), (30.0, 2.0, 0.0), (2.0, 30.0, 0.0)),
+            _tri((30.0, 2.0, 0.0), (30.0, 30.0, 0.0), (2.0, 30.0, 0.0)),
+        ]
+        hidden = _tri((-9.0, -9.0, 0.0), (-5.0, -9.0, 0.0), (-9.0, -5.0, 0.0))
+        commands = [
+            DrawCommand([hidden] + quad_tris, state=RenderState.sprite_2d(),
+                        label="first"),
+            DrawCommand(quad_tris, state=RenderState.sprite_2d(),
+                        label="second"),
+        ]
+        snapshot = _render_snapshots(
+            resolve_features("baseline"),
+            [Frame(commands, projection=ORTHO)], backend)[0]
+        ids = {}
+        for _, first, second in snapshot[0]:
+            for key in first + second:
+                ids.setdefault(key[0][3], set()).add(key[0][4])
+        assert ids == {0: {0, 1}, 1: {0, 1}}
+
+
+class TestNonFiniteVertices:
+    """A NaN or infinite clip-space coordinate fails loudly — naming the
+    command and the triangle — under every backend and technique,
+    instead of binning garbage (or, under DSR, a bare ValueError)."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("technique", technique_names())
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_raises_pipeline_error(self, backend, technique, bad):
+        good = _tri((2.0, 2.0, 0.0), (20.0, 2.0, 0.0), (2.0, 20.0, 0.0))
+        broken = _tri((4.0, 4.0, 0.0), (bad, 4.0, 0.0), (4.0, 30.0, 0.0))
+        frame = Frame(
+            [DrawCommand([good], state=RenderState.sprite_2d(), label="ok"),
+             DrawCommand([good, broken], state=RenderState.sprite_2d(),
+                         label="broken")],
+            projection=ORTHO,
+        )
+        gpu = GPU(CONFIG, technique, backend=backend)
+        with pytest.raises(PipelineError,
+                           match=r"draw command 1 \('broken'\): triangle 1 "
+                                 r"has a non-finite clip-space vertex"):
+            gpu.render_frame(frame)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_non_finite_matrix(self, backend):
+        command = _command_of(
+            _tri((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.5, 0.0)),
+            label="nan-model")
+        matrix = Mat4.from_rows((math.nan, 0.0, 0.0, 0.0),
+                                (0.0, 1.0, 0.0, 0.0),
+                                (0.0, 0.0, 1.0, 0.0),
+                                (0.0, 0.0, 0.0, 1.0))
+        with pytest.raises(PipelineError, match="triangle 0"):
+            resolve_backend(backend).assemble(command, 0, matrix, VIEWPORT)
