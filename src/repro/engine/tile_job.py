@@ -38,7 +38,14 @@ from ..hw.buffers import ColorBuffer, LayerBuffer, ZBuffer
 from ..hw.parameter_buffer import POINTER_BYTES, DisplayListEntry
 from ..kernels import DEFAULT_BACKEND, resolve_backend
 from ..kernels.tile_geometry import tile_origin, valid_mask
-from ..memsys.ops import FlushOp, MemOp, MemOps, PBReadOp, TextureOp
+from ..memsys.ops import (
+    OP_TEXTURE,
+    FlushOp,
+    MemOp,
+    MemOps,
+    PBReadOp,
+    TextureOp,
+)
 from ..obs.events import TileJobFinished, get_bus
 from ..pipeline.features import PipelineFeatures
 from ..timing.stats import FrameStats
@@ -120,6 +127,31 @@ class TileResult:
     layer_buffer: Optional[LayerBuffer] = None
     z_buffer: Optional[ZBuffer] = None
 
+    def fingerprint(self) -> tuple:
+        """Every field as exact bits — arrays by dtype and bytes, counters
+        by type and repr, memory ops including their texture
+        coordinates — so two results compare equal only when they are
+        bit-identical, which is what kernel backends promise."""
+        ops = tuple(
+            (op.code, op.texture_id, op.texture_size,
+             op.samples_per_fragment, op.u.dtype.str, op.u.tobytes(),
+             op.v.dtype.str, op.v.tobytes())
+            if op.code == OP_TEXTURE else (op.code,) + tuple(op)
+            for op in self.memory_ops
+        )
+        stats = tuple((name, type(value).__name__, repr(value))
+                      for name, value in self.stats.as_dict().items())
+        layers = depth = None
+        if self.layer_buffer is not None:
+            layers = (self.layer_buffer.layers.dtype.str,
+                      self.layer_buffer.layers.tobytes(),
+                      self.layer_buffer.zr_register)
+        if self.z_buffer is not None:
+            depth = self.z_buffer.depth.tobytes()
+        return (self.tile, self.color.dtype.str, self.color.shape,
+                self.color.tobytes(), stats, ops, self.tainted, layers,
+                depth)
+
 
 @dataclass
 class TileJob:
@@ -190,6 +222,7 @@ class TileJob:
         x0, y0 = tile_origin(self.tile_x, self.tile_y,
                              config.tile_width, config.tile_height)
         valid = self._valid_mask()
+        runs = _resolves_runs(kernels, features)
         batch = kernels.prepare_tile(
             self.entries, x0, y0, config.tile_width, config.tile_height,
             valid,
@@ -210,7 +243,20 @@ class TileJob:
         # signature (see DESIGN.md, "Correctness repair").
         taint = np.zeros((config.tile_height, config.tile_width), dtype=bool)
 
-        for index, entry in enumerate(self.entries):
+        entries = self.entries
+        index = 0
+        while index < len(entries):
+            entry = entries[index]
+            if runs and entry.primitive.state.blend is BlendMode.OPAQUE:
+                stop = index + 1
+                while (stop < len(entries)
+                       and entries[stop].primitive.state.blend
+                       is BlendMode.OPAQUE):
+                    stop += 1
+                self._render_run(context, memory, kernels, batch, index,
+                                 stop, pending, taint, stats)
+                index = stop
+                continue
             contributed = self._render_primitive(
                 context, memory, kernels, batch, index, entry,
                 pending, taint, stats,
@@ -228,6 +274,7 @@ class TileJob:
                     stats.predicted_visible_correct += 1
                 else:
                     stats.predicted_visible_hidden += 1
+            index += 1
 
         flush_bytes = context.color_buffer.byte_size
         memory.framebuffer_flush(flush_bytes)
@@ -459,6 +506,97 @@ class TileJob:
             stats.layer_buffer_writes += written
         return True
 
+    def _render_run(
+        self,
+        context: TileContext,
+        memory: MemoryTrace,
+        kernels,
+        batch,
+        start: int,
+        stop: int,
+        pending: np.ndarray,
+        taint: np.ndarray,
+        stats: FrameStats,
+    ) -> None:
+        """Render ``entries[start:stop]``, consecutive opaque entries, in
+        one ``resolve_opaque_run`` call on ``batch``'s un-interpolated
+        ``fragments(slice(start, stop))``: the same buffers, counters
+        and memory trace as :meth:`_render_primitive` on each in turn.
+
+        Only for :func:`_resolves_runs` features, where every fragment
+        that passes Early-Z is shaded and written, so each counter is a
+        sum over the run of the entries' passing counts.
+        """
+        features = self.features
+        entries = self.entries[start:stop]
+        primitives = [entry.primitive for entry in entries]
+        states = [primitive.state for primitive in primitives]
+        shaders = [state.shader for state in states]
+        # Per-entry columns, for the kernel and for the run's counters
+        # (each a sum over the run of the entries' pass counts).
+        depth_tested = np.array([state.depth_test for state in states])
+        writes_z = np.array([state.writes_z for state in states])
+        predicted = np.array([entry.predicted_occluded for entry in entries])
+        fetches = np.array([shader.texture_fetches for shader in shaders])
+        instructions = np.array([shader.fragment_instructions
+                                 for shader in shaders])
+        layers = (context.layer_buffer.layers if features.uses_layers
+                  else None)
+        fragments = batch.fragments(slice(start, stop))
+        run = kernels.resolve_opaque_run(
+            fragments, depth_tested, writes_z, fetches > 0,
+            predicted, np.array([entry.layer for entry in entries]),
+            context.z_buffer.depth, context.color_buffer.color, pending,
+            taint, layers,
+        )
+
+        # The memory trace, in the loop's per-entry order.
+        record = memory.ops.append
+        attribute_bytes = self.attribute_bytes
+        for entry, shader, texcoords in zip(entries, shaders,
+                                            run.texcoords):
+            record(PBReadOp(entry.pointer_offset, POINTER_BYTES))
+            record(PBReadOp(entry.offset, attribute_bytes))
+            if texcoords is not None:
+                record(TextureOp(shader.texture_id, shader.texture_size,
+                                 texcoords[0], texcoords[1],
+                                 shader.texture_fetches))
+
+        passed = run.passed
+        contributed = passed > 0
+        generated = np.array(fragments.counts)
+        tested = int(generated[depth_tested].sum())
+        tested_passed = int(passed[depth_tested].sum())
+        shaded = int(passed.sum())
+        stats.display_list_reads += len(entries)
+        stats.primitives_rasterized += len(entries)
+        stats.raster_attributes += sum([primitive.attribute_count
+                                        for primitive in primitives])
+        stats.fragments_generated += int(generated.sum())
+        stats.early_z_tests += tested
+        stats.early_z_kills += tested - tested_passed
+        stats.depth_writes += int(passed[writes_z].sum())
+        stats.fragments_shaded += shaded
+        stats.fragment_instructions += int(passed @ instructions)
+        stats.texture_samples += int(passed @ fetches)
+        stats.blend_operations += shaded
+        stats.overdrawn_fragments += run.overdrawn
+        if layers is not None:
+            stats.layer_buffer_writes += shaded
+            woz = np.flatnonzero(writes_z & contributed)
+            if woz.size:
+                context.layer_buffer.zr_register = entries[woz[-1]].layer
+        if features.evr_hardware:
+            # The confusion matrix of _render_primitive's callers.
+            visible = int(np.count_nonzero(contributed))
+            occluded = int(np.count_nonzero(predicted))
+            mispredicted = int(np.count_nonzero(predicted & contributed))
+            stats.mispredicted_visible += mispredicted
+            stats.predicted_occluded_correct += occluded - mispredicted
+            stats.predicted_visible_correct += visible - mispredicted
+            stats.predicted_visible_hidden += (
+                len(entries) - occluded - visible + mispredicted)
+
     # -- charged Z pre-pass -------------------------------------------------
 
     def _charged_depth_prepass(self, context: TileContext, kernels, batch,
@@ -504,6 +642,25 @@ class TileJob:
                 continue
             closer = kernels.depth_test(depth_buffer, frag.mask, frag.depth)
             kernels.depth_write(depth_buffer, closer, frag.depth)
+
+
+def _resolves_runs(kernels, features: PipelineFeatures) -> bool:
+    """Whether opaque display-list runs take the backend's one-pass
+    ``resolve_opaque_run`` kernel.
+
+    Needs the kernel and Early-Z (every passing fragment is shaded),
+    and no mechanism that reads per-entry state mid-run or tests with
+    ``<=``: Hierarchical-Z reads ``z_far``, VR-Pipe the destination
+    colour, DSR and FHV rewrite the shaded colours, and the oracle and
+    charged Z-prepasses test against resolved depths.
+    """
+    return (
+        hasattr(kernels, "resolve_opaque_run")
+        and features.early_z
+        and not (features.hierarchical_z or features.dsr or features.fhv
+                 or features.vrpipe_early_termination
+                 or features.z_prepass or features.oracle_z)
+    )
 
 
 # Worker-side context cache: one set of tile buffers per (geometry, clear)

@@ -1,6 +1,6 @@
 """``repro bench``: backend throughput benchmarking and regression gating.
 
-Measures three things per kernel backend, on a preset workload:
+Measures four things per kernel backend, on a preset workload:
 
 1. **End-to-end pipeline throughput** — a full :meth:`GPU.render_stream`
    run under the paper's EVR configuration, with the observability
@@ -25,6 +25,12 @@ Measures three things per kernel backend, on a preset workload:
    Assembly and the shared Polygon List Builder) on the same
    memory-system implementation: ``primitives_per_second``.
 
+4. **Execute throughput** — the captured tile jobs replayed through
+   :meth:`TileJob.run` on each backend, the whole raster execute step
+   (rasterization, the Early Depth Test, shading bookkeeping, blending
+   and the memory trace; under EVR the numpy backend resolves opaque
+   runs in one pass): ``tiles_per_second``.
+
 The emitted ``BENCH_<preset>.json`` also records the numpy/python
 ratio of every sweep (``speedup``).  Because a ratio compares two
 measurements from the same process on the same machine, it is far more
@@ -34,6 +40,7 @@ gates on the ratios via :func:`check_bench_regression`.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -45,7 +52,7 @@ import numpy as np
 
 from ..config import GPUConfig
 from ..engine.scheduler import SerialScheduler
-from ..engine.tile_job import TileJob
+from ..engine.tile_job import TileContext, TileJob
 from ..errors import ConfigError
 from ..kernels import available_backends, resolve_backend
 from ..kernels.tile_geometry import tile_origin, valid_mask
@@ -455,6 +462,53 @@ def _geometry_sweeps(frames: Sequence, config: GPUConfig,
     }
 
 
+def _execute_once(jobs: Sequence[TileJob], context: TileContext) -> float:
+    """Seconds to run every job through :meth:`TileJob.run` on one
+    reused context, as a worker does."""
+    start = time.perf_counter()
+    for job in jobs:
+        job.run(context)
+    return time.perf_counter() - start
+
+
+def _execute_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
+                    repeat: int) -> Dict[str, Dict]:
+    """Best-of-``repeat`` tile-job throughput for every backend,
+    interleaved round by round like the other sweeps.  The warm-up
+    round is the bit-identity check: every backend must return the
+    first backend's exact :class:`TileResult` for every job."""
+    per_backend = {
+        backend: [dataclasses.replace(job, backend=backend) for job in jobs]
+        for backend in backends
+    }
+    context = TileContext.for_config(jobs[0].config) if jobs else None
+    reference = None
+    for backend in backends:           # warm-up + bit-identity check
+        outcome = [job.run(context).fingerprint()
+                   for job in per_backend[backend]]
+        if reference is None:
+            reference = outcome
+        elif outcome != reference:
+            raise AssertionError(
+                f"tile jobs on backend {backend!r} diverged from "
+                f"{backends[0]!r} on the captured jobs"
+            )
+    reference = None                   # release the fingerprints
+    best = {backend: float("inf") for backend in backends}
+    for _ in range(max(1, repeat)):
+        for backend in backends:
+            best[backend] = min(best[backend],
+                                _execute_once(per_backend[backend], context))
+    return {
+        backend: {
+            "jobs": len(jobs),
+            "best_seconds": best[backend],
+            "tiles_per_second": len(jobs) / best[backend],
+        }
+        for backend in backends
+    }
+
+
 def run_bench(preset_name: str,
               backends: Optional[Sequence[str]] = None,
               repeat: int = 3) -> Dict:
@@ -496,6 +550,8 @@ def run_bench(preset_name: str,
                 value=measurement["cache_ops_per_second"]))
     for backend, sweep in _kernel_sweeps(jobs, chosen, repeat).items():
         results[backend]["kernel_sweep"] = sweep
+    for backend, sweep in _execute_sweeps(jobs, chosen, repeat).items():
+        results[backend]["execute_sweep"] = sweep
     if trace is not None:
         sweeps = _memsys_sweeps(trace, preset.config(), chosen, repeat)
         for backend, sweep in sweeps.items():
@@ -534,6 +590,10 @@ def run_bench(preset_name: str,
             "primitives_per_second": (
                 batched["geometry_sweep"]["primitives_per_second"]
                 / scalar["geometry_sweep"]["primitives_per_second"]
+            ),
+            "tiles_per_second": (
+                batched["execute_sweep"]["tiles_per_second"]
+                / scalar["execute_sweep"]["tiles_per_second"]
             ),
         }
         if "memsys_sweep" in scalar and "memsys_sweep" in batched:
@@ -577,6 +637,9 @@ def format_bench_summary(record: Dict) -> str:
         geometry = result["geometry_sweep"]
         line += (f"  {geometry['primitives_per_second']:>9,.0f}"
                  f" geometry prims/s")
+        execute = result["execute_sweep"]
+        line += (f"  {execute['tiles_per_second']:>8,.0f}"
+                 f" execute tiles/s")
         lines.append(line)
     speedup = record.get("speedup")
     if speedup:
@@ -588,7 +651,8 @@ def format_bench_summary(record: Dict) -> str:
         if "cache_ops_per_second" in speedup:
             line += (f", {speedup['cache_ops_per_second']:.2f}x "
                      f"memsys replay")
-        line += f", {speedup['primitives_per_second']:.2f}x geometry"
+        line += (f", {speedup['primitives_per_second']:.2f}x geometry"
+                 f", {speedup['tiles_per_second']:.2f}x execute")
         lines.append(line)
     return "\n".join(lines)
 
@@ -600,9 +664,10 @@ def check_bench_regression(record: Dict, baseline_path: str,
     Gates on the backend *speedup ratios* (machine-independent), not on
     absolute throughput: a regression is the numpy/python
     ``fragments_per_second`` (kernel sweep), ``cache_ops_per_second``
-    (memsys replay sweep) or ``primitives_per_second`` (geometry sweep)
-    ratio dropping more than ``tolerance`` (fractional) below the
-    baseline's; the last two are gated when the baseline has them.
+    (memsys replay sweep), ``primitives_per_second`` (geometry sweep) or
+    ``tiles_per_second`` (execute sweep) ratio dropping more than
+    ``tolerance`` (fractional) below the baseline's; the last three are
+    gated when the baseline has them.
     Returns failure messages, empty when the bench is clean.
     """
     with open(baseline_path) as handle:
@@ -622,6 +687,8 @@ def check_bench_regression(record: Dict, baseline_path: str,
         gated.append(("cache_ops_per_second", "memsys replay ops/sec"))
     if base.get("primitives_per_second") is not None:
         gated.append(("primitives_per_second", "geometry primitives/sec"))
+    if base.get("tiles_per_second") is not None:
+        gated.append(("tiles_per_second", "execute tiles/sec"))
     for key, label in gated:
         base_speedup = base[key]
         new_speedup = new.get(key)

@@ -15,9 +15,10 @@ declared in :mod:`repro.kernels.api`:
 
 ``numpy``
     The batched backend (:mod:`repro.kernels.batched`): transforms and
-    culls a whole draw command as ``(n, 3)`` coordinate arrays, and
-    rasterizes and interpolates a tile's whole display list as
-    ``(N, h, w)`` array expressions.  Bit-identical to the reference by
+    culls a whole draw command as ``(n, 3)`` coordinate arrays,
+    rasterizes a tile's whole display list as ``(N, h, w)`` array
+    expressions, and resolves each run of consecutive opaque entries
+    under Early-Z in one array pass.  Bit-identical to the reference by
     construction and by test, several times faster — the default.
 
 Because backends are proven bit-identical, the selected backend is

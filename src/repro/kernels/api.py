@@ -27,7 +27,24 @@ A backend is a module exposing the following attributes (see
     when the entry covers no on-screen pixel center (bounding-box
     binning is conservative, so this is common).  ``fragments`` must be
     side-effect free and stable: calling it twice returns the same
-    values (the prepasses and the main loop share one batch).
+    values (the prepasses and the main loop share one batch).  Callers
+    use nothing else of a batch: perfbench's traced run hands them a
+    proxy that forwards only ``fragments``.
+
+Optional, exported only by backends that resolve opaque runs in one
+pass (the numpy backend); ``TileJob`` keeps its per-entry loop when it
+is missing:
+
+``resolve_opaque_run(run, depth_tested, writes_z, textured, predicted,
+layer_ids, depth, color, pending, taint, layers) -> OpaqueRun``
+    Resolve a run of consecutive ``BlendMode.OPAQUE`` entries under
+    Early-Z with ``less`` depth tests exactly as the per-entry loop
+    would, in one array pass, updating the tile buffers in place
+    (``layers`` may be None).  ``run`` is the batch's
+    ``fragments(slice(start, stop))`` — such a backend's batches also
+    take a slice of entries and return their :class:`RunFragments`,
+    nothing interpolated but depth.  The per-entry flags are
+    ``(stop - start,)`` arrays.  See :class:`OpaqueRun`.
 
 Per-fragment array ops (all pure, array-in/array-out; ``mask`` is always
 a tile-shaped bool array and the op touches only masked lanes):
@@ -43,15 +60,16 @@ a tile-shaped bool array and the op touches only masked lanes):
 
 Backends must be **bit-identical**: for every op the masked output
 values must equal the scalar reference exactly (same IEEE-754 ops in the
-same association order), and the returned counts must match.  The
-property suites in ``tests/test_kernels.py`` and
-``tests/test_geometry_backends.py`` enforce this on fuzzed scenes; it is
-what lets the disk cache share entries across backends.
+same association order, including the sign of every zero), and the
+returned counts must match.  The property suites in
+``tests/test_kernels.py``, ``tests/test_geometry_backends.py`` and
+``tests/test_run_path.py`` enforce this on fuzzed scenes; it is what
+lets the disk cache share entries across backends.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -88,3 +106,38 @@ class Fragments(NamedTuple):
     rgba: np.ndarray    # float64  — (h, w, 4) interpolated color
     u: np.ndarray       # float64  — texture coordinate
     v: np.ndarray       # float64  — texture coordinate
+
+
+class RunFragments(NamedTuple):
+    """Entries ``start..stop-1`` of a tile batch rasterized, with nothing
+    interpolated but depth: what ``fragments(slice(start, stop))``
+    returns.  Rows are the run's live entries (nonzero coverage), in
+    order; the run's other entries are dead.
+    """
+
+    counts: List[int]        # covered pixels per entry of the run
+    position: np.ndarray     # (r,) intp — each row's place in the run
+    covered: np.ndarray      # bool     — (r, h, w) coverage
+    depth: np.ndarray        # float64  — (r, h, w) interpolated depth
+    bary: np.ndarray         # float64  — (r, 3, h, w) barycentrics
+    #: (r, 3, 7) per-vertex (z, r, g, b, a, u, v), in the
+    #: winding-normalized vertex order the barycentrics use
+    attributes: np.ndarray
+
+
+class OpaqueRun(NamedTuple):
+    """What ``resolve_opaque_run`` reports about a run of ``k`` entries.
+
+    An entry passes where it covers the pixel and, if depth-tested, its
+    depth is ``<`` the minimum of the Z-buffer and every earlier Z-writer
+    of the run covering the pixel; under Early-Z every passing fragment
+    is shaded and written.  The kernel leaves each buffer as the loop
+    would: depth from the last passing Z-writer, colour, taint and layer
+    from the last passing entry, ``pending`` at 1 where anything passed.
+    """
+
+    passed: np.ndarray   # (k,) int64 — passing fragments per entry
+    overdrawn: int       # pending + passes - 1, summed over touched pixels
+    #: per entry: the (u, v) of its passing fragments in row-major
+    #: order when it is textured and passed anywhere, else None
+    texcoords: List[Optional[Tuple[np.ndarray, np.ndarray]]]

@@ -4,39 +4,56 @@ Geometry: :func:`assemble` transforms, clip-tests and culls a whole draw
 command at once as ``(n, 3)`` coordinate arrays; only the survivors
 become Python objects.
 
-Raster: rasterizes a tile's *entire* display list in one shot: vertex data is
-gathered into structure-of-arrays form (one Python pass over the
-entries), then coverage, edge functions and barycentric interpolation
-run as ``(N, tile_h, tile_w)`` array expressions — no per-fragment or
-per-entry Python arithmetic.  The per-fragment buffer ops replace the
-reference backend's fancy-indexed gather/scatter with whole-tile
-arithmetic plus masked ``np.copyto``, which is both faster on 16x16
-tiles and exactly equivalent.
+Raster: :func:`prepare_tile` rasterizes a tile's *entire* display list
+in one shot: vertex data is gathered into structure-of-arrays form (one
+Python pass over the entries), then coverage, edge functions,
+barycentrics and depth run as ``(N, tile_h, tile_w)`` array expressions
+— no per-fragment or per-entry Python arithmetic.  The batch is built
+for all entries, including ones the main loop may later skip via
+hierarchical-Z (rasterization has no side effects, so results are
+unaffected); the z-prepasses and the main loop then share the one batch
+instead of rasterizing twice.  Colour and texture coordinates are
+interpolated for every live entry in one einsum when the per-entry loop
+first asks for an entry's fragments.  A run of opaque entries under
+Early-Z asks for none: :func:`resolve_opaque_run` resolves the whole run
+in one array pass, interpolating colour only at each touched pixel's
+last writer and u/v only for passing fragments.
+
+The per-fragment buffer ops replace the reference backend's
+fancy-indexed gather/scatter with whole-tile arithmetic plus masked
+``np.copyto``, which is both faster on 16x16 tiles and exactly
+equivalent.
 
 Bit-identity with :mod:`repro.kernels.reference` is a hard contract
 (cache entries are shared across backends): every expression below
 performs the same IEEE-754 float64 operations in the same association
-order as the scalar reference — e.g. interpolation stays the
-left-associated ``b0*v0 + b1*v1 + b2*v2``, and the winding swap happens
-in the Python gather exactly as ``rasterize_in_tile`` does it.  The
-property suites in ``tests/test_kernels.py`` and
-``tests/test_geometry_backends.py`` enforce this on fuzzed scenes.
-
-The batch is computed eagerly for all entries, including ones the main
-loop may later skip via hierarchical-Z (rasterization has no side
-effects, so results are unaffected); the z-prepasses and the main loop
-then share the one batch instead of rasterizing twice.
+order as the scalar reference — edge functions, the explicit
+left-associated ``b0*a0 + b1*a1 + b2*a2`` of depth and of the run path,
+and the winding swap in the Python gather exactly as
+``rasterize_in_tile`` does it.  The one einsum contracts in index order
+without FMA but starts its sum from +0.0, so it would return +0.0 where
+all three products are -0.0 and the reference returns -0.0; the batch
+recomputes every channel where that can happen.  The property suites in
+``tests/test_kernels.py``, ``tests/test_geometry_backends.py`` and
+``tests/test_run_path.py`` enforce all of this on fuzzed scenes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from bisect import bisect_left
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..geom import ScreenTriangle
 from ..math3d import Mat4, Vec2
-from .api import W_EPSILON, Fragments, non_finite_vertex
+from .api import (
+    W_EPSILON,
+    Fragments,
+    OpaqueRun,
+    RunFragments,
+    non_finite_vertex,
+)
 from .tile_geometry import pixel_centers
 
 NAME = "numpy"
@@ -147,36 +164,52 @@ def _transform(command, command_id: int, triangles, mvp: Mat4,
     return kept[survive], np.stack((wx, wy, depth), axis=-1)[survive]
 
 
-class BatchedTileBatch:
-    """All entries of one tile, rasterized and interpolated up front.
+# ---------------------------------------------------------------------------
+# Rasterization: a tile's whole display list as (N, h, w) arrays
+# ---------------------------------------------------------------------------
 
-    Interpolated attributes are stored only for *live* entries (nonzero
-    coverage after the valid mask); ``_slot`` maps entry index to its
-    row in those arrays.  Bounding-box binning is conservative, so dead
-    entries are common and skipping their interpolation is a real win.
-    All seven attribute channels (z, rgba, u, v) live in one stacked
-    ``(live, h, w, 7)`` tensor so the whole tile interpolates in five
-    array operations; ``fragments`` hands out channel views.
+class BatchedTileBatch:
+    """All entries of one tile, rasterized up front.
+
+    Coverage, counts and the scaled barycentrics are kept for every
+    *live* entry (nonzero coverage after the valid mask; bounding-box
+    binning is conservative, so dead entries are common).  ``_live``
+    lists the live entries in order and ``_slot[index]`` is entry
+    ``index``'s row in the per-row arrays (None when every entry is
+    live), so consecutive live entries have consecutive rows.
+
+    ``fragments(index)`` interpolates on request, in one einsum for that
+    entry's row and every later row not yet done (the per-entry loop
+    asks for nearly every entry, in order).
+    ``fragments(slice(start, stop))`` hands a run of entries to
+    :func:`resolve_opaque_run` with nothing interpolated but depth, so
+    a tile that is all runs is never interpolated in full.
     """
 
-    __slots__ = ("_counts", "_slot", "_mask", "_depth", "_rgba", "_u", "_v",
-                 "_built")
+    __slots__ = ("_counts", "_mask", "_live", "_slot", "_bary",
+                 "_attributes", "_interp", "_done", "_rgba", "_built")
 
-    def __init__(self, counts: List[int], slot: Optional[np.ndarray],
-                 mask: np.ndarray, interp: np.ndarray) -> None:
-        # ``interp`` is channels-first (live, 7, h, w); hand out
-        # channel views with the shapes the pipeline expects.  ``slot``
-        # is None when every entry is live (identity mapping).
+    def __init__(self, counts: List[int], mask: np.ndarray,
+                 live: np.ndarray, slot: Optional[np.ndarray],
+                 bary: np.ndarray, attributes: np.ndarray) -> None:
         self._counts = counts
+        self._mask = mask                # (n, h, w) coverage ∧ validity
+        self._live = live
         self._slot = slot
-        self._mask = mask
-        self._depth = interp[:, 0]
-        self._rgba = interp[:, 1:5].transpose(0, 2, 3, 1)
-        self._u = interp[:, 5]
-        self._v = interp[:, 6]
+        self._bary = bary                # (l, 3, h, w) ``w_i / area``
+        self._attributes = attributes    # (l, 3, 7) (z, r, g, b, a, u, v)
+        # (l, 7, h, w) interpolated channels; rows from _done on are done.
+        self._interp: Optional[np.ndarray] = None
+        self._done = len(live)
+        self._rgba: Optional[np.ndarray] = None
         self._built: List[Optional[Fragments]] = [None] * len(counts)
 
-    def fragments(self, index: int) -> Optional[Fragments]:
+    def fragments(self, index: Union[int, slice]
+                  ) -> Union[Optional[Fragments], RunFragments]:
+        """Entry ``index``'s :class:`Fragments`, or for a slice of
+        entries their :class:`RunFragments`."""
+        if isinstance(index, slice):
+            return self._run(index.start, index.stop)
         # Memoized: under the depth-prepass variants TileJob.run asks
         # for each entry's fragments twice (depth pass + shading pass),
         # and the views are immutable, so the second request is a list
@@ -189,16 +222,69 @@ class BatchedTileBatch:
             return None
         slot = self._slot
         k = index if slot is None else slot[index]
+        if k < self._done:
+            self._interpolate(k)
+        interp = self._interp
         frag = Fragments(
             mask=self._mask[index],
             count=count,
-            depth=self._depth[k],
+            depth=interp[k, 0],
             rgba=self._rgba[k],
-            u=self._u[k],
-            v=self._v[k],
+            u=interp[k, 5],
+            v=interp[k, 6],
         )
         self._built[index] = frag
         return frag
+
+    def _interpolate(self, start: int) -> None:
+        """All seven channels of rows ``start`` up to the first row
+        already done, in one einsum."""
+        if self._interp is None:
+            self._interp = np.empty((self._bary.shape[0], 7)
+                                    + self._bary.shape[2:])
+            self._rgba = self._interp[:, 1:5].transpose(0, 2, 3, 1)
+        stop = self._done
+        bary = self._bary[start:stop]
+        attributes = self._attributes[start:stop]
+        interp = self._interp[start:stop]
+        # The k-contraction runs in index order with a running scalar
+        # sum and no FMA, i.e. the reference's ``b0*a0 + b1*a1 + b2*a2``
+        # — except that the sum starts from +0.0, so where all three
+        # products are -0.0 einsum returns +0.0 and the reference -0.0.
+        np.einsum("lkhw,lkc->lchw", bary, attributes, out=interp)
+        # A covered pixel has a positive barycentric (a triangle has at
+        # most two top-left edges), so all three products are -0.0 only
+        # when a vertex of the channel has its sign bit set: those
+        # channels are recomputed with the explicit sum.
+        signs = np.signbit(attributes)
+        if signs.any():
+            for k, channel in zip(*np.nonzero(signs.any(axis=1))):
+                b0, b1, b2 = bary[k]
+                a0, a1, a2 = attributes[k, :, channel]
+                interp[k, channel] = b0 * a0 + b1 * a1 + b2 * a2
+        self._done = start
+
+    def _run(self, start: int, stop: int) -> RunFragments:
+        live = self._live
+        if self._slot is None:
+            r0, r1 = start, stop
+            covered = self._mask[start:stop]
+        else:
+            r0, r1 = bisect_left(live, start), bisect_left(live, stop)
+            covered = self._mask[live[r0:r1]]
+        bary = self._bary[r0:r1]
+        attributes = self._attributes[r0:r1]
+        # The reference's left-associated ``b0*z0 + b1*z1 + b2*z2``.
+        z = attributes[:, :, 0, None, None]
+        return RunFragments(
+            counts=self._counts[start:stop],
+            position=live[r0:r1] - start,
+            covered=covered,
+            depth=bary[:, 0] * z[:, 0] + bary[:, 1] * z[:, 1]
+            + bary[:, 2] * z[:, 2],
+            bary=bary,
+            attributes=attributes,
+        )
 
 
 # Row layout for the gather below: one flat (34,) float64 array per
@@ -258,13 +344,15 @@ def _gather_row(triangle) -> np.ndarray:
 def prepare_tile(entries: Sequence, x0: int, y0: int,
                  tile_width: int, tile_height: int,
                  valid: np.ndarray) -> BatchedTileBatch:
-    """Gather + rasterize + interpolate the whole display list at once."""
+    """Gather + rasterize the whole display list at once: coverage,
+    counts and barycentrics; interpolation waits for ``fragments``."""
     n = len(entries)
     if n == 0:
-        return BatchedTileBatch([], np.empty(0, dtype=np.intp),
-                                np.empty((0, tile_height, tile_width),
-                                         dtype=bool),
-                                np.empty((0, 7, tile_height, tile_width)))
+        return BatchedTileBatch([], np.empty((0, tile_height, tile_width),
+                                             dtype=bool),
+                                np.empty(0, dtype=np.intp), None,
+                                np.empty((0, 3, tile_height, tile_width)),
+                                np.empty((0, 3, 7)))
 
     # -- gather: one flat row per entry, vertex data already in the
     #    reference backend's (possibly swapped) winding order -----------
@@ -312,31 +400,144 @@ def prepare_tile(entries: Sequence, x0: int, y0: int,
     if degenerate:
         mask[degenerate] = False
     counts_arr = np.count_nonzero(mask, axis=(1, 2))
-    counts = counts_arr.tolist()
 
-    # -- barycentric interpolation (left-associated, like the reference),
-    #    for live entries only — per-element math is unchanged, so the
-    #    subsetting cannot perturb bit-identity ------------------------
+    # -- barycentrics for live entries only (per-element math is
+    #    unchanged, so the subsetting cannot perturb bit-identity) ------
     live = np.flatnonzero(counts_arr)
     if live.size == n:
         slot = None                       # identity mapping
-        wl = w
+        bary = w
         gl = g
     else:
         slot = np.full(n, -1, dtype=np.intp)
         slot[live] = np.arange(live.size)
-        wl = w[live]
+        bary = w[live]
         gl = g[live]
-    wl *= gl[:, 33, None, None, None]
-    # All seven channels in one einsum: the k-contraction runs in index
-    # order with a running scalar sum, i.e. the same left-associated
-    # ``b0*a0 + b1*a1 + b2*a2`` as the reference (einsum's C loop does
-    # not use FMA, so the rounding matches; the cross-backend property
-    # suite pins this down).
-    attrs = gl[:, 12:33].reshape(-1, 3, 7)
-    interp = np.einsum("lkhw,lkc->lchw", wl, attrs)
+    bary *= gl[:, 33, None, None, None]
+    return BatchedTileBatch(counts_arr.tolist(), mask, live, slot, bary,
+                            gl[:, 12:33].reshape(-1, 3, 7))
 
-    return BatchedTileBatch(counts, slot, mask, interp)
+
+# ---------------------------------------------------------------------------
+# A run of opaque entries under Early-Z: one array pass
+# ---------------------------------------------------------------------------
+
+def _last_true(flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For a ``(rows, columns)`` bool array: the columns holding a True
+    and, for each, the index of its last True row."""
+    rows = flags.shape[0] - 1 - flags[::-1].argmax(axis=0)
+    columns = flags[rows, np.arange(flags.shape[1])].nonzero()[0]
+    return columns, rows[columns]
+
+
+def resolve_opaque_run(run: RunFragments, depth_tested: np.ndarray,
+                       writes_z: np.ndarray, textured: np.ndarray,
+                       predicted: np.ndarray, layer_ids: np.ndarray,
+                       depth: np.ndarray, color: np.ndarray,
+                       pending: np.ndarray, taint: np.ndarray,
+                       layers: Optional[np.ndarray]) -> OpaqueRun:
+    """Resolve ``run`` — consecutive opaque entries under Early-Z — as
+    the per-entry loop would.
+
+    Entry ``j`` meets the Z-buffer as the loop leaves it: the minimum of
+    ``depth`` and every earlier Z-writer's covered depth (an exclusive
+    running minimum along the run axis), and passes where it covers the
+    pixel and, if depth-tested, is strictly closer.  The comparisons see
+    the same values as the loop's, so the passing masks are exact; the
+    buffers then take the bits of the last passing entry (the last
+    passing Z-writer for depth) — never a value of the scan itself.
+    Colour is interpolated only at each touched pixel's last entry, u/v
+    only for the passing fragments of textured entries, both with the
+    reference's explicit left-associated sums.  The buffers are the tile
+    context's C-contiguous arrays, written through flat views.
+    """
+    k = len(run.counts)
+    passed = np.zeros(k, dtype=np.int64)
+    texcoords: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * k
+    position = run.position                  # each row's place in the run
+    r = position.size
+    if r == 0:
+        return OpaqueRun(passed, 0, texcoords)
+    # Rows are the run's live entries; every per-row array is viewed as
+    # (r, area), so ``row * area + pixel`` is one lane (and the
+    # barycentrics' lane of vertex i is ``(3 * row + i) * area + pixel``).
+    area = depth.size
+    covered = run.covered.reshape(r, area)
+    frag_depth = run.depth.reshape(r, area)
+    writer = writes_z[position]
+
+    # scan[j]: the Z-buffer row j is tested against.  fmin skips NaN
+    # depths, which never pass a ``<`` test either.
+    scan = np.empty_like(frag_depth)
+    scan[0] = depth.reshape(-1)
+    if r > 1:
+        scan[1:] = np.where(covered[:-1] & writer[:-1, None],
+                            frag_depth[:-1], np.inf)
+        np.fmin.accumulate(scan, axis=0, out=scan)
+    passing = frag_depth < scan
+    passing |= ~depth_tested[position][:, None]
+    passing &= covered
+    counts = passing.sum(axis=1)
+    passed[position] = counts
+    total = int(counts.sum())
+    if total == 0:
+        return OpaqueRun(passed, 0, texcoords)
+
+    # The last passing row at every touched pixel.
+    pixels, rows = _last_true(passing)
+    lanes = rows * area + pixels
+
+    # Depth: the last passing Z-writer's.  Only pixels whose last
+    # passing row does not write Z need a second search.
+    z_pixels, z_lanes = pixels, lanes
+    others = ~writer[rows]
+    if others.any():
+        search = pixels[others]
+        found, below = _last_true(passing[:, search] & writer[:, None])
+        keep = ~others
+        z_pixels = np.concatenate((pixels[keep], search[found]))
+        z_lanes = np.concatenate((lanes[keep],
+                                  below * area + search[found]))
+    depth.reshape(-1)[z_pixels] = frag_depth.reshape(-1)[z_lanes]
+
+    flat_bary = run.bary.reshape(-1)
+    vertex = (np.arange(3) * area)[:, None]
+    b0, b1, b2 = flat_bary[rows * (3 * area) + pixels + vertex]
+    a = run.attributes[rows]                                # (px, 3, 7)
+    color.reshape(-1, 4)[pixels] = (
+        b0[:, None] * a[:, 0, 1:5] + b1[:, None] * a[:, 1, 1:5]
+        + b2[:, None] * a[:, 2, 1:5])
+
+    # Each passing fragment overwrites its pixel: the first one there
+    # finds the pixel's pending count, every later one finds 1.
+    flat_pending = pending.reshape(-1)
+    overdrawn = int(flat_pending[pixels].sum()) + total - pixels.size
+    flat_pending[pixels] = 1
+    taint.reshape(-1)[pixels] = predicted[position][rows]
+    if layers is not None:
+        layers.reshape(-1)[pixels] = layer_ids[position][rows]
+
+    textured = textured[position]
+    if textured.any():
+        # Every passing fragment of a textured row, row by row in
+        # row-major pixel order (what ``u[passing]`` gives the loop).
+        shaded = counts
+        if not textured.all():
+            passing &= textured[:, None]
+            shaded = counts * textured
+        lanes = passing.reshape(-1).nonzero()[0]
+        b0, b1, b2 = flat_bary[lanes + lanes // area * (2 * area) + vertex]
+        # (u|v, vertex, fragment): each row's texture coordinates,
+        # repeated for each of its fragments.
+        uv = np.repeat(run.attributes[:, :, 5:7].transpose(2, 1, 0),
+                       shaded, axis=2)
+        u, v = b0 * uv[:, 0] + b1 * uv[:, 1] + b2 * uv[:, 2]
+        end = 0
+        for place, count in zip(position.tolist(), shaded.tolist()):
+            if count:
+                texcoords[place] = (u[end:end + count], v[end:end + count])
+                end += count
+    return OpaqueRun(passed, overdrawn, texcoords)
 
 
 # ---------------------------------------------------------------------------

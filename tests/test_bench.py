@@ -121,6 +121,34 @@ class TestRunBench:
             tiny_record["speedup"]["fragments_per_second"])
 
 
+class TestExecuteSweep:
+    def test_replays_the_captured_jobs(self, tiny_record):
+        sweeps = [result["execute_sweep"]
+                  for result in tiny_record["backends"].values()]
+        # The warm-up round already asserted identical tile results.
+        assert sweeps[0]["jobs"] == sweeps[1]["jobs"] > 0
+        for sweep in sweeps:
+            assert sweep["tiles_per_second"] == pytest.approx(
+                sweep["jobs"] / sweep["best_seconds"])
+        assert tiny_record["speedup"]["tiles_per_second"] > 0
+        assert "execute" in format_bench_summary(tiny_record)
+
+    def test_divergent_backend_is_refused(self, monkeypatch):
+        from repro.harness.bench import _execute_sweeps, _pipeline_measurement
+        from repro.kernels import batched
+
+        jobs = _pipeline_measurement(BENCH_PRESETS["tiny"], "python")["_jobs"]
+        resolve = batched.resolve_opaque_run
+
+        def off_by_one(*args):
+            run = resolve(*args)
+            return run._replace(overdrawn=run.overdrawn + 1)
+
+        monkeypatch.setattr(batched, "resolve_opaque_run", off_by_one)
+        with pytest.raises(AssertionError, match="tile jobs on backend"):
+            _execute_sweeps(jobs, ("python", "numpy"), repeat=1)
+
+
 class TestGeometrySweep:
     def test_divergent_backend_is_refused(self, monkeypatch):
         from repro.harness.bench import _geometry_sweeps
@@ -196,6 +224,21 @@ class TestRegressionGate:
         failures = check_bench_regression(record, str(path), tolerance=0.2)
         assert len(failures) == 1
         assert "geometry" in failures[0]
+
+    def test_gates_execute_ratio_when_baselined(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"speedup": {
+            "fragments_per_second": 10.0, "tiles_per_second": 3.0}}))
+        record = self._record(10.0)
+        record["speedup"]["tiles_per_second"] = 2.5
+        assert check_bench_regression(record, str(path),
+                                      tolerance=0.2) == []
+        record["speedup"]["tiles_per_second"] = 2.3
+        failures = check_bench_regression(record, str(path), tolerance=0.2)
+        assert len(failures) == 1
+        assert "execute" in failures[0]
+        del record["speedup"]["tiles_per_second"]
+        assert check_bench_regression(record, str(path), tolerance=0.2)
 
     def test_old_baseline_without_replay_ratio_still_gates_kernel(
             self, tmp_path):

@@ -38,6 +38,7 @@ from repro.geom import Triangle, Vertex, VertexAttributes
 from repro.kernels import available_backends, resolve_backend
 from repro.math3d import (
     Mat4,
+    Vec2,
     Vec3,
     Vec4,
     look_at,
@@ -50,6 +51,8 @@ from repro.math3d import (
 )
 from repro.memsys import MemorySystem
 from repro.techniques.registry import resolve_features, technique_names
+
+from tests.strategies import edge_floats
 
 WIDTH, HEIGHT = 64, 48
 CONFIG = GPUConfig(screen_width=WIDTH, screen_height=HEIGHT, frames=3)
@@ -159,24 +162,25 @@ def _render_snapshots(features, frames, backend):
 #: Coordinates drawn from a small set collide often, which makes
 #: zero-area and axis-aligned triangles common; the wide float range
 #: puts vertices behind the camera and outside single clip planes.
-_COORD = st.one_of(st.sampled_from([-6.0, -1.0, 0.0, 0.5, 1.0, 4.0]),
-                   st.floats(min_value=-12.0, max_value=12.0,
-                             allow_nan=False))
-_PIXEL = st.one_of(st.sampled_from([-8.0, 0.0, 16.0, 32.0, 70.0]),
-                   st.floats(min_value=-20.0, max_value=WIDTH + 20.0,
-                             allow_nan=False))
+#: Both signed zeros and subnormals are drawn on purpose.
+_COORD = edge_floats(-12.0, 12.0, ties=(-6.0, -1.0, 0.5, 1.0, 4.0))
+_PIXEL = edge_floats(-20.0, WIDTH + 20.0, ties=(-8.0, 16.0, 32.0, 70.0))
+#: Screen-space depths: exact ties, both zeros, subnormals.
+_SCREEN_Z = edge_floats(-0.5, 0.25, ties=(0.0,))
+#: Colour and texture channels: both zeros, subnormals, exact ties.
+_CHANNEL = edge_floats(-1.0, 1.0, ties=(0.2, 0.6))
 
 
 @st.composite
 def _vertex(draw, screen_space):
     if screen_space:
-        position = Vec3(draw(_PIXEL), draw(_PIXEL),
-                        draw(st.sampled_from([-0.5, 0.0, 0.25])))
+        position = Vec3(draw(_PIXEL), draw(_PIXEL), draw(_SCREEN_Z))
     else:
         position = Vec3(draw(_COORD), draw(_COORD), draw(_COORD))
-    color = Vec4(draw(st.sampled_from([0.2, 0.6, 1.0])), 0.5, 0.25,
+    color = Vec4(draw(_CHANNEL), 0.5, draw(_CHANNEL),
                  draw(st.sampled_from([0.45, 1.0])))
-    return Vertex(position, VertexAttributes(color=color))
+    return Vertex(position, VertexAttributes(color=color,
+                                             uv=Vec2(draw(_CHANNEL), 0.5)))
 
 
 @st.composite

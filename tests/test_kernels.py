@@ -33,6 +33,7 @@ from repro.kernels.tile_geometry import (
 from repro.spec import RunSpec, SpecError
 from repro.techniques import BASELINE, EVR, ORACLE
 
+from tests.strategies import edge_floats
 from tests.test_fuzz_scenes import CONFIG as FUZZ_CONFIG
 from tests.test_fuzz_scenes import build_stream, rect_specs
 
@@ -170,12 +171,20 @@ class TestPrepareTile:
        st.integers(min_value=1, max_value=40))
 @settings(max_examples=50, deadline=None)
 def test_einsum_matches_left_associated_sum(seed, entries):
-    """The batched backend interpolates all channels with one einsum.
+    """The batched backend's eager ``prepare_tile`` interpolates all
+    channels with one einsum.
 
     Bit-identity with the scalar ``b0*a0 + b1*a1 + b2*a2`` is only safe
     because einsum contracts k in index order with a running scalar sum
     and no FMA.  This guard fails loudly if a numpy upgrade ever breaks
     that (np.matmul, for instance, does NOT satisfy it).
+
+    One caveat, which standard-normal draws never hit: the running sum
+    starts from +0.0, so where all three products are -0.0 einsum
+    returns +0.0 and the explicit sum -0.0.  The batch recomputes any
+    channel with a sign-bit vertex value explicitly (see
+    ``test_prepare_tile_keeps_negative_zero_sums``); depth and the
+    opaque-run path never use einsum.
     """
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((entries, 3, 16, 16))
@@ -187,6 +196,67 @@ def test_einsum_matches_left_associated_sum(seed, entries):
     np.testing.assert_array_equal(via_einsum, manual)
 
 
+@pytest.mark.parametrize("red", [-0.0, -5e-324])
+def test_prepare_tile_keeps_negative_zero_sums(red):
+    """Every product ``b_i * a_i`` of a -0.0 or tiny negative attribute
+    is -0.0: the reference sums them to -0.0, einsum alone would give
+    +0.0."""
+    from repro import RenderState
+    from repro.geom import ScreenTriangle, VertexAttributes
+    from repro.kernels.reference import ReferenceTileBatch
+    from repro.math3d import Vec2, Vec4
+
+    attributes = VertexAttributes(color=Vec4(red, 0.5, 0.5, 1.0))
+    triangle = ScreenTriangle(
+        xy=(Vec2(0.0, 0.0), Vec2(30.0, 0.0), Vec2(0.0, 30.0)),
+        z=(0.5, 0.5, 0.5), attributes=(attributes,) * 3,
+        command_id=0, primitive_id=0,
+        state=RenderState.sprite_2d(), signature_bytes=b"",
+    )
+    entries = [type("E", (), {"primitive": triangle})()]
+    valid = valid_mask(0, 0, 16, 16, 64, 48)
+    expected = ReferenceTileBatch(entries, 0, 0, 16, 16, valid).fragments(0)
+    red = expected.rgba[:, :, 0][expected.mask]
+    assert np.signbit(red).any()          # the case einsum gets wrong
+    actual = resolve_backend("numpy").prepare_tile(
+        entries, 0, 0, 16, 16, valid).fragments(0)
+    for name in ("depth", "u", "v"):
+        np.testing.assert_array_equal(
+            np.signbit(getattr(actual, name)[actual.mask]),
+            np.signbit(getattr(expected, name)[expected.mask]))
+    assert (actual.rgba[actual.mask].tobytes()
+            == expected.rgba[expected.mask].tobytes())
+
+
+@pytest.mark.parametrize("technique", ["baseline", "hiz"])
+def test_negative_zero_color_renders_identically(technique):
+    """A sprite coloured ``Vec4(-0.0, 0.5, 0.5, 1.0)`` renders to the same
+    bytes on both backends, -0.0 red included, whether the numpy backend
+    resolves it as an opaque run (baseline) or in the per-entry loop
+    (hiz)."""
+    import hashlib
+
+    from repro import DrawCommand, Frame, RenderState
+    from repro.geom import screen_quad
+    from repro.math3d import Vec4, orthographic
+
+    config = GPUConfig(screen_width=32, screen_height=32, frames=1)
+    frame = Frame(
+        [DrawCommand.from_mesh(
+            screen_quad(0.0, 0.0, 32.0, 32.0,
+                        color=Vec4(-0.0, 0.5, 0.5, 1.0)),
+            state=RenderState.sprite_2d(), label="sprite")],
+        projection=orthographic(0, 32, 32, 0, -1.0, 1.0),
+    )
+    digests = {
+        backend: hashlib.sha256(
+            GPU(config, technique, backend=backend)
+            .render_frame(frame).image.tobytes()).hexdigest()
+        for backend in available_backends()
+    }
+    assert digests["python"] == digests["numpy"]
+
+
 # ---------------------------------------------------------------------------
 # Cross-backend bit-identity on fuzzed scenes
 # ---------------------------------------------------------------------------
@@ -196,7 +266,22 @@ def _render(specs, mode, backend):
     return GPU(FUZZ_CONFIG, mode, backend=backend).render_stream(stream)
 
 
-@given(st.lists(rect_specs(), min_size=1, max_size=6))
+@st.composite
+def _edge_rect_specs(draw):
+    """``rect_specs`` with both signed zeros, subnormals and exact ties in
+    its position, depth and motion floats."""
+    spec = list(draw(rect_specs()))
+    spec[0] = draw(edge_floats(-10.0, FUZZ_CONFIG.screen_width - 2.0,
+                               ties=(0.5, 16.0)))
+    spec[1] = draw(edge_floats(-10.0, FUZZ_CONFIG.screen_height - 2.0,
+                               ties=(0.5, 16.0)))
+    spec[4] = draw(edge_floats(-0.9, 0.9, ties=(-0.5, 0.5)))
+    spec[7] = draw(edge_floats(-4.0, 4.0))
+    spec[8] = draw(edge_floats(-0.05, 0.05))
+    return tuple(spec)
+
+
+@given(st.lists(_edge_rect_specs(), min_size=1, max_size=6))
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_backends_bit_identical_on_random_scenes(specs):

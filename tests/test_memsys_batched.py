@@ -37,6 +37,8 @@ from repro.memsys.ops import (
     replay_memory_trace,
 )
 
+from tests.strategies import edge_floats
+
 #: A deliberately tiny hierarchy: single-digit sets and constant
 #: evictions, so the fuzzer exercises victim selection and writebacks
 #: far harder than the real geometry would.
@@ -59,7 +61,9 @@ _CONFIGS = {"default": GPUConfig.default(), "tiny": _TINY}
 
 
 def _uv_lists():
-    floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    # Interpolated coordinates can round a hair below 0: both signed
+    # zeros, negative subnormals and exact repeats included.
+    floats = edge_floats(-2.2250738585072014e-308, 1.0, ties=(0.5,))
     return st.lists(floats, min_size=1, max_size=40)
 
 
