@@ -48,13 +48,12 @@ Resilience (see :mod:`repro.resilience`): ``--retries N`` /
 ``--job-timeout S`` arm the resilient scheduler (bounded retries with
 deterministic backoff, per-job timeouts and broken-pool recovery under
 ``--jobs``), and ``--inject-faults SPEC`` (or ``$REPRO_FAULTS``) with
-``--fault-seed`` exercises those paths deterministically.  ``figure``
-and ``report`` additionally checkpoint every finished (benchmark, mode)
-cell to a journal in the cache directory; ``--resume`` replays it so an
-interrupted sweep recomputes only unfinished cells, and ``--strict``
-turns permanently failed cells into a non-zero exit (the default is
-graceful degradation: the sweep completes with failed cells rendered as
-``nan``).
+``--fault-seed`` exercises those paths deterministically.  The run
+cache is the checkpoint of ``figure`` and ``report`` sweeps: re-running
+an interrupted sweep's command recomputes only unfinished cells.
+``--strict`` turns permanently failed cells into a non-zero exit (the
+default is graceful degradation: the sweep completes with failed cells
+rendered as ``nan``).
 
 Observability (see :mod:`repro.obs`): every subcommand takes ``-v`` /
 ``--verbose`` and ``-q`` / ``--quiet`` *after* the subcommand name;
@@ -267,15 +266,12 @@ def _add_backends_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_resilience_arguments(parser: argparse.ArgumentParser,
-                              suite: bool = False) -> None:
+def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     """Fault-tolerance flags (see :mod:`repro.resilience`).
 
-    ``--strict`` is available everywhere and always resolves to the one
-    ``resilience.strict`` spec field (one exit-code contract: 0 clean,
-    1 failure/violation, 2 usage error); ``suite`` adds only the
-    checkpoint-journal flag that is meaningless outside suite sweeps
-    (``figure``, ``report``).
+    ``--strict`` always resolves to the one ``resilience.strict`` spec
+    field (one exit-code contract: 0 clean, 1 failure/violation, 2 usage
+    error).
     """
     parser.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
@@ -303,12 +299,6 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser,
              "failed cells; corpus replay stops at the first violating "
              "family (violations always exit 1 either way)",
     )
-    if suite:
-        parser.add_argument(
-            "--resume", action="store_true",
-            help="replay completed (benchmark, mode) cells from the "
-                 "checkpoint journal instead of recomputing them",
-        )
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -672,8 +662,7 @@ def _command_figure(args: argparse.Namespace) -> int:
         profiler = SchedulerProfiler(tracer) if tracer is not None else None
         with SuiteRunner(spec=spec,
                          cache_dir=default_cache_dir(),
-                         profiler=profiler,
-                         journal_dir=default_cache_dir()) as runner:
+                         profiler=profiler) as runner:
             subset = list(spec.workload.benchmarks) or None
             result = _FIGURES[args.figure](runner, subset)
             out.result(result.render())
@@ -718,8 +707,7 @@ def _command_report(args: argparse.Namespace) -> int:
         profiler = SchedulerProfiler(tracer) if tracer is not None else None
         with SuiteRunner(spec=spec,
                          cache_dir=default_cache_dir(),
-                         profiler=profiler,
-                         journal_dir=default_cache_dir()) as runner:
+                         profiler=profiler) as runner:
             report = render_report(runner)
             summary = runner.cache_summary()
             records = (runner.metrics_records() if spec.obs.metrics else [])
@@ -1283,7 +1271,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arguments(figure_parser)
     _add_config_arguments(figure_parser)
     _add_jobs_argument(figure_parser)
-    _add_resilience_arguments(figure_parser, suite=True)
+    _add_resilience_arguments(figure_parser)
     _add_obs_arguments(figure_parser)
 
     render_parser = subparsers.add_parser(
@@ -1309,7 +1297,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arguments(report_parser)
     _add_config_arguments(report_parser)
     _add_jobs_argument(report_parser)
-    _add_resilience_arguments(report_parser, suite=True)
+    _add_resilience_arguments(report_parser)
     _add_obs_arguments(report_parser)
 
     profile_parser = subparsers.add_parser(
@@ -1541,7 +1529,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arguments(spec_parser)
     _add_config_arguments(spec_parser)
     _add_jobs_argument(spec_parser)
-    _add_resilience_arguments(spec_parser, suite=True)
+    _add_resilience_arguments(spec_parser)
     _add_obs_arguments(spec_parser)
 
     return parser

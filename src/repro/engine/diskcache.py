@@ -17,6 +17,11 @@ bad entry is no longer silently unlinked: it is moved into a
 ``quarantine/`` subdirectory for post-mortem and a warning naming the
 key is logged through :mod:`repro.obs.log`.
 
+The cache is also a suite sweep's checkpoint: re-running a killed
+sweep's command recomputes only the cells it does not hold.  ``put``
+therefore fsyncs each entry before renaming it into place, so an entry
+that is visible after a crash holds all of its bytes.
+
 Cache traffic is observable: ``get``/``put`` increment the
 ``cache.hits`` / ``cache.misses`` / ``cache.evictions`` / ``cache.puts``
 / ``cache.quarantined`` counters in the process-wide metrics registry
@@ -207,7 +212,7 @@ class DiskCache:
             return value
 
     def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` atomically."""
+        """Store ``value`` under ``key`` atomically and durably."""
         os.makedirs(self.directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(
             dir=self.directory, prefix=".tmp_", suffix=".pkl"
@@ -218,6 +223,9 @@ class DiskCache:
                     handle.write(_encode_entry(
                         pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
                     ))
+                    # On disk before visible (see the module docstring).
+                    handle.flush()
+                    os.fsync(handle.fileno())
                 os.replace(tmp_path, self.path_for(key))
             except BaseException:
                 try:

@@ -69,7 +69,7 @@ from ..memsys.ops import (
     VertexRangeOp,
     replay_memory_trace,
 )
-from ..obs.events import MetricSample, get_bus
+from ..obs.events import MetricSample, cache_ops_of, get_bus
 from ..obs.profile import phase_breakdown
 from ..obs.trace import ChromeTracer, tracing
 from ..pipeline import GPU
@@ -221,16 +221,6 @@ def machine_info() -> Dict[str, object]:
     }
 
 
-def _cache_ops(run_result) -> int:
-    """Total simulated cache-unit accesses over the run."""
-    total = 0
-    for frame in run_result.frames:
-        for units in (frame.geometry.units, frame.raster.units):
-            for counters in units.values():
-                total += counters.get("accesses", 0)
-    return total
-
-
 def _pipeline_measurement(preset: BenchPreset, backend: str,
                           record_trace: bool = False) -> Dict:
     """One full EVR-mode run: frames/sec, cache ops/sec, phase times.
@@ -251,7 +241,8 @@ def _pipeline_measurement(preset: BenchPreset, backend: str,
         result = gpu.render_stream(preset.stream())
     elapsed = time.perf_counter() - start
     stats = result.total_stats(warmup=0)
-    cache_ops = _cache_ops(result)
+    cache_ops = sum(cache_ops_of(frame.geometry) + cache_ops_of(frame.raster)
+                    for frame in result.frames)
     measurement = {
         "wall_seconds": elapsed,
         "frames": len(result.frames),

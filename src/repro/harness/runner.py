@@ -5,8 +5,8 @@ builds the scene stream, renders it on a fresh GPU instance and extracts
 the scalar metrics every figure consumes.  A :class:`~repro.spec.RunSpec`
 is the only description of a run: it carries the GPU configuration
 (frames included), feature overrides, cost/energy parameters and the
-execution policy (jobs, retries, faults, resume, strict), and every entry
-point here takes one.  Three layers of reuse stack on top of each other:
+execution policy (jobs, retries, faults, strict), and every entry point
+here takes one.  Three layers of reuse stack on top of each other:
 
 * an in-memory memo per :class:`SuiteRunner` instance (several figures
   share the same underlying runs — Figures 6, 7, 10 and 11 all need
@@ -20,12 +20,16 @@ point here takes one.  Three layers of reuse stack on top of each other:
   independent (benchmark, mode) simulations of a suite sweep run in
   parallel (``scheduler.jobs`` — ``--jobs N`` / ``REPRO_JOBS``).
 
-When a retry policy or fault plan is armed (``--retries``,
-``--job-timeout``, ``--inject-faults``) the fan-out additionally runs
-under a :class:`~repro.resilience.ResilientScheduler`, each settled cell
-is checkpointed to a crash-durable :class:`~repro.resilience.RunJournal`
-(``--resume`` replays it), and permanently failed cells degrade to NaN
-placeholders instead of aborting the sweep.
+The run cache is also the sweep's checkpoint: re-running a killed
+sweep's command recomputes only the cells the cache does not hold.  A
+serial sweep stores each cell as it finishes; a pooled sweep stores its
+cells when the pool's ``map`` returns.  When a retry policy or fault
+plan is armed (``--retries``, ``--job-timeout``, ``--inject-faults``)
+the fan-out instead runs under a
+:class:`~repro.resilience.ResilientScheduler`: each cell is stored as
+it settles, and a permanently failed cell degrades to a NaN placeholder
+instead of aborting the sweep.  A failed cell is never cached, so a
+re-run recomputes it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..commands import FrameStream
 from ..engine.diskcache import DiskCache, run_cache_key
 from ..engine.scheduler import Scheduler, make_scheduler
-from ..errors import ConfigError
 from ..obs.events import MetricSample, RunFinished, RunStarted, get_bus
 from ..obs.profile import SchedulerProfiler
 from ..obs.trace import get_tracer
@@ -48,7 +51,6 @@ from ..resilience import (
     JobFailure,
     ResilientScheduler,
     RetryPolicy,
-    RunJournal,
 )
 from ..scenes import benchmark_stream
 from ..spec import RunSpec
@@ -223,16 +225,16 @@ class SuiteRunner:
     """Memoizing runner shared by all experiment functions.
 
     The runner's identity is a :class:`~repro.spec.RunSpec`: disk-cache
-    and journal keys derive from ``spec.spec_hash()`` plus the simulator
-    code version, and execution policy — worker count, retries, faults,
-    resume, strict — comes from the spec's scheduler and resilience
-    sections.
+    keys derive from ``spec.spec_hash()`` plus the simulator code
+    version, and execution policy — worker count, retries, faults,
+    strict — comes from the spec's scheduler and resilience sections.
 
     Args:
         spec: the declarative experiment spec this runner executes
             (default: the ``scaled`` preset).
-        cache_dir: directory of the persistent run cache; ``None``
-            disables disk caching (the in-memory memo always applies).
+        cache_dir: directory of the persistent run cache, which is also
+            the sweep's checkpoint; ``None`` disables disk caching (the
+            in-memory memo always applies).
         profiler: optional :class:`~repro.obs.SchedulerProfiler`
             attached to the suite scheduler (observability only).
         retry_policy: an explicit retry policy for the suite fan-out,
@@ -244,17 +246,13 @@ class SuiteRunner:
             degradation.
         fault_plan: deterministic fault injection for the suite jobs,
             overriding the spec's; implies a default retry policy.
-        journal_dir: directory for the crash-durable checkpoint journal;
-            ``None`` disables journaling.  ``spec.resilience.resume``
-            replays it before running.
     """
 
     def __init__(self, spec: Optional[RunSpec] = None,
                  cache_dir: Optional[str] = None,
                  profiler: Optional[SchedulerProfiler] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 journal_dir: Optional[str] = None):
+                 fault_plan: Optional[FaultPlan] = None):
         spec = spec or RunSpec.preset("scaled")
         if retry_policy is None and fault_plan is None:
             retry_policy = spec.resilience.retry_policy()
@@ -268,15 +266,7 @@ class SuiteRunner:
         self._scheduler: Optional[Scheduler] = None
         self.cache_hits = 0
         self.cache_misses = 0
-        self.journal_hits = 0
         self.failures: Dict[Tuple[str, Technique], JobFailure] = {}
-        self._journal: Optional[RunJournal] = None
-        if journal_dir:
-            resume = spec.resilience.resume
-            self._journal = RunJournal.for_spec(journal_dir, spec)
-            if resume:
-                self._replay_journal()
-            self._journal.open(fresh=not resume)
 
     @property
     def resilient(self) -> bool:
@@ -306,34 +296,16 @@ class SuiteRunner:
         return self._scheduler
 
     def close(self) -> None:
-        """Release pooled workers and the journal (idempotent)."""
+        """Release pooled workers (idempotent)."""
         if self._scheduler is not None:
             self._scheduler.close()
             self._scheduler = None
-        if self._journal is not None:
-            self._journal.close()
 
     def __enter__(self) -> "SuiteRunner":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- checkpoint journal --------------------------------------------------
-
-    def _replay_journal(self) -> None:
-        """Seed the in-memory memo from the journal's completed cells."""
-        assert self._journal is not None
-        for (benchmark, mode_value), entry in self._journal.load().items():
-            if entry.get("status") != "ok":
-                continue  # failed cells are retried on resume
-            try:
-                mode = resolve_technique(mode_value)
-                metrics = RunMetrics(**entry["metrics"])
-            except (KeyError, TypeError, ValueError, ConfigError):
-                continue  # journal written by an incompatible layout
-            self._cache[(benchmark, mode)] = metrics
-            self.journal_hits += 1
 
     # -- disk cache ---------------------------------------------------------
 
@@ -351,24 +323,19 @@ class SuiteRunner:
         return None
 
     def _store(self, key: Tuple[str, Technique],
-               metrics: RunMetrics, to_disk: bool) -> None:
+               metrics: RunMetrics) -> None:
         self._cache[key] = metrics
-        if to_disk and self._disk is not None:
+        if self._disk is not None:
             self._disk.put(self._disk_key(*key), metrics)
-        if to_disk and self._journal is not None:
-            self._journal.record_ok(key[0], key[1].name,
-                                    dataclasses.asdict(metrics))
 
     def _record_failure(self, key: Tuple[str, Technique],
                         failure: JobFailure) -> None:
         """Graceful degradation: the cell completes as a NaN placeholder
         and the sweep carries on; ``--strict`` turns it into a non-zero
-        exit at the CLI layer."""
+        exit at the CLI layer.  The placeholder stays out of the disk
+        cache, so re-running the command recomputes the cell."""
         self.failures[key] = failure
         self._cache[key] = failed_metrics(key[0], key[1], failure.message)
-        if self._journal is not None:
-            self._journal.record_failed(key[0], key[1].name,
-                                        failure.message)
 
     def cache_summary(self) -> str:
         """One-line disk-cache report for script output."""
@@ -378,8 +345,6 @@ class SuiteRunner:
             summary = (f"run cache: {self.cache_hits} hits, "
                        f"{self.cache_misses} misses "
                        f"({self._disk.directory})")
-        if self.journal_hits:
-            summary += f"; journal: {self.journal_hits} cells resumed"
         if self.failures:
             summary += f"; {len(self.failures)} cells FAILED"
         return summary
@@ -405,7 +370,6 @@ class SuiteRunner:
             "jobs": self.jobs,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "journal_hits": self.journal_hits,
             "failures": len(self.failures),
             "failed_cells": sorted(
                 f"{benchmark}:{mode.name}"
@@ -417,20 +381,9 @@ class SuiteRunner:
     # -- running ------------------------------------------------------------
 
     def run(self, benchmark: str, mode: object) -> RunMetrics:
+        """One (benchmark, mode) cell, through :meth:`run_many`."""
         mode = resolve_technique(mode)
-        key = (benchmark, mode)
-        if key not in self._cache:
-            cached = self._load_cached(benchmark, mode)
-            if cached is not None:
-                self._cache[key] = cached
-            else:
-                self.cache_misses += 1
-                self._store(
-                    key,
-                    run_benchmark(benchmark, mode, spec=self.spec),
-                    to_disk=True,
-                )
-        return self._cache[key]
+        return self.run_many([benchmark], [mode])[(benchmark, mode.name)]
 
     def run_many(
         self, benchmarks: Sequence[str], modes: Sequence[object]
@@ -469,14 +422,14 @@ class SuiteRunner:
 
             if self.resilient:
                 # Supervised fan-out: each cell settles (and is
-                # checkpointed) independently; a permanently failed
-                # cell becomes a NaN placeholder instead of aborting
-                # the sweep.
+                # stored) independently; a permanently failed cell
+                # becomes a NaN placeholder instead of aborting the
+                # sweep.
                 def _settle(index: int, value: Any) -> None:
                     if isinstance(value, JobFailure):
                         self._record_failure(missing[index], value)
                     else:
-                        self._store(missing[index], value, to_disk=True)
+                        self._store(missing[index], value)
                     _progress()
 
                 with get_tracer().span("suite.map", category="harness",
@@ -491,14 +444,13 @@ class SuiteRunner:
                         _run_pair, payloads
                     )
                 for key, metrics in zip(missing, results):
-                    self._store(key, metrics, to_disk=True)
+                    self._store(key, metrics)
                     _progress()
             else:
                 for benchmark, mode in missing:
                     self._store(
                         (benchmark, mode),
                         run_benchmark(benchmark, mode, spec=self.spec),
-                        to_disk=True,
                     )
                     _progress()
 

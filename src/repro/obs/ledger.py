@@ -11,9 +11,13 @@ The ledger is what makes trajectories first-class:
 * ``repro ledger list|show|diff|gc`` inspect and prune it;
 * ``repro ledger check`` is the drift gate — it exits non-zero when the
   newest entry's EVR effectiveness rates or bench speedup ratios drift
-  more than a tolerance away from the ledger median for the same key
-  (subsuming the hand-rolled ``check_bench_regression`` JSON-file path:
-  the ledger *is* the baseline, and it deepens with every run);
+  more than a tolerance away from the median of the earlier entries for
+  the same key.  A key with fewer than two entries has no history and
+  passes, so on a fresh checkout this gate checks nothing.  The
+  regression gate is a separate one: ``repro bench --check
+  BASELINE.json`` (:func:`repro.harness.bench.check_bench_regression`)
+  compares a fresh bench's speedup ratios with a committed baseline
+  file, and CI's perf-smoke job gates through it;
 * ``repro dashboard`` (:mod:`repro.obs.dashboard`) renders it.
 
 The file is append-only (``gc`` is the only rewriter) and entries are
@@ -53,8 +57,8 @@ DISABLED_VALUES = ("off", "none", "disabled")
 #: Absolute drift tolerance for effectiveness rates (redundant-tile /
 #: predicted-occluded fractions live in [0, 1]).
 DEFAULT_RATE_TOLERANCE = 0.05
-#: Relative drift tolerance for bench speedup ratios (matches the
-#: historical ``check_bench_regression`` gate).
+#: Relative drift tolerance for bench speedup ratios (the default of
+#: ``repro bench --check``'s ``check_bench_regression`` gate too).
 DEFAULT_RATIO_TOLERANCE = 0.2
 
 #: RunMetrics fields checked for drift (absolute, rate-valued).

@@ -1,4 +1,4 @@
-"""Fault-tolerant execution: fault injection, retries, checkpoint/resume.
+"""Fault-tolerant execution: fault injection, retries, timeouts.
 
 This package layers recovery on top of :mod:`repro.engine` without
 changing any simulated result:
@@ -13,8 +13,10 @@ changing any simulated result:
 * :mod:`repro.resilience.scheduler` — :class:`ResilientScheduler`, a
   wrapper adding per-job timeouts, bounded retries, broken-pool
   rebuilds and serial-fallback degradation to any scheduler.
-* :mod:`repro.resilience.journal` — :class:`RunJournal`, the
-  crash-durable checkpoint file behind ``--resume``.
+
+The checkpoint of a suite sweep is the run cache
+(:mod:`repro.engine.diskcache`): re-running a killed sweep's command
+recomputes only the cells the cache does not hold.
 
 The typed failure taxonomy lives in :mod:`repro.errors`
 (:class:`~repro.errors.ResilienceError` and friends); counters and trace
@@ -29,7 +31,6 @@ from .faults import (
     corrupt_pixel,
     stable_unit,
 )
-from .journal import RunJournal
 from .policy import RetryPolicy, backoff_delay
 from .scheduler import JobFailure, ResilientScheduler
 
@@ -41,7 +42,6 @@ __all__ = [
     "JobFailure",
     "ResilientScheduler",
     "RetryPolicy",
-    "RunJournal",
     "ScriptedFaultPlan",
     "backoff_delay",
     "corrupt_pixel",

@@ -4,8 +4,8 @@ A :class:`FaultPlan` decides, for every (job, attempt) pair, whether that
 execution should misbehave and how.  Decisions are pure functions of
 ``(seed, kind, key, attempt)`` — the same plan on the same run produces
 the same faults every time, which is what lets CI exercise every failure
-path reproducibly and lets a killed-and-resumed run be compared against
-an uninterrupted one.
+path reproducibly and lets a killed sweep, re-run to completion, be
+compared against an uninterrupted one.
 
 Five fault kinds, mirroring how real suite runs die:
 

@@ -16,7 +16,7 @@ serializable dataclass tree:
     ├── ``cost``        — :class:`repro.timing.CostParameters`
     ├── ``energy``      — :class:`repro.energy.EnergyParameters`
     ├── ``scheduler``   — worker fan-out (``--jobs``)
-    ├── ``resilience``  — retries, timeouts, fault plan, resume/strict
+    ├── ``resilience``  — retries, timeouts, fault plan, strict
     └── ``obs``         — trace/metrics/events paths, live progress,
                           ledger directory, verbosity
 
@@ -34,8 +34,8 @@ Three properties make it the backbone every layer shares:
   ``energy``) over a normalized JSON form.  Execution policy —
   scheduler fan-out, retries, fault injection, observability — is
   deliberately excluded: the engine guarantees those never change a
-  result, so they must never split the cache.  The disk cache and the
-  crash journal key entries by this hash plus the code version.
+  result, so they must never split the cache.  The disk cache keys
+  entries by this hash plus the code version.
 
 Validation is eager: unknown keys, type mismatches and inconsistent
 values raise :class:`repro.errors.SpecError` at resolution time, before
@@ -231,7 +231,6 @@ class ResilienceSpec:
     job_timeout: Optional[float] = None
     inject_faults: str = ""
     fault_seed: int = 0
-    resume: bool = False
     strict: bool = False
 
     def __post_init__(self) -> None:
@@ -381,7 +380,7 @@ class RunSpec:
 
         Computed over sorted-key compact JSON of :meth:`identity`, so it
         is stable across processes, platforms and field ordering — the
-        key the disk cache and crash journal build on.
+        key the disk cache builds on.
         """
         canonical = json.dumps(self.identity(), sort_keys=True,
                                separators=(",", ":"))
@@ -884,8 +883,6 @@ def cli_layer_from_args(args: Any) -> Dict[str, Any]:
     put("resilience", "job_timeout", getattr(args, "job_timeout", None))
     put("resilience", "inject_faults", getattr(args, "inject_faults", None))
     put("resilience", "fault_seed", getattr(args, "fault_seed", None))
-    if getattr(args, "resume", False):
-        put("resilience", "resume", True)
     if getattr(args, "strict", False):
         put("resilience", "strict", True)
 

@@ -9,8 +9,8 @@ is a :class:`Technique` or a registered name (or alias); nothing else.
 Design constraints the descriptor honors:
 
 * **The name is the identity.**  ``technique.name`` is the string that
-  appears in cache keys, run-ledger entries, journal rows and check
-  labels, so those stay byte-identical however a mode was designated.
+  appears in cache keys, run-ledger entries and check labels, so those
+  stay byte-identical however a mode was designated.
 * **Picklable.**  Descriptors ride inside scheduler payloads
   (``SuiteRunner`` fan-out) and must cross process boundaries; they
   therefore carry no callables.  Per-technique metric extractors live in

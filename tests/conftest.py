@@ -19,8 +19,8 @@ from repro.math3d import Mat4, Vec3, Vec4, orthographic
 def _isolated_state_dirs(tmp_path, monkeypatch):
     """Point the run ledger and the run cache at per-test directories so
     CLI tests never append to (or read) a developer's real
-    ``.repro_ledger/``, and never write run-cache pickles or resume
-    journals into ``./.repro_cache/`` — or get cells from it."""
+    ``.repro_ledger/``, and never write run-cache pickles into
+    ``./.repro_cache/`` — or get cells from it."""
     monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "test_ledger"))
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "test_cache"))
 

@@ -256,17 +256,13 @@ class TestResilienceFlags:
         args = build_parser().parse_args(
             ["figure", "fig9", "--inject-faults", "crash:0.2,hang:0.1",
              "--fault-seed", "7", "--retries", "5", "--job-timeout", "30",
-             "--resume", "--strict"]
+             "--strict"]
         )
         assert args.inject_faults == "crash:0.2,hang:0.1"
         assert args.fault_seed == 7
         assert args.retries == 5
         assert args.job_timeout == 30.0
-        assert args.resume and args.strict
-
-    def test_run_has_no_suite_flags(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "cde", "--resume"])
+        assert args.strict
 
     def test_resilience_defaults_disarmed(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -320,22 +316,23 @@ class TestResilienceFlags:
         assert "FAILED" in out and "nan" in out
         assert main(argv + ["--strict"]) == 1
 
-    def test_resume_roundtrip_through_cli(self, monkeypatch, tmp_path,
-                                          capsys):
+    def test_rerun_recomputes_only_the_missing_cell(self, monkeypatch,
+                                                    tmp_path, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        argv = ["figure", "fig9", "--benchmarks", "hop", "--retries", "2",
-                "--resume"] + self.SMALL
+        argv = ["figure", "fig9", "--benchmarks", "hop", "--retries",
+                "2"] + self.SMALL
         assert main(argv) == 0
         first = capsys.readouterr().out
-        # Strip the *.pkl run cache so only the journal can satisfy the
-        # resumed invocation.
-        for name in os.listdir(tmp_path):
-            if name.endswith(".pkl"):
-                os.remove(os.path.join(tmp_path, name))
-        assert main(argv + ["-v"]) == 0
-        resumed = capsys.readouterr().out
-        assert "cells resumed" in resumed
-        assert first.splitlines()[:6] == resumed.splitlines()[:6]
+        entries = sorted(name for name in os.listdir(tmp_path)
+                         if name.endswith(".pkl"))
+        assert len(entries) > 1
+        # A sweep killed before its last cell settled: one entry gone.
+        os.remove(os.path.join(tmp_path, entries[0]))
+        assert main(argv) == 0
+        rerun = capsys.readouterr().out
+        assert (f"run cache: {len(entries) - 1} hits, 1 misses"
+                in rerun)
+        assert rerun.split("run cache:")[0] == first.split("run cache:")[0]
 
 
 class TestEventBusCli:

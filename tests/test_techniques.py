@@ -184,7 +184,7 @@ class TestCompatibilityPins:
 
     def test_spec_hash_stable_across_processes(self):
         """The hash must be process-independent (no id()/set-order
-        leakage) — the disk cache and journal key on it."""
+        leakage) — the disk cache keys on it."""
         script = (
             "import sys; sys.path.insert(0, 'src'); "
             "from repro import RunSpec; "
