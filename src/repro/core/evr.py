@@ -28,8 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..hw.buffers import LayerBuffer, ZBuffer
-from ..hw.fvp_table import FVPEntry, FVPTable, FVPType
+from ..hw.fvp_table import KIND_NWOZ, KIND_WOZ, FVPEntry, FVPTable, FVPType
 
 
 def compute_fvp(layer_buffer: LayerBuffer, z_buffer: ZBuffer) -> FVPEntry:
@@ -66,6 +68,15 @@ def predict_occluded(
     if entry.fvp_type is FVPType.NWOZ:
         return layer < int(entry.value)
     return writes_z and z_near > float(entry.value)
+
+
+def predict_occluded_many(kinds: np.ndarray, values: np.ndarray,
+                          writes_z: np.ndarray, z_near: np.ndarray,
+                          layer: np.ndarray) -> np.ndarray:
+    """:func:`predict_occluded` for many (primitive, tile) pairs, given
+    each pair's FVP as :meth:`FVPTable.lookup_many` columns."""
+    return np.where(kinds == KIND_NWOZ, layer < values,
+                    (kinds == KIND_WOZ) & writes_z & (z_near > values))
 
 
 @dataclass
@@ -116,6 +127,29 @@ class VisibilityPredictor:
         self.stats.predictions += 1
         if occluded:
             self.stats.predicted_occluded += 1
+        return occluded
+
+    def predict_many(self, tiles: np.ndarray, writes_z: np.ndarray,
+                     z_near: np.ndarray, layers: np.ndarray,
+                     bboxes: np.ndarray) -> np.ndarray:
+        """:meth:`predict` for many (primitive, tile) pairs at once: one
+        compare against the FVP Table's columns.  With ``history > 1``
+        the pairs that pass it are checked against the older FVPs one
+        by one.  ``bboxes`` is ignored, as in :meth:`predict`."""
+        kinds, values = self.table.lookup_many(tiles)
+        occluded = predict_occluded_many(kinds, values, writes_z, z_near,
+                                         layers)
+        if self.history > 1:
+            for index in np.flatnonzero(occluded).tolist():
+                woz = bool(writes_z[index])
+                depth = float(z_near[index])
+                layer = int(layers[index])
+                occluded[index] = all(
+                    predict_occluded(past, woz, depth, layer)
+                    for past in self._past_entries[int(tiles[index])]
+                )
+        self.stats.predictions += len(tiles)
+        self.stats.predicted_occluded += int(np.count_nonzero(occluded))
         return occluded
 
     def record_tile(self, tile: int, layer_buffer: LayerBuffer,

@@ -16,6 +16,9 @@ whose visible colors changed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..hw.signature_buffer import SignatureBuffer, primitive_signature
 from ..geom import ScreenTriangle
@@ -66,6 +69,29 @@ class RenderingElimination:
         self.signature_buffer.update(tile, primitive_crc)
         self.stats.signature_updates += 1
         return True
+
+    @staticmethod
+    def primitive_crcs(primitives: Sequence[ScreenTriangle]) -> np.ndarray:
+        """:meth:`primitive_crc` of every primitive, as a ``uint32``
+        array."""
+        return np.fromiter(map(primitive_signature, primitives),
+                           dtype=np.uint32, count=len(primitives))
+
+    def on_primitives_binned(self, tiles: np.ndarray, primitive_crcs:
+                             np.ndarray, predicted_occluded: np.ndarray
+                             ) -> int:
+        """:meth:`on_primitive_binned` for many (primitive, tile) pairs,
+        grouped tile by tile and in binning order within a tile; returns
+        how many updated a signature."""
+        if self.filter_occluded:
+            kept = ~predicted_occluded
+            tiles = tiles[kept]
+            primitive_crcs = primitive_crcs[kept]
+        updates = len(tiles)
+        self.signature_buffer.update_many(tiles, primitive_crcs)
+        self.stats.signature_updates += updates
+        self.stats.signature_skips += len(predicted_occluded) - updates
+        return updates
 
     def poison_tile(self, tile: int) -> None:
         """Mark the tile's current signature as not describing its visible

@@ -17,6 +17,10 @@ transformation can never change the rendered image.
 
 from __future__ import annotations
 
+from typing import Tuple
+
+import numpy as np
+
 from ..hw.parameter_buffer import DisplayList, DisplayListEntry
 
 
@@ -46,3 +50,35 @@ def place_in_display_list(
     if display_list.second:
         display_list.promote_second()
     display_list.append_first(entry)
+
+
+def display_list_order(
+    tiles: np.ndarray,
+    writes_z: np.ndarray,
+    predicted_occluded: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1 for a whole frame's (primitive, tile) pairs at once.
+
+    The pairs are grouped tile by tile and in binning order within a
+    tile.  Each NWOZ pair folds the second list back into the first, so
+    the tile's render order is a stable sort by the number of NWOZ pairs
+    before the pair, then by class: 0 for a visible WOZ pair, 1 for an
+    occluded WOZ pair, 2 for an NWOZ pair.  Returns that permutation of
+    the pairs (still grouped by tile) and, in the permuted order, which
+    pairs end in the second list: the occluded WOZ pairs after the
+    tile's last NWOZ pair, a suffix of each tile's group.
+    """
+    count = len(tiles)
+    nwoz = ~writes_z
+    starts = np.flatnonzero(np.diff(tiles, prepend=-1))
+    lengths = np.diff(np.append(starts, count))
+    seen = np.cumsum(nwoz, dtype=np.int64)
+    # NWOZ pairs before each pair in its own tile.
+    before = seen - nwoz - np.repeat(seen[starts] - nwoz[starts], lengths)
+    kind = np.where(nwoz, 2, predicted_occluded.astype(np.int64))
+    order = np.argsort((np.repeat(np.arange(len(starts)), lengths)
+                        * (count + 1) + before) * 3 + kind, kind="stable")
+    last_segment = np.repeat(before[starts + lengths - 1]
+                             + nwoz[starts + lengths - 1], lengths)
+    second = (kind == 1) & (before == last_segment)
+    return order, second[order]

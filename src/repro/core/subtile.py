@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..hw.buffers import LayerBuffer, ZBuffer
 from ..hw.fvp_table import FVPEntry, FVPType
 from .evr import PredictionStats, predict_occluded
@@ -117,6 +119,18 @@ class SubTileVisibilityPredictor:
         if occluded:
             self.stats.predicted_occluded += 1
         return occluded
+
+    def predict_many(self, tiles: np.ndarray, writes_z: np.ndarray,
+                     z_near: np.ndarray, layers: np.ndarray,
+                     bboxes: np.ndarray) -> np.ndarray:
+        """:meth:`predict` for many (primitive, tile) pairs, pair by pair
+        (``bboxes`` holds one ``(min_x, min_y, max_x, max_y)`` row per
+        pair)."""
+        return np.fromiter(
+            map(self.predict, tiles.tolist(), writes_z.tolist(),
+                z_near.tolist(), layers.tolist(),
+                map(tuple, bboxes.tolist())),
+            dtype=bool, count=len(tiles))
 
     def record_tile(self, tile: int, layer_buffer: LayerBuffer,
                     z_buffer: ZBuffer) -> Tuple[FVPEntry, ...]:

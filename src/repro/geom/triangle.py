@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
+import numpy as np
+
 from ..math3d import Vec2
 from .vertex import Vertex, VertexAttributes
 
@@ -148,3 +150,27 @@ def tile_span(
         min(tiles_x - 1, int(max_x) // tile_w),
         min(tiles_y - 1, int(max_y) // tile_h),
     )
+
+
+def tile_spans(
+    bboxes: np.ndarray,
+    tile_w: int, tile_h: int, tiles_x: int, tiles_y: int,
+) -> np.ndarray:
+    """:func:`tile_span` of every row of an ``(n, 4)`` bounding-box
+    array, as an ``(n, 4)`` int64 array.
+
+    The boxes are clipped in float to one tile beyond the screen before
+    the int64 cast: ``int()`` never wraps but int64 does, and a far
+    off-screen coordinate must still truncate to an off-screen tile.
+    Clipping there moves no span: every value below ``-tile`` already
+    truncates to tile ``-1`` or less, every value above the last tile's
+    edge to ``tiles`` or more.
+    """
+    lower = np.array([-tile_w, -tile_h, -tile_w, -tile_h], dtype=np.float64)
+    upper = np.array([tiles_x * tile_w, tiles_y * tile_h,
+                      tiles_x * tile_w, tiles_y * tile_h], dtype=np.float64)
+    pixels = np.trunc(np.clip(bboxes, lower, upper)).astype(np.int64)
+    spans = pixels // np.array([tile_w, tile_h, tile_w, tile_h])
+    np.maximum(spans[:, :2], 0, out=spans[:, :2])
+    np.minimum(spans[:, 2:], (tiles_x - 1, tiles_y - 1), out=spans[:, 2:])
+    return spans

@@ -22,8 +22,9 @@ Measures four things per kernel backend, on a preset workload:
 
 3. **Geometry throughput** — the preset's frames replayed through each
    backend's geometry phase alone (vertex transform, Primitive
-   Assembly and the shared Polygon List Builder) on the same
-   memory-system implementation: ``primitives_per_second``.
+   Assembly and the Polygon List Builder) on the same memory-system
+   implementation, each frame predicting from the FVP Table the
+   pipeline run left for it: ``primitives_per_second``.
 
 4. **Execute throughput** — the captured tile jobs replayed through
    :meth:`TileJob.run` on each backend, the whole raster execute step
@@ -40,7 +41,10 @@ gates on the ratios via :func:`check_bench_regression`.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
+import gc
 import json
 import os
 import platform
@@ -221,6 +225,14 @@ def machine_info() -> Dict[str, object]:
     }
 
 
+def _fvp_state(predictor) -> Dict[str, object]:
+    """A copy of everything ``predictor`` predicts from: its FVP Table,
+    history and sub-tile entries (its counters are left out)."""
+    return copy.deepcopy({name: value
+                          for name, value in vars(predictor).items()
+                          if name != "stats"})
+
+
 def _pipeline_measurement(preset: BenchPreset, backend: str,
                           record_trace: bool = False) -> Dict:
     """One full EVR-mode run: frames/sec, cache ops/sec, phase times.
@@ -228,13 +240,22 @@ def _pipeline_measurement(preset: BenchPreset, backend: str,
     With ``record_trace`` the run's memory system is a scalar
     :class:`_TraceRecorder` and the measurement carries the captured op
     stream under ``"_trace"`` (recording is per-op list appends — noise
-    next to the scalar model it rides on).
+    next to the scalar model it rides on), and the FVP state each
+    frame's geometry phase starts from under ``"_fvp"``.
     """
     config = preset.config()
     capture = _CaptureScheduler()
     recorder = _TraceRecorder(config) if record_trace else None
     gpu = GPU(config, "evr", scheduler=capture, backend=backend,
               memory_system=recorder)
+    fvp_states: List[Dict[str, object]] = []
+    if record_trace:
+        process_frame = gpu.geometry.process_frame
+
+        def capturing(frame, stats):
+            fvp_states.append(_fvp_state(gpu.predictor))
+            process_frame(frame, stats)
+        gpu.geometry.process_frame = capturing
     tracer = ChromeTracer()
     start = time.perf_counter()
     with tracing(tracer):
@@ -256,6 +277,7 @@ def _pipeline_measurement(preset: BenchPreset, backend: str,
     }
     if recorder is not None:
         measurement["_trace"] = recorder.ops
+        measurement["_fvp"] = fvp_states
     return measurement
 
 
@@ -385,21 +407,25 @@ def _memsys_sweeps(ops: MemOps, config: GPUConfig,
     }
 
 
-def _geometry_once(frames: Sequence, config: GPUConfig,
-                   backend: str) -> Dict[str, object]:
+def _geometry_once(frames: Sequence, fvp_states: Sequence,
+                   config: GPUConfig, backend: str) -> Dict[str, object]:
     """Replay ``frames`` through a fresh EVR GPU's geometry phase on
     ``backend``, resetting the per-frame structures exactly as
-    :meth:`GPU.render_frame` does (no raster phase runs, so every FVP
-    lookup finds an empty table).  The memory system is the batched one
-    on every backend: geometry traffic is queued, never simulated, so
-    the timing is the geometry phase's own.  Returns the elapsed
-    seconds, the counters and every frame's display lists."""
+    :meth:`GPU.render_frame` does.  No raster phase runs: before each
+    frame the predictor takes the FVP state that frame started from in
+    the pipeline run (``fvp_states``; geometry only reads it), so the
+    replay predicts, reorders and filters signatures as the run did.
+    The memory system is the batched one on every backend: geometry
+    traffic is queued, never simulated, so the timing is the geometry
+    phase's own.  Returns the elapsed seconds, the counters and every
+    frame's display lists."""
     gpu = GPU(config, "evr", backend=backend,
               memory_system=create_memory_system(config, "numpy"))
     snapshots = []
     primitives = 0
     elapsed = 0.0
-    for frame in frames:
+    for frame, fvp_state in zip(frames, fvp_states):
+        vars(gpu.predictor).update(fvp_state)
         stats = FrameStats()
         start = time.perf_counter()
         gpu.parameter_buffer.reset()
@@ -416,32 +442,55 @@ def _geometry_once(frames: Sequence, config: GPUConfig,
             "snapshots": snapshots}
 
 
-def _geometry_sweeps(frames: Sequence, config: GPUConfig,
-                     backends: Sequence[str],
+@contextlib.contextmanager
+def _frozen_heap():
+    """Move every object alive now out of the collector's reach for the
+    block (``gc.freeze``), so collections inside it traverse only what
+    the block allocates."""
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
+def _geometry_sweeps(frames: Sequence, fvp_states: Sequence,
+                     config: GPUConfig, backends: Sequence[str],
                      repeat: int) -> Dict[str, Dict]:
     """Best-of-``repeat`` geometry throughput for every backend,
     interleaved round by round like the other sweeps.  The warm-up
     round is the bit-identity check: every backend must build the first
-    backend's exact display lists and ``FrameStats``."""
-    reference: Optional[Dict[str, object]] = None
-    for backend in backends:           # warm-up + bit-identity check
-        outcome = _geometry_once(frames, config, backend)
-        if reference is None:
-            reference = outcome
-        elif outcome["snapshots"] != reference["snapshots"]:
-            raise AssertionError(
-                f"geometry on backend {backend!r} diverged from "
-                f"{backends[0]!r} on the preset's frames"
-            )
-    primitives = reference["primitives"]
-    reference = None                   # release the snapshots
-    best = {backend: float("inf") for backend in backends}
-    for _ in range(max(1, repeat)):
-        for backend in backends:
-            best[backend] = min(
-                best[backend],
-                _geometry_once(frames, config, backend)["seconds"],
-            )
+    backend's exact display lists (both halves, predictions included)
+    and ``FrameStats``.
+
+    The bench holds its captures (tile jobs, the recorded trace, the
+    frames) throughout, and a replay allocates enough objects to start
+    a full garbage collection or two, each of which would traverse them
+    all and charge that to the replay.  The sweep runs with them frozen,
+    so a collection sees only what the replays allocate.
+    """
+    with _frozen_heap():
+        reference: Optional[Dict[str, object]] = None
+        for backend in backends:           # warm-up + bit-identity check
+            outcome = _geometry_once(frames, fvp_states, config, backend)
+            if reference is None:
+                reference = outcome
+            elif outcome["snapshots"] != reference["snapshots"]:
+                raise AssertionError(
+                    f"geometry on backend {backend!r} diverged from "
+                    f"{backends[0]!r} on the preset's frames"
+                )
+        primitives = reference["primitives"]
+        reference = outcome = None         # release the snapshots
+        best = {backend: float("inf") for backend in backends}
+        for _ in range(max(1, repeat)):
+            for backend in backends:
+                best[backend] = min(
+                    best[backend],
+                    _geometry_once(frames, fvp_states, config,
+                                   backend)["seconds"],
+                )
     return {
         backend: {
             "frames": len(frames),
@@ -517,6 +566,7 @@ def run_bench(preset_name: str,
     results: Dict[str, Dict] = {}
     jobs: Optional[List[TileJob]] = None
     trace: Optional[MemOps] = None
+    fvp_states: Optional[List] = None
     for backend in chosen:
         # The scalar run doubles as the trace recorder: traffic is
         # backend-independent (bit-identical contract), so one captured
@@ -531,6 +581,7 @@ def run_bench(preset_name: str,
             jobs = captured
         if record_trace:
             trace = measurement.pop("_trace")
+            fvp_states = measurement.pop("_fvp")
         results[backend] = measurement
         if bus.enabled:
             bus.emit(MetricSample(
@@ -547,8 +598,13 @@ def run_bench(preset_name: str,
         sweeps = _memsys_sweeps(trace, preset.config(), chosen, repeat)
         for backend, sweep in sweeps.items():
             results[backend]["memsys_sweep"] = sweep
-    sweeps = _geometry_sweeps(list(preset.stream()), preset.config(),
-                              chosen, repeat)
+    frames = list(preset.stream())
+    if fvp_states is None:
+        # Without the scalar run there is no capture: replay from empty
+        # FVP Tables (a fresh predictor's state).
+        fvp_states = [{}] * len(frames)
+    sweeps = _geometry_sweeps(frames, fvp_states, preset.config(), chosen,
+                              repeat)
     for backend, sweep in sweeps.items():
         results[backend]["geometry_sweep"] = sweep
 

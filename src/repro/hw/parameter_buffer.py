@@ -13,7 +13,9 @@ baseline pipeline simply never uses the second list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from ..geom import ScreenTriangle
 
@@ -21,9 +23,11 @@ POINTER_BYTES = 4
 LAYER_ID_BYTES = 2
 
 
-@dataclass(frozen=True)
-class DisplayListEntry:
+class DisplayListEntry(NamedTuple):
     """One Display List record: a primitive pointer plus EVR metadata.
+
+    A named tuple, not a dataclass: binning builds one per (primitive,
+    tile) pair, and pool tile jobs pickle them.
 
     Attributes:
         primitive: the referenced primitive (stands in for dereferencing
@@ -94,8 +98,42 @@ class ParameterBuffer:
         self.stored_primitives += 1
         return offset
 
+    def store_primitives(self, count: int) -> np.ndarray:
+        """Store ``count`` primitives' attributes at once; returns their
+        byte offsets, as ``count`` :meth:`store_primitive` calls would."""
+        offsets = (self._next_offset
+                   + self._attribute_bytes * np.arange(count, dtype=np.int64))
+        self._next_offset += self._attribute_bytes * count
+        self.stored_primitives += count
+        return offsets
+
     def display_list(self, tile: int) -> DisplayList:
         return self._display_lists[tile]
+
+    def fill_display_lists(self, tiles: np.ndarray,
+                           entries: Sequence[DisplayListEntry],
+                           second: np.ndarray) -> None:
+        """Append a frame's entries to the display lists at once.
+
+        ``tiles`` holds each entry's tile, grouped tile by tile and in
+        render order within a tile; ``second`` marks the entries of a
+        tile's second list, which are a suffix of its group (Algorithm
+        1's order is already resolved, so the lists must be the empty
+        ones :meth:`reset` leaves).
+        """
+        if not len(entries):
+            return
+        starts = np.flatnonzero(np.diff(tiles, prepend=-1))
+        stops = np.append(starts[1:], len(entries))
+        splits = stops - np.add.reduceat(second.astype(np.intp), starts)
+        lists = self._display_lists
+        for tile, start, split, stop in zip(tiles[starts].tolist(),
+                                            starts.tolist(), splits.tolist(),
+                                            stops.tolist()):
+            display_list = lists[tile]
+            display_list.first.extend(entries[start:split])
+            if split < stop:
+                display_list.second.extend(entries[split:stop])
 
     def tiles(self) -> Iterator[Tuple[int, DisplayList]]:
         return iter(self._display_lists.items())

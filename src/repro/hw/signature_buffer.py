@@ -13,6 +13,8 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from ..geom import ScreenTriangle
 
 EMPTY_SIGNATURE = 0
@@ -66,6 +68,34 @@ class SignatureBuffer:
         if entry.current is not None:
             entry.current = combine_signature(entry.current, primitive_crc)
         self.updates += 1
+
+    def update_many(self, tiles: np.ndarray, primitive_crcs: np.ndarray
+                    ) -> None:
+        """:meth:`update` for many (tile, CRC) pairs, grouped tile by tile
+        and in binning order within a tile.
+
+        :func:`combine_signature` is a streaming CRC plus a count, so a
+        tile's whole group folds in one ``zlib.crc32`` call over the
+        group's little-endian CRC bytes, and the count grows by the
+        group's size.
+        """
+        count = len(tiles)
+        if not count:
+            return
+        data = primitive_crcs.astype("<u4").tobytes()
+        starts = np.flatnonzero(np.diff(tiles, prepend=-1))
+        stops = np.append(starts[1:], count)
+        entries = self._entries
+        for tile, start, stop in zip(tiles[starts].tolist(), starts.tolist(),
+                                     stops.tolist()):
+            entry = entries[tile]
+            running = entry.current
+            if running is not None:
+                entry.current = (
+                    ((running >> 32) + stop - start) << 32
+                    | zlib.crc32(data[4 * start:4 * stop],
+                                 running & 0xFFFFFFFF))
+        self.updates += count
 
     def poison(self, tile: int) -> None:
         """Invalidate the tile's current signature.

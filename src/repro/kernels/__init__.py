@@ -2,7 +2,8 @@
 fragment hot paths.
 
 The geometry pipeline's vertex transform and Primitive Assembly (one
-``assemble`` call per draw command) and the raster pipeline's per-tile
+``assemble`` call per draw command, or one ``assemble_frame`` call per
+frame where the backend has it) and the raster pipeline's per-tile
 inner loops — coverage/edge tests, barycentric interpolation, Early-Z,
 blending and the overshading/taint bookkeeping — are expressed as pure
 kernel functions behind this seam.  Two backends implement the contract
@@ -15,7 +16,7 @@ declared in :mod:`repro.kernels.api`:
 
 ``numpy``
     The batched backend (:mod:`repro.kernels.batched`): transforms and
-    culls a whole draw command as ``(n, 3)`` coordinate arrays,
+    culls a whole frame's draw commands as ``(n, 3)`` coordinate arrays,
     rasterizes a tile's whole display list as ``(N, h, w)`` array
     expressions, and resolves each run of consecutive opaque entries
     under Early-Z in one array pass.  Bit-identical to the reference by

@@ -31,6 +31,18 @@ A backend is a module exposing the following attributes (see
     use nothing else of a batch: perfbench's traced run hands them a
     proxy that forwards only ``fragments``.
 
+Optional, exported only by backends that assemble a whole frame in one
+pass (the numpy backend); the geometry pipeline keeps its per-command
+``assemble`` and per-pair Polygon List Builder when it is missing:
+
+``assemble_frame(commands, mvps, viewport) -> Optional[FrameGeometry]``
+    ``assemble`` for every command of a frame at once, command ``i``
+    under ``mvps[i]`` with command id ``i``: the survivors of all
+    commands in submission order, plus the columns binning reads (see
+    :class:`FrameGeometry`).  Returns None instead when any clip-space
+    or window-space coordinate is not finite; the caller then runs the
+    per-command path, which raises or bins exactly as the reference.
+
 Optional, exported only by backends that resolve opaque runs in one
 pass (the numpy backend); ``TileJob`` keeps its per-entry loop when it
 is missing:
@@ -74,6 +86,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..errors import PipelineError
+from ..geom import ScreenTriangle
 
 #: Primitive Assembly rejects a triangle with any vertex at ``w`` at or
 #: below this (near-plane clipping is not modelled: such triangles are
@@ -90,6 +103,21 @@ def non_finite_vertex(command, command_id: int,
         f"draw command {command_id} ({command.label!r}): triangle "
         f"{triangle_index} has a non-finite clip-space vertex"
     )
+
+
+class FrameGeometry(NamedTuple):
+    """A frame's assembled primitives as a table: row ``s`` is the
+    frame's ``s``-th surviving triangle, in submission order.  The
+    columns hold exactly the values the scalar Polygon List Builder
+    reads from each ``ScreenTriangle``."""
+
+    survivors: List[ScreenTriangle]
+    command: np.ndarray      # (s,) int64  — the draw command's index
+    window: np.ndarray       # (s, 3, 3) float64 — (x, y, z) per vertex
+    bbox: np.ndarray         # (s, 4) float64 — bounding_box()
+    z_near: np.ndarray       # (s,) float64 — the three prediction depths
+    z_centroid: np.ndarray
+    z_far: np.ndarray
 
 
 class Fragments(NamedTuple):

@@ -1,8 +1,9 @@
 """The batched numpy backend (``backend="numpy"``).
 
-Geometry: :func:`assemble` transforms, clip-tests and culls a whole draw
-command at once as ``(n, 3)`` coordinate arrays; only the survivors
-become Python objects.
+Geometry: :func:`assemble_frame` transforms, clip-tests and culls a
+whole frame's draw commands at once as ``(n, 3)`` coordinate arrays and
+returns the frame's primitive table (:func:`assemble` is the same pass
+for one command); only the survivors become Python objects.
 
 Raster: :func:`prepare_tile` rasterizes a tile's *entire* display list
 in one shot: vertex data is gathered into structure-of-arrays form (one
@@ -41,7 +42,9 @@ recomputes every channel where that can happen.  The property suites in
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from ..geom import ScreenTriangle
 from ..math3d import Mat4, Vec2
 from .api import (
     W_EPSILON,
+    FrameGeometry,
     Fragments,
     OpaqueRun,
     RunFragments,
@@ -60,7 +64,7 @@ NAME = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# Vertex transform and Primitive Assembly: one array pass per command
+# Vertex transform and Primitive Assembly: one array pass per frame
 # ---------------------------------------------------------------------------
 
 def _rows(matrix: Mat4, count: int) -> np.ndarray:
@@ -69,74 +73,39 @@ def _rows(matrix: Mat4, count: int) -> np.ndarray:
     return np.array(matrix.m[:4 * count]).reshape(count, 4, 1, 1)
 
 
-def assemble(command, command_id: int, mvp: Mat4,
-             viewport: Mat4) -> List[ScreenTriangle]:
-    """:func:`repro.kernels.reference.assemble` over the whole command.
+#: A triangle's nine object-space position coordinates, vertex by vertex.
+_POSITION = attrgetter(*(f"v{vertex}.position.{axis}"
+                         for vertex in range(3) for axis in "xyz"))
+_ATTRIBUTES = attrgetter("v0.attributes", "v1.attributes", "v2.attributes")
 
-    Every ``Mat4 @ Vec4`` product becomes the reference's explicit
-    left-associated sum ``m0*x + m1*y + m2*z + m3`` over ``(n, 3)``
-    coordinate arrays — the same IEEE-754 operations in the same order
-    (``m3 * 1.0`` is exactly ``m3``; never ``matmul``, whose BLAS
-    kernels may fuse multiply-adds).  Rejection and culling are masks;
-    only the survivors become Python objects, their coordinates taken
-    with ``tolist()`` so they are plain ``float``s.
+
+def _positions(triangles: Sequence) -> np.ndarray:
+    """Object-space vertex positions as an ``(n, 3, 3)`` float64 array."""
+    return np.fromiter(chain.from_iterable(map(_POSITION, triangles)),
+                       dtype=np.float64,
+                       count=9 * len(triangles)).reshape(-1, 3, 3)
+
+
+def _clip(positions: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Clip-space ``(x, y, z, w)`` of every vertex, a ``(4, n, 3)`` array.
+
+    ``matrices`` is ``(n, 4, 4)``, each triangle's MVP (or ``(1, 4, 4)``,
+    one for all).  Every ``Mat4 @ Vec4`` product is the reference's
+    explicit left-associated sum ``m0*x + m1*y + m2*z + m3``, so
+    gathering rows per triangle changes no bit (``m3 * 1.0`` is exactly
+    ``m3``; never ``matmul``, whose BLAS kernels may fuse multiply-adds).
     """
-    triangles = list(command.iter_triangles())
-    state = command.state
-    # The scalar reference never warns on float overflow: neither do we.
-    with np.errstate(all="ignore"):
-        index, packed = _transform(command, command_id, triangles, mvp,
-                                   viewport, state.cull_backface)
-    if index.size == 0:
-        return []
-
-    position_bytes = packed.astype("<f8", copy=False).tobytes()
-    rows = packed.tolist()
-    state_bytes = state.pack()
-    survivors: List[ScreenTriangle] = []
-    for primitive_id, source in enumerate(index.tolist()):
-        vertices = triangles[source].vertices
-        attributes = (vertices[0].attributes, vertices[1].attributes,
-                      vertices[2].attributes)
-        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows[primitive_id]
-        base = 72 * primitive_id
-        survivors.append(ScreenTriangle(
-            xy=(Vec2(x0, y0), Vec2(x1, y1), Vec2(x2, y2)),
-            z=(z0, z1, z2),
-            attributes=attributes,
-            command_id=command_id,
-            primitive_id=primitive_id,
-            state=state,
-            signature_bytes=b"".join((
-                state_bytes,
-                position_bytes[base:base + 24], attributes[0].pack(),
-                position_bytes[base + 24:base + 48], attributes[1].pack(),
-                position_bytes[base + 48:base + 72], attributes[2].pack(),
-            )),
-        ))
-    return survivors
-
-
-def _transform(command, command_id: int, triangles, mvp: Mat4,
-               viewport: Mat4, cull_backface: bool):
-    """The array half of :func:`assemble`: the surviving triangles'
-    indices into ``triangles`` and their window-space ``(x, y, z)`` per
-    vertex, a ``(s, 3, 3)`` float64 array."""
-    positions = np.array(
-        [(p.x, p.y, p.z)
-         for triangle in triangles
-         for p in (triangle.v0.position, triangle.v1.position,
-                   triangle.v2.position)],
-        dtype=np.float64,
-    ).reshape(-1, 3, 3)
     x, y, z = positions[:, :, 0], positions[:, :, 1], positions[:, :, 2]
-    m = _rows(mvp, 4)
-    clip = m[:, 0] * x + m[:, 1] * y + m[:, 2] * z + m[:, 3]   # (4, n, 3)
+    m = matrices.transpose(1, 2, 0)[..., None]         # (4, 4, n, 1)
+    return m[:, 0] * x + m[:, 1] * y + m[:, 2] * z + m[:, 3]
 
-    finite = np.isfinite(clip).all(axis=(0, 2))
-    if not finite.all():
-        raise non_finite_vertex(command, command_id,
-                                int(np.argmin(finite)))
+
+def _assemble_clip(clip: np.ndarray, viewport: Mat4,
+                   cull_backface: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Primitive Assembly from clip space: the surviving triangles'
+    indices and their window-space ``(x, y, z)`` per vertex, a
+    ``(s, 3, 3)`` float64 array.  ``cull_backface`` is per triangle."""
     w = clip[3]
     # w rejection, then frustum rejection: all three vertices outside
     # the same clip plane.
@@ -158,10 +127,113 @@ def _transform(command, command_id: int, triangles, mvp: Mat4,
     area = ((wx[:, 1] - wx[:, 0]) * (wy[:, 2] - wy[:, 0])
             - (wy[:, 1] - wy[:, 0]) * (wx[:, 2] - wx[:, 0]))
     culled = area == 0.0
-    if cull_backface:
-        culled |= area > 0.0
+    culled |= cull_backface[kept] & (area > 0.0)
     survive = np.flatnonzero(~culled)
     return kept[survive], np.stack((wx, wy, depth), axis=-1)[survive]
+
+
+def _screen_triangles(triangles: Sequence, sources: List[int],
+                      command_ids: List[int], primitive_ids: List[int],
+                      states: Dict[int, object],
+                      window: np.ndarray) -> List[ScreenTriangle]:
+    """The survivors as :class:`ScreenTriangle` objects: row ``k`` is
+    ``triangles[sources[k]]`` at ``window[k]``, with its command's state
+    from ``states``.  Coordinates are taken with ``tolist()``, so they
+    are plain ``float``s, and the signature packs them as the
+    reference's ``struct.pack('<3d', ...)`` does."""
+    position_bytes = window.astype("<f8", copy=False).tobytes()
+    rows = window.tolist()
+    packed_states = {command_id: state.pack()
+                     for command_id, state in states.items()}
+    survivors: List[ScreenTriangle] = []
+    for row, (source, command_id, primitive_id) in enumerate(
+            zip(sources, command_ids, primitive_ids)):
+        attributes = _ATTRIBUTES(triangles[source])
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows[row]
+        base = 72 * row
+        survivors.append(ScreenTriangle(
+            xy=(Vec2(x0, y0), Vec2(x1, y1), Vec2(x2, y2)),
+            z=(z0, z1, z2),
+            attributes=attributes,
+            command_id=command_id,
+            primitive_id=primitive_id,
+            state=states[command_id],
+            signature_bytes=b"".join((
+                packed_states[command_id],
+                position_bytes[base:base + 24], attributes[0].pack(),
+                position_bytes[base + 24:base + 48], attributes[1].pack(),
+                position_bytes[base + 48:base + 72], attributes[2].pack(),
+            )),
+        ))
+    return survivors
+
+
+def assemble(command, command_id: int, mvp: Mat4,
+             viewport: Mat4) -> List[ScreenTriangle]:
+    """:func:`repro.kernels.reference.assemble` over the whole command,
+    as one array pass (the frame pass of :func:`assemble_frame` for a
+    single command).  Rejection and culling are masks; only the
+    survivors become Python objects."""
+    triangles = command.triangles
+    # The scalar reference never warns on float overflow: neither do we.
+    with np.errstate(all="ignore"):
+        clip = _clip(_positions(triangles),
+                     np.array(mvp.m).reshape(1, 4, 4))
+        finite = np.isfinite(clip).all(axis=(0, 2))
+        if not finite.all():
+            raise non_finite_vertex(command, command_id,
+                                    int(np.argmin(finite)))
+        sources, window = _assemble_clip(
+            clip, viewport,
+            np.full(len(triangles), command.state.cull_backface))
+    count = len(sources)
+    return _screen_triangles(triangles, sources.tolist(),
+                             [command_id] * count, list(range(count)),
+                             {command_id: command.state}, window)
+
+
+def assemble_frame(commands: Sequence, mvps: Sequence[Mat4],
+                   viewport: Mat4) -> Optional[FrameGeometry]:
+    """Vertex shading and Primitive Assembly for a whole frame in one
+    array pass: :func:`assemble` for every command, command ``i`` under
+    ``mvps[i]``, with each triangle's MVP rows gathered from its
+    command's.  Returns the frame's :class:`FrameGeometry`, or None
+    when a clip-space or window-space coordinate is not finite (the
+    per-command path then raises or bins exactly as the reference)."""
+    counts = [len(command.triangles) for command in commands]
+    triangles = [triangle for command in commands
+                 for triangle in command.triangles]
+    owner = np.repeat(np.arange(len(commands)), counts)
+    matrices = np.array([mvp.m for mvp in mvps]).reshape(-1, 4, 4)
+    cull_backface = np.array([command.state.cull_backface
+                              for command in commands])
+    with np.errstate(all="ignore"):
+        clip = _clip(_positions(triangles), matrices[owner])
+        if not np.isfinite(clip).all():
+            return None
+        sources, window = _assemble_clip(clip, viewport,
+                                         cull_backface[owner])
+        if not np.isfinite(window).all():
+            return None
+    command_ids = owner[sources]
+    primitive_ids = (np.arange(len(sources))
+                     - np.searchsorted(command_ids, command_ids))
+    survivors = _screen_triangles(
+        triangles, sources.tolist(), command_ids.tolist(),
+        primitive_ids.tolist(), dict(enumerate(
+            command.state for command in commands)), window)
+    x, y, z = window[:, :, 0], window[:, :, 1], window[:, :, 2]
+    return FrameGeometry(
+        survivors=survivors,
+        command=command_ids,
+        window=window,
+        bbox=np.stack((x.min(axis=1), y.min(axis=1),
+                       x.max(axis=1), y.max(axis=1)), axis=1),
+        z_near=z.min(axis=1),
+        # Python's ``sum(z) / 3.0`` starts from the int 0.
+        z_centroid=((0.0 + z[:, 0]) + z[:, 1] + z[:, 2]) / 3.0,
+        z_far=z.max(axis=1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,26 @@ FVP Table, Algorithm-1 reordering into the two-part Display Lists, and
 the (possibly filtered) Rendering Elimination signature updates.
 
 Vertex shading and Primitive Assembly run behind the kernel-backend seam
-(``assemble`` in :mod:`repro.kernels`); the Polygon List Builder is one
-sequential loop shared by every backend.
+(:mod:`repro.kernels`).  On a backend that assembles whole frames (numpy)
+the Polygon List Builder bins the frame's (primitive, tile) pairs in
+array passes; otherwise it is one sequential loop per command, the
+reference both forms are tested against.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import repeat
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..commands import DrawCommand, Frame
 from ..config import GPUConfig
 from ..core.evr import VisibilityPredictor
 from ..core.rendering_elimination import RenderingElimination
-from ..core.reorder import place_in_display_list
+from ..core.reorder import display_list_order, place_in_display_list
 from ..geom import ScreenTriangle
-from ..geom.triangle import tile_span
+from ..geom.triangle import tile_span, tile_spans
 from ..hw.lgt import LayerGeneratorTable
 from ..hw.parameter_buffer import (
     LAYER_ID_BYTES,
@@ -34,14 +39,19 @@ from ..hw.parameter_buffer import (
     ParameterBuffer,
 )
 from ..kernels import DEFAULT_BACKEND, resolve_backend
+from ..kernels.api import FrameGeometry
 from ..math3d import Mat4, viewport
 from ..memsys import MemorySystem
+from ..memsys.ops import PBWriteOp, VertexRangeOp, replay_memory_trace
 from ..obs.trace import get_tracer
 from ..techniques.dsr import dsr_signature
 from ..timing import FrameStats
 from .features import PipelineFeatures
 
 _VERTEX_BYTES = 48
+
+#: The depth-only pass of a Z-prepass stores position-only records.
+_PREPASS_RECORD_BYTES = 48
 
 # Display-list pointers live in their own Parameter Buffer region so the
 # pointer stream and the attribute stream do not alias in the tile cache.
@@ -52,9 +62,11 @@ class GeometryPipeline:
     """Runs the geometry half of the pipeline for one frame at a time.
 
     Vertex shading and Primitive Assembly go through the kernel
-    backend's ``assemble`` (one call per draw command); the Polygon
-    List Builder is shared by every backend and stays sequential, in
-    primitive order, because each of its hooks updates per-tile state.
+    backend: ``assemble_frame`` once per frame where the backend has it,
+    else ``assemble`` once per draw command.  Each Polygon List Builder
+    hook updates per-tile state, so every tile must see its primitives
+    in submission order: the per-command loop visits them so, and the
+    array builder sorts the frame's pairs into that order first.
     """
 
     def __init__(
@@ -85,31 +97,51 @@ class GeometryPipeline:
     # -- vertex processing and assembly ------------------------------------
 
     def process_frame(self, frame: Frame, stats: FrameStats) -> None:
-        """Run the full Geometry Pipeline for ``frame``."""
+        """Run the full Geometry Pipeline for ``frame``.
+
+        A backend with ``assemble_frame`` (numpy) assembles and bins the
+        whole frame in array passes.  Otherwise — and for a frame with a
+        non-finite coordinate, or a Parameter Buffer not reset since the
+        last frame — each command is assembled and binned in turn, the
+        scalar reference path.
+        """
         self._pointer_cursor = 0
         self._vertex_base = 0
-        tracer = get_tracer()
         # ``projection @ view`` once per distinct matrix pair per frame:
         # ``projection @ view @ model`` associates left, so reusing the
         # product is exact.  Keyed by identity — the frame keeps every
         # matrix alive while the dict lives.
         view_projections = {}
+        assemble_frame = getattr(self._kernels, "assemble_frame", None)
+        if (assemble_frame is not None
+                and not self.parameter_buffer.stored_primitives):
+            mvps = [self._mvp(frame, command, view_projections)
+                    for command in frame.commands]
+            table = assemble_frame(frame.commands, mvps, self._viewport)
+            if table is not None:
+                self._bin_frame(frame, table, stats)
+                return
+        tracer = get_tracer()
         for command_id, command in enumerate(frame.commands):
             stats.commands_processed += 1
             with tracer.span("command", category="geometry",
                              label=command.label, frame=frame.index):
-                projection = command.projection or frame.projection
-                view = command.view or frame.view
-                key = (id(projection), id(view))
-                view_projection = view_projections.get(key)
-                if view_projection is None:
-                    view_projection = projection @ view
-                    view_projections[key] = view_projection
                 triangles = self._shade_and_assemble(
-                    command_id, command, view_projection @ command.model,
-                    stats,
+                    command_id, command,
+                    self._mvp(frame, command, view_projections), stats,
                 )
                 self._bin_command(triangles, command_id, command, stats)
+
+    @staticmethod
+    def _mvp(frame: Frame, command: DrawCommand, view_projections) -> Mat4:
+        projection = command.projection or frame.projection
+        view = command.view or frame.view
+        key = (id(projection), id(view))
+        view_projection = view_projections.get(key)
+        if view_projection is None:
+            view_projection = projection @ view
+            view_projections[key] = view_projection
+        return view_projection @ command.model
 
     def _shade_and_assemble(
         self,
@@ -119,37 +151,38 @@ class GeometryPipeline:
         stats: FrameStats,
     ) -> List[ScreenTriangle]:
         """Vertex fetch + shade + primitive assembly for one command."""
-        state = command.state
-        command_vertex_base = self._vertex_base
-        self._vertex_base += command.vertex_count
-
         # The whole command's vertex stream is one consecutive index
         # range and nothing else touches memory until binning, so the
         # per-vertex fetch loop collapses into a single ranged access —
         # the same address sequence, one call.
+        self.memory.fetch_vertex_range(*self._fetch_vertices(command, stats))
+        survivors = self._kernels.assemble(command, command_id, mvp,
+                                           self._viewport)
+        stats.primitives_culled += command.triangle_count - len(survivors)
+        stats.primitives_binned += len(survivors)
+        return survivors
+
+    def _fetch_vertices(self, command: DrawCommand, stats: FrameStats
+                        ) -> Tuple[int, int, int]:
+        """Count one command's vertex work; returns its vertex-range
+        fetch as ``(start, count, vertex_bytes)``."""
+        start = self._vertex_base
+        self._vertex_base += command.vertex_count
         count = command.triangle_count
-        self.memory.fetch_vertex_range(
-            command_vertex_base, 3 * count, _VERTEX_BYTES
-        )
-        vertex_instructions = state.shader.vertex_instructions
+        vertex_instructions = command.state.shader.vertex_instructions
         stats.primitives_in += count
         stats.vertices_fetched += 3 * count
         stats.vertex_instructions += 3 * count * vertex_instructions
         # A software Z-prepass (Section IV-A) resubmits the opaque
         # geometry with a depth-only shader: the vertex fetch, transform
         # and assembly work is paid twice for WOZ commands.
-        if self.features.z_prepass and state.writes_z:
+        if self.features.z_prepass and command.state.writes_z:
             stats.primitives_in += count
             stats.vertices_fetched += 3 * count
             stats.vertex_instructions += (
                 3 * count * max(4, vertex_instructions // 2)
             )
-
-        survivors = self._kernels.assemble(command, command_id, mvp,
-                                           self._viewport)
-        stats.primitives_culled += count - len(survivors)
-        stats.primitives_binned += len(survivors)
-        return survivors
+        return start, 3 * count, _VERTEX_BYTES
 
     def _prediction_depth(self, triangle: ScreenTriangle) -> float:
         """The primitive depth compared against ``Z_far`` (Section III-A).
@@ -166,6 +199,159 @@ class GeometryPipeline:
         return triangle.z_far
 
     # -- Polygon List Builder (binning + EVR hooks) -------------------------
+
+    def _bin_frame(self, frame: Frame, table: FrameGeometry,
+                   stats: FrameStats) -> None:
+        """The Polygon List Builder over a whole frame at once.
+
+        The same work as :meth:`_bin_command` for each command in turn,
+        as array passes over the frame's (primitive, tile) pairs.  The
+        pairs are first put in *arrival order* — tile by tile, and in
+        submission order within a tile, the order each tile's hooks see
+        them in — and every hook then takes all of them in one call:
+        the LGT's layers, the FVP prediction, the RE/DSR signatures and
+        Algorithm 1's display-list order.  The memory traffic goes to
+        the memory system as one op list, in the loop's exact order.
+
+        The many small named tuples (one op per Parameter Buffer write,
+        one entry per pair) are built with ``tuple.__new__`` over zipped
+        columns: the same objects, without a Python-level ``__new__``
+        call each.
+        """
+        config = self.config
+        features = self.features
+        parameter_buffer = self.parameter_buffer
+        commands = frame.commands
+        survivors = table.survivors
+        count = len(survivors)
+
+        # -- per command: vertex fetch and the vertex-side counters -----
+        vertex_ops = [VertexRangeOp(*self._fetch_vertices(command, stats))
+                      for command in commands]
+        stats.commands_processed += len(commands)
+        stats.primitives_culled += (
+            sum(command.triangle_count for command in commands) - count)
+        stats.primitives_binned += count
+        command_woz = np.array([command.state.writes_z
+                                for command in commands])
+        owner = table.command
+        writes_z = command_woz[owner]
+        prepass = (writes_z if features.z_prepass
+                   else np.zeros(count, dtype=bool))
+
+        # -- Parameter Buffer records: one per primitive, a second one
+        #    (position-only) for the depth-only pass ------------------
+        records = 1 + prepass
+        first_record = np.cumsum(records) - records
+        record_offsets = parameter_buffer.store_primitives(
+            int(records.sum()))
+        offsets = record_offsets[first_record]
+        attribute_bytes = parameter_buffer.attribute_bytes_per_primitive
+
+        # -- pair expansion: row-major over each primitive's tile span --
+        spans = tile_spans(table.bbox, config.tile_width,
+                           config.tile_height, config.tiles_x,
+                           config.tiles_y)
+        width = np.maximum(spans[:, 2] - spans[:, 0] + 1, 0)
+        # pairs per primitive (table row)
+        row_pairs = width * np.maximum(spans[:, 3] - spans[:, 1] + 1, 0)
+        pairs = int(row_pairs.sum())
+        first_pair = np.cumsum(row_pairs) - row_pairs
+        pair_row = np.repeat(np.arange(count), row_pairs)
+        local = np.arange(pairs) - first_pair[pair_row]
+        span_width = width[pair_row]
+        pair_tile = ((spans[pair_row, 1] + local // span_width)
+                     * config.tiles_x
+                     + spans[pair_row, 0] + local % span_width)
+
+        # -- memory traffic: per command its vertex range, then per
+        #    primitive its record write(s) and one pointer per pair ----
+        uses_layers = features.uses_layers
+        pointer_bytes = POINTER_BYTES + (LAYER_ID_BYTES if uses_layers
+                                         else 0)
+        pointer_base = _POINTER_REGION_OFFSET + self._pointer_cursor
+        row_ops = records + row_pairs
+        row_op = np.cumsum(row_ops) - row_ops + owner + 1
+        addresses = np.zeros(len(commands) + int(row_ops.sum()),
+                             dtype=np.int64)
+        sizes = np.zeros_like(addresses)
+        addresses[row_op] = offsets
+        sizes[row_op] = attribute_bytes
+        addresses[row_op[prepass] + 1] = record_offsets[
+            first_record[prepass] + 1]
+        sizes[row_op[prepass] + 1] = _PREPASS_RECORD_BYTES
+        pair_op = np.arange(pairs) + (row_op + records - first_pair)[pair_row]
+        addresses[pair_op] = pointer_base + pointer_bytes * np.arange(pairs)
+        sizes[pair_op] = pointer_bytes
+        ops = list(map(tuple.__new__, repeat(PBWriteOp),
+                       zip(addresses.tolist(), sizes.tolist())))
+        ops_before = np.concatenate(([0], np.cumsum(row_ops)))
+        vertex_at = np.arange(len(commands)) + ops_before[
+            np.searchsorted(owner, np.arange(len(commands)))]
+        for position, op in zip(vertex_at.tolist(), vertex_ops):
+            ops[position] = op
+        replay_memory_trace(ops, self.memory)
+        self._pointer_cursor += pairs * pointer_bytes
+
+        # -- the EVR and RE hooks, in arrival order ---------------------
+        arrival = np.argsort(pair_tile, kind="stable")
+        tiles = pair_tile[arrival]
+        rows = pair_row[arrival]
+        pair_woz = writes_z[rows]
+        layers = np.zeros(pairs, dtype=np.int64)
+        if uses_layers:
+            layers = self.lgt.assign_layers(tiles, owner[rows], pair_woz)
+        predicted = np.zeros(pairs, dtype=bool)
+        if features.evr_hardware:
+            depth = {"near": table.z_near, "centroid": table.z_centroid,
+                     "far": table.z_far}[features.prediction_point]
+            predicted = self.predictor.predict_many(
+                tiles, pair_woz, depth[rows], layers, table.bbox[rows])
+        updates = 0
+        if self.re is not None:
+            updates = self.re.on_primitives_binned(
+                tiles, self.re.primitive_crcs(survivors)[rows], predicted)
+        if self.dsr is not None:
+            coarse = np.fromiter(map(dsr_signature, survivors),
+                                 dtype=np.uint32, count=count)
+            self.dsr.on_primitives_binned(tiles, coarse[rows])
+
+        # -- Algorithm 1, then one entry per pair in render order -------
+        if features.evr_reorder:
+            render, second = display_list_order(tiles, pair_woz, predicted)
+        else:
+            render = np.arange(pairs)
+            second = np.zeros(pairs, dtype=bool)
+        rendered = rows[render]
+        entries = list(map(tuple.__new__, repeat(DisplayListEntry), zip(
+            map(survivors.__getitem__, rendered.tolist()),
+            offsets[rendered].tolist(),
+            layers[render].tolist(),
+            predicted[render].tolist(),
+            (pointer_base + pointer_bytes * arrival[render]).tolist(),
+        )))
+        parameter_buffer.fill_display_lists(tiles[render], entries, second)
+
+        # -- counters ----------------------------------------------------
+        prepass_pairs = int(row_pairs[prepass].sum())
+        stats.parameter_buffer_bytes += (
+            attribute_bytes * count
+            + _PREPASS_RECORD_BYTES * int(prepass.sum()))
+        stats.primitive_tile_pairs += pairs + prepass_pairs
+        stats.display_list_writes += pairs + prepass_pairs
+        if uses_layers:
+            stats.lgt_accesses += pairs
+            stats.layer_id_bytes += LAYER_ID_BYTES * pairs
+            stats.parameter_buffer_bytes += LAYER_ID_BYTES * pairs
+        if features.evr_hardware:
+            stats.fvp_lookups += pairs
+            stats.predictions_made += pairs
+            stats.predicted_occluded += int(np.count_nonzero(predicted))
+        if self.re is not None:
+            stats.signature_updates += updates
+            stats.signature_skips += pairs - updates
+        if self.dsr is not None:
+            stats.signature_updates += pairs
 
     def _bin_command(
         self,
@@ -222,8 +408,9 @@ class GeometryPipeline:
             if prepass:
                 # The depth-only pass stores its own (position-only) records.
                 prepass_offset = parameter_buffer.store_primitive(triangle)
-                memory.parameter_buffer_write(prepass_offset, 48)
-                stats.parameter_buffer_bytes += 48
+                memory.parameter_buffer_write(prepass_offset,
+                                              _PREPASS_RECORD_BYTES)
+                stats.parameter_buffer_bytes += _PREPASS_RECORD_BYTES
 
             bbox = triangle.bounding_box()
             first_tx, first_ty, last_tx, last_ty = tile_span(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..commands import (
     BlendMode,
@@ -120,6 +120,13 @@ class Scene3D:
         self.draw_order = draw_order
         self.world_shader = world_shader
 
+        # Static meshes, built on the first frame that draws them and
+        # reused after: the ground grid, keyed by its parameters, and
+        # each StaticMotion box, keyed by identity (the cache holds the
+        # spec, so the id stays its own).
+        self._ground_mesh: Optional[Tuple[tuple, Mesh]] = None
+        self._box_meshes: Dict[int, Tuple[BoxSpec, Mesh]] = {}
+
         self._screen_projection = orthographic(
             0.0, float(width), float(height), 0.0, -1.0, 1.0
         )
@@ -180,12 +187,22 @@ class Scene3D:
         state = RenderState.opaque_3d(shader=self.world_shader)
         entries: List[tuple] = []
         if self.ground_size > 0.0:
-            ground = _grid_ground(self.ground_size, self.ground_divisions,
-                                  self.ground_color)
-            entries.append((Vec3(0.0, 0.0, 0.0), ground, "ground"))
+            key = (self.ground_size, self.ground_divisions,
+                   self.ground_color)
+            if self._ground_mesh is None or self._ground_mesh[0] != key:
+                self._ground_mesh = (key, _grid_ground(*key))
+            entries.append((Vec3(0.0, 0.0, 0.0), self._ground_mesh[1],
+                            "ground"))
         for box in self.boxes:
             center = box.center + box.motion.offset(index)
-            mesh = box_mesh(center, box.size, box.color)
+            if isinstance(box.motion, StaticMotion):
+                cached = self._box_meshes.get(id(box))
+                if cached is None:
+                    cached = (box, box_mesh(center, box.size, box.color))
+                    self._box_meshes[id(box)] = cached
+                mesh = cached[1]
+            else:
+                mesh = box_mesh(center, box.size, box.color)
             entries.append((center, mesh, box.name))
 
         if self.draw_order == "back_to_front":

@@ -36,6 +36,8 @@ import struct
 import zlib
 from typing import List
 
+import numpy as np
+
 from ..hw.signature_buffer import SignatureBuffer
 
 __all__ = ["dsr_signature", "DSRController", "DSR_RATES"]
@@ -108,6 +110,12 @@ class DSRController:
     def on_primitive_binned(self, tile: int, coarse_crc: int) -> None:
         """Fold one primitive's coarse signature into the tile."""
         self.signatures.update(tile, coarse_crc)
+
+    def on_primitives_binned(self, tiles: np.ndarray,
+                             coarse_crcs: np.ndarray) -> None:
+        """:meth:`on_primitive_binned` for many (primitive, tile) pairs,
+        grouped tile by tile and in binning order within a tile."""
+        self.signatures.update_many(tiles, coarse_crcs)
 
     def rate_for_tile(self, tile: int) -> float:
         """The sampling rate for this tile *this* frame (from streaks

@@ -156,12 +156,38 @@ class TestGeometrySweep:
 
         preset = BENCH_PRESETS["tiny"]
         frames = list(preset.stream())[:1]
-        assemble = batched.assemble
-        monkeypatch.setattr(
-            batched, "assemble", lambda *args: assemble(*args)[:-1])
+        assemble_frame = batched.assemble_frame
+
+        def drop_last_primitive(*args):
+            table = assemble_frame(*args)
+            return type(table)(*(column[:-1] for column in table))
+
+        monkeypatch.setattr(batched, "assemble_frame", drop_last_primitive)
         with pytest.raises(AssertionError, match="geometry on backend"):
-            _geometry_sweeps(frames, preset.config(), ("python", "numpy"),
-                             repeat=1)
+            _geometry_sweeps(frames, [{}], preset.config(),
+                             ("python", "numpy"), repeat=1)
+
+
+    def test_replay_predicts_from_the_captured_fvp(self):
+        from repro.harness.bench import _geometry_once, _pipeline_measurement
+
+        preset = BENCH_PRESETS["tiny"]
+        states = _pipeline_measurement(preset, "python",
+                                       record_trace=True)["_fvp"]
+        frames = list(preset.stream())
+        assert len(states) == len(frames)
+        seeded = _geometry_once(frames, states, preset.config(), "numpy")
+        # Frame 0 starts from an empty table, the later ones predict,
+        # and Algorithm 1 moves entries to second lists.
+        predicted = [stats.predicted_occluded
+                     for stats, _ in seeded["snapshots"]]
+        assert predicted[0] == 0 and all(predicted[1:])
+        assert any(second for _, lists in seeded["snapshots"][1:]
+                   for _, second in lists)
+        empty = _geometry_once(frames, [{}] * len(frames), preset.config(),
+                               "numpy")
+        assert not any(stats.predicted_occluded
+                       for stats, _ in empty["snapshots"])
 
 
 class TestRegressionGate:

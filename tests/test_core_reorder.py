@@ -1,11 +1,13 @@
 """Tests for Algorithm 1 (display-list reordering), including the paper's
 Figure 4 worked example and order-preservation properties."""
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import RenderState
 from repro.core import place_in_display_list
+from repro.core.reorder import display_list_order
 from repro.geom import ScreenTriangle, VertexAttributes
 from repro.hw import DisplayList, DisplayListEntry
 from repro.math3d import Vec2
@@ -125,3 +127,32 @@ class TestOrderProperties:
         for nwoz_tag in nwoz_tags:
             for earlier in range(nwoz_tag):
                 assert position[earlier] < position[nwoz_tag]
+
+
+class TestFrameOrder:
+    """``display_list_order`` is Algorithm 1 over a whole frame's pairs:
+    the same first and second lists as placing them one by one."""
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 3), st.booleans(), st.booleans()),
+        max_size=60))                  # (tile, writes_z, predicted)
+    def test_matches_placing_pair_by_pair(self, pairs):
+        expected = {}
+        for tag, (tile, writes_z, predicted) in enumerate(pairs):
+            place(expected.setdefault(tile, DisplayList()),
+                  make_entry(tag, writes_z), predicted and writes_z)
+        # Arrival order: tile by tile, binning order within a tile.
+        arrival = sorted(range(len(pairs)), key=lambda tag: pairs[tag][0])
+        tiles = np.array([pairs[tag][0] for tag in arrival], dtype=np.int64)
+        order, second = display_list_order(
+            tiles, np.array([pairs[tag][1] for tag in arrival], dtype=bool),
+            np.array([pairs[tag][2] for tag in arrival], dtype=bool))
+        actual = {}
+        for position, is_second in zip(order.tolist(), second.tolist()):
+            tag = arrival[position]
+            lists = actual.setdefault(pairs[tag][0], ([], []))
+            lists[is_second].append(tag)
+        assert actual == {
+            tile: ([entry.offset for entry in dl.first],
+                   [entry.offset for entry in dl.second])
+            for tile, dl in expected.items()}

@@ -1,18 +1,20 @@
-"""Cross-backend bit-identity of vertex transform and Primitive Assembly.
+"""Cross-backend bit-identity of the geometry phase.
 
-The scalar ``assemble`` in :mod:`repro.kernels.reference` defines the
-geometry semantics; the batched numpy ``assemble`` must reproduce them
-bit for bit, so that the shared Polygon List Builder sees the same
-primitives in the same order under either backend.  Random frames of
-WOZ, NWOZ and translucent commands (with per-command view/projection
-overrides, degenerate and back-facing triangles and vertices behind the
-camera) are rendered under every registered technique plus the
-prediction ablations, and after each frame's geometry phase the suite
-compares every display-list entry, every ``ScreenTriangle`` field (bit
-patterns, and ``type(...) is float`` for every coordinate), the tile
-signatures, ``FrameStats`` and the recorded memory-op sequence.
+The scalar ``assemble`` in :mod:`repro.kernels.reference` and the
+per-pair Polygon List Builder loop define the geometry semantics; the
+numpy backend's frame-wide ``assemble_frame`` and array builder must
+reproduce them bit for bit.  Random frames of WOZ, NWOZ and translucent
+commands (with per-command view/projection overrides, degenerate and
+back-facing triangles and vertices behind the camera) are rendered
+under every registered technique plus the prediction ablations, and
+after each frame's geometry phase the suite compares every display-list
+entry, every ``ScreenTriangle`` field (bit patterns, and ``type(...)
+is float`` for every coordinate), the tile signatures, ``FrameStats``,
+the hook objects' own counters and the recorded memory-op sequence.
 Directed tests pin the rejection and culling rules, the
-``primitive_id`` numbering and the non-finite-vertex error.
+``primitive_id`` numbering, layers, Algorithm 1 and the filtered
+signature under seeded FVPs, far off-screen spans and the
+non-finite-vertex error.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
+import zlib
+
+import numpy as np
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +40,9 @@ from repro import (
     RenderState,
 )
 from repro.geom import Triangle, Vertex, VertexAttributes
+from repro.geom.triangle import tile_span, tile_spans
+from repro.hw import FVPEntry, FVPType
+from repro.hw.signature_buffer import combine_signature
 from repro.kernels import available_backends, resolve_backend
 from repro.math3d import (
     Mat4,
@@ -116,6 +124,24 @@ def _entry_key(entry):
             entry.predicted_occluded, entry.pointer_offset)
 
 
+def _hook_counters(gpu):
+    """The counters the hook objects keep themselves, which the numpy
+    path's array methods update in bulk."""
+    predictor = gpu.predictor
+    return (
+        None if gpu.lgt is None else gpu.lgt.accesses,
+        None if predictor is None else (
+            dataclasses.astuple(predictor.stats),
+            # The sub-tile predictor counts its own lookups.
+            getattr(predictor, "table", predictor).lookups),
+        None if gpu.re is None else (
+            dataclasses.astuple(gpu.re.stats),
+            gpu.re.signature_buffer.updates),
+        None if gpu.dsr is None else gpu.dsr.signatures.updates,
+        gpu.parameter_buffer.stored_primitives,
+    )
+
+
 def _geometry_snapshot(gpu, stats):
     """Display lists, tile signatures, counters and memory ops as the
     geometry phase left them (taken when the raster phase starts)."""
@@ -134,14 +160,18 @@ def _geometry_snapshot(gpu, stats):
             for tile in range(CONFIG.num_tiles)))
     ops = tuple(gpu.memory.ops)
     gpu.memory.ops.clear()
-    return lists, signatures, stats.as_dict(), ops
+    return lists, signatures, stats.as_dict(), _hook_counters(gpu), ops
 
 
-def _render_snapshots(features, frames, backend):
+def _render_snapshots(features, frames, backend, seed_fvp=None):
     """Render ``frames`` end to end on ``backend`` (so EVR predicts from
-    real FVPs) and return one geometry snapshot per frame."""
+    real FVPs) and return one geometry snapshot per frame.
+    ``seed_fvp`` maps tiles to FVP entries stored before the first
+    frame."""
     gpu = GPU(CONFIG, features, backend=backend,
               memory_system=_RecordingMemory(CONFIG))
+    for tile, entry in (seed_fvp or {}).items():
+        gpu.predictor.table.update(tile, entry)
     snapshots = []
     render_raster = gpu.raster.render_frame
 
@@ -217,11 +247,11 @@ def _command(draw, label):
 def _frames(draw):
     commands = [draw(_command(f"c{index}"))
                 for index in range(draw(st.integers(min_value=1,
-                                                    max_value=5)))]
+                                                    max_value=8)))]
     # The same commands every frame, the first one moving: frame 1 and
     # later predict from real FVPs and compare real signatures.
     frames = []
-    for index in range(draw(st.integers(min_value=1, max_value=3))):
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
         moved = dataclasses.replace(
             commands[0],
             model=translate(Vec3(0.25 * index, 0.0, 0.0)) @ commands[0].model)
@@ -392,6 +422,114 @@ class TestPrimitiveIdRule:
         assert ids == {0: {0, 1}, 1: {0, 1}}
 
 
+class TestFrameBinning:
+    """Directed frames for the numpy backend's frame-wide Polygon List
+    Builder, each checked against the scalar builder and pinned."""
+
+    #: WOZ, WOZ, NWOZ, WOZ, NWOZ and WOZ commands, one triangle each,
+    #: all covering tiles 0 and 1; the object z of the WOZ ones puts
+    #: them at window depths 0.7, 0.3, 0.8 and 0.9.
+    SEQUENCE = (("woz", -0.4), ("woz", 0.4), ("nwoz", 0.0),
+                ("woz", -0.6), ("nwoz", 0.0), ("woz", -0.8))
+
+    def _sequence_frame(self):
+        commands = []
+        for index, (kind, z) in enumerate(self.SEQUENCE):
+            state = (RenderState.opaque_3d(cull_backface=False)
+                     if kind == "woz" else RenderState.sprite_2d())
+            commands.append(DrawCommand(
+                [_tri((2.0, 2.0, z), (30.0, 2.0, z), (2.0, 12.0, z))],
+                state=state, label=f"c{index}"))
+        return Frame(commands, projection=ORTHO)
+
+    def _snapshots(self, features, frame, seed_fvp=None):
+        """The frame's geometry snapshot, equal on every backend."""
+        snapshots = [_render_snapshots(features, [frame], backend,
+                                       seed_fvp)[0]
+                     for backend in available_backends()]
+        assert all(snapshot == snapshots[0] for snapshot in snapshots)
+        return snapshots[0]
+
+    def test_layers_reorder_and_filtered_signature(self):
+        # Tile 0 predicts from a Z_far of 0.5 (WOZ-type FVP), tile 1 from
+        # an L_far of 3 (NWOZ-type FVP).
+        lists, signatures = self._snapshots(
+            resolve_features("evr"), self._sequence_frame(),
+            seed_fvp={0: FVPEntry(FVPType.WOZ, 0.5),
+                      1: FVPEntry(FVPType.NWOZ, 3)})[:2]
+        by_tile = {tile: (first, second) for tile, first, second in lists}
+
+        def described(keys):
+            # (command, layer, predicted occluded) per entry
+            return [(key[0][3], key[2], key[3]) for key in keys]
+
+        # Layers 1, 1, 2, 3, 4, 5: the two leading WOZ commands share
+        # one.  In tile 0 the WOZ primitives behind Z_far are predicted
+        # occluded; each NWOZ one folds the second list back, so only
+        # the last WOZ primitive stays there.
+        first, second = by_tile[0]
+        assert described(first) == [(1, 1, False), (0, 1, True),
+                                    (2, 2, False), (3, 3, True),
+                                    (4, 4, False)]
+        assert described(second) == [(5, 5, True)]
+        # In tile 1 every layer below L_far is predicted occluded, NWOZ
+        # included, and the NWOZ primitive restores submission order.
+        first, second = by_tile[1]
+        assert described(first) == [(0, 1, True), (1, 1, True),
+                                    (2, 2, True), (3, 3, False),
+                                    (4, 4, False), (5, 5, False)]
+        assert second == ()
+
+        # The filtered signature folds only the pairs predicted visible,
+        # in binning order.
+        crcs = {key[0][3]: zlib.crc32(key[0][6])
+                for key in by_tile[1][0]}
+        for tile, visible in ((0, (1, 2, 4)), (1, (3, 4, 5))):
+            expected = 0
+            for command in visible:
+                expected = combine_signature(expected, crcs[command])
+            assert signatures[tile] == expected
+        assert set(signatures[2:]) == {0}
+
+    def test_span_far_off_screen(self):
+        # v0 sits at w = 1e-5, so its window x is 3.2e21: beyond int64.
+        # The scalar span truncates it with ``int()``; the array span
+        # must clip before its int64 cast or the triangle would vanish.
+        triangle = _tri((1e15, 0.0, 1e-5), (-0.375, 7.0 / 12.0, 1.0),
+                        (0.25, -0.25, 1.0))
+        frame = Frame([DrawCommand([triangle], state=RenderState.sprite_2d(),
+                                   label="far", view=Mat4.identity(),
+                                   projection=_W_IS_Z)])
+        lists = self._snapshots(resolve_features("baseline"), frame)[0]
+        # x-tiles 1-3 on tile rows 0 and 1 (tiles_x = 4)
+        assert [tile for tile, first, _ in lists if first] == [1, 2, 3,
+                                                               5, 6, 7]
+        bbox = (20.0, 10.0, 3.2e21, 30.0)
+        assert tuple(tile_spans(np.array([bbox]), 16, 16, 4, 3)[0]) == \
+            tile_span(bbox, 16, 16, 4, 3) == (1, 0, 3, 1)
+
+    def test_window_overflow_takes_the_scalar_path(self):
+        # Finite in clip space, infinite in window space: the frame pass
+        # hands the frame to the per-command path, so both backends fail
+        # identically (binning cannot place an infinite box).
+        overflowing = _tri((1e303, 0.0, 1e-5), (-0.375, 0.5, 1.0),
+                           (0.25, -0.25, 1.0))
+        frame = Frame([
+            DrawCommand([_tri((2.0, 2.0, 0.0), (20.0, 2.0, 0.0),
+                              (2.0, 20.0, 0.0))],
+                        state=RenderState.sprite_2d(), label="ok",
+                        projection=ORTHO),
+            DrawCommand([overflowing], state=RenderState.sprite_2d(),
+                        label="overflow", view=Mat4.identity(),
+                        projection=_W_IS_Z)])
+        errors = []
+        for backend in available_backends():
+            with pytest.raises(Exception) as caught:
+                GPU(CONFIG, "re", backend=backend).render_frame(frame)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+
+
 class TestNonFiniteVertices:
     """A NaN or infinite clip-space coordinate fails loudly — naming the
     command and the triangle — under every backend and technique,
@@ -414,6 +552,25 @@ class TestNonFiniteVertices:
                            match=r"draw command 1 \('broken'\): triangle 1 "
                                  r"has a non-finite clip-space vertex"):
             gpu.render_frame(frame)
+
+    def test_same_text_on_both_backends(self):
+        good = _tri((2.0, 2.0, 0.0), (20.0, 2.0, 0.0), (2.0, 20.0, 0.0))
+        broken = _tri((4.0, 4.0, 0.0), (math.nan, 4.0, 0.0),
+                      (4.0, 30.0, 0.0))
+        frame = Frame(
+            [DrawCommand([good], state=RenderState.opaque_3d(), label="ok"),
+             DrawCommand([good, good, broken],
+                         state=RenderState.sprite_2d(), label="second")],
+            projection=ORTHO,
+        )
+        messages = []
+        for backend in available_backends():
+            with pytest.raises(PipelineError) as caught:
+                GPU(CONFIG, "evr", backend=backend).render_frame(frame)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] == (
+            "draw command 1 ('second'): triangle 2 has a non-finite "
+            "clip-space vertex")
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_non_finite_matrix(self, backend):

@@ -1,6 +1,9 @@
 """Tests for Parameter Buffer, Signature Buffer, LGT and FVP Table."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import RenderState
 from repro.geom import ScreenTriangle, VertexAttributes
@@ -15,6 +18,7 @@ from repro.hw import (
     SignatureBuffer,
     primitive_signature,
 )
+from repro.hw.fvp_table import KIND_EMPTY, KIND_NWOZ, KIND_WOZ
 from repro.hw.signature_buffer import combine_signature
 from repro.math3d import Vec2
 
@@ -46,6 +50,26 @@ class TestParameterBuffer:
         assert second == pb.attribute_bytes_per_primitive
         assert pb.stored_primitives == 2
         assert pb.total_bytes == 2 * pb.attribute_bytes_per_primitive
+
+    def test_store_primitives_matches_one_by_one(self):
+        pb = ParameterBuffer(4)
+        pb.store_primitive(make_primitive())
+        offsets = pb.store_primitives(3)
+        assert offsets.tolist() == [pb.attribute_bytes_per_primitive * k
+                                    for k in (1, 2, 3)]
+        assert pb.stored_primitives == 4
+        assert pb.store_primitive(make_primitive()) == \
+            4 * pb.attribute_bytes_per_primitive
+
+    def test_fill_display_lists(self):
+        pb = ParameterBuffer(4)
+        entries = [make_entry(layer=layer) for layer in range(5)]
+        pb.fill_display_lists(np.array([1, 1, 1, 3, 3]), entries,
+                              np.array([False, False, True, False, False]))
+        assert pb.display_list(1).first == entries[:2]
+        assert pb.display_list(1).second == entries[2:3]
+        assert pb.display_list(3).first == entries[3:]
+        assert len(pb.display_list(0)) == len(pb.display_list(2)) == 0
 
     def test_reset(self):
         pb = ParameterBuffer(4)
@@ -127,6 +151,23 @@ class TestSignatureBuffer:
         assert incremental == batch
 
 
+    def test_update_many_matches_update(self):
+        one_by_one, at_once = SignatureBuffer(3), SignatureBuffer(3)
+        for buffer in (one_by_one, at_once):
+            buffer.update(0, 7)
+            buffer.poison(2)
+        pairs = [(0, 11), (0, 0xFFFFFFFF), (1, 5), (2, 9), (2, 10)]
+        for tile, crc in pairs:
+            one_by_one.update(tile, crc)
+        at_once.update_many(np.array([tile for tile, _ in pairs]),
+                            np.array([crc for _, crc in pairs],
+                                     dtype=np.uint32))
+        assert ([one_by_one.current_signature(t) for t in range(3)]
+                == [at_once.current_signature(t) for t in range(3)])
+        assert at_once.current_signature(2) is None   # poisoned stays so
+        assert one_by_one.updates == at_once.updates == 6
+
+
 class TestLayerGeneratorTable:
     def test_first_command_opens_layer_one(self):
         lgt = LayerGeneratorTable(4)
@@ -169,6 +210,31 @@ class TestLayerGeneratorTable:
         assert lgt.assign_layer(0, 5, False) == 1
         assert lgt.current_layer(1) == 0
 
+    @given(st.lists(st.tuples(st.booleans(),
+                              st.sets(st.integers(0, 3), min_size=1)),
+                    min_size=1, max_size=12))
+    def test_assign_layers_matches_calls_from_any_state(self, commands):
+        """Two frames' worth of (tile, command, WOZ) pairs, the second
+        without a reset, so it starts from every kind of entry state."""
+        one_by_one, at_once = LayerGeneratorTable(4), LayerGeneratorTable(4)
+        for _ in range(2):
+            pairs = [(tile, command, woz)
+                     for command, (woz, tiles) in enumerate(commands)
+                     for tile in sorted(tiles)]
+            expected = {}
+            for tile, command, woz in pairs:
+                expected.setdefault(tile, []).append(
+                    one_by_one.assign_layer(tile, command, woz))
+            pairs.sort(key=lambda pair: pair[0])     # arrival order
+            layers = at_once.assign_layers(
+                *(np.array(column) for column in zip(*pairs)))
+            actual = {}
+            for (tile, _, _), layer in zip(pairs, layers.tolist()):
+                actual.setdefault(tile, []).append(layer)
+            assert actual == expected
+            assert at_once.accesses == one_by_one.accesses
+            assert vars(at_once) == vars(one_by_one)
+
     def test_access_counter(self):
         lgt = LayerGeneratorTable(4)
         lgt.assign_layer(0, 0, False)
@@ -189,6 +255,18 @@ class TestFVPTable:
         assert table.lookup(2) == entry
         assert table.lookup(1) is None
         assert table.updates == 1
+
+    def test_lookup_many_columns(self):
+        table = FVPTable(3)
+        table.update(0, FVPEntry(FVPType.WOZ, 0.75))
+        table.update(2, FVPEntry(FVPType.NWOZ, 3))
+        kinds, values = table.lookup_many(np.array([2, 1, 0, 0]))
+        assert kinds.tolist() == [KIND_NWOZ, KIND_EMPTY, KIND_WOZ, KIND_WOZ]
+        assert values[[0, 2]].tolist() == [3.0, 0.75]
+        assert table.lookups == 4
+        table.invalidate()
+        assert table.lookup_many(np.array([0, 2]))[0].tolist() == [
+            KIND_EMPTY, KIND_EMPTY]
 
     def test_invalidate(self):
         table = FVPTable(4)

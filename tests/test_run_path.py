@@ -260,7 +260,7 @@ def _flat(kind, depth, color, x0=-4.0, y0=-4.0, x1=24.0, y1=24.0,
 def _dead(layer=2):
     entry = _flat("woz", 0.1, (1.0, 0.0, 0.0, 1.0), layer=layer)
     primitive = dataclasses.replace(entry.primitive, xy=_dead_sliver(3, 3))
-    return dataclasses.replace(entry, primitive=primitive)
+    return entry._replace(primitive=primitive)
 
 
 RED, GREEN, BLUE = (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0), \

@@ -1,5 +1,7 @@
 """Tests for the scene generators and the benchmark suite."""
 
+import struct
+
 import pytest
 
 from repro import BlendMode, GPUConfig, SceneError
@@ -151,6 +153,41 @@ class TestScene3D:
             return ((eye.x - target.x) ** 2 + (eye.z - target.z) ** 2) ** 0.5
 
         assert dist(0) == pytest.approx(dist(7))
+
+    def test_static_meshes_built_once_with_the_same_bits(self):
+        from repro.scenes.motion import LinearOscillation
+        boxes = [
+            BoxSpec(Vec3(-0.0, 1.0, -0.0), Vec3(2, 2, 2), name="static"),
+            BoxSpec(Vec3(3, 1, 0), Vec3(1, 1, 1), name="moving",
+                    motion=LinearOscillation(Vec3(1.0, 0.0, 0.0))),
+        ]
+        scene = Scene3D(64, 48, boxes=boxes)
+        frames = [scene.build_frame(index) for index in range(3)]
+
+        def triangles(frame, label):
+            return next(command.triangles for command in frame.commands
+                        if command.label == label)
+
+        # The ground and the static box reuse their first-frame objects;
+        # the moving box is rebuilt every frame.
+        for label in ("ground", "static"):
+            assert all(a is b for a, b in zip(triangles(frames[0], label),
+                                              triangles(frames[2], label)))
+        assert triangles(frames[0], "moving")[0] is not \
+            triangles(frames[2], "moving")[0]
+
+        def bits(frame):
+            return [struct.pack("<3d", vertex.position.x, vertex.position.y,
+                                vertex.position.z) + vertex.attributes.pack()
+                    for command in frame.commands
+                    for triangle in command.triangles
+                    for vertex in triangle.vertices]
+
+        # Every bit as a scene that builds each mesh afresh, signed
+        # zeros included.
+        for index, frame in enumerate(frames):
+            fresh = Scene3D(64, 48, boxes=boxes).build_frame(index)
+            assert bits(frame) == bits(fresh)
 
     def test_translucents_after_world(self):
         from repro.scenes.scene3d import TranslucentSpec
