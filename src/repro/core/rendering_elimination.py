@@ -20,7 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..hw.signature_buffer import SignatureBuffer, primitive_signature
+from ..hw.signature_buffer import (
+    SignatureBuffer,
+    primitive_signature,
+    primitive_signatures,
+)
 from ..geom import ScreenTriangle
 
 
@@ -71,11 +75,11 @@ class RenderingElimination:
         return True
 
     @staticmethod
-    def primitive_crcs(primitives: Sequence[ScreenTriangle]) -> np.ndarray:
-        """:meth:`primitive_crc` of every primitive, as a ``uint32``
-        array."""
-        return np.fromiter(map(primitive_signature, primitives),
-                           dtype=np.uint32, count=len(primitives))
+    def primitive_crcs(primitives: Sequence[ScreenTriangle],
+                       window: np.ndarray) -> np.ndarray:
+        """:meth:`primitive_crc` of every primitive at ``window``, as a
+        ``uint32`` array (:func:`primitive_signatures`)."""
+        return primitive_signatures(primitives, window)
 
     def on_primitives_binned(self, tiles: np.ndarray, primitive_crcs:
                              np.ndarray, predicted_occluded: np.ndarray

@@ -22,7 +22,8 @@ bus (:mod:`repro.obs.events`).  When either is armed, ``map`` runs every
 item through the job envelope (:mod:`repro.engine.job`), settles the
 records in submission order and closes one profiler batch.  Results pass
 through untouched — profiled and observed runs are bit-identical to bare
-ones.  With nothing armed, ``map`` calls ``fn`` directly.
+ones.  With nothing armed, ``map`` calls ``fn`` directly.  Either way
+``on_result(index, value)``, if given, sees each result as it settles.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -50,6 +52,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 T = TypeVar("T")
 R = TypeVar("R")
 
+OnResult = Optional[Callable[[int, R], None]]
+
+
+def _settled(results: Iterable[R], on_result: OnResult) -> List[R]:
+    """``results`` as a list, each handed to ``on_result(index, value)``
+    as it arrives."""
+    settled: List[R] = []
+    for value in results:
+        if on_result is not None:
+            on_result(len(settled), value)
+        settled.append(value)
+    return settled
+
 
 class Scheduler(Protocol):
     """The engine's execution strategy.
@@ -59,8 +74,10 @@ class Scheduler(Protocol):
     does not need that property, but callers must not rely on it).
     """
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item; results in submission order."""
+    def map(self, fn: Callable[[T], R], items: Sequence[T],
+            on_result: OnResult = None) -> List[R]:
+        """Apply ``fn`` to every item; results in submission order, each
+        handed to ``on_result(index, value)`` as it settles."""
         ...  # pragma: no cover - protocol
 
     def close(self) -> None:
@@ -76,16 +93,17 @@ class SerialScheduler:
     def __init__(self, profiler: Optional["SchedulerProfiler"] = None):
         self.profiler = profiler
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+    def map(self, fn: Callable[[T], R], items: Sequence[T],
+            on_result: OnResult = None) -> List[R]:
         profiler = self.profiler
         if profiler is None:
             # In-process: events already reach the live bus directly.
-            return [fn(item) for item in items]
+            return _settled(map(fn, items), on_result)
         submit = time.perf_counter()
         job = Job(fn)
         try:
-            return [settle(job(item), item, index, submit, profiler)
-                    for index, item in enumerate(items)]
+            return _settled((settle(job(item), item, index, submit, profiler)
+                             for index, item in enumerate(items)), on_result)
         finally:
             profiler.close_batch(submit)
 
@@ -137,18 +155,20 @@ class ProcessPoolScheduler:
             )
         return self._executor
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+    def map(self, fn: Callable[[T], R], items: Sequence[T],
+            on_result: OnResult = None) -> List[R]:
         items = list(items)
         if not items:
             return []
         profiler = self.profiler
         if profiler is None and not get_bus().enabled:
-            return list(self._map(fn, items))
+            return _settled(self._map(fn, items), on_result)
         submit = time.perf_counter()
         try:
-            return [settle(record, item, index, submit, profiler)
-                    for index, (item, record) in enumerate(
-                        zip(items, self._map(Job(fn), items)))]
+            return _settled((settle(record, item, index, submit, profiler)
+                             for index, (item, record) in enumerate(
+                                 zip(items, self._map(Job(fn), items)))),
+                            on_result)
         finally:
             if profiler is not None:
                 profiler.close_batch(submit)

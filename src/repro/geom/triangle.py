@@ -33,7 +33,7 @@ class Triangle:
         return (self.v0, self.v1, self.v2)
 
     def pack(self) -> bytes:
-        """Byte encoding of all vertex data, for RE signatures."""
+        """Byte encoding of all object-space vertex data."""
         return self.v0.pack() + self.v1.pack() + self.v2.pack()
 
 
@@ -51,8 +51,6 @@ class ScreenTriangle:
             for every command.
         state: the owning command's render state (travels with the
             primitive through the Parameter Buffer, as in hardware).
-        signature_bytes: the canonical attribute encoding fed to the
-            Rendering Elimination CRC.
     """
 
     xy: Tuple[Vec2, Vec2, Vec2]
@@ -61,7 +59,6 @@ class ScreenTriangle:
     command_id: int
     primitive_id: int
     state: "RenderState"
-    signature_bytes: bytes
 
     @property
     def writes_z(self) -> bool:
@@ -105,26 +102,6 @@ class ScreenTriangle:
         ys = (self.xy[0].y, self.xy[1].y, self.xy[2].y)
         return (min(xs), min(ys), max(xs), max(ys))
 
-    def overlapped_tiles(
-        self, tile_w: int, tile_h: int, tiles_x: int, tiles_y: int
-    ) -> Tuple[Tuple[int, int], ...]:
-        """Conservative tile overlap from the bounding box.
-
-        This is what the Polygon List Builder uses: real binners test the
-        bounding box (sometimes refined by edge tests); bounding-box
-        binning may list a tile the triangle does not actually touch,
-        which the rasterizer later resolves to zero fragments, exactly as
-        in hardware.
-        """
-        first_tx, first_ty, last_tx, last_ty = tile_span(
-            self.bounding_box(), tile_w, tile_h, tiles_x, tiles_y
-        )
-        return tuple(
-            (tx, ty)
-            for ty in range(first_ty, last_ty + 1)
-            for tx in range(first_tx, last_tx + 1)
-        )
-
     @property
     def attribute_count(self) -> int:
         """Number of scalar attributes the rasterizer interpolates.
@@ -142,7 +119,9 @@ def tile_span(
 ) -> Tuple[int, int, int, int]:
     """``(first_tx, first_ty, last_tx, last_ty)`` of the tiles a window-
     space bounding box overlaps, clamped to the screen; the span is
-    empty (``last < first`` on some axis) when the box is off screen."""
+    empty (``last < first`` on some axis) when the box is off screen.
+    Binning by it is conservative, as in hardware: a listed tile the
+    triangle misses rasterizes to zero fragments."""
     min_x, min_y, max_x, max_y = bbox
     return (
         max(0, int(min_x) // tile_w),

@@ -52,6 +52,6 @@ class Vertex:
     attributes: VertexAttributes = field(default_factory=VertexAttributes)
 
     def pack(self) -> bytes:
-        """Byte encoding (position + attributes) for RE signatures."""
+        """Byte encoding (object-space position + attributes)."""
         pos = struct.pack("<3f", self.position.x, self.position.y, self.position.z)
         return pos + self.attributes.pack()

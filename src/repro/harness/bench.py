@@ -45,12 +45,14 @@ import contextlib
 import copy
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import platform
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -290,11 +292,68 @@ def _raster_phase_totals(tracer: ChromeTracer) -> Dict[str, float]:
     return totals
 
 
-def _sweep_once(jobs: Sequence[TileJob], backend: str) -> int:
+def _best_seconds(backends: Sequence[str], repeat: int,
+                  seconds: Callable[[str], float]) -> Dict[str, float]:
+    """Best-of-``repeat`` ``seconds(backend)`` per backend, interleaved
+    round by round: CPU-frequency drift over a minutes-long bench would
+    otherwise dominate the cross-backend ratio CI gates on."""
+    best = {backend: float("inf") for backend in backends}
+    for _ in range(max(1, repeat)):
+        for backend in backends:
+            best[backend] = min(best[backend], seconds(backend))
+    return best
+
+
+def _seconds(fn: Callable, *args) -> float:
+    """Wall-clock seconds of ``fn(*args)``."""
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def _warm_up(backends: Sequence[str], run: Callable[[str], Any],
+             identity: Callable[[Any], Any], what: str) -> Dict[str, Any]:
+    """The warm-up round and bit-identity check: every backend's
+    ``run(backend)``, raising when one's ``identity(outcome)`` differs
+    from the first backend's (no speedup for a model that diverged)."""
+    outcomes = {backend: run(backend) for backend in backends}
+    for backend in backends[1:]:
+        if identity(outcomes[backend]) != identity(outcomes[backends[0]]):
+            raise AssertionError(f"{what} on backend {backend!r} diverged "
+                                 f"from {backends[0]!r}")
+    return outcomes
+
+
+class _DigestedBatch:
+    """A tile batch that feeds each ``Fragments`` it delivers to
+    ``digest``: mask, count, and depth, rgba, u and v under the mask.
+    No on-screen coverage reads as empty, whether the backend delivers
+    an empty mask (the reference) or None (numpy)."""
+
+    def __init__(self, batch, digest) -> None:
+        self._batch = batch
+        self._digest = digest
+
+    def fragments(self, index: int):
+        frag = self._batch.fragments(index)
+        if frag is None or not frag.count:
+            self._digest.update(b"-")
+            return frag
+        mask = frag.mask
+        self._digest.update(frag.count.to_bytes(8, "little"))
+        for values in (mask, frag.depth[mask], frag.rgba[mask],
+                       frag.u[mask], frag.v[mask]):
+            self._digest.update(values.tobytes())
+        return frag
+
+
+def _sweep_once(jobs: Sequence[TileJob], backend: str,
+                digest=None) -> int:
     """One full kernel sweep: replay every captured display list through
     ``backend``'s ``prepare_tile``/``fragments`` exactly as
     :meth:`TileJob.run` drives it under a depth-prepass variant (each
-    entry's fragments requested ``SWEEP_PASSES`` times)."""
+    entry's fragments requested ``SWEEP_PASSES`` times), feeding
+    ``digest`` (a ``hashlib`` object) if given."""
     kernels = resolve_backend(backend)
     fragments = 0
     for job in jobs:
@@ -308,6 +367,8 @@ def _sweep_once(jobs: Sequence[TileJob], backend: str) -> int:
             job.entries, x0, y0,
             config.tile_width, config.tile_height, valid,
         )
+        if digest is not None:
+            batch = _DigestedBatch(batch, digest)
         for _ in range(SWEEP_PASSES):
             for index in range(len(job.entries)):
                 frag = batch.fragments(index)
@@ -318,32 +379,26 @@ def _sweep_once(jobs: Sequence[TileJob], backend: str) -> int:
 
 def _kernel_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
                    repeat: int) -> Dict[str, Dict]:
-    """Best-of-``repeat`` kernel throughput for every backend.
+    """Best-of-``repeat`` kernel throughput for every backend
+    (:func:`_best_seconds`).  The warm-up round is the bit-identity
+    check: every backend must deliver the first backend's exact
+    fragments (:class:`_DigestedBatch`)."""
+    def digested(backend: str) -> Tuple[int, str]:
+        digest = hashlib.sha256()
+        return _sweep_once(jobs, backend, digest), digest.hexdigest()
 
-    The backends are timed *interleaved*, round by round, so each
-    round's measurements are adjacent in time and see the same machine
-    state (CPU-frequency drift over a minutes-long bench otherwise
-    dominates the cross-backend ratio — the number CI gates on).
-    """
-    fragments = 0
-    for backend in backends:           # warm-up (also the fragment count)
-        fragments = _sweep_once(jobs, backend)
-    best = {backend: float("inf") for backend in backends}
-    for _ in range(max(1, repeat)):
-        for backend in backends:
-            start = time.perf_counter()
-            _sweep_once(jobs, backend)
-            best[backend] = min(best[backend],
-                                time.perf_counter() - start)
+    outcomes = _warm_up(backends, digested, itemgetter(1), "kernels")
+    best = _best_seconds(backends, repeat,
+                         lambda backend: _seconds(_sweep_once, jobs, backend))
     entries = sum(len(job.entries) for job in jobs)
     return {
         backend: {
             "sweep_passes": SWEEP_PASSES,
             "jobs": len(jobs),
             "entries": entries,
-            "fragments": fragments,
+            "fragments": outcomes[backend][0],
             "best_seconds": best[backend],
-            "fragments_per_second": fragments / best[backend],
+            "fragments_per_second": outcomes[backend][0] / best[backend],
         }
         for backend in backends
     }
@@ -373,29 +428,13 @@ def _memsys_sweeps(ops: MemOps, config: GPUConfig,
     scalar reference's exact counters and DRAM cycle count, so a bench
     can never report a speedup for a model that diverged.
     """
-    reference: Optional[Dict[str, object]] = None
-    cache_ops = 0
-    for backend in backends:           # warm-up + bit-identity check
-        outcome = _memsys_replay_once(ops, config, backend)
-        if reference is None:
-            reference = outcome
-            cache_ops = sum(
-                counters.get("accesses", 0)
-                for counters in outcome["snapshot"].values()
-            )
-        elif (outcome["snapshot"] != reference["snapshot"]
-                or outcome["dram_cycles"] != reference["dram_cycles"]):
-            raise AssertionError(
-                f"memsys backend {backend!r} diverged from "
-                f"{backends[0]!r} on the replayed trace"
-            )
-    best = {backend: float("inf") for backend in backends}
-    for _ in range(max(1, repeat)):
-        for backend in backends:
-            best[backend] = min(
-                best[backend],
-                _memsys_replay_once(ops, config, backend)["seconds"],
-            )
+    reference = _warm_up(
+        backends, lambda backend: _memsys_replay_once(ops, config, backend),
+        itemgetter("snapshot", "dram_cycles"), "memsys")[backends[0]]
+    cache_ops = sum(counters.get("accesses", 0)
+                    for counters in reference["snapshot"].values())
+    best = _best_seconds(backends, repeat, lambda backend: (
+        _memsys_replay_once(ops, config, backend)["seconds"]))
     return {
         backend: {
             "trace_ops": len(ops),
@@ -410,11 +449,10 @@ def _memsys_sweeps(ops: MemOps, config: GPUConfig,
 def _geometry_once(frames: Sequence, fvp_states: Sequence,
                    config: GPUConfig, backend: str) -> Dict[str, object]:
     """Replay ``frames`` through a fresh EVR GPU's geometry phase on
-    ``backend``, resetting the per-frame structures exactly as
-    :meth:`GPU.render_frame` does.  No raster phase runs: before each
-    frame the predictor takes the FVP state that frame started from in
-    the pipeline run (``fvp_states``; geometry only reads it), so the
-    replay predicts, reorders and filters signatures as the run did.
+    ``backend``.  No raster phase runs: before each frame the predictor
+    takes the FVP state that frame started from in the pipeline run
+    (``fvp_states``; geometry only reads it), so the replay predicts,
+    reorders and filters signatures as the run did.
     The memory system is the batched one on every backend: geometry
     traffic is queued, never simulated, so the timing is the geometry
     phase's own.  Returns the elapsed seconds, the counters and every
@@ -428,8 +466,6 @@ def _geometry_once(frames: Sequence, fvp_states: Sequence,
         vars(gpu.predictor).update(fvp_state)
         stats = FrameStats()
         start = time.perf_counter()
-        gpu.parameter_buffer.reset()
-        gpu.lgt.reset()
         gpu.geometry.process_frame(frame, stats)
         gpu.re.end_frame()
         elapsed += time.perf_counter() - start
@@ -471,26 +507,13 @@ def _geometry_sweeps(frames: Sequence, fvp_states: Sequence,
     so a collection sees only what the replays allocate.
     """
     with _frozen_heap():
-        reference: Optional[Dict[str, object]] = None
-        for backend in backends:           # warm-up + bit-identity check
-            outcome = _geometry_once(frames, fvp_states, config, backend)
-            if reference is None:
-                reference = outcome
-            elif outcome["snapshots"] != reference["snapshots"]:
-                raise AssertionError(
-                    f"geometry on backend {backend!r} diverged from "
-                    f"{backends[0]!r} on the preset's frames"
-                )
-        primitives = reference["primitives"]
-        reference = outcome = None         # release the snapshots
-        best = {backend: float("inf") for backend in backends}
-        for _ in range(max(1, repeat)):
-            for backend in backends:
-                best[backend] = min(
-                    best[backend],
-                    _geometry_once(frames, fvp_states, config,
-                                   backend)["seconds"],
-                )
+        # Only the count is kept: the snapshots are released.
+        primitives = _warm_up(
+            backends, lambda backend: _geometry_once(frames, fvp_states,
+                                                     config, backend),
+            itemgetter("snapshots"), "geometry")[backends[0]]["primitives"]
+        best = _best_seconds(backends, repeat, lambda backend: (
+            _geometry_once(frames, fvp_states, config, backend)["seconds"]))
     return {
         backend: {
             "frames": len(frames),
@@ -502,13 +525,11 @@ def _geometry_sweeps(frames: Sequence, fvp_states: Sequence,
     }
 
 
-def _execute_once(jobs: Sequence[TileJob], context: TileContext) -> float:
-    """Seconds to run every job through :meth:`TileJob.run` on one
-    reused context, as a worker does."""
-    start = time.perf_counter()
+def _execute_once(jobs: Sequence[TileJob], context: TileContext) -> None:
+    """Run every job through :meth:`TileJob.run` on one reused context,
+    as a worker does."""
     for job in jobs:
         job.run(context)
-    return time.perf_counter() - start
 
 
 def _execute_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
@@ -522,23 +543,11 @@ def _execute_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
         for backend in backends
     }
     context = TileContext.for_config(jobs[0].config) if jobs else None
-    reference = None
-    for backend in backends:           # warm-up + bit-identity check
-        outcome = [job.run(context).fingerprint()
-                   for job in per_backend[backend]]
-        if reference is None:
-            reference = outcome
-        elif outcome != reference:
-            raise AssertionError(
-                f"tile jobs on backend {backend!r} diverged from "
-                f"{backends[0]!r} on the captured jobs"
-            )
-    reference = None                   # release the fingerprints
-    best = {backend: float("inf") for backend in backends}
-    for _ in range(max(1, repeat)):
-        for backend in backends:
-            best[backend] = min(best[backend],
-                                _execute_once(per_backend[backend], context))
+    _warm_up(backends, lambda backend: [job.run(context).fingerprint()
+                                        for job in per_backend[backend]],
+             lambda fingerprints: fingerprints, "tile jobs")
+    best = _best_seconds(backends, repeat, lambda backend: _seconds(
+        _execute_once, per_backend[backend], context))
     return {
         backend: {
             "jobs": len(jobs),

@@ -20,16 +20,14 @@ here takes one.  Three layers of reuse stack on top of each other:
   independent (benchmark, mode) simulations of a suite sweep run in
   parallel (``scheduler.jobs`` — ``--jobs N`` / ``REPRO_JOBS``).
 
-The run cache is also the sweep's checkpoint: re-running a killed
-sweep's command recomputes only the cells the cache does not hold.  A
-serial sweep stores each cell as it finishes; a pooled sweep stores its
-cells when the pool's ``map`` returns.  When a retry policy or fault
-plan is armed (``--retries``, ``--job-timeout``, ``--inject-faults``)
-the fan-out instead runs under a
-:class:`~repro.resilience.ResilientScheduler`: each cell is stored as
-it settles, and a permanently failed cell degrades to a NaN placeholder
-instead of aborting the sweep.  A failed cell is never cached, so a
-re-run recomputes it.
+The run cache is also the sweep's checkpoint: every sweep, serial or
+pooled, stores each cell as it settles, so re-running a killed sweep's
+command recomputes only the cells the cache does not hold.  When a retry
+policy or fault plan is armed (``--retries``, ``--job-timeout``,
+``--inject-faults``) the fan-out runs under a
+:class:`~repro.resilience.ResilientScheduler`, where a permanently
+failed cell degrades to a NaN placeholder instead of aborting the sweep.
+A failed cell is never cached, so a re-run recomputes it.
 """
 
 from __future__ import annotations
@@ -388,9 +386,9 @@ class SuiteRunner:
     def run_many(
         self, benchmarks: Sequence[str], modes: Sequence[object]
     ) -> Dict[Tuple[str, str], RunMetrics]:
-        """Run the (benchmark, mode) cross product, fanning uncached pairs
-        out through the suite scheduler when it has more than one
-        worker."""
+        """Run the (benchmark, mode) cross product, mapping the uncached
+        pairs through the suite scheduler (a process pool when it has
+        more than one worker)."""
         techniques = [resolve_technique(mode) for mode in modes]
         pairs = [(benchmark, mode) for benchmark in benchmarks
                  for mode in techniques]
@@ -413,46 +411,25 @@ class SuiteRunner:
             total = len(missing)
             settled = [0]  # suite-progress MetricSample numerator
 
-            def _progress() -> None:
+            def _settle(index: int, value: Any) -> None:
+                if isinstance(value, JobFailure):
+                    self._record_failure(missing[index], value)
+                else:
+                    self._store(missing[index], value)
                 settled[0] += 1
                 bus = get_bus()
                 if bus.enabled:
                     bus.emit(MetricSample(name="suite.progress",
                                           value=settled[0] / total))
 
-            if self.resilient:
-                # Supervised fan-out: each cell settles (and is
-                # stored) independently; a permanently failed cell
-                # becomes a NaN placeholder instead of aborting the
-                # sweep.
-                def _settle(index: int, value: Any) -> None:
-                    if isinstance(value, JobFailure):
-                        self._record_failure(missing[index], value)
-                    else:
-                        self._store(missing[index], value)
-                    _progress()
-
-                with get_tracer().span("suite.map", category="harness",
-                                       runs=len(missing)):
-                    self._suite_scheduler().map_resilient(
-                        _run_pair, payloads, on_result=_settle
-                    )
-            elif len(missing) > 1 and self.jobs > 1:
-                with get_tracer().span("suite.map", category="harness",
-                                       runs=len(missing)):
-                    results = self._suite_scheduler().map(
-                        _run_pair, payloads
-                    )
-                for key, metrics in zip(missing, results):
-                    self._store(key, metrics)
-                    _progress()
-            else:
-                for benchmark, mode in missing:
-                    self._store(
-                        (benchmark, mode),
-                        run_benchmark(benchmark, mode, spec=self.spec),
-                    )
-                    _progress()
+            # Each cell is stored as it settles, so a kill or a raising
+            # cell loses only the cells not yet settled.
+            scheduler = self._suite_scheduler()
+            fan_out = (scheduler.map_resilient if self.resilient
+                       else scheduler.map)
+            with get_tracer().span("suite.map", category="harness",
+                                   runs=len(missing)):
+                fan_out(_run_pair, payloads, on_result=_settle)
 
         return {
             (benchmark, mode.name): self._cache[(benchmark, mode)]

@@ -5,13 +5,23 @@ previous frame and the in-progress signature of the current frame.  A
 tile's signature is the streaming CRC32 of the byte encodings of every
 primitive sorted into it, in sorting order — so any change in attributes,
 order, count or render state changes the signature.
+
+This module alone packs a primitive's encoding: its render state's
+``pack()``, then per vertex ``struct.pack('<3d', x, y, z)`` of the
+window-space position and clamped depth and the attributes' ``pack()``.
+It is post-transform, so motion through the model matrix changes it
+even when the object-space mesh is static.  Positions are f64: the
+rasterizer interpolates in f64, so motion below f32 epsilon still
+changes blended colours, and an f32-quantized signature would wrongly
+match across such a frame pair and skip a tile whose colours differ.
 """
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,9 +31,39 @@ EMPTY_SIGNATURE = 0
 
 
 def primitive_signature(primitive: ScreenTriangle) -> int:
-    """CRC32 of one primitive's attribute bytes (computed once, at the
-    end of the Geometry Pipeline, as in Figure 2 step 2)."""
-    return zlib.crc32(primitive.signature_bytes)
+    """CRC32 of one primitive's encoding (computed once, at the end of
+    the Geometry Pipeline, as in Figure 2 step 2)."""
+    parts = [primitive.state.pack()]
+    for position, depth, attributes in zip(primitive.xy, primitive.z,
+                                           primitive.attributes):
+        parts.append(struct.pack("<3d", position.x, position.y, depth))
+        parts.append(attributes.pack())
+    return zlib.crc32(b"".join(parts))
+
+
+def primitive_signatures(primitives: Sequence[ScreenTriangle],
+                         window: np.ndarray) -> np.ndarray:
+    """:func:`primitive_signature` of every primitive, as a ``uint32``
+    array.  ``window`` is their ``(n, 3, 3)`` float64 window-space
+    ``(x, y, z)`` per vertex (``FrameGeometry.window``), packed in one
+    ``tobytes`` pass; each render state is packed once."""
+    position_bytes = window.astype("<f8", copy=False).tobytes()
+    packed_states: Dict[int, bytes] = {}
+    crcs = []
+    for row, primitive in enumerate(primitives):
+        state = primitive.state
+        packed = packed_states.get(id(state))
+        if packed is None:
+            packed = packed_states[id(state)] = state.pack()
+        a0, a1, a2 = primitive.attributes
+        base = 72 * row
+        crcs.append(zlib.crc32(b"".join((
+            packed,
+            position_bytes[base:base + 24], a0.pack(),
+            position_bytes[base + 24:base + 48], a1.pack(),
+            position_bytes[base + 48:base + 72], a2.pack(),
+        ))))
+    return np.array(crcs, dtype=np.uint32)
 
 
 def combine_signature(running: int, primitive_crc: int) -> int:

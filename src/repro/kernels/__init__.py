@@ -1,13 +1,14 @@
 """Kernel backends: interchangeable implementations of the geometry and
 fragment hot paths.
 
-The geometry pipeline's vertex transform and Primitive Assembly (one
-``assemble`` call per draw command, or one ``assemble_frame`` call per
-frame where the backend has it) and the raster pipeline's per-tile
-inner loops — coverage/edge tests, barycentric interpolation, Early-Z,
-blending and the overshading/taint bookkeeping — are expressed as pure
-kernel functions behind this seam.  Two backends implement the contract
-declared in :mod:`repro.kernels.api`:
+The geometry pipeline's vertex transform and Primitive Assembly (each
+backend has one entry point: ``assemble`` per draw command in the
+reference, ``assemble_frame`` per frame in the batched backend) and the
+raster pipeline's per-tile inner loops — coverage/edge tests,
+barycentric interpolation, Early-Z, blending and the overshading/taint
+bookkeeping — are expressed as pure kernel functions behind this seam.
+Two backends implement the contract declared in
+:mod:`repro.kernels.api`:
 
 ``python``
     The scalar reference (:mod:`repro.kernels.reference`): the

@@ -6,6 +6,8 @@ A backend is a module exposing the following attributes (see
 ``NAME``
     The canonical backend name (``"python"``, ``"numpy"``).
 
+Geometry: a backend exports exactly one of these two entry points.
+
 ``assemble(command, command_id, mvp, viewport) -> List[ScreenTriangle]``
     Vertex shading and Primitive Assembly for one draw command: every
     object-space vertex is transformed by ``mvp`` (a ``Mat4``), a
@@ -16,9 +18,18 @@ A backend is a module exposing the following attributes (see
     ``command.state.cull_backface``) are culled.  Returns the survivors
     in submission order; ``primitive_id`` is the index among the
     command's survivors, ``command_id`` is passed through, and every
-    coordinate in ``xy``/``z`` is a Python ``float``.  A triangle with a
-    non-finite clip-space coordinate raises :func:`non_finite_vertex`'s
-    ``PipelineError`` — the first such triangle in submission order.
+    coordinate in ``xy``/``z`` is a Python ``float``.  The first triangle
+    in submission order whose clip-space coordinate is not finite, or
+    that survives with a non-finite window-space x, y or clamped z,
+    raises :func:`non_finite_vertex`'s ``PipelineError``.
+
+``assemble_frame(commands, mvps, viewport) -> FrameGeometry``
+    ``assemble`` for every command of a frame at once, command ``i``
+    under ``mvps[i]`` with command id ``i``: the survivors of all
+    commands in submission order, plus the columns binning reads (see
+    :class:`FrameGeometry`), binned in array passes.  It raises the
+    error ``assemble`` would raise for the frame's first faulty
+    triangle, and never returns None.
 
 ``prepare_tile(entries, x0, y0, tile_width, tile_height, valid)``
     Build a tile batch for one display list.  Returns an object with a
@@ -30,18 +41,6 @@ A backend is a module exposing the following attributes (see
     values (the prepasses and the main loop share one batch).  Callers
     use nothing else of a batch: perfbench's traced run hands them a
     proxy that forwards only ``fragments``.
-
-Optional, exported only by backends that assemble a whole frame in one
-pass (the numpy backend); the geometry pipeline keeps its per-command
-``assemble`` and per-pair Polygon List Builder when it is missing:
-
-``assemble_frame(commands, mvps, viewport) -> Optional[FrameGeometry]``
-    ``assemble`` for every command of a frame at once, command ``i``
-    under ``mvps[i]`` with command id ``i``: the survivors of all
-    commands in submission order, plus the columns binning reads (see
-    :class:`FrameGeometry`).  Returns None instead when any clip-space
-    or window-space coordinate is not finite; the caller then runs the
-    per-command path, which raises or bins exactly as the reference.
 
 Optional, exported only by backends that resolve opaque runs in one
 pass (the numpy backend); ``TileJob`` keeps its per-entry loop when it
@@ -94,14 +93,16 @@ from ..geom import ScreenTriangle
 W_EPSILON = 1e-6
 
 
-def non_finite_vertex(command, command_id: int,
-                      triangle_index: int) -> PipelineError:
-    """The error both ``assemble`` paths raise for a triangle whose
-    clip-space position has a NaN or infinite coordinate (a degenerate
-    matrix or vertex; binning it would silently produce garbage)."""
+def non_finite_vertex(command, command_id: int, triangle_index: int,
+                      space: str = "clip") -> PipelineError:
+    """The error every backend raises for a triangle whose ``space``
+    (``"clip"`` or ``"window"``) position has a NaN or infinite
+    coordinate: a degenerate matrix or vertex, or a clip-space ``w``
+    just above the rejection threshold.  Binning it would silently
+    produce garbage, or fail on an infinite tile span."""
     return PipelineError(
         f"draw command {command_id} ({command.label!r}): triangle "
-        f"{triangle_index} has a non-finite clip-space vertex"
+        f"{triangle_index} has a non-finite {space}-space vertex"
     )
 
 

@@ -1,9 +1,9 @@
 """The batched numpy backend (``backend="numpy"``).
 
-Geometry: :func:`assemble_frame` transforms, clip-tests and culls a
-whole frame's draw commands at once as ``(n, 3)`` coordinate arrays and
-returns the frame's primitive table (:func:`assemble` is the same pass
-for one command); only the survivors become Python objects.
+Geometry: :func:`assemble_frame`, the backend's only geometry entry
+point, transforms, clip-tests and culls a whole frame's draw commands at
+once as ``(n, 3)`` coordinate arrays and returns the frame's primitive
+table; only the survivors become Python objects.
 
 Raster: :func:`prepare_tile` rasterizes a tile's *entire* display list
 in one shot: vertex data is gathered into structure-of-arrays form (one
@@ -44,10 +44,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..errors import PipelineError
 from ..geom import ScreenTriangle
 from ..math3d import Mat4, Vec2
 from .api import (
@@ -134,72 +135,53 @@ def _assemble_clip(clip: np.ndarray, viewport: Mat4,
 
 def _screen_triangles(triangles: Sequence, sources: List[int],
                       command_ids: List[int], primitive_ids: List[int],
-                      states: Dict[int, object],
-                      window: np.ndarray) -> List[ScreenTriangle]:
+                      states: Sequence, window: np.ndarray
+                      ) -> List[ScreenTriangle]:
     """The survivors as :class:`ScreenTriangle` objects: row ``k`` is
     ``triangles[sources[k]]`` at ``window[k]``, with its command's state
     from ``states``.  Coordinates are taken with ``tolist()``, so they
-    are plain ``float``s, and the signature packs them as the
-    reference's ``struct.pack('<3d', ...)`` does."""
-    position_bytes = window.astype("<f8", copy=False).tobytes()
-    rows = window.tolist()
-    packed_states = {command_id: state.pack()
-                     for command_id, state in states.items()}
+    are plain ``float``s."""
     survivors: List[ScreenTriangle] = []
-    for row, (source, command_id, primitive_id) in enumerate(
-            zip(sources, command_ids, primitive_ids)):
-        attributes = _ATTRIBUTES(triangles[source])
-        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows[row]
-        base = 72 * row
+    for row, source, command_id, primitive_id in zip(
+            window.tolist(), sources, command_ids, primitive_ids):
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = row
         survivors.append(ScreenTriangle(
             xy=(Vec2(x0, y0), Vec2(x1, y1), Vec2(x2, y2)),
             z=(z0, z1, z2),
-            attributes=attributes,
+            attributes=_ATTRIBUTES(triangles[source]),
             command_id=command_id,
             primitive_id=primitive_id,
             state=states[command_id],
-            signature_bytes=b"".join((
-                packed_states[command_id],
-                position_bytes[base:base + 24], attributes[0].pack(),
-                position_bytes[base + 24:base + 48], attributes[1].pack(),
-                position_bytes[base + 48:base + 72], attributes[2].pack(),
-            )),
         ))
     return survivors
 
 
-def assemble(command, command_id: int, mvp: Mat4,
-             viewport: Mat4) -> List[ScreenTriangle]:
-    """:func:`repro.kernels.reference.assemble` over the whole command,
-    as one array pass (the frame pass of :func:`assemble_frame` for a
-    single command).  Rejection and culling are masks; only the
-    survivors become Python objects."""
-    triangles = command.triangles
-    # The scalar reference never warns on float overflow: neither do we.
-    with np.errstate(all="ignore"):
-        clip = _clip(_positions(triangles),
-                     np.array(mvp.m).reshape(1, 4, 4))
-        finite = np.isfinite(clip).all(axis=(0, 2))
-        if not finite.all():
-            raise non_finite_vertex(command, command_id,
-                                    int(np.argmin(finite)))
-        sources, window = _assemble_clip(
-            clip, viewport,
-            np.full(len(triangles), command.state.cull_backface))
-    count = len(sources)
-    return _screen_triangles(triangles, sources.tolist(),
-                             [command_id] * count, list(range(count)),
-                             {command_id: command.state}, window)
+def _first_fault(commands: Sequence, owner: np.ndarray, clip: np.ndarray,
+                 sources: np.ndarray, window: np.ndarray) -> PipelineError:
+    """The reference's error for a frame with a non-finite coordinate:
+    the first triangle in submission order whose clip-space coordinate
+    is not finite, or that survived with a non-finite window-space one
+    (clip space on a tie, as the reference tests it first)."""
+    clip_fault = ~np.isfinite(clip).all(axis=(0, 2))
+    fault = clip_fault.copy()
+    fault[sources[~np.isfinite(window).all(axis=(1, 2))]] = True
+    first = int(np.argmax(fault))
+    command_id = int(owner[first])
+    return non_finite_vertex(
+        commands[command_id], command_id,
+        first - int(np.searchsorted(owner, command_id)),
+        "clip" if clip_fault[first] else "window")
 
 
 def assemble_frame(commands: Sequence, mvps: Sequence[Mat4],
-                   viewport: Mat4) -> Optional[FrameGeometry]:
+                   viewport: Mat4) -> FrameGeometry:
     """Vertex shading and Primitive Assembly for a whole frame in one
-    array pass: :func:`assemble` for every command, command ``i`` under
-    ``mvps[i]``, with each triangle's MVP rows gathered from its
-    command's.  Returns the frame's :class:`FrameGeometry`, or None
-    when a clip-space or window-space coordinate is not finite (the
-    per-command path then raises or bins exactly as the reference)."""
+    array pass: :func:`repro.kernels.reference.assemble` for every
+    command, command ``i`` under ``mvps[i]``, with each triangle's MVP
+    rows gathered from its command's.  Rejection and culling are
+    masks; only the survivors become Python objects.  Raises the
+    reference's ``PipelineError`` for the frame's first triangle with a
+    non-finite clip-space or surviving window-space coordinate."""
     counts = [len(command.triangles) for command in commands]
     triangles = [triangle for command in commands
                  for triangle in command.triangles]
@@ -207,21 +189,20 @@ def assemble_frame(commands: Sequence, mvps: Sequence[Mat4],
     matrices = np.array([mvp.m for mvp in mvps]).reshape(-1, 4, 4)
     cull_backface = np.array([command.state.cull_backface
                               for command in commands])
+    # The scalar reference never warns on float overflow: neither do we.
     with np.errstate(all="ignore"):
         clip = _clip(_positions(triangles), matrices[owner])
-        if not np.isfinite(clip).all():
-            return None
         sources, window = _assemble_clip(clip, viewport,
                                          cull_backface[owner])
-        if not np.isfinite(window).all():
-            return None
+        if not (np.isfinite(clip).all() and np.isfinite(window).all()):
+            raise _first_fault(commands, owner, clip, sources, window)
     command_ids = owner[sources]
     primitive_ids = (np.arange(len(sources))
                      - np.searchsorted(command_ids, command_ids))
     survivors = _screen_triangles(
         triangles, sources.tolist(), command_ids.tolist(),
-        primitive_ids.tolist(), dict(enumerate(
-            command.state for command in commands)), window)
+        primitive_ids.tolist(),
+        [command.state for command in commands], window)
     x, y, z = window[:, :, 0], window[:, :, 1], window[:, :, 2]
     return FrameGeometry(
         survivors=survivors,

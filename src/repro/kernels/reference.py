@@ -16,7 +16,6 @@ in place exactly where the mask selects.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -48,6 +47,9 @@ def assemble(command, command_id: int, mvp: Mat4,
                                      len(survivors), state)
         if screen is None or _should_cull(screen, state):
             continue
+        if not all(math.isfinite(value)
+                   for v in (*screen.xy, screen.z) for value in v):
+            raise non_finite_vertex(command, command_id, tri_index, "window")
         survivors.append(screen)
     return survivors
 
@@ -84,7 +86,6 @@ def _transform_triangle(
     z = tuple(min(max(w.z, 0.0), 1.0) for w in window)
     attributes = tuple(v.attributes for v in triangle.vertices)
 
-    signature_bytes = _signature_bytes(xy, z, attributes, state)
     return ScreenTriangle(
         xy=xy,  # type: ignore[arg-type]
         z=z,  # type: ignore[arg-type]
@@ -92,27 +93,7 @@ def _transform_triangle(
         command_id=command_id,
         primitive_id=primitive_id,
         state=state,
-        signature_bytes=signature_bytes,
     )
-
-
-def _signature_bytes(xy, z, attributes, state) -> bytes:
-    """Post-transform encoding fed to the RE CRC.
-
-    The signature must change whenever anything that can affect the
-    tile's colors changes: window-space positions (so moving objects
-    are caught even when their object-space mesh is static), vertex
-    attributes, and the render state / shader identity.  Positions
-    are packed at full f64 precision: the rasterizer interpolates in
-    f64, so motion below f32 epsilon still changes blended colors,
-    and an f32-quantized signature would wrongly match across such a
-    frame pair and skip a tile whose true colors differ.
-    """
-    parts = [state.pack()]
-    for position, depth, attrs in zip(xy, z, attributes):
-        parts.append(struct.pack("<3d", position.x, position.y, depth))
-        parts.append(attrs.pack())
-    return b"".join(parts)
 
 
 def _should_cull(screen: ScreenTriangle, state) -> bool:

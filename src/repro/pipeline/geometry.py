@@ -11,10 +11,11 @@ FVP Table, Algorithm-1 reordering into the two-part Display Lists, and
 the (possibly filtered) Rendering Elimination signature updates.
 
 Vertex shading and Primitive Assembly run behind the kernel-backend seam
-(:mod:`repro.kernels`).  On a backend that assembles whole frames (numpy)
-the Polygon List Builder bins the frame's (primitive, tile) pairs in
-array passes; otherwise it is one sequential loop per command, the
-reference both forms are tested against.
+(:mod:`repro.kernels`), one form per backend.  The numpy backend
+assembles the whole frame at once and the Polygon List Builder bins the
+frame's (primitive, tile) pairs in array passes; the scalar reference
+assembles and bins one command at a time in a sequential loop, the
+oracle the array form is tested against.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class GeometryPipeline:
         self.re = rendering_elimination
         self.dsr = dsr
         self._kernels = resolve_backend(backend)
+        self._assemble_frame = getattr(self._kernels, "assemble_frame",
+                                       None)
         self._viewport = viewport(config.screen_width, config.screen_height)
         self._pointer_cursor = 0
         self._vertex_base = 0
@@ -97,14 +100,16 @@ class GeometryPipeline:
     # -- vertex processing and assembly ------------------------------------
 
     def process_frame(self, frame: Frame, stats: FrameStats) -> None:
-        """Run the full Geometry Pipeline for ``frame``.
+        """Run the full Geometry Pipeline for ``frame``, starting from an
+        empty Parameter Buffer and LGT.
 
         A backend with ``assemble_frame`` (numpy) assembles and bins the
-        whole frame in array passes.  Otherwise — and for a frame with a
-        non-finite coordinate, or a Parameter Buffer not reset since the
-        last frame — each command is assembled and binned in turn, the
-        scalar reference path.
+        whole frame in array passes; the scalar reference assembles and
+        bins each command in turn.
         """
+        self.parameter_buffer.reset()
+        if self.lgt is not None:
+            self.lgt.reset()
         self._pointer_cursor = 0
         self._vertex_base = 0
         # ``projection @ view`` once per distinct matrix pair per frame:
@@ -112,15 +117,12 @@ class GeometryPipeline:
         # product is exact.  Keyed by identity — the frame keeps every
         # matrix alive while the dict lives.
         view_projections = {}
-        assemble_frame = getattr(self._kernels, "assemble_frame", None)
-        if (assemble_frame is not None
-                and not self.parameter_buffer.stored_primitives):
+        if self._assemble_frame is not None:
             mvps = [self._mvp(frame, command, view_projections)
                     for command in frame.commands]
-            table = assemble_frame(frame.commands, mvps, self._viewport)
-            if table is not None:
-                self._bin_frame(frame, table, stats)
-                return
+            self._bin_frame(frame, self._assemble_frame(
+                frame.commands, mvps, self._viewport), stats)
+            return
         tracer = get_tracer()
         for command_id, command in enumerate(frame.commands):
             stats.commands_processed += 1
@@ -309,8 +311,9 @@ class GeometryPipeline:
                 tiles, pair_woz, depth[rows], layers, table.bbox[rows])
         updates = 0
         if self.re is not None:
-            updates = self.re.on_primitives_binned(
-                tiles, self.re.primitive_crcs(survivors)[rows], predicted)
+            crcs = self.re.primitive_crcs(survivors, table.window)
+            updates = self.re.on_primitives_binned(tiles, crcs[rows],
+                                                   predicted)
         if self.dsr is not None:
             coarse = np.fromiter(map(dsr_signature, survivors),
                                  dtype=np.uint32, count=count)

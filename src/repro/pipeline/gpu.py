@@ -303,9 +303,6 @@ class GPU:
         stats = FrameStats()
         tracer = get_tracer()
         bus = get_bus()
-        self.parameter_buffer.reset()
-        if self.lgt is not None:
-            self.lgt.reset()
 
         # -- Geometry Pipeline --
         self.memory.reset_stats()

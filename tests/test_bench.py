@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -119,6 +120,33 @@ class TestRunBench:
         assert restored["preset"] == "tiny"
         assert restored["speedup"]["fragments_per_second"] == pytest.approx(
             tiny_record["speedup"]["fragments_per_second"])
+
+
+class TestKernelSweep:
+    def test_divergent_backend_is_refused(self, monkeypatch):
+        from repro.harness.bench import _kernel_sweeps, _pipeline_measurement
+        from repro.kernels import batched
+
+        jobs = _pipeline_measurement(BENCH_PRESETS["tiny"], "python")["_jobs"]
+        prepare_tile = batched.prepare_tile
+
+        class Nudged:
+            """The batch's fragments one ulp deeper: the same coverage
+            and counts, other depth bits."""
+
+            def __init__(self, batch):
+                self._batch = batch
+
+            def fragments(self, index):
+                frag = self._batch.fragments(index)
+                if frag is None:
+                    return None
+                return frag._replace(depth=np.nextafter(frag.depth, 2.0))
+
+        monkeypatch.setattr(batched, "prepare_tile",
+                            lambda *args: Nudged(prepare_tile(*args)))
+        with pytest.raises(AssertionError, match="kernels on backend 'numpy'"):
+            _kernel_sweeps(jobs, ("python", "numpy"), repeat=1)
 
 
 class TestExecuteSweep:

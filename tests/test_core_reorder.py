@@ -26,7 +26,6 @@ def make_entry(tag, writes_z):
         command_id=0,
         primitive_id=tag,
         state=state,
-        signature_bytes=b"%d" % tag,
     )
     return DisplayListEntry(primitive=primitive, offset=tag, layer=0)
 

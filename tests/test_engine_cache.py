@@ -12,7 +12,7 @@ from repro.engine import DiskCache, default_cache_dir
 from repro.engine.diskcache import code_version
 from repro.harness.runner import RunMetrics, SuiteRunner
 from repro.obs.metrics import global_registry
-from repro.spec import RunSpec
+from repro.spec import RunSpec, SchedulerSpec
 from repro.techniques import BASELINE, EVR
 
 CONFIG = GPUConfig.tiny(frames=2)
@@ -82,6 +82,20 @@ class TestSuiteRunnerDiskCache:
             assert second == first
             assert (runner.cache_hits, runner.cache_misses) == (1, 0)
             assert "1 hits, 0 misses" in runner.cache_summary()
+
+    def test_pooled_sweep_keeps_cells_settled_before_a_raise(self,
+                                                             tmp_path):
+        # A plain two-worker sweep stores each cell as it settles: the
+        # cell before the raising one is cached, so the re-run hits it.
+        spec = RunSpec.from_config(CONFIG, scheduler=SchedulerSpec(jobs=2))
+        with SuiteRunner(spec, cache_dir=str(tmp_path)) as runner:
+            assert runner.jobs == 2
+            with pytest.raises(Exception, match="no-such-benchmark"):
+                runner.run_many(["ata", "no-such-benchmark", "hop"],
+                                [BASELINE])
+        with SuiteRunner(spec, cache_dir=str(tmp_path)) as runner:
+            runner.run_many(["ata", "hop"], [BASELINE])
+            assert runner.cache_hits >= 1
 
     def test_config_change_misses(self, tmp_path):
         with SuiteRunner(SPEC, cache_dir=str(tmp_path)) as runner:

@@ -19,6 +19,7 @@ from repro.engine import (
     make_scheduler,
 )
 from repro.harness.runner import run_benchmark
+from repro.obs.profile import SchedulerProfiler
 from repro.pipeline import GPU
 from repro.scenes import benchmark_stream
 from repro.spec import RunSpec
@@ -82,6 +83,27 @@ class TestSchedulerProtocol:
             assert pool.map(_square, list(range(8))) == [
                 n * n for n in range(8)
             ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_on_result_sees_each_result_in_submission_order(self, jobs,
+                                                           profiled):
+        seen = []
+        profiler = SchedulerProfiler() if profiled else None
+        with make_scheduler(jobs, profiler=profiler) as scheduler:
+            results = scheduler.map(_square, [3, 1, 2, 5],
+                                    on_result=lambda *pair:
+                                    seen.append(pair))
+        assert results == [9, 1, 4, 25]
+        assert seen == [(0, 9), (1, 1), (2, 4), (3, 25)]
+
+    def test_on_result_keeps_what_settled_before_a_raise(self):
+        seen = []
+        with ProcessPoolScheduler(2) as pool:
+            with pytest.raises(ZeroDivisionError):
+                pool.map(_inverse, [1, 0, 2],
+                         on_result=lambda *pair: seen.append(pair))
+        assert seen == [(0, 1.0)]
 
     def test_pool_rejects_single_worker(self):
         with pytest.raises(ValueError):
@@ -209,3 +231,7 @@ class TestSchedulerShutdownSafety:
 
 def _square(n: int) -> int:
     return n * n
+
+
+def _inverse(n: int) -> float:
+    return 1 / n

@@ -1,5 +1,6 @@
 """Tests for repro.geom: vertices, triangles, meshes."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from repro.geom import (
     screen_quad,
     sprite_quad,
 )
+from repro.geom.triangle import tile_span, tile_spans
 from repro.math3d import Vec2, Vec3, Vec4
 
 
@@ -27,7 +29,6 @@ def make_screen_triangle(points, z=(0.5, 0.5, 0.5), state=None):
         command_id=0,
         primitive_id=0,
         state=state or RenderState.sprite_2d(),
-        signature_bytes=b"test",
     )
 
 
@@ -93,23 +94,42 @@ class TestScreenTriangle:
         assert not nwoz.writes_z
 
     class TestOverlappedTiles:
+        """The binning span, scalar and array forms, of a triangle's
+        bounding box."""
+
+        @staticmethod
+        def overlapped(tri, tiles_x, tiles_y):
+            """The tiles both forms list, asserting they agree (an empty
+            span may end at a different negative tile in each)."""
+            bbox = tri.bounding_box()
+            tiles = [
+                tuple((tx, ty) for ty in range(first_ty, last_ty + 1)
+                      for tx in range(first_tx, last_tx + 1))
+                for first_tx, first_ty, last_tx, last_ty in (
+                    tile_span(bbox, 16, 16, tiles_x, tiles_y),
+                    tile_spans(np.array([bbox]), 16, 16, tiles_x,
+                               tiles_y)[0].tolist())
+            ]
+            assert tiles[0] == tiles[1]
+            return tiles[0]
+
         def test_single_tile(self):
             tri = make_screen_triangle([(1, 1), (10, 1), (1, 10)])
-            assert tri.overlapped_tiles(16, 16, 4, 3) == ((0, 0),)
+            assert self.overlapped(tri, 4, 3) == ((0, 0),)
 
         def test_spanning_tiles(self):
             tri = make_screen_triangle([(1, 1), (40, 1), (1, 40)])
-            tiles = tri.overlapped_tiles(16, 16, 4, 3)
+            tiles = self.overlapped(tri, 4, 3)
             assert set(tiles) == {(tx, ty) for tx in range(3) for ty in range(3)}
 
         def test_clamped_to_screen(self):
             tri = make_screen_triangle([(-50, -50), (500, -50), (-50, 500)])
-            tiles = tri.overlapped_tiles(16, 16, 4, 3)
+            tiles = self.overlapped(tri, 4, 3)
             assert set(tiles) == {(tx, ty) for tx in range(4) for ty in range(3)}
 
         def test_fully_offscreen(self):
             tri = make_screen_triangle([(-50, -50), (-10, -50), (-50, -10)])
-            assert tri.overlapped_tiles(16, 16, 4, 3) == ()
+            assert self.overlapped(tri, 4, 3) == ()
 
         @given(
             st.floats(min_value=-100, max_value=200),
@@ -118,7 +138,7 @@ class TestScreenTriangle:
         )
         def test_conservative_covers_bbox(self, x, y, size):
             tri = make_screen_triangle([(x, y), (x + size, y), (x, y + size)])
-            tiles = tri.overlapped_tiles(16, 16, 8, 8)
+            tiles = self.overlapped(tri, 8, 8)
             # Every on-screen vertex's tile must be listed.
             for vx, vy in [(x, y), (x + size, y), (x, y + size)]:
                 if 0 <= vx < 128 and 0 <= vy < 128:

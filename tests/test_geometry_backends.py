@@ -2,19 +2,20 @@
 
 The scalar ``assemble`` in :mod:`repro.kernels.reference` and the
 per-pair Polygon List Builder loop define the geometry semantics; the
-numpy backend's frame-wide ``assemble_frame`` and array builder must
-reproduce them bit for bit.  Random frames of WOZ, NWOZ and translucent
-commands (with per-command view/projection overrides, degenerate and
-back-facing triangles and vertices behind the camera) are rendered
-under every registered technique plus the prediction ablations, and
-after each frame's geometry phase the suite compares every display-list
-entry, every ``ScreenTriangle`` field (bit patterns, and ``type(...)
-is float`` for every coordinate), the tile signatures, ``FrameStats``,
-the hook objects' own counters and the recorded memory-op sequence.
+numpy backend's frame-wide ``assemble_frame`` (its only geometry entry
+point) and array builder must reproduce them bit for bit.  Random
+frames of WOZ, NWOZ and translucent commands (with per-command
+view/projection overrides, degenerate and back-facing triangles and
+vertices behind the camera) are rendered under every registered
+technique plus the prediction ablations, and after each frame's
+geometry phase the suite compares every display-list entry, every
+``ScreenTriangle`` field (bit patterns, and ``type(...) is float`` for
+every coordinate), the tile signatures, ``FrameStats``, the hook
+objects' own counters and the recorded memory-op sequence.
 Directed tests pin the rejection and culling rules, the
 ``primitive_id`` numbering, layers, Algorithm 1 and the filtered
 signature under seeded FVPs, far off-screen spans and the
-non-finite-vertex error.
+non-finite-vertex errors, in clip and in window space.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
-import zlib
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from repro import (
 from repro.geom import Triangle, Vertex, VertexAttributes
 from repro.geom.triangle import tile_span, tile_spans
 from repro.hw import FVPEntry, FVPType
-from repro.hw.signature_buffer import combine_signature
-from repro.kernels import available_backends, resolve_backend
+from repro.hw.signature_buffer import combine_signature, primitive_signature
+from repro.kernels import available_backends, batched, reference
 from repro.math3d import (
     Mat4,
     Vec2,
@@ -59,6 +59,7 @@ from repro.math3d import (
 )
 from repro.memsys import MemorySystem
 from repro.techniques.registry import resolve_features, technique_names
+from repro.timing import FrameStats
 
 from tests.strategies import edge_floats
 
@@ -115,7 +116,6 @@ def _triangle_key(triangle):
         triangle.command_id,
         triangle.primitive_id,
         triangle.state,
-        triangle.signature_bytes,
     )
 
 
@@ -282,12 +282,8 @@ class TestFuzzBitIdentity:
         matrix = {"identity": Mat4.identity(),
                   "perspective": PERSPECTIVE @ CAMERA @ command.model,
                   "ortho": ORTHO}[mvp]
-        results = [
-            list(map(_triangle_key,
-                     resolve_backend(name).assemble(command, 3, matrix,
-                                                    VIEWPORT)))
-            for name in ("python", "numpy")
-        ]
+        results = [list(map(_triangle_key, _assemble(name, command, matrix)))
+                   for name in ("python", "numpy")]
         assert results[0] == results[1]
 
 
@@ -308,10 +304,18 @@ _W_IS_Z = Mat4.from_rows((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
                          (0.0, 0.0, 0.0, 0.5), (0.0, 0.0, 1.0, 0.0))
 
 
+def _assemble(backend, command, mvp):
+    """``command``'s survivors as command 0, through ``backend``'s
+    geometry entry point: the reference's per-command ``assemble``, or
+    numpy's ``assemble_frame`` of a one-command frame."""
+    if backend == "python":
+        return reference.assemble(command, 0, mvp, VIEWPORT)
+    return batched.assemble_frame([command], [mvp], VIEWPORT).survivors
+
+
 def _assemble_both(command, mvp):
     """Survivors per backend, asserting the two agree bit for bit."""
-    results = {name: resolve_backend(name).assemble(command, 0, mvp,
-                                                    VIEWPORT)
+    results = {name: _assemble(name, command, mvp)
                for name in available_backends()}
     keys = {name: list(map(_triangle_key, survivors))
             for name, survivors in results.items()}
@@ -481,9 +485,13 @@ class TestFrameBinning:
         assert second == ()
 
         # The filtered signature folds only the pairs predicted visible,
-        # in binning order.
-        crcs = {key[0][3]: zlib.crc32(key[0][6])
-                for key in by_tile[1][0]}
+        # in binning order.  Each command's one primitive, as the
+        # scalar pipeline assembles it:
+        gpu = GPU(CONFIG, "baseline", backend="python")
+        gpu.geometry.process_frame(self._sequence_frame(), FrameStats())
+        crcs = {entry.primitive.command_id: primitive_signature(
+                    entry.primitive)
+                for entry in gpu.parameter_buffer.display_list(1).first}
         for tile, visible in ((0, (1, 2, 4)), (1, (3, 4, 5))):
             expected = 0
             for command in visible:
@@ -508,26 +516,27 @@ class TestFrameBinning:
         assert tuple(tile_spans(np.array([bbox]), 16, 16, 4, 3)[0]) == \
             tile_span(bbox, 16, 16, 4, 3) == (1, 0, 3, 1)
 
-    def test_window_overflow_takes_the_scalar_path(self):
-        # Finite in clip space, infinite in window space: the frame pass
-        # hands the frame to the per-command path, so both backends fail
-        # identically (binning cannot place an infinite box).
-        overflowing = _tri((1e303, 0.0, 1e-5), (-0.375, 0.5, 1.0),
-                           (0.25, -0.25, 1.0))
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_window_overflow_raises_pipeline_error(self, position):
+        # Finite in clip space (x 1e303 at w 1e-5), infinite in window
+        # space: the triangle survives and cannot be binned.
+        points = [(-0.375, 0.5, 1.0), (0.25, -0.25, 1.0)]
+        points.insert(position, (1e303, 0.0, 1e-5))
         frame = Frame([
             DrawCommand([_tri((2.0, 2.0, 0.0), (20.0, 2.0, 0.0),
                               (2.0, 20.0, 0.0))],
                         state=RenderState.sprite_2d(), label="ok",
                         projection=ORTHO),
-            DrawCommand([overflowing], state=RenderState.sprite_2d(),
-                        label="overflow", view=Mat4.identity(),
-                        projection=_W_IS_Z)])
-        errors = []
+            DrawCommand([_tri((2.0, 2.0, 0.0), (20.0, 2.0, 0.0),
+                              (2.0, 20.0, 0.0)), _tri(*points)],
+                        state=RenderState.sprite_2d(), label="overflow",
+                        view=Mat4.identity(), projection=_W_IS_Z)])
         for backend in available_backends():
-            with pytest.raises(Exception) as caught:
+            with pytest.raises(PipelineError) as caught:
                 GPU(CONFIG, "re", backend=backend).render_frame(frame)
-            errors.append((type(caught.value), str(caught.value)))
-        assert errors[0] == errors[1]
+            assert str(caught.value) == (
+                "draw command 1 ('overflow'): triangle 1 has a non-finite "
+                "window-space vertex"), backend
 
 
 class TestNonFiniteVertices:
@@ -572,6 +581,37 @@ class TestNonFiniteVertices:
             "draw command 1 ('second'): triangle 2 has a non-finite "
             "clip-space vertex")
 
+    #: One command per fault (between two good ones), in this order.
+    @pytest.mark.parametrize("faults, expected", [
+        (("clip", "window"),
+         "draw command 1 ('clip'): triangle 0 has a non-finite "
+         "clip-space vertex"),
+        (("window", "clip"),
+         "draw command 1 ('window'): triangle 0 has a non-finite "
+         "window-space vertex"),
+    ], ids=["clip-first", "window-first"])
+    def test_first_fault_in_submission_order_wins(self, faults, expected):
+        good = _tri((2.0, 2.0, 0.0), (20.0, 2.0, 0.0), (2.0, 20.0, 0.0))
+        broken = {
+            "clip": _tri((4.0, 4.0, 0.0), (math.nan, 4.0, 0.0),
+                         (4.0, 30.0, 0.0)),
+            "window": _tri((1e303, 0.0, 1e-5), (-0.375, 0.5, 1.0),
+                           (0.25, -0.25, 1.0)),
+        }
+        commands = [DrawCommand([good], state=RenderState.sprite_2d(),
+                                label="ok", projection=ORTHO)]
+        for fault in faults:
+            commands.append(DrawCommand(
+                [broken[fault], good], state=RenderState.sprite_2d(),
+                label=fault, view=Mat4.identity(),
+                projection=_W_IS_Z if fault == "window" else ORTHO))
+        commands.append(commands[0])
+        for backend in available_backends():
+            with pytest.raises(PipelineError) as caught:
+                GPU(CONFIG, "evr", backend=backend).render_frame(
+                    Frame(commands))
+            assert str(caught.value) == expected, backend
+
     @pytest.mark.parametrize("backend", available_backends())
     def test_non_finite_matrix(self, backend):
         command = _command_of(
@@ -582,4 +622,4 @@ class TestNonFiniteVertices:
                                 (0.0, 0.0, 1.0, 0.0),
                                 (0.0, 0.0, 0.0, 1.0))
         with pytest.raises(PipelineError, match="triangle 0"):
-            resolve_backend(backend).assemble(command, 0, matrix, VIEWPORT)
+            _assemble(backend, command, matrix)

@@ -1,12 +1,14 @@
 """Tests for Parameter Buffer, Signature Buffer, LGT and FVP Table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import RenderState
-from repro.geom import ScreenTriangle, VertexAttributes
+from repro import DrawCommand, RenderState
+from repro.geom import ScreenTriangle, Triangle, Vertex, VertexAttributes
 from repro.hw import (
     DisplayList,
     DisplayListEntry,
@@ -19,11 +21,14 @@ from repro.hw import (
     primitive_signature,
 )
 from repro.hw.fvp_table import KIND_EMPTY, KIND_NWOZ, KIND_WOZ
-from repro.hw.signature_buffer import combine_signature
-from repro.math3d import Vec2
+from repro.hw.signature_buffer import combine_signature, primitive_signatures
+from repro.kernels import reference
+from repro.math3d import Mat4, Vec2, Vec3, Vec4, viewport
+
+from tests.strategies import edge_floats
 
 
-def make_primitive(signature=b"abc", command_id=0):
+def make_primitive(command_id=0):
     return ScreenTriangle(
         xy=(Vec2(0, 0), Vec2(4, 0), Vec2(0, 4)),
         z=(0.5, 0.5, 0.5),
@@ -31,7 +36,32 @@ def make_primitive(signature=b"abc", command_id=0):
         command_id=command_id,
         primitive_id=0,
         state=RenderState.sprite_2d(),
-        signature_bytes=signature,
+    )
+
+
+_STATES = (RenderState.sprite_2d(), RenderState.opaque_3d(),
+           RenderState.translucent_3d())
+#: Window coordinates and attribute channels: signed zeros, subnormals
+#: and ties, the values a careless array encoder would pack differently.
+#: Attributes stay in float32 range, where ``pack`` can encode them.
+_WINDOW = edge_floats(-1e6, 1e6, ties=(16.0,))
+_CHANNEL = edge_floats(-2.0, 2.0, ties=(0.5,))
+
+
+@st.composite
+def _screen_triangle(draw):
+    def attributes():
+        return VertexAttributes(
+            color=Vec4(*(draw(_CHANNEL) for _ in range(4))),
+            uv=Vec2(draw(_CHANNEL), draw(_CHANNEL)),
+            normal=Vec3(draw(_CHANNEL), draw(_CHANNEL), draw(_CHANNEL)))
+    return ScreenTriangle(
+        xy=tuple(Vec2(draw(_WINDOW), draw(_WINDOW)) for _ in range(3)),
+        z=tuple(draw(_CHANNEL) for _ in range(3)),
+        attributes=tuple(attributes() for _ in range(3)),
+        command_id=0,
+        primitive_id=0,
+        state=draw(st.sampled_from(_STATES)),
     )
 
 
@@ -135,10 +165,54 @@ class TestSignatureBuffer:
         sb.rotate_frame()
         assert sb.matches_previous(0)  # empty == empty after first frame
 
-    def test_primitive_signature_tracks_bytes(self):
-        assert primitive_signature(make_primitive(b"a")) != primitive_signature(
-            make_primitive(b"b")
+    def test_primitive_signature_tracks_every_field(self):
+        base = make_primitive()
+        v0, v1, v2 = base.xy
+        attributes = base.attributes[0]
+        changed = [
+            dataclasses.replace(base, xy=(Vec2(0.5, 0), v1, v2)),
+            dataclasses.replace(base, xy=(v0, Vec2(4, 0.5), v2)),
+            dataclasses.replace(base, z=(0.5, 0.5, 0.25)),
+            dataclasses.replace(base, attributes=(
+                attributes.with_color(Vec4(1.0, 1.0, 0.5, 1.0)),
+                attributes, attributes)),
+            dataclasses.replace(base, attributes=(
+                attributes, dataclasses.replace(attributes, uv=Vec2(0, 1)),
+                attributes)),
+            dataclasses.replace(base, state=RenderState.opaque_3d()),
+        ]
+        crcs = {primitive_signature(p) for p in [base] + changed}
+        assert len(crcs) == len(changed) + 1
+
+    def test_primitive_signature_pin(self):
+        # The RE encoding of one assembled triangle may never drift: the
+        # value is the CRC32 the encoding had when assembly packed it.
+        state = RenderState.translucent_3d()
+        triangle = Triangle(
+            Vertex(Vec3(-0.3, 0.2, 0.1),
+                   VertexAttributes(color=Vec4(1.0, 0.25, 0.0, 0.5),
+                                    uv=Vec2(0.0, 1.0))),
+            Vertex(Vec3(0.7, -0.1, 0.5),
+                   VertexAttributes(color=Vec4(0.2, 0.4, 0.6, 0.5),
+                                    uv=Vec2(1.0, 0.5),
+                                    normal=Vec3(0.0, 1.0, 0.0))),
+            Vertex(Vec3(0.1, 0.9, -0.25),
+                   VertexAttributes(color=Vec4(0.0, 0.0, 1.0, 0.5),
+                                    uv=Vec2(0.5, 0.0))),
         )
+        (screen,) = reference.assemble(
+            DrawCommand([triangle], state=state, label="pin"), 0,
+            Mat4.identity(), viewport(64, 48))
+        assert primitive_signature(screen) == 0x404297FB
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_screen_triangle(), min_size=1, max_size=5))
+    def test_scalar_and_array_encoders_agree(self, primitives):
+        window = np.array([[(v.x, v.y, z) for v, z in zip(p.xy, p.z)]
+                           for p in primitives])
+        crcs = primitive_signatures(primitives, window)
+        assert crcs.dtype == np.uint32
+        assert crcs.tolist() == [primitive_signature(p) for p in primitives]
 
     def test_incremental_equals_batch(self):
         crcs = [11, 22, 33]

@@ -151,7 +151,7 @@ class TestPrepareTile:
             attributes=tuple(VertexAttributes(color=Vec4(1, 1, 1, 1))
                              for _ in range(3)),
             command_id=0, primitive_id=0,
-            state=RenderState.sprite_2d(), signature_bytes=b"",
+            state=RenderState.sprite_2d(),
         )
         entries = [type("E", (), {"primitive": triangle})()]
 
@@ -211,7 +211,7 @@ def test_prepare_tile_keeps_negative_zero_sums(red):
         xy=(Vec2(0.0, 0.0), Vec2(30.0, 0.0), Vec2(0.0, 30.0)),
         z=(0.5, 0.5, 0.5), attributes=(attributes,) * 3,
         command_id=0, primitive_id=0,
-        state=RenderState.sprite_2d(), signature_bytes=b"",
+        state=RenderState.sprite_2d(),
     )
     entries = [type("E", (), {"primitive": triangle})()]
     valid = valid_mask(0, 0, 16, 16, 64, 48)

@@ -21,7 +21,6 @@ def make_triangle(points, z=(0.5, 0.5, 0.5), colors=None):
         command_id=0,
         primitive_id=0,
         state=RenderState.sprite_2d(),
-        signature_bytes=b"",
     )
 
 

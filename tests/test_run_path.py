@@ -118,7 +118,6 @@ def _entry(draw, index=0):
         command_id=index,
         primitive_id=0,
         state=state,
-        signature_bytes=b"",
     )
     return DisplayListEntry(
         primitive=primitive,
@@ -251,7 +250,7 @@ def _flat(kind, depth, color, x0=-4.0, y0=-4.0, x1=24.0, y1=24.0,
     primitive = ScreenTriangle(
         xy=(Vec2(x0, y0), Vec2(x1, y0), Vec2(x0, y1)),
         z=(depth, depth, depth), attributes=(attributes,) * 3,
-        command_id=0, primitive_id=0, state=state, signature_bytes=b"")
+        command_id=0, primitive_id=0, state=state)
     return DisplayListEntry(primitive=primitive, offset=64 * layer,
                             layer=layer, predicted_occluded=predicted,
                             pointer_offset=4 * layer)
