@@ -16,16 +16,16 @@ whose visible colors changed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from ..geom import ScreenTriangle
 from ..hw.signature_buffer import (
     SignatureBuffer,
     primitive_signature,
     primitive_signatures,
 )
-from ..geom import ScreenTriangle
+from ..kernels.api import FrameGeometry
 
 
 @dataclass
@@ -75,11 +75,10 @@ class RenderingElimination:
         return True
 
     @staticmethod
-    def primitive_crcs(primitives: Sequence[ScreenTriangle],
-                       window: np.ndarray) -> np.ndarray:
-        """:meth:`primitive_crc` of every primitive at ``window``, as a
-        ``uint32`` array (:func:`primitive_signatures`)."""
-        return primitive_signatures(primitives, window)
+    def primitive_crcs(table: FrameGeometry) -> np.ndarray:
+        """:meth:`primitive_crc` of every row of a frame's primitive
+        table, as a ``uint32`` array (:func:`primitive_signatures`)."""
+        return primitive_signatures(table)
 
     def on_primitives_binned(self, tiles: np.ndarray, primitive_crcs:
                              np.ndarray, predicted_occluded: np.ndarray

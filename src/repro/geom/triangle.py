@@ -19,6 +19,11 @@ from .vertex import Vertex, VertexAttributes
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..commands.state import RenderState
 
+#: Scalar attributes the rasterizer interpolates per primitive, for the
+#: timing model (the paper's rasterizer processes 16 per cycle): 3
+#: position scalars + 4 color + 2 uv + 3 normal.
+INTERPOLATED_ATTRIBUTES = 12
+
 
 @dataclass(frozen=True)
 class Triangle:
@@ -101,16 +106,6 @@ class ScreenTriangle:
         xs = (self.xy[0].x, self.xy[1].x, self.xy[2].x)
         ys = (self.xy[0].y, self.xy[1].y, self.xy[2].y)
         return (min(xs), min(ys), max(xs), max(ys))
-
-    @property
-    def attribute_count(self) -> int:
-        """Number of scalar attributes the rasterizer interpolates.
-
-        Used by the timing model (the paper's rasterizer processes 16
-        attributes per cycle): 3 position scalars + 4 color + 2 uv +
-        3 normal per vertex-averaged fragment setup.
-        """
-        return 12
 
 
 def tile_span(

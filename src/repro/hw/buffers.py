@@ -34,6 +34,13 @@ class ZBuffer:
     def clear(self) -> None:
         self.depth.fill(self._clear_depth)
 
+    def copy(self) -> "ZBuffer":
+        """An independent copy: the same clear value and depths."""
+        clone = ZBuffer.__new__(ZBuffer)
+        clone._clear_depth = self._clear_depth
+        clone.depth = self.depth.copy()
+        return clone
+
     def preload(self, depths: np.ndarray) -> None:
         """Initialize with known depths (used by the oracle Z-prepass)."""
         np.copyto(self.depth, depths)
@@ -123,6 +130,13 @@ class LayerBuffer:
     def clear(self) -> None:
         self.layers.fill(self.CLEAR_LAYER)
         self.zr_register = -1
+
+    def copy(self) -> "LayerBuffer":
+        """An independent copy: the same layers and ZR register."""
+        clone = LayerBuffer.__new__(LayerBuffer)
+        clone.layers = self.layers.copy()
+        clone.zr_register = self.zr_register
+        return clone
 
     def write(self, mask: np.ndarray, layer: int, is_woz: bool) -> int:
         """Record ``layer`` for the masked (visible, opaque) fragments."""

@@ -13,25 +13,24 @@ baseline pipeline simply never uses the second list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
 from ..geom import ScreenTriangle
+from ..kernels.api import FrameGeometry
 
 POINTER_BYTES = 4
 LAYER_ID_BYTES = 2
 
 
 class DisplayListEntry(NamedTuple):
-    """One Display List record: a primitive pointer plus EVR metadata.
-
-    A named tuple, not a dataclass: binning builds one per (primitive,
-    tile) pair, and pool tile jobs pickle them.
+    """One Display List record: a primitive pointer plus EVR metadata,
+    as the scalar Polygon List Builder places it (Algorithm 1).
 
     Attributes:
-        primitive: the referenced primitive (stands in for dereferencing
-            the Parameter Buffer pointer).
+        row: the primitive's row in the frame's primitive table (stands
+            in for dereferencing the Parameter Buffer pointer).
         offset: byte offset of the primitive's attributes in the
             Parameter Buffer, used to model pointer dereference traffic.
         layer: the layer identifier assigned to the primitive *in this
@@ -41,7 +40,7 @@ class DisplayListEntry(NamedTuple):
             (the pointer the raster pipeline dereferences).
     """
 
-    primitive: ScreenTriangle
+    row: int
     offset: int
     layer: int
     predicted_occluded: bool = False
@@ -76,8 +75,31 @@ class DisplayList:
         yield from self.second
 
 
+class DisplayLists(NamedTuple):
+    """Every tile's display list for one frame, as columns in render
+    order, tile by tile: tile ``t``'s entries are rows
+    ``start[t]:start[t + 1]``, its first list ending at ``split[t]``
+    (the rest is its second list)."""
+
+    row: np.ndarray        # (p,) int64 — the primitive's table row
+    offset: np.ndarray     # (p,) int64 — its attribute record's address
+    layer: np.ndarray      # (p,) int64 — its layer id in this tile
+    predicted: np.ndarray  # (p,) bool  — EVR's prediction for this tile
+    pointer: np.ndarray    # (p,) int64 — this record's own address
+    start: np.ndarray      # (tiles + 1,) int64
+    split: np.ndarray      # (tiles,) int64
+
+
 class ParameterBuffer:
-    """Frame-lifetime storage of primitive attributes and Display Lists."""
+    """Frame-lifetime storage of primitive attributes and Display Lists.
+
+    The Polygon List Builder stores the frame's primitive table and its
+    display lists; raster reads both as columns (:attr:`primitives`,
+    :attr:`lists`).  The scalar builder places entries into per-tile
+    :class:`DisplayList` objects first (Algorithm 1 one pair at a time)
+    and then :meth:`close_display_lists` turns them into the same
+    columns the array builder fills directly.
+    """
 
     def __init__(self, num_tiles: int, attribute_bytes_per_primitive: int = 144):
         self._attribute_bytes = attribute_bytes_per_primitive
@@ -86,6 +108,8 @@ class ParameterBuffer:
             tile: DisplayList() for tile in range(num_tiles)
         }
         self.stored_primitives = 0
+        self.primitives: Optional[FrameGeometry] = None
+        self.lists: Optional[DisplayLists] = None
 
     @property
     def attribute_bytes_per_primitive(self) -> int:
@@ -108,35 +132,44 @@ class ParameterBuffer:
         return offsets
 
     def display_list(self, tile: int) -> DisplayList:
+        """The scalar builder's list for ``tile``."""
         return self._display_lists[tile]
 
-    def fill_display_lists(self, tiles: np.ndarray,
-                           entries: Sequence[DisplayListEntry],
-                           second: np.ndarray) -> None:
-        """Append a frame's entries to the display lists at once.
+    def fill_display_lists(self, primitives: FrameGeometry,
+                           tiles: np.ndarray, second: np.ndarray,
+                           row: np.ndarray, offset: np.ndarray,
+                           layer: np.ndarray, predicted: np.ndarray,
+                           pointer: np.ndarray) -> None:
+        """Store a frame's primitive table and its display lists at once.
 
         ``tiles`` holds each entry's tile, grouped tile by tile and in
         render order within a tile; ``second`` marks the entries of a
         tile's second list, which are a suffix of its group (Algorithm
-        1's order is already resolved, so the lists must be the empty
-        ones :meth:`reset` leaves).
+        1's order is already resolved).  The other columns are the
+        entries' :class:`DisplayLists` fields.
         """
-        if not len(entries):
-            return
-        starts = np.flatnonzero(np.diff(tiles, prepend=-1))
-        stops = np.append(starts[1:], len(entries))
-        splits = stops - np.add.reduceat(second.astype(np.intp), starts)
-        lists = self._display_lists
-        for tile, start, split, stop in zip(tiles[starts].tolist(),
-                                            starts.tolist(), splits.tolist(),
-                                            stops.tolist()):
-            display_list = lists[tile]
-            display_list.first.extend(entries[start:split])
-            if split < stop:
-                display_list.second.extend(entries[split:stop])
+        num_tiles = len(self._display_lists)
+        counts = np.bincount(tiles, minlength=num_tiles)
+        start = np.concatenate(([0], np.cumsum(counts)))
+        split = start[1:] - np.bincount(tiles[second], minlength=num_tiles)
+        self.primitives = primitives
+        self.lists = DisplayLists(row, offset, layer, predicted, pointer,
+                                  start, split)
 
-    def tiles(self) -> Iterator[Tuple[int, DisplayList]]:
-        return iter(self._display_lists.items())
+    def close_display_lists(self, primitives: FrameGeometry) -> None:
+        """Store the frame's primitive table and turn the scalar
+        builder's per-tile lists into :attr:`lists`."""
+        lists = self._display_lists.values()          # in tile order
+        lengths = np.array([(len(display_list.first), len(display_list))
+                            for display_list in lists],
+                           dtype=np.int64).reshape(-1, 2)
+        entries = [entry for display_list in lists for entry in display_list]
+        row, offset, layer, predicted, pointer = np.array(
+            entries, dtype=np.int64).reshape(-1, 5).T.copy()
+        start = np.concatenate(([0], np.cumsum(lengths[:, 1])))
+        self.primitives = primitives
+        self.lists = DisplayLists(row, offset, layer, predicted.astype(bool),
+                                  pointer, start, start[:-1] + lengths[:, 0])
 
     @property
     def total_bytes(self) -> int:
@@ -147,6 +180,8 @@ class ParameterBuffer:
         """Recycle the buffer for the next frame."""
         self._next_offset = 0
         self.stored_primitives = 0
+        self.primitives = None
+        self.lists = None
         for display_list in self._display_lists.values():
             display_list.first.clear()
             display_list.second.clear()

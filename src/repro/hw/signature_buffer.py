@@ -21,11 +21,12 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..geom import ScreenTriangle
+from ..kernels.api import FrameGeometry
 
 EMPTY_SIGNATURE = 0
 
@@ -41,29 +42,41 @@ def primitive_signature(primitive: ScreenTriangle) -> int:
     return zlib.crc32(b"".join(parts))
 
 
-def primitive_signatures(primitives: Sequence[ScreenTriangle],
-                         window: np.ndarray) -> np.ndarray:
-    """:func:`primitive_signature` of every primitive, as a ``uint32``
-    array.  ``window`` is their ``(n, 3, 3)`` float64 window-space
-    ``(x, y, z)`` per vertex (``FrameGeometry.window``), packed in one
-    ``tobytes`` pass; each render state is packed once."""
-    position_bytes = window.astype("<f8", copy=False).tobytes()
-    packed_states: Dict[int, bytes] = {}
-    crcs = []
-    for row, primitive in enumerate(primitives):
-        state = primitive.state
-        packed = packed_states.get(id(state))
-        if packed is None:
-            packed = packed_states[id(state)] = state.pack()
-        a0, a1, a2 = primitive.attributes
-        base = 72 * row
-        crcs.append(zlib.crc32(b"".join((
-            packed,
-            position_bytes[base:base + 24], a0.pack(),
-            position_bytes[base + 24:base + 48], a1.pack(),
-            position_bytes[base + 48:base + 72], a2.pack(),
-        ))))
-    return np.array(crcs, dtype=np.uint32)
+def primitive_signatures(table: FrameGeometry) -> np.ndarray:
+    """:func:`primitive_signature` of every row of a frame's primitive
+    table, as a ``uint32`` array: per vertex the window-space row as
+    ``<f8`` and the attribute row as ``<f4`` (the assembly check keeps
+    every finite attribute within float32 range, so the cast is
+    ``struct.pack('<f')`` value for value)."""
+    count = len(table.state)
+    with np.errstate(invalid="ignore"):       # signalling NaNs, quieted
+        attributes = table.attributes.astype("<f4")
+    vertices = np.concatenate((
+        np.ascontiguousarray(table.window, dtype="<f8").view(np.uint8)
+        .reshape(count, 3, 24),
+        attributes.view(np.uint8).reshape(count, 3, 36)), axis=2)
+    return row_signatures(table, vertices.reshape(count, 3 * 60))
+
+
+def row_signatures(table: FrameGeometry, rows: np.ndarray) -> np.ndarray:
+    """CRC32 of each table row's encoding: its render state's
+    ``pack()``, then that row of ``rows`` (an ``(s, k)`` uint8 matrix),
+    as a ``uint32`` array.  A render state packs to a fixed size, so
+    every row's encoding has the same length and the frame's encodings
+    are one byte matrix: each distinct state packed once, gathered by
+    state id."""
+    count = len(rows)
+    if not count:
+        return np.zeros(0, dtype=np.uint32)
+    states = np.frombuffer(b"".join(state.pack() for state in table.states),
+                           dtype=np.uint8).reshape(len(table.states), -1)
+    records = np.concatenate((states[table.state], rows), axis=1)
+    size = records.shape[1]
+    data = records.tobytes()
+    return np.fromiter(
+        (zlib.crc32(data[start:start + size])
+         for start in range(0, size * count, size)),
+        dtype=np.uint32, count=count)
 
 
 def combine_signature(running: int, primitive_crc: int) -> int:

@@ -40,12 +40,12 @@ from ..hw.parameter_buffer import (
     ParameterBuffer,
 )
 from ..kernels import DEFAULT_BACKEND, resolve_backend
-from ..kernels.api import FrameGeometry
+from ..kernels.api import FrameGeometry, primitive_table
 from ..math3d import Mat4, viewport
 from ..memsys import MemorySystem
 from ..memsys.ops import PBWriteOp, VertexRangeOp, replay_memory_trace
 from ..obs.trace import get_tracer
-from ..techniques.dsr import dsr_signature
+from ..techniques.dsr import dsr_signature, dsr_signatures
 from ..timing import FrameStats
 from .features import PipelineFeatures
 
@@ -124,6 +124,7 @@ class GeometryPipeline:
                 frame.commands, mvps, self._viewport), stats)
             return
         tracer = get_tracer()
+        survivors: List[ScreenTriangle] = []
         for command_id, command in enumerate(frame.commands):
             stats.commands_processed += 1
             with tracer.span("command", category="geometry",
@@ -132,7 +133,11 @@ class GeometryPipeline:
                     command_id, command,
                     self._mvp(frame, command, view_projections), stats,
                 )
-                self._bin_command(triangles, command_id, command, stats)
+                self._bin_command(triangles, len(survivors), command_id,
+                                  command, stats)
+            survivors.extend(triangles)
+        self.parameter_buffer.close_display_lists(primitive_table(
+            survivors, [command.state for command in frame.commands]))
 
     @staticmethod
     def _mvp(frame: Frame, command: DrawCommand, view_projections) -> Mat4:
@@ -215,17 +220,16 @@ class GeometryPipeline:
         Algorithm 1's display-list order.  The memory traffic goes to
         the memory system as one op list, in the loop's exact order.
 
-        The many small named tuples (one op per Parameter Buffer write,
-        one entry per pair) are built with ``tuple.__new__`` over zipped
-        columns: the same objects, without a Python-level ``__new__``
-        call each.
+        The display lists stay columns (:class:`DisplayLists`) beside
+        the table; the one op per Parameter Buffer write is built with
+        ``tuple.__new__`` over zipped columns: the same named tuples,
+        without a Python-level ``__new__`` call each.
         """
         config = self.config
         features = self.features
         parameter_buffer = self.parameter_buffer
         commands = frame.commands
-        survivors = table.survivors
-        count = len(survivors)
+        count = len(table.command)
 
         # -- per command: vertex fetch and the vertex-side counters -----
         vertex_ops = [VertexRangeOp(*self._fetch_vertices(command, stats))
@@ -311,29 +315,23 @@ class GeometryPipeline:
                 tiles, pair_woz, depth[rows], layers, table.bbox[rows])
         updates = 0
         if self.re is not None:
-            crcs = self.re.primitive_crcs(survivors, table.window)
+            crcs = self.re.primitive_crcs(table)
             updates = self.re.on_primitives_binned(tiles, crcs[rows],
                                                    predicted)
         if self.dsr is not None:
-            coarse = np.fromiter(map(dsr_signature, survivors),
-                                 dtype=np.uint32, count=count)
-            self.dsr.on_primitives_binned(tiles, coarse[rows])
+            self.dsr.on_primitives_binned(tiles, dsr_signatures(table)[rows])
 
-        # -- Algorithm 1, then one entry per pair in render order -------
+        # -- Algorithm 1, then the display lists as columns -------------
         if features.evr_reorder:
             render, second = display_list_order(tiles, pair_woz, predicted)
         else:
             render = np.arange(pairs)
             second = np.zeros(pairs, dtype=bool)
         rendered = rows[render]
-        entries = list(map(tuple.__new__, repeat(DisplayListEntry), zip(
-            map(survivors.__getitem__, rendered.tolist()),
-            offsets[rendered].tolist(),
-            layers[render].tolist(),
-            predicted[render].tolist(),
-            (pointer_base + pointer_bytes * arrival[render]).tolist(),
-        )))
-        parameter_buffer.fill_display_lists(tiles[render], entries, second)
+        parameter_buffer.fill_display_lists(
+            table, tiles[render], second, rendered, offsets[rendered],
+            layers[render], predicted[render],
+            pointer_base + pointer_bytes * arrival[render])
 
         # -- counters ----------------------------------------------------
         prepass_pairs = int(row_pairs[prepass].sum())
@@ -359,12 +357,14 @@ class GeometryPipeline:
     def _bin_command(
         self,
         triangles: List[ScreenTriangle],
+        first_row: int,
         command_id: int,
         command: DrawCommand,
         stats: FrameStats,
     ) -> None:
         """Sort one command's assembled primitives, in order, into all
-        tiles each one overlaps.
+        tiles each one overlaps; ``triangles[i]`` is row ``first_row + i``
+        of the frame's primitive table.
 
         Everything that is fixed per command or per primitive — the
         command's WOZ class, the pointer size, a primitive's bounding
@@ -394,7 +394,7 @@ class GeometryPipeline:
         assert predictor is not None or not evr_hardware
         pointer = _POINTER_REGION_OFFSET + self._pointer_cursor
 
-        for triangle in triangles:
+        for row, triangle in enumerate(triangles, first_row):
             offset = parameter_buffer.store_primitive(triangle)
             memory.parameter_buffer_write(offset, attribute_bytes)
             stats.parameter_buffer_bytes += attribute_bytes
@@ -444,7 +444,7 @@ class GeometryPipeline:
                 # Positional arguments: this is the hottest call site.
                 place_in_display_list(
                     parameter_buffer.display_list(tile),
-                    DisplayListEntry(triangle, offset, layer,
+                    DisplayListEntry(row, offset, layer,
                                      predicted_occluded, pointer),
                     writes_z, predicted_occluded, reorder,
                 )

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
-from ..hw.signature_buffer import SignatureBuffer
+from ..hw.signature_buffer import SignatureBuffer, row_signatures
+from ..kernels.api import FrameGeometry, attribute_values
 
-__all__ = ["dsr_signature", "DSRController", "DSR_RATES"]
+__all__ = ["dsr_signature", "dsr_signatures", "DSRController", "DSR_RATES"]
 
 #: Quantization steps for the coarse stability signature.
 _QUANT_XY = 1.0        # window-space pixels
@@ -55,6 +56,24 @@ def _quantize(value: float, step: float) -> int:
     return int(round(value / step))
 
 
+def _coarse_encoding(packed_state: bytes, window: Sequence,
+                     attributes: Sequence) -> bytes:
+    """The coarse byte encoding of a primitive with window-space
+    ``(x, y, z)`` per vertex ``window`` and the attribute-table row per
+    vertex ``attributes``."""
+    parts: List[bytes] = [packed_state]
+    for (x, y, depth), attrs in zip(window, attributes):
+        parts.append(struct.pack(
+            "<3i",
+            _quantize(x, _QUANT_XY),
+            _quantize(y, _QUANT_XY),
+            _quantize(depth, _QUANT_Z),
+        ))
+        parts.append(struct.pack(
+            "<9i", *(_quantize(value, _QUANT_ATTR) for value in attrs)))
+    return b"".join(parts)
+
+
 def dsr_signature(triangle) -> int:
     """Coarse CRC32 of a :class:`ScreenTriangle` for stability tracking.
 
@@ -63,29 +82,36 @@ def dsr_signature(triangle) -> int:
     depths to 1/128 and attributes to 1/256 so near-identical frames
     produce equal signatures.
     """
-    parts: List[bytes] = [triangle.state.pack()]
-    for position, depth, attrs in zip(
-        triangle.xy, triangle.z, triangle.attributes
-    ):
-        parts.append(struct.pack(
-            "<3i",
-            _quantize(position.x, _QUANT_XY),
-            _quantize(position.y, _QUANT_XY),
-            _quantize(depth, _QUANT_Z),
-        ))
-        parts.append(struct.pack(
-            "<9i",
-            _quantize(attrs.color.x, _QUANT_ATTR),
-            _quantize(attrs.color.y, _QUANT_ATTR),
-            _quantize(attrs.color.z, _QUANT_ATTR),
-            _quantize(attrs.color.w, _QUANT_ATTR),
-            _quantize(attrs.uv.x, _QUANT_ATTR),
-            _quantize(attrs.uv.y, _QUANT_ATTR),
-            _quantize(attrs.normal.x, _QUANT_ATTR),
-            _quantize(attrs.normal.y, _QUANT_ATTR),
-            _quantize(attrs.normal.z, _QUANT_ATTR),
-        ))
-    return zlib.crc32(b"".join(parts))
+    return zlib.crc32(_coarse_encoding(
+        triangle.state.pack(),
+        [(p.x, p.y, z) for p, z in zip(triangle.xy, triangle.z)],
+        [attribute_values(a) for a in triangle.attributes]))
+
+
+#: Each window-space and attribute column's quantization step.
+_STEPS = np.array((_QUANT_XY, _QUANT_XY, _QUANT_Z) + (_QUANT_ATTR,) * 9)
+
+
+def dsr_signatures(table: FrameGeometry) -> np.ndarray:
+    """:func:`dsr_signature` of every row of a frame's primitive table,
+    as a ``uint32`` array.  ``np.rint`` rounds half to even, as
+    ``round`` does.  A frame with a quantized value that does not fit
+    the ``<i`` format (or is not finite) is encoded row by row, which
+    raises the error the scalar encoder raises."""
+    values = np.concatenate((table.window, table.attributes), axis=2)
+    with np.errstate(invalid="ignore"):
+        quantized = np.rint(values / _STEPS)
+        fits = (np.abs(quantized) <= 2 ** 31 - 1).all()
+    if not fits:
+        packed = [state.pack() for state in table.states]
+        return np.array([
+            zlib.crc32(_coarse_encoding(packed[state], window, attributes))
+            for state, window, attributes in zip(
+                table.state.tolist(), table.window.tolist(),
+                table.attributes.tolist())], dtype=np.uint32)
+    # Per vertex 12 quantized values, packed as <i4.
+    return row_signatures(table, quantized.astype("<i4").view(np.uint8)
+                          .reshape(len(quantized), 3 * 48))
 
 
 class DSRController:

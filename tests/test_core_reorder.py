@@ -5,36 +5,22 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import RenderState
 from repro.core import place_in_display_list
 from repro.core.reorder import display_list_order
-from repro.geom import ScreenTriangle, VertexAttributes
 from repro.hw import DisplayList, DisplayListEntry
-from repro.math3d import Vec2
 
 
 def make_entry(tag, writes_z):
-    state = (
-        RenderState.opaque_3d(cull_backface=False)
-        if writes_z
-        else RenderState.sprite_2d()
-    )
-    primitive = ScreenTriangle(
-        xy=(Vec2(0, 0), Vec2(1, 0), Vec2(0, 1)),
-        z=(0.5, 0.5, 0.5),
-        attributes=(VertexAttributes(),) * 3,
-        command_id=0,
-        primitive_id=tag,
-        state=state,
-    )
-    return DisplayListEntry(primitive=primitive, offset=tag, layer=0)
+    """An entry tagged ``tag`` (its row and offset), with its WOZ class."""
+    return DisplayListEntry(row=tag, offset=tag, layer=0), writes_z
 
 
-def place(display_list, entry, predicted_occluded, reorder=True):
+def place(display_list, tagged, predicted_occluded, reorder=True):
+    entry, writes_z = tagged
     place_in_display_list(
         display_list,
         entry,
-        writes_z=entry.primitive.writes_z,
+        writes_z=writes_z,
         predicted_occluded=predicted_occluded,
         reorder_enabled=reorder,
     )

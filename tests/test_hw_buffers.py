@@ -161,3 +161,28 @@ class TestLayerBuffer:
         lb.clear()
         assert lb.l_far == 0
         assert lb.zr_register == -1
+
+
+class TestCopy:
+    """``copy()`` is how a tile job hands its end-of-tile FVP inputs out
+    of a context the next job reuses: equal now, independent after."""
+
+    def test_z_buffer_copy(self):
+        zb = ZBuffer(4, 4, clear_depth=0.75)
+        zb.depth[1, 2] = 0.25
+        clone = zb.copy()
+        assert clone.depth.tobytes() == zb.depth.tobytes()
+        zb.clear()
+        assert clone.depth[1, 2] == 0.25
+        clone.clear()
+        assert (clone.depth == 0.75).all()
+
+    def test_layer_buffer_copy(self):
+        lb = LayerBuffer(4, 4)
+        lb.write(full_mask(), 3, is_woz=True)
+        clone = lb.copy()
+        assert clone.layers.tobytes() == lb.layers.tobytes()
+        assert clone.zr_register == 3
+        lb.clear()
+        assert clone.zr_register == 3 and (clone.layers == 3).all()
+        assert clone.fvp_is_woz

@@ -1,6 +1,8 @@
 """Tests for Parameter Buffer, Signature Buffer, LGT and FVP Table."""
 
 import dataclasses
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -23,9 +25,11 @@ from repro.hw import (
 from repro.hw.fvp_table import KIND_EMPTY, KIND_NWOZ, KIND_WOZ
 from repro.hw.signature_buffer import combine_signature, primitive_signatures
 from repro.kernels import reference
+from repro.techniques.dsr import dsr_signature, dsr_signatures
 from repro.math3d import Mat4, Vec2, Vec3, Vec4, viewport
 
 from tests.strategies import edge_floats
+from tests.tile_jobs import table_of
 
 
 def make_primitive(command_id=0):
@@ -65,10 +69,8 @@ def _screen_triangle(draw):
     )
 
 
-def make_entry(primitive=None, layer=0):
-    return DisplayListEntry(
-        primitive=primitive or make_primitive(), offset=0, layer=layer
-    )
+def make_entry(row=0, layer=0):
+    return DisplayListEntry(row=row, offset=0, layer=layer)
 
 
 class TestParameterBuffer:
@@ -93,25 +95,52 @@ class TestParameterBuffer:
 
     def test_fill_display_lists(self):
         pb = ParameterBuffer(4)
-        entries = [make_entry(layer=layer) for layer in range(5)]
-        pb.fill_display_lists(np.array([1, 1, 1, 3, 3]), entries,
-                              np.array([False, False, True, False, False]))
-        assert pb.display_list(1).first == entries[:2]
-        assert pb.display_list(1).second == entries[2:3]
-        assert pb.display_list(3).first == entries[3:]
-        assert len(pb.display_list(0)) == len(pb.display_list(2)) == 0
+        table = table_of([make_primitive()])
+        column = np.arange(5, dtype=np.int64)
+        pb.fill_display_lists(table, np.array([1, 1, 1, 3, 3]),
+                              np.array([False, False, True, False, False]),
+                              column, 10 * column, column + 1,
+                              column % 2 == 1, 100 + column)
+        lists = pb.lists
+        assert pb.primitives is table
+        assert lists.start.tolist() == [0, 0, 3, 3, 5]
+        assert lists.split.tolist() == [0, 2, 3, 5]
+        assert lists.layer.tolist() == [1, 2, 3, 4, 5]
+        assert lists.predicted.tolist() == [False, True, False, True, False]
+
+    def test_close_display_lists_matches_fill(self):
+        """The scalar builder's per-tile lists become the columns the
+        array builder fills: tile by tile, first list then second."""
+        entries = [DisplayListEntry(row, 10 * row, row + 1, row % 2 == 1,
+                                    100 + row) for row in range(5)]
+        placed = ParameterBuffer(4)
+        placed.display_list(1).append_first(entries[0])
+        placed.display_list(1).append_second(entries[2])
+        placed.display_list(1).append_first(entries[1])
+        placed.display_list(3).append_first(entries[3])
+        placed.display_list(3).append_first(entries[4])
+        table = table_of([make_primitive()])
+        placed.close_display_lists(table)
+        filled = ParameterBuffer(4)
+        column = np.arange(5, dtype=np.int64)
+        filled.fill_display_lists(
+            table, np.array([1, 1, 1, 3, 3]),
+            np.array([False, False, True, False, False]), column,
+            10 * column, column + 1, column % 2 == 1, 100 + column)
+        for name, expected in filled.lists._asdict().items():
+            actual = getattr(placed.lists, name)
+            assert actual.dtype == expected.dtype, name
+            assert actual.tolist() == expected.tolist(), name
 
     def test_reset(self):
         pb = ParameterBuffer(4)
         pb.store_primitive(make_primitive())
         pb.display_list(0).append_first(make_entry())
+        pb.close_display_lists(table_of([make_primitive()]))
         pb.reset()
         assert pb.total_bytes == 0
         assert len(pb.display_list(0)) == 0
-
-    def test_tiles_iteration(self):
-        pb = ParameterBuffer(3)
-        assert sorted(tile for tile, _ in pb.tiles()) == [0, 1, 2]
+        assert pb.primitives is None and pb.lists is None
 
 
 class TestDisplayList:
@@ -208,11 +237,43 @@ class TestSignatureBuffer:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_screen_triangle(), min_size=1, max_size=5))
     def test_scalar_and_array_encoders_agree(self, primitives):
-        window = np.array([[(v.x, v.y, z) for v, z in zip(p.xy, p.z)]
-                           for p in primitives])
-        crcs = primitive_signatures(primitives, window)
+        """The RE and DSR encoders over a primitive table equal the
+        scalar ones over each ``ScreenTriangle``."""
+        table = table_of(primitives)
+        crcs = primitive_signatures(table)
         assert crcs.dtype == np.uint32
         assert crcs.tolist() == [primitive_signature(p) for p in primitives]
+        coarse = dsr_signatures(table)
+        assert coarse.dtype == np.uint32
+        assert coarse.tolist() == [dsr_signature(p) for p in primitives]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_attribute_encodes_alike(self, value):
+        """A non-finite attribute packs to the same float32 bits (RE),
+        and fails DSR's integer quantization with the same error, on
+        either encoder."""
+        primitive = dataclasses.replace(
+            make_primitive(),
+            attributes=(VertexAttributes(color=Vec4(value, 0.5, 0.5, 1.0)),)
+            * 3)
+        table = table_of([primitive])
+        assert primitive_signatures(table).tolist() == [
+            primitive_signature(primitive)]
+        with pytest.raises(Exception) as scalar:
+            dsr_signature(primitive)
+        with pytest.raises(type(scalar.value)) as array:
+            dsr_signatures(table)
+        assert str(array.value) == str(scalar.value)
+
+    def test_dsr_quantization_beyond_int32_fails_alike(self):
+        primitive = dataclasses.replace(
+            make_primitive(), xy=(Vec2(0.0, 0.0), Vec2(4e9, 0.0),
+                                  Vec2(0.0, 4.0)))
+        with pytest.raises(struct.error) as scalar:
+            dsr_signature(primitive)
+        with pytest.raises(struct.error) as array:
+            dsr_signatures(table_of([primitive]))
+        assert str(array.value) == str(scalar.value)
 
     def test_incremental_equals_batch(self):
         crcs = [11, 22, 33]

@@ -34,6 +34,7 @@ from repro.spec import RunSpec, SpecError
 from repro.techniques import BASELINE, EVR, ORACLE
 
 from tests.strategies import edge_floats
+from tests.tile_jobs import raster_columns
 from tests.test_fuzz_scenes import CONFIG as FUZZ_CONFIG
 from tests.test_fuzz_scenes import build_stream, rect_specs
 
@@ -135,7 +136,9 @@ class TestPrepareTile:
         for name in available_backends():
             module = resolve_backend(name)
             valid = valid_mask(0, 0, 16, 16, 64, 48)
-            batch = module.prepare_tile([], 0, 0, 16, 16, valid)
+            batch = module.prepare_tile(np.empty((0, 3, 3)),
+                                        np.empty((0, 3, 6)), 0, 0, 16, 16,
+                                        valid)
             # No entries: nothing to ask for; the object must still exist.
             assert batch is not None
 
@@ -153,11 +156,10 @@ class TestPrepareTile:
             command_id=0, primitive_id=0,
             state=RenderState.sprite_2d(),
         )
-        entries = [type("E", (), {"primitive": triangle})()]
-
         module = resolve_backend("numpy")
         valid = valid_mask(0, 0, 16, 16, 64, 48)
-        batch = module.prepare_tile(entries, 0, 0, 16, 16, valid)
+        batch = module.prepare_tile(*raster_columns([triangle]), 0, 0, 16,
+                                    16, valid)
         first = batch.fragments(0)
         assert first is not None and first.count == 256
         assert batch.fragments(0) is first  # memoized
@@ -213,13 +215,14 @@ def test_prepare_tile_keeps_negative_zero_sums(red):
         command_id=0, primitive_id=0,
         state=RenderState.sprite_2d(),
     )
-    entries = [type("E", (), {"primitive": triangle})()]
+    columns = raster_columns([triangle])
     valid = valid_mask(0, 0, 16, 16, 64, 48)
-    expected = ReferenceTileBatch(entries, 0, 0, 16, 16, valid).fragments(0)
+    expected = ReferenceTileBatch(*columns, 0, 0, 16, 16,
+                                  valid).fragments(0)
     red = expected.rgba[:, :, 0][expected.mask]
     assert np.signbit(red).any()          # the case einsum gets wrong
     actual = resolve_backend("numpy").prepare_tile(
-        entries, 0, 0, 16, 16, valid).fragments(0)
+        *columns, 0, 0, 16, 16, valid).fragments(0)
     for name in ("depth", "u", "v"):
         np.testing.assert_array_equal(
             np.signbit(getattr(actual, name)[actual.mask]),

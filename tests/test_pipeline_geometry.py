@@ -108,10 +108,8 @@ class TestBinning:
         gpu, result = render_one(tiny_config, frame)
         # Each of the 2 triangles conservatively overlaps most tiles.
         assert result.stats.display_list_writes >= tiny_config.num_tiles
-        total_entries = sum(
-            len(dl) for _, dl in gpu.parameter_buffer.tiles()
-        )
-        assert total_entries == result.stats.display_list_writes
+        assert len(gpu.parameter_buffer.lists.row) == \
+            result.stats.display_list_writes
 
     def test_parameter_buffer_bytes_counted(self, tiny_config, ortho_screen):
         frame = Frame(

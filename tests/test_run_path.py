@@ -36,15 +36,16 @@ from repro import (
     ShaderProfile,
 )
 from repro.engine.scheduler import SerialScheduler
-from repro.engine.tile_job import TileJob, _resolves_runs
+from repro.engine.tile_job import _resolves_runs
 from repro.geom import ScreenTriangle, Triangle, Vertex, VertexAttributes
-from repro.hw.parameter_buffer import DisplayListEntry
+from repro.hw import FVPEntry, FVPType
 from repro.kernels import batched, resolve_backend
 from repro.math3d import Vec2, Vec3, Vec4, orthographic, translate
 from repro.scenes import scaled_world_stream
 from repro.techniques.registry import resolve_features, technique_names
 
 from tests.strategies import edge_floats
+from tests.tile_jobs import Entry, tile_job
 
 WIDTH, HEIGHT = 40, 28
 CONFIG = GPUConfig(screen_width=WIDTH, screen_height=HEIGHT, frames=2)
@@ -119,7 +120,7 @@ def _entry(draw, index=0):
         primitive_id=0,
         state=state,
     )
-    return DisplayListEntry(
+    return Entry(
         primitive=primitive,
         offset=draw(st.integers(0, 1 << 16)),
         layer=draw(st.integers(0, 6)),
@@ -131,10 +132,11 @@ def _entry(draw, index=0):
 def _job(entries, technique, backend, tile=(0, 0), dsr_rate=1.0,
          history=None):
     tile_x, tile_y = tile
-    return TileJob(
+    return tile_job(
+        entries,
         tile=tile_y * CONFIG.tiles_x + tile_x, tile_x=tile_x, tile_y=tile_y,
         config=CONFIG, features=resolve_features(technique),
-        entries=list(entries), attribute_bytes=144, backend=backend,
+        attribute_bytes=144, backend=backend,
         dsr_rate=dsr_rate, history=history,
     )
 
@@ -221,6 +223,38 @@ def _render(frames, technique, backend):
     return results, [result.fingerprint() for result in keep.results]
 
 
+class _KeepJobs(SerialScheduler):
+    """Serial scheduler that also keeps every job it runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.jobs = []
+
+    def map(self, fn, items):
+        self.jobs.extend(items)
+        return super().map(fn, items)
+
+
+def _jobs(frames, technique, backend, seed_fvp=()):
+    """Every job the frames' render ran; ``seed_fvp`` is FVP Table
+    entries stored (under EVR) before the first frame."""
+    keep = _KeepJobs()
+    gpu = GPU(CONFIG, technique, backend=backend, scheduler=keep)
+    if gpu.predictor is not None:
+        for tile, entry in seed_fvp:
+            gpu.predictor.table.update(tile, entry)
+    for frame in frames:
+        gpu.render_frame(frame)
+    return keep.jobs
+
+
+#: FVP Table entries: a WOZ tile's farthest depth or an NWOZ tile's
+#: oldest visible layer, so that the first frame predicts too.
+_FVP_ENTRY = st.one_of(
+    st.builds(FVPEntry, st.just(FVPType.WOZ), _DEPTH),
+    st.builds(FVPEntry, st.just(FVPType.NWOZ), st.integers(0, 6)))
+
+
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
@@ -234,6 +268,102 @@ def test_frames_match(frames, technique):
         assert a.stats == b.stats, index
         assert a.geometry.units == b.geometry.units, index
         assert a.raster.units == b.raster.units, index
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(frames=_frames(), technique=st.sampled_from(TECHNIQUES),
+       seed_fvp=st.lists(_FVP_ENTRY, min_size=CONFIG.num_tiles,
+                         max_size=CONFIG.num_tiles).map(
+                             lambda entries: list(enumerate(entries))))
+def test_binned_jobs_match(frames, technique, seed_fvp):
+    """Tile jobs sliced from the numpy binner's columns equal the scalar
+    binner's jobs column for column, and render to the same
+    ``TileResult`` on either raster backend."""
+    scalar_jobs = _jobs(frames, technique, "python", seed_fvp)
+    batched_jobs = _jobs(frames, technique, "numpy", seed_fvp)
+    assert len(batched_jobs) == len(scalar_jobs)
+    for scalar, batched_ in zip(scalar_jobs, batched_jobs):
+        assert batched_.tile == scalar.tile
+        for name in ("window", "attributes", "layer", "predicted",
+                     "offset", "pointer"):
+            expected, actual = getattr(scalar, name), getattr(batched_, name)
+            assert actual.dtype == expected.dtype, name
+            assert actual.tobytes() == expected.tobytes(), name
+        assert ([batched_.states[i] for i in batched_.state.tolist()]
+                == [scalar.states[i] for i in scalar.state.tolist()])
+        for backend in ("python", "numpy"):
+            expected = dataclasses.replace(scalar, backend=backend).run()
+            actual = dataclasses.replace(batched_, backend=backend).run()
+            assert actual.fingerprint() == expected.fingerprint(), backend
+
+
+# ---------------------------------------------------------------------------
+# The numpy path's per-frame and per-job objects
+# ---------------------------------------------------------------------------
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a numpy frame built a per-pair object")
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_numpy_frames_build_no_per_pair_objects(monkeypatch, technique):
+    """Neither a ``ScreenTriangle`` nor a ``DisplayListEntry`` — by its
+    constructor or by ``tuple.__new__`` over the class — is built while
+    the numpy backend renders a frame."""
+    from repro.hw import parameter_buffer
+    from repro.pipeline import geometry
+
+    monkeypatch.setattr(ScreenTriangle, "__init__", _forbidden)
+    monkeypatch.setattr(parameter_buffer.DisplayListEntry, "__new__",
+                        _forbidden)
+    for module in (geometry, parameter_buffer):
+        monkeypatch.setattr(module, "DisplayListEntry", _forbidden)
+    frames = _scaled_frames(technique)
+    assert frames[-1].stats.display_list_reads
+
+
+def _quads(count, x0, y0, size=3.0):
+    """``count`` sprite quads in a row from ``(x0, y0)``."""
+    state = RenderState(shader=ShaderProfile(texture_fetches=1),
+                        **_STATES["woz"])
+    white = VertexAttributes(color=Vec4(1.0, 1.0, 1.0, 1.0))
+    triangles = []
+    for index in range(count):
+        x = x0 + 0.5 * index
+        corners = [Vertex(Vec3(x + dx, y0 + dy, 0.5), white)
+                   for dx, dy in ((0, 0), (size, 0), (0, size),
+                                  (size, size))]
+        triangles += [Triangle(corners[0], corners[1], corners[2]),
+                      Triangle(corners[1], corners[3], corners[2])]
+    return DrawCommand(triangles, state=state, label=f"quads{x0},{y0}")
+
+
+def _tile_zero_job(*commands):
+    frame = Frame(list(commands), projection=ORTHO)
+    (job,) = [job for job in _jobs([frame], "baseline", "numpy")
+              if job.tile == 0]
+    return job
+
+
+def test_pickled_job_holds_only_its_entries():
+    """A job pickles its own entries' slices of the frame's columns: its
+    size follows its entry count, not the frame's."""
+    import pickle
+
+    alone = _tile_zero_job(_quads(2, 2.0, 2.0))
+    crowded = _tile_zero_job(_quads(2, 2.0, 2.0), _quads(40, 17.0, 2.0),
+                             _quads(40, 2.0, 17.0))
+    doubled = _tile_zero_job(_quads(4, 2.0, 2.0))
+    assert len(alone.state) == len(crowded.state) == 4
+    assert len(doubled.state) == 8
+    assert len(pickle.dumps(crowded)) == len(pickle.dumps(alone))
+    assert len(pickle.dumps(doubled)) > len(pickle.dumps(alone))
+    copy = pickle.loads(pickle.dumps(crowded))
+    for name in ("window", "attributes", "state", "layer", "predicted",
+                 "offset", "pointer"):
+        assert len(getattr(copy, name)) == 4, name
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +381,8 @@ def _flat(kind, depth, color, x0=-4.0, y0=-4.0, x1=24.0, y1=24.0,
         xy=(Vec2(x0, y0), Vec2(x1, y0), Vec2(x0, y1)),
         z=(depth, depth, depth), attributes=(attributes,) * 3,
         command_id=0, primitive_id=0, state=state)
-    return DisplayListEntry(primitive=primitive, offset=64 * layer,
-                            layer=layer, predicted_occluded=predicted,
-                            pointer_offset=4 * layer)
+    return Entry(primitive=primitive, offset=64 * layer, layer=layer,
+                 predicted_occluded=predicted, pointer_offset=4 * layer)
 
 
 def _dead(layer=2):
