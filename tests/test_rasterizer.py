@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 
 from repro import RenderState
 from repro.geom import ScreenTriangle, VertexAttributes
+from repro.kernels import batched
+from repro.kernels.api import RASTER_ATTRIBUTES, normalize_winding
+from repro.kernels.reference import ReferenceTileBatch, rasterize_rows
+from repro.kernels.tile_geometry import valid_mask
 from repro.math3d import Vec2, Vec4
-from repro.kernels.reference import rasterize_in_tile
+
+from tests.strategies import edge_floats
+from tests.tile_jobs import table_of
 
 
 def make_triangle(points, z=(0.5, 0.5, 0.5), colors=None):
@@ -24,39 +30,47 @@ def make_triangle(points, z=(0.5, 0.5, 0.5), colors=None):
     )
 
 
+def rasterize(triangle, x0, y0, width, height):
+    """The reference rasterizer on ``triangle``'s rows as submitted."""
+    table = table_of([triangle])
+    return rasterize_rows(table.window[0].tolist(),
+                          table.attributes[0, :, :RASTER_ATTRIBUTES].tolist(),
+                          x0, y0, width, height)
+
+
 class TestCoverage:
     def test_full_tile_triangle(self):
         tri = make_triangle([(-10, -10), (50, -10), (-10, 50)])
-        batch = rasterize_in_tile(tri, 0, 0, 16, 16)
+        batch = rasterize(tri, 0, 0, 16, 16)
         assert batch is not None
         assert batch.fragment_count == 256
 
     def test_no_coverage_returns_none(self):
         tri = make_triangle([(100, 100), (110, 100), (100, 110)])
-        assert rasterize_in_tile(tri, 0, 0, 16, 16) is None
+        assert rasterize(tri, 0, 0, 16, 16) is None
 
     def test_degenerate_returns_none(self):
         tri = make_triangle([(0, 0), (10, 10), (20, 20)])
-        assert rasterize_in_tile(tri, 0, 0, 16, 16) is None
+        assert rasterize(tri, 0, 0, 16, 16) is None
 
     def test_winding_independent_coverage(self):
         ccw = make_triangle([(0, 0), (16, 0), (0, 16)])
         cw = make_triangle([(0, 0), (0, 16), (16, 0)])
-        a = rasterize_in_tile(ccw, 0, 0, 16, 16)
-        b = rasterize_in_tile(cw, 0, 0, 16, 16)
+        a = rasterize(ccw, 0, 0, 16, 16)
+        b = rasterize(cw, 0, 0, 16, 16)
         assert np.array_equal(a.mask, b.mask)
 
     def test_half_tile_right_triangle(self):
         # Hypotenuse through the diagonal: about half the pixels.
         tri = make_triangle([(0, 0), (16, 0), (0, 16)])
-        batch = rasterize_in_tile(tri, 0, 0, 16, 16)
+        batch = rasterize(tri, 0, 0, 16, 16)
         assert 100 <= batch.fragment_count <= 156
 
     def test_pixel_center_sampling(self):
         # A quad-like triangle covering x in [0, 4), y in [0, 4): covers
         # pixel centers 0.5..3.5.
         tri = make_triangle([(0, 0), (4, 0), (0, 4)])
-        batch = rasterize_in_tile(tri, 0, 0, 16, 16)
+        batch = rasterize(tri, 0, 0, 16, 16)
         assert batch.mask[0, 0]
         assert not batch.mask[0, 4]
 
@@ -65,8 +79,8 @@ class TestCoverage:
         # belongs to exactly one.
         a = make_triangle([(0, 0), (16, 0), (16, 16)])
         b = make_triangle([(0, 0), (16, 16), (0, 16)])
-        batch_a = rasterize_in_tile(a, 0, 0, 16, 16)
-        batch_b = rasterize_in_tile(b, 0, 0, 16, 16)
+        batch_a = rasterize(a, 0, 0, 16, 16)
+        batch_b = rasterize(b, 0, 0, 16, 16)
         overlap = batch_a.mask & batch_b.mask
         union = batch_a.mask | batch_b.mask
         assert not overlap.any()
@@ -74,8 +88,8 @@ class TestCoverage:
 
     def test_tile_offset(self):
         tri = make_triangle([(16, 16), (48, 16), (16, 48)])
-        tile0 = rasterize_in_tile(tri, 0, 0, 16, 16)
-        tile1 = rasterize_in_tile(tri, 16, 16, 16, 16)
+        tile0 = rasterize(tri, 0, 0, 16, 16)
+        tile1 = rasterize(tri, 16, 16, 16, 16)
         assert tile0 is None or tile0.fragment_count == 0
         assert tile1.fragment_count > 0
 
@@ -83,13 +97,13 @@ class TestCoverage:
 class TestInterpolation:
     def test_depth_at_vertices(self):
         tri = make_triangle([(0, 0), (16, 0), (0, 16)], z=(0.0, 1.0, 0.5))
-        batch = rasterize_in_tile(tri, 0, 0, 16, 16)
+        batch = rasterize(tri, 0, 0, 16, 16)
         # Pixel (0.5, 0.5) is near vertex 0 (z=0).
         assert batch.depth[0, 0] < 0.1
 
     def test_depth_linear_along_edge(self):
         tri = make_triangle([(-16, 0), (32, 0), (0, 32)], z=(0.0, 1.0, 0.0))
-        batch = rasterize_in_tile(tri, 0, 0, 16, 16)
+        batch = rasterize(tri, 0, 0, 16, 16)
         row = batch.depth[1, :]
         mask_row = batch.mask[1, :]
         values = row[mask_row]
@@ -99,14 +113,14 @@ class TestInterpolation:
         color = Vec4(0.25, 0.5, 0.75, 1.0)
         tri = make_triangle([(-10, -10), (50, -10), (-10, 50)],
                             colors=[color] * 3)
-        batch = rasterize_in_tile(tri, 0, 0, 16, 16)
+        batch = rasterize(tri, 0, 0, 16, 16)
         assert np.allclose(batch.rgba[batch.mask],
                            [0.25, 0.5, 0.75, 1.0])
 
     def test_gradient_color(self):
         colors = [Vec4(0, 0, 0, 1), Vec4(1, 0, 0, 1), Vec4(0, 0, 0, 1)]
         tri = make_triangle([(-16, 0), (32, 0), (0, 32)], colors=colors)
-        batch = rasterize_in_tile(tri, 0, 0, 16, 16)
+        batch = rasterize(tri, 0, 0, 16, 16)
         row = batch.rgba[1, :, 0]
         values = row[batch.mask[1, :]]
         assert (np.diff(values) > 0).all()
@@ -117,14 +131,14 @@ class TestInterpolation:
                             colors=colors)
         cw = make_triangle([(0, 0), (0, 16), (16, 0)], z=(0.1, 0.9, 0.5),
                            colors=[colors[0], colors[2], colors[1]])
-        a = rasterize_in_tile(ccw, 0, 0, 16, 16)
-        b = rasterize_in_tile(cw, 0, 0, 16, 16)
+        a = rasterize(ccw, 0, 0, 16, 16)
+        b = rasterize(cw, 0, 0, 16, 16)
         assert np.allclose(a.rgba[a.mask], b.rgba[b.mask])
         assert np.allclose(a.depth[a.mask], b.depth[b.mask])
 
     def test_uv_interpolation_range(self):
         tri = make_triangle([(-20, -20), (60, -20), (-20, 60)])
-        batch = rasterize_in_tile(tri, 0, 0, 16, 16)
+        batch = rasterize(tri, 0, 0, 16, 16)
         assert (batch.u[batch.mask] >= -0.01).all()
         assert (batch.v[batch.mask] >= -0.01).all()
 
@@ -136,7 +150,7 @@ class TestProperties:
     @settings(max_examples=80, deadline=None)
     def test_coverage_within_bbox(self, x0, y0, x1, y1, x2, y2):
         tri = make_triangle([(x0, y0), (x1, y1), (x2, y2)])
-        batch = rasterize_in_tile(tri, 0, 0, 16, 16)
+        batch = rasterize(tri, 0, 0, 16, 16)
         if batch is None:
             return
         min_x, min_y, max_x, max_y = tri.bounding_box()
@@ -151,9 +165,47 @@ class TestProperties:
     def test_depth_within_vertex_range(self, x0, y0, x1, y1, x2, y2):
         tri = make_triangle([(x0, y0), (x1, y1), (x2, y2)],
                             z=(0.2, 0.7, 0.4))
-        batch = rasterize_in_tile(tri, 0, 0, 16, 16)
+        batch = rasterize(tri, 0, 0, 16, 16)
         if batch is None:
             return
         covered = batch.depth[batch.mask]
         assert (covered >= 0.2 - 1e-9).all()
         assert (covered <= 0.7 + 1e-9).all()
+
+
+_COORD = edge_floats(-20.0, 36.0, ties=(0.5, 8.0, 15.5, 16.0))
+_DEPTH = edge_floats(0.0, 1.0, ties=(0.5,))
+_CHANNEL = edge_floats(-1.0, 1.0, ties=(0.5,))
+
+
+@given(xy=st.lists(_COORD, min_size=6, max_size=6),
+       z=st.lists(_DEPTH, min_size=3, max_size=3),
+       channels=st.lists(_CHANNEL, min_size=12, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_normalized_winding_rasterizes_alike(xy, z, channels):
+    """``normalize_winding`` leaves no row with a negative signed area,
+    and both backends rasterize the normalized row (what the raster
+    pipeline hands a tile job) to the bits the reference gives the row
+    as submitted."""
+    tri = make_triangle(list(zip(xy[0::2], xy[1::2])), z=tuple(z),
+                        colors=[Vec4(*channels[i:i + 4]) for i in (0, 4, 8)])
+    table = table_of([tri])
+    window, attributes = normalize_winding(
+        table.window, table.attributes[:, :, :RASTER_ATTRIBUTES])
+    (x0, y0, _), (x1, y1, _), (x2, y2, _) = window[0].tolist()
+    assert not (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0.0
+    expected = rasterize(tri, 0, 0, 16, 16)
+    valid = valid_mask(0, 0, 16, 16, 16, 16)
+    for batch in (ReferenceTileBatch(window, attributes, 0, 0, 16, 16,
+                                     valid),
+                  batched.prepare_tile(window, attributes, 0, 0, 16, 16,
+                                       valid)):
+        actual = batch.fragments(0)
+        if expected is None:
+            assert actual is None
+            continue
+        mask = expected.mask
+        assert np.array_equal(actual.mask, mask)
+        for name in ("depth", "rgba", "u", "v"):
+            assert (getattr(actual, name)[mask].tobytes()
+                    == getattr(expected, name)[mask].tobytes()), name
