@@ -4,11 +4,13 @@ unified instrumentation bus.
 Every outer loop of the simulator goes through this layer:
 
 * :mod:`repro.engine.tile_job` — the unit of raster work.  A
-  :class:`TileJob` is a stateless, picklable description of one tile's
-  rendering (display list, config, features); executing it yields a
-  :class:`TileResult` (color patch, counter deltas, end-of-tile FVP
-  state, memory trace).  A :class:`TileContext` owns the per-tile
-  Z/Color/Layer buffers and is reused across jobs within one worker.
+  :class:`TileJob` is a stateless, picklable description of a range of
+  tiles' rendering (display lists, config, features); executing it
+  yields a :class:`TileResult` (each tile's colour patch and end-of-tile
+  FVP state, the range's counter totals and columnar memory trace).  A
+  :class:`TileContext` owns the per-tile Z/Color/Layer buffers the
+  per-entry loop renders into and is reused across jobs within one
+  worker.
 * :mod:`repro.engine.scheduler` — the :class:`Scheduler` protocol with
   :class:`SerialScheduler` (default; bit-identical to the historical
   inline loop) and :class:`ProcessPoolScheduler` implementations.  The

@@ -1,34 +1,36 @@
-"""Stateless per-tile raster work: the execution engine's unit of labor.
+"""Stateless raster work: the execution engine's unit of labor.
 
-A :class:`TileJob` carries everything needed to render one tile of one
-frame — the tile's drained display list, the configuration and feature
-flags — and nothing else: no GPU, no memory system, no shared buffers.
-Executing it (:func:`execute_tile_job`) is a pure function of the job, so
-jobs can run in any order, in any process, and still produce bit-identical
-results.
+A :class:`TileJob` carries everything needed to render a contiguous
+range of a frame's rendered tiles — their drained display lists, the
+configuration and feature flags — and nothing else: no GPU, no memory
+system, no shared buffers.  Executing it (:func:`execute_tile_job`) is a
+pure function of the job, so jobs can run in any order, in any process,
+and still produce bit-identical results.
 
 Tile-order-dependent side effects are *recorded*, not performed: memory
-traffic is appended to a :class:`MemoryTrace` that the engine replays into
-the real :class:`~repro.memsys.MemorySystem` in tile order, and the
-end-of-tile FVP state (Layer/Z buffers) travels back in the
-:class:`TileResult` for the parent-side predictor.  This is what makes the
-parallel and serial schedulers equal by construction: the compute
-parallelizes, the stateful reduction stays deterministic.
+traffic becomes a columnar :class:`~repro.memsys.ops.RasterTrace` that
+the engine replays into the real :class:`~repro.memsys.MemorySystem` in
+tile order, and each tile's end-of-tile FVP state (Layer/Z buffers)
+travels back in the :class:`TileResult` for the parent-side predictor.
+This is what makes the parallel and serial schedulers equal by
+construction: the compute parallelizes, the stateful reduction stays
+deterministic.
 
 The per-fragment arithmetic itself is dispatched through the kernel
 backend seam (:mod:`repro.kernels`): ``TileJob.backend`` names the
 implementation (scalar reference or batched numpy) and the job calls only
 the backend's pure array kernels — backends are bit-identical by
 contract, so the choice is execution policy, not part of the result.
+With a backend's range kernel and the features it covers, a job renders
+all of its tiles in one array pass; otherwise it runs the per-entry loop
+tile by tile, which stays the oracle.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import add
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -39,54 +41,47 @@ from ..geom.triangle import INTERPOLATED_ATTRIBUTES
 from ..hw.buffers import ColorBuffer, LayerBuffer, ZBuffer
 from ..hw.parameter_buffer import POINTER_BYTES
 from ..kernels import DEFAULT_BACKEND, resolve_backend
+from ..kernels.api import ALPHA_OPAQUE
 from ..kernels.tile_geometry import tile_origin, valid_mask
-from ..memsys.ops import (
-    OP_TEXTURE,
-    FlushOp,
-    MemOp,
-    MemOps,
-    PBReadOp,
-    TextureOp,
-)
+from ..memsys.ops import RasterTrace
 from ..obs.events import TileJobFinished, get_bus
 from ..pipeline.features import PipelineFeatures
 from ..timing.stats import FrameStats
 
-_ALPHA_OPAQUE = 1.0 - 1e-9
 
-
-class MemoryTrace:
-    """Records the tile-facing :class:`~repro.memsys.MemorySystem` calls.
-
-    Duck-typed stand-in for the memory system inside a tile job: cache
-    and DRAM state are order-dependent across tiles, so jobs log their
-    accesses and the engine replays them in tile order.
-    """
+class _TextureLog:
+    """The texture bursts the per-entry loop issues, as it issues them:
+    the entry and the (u, v) of its shaded fragments (the burst's
+    texture and samples are the entry's shader's)."""
 
     def __init__(self) -> None:
-        self.ops: MemOps = MemOps()
+        self.entries: List[int] = []
+        self.u: List[np.ndarray] = []
+        self.v: List[np.ndarray] = []
 
-    def parameter_buffer_read(self, offset: int, size: int) -> None:
-        self.ops.append(PBReadOp(offset, size))
+    def record(self, entry: int, u: np.ndarray, v: np.ndarray) -> None:
+        self.entries.append(entry)
+        self.u.append(u)
+        self.v.append(v)
 
-    def texture_batch(self, texture_id: int, texture_size: int,
-                      u: np.ndarray, v: np.ndarray,
-                      samples_per_fragment: int = 1) -> None:
-        self.ops.append(
-            TextureOp(texture_id, texture_size, u, v, samples_per_fragment)
-        )
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """``(entry, count, u, v)`` columns."""
+        return (np.array(self.entries, dtype=np.int64),
+                np.array([u.size for u in self.u], dtype=np.int64),
+                _joined(self.u), _joined(self.v))
 
-    def framebuffer_flush(self, num_bytes: int) -> None:
-        self.ops.append(FlushOp(num_bytes))
+
+def _joined(arrays: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0)
 
 
 @dataclass
 class TileContext:
-    """The per-tile working buffers a job renders into.
+    """The per-tile working buffers the per-entry loop renders into.
 
-    One context per worker is enough: jobs clear the buffers on entry, so
-    contexts are reusable across tiles and frames (exactly how the
-    hardware's on-chip tile memory behaves).
+    One context per worker is enough: each tile clears the buffers
+    first, so contexts are reusable across tiles and frames (exactly how
+    the hardware's on-chip tile memory behaves).
     """
 
     z_buffer: ZBuffer
@@ -106,65 +101,71 @@ class TileContext:
 
 @dataclass
 class TileResult:
-    """Everything a tile job produced, ready for deterministic reduction.
+    """Everything a job produced, ready for deterministic reduction.
+
+    Per-tile values are rows of range arrays, in the job's tile order.
 
     Attributes:
-        tile: linear tile index.
-        color: the tile's rendered colors (full tile-sized buffer; edge
-            tiles are cropped by the consumer).
-        stats: tile-local counter deltas (merged into the frame's stats).
-        memory_ops: recorded memory accesses, replayed in tile order.
-        tainted: True when a predicted-occluded primitive survived the
-            depth test somewhere in the tile without being exactly
+        tiles: ``(t,)`` linear tile indices.
+        color: ``(t, h, w, 4)`` — each tile's rendered colours (full
+            tile-sized; edge tiles are cropped by the consumer).
+        stats: the range's counter totals (merged into the frame's).
+        trace: the recorded memory accesses, replayed in tile order.
+        tainted: ``(t,)`` bool — a predicted-occluded primitive survived
+            the depth test somewhere in the tile without being exactly
             overwritten afterwards (triggers the signature poison).
-        layer_buffer / z_buffer: end-of-tile FVP inputs (present only
-            when the EVR structures are enabled).
+        layers / zr_register / depth: each tile's end-of-tile FVP inputs
+            (``(t, h, w)`` int32, ``(t,)`` and ``(t, h, w)`` float64),
+            present only when the EVR structures are enabled.
     """
 
-    tile: int
+    tiles: np.ndarray
     color: np.ndarray
     stats: FrameStats
-    memory_ops: List[MemOp] = field(default_factory=MemOps)
-    tainted: bool = False
-    layer_buffer: Optional[LayerBuffer] = None
-    z_buffer: Optional[ZBuffer] = None
+    trace: RasterTrace
+    tainted: np.ndarray
+    layers: Optional[np.ndarray] = None
+    zr_register: Optional[np.ndarray] = None
+    depth: Optional[np.ndarray] = None
+
+    @property
+    def tile(self) -> int:
+        """The range's first tile."""
+        return int(self.tiles[0])
+
+    def fvp_inputs(self, index: int) -> Tuple[LayerBuffer, ZBuffer]:
+        """Tile ``index``'s end-of-tile Layer and Z buffers (views)."""
+        return (LayerBuffer.holding(self.layers[index],
+                                    int(self.zr_register[index])),
+                ZBuffer.holding(self.depth[index]))
 
     def fingerprint(self) -> tuple:
-        """Every field as exact bits — arrays by dtype and bytes, counters
-        by type and repr, memory ops including their texture
-        coordinates — so two results compare equal only when they are
-        bit-identical, which is what kernel backends promise."""
-        ops = tuple(
-            (op.code, op.texture_id, op.texture_size,
-             op.samples_per_fragment, op.u.dtype.str, op.u.tobytes(),
-             op.v.dtype.str, op.v.tobytes())
-            if op.code == OP_TEXTURE else (op.code,) + tuple(op)
-            for op in self.memory_ops
-        )
+        """Every field as exact bits — arrays by dtype, shape and bytes,
+        counters by type and repr, the trace column by column — so two
+        results compare equal only when they are bit-identical, which is
+        what kernel backends promise."""
         stats = tuple((name, type(value).__name__, repr(value))
                       for name, value in self.stats.as_dict().items())
-        layers = depth = None
-        if self.layer_buffer is not None:
-            layers = (self.layer_buffer.layers.dtype.str,
-                      self.layer_buffer.layers.tobytes(),
-                      self.layer_buffer.zr_register)
-        if self.z_buffer is not None:
-            depth = self.z_buffer.depth.tobytes()
-        return (self.tile, self.color.dtype.str, self.color.shape,
-                self.color.tobytes(), stats, ops, self.tainted, layers,
-                depth)
+        arrays = tuple(None if value is None
+                       else (value.dtype.str, value.shape, value.tobytes())
+                       for value in (self.tiles, self.color, self.tainted,
+                                     self.layers, self.zr_register,
+                                     self.depth))
+        return arrays + (stats, self.trace.fingerprint())
 
 
 class _EntryStates(NamedTuple):
-    """A tile job's per-entry render-state columns."""
+    """A job's per-entry render-state columns."""
 
     opaque: np.ndarray          # (n,) bool — BlendMode.OPAQUE
     depth_tested: np.ndarray    # (n,) bool
     writes_z: np.ndarray        # (n,) bool
     #: (n, 5) int64 — 1, depth_tested, writes_z, texture fetches and
-    #: fragment instructions: a run's counters are one product with its
-    #: per-entry counts
+    #: fragment instructions: a range's counters are one product with
+    #: its per-entry counts
     costs: np.ndarray
+    #: (n, 2) int64 — the shader's texture id and size
+    texture: np.ndarray
 
 
 def _entry_states(states: Tuple[RenderState, ...],
@@ -172,30 +173,34 @@ def _entry_states(states: Tuple[RenderState, ...],
     """Gather each entry's render-state flags and costs by state id."""
     table = np.array([(s.blend is BlendMode.OPAQUE, s.depth_test,
                        s.writes_z, s.shader.texture_fetches,
-                       s.shader.fragment_instructions) for s in states],
-                     dtype=np.int64).reshape(-1, 5)[state]
+                       s.shader.fragment_instructions, s.shader.texture_id,
+                       s.shader.texture_size) for s in states],
+                     dtype=np.int64).reshape(-1, 7)[state]
     flags = table[:, :3].astype(bool)
-    costs = table.copy()
+    costs = table[:, :5].copy()
     costs[:, 0] = 1
     return _EntryStates(opaque=flags[:, 0], depth_tested=flags[:, 1],
-                        writes_z=flags[:, 2], costs=costs)
+                        writes_z=flags[:, 2], costs=costs,
+                        texture=table[:, 5:])
 
 
 @dataclass
 class TileJob:
-    """A stateless, picklable description of one tile's rendering.
+    """A stateless, picklable description of a range of tiles' rendering.
 
-    The tile's display list travels as columns with one row per entry,
-    already in render order (first list then second — Algorithm 1's
-    order): the tile's slices of the frame's display-list columns and of
-    the primitive columns gathered into them.  A pickled job holds only
-    its own entries.
+    The range's display lists travel as columns with one row per entry,
+    tile after tile, each tile's entries in render order (first list
+    then second — Algorithm 1's order): the slices of the frame's
+    display-list columns, and of the primitive columns gathered into
+    them, for the range's tiles.  A pickled job holds only its own
+    entries.
 
     Attributes:
-        tile: linear tile index.
-        tile_x / tile_y: tile grid coordinates.
+        tiles: ``(t,)`` int64 — the linear tile indices, ascending.
         config: the GPU configuration (immutable, shared).
         features: the pipeline feature flags (immutable, shared).
+        bounds: ``(t + 1,)`` int64 — tile ``i``'s entries are rows
+            ``bounds[i]`` to ``bounds[i + 1]``.
         window: ``(n, 3, 3)`` float64 — each entry's primitive's
             window-space ``(x, y, z)`` per vertex, winding-normalized
             (``kernels.api.normalize_winding``).
@@ -203,7 +208,7 @@ class TileJob:
             per vertex, in the same vertex order.
         state: ``(n,)`` — its render state's index in ``states``.
         states: the frame's distinct render states.
-        layer: ``(n,)`` int64 — the entry's layer id in this tile.
+        layer: ``(n,)`` int64 — the entry's layer id in its tile.
         predicted: ``(n,)`` bool — EVR's prediction for the entry.
         offset: ``(n,)`` int64 — its primitive's attribute record
             address in the Parameter Buffer.
@@ -212,19 +217,18 @@ class TileJob:
             (models the pointer-dereference traffic).
         backend: kernel backend name (``repro.kernels``); execution
             policy — every backend produces bit-identical results.
-        dsr_rate: Dynamic-Sampling-Rate fraction for this tile (1.0,
-            0.5 or 0.25), resolved parent-side at schedule time so every
-            scheduler renders identically.
-        history: previous frame's framebuffer contents for this tile
-            (full tile-sized, clear-padded), present only under the
+        dsr_rate: ``(t,)`` — each tile's Dynamic-Sampling-Rate fraction
+            (1.0, 0.5 or 0.25), resolved parent-side at schedule time so
+            every scheduler renders identically; None means 1.0.
+        history: ``(t, h, w, 4)`` — each tile's previous-frame
+            framebuffer contents (clear-padded), present only under the
             ``fhv`` feature; the reconstruction source.
     """
 
-    tile: int
-    tile_x: int
-    tile_y: int
+    tiles: np.ndarray
     config: GPUConfig
     features: PipelineFeatures
+    bounds: np.ndarray
     window: np.ndarray
     attributes: np.ndarray
     state: np.ndarray
@@ -235,34 +239,174 @@ class TileJob:
     pointer: np.ndarray
     attribute_bytes: int
     backend: str = DEFAULT_BACKEND
-    dsr_rate: float = 1.0
+    dsr_rate: Optional[np.ndarray] = None
     history: Optional[np.ndarray] = None
 
-    # -- geometry helpers ---------------------------------------------------
-
-    def _valid_mask(self) -> np.ndarray:
-        """True for tile pixels that are actually on screen (edge tiles
-        of non-divisible resolutions are partial)."""
-        config = self.config
-        return valid_mask(self.tile_x, self.tile_y,
-                          config.tile_width, config.tile_height,
-                          config.screen_width, config.screen_height)
+    @property
+    def tile(self) -> int:
+        """The range's first tile (work-item labels and trace lanes)."""
+        return int(self.tiles[0])
 
     # -- execution ----------------------------------------------------------
 
     def run(self, context: Optional[TileContext] = None) -> TileResult:
-        """Render the tile and return its result.
+        """Render the range and return its result.
 
-        ``context`` supplies reusable working buffers; omitted, a fresh
-        one is created (convenient in tests).
+        ``context`` supplies reusable working buffers for the per-entry
+        loop; omitted, a fresh one is created (convenient in tests).
+        """
+        kernels = resolve_backend(self.backend)
+        if _resolves_runs(kernels, self.features):
+            return self._run_range(kernels)
+        if context is None:
+            context = TileContext.for_config(self.config)
+        return self._run_tiles(kernels, context)
+
+    def _flush_bytes(self) -> int:
+        """A tile's colour flush (RGBA8 in the real framebuffer)."""
+        return self.config.tile_width * self.config.tile_height * 4
+
+    def _trace(self, entries: _EntryStates, texture_entry: np.ndarray,
+               texture_count: np.ndarray, u: np.ndarray,
+               v: np.ndarray) -> RasterTrace:
+        """The range's memory trace: every entry's two Parameter Buffer
+        reads and, for ``texture_entry``, its texture burst."""
+        texture = entries.texture[texture_entry]
+        return RasterTrace(
+            pointer=self.pointer, offset=self.offset,
+            pointer_bytes=POINTER_BYTES, record_bytes=self.attribute_bytes,
+            bounds=self.bounds, flush_bytes=self._flush_bytes(),
+            texture_entry=texture_entry, texture_id=texture[:, 0],
+            texture_size=texture[:, 1],
+            texture_samples=entries.costs[texture_entry, 3],
+            texture_count=texture_count, u=u, v=v)
+
+    def _run_range(self, kernels) -> TileResult:
+        """Every tile at once: one ``prepare_tile`` over the range's
+        entries, each against its own tile, and one ``resolve_range``.
+
+        Only for :func:`_resolves_runs` features, where every fragment
+        that passes Early-Z is shaded and written, so each counter is a
+        sum over the range of the entries' passing (or generated)
+        counts, weighted by a cost column.
         """
         config = self.config
         features = self.features
-        kernels = resolve_backend(self.backend)
-        if context is None:
-            context = TileContext.for_config(config)
-        memory = MemoryTrace()
+        width, height = config.tile_width, config.tile_height
+        tile_x = self.tiles % config.tiles_x
+        tile_y = self.tiles // config.tiles_x
+        valid = np.stack([valid_mask(x, y, width, height,
+                                     config.screen_width,
+                                     config.screen_height)
+                          for x, y in zip(tile_x.tolist(), tile_y.tolist())])
+        owner = np.repeat(np.arange(self.tiles.size), np.diff(self.bounds))
+        batch = kernels.prepare_tile(
+            self.window, self.attributes, (tile_x * width)[owner],
+            (tile_y * height)[owner], width, height, valid[owner])
+        count = len(self.state)
+        fragments = batch.fragments(slice(0, count))
+        entries = _entry_states(self.states, self.state)
+        costs = entries.costs
+        out = kernels.resolve_range(
+            fragments, self.bounds, entries.opaque, entries.depth_tested,
+            entries.writes_z, costs[:, 3] > 0, self.predicted, self.layer,
+            (height, width), config.clear_depth,
+            np.asarray(config.clear_color, dtype=np.float64),
+            features.uses_layers)
+
         stats = FrameStats()
+        tiles = self.tiles.size
+        passed = out.passed
+        shaded, tested_passed, depth_writes, samples, instructions = (
+            passed @ costs).tolist()
+        generated, tested = (np.array(fragments.counts, dtype=np.int64)
+                             @ costs[:, :2]).tolist()
+        stats.tiles_rendered += tiles
+        stats.display_list_reads += count
+        stats.primitives_rasterized += count
+        stats.raster_attributes += INTERPOLATED_ATTRIBUTES * count
+        stats.fragments_generated += generated
+        stats.early_z_tests += tested
+        stats.early_z_kills += tested - tested_passed
+        stats.depth_writes += depth_writes
+        stats.fragments_shaded += shaded
+        stats.fragment_instructions += instructions
+        stats.texture_samples += samples
+        stats.blend_operations += shaded
+        stats.overdrawn_fragments += out.overdrawn
+        stats.color_flush_bytes += tiles * self._flush_bytes()
+        if features.uses_layers:
+            stats.fvp_updates += tiles
+            stats.layer_buffer_writes += int(out.written.sum())
+        if features.evr_hardware:
+            # The confusion matrix of _render_entry, by (predicted,
+            # contributed) class.
+            hidden, visible, occluded, mispredicted = np.bincount(
+                2 * self.predicted + (passed > 0), minlength=4).tolist()
+            stats.mispredicted_visible += mispredicted
+            stats.predicted_occluded_correct += occluded
+            stats.predicted_visible_correct += visible
+            stats.predicted_visible_hidden += hidden
+
+        layers = features.uses_layers
+        return TileResult(
+            tiles=self.tiles, color=out.color, stats=stats,
+            trace=self._trace(entries, out.texture_entry, out.texture_count,
+                              out.u, out.v),
+            tainted=out.taint,
+            layers=out.layers if layers else None,
+            zr_register=out.zr_register if layers else None,
+            depth=out.depth if layers else None)
+
+    def _run_tiles(self, kernels, context: TileContext) -> TileResult:
+        """Tile after tile through the per-entry loop, each tile's
+        counters merged into the range's in tile order."""
+        config = self.config
+        features = self.features
+        width, height = config.tile_width, config.tile_height
+        tiles = self.tiles.size
+        color = np.empty((tiles, height, width, 4))
+        tainted = np.zeros(tiles, dtype=bool)
+        layers = zr_register = depth = None
+        if features.uses_layers:
+            layers = np.empty((tiles, height, width), dtype=np.int32)
+            zr_register = np.empty(tiles, dtype=np.int64)
+            depth = np.empty((tiles, height, width))
+        entries = _entry_states(self.states, self.state)
+        log = _TextureLog()
+        stats = FrameStats()
+        bounds = self.bounds.tolist()
+        for index, tile in enumerate(self.tiles.tolist()):
+            tile_stats = FrameStats()
+            tainted[index] = self._render_tile(
+                context, log, kernels, entries, tile, bounds[index],
+                bounds[index + 1],
+                1.0 if self.dsr_rate is None
+                else float(self.dsr_rate[index]),
+                None if self.history is None else self.history[index],
+                tile_stats)
+            color[index] = context.color_buffer.color
+            if layers is not None:
+                layers[index] = context.layer_buffer.layers
+                zr_register[index] = context.layer_buffer.zr_register
+                depth[index] = context.z_buffer.depth
+            stats.merge(tile_stats)
+        return TileResult(
+            tiles=self.tiles, color=color, stats=stats,
+            trace=self._trace(entries, *log.columns()),
+            tainted=tainted, layers=layers, zr_register=zr_register,
+            depth=depth)
+
+    def _render_tile(self, context: TileContext, log: _TextureLog,
+                     kernels, entries: _EntryStates, tile: int, start: int,
+                     stop: int, dsr_rate: float,
+                     history: Optional[np.ndarray],
+                     stats: FrameStats) -> bool:
+        """Render entries ``start..stop-1``, tile ``tile``'s display
+        list, one entry at a time into ``context``; returns whether the
+        tile ends tainted."""
+        config = self.config
+        features = self.features
         stats.tiles_rendered += 1
 
         context.z_buffer.clear()
@@ -270,19 +414,23 @@ class TileJob:
         if features.uses_layers:
             context.layer_buffer.clear()
 
-        x0, y0 = tile_origin(self.tile_x, self.tile_y,
-                             config.tile_width, config.tile_height)
+        tile_x, tile_y = tile % config.tiles_x, tile // config.tiles_x
+        x0, y0 = tile_origin(tile_x, tile_y, config.tile_width,
+                             config.tile_height)
+        valid = valid_mask(tile_x, tile_y, config.tile_width,
+                           config.tile_height, config.screen_width,
+                           config.screen_height)
         batch = kernels.prepare_tile(
-            self.window, self.attributes, x0, y0, config.tile_width,
-            config.tile_height, self._valid_mask(),
+            self.window[start:stop], self.attributes[start:stop], x0, y0,
+            config.tile_width, config.tile_height, valid,
         )
-        entries = _entry_states(self.states, self.state)
 
         if features.oracle_z:
-            self._oracle_depth_prepass(context, kernels, batch, entries)
+            self._oracle_depth_prepass(context, kernels, batch, entries,
+                                       start, stop)
         elif features.z_prepass:
             self._charged_depth_prepass(context, kernels, batch, entries,
-                                        stats)
+                                        start, stop, stats)
 
         # Per-pixel count of shaded contributions not yet made useless by
         # an opaque overwrite; feeds the overshading metric of Figure 8.
@@ -293,61 +441,29 @@ class TileJob:
         # by an exact (opaque) overwrite.  Any taint at end of tile poisons the
         # signature (see DESIGN.md, "Correctness repair").
         taint = np.zeros((config.tile_height, config.tile_width), dtype=bool)
+        for index in range(start, stop):
+            self._render_entry(context, log, kernels, batch, entries,
+                               index, index - start, dsr_rate, history,
+                               pending, taint, stats)
 
-        # Maximal runs of opaque entries, as (start, stop) pairs, when
-        # the backend resolves them in one pass; the entry loop takes
-        # every other entry.
-        count = len(self.state)
-        runs: List[Tuple[int, int]] = []
-        if count and _resolves_runs(kernels, features):
-            opaque = entries.opaque
-            bounds = [0, *(np.flatnonzero(opaque[1:] != opaque[:-1])
-                           + 1).tolist(), count]
-            runs = list(zip(bounds[:-1], bounds[1:]))[
-                0 if opaque[0] else 1::2]
-        index = 0
-        for start, stop in runs + [(count, count)]:
-            for single in range(index, start):
-                self._render_entry(context, memory, kernels, batch,
-                                   entries, single, pending, taint, stats)
-            if start < stop:
-                self._render_run(context, memory, kernels, batch, entries,
-                                 start, stop, pending, taint, stats)
-            index = stop
-
-        flush_bytes = context.color_buffer.byte_size
-        memory.framebuffer_flush(flush_bytes)
-        stats.color_flush_bytes += flush_bytes
-
-        # The context is reused by the next job, so FVP inputs must be
-        # copied out (16x16 arrays — cheap) rather than aliased.
-        layer_buffer = z_buffer = None
+        stats.color_flush_bytes += self._flush_bytes()
         if features.uses_layers:
             stats.fvp_updates += 1
-            layer_buffer = context.layer_buffer.copy()
-            z_buffer = context.z_buffer.copy()
+        return bool(taint.any())
 
-        return TileResult(
-            tile=self.tile,
-            color=context.color_buffer.snapshot(),
-            stats=stats,
-            memory_ops=memory.ops,
-            tainted=bool(taint.any()),
-            layer_buffer=layer_buffer,
-            z_buffer=z_buffer,
-        )
-
-    def _render_entry(self, context: TileContext, memory: MemoryTrace,
+    def _render_entry(self, context: TileContext, log: _TextureLog,
                       kernels, batch, entries: _EntryStates, index: int,
-                      pending: np.ndarray, taint: np.ndarray,
-                      stats: FrameStats) -> None:
-        """Render entry ``index`` on its own and, under EVR, validate its
-        FVP prediction: the confusion-matrix counters behind the
-        poison-rate breakdown (repro.obs.metrics)."""
+                      local: int, dsr_rate: float,
+                      history: Optional[np.ndarray], pending: np.ndarray,
+                      taint: np.ndarray, stats: FrameStats) -> None:
+        """Render entry ``index`` (``batch``'s entry ``local``) on its
+        own and, under EVR, validate its FVP prediction: the
+        confusion-matrix counters behind the poison-rate breakdown
+        (repro.obs.metrics)."""
         predicted = bool(self.predicted[index])
         contributed = self._render_primitive(
-            context, memory, kernels, batch, entries, index, predicted,
-            pending, taint, stats,
+            context, log, kernels, batch, entries, index, local, dsr_rate,
+            history, predicted, pending, taint, stats,
         )
         if self.features.evr_hardware:
             if predicted:
@@ -363,11 +479,14 @@ class TileJob:
     def _render_primitive(
         self,
         context: TileContext,
-        memory: MemoryTrace,
+        log: _TextureLog,
         kernels,
         batch,
         entries: _EntryStates,
         index: int,
+        local: int,
+        dsr_rate: float,
+        history: Optional[np.ndarray],
         predicted: bool,
         pending: np.ndarray,
         taint: np.ndarray,
@@ -379,9 +498,7 @@ class TileJob:
         z_buffer = context.z_buffer
         color_buffer = context.color_buffer
 
-        memory.parameter_buffer_read(int(self.pointer[index]), POINTER_BYTES)
-        memory.parameter_buffer_read(int(self.offset[index]),
-                                     self.attribute_bytes)
+        # The pointer and record reads are the trace's for every entry.
         stats.display_list_reads += 1
 
         if (
@@ -402,7 +519,7 @@ class TileJob:
 
         stats.primitives_rasterized += 1
         stats.raster_attributes += INTERPOLATED_ATTRIBUTES
-        frag = batch.fragments(index)
+        frag = batch.fragments(local)
         if frag is None or frag.count == 0:
             return False
         mask = frag.mask
@@ -465,12 +582,12 @@ class TileJob:
             return False
 
         rgba = frag.rgba
-        if shaded and features.dsr and self.dsr_rate < 1.0:
+        if shaded and features.dsr and dsr_rate < 1.0:
             # Dynamic Sampling Rate: shade only each block's anchor and
             # replicate its color to the block's other fragments.  A
             # fragment is reused only when its anchor is also shaded by
             # this primitive; uncovered-anchor fragments shade normally.
-            block_h = 2 if self.dsr_rate <= 0.25 else 1
+            block_h = 2 if dsr_rate <= 0.25 else 1
             rows = np.arange(shaded_mask.shape[0])[:, None]
             cols = np.arange(shaded_mask.shape[1])[None, :]
             anchor_rows = rows - rows % block_h
@@ -496,7 +613,7 @@ class TileJob:
             shaded
             and features.fhv
             and predicted
-            and self.history is not None
+            and history is not None
             and blend_mode is BlendMode.OPAQUE
         )
         if reconstruct:
@@ -507,9 +624,9 @@ class TileJob:
             # normally; only shading work is saved.
             stats.fhv_reconstructed += shaded
             stats.fhv_reconstruction_error += float(
-                np.abs(rgba[shaded_mask] - self.history[shaded_mask]).sum()
+                np.abs(rgba[shaded_mask] - history[shaded_mask]).sum()
             )
-            rgba = self.history
+            rgba = history
         elif shaded:
             # Fragment shading (cost model + texture traffic).
             stats.fragments_shaded += shaded
@@ -519,13 +636,8 @@ class TileJob:
             )
             if shader.texture_fetches:
                 stats.texture_samples += shaded * shader.texture_fetches
-                memory.texture_batch(
-                    shader.texture_id,
-                    shader.texture_size,
-                    frag.u[shaded_mask],
-                    frag.v[shaded_mask],
-                    shader.texture_fetches,
-                )
+                log.record(index, frag.u[shaded_mask],
+                           frag.v[shaded_mask])
 
         # Blending and overshading accounting (writes gated by the depth
         # test outcome even when shading was not).  VR-Pipe-killed
@@ -537,7 +649,7 @@ class TileJob:
             opaque_mask = passing
             kernels.color_write(color_buffer.color, write_mask, rgba)
         else:
-            opaque_mask = passing & (rgba[:, :, 3] >= _ALPHA_OPAQUE)
+            opaque_mask = passing & (rgba[:, :, 3] >= ALPHA_OPAQUE)
             kernels.color_blend(color_buffer.color, write_mask, rgba)
         stats.blend_operations += int(np.count_nonzero(write_mask))
 
@@ -570,101 +682,11 @@ class TileJob:
             stats.layer_buffer_writes += written
         return True
 
-    def _render_run(
-        self,
-        context: TileContext,
-        memory: MemoryTrace,
-        kernels,
-        batch,
-        entries: _EntryStates,
-        start: int,
-        stop: int,
-        pending: np.ndarray,
-        taint: np.ndarray,
-        stats: FrameStats,
-    ) -> None:
-        """Render entries ``start..stop-1``, consecutive opaque entries,
-        in one ``resolve_opaque_run`` call on ``batch``'s
-        un-interpolated ``fragments(slice(start, stop))``: the same
-        buffers, counters and memory trace as :meth:`_render_primitive`
-        on each in turn.
-
-        Only for :func:`_resolves_runs` features, where every fragment
-        that passes Early-Z is shaded and written, so each counter is a
-        sum over the run of the entries' passing counts.
-        """
-        features = self.features
-        writes_z = entries.writes_z[start:stop]
-        predicted = self.predicted[start:stop]
-        layer_ids = self.layer[start:stop]
-        layers = (context.layer_buffer.layers if features.uses_layers
-                  else None)
-        costs = entries.costs[start:stop]
-        fragments = batch.fragments(slice(start, stop))
-        run = kernels.resolve_opaque_run(
-            fragments, entries.depth_tested[start:stop], writes_z,
-            costs[:, 3] > 0, predicted, layer_ids,
-            context.z_buffer.depth, context.color_buffer.color, pending,
-            taint, layers,
-        )
-
-        # The memory trace, in the loop's per-entry order: each entry's
-        # pointer and record reads, then its texture burst if it shaded.
-        count = stop - start
-        tails: List[tuple] = [()] * count
-        for place, u, v in run.texcoords:
-            shader = self.states[self.state[start + place]].shader
-            tails[place] = (TextureOp(shader.texture_id, shader.texture_size,
-                                      u, v, shader.texture_fetches),)
-        memory.ops.extend(chain.from_iterable(map(add, zip(
-            map(tuple.__new__, repeat(PBReadOp),
-                zip(self.pointer[start:stop].tolist(),
-                    repeat(POINTER_BYTES))),
-            map(tuple.__new__, repeat(PBReadOp),
-                zip(self.offset[start:stop].tolist(),
-                    repeat(self.attribute_bytes))),
-        ), tails)))
-
-        # Every counter is a sum over the run of the entries' passing
-        # (or generated) counts, weighted by a cost column.
-        passed = run.passed
-        shaded, tested_passed, depth_writes, samples, instructions = (
-            passed @ costs).tolist()
-        generated, tested = (np.array(fragments.counts, dtype=np.int64)
-                             @ costs[:, :2]).tolist()
-        stats.display_list_reads += count
-        stats.primitives_rasterized += count
-        stats.raster_attributes += INTERPOLATED_ATTRIBUTES * count
-        stats.fragments_generated += generated
-        stats.early_z_tests += tested
-        stats.early_z_kills += tested - tested_passed
-        stats.depth_writes += depth_writes
-        stats.fragments_shaded += shaded
-        stats.fragment_instructions += instructions
-        stats.texture_samples += samples
-        stats.blend_operations += shaded
-        stats.overdrawn_fragments += run.overdrawn
-        contributed = passed > 0
-        if layers is not None:
-            stats.layer_buffer_writes += shaded
-            woz = np.flatnonzero(writes_z & contributed)
-            if woz.size:
-                context.layer_buffer.zr_register = int(layer_ids[woz[-1]])
-        if features.evr_hardware:
-            # The confusion matrix of _render_entry, by (predicted,
-            # contributed) class.
-            hidden, visible, occluded, mispredicted = np.bincount(
-                2 * predicted + contributed, minlength=4).tolist()
-            stats.mispredicted_visible += mispredicted
-            stats.predicted_occluded_correct += occluded
-            stats.predicted_visible_correct += visible
-            stats.predicted_visible_hidden += hidden
-
     # -- charged Z pre-pass -------------------------------------------------
 
     def _charged_depth_prepass(self, context: TileContext, kernels, batch,
-                               entries: _EntryStates,
-                               stats: FrameStats) -> None:
+                               entries: _EntryStates, start: int,
+                               stop: int, stats: FrameStats) -> None:
         """Depth-only first pass over the tile's WOZ geometry, with the
         real costs the paper attributes to software Z-prepass (Section
         IV-A): every primitive is rasterized again, every fragment is
@@ -672,7 +694,8 @@ class TileJob:
         *shading* is saved for the second pass.
         """
         depth_buffer = context.z_buffer.depth
-        woz = np.flatnonzero(entries.writes_z & entries.depth_tested)
+        woz = np.flatnonzero((entries.writes_z & entries.depth_tested)
+                             [start:stop])
         stats.prepass_primitives += len(woz)
         for index in woz.tolist():
             frag = batch.fragments(index)
@@ -687,7 +710,8 @@ class TileJob:
     # -- oracle Z pre-pass --------------------------------------------------
 
     def _oracle_depth_prepass(self, context: TileContext, kernels, batch,
-                              entries: _EntryStates) -> None:
+                              entries: _EntryStates, start: int,
+                              stop: int) -> None:
         """Fill the Z-buffer with the tile's final depths, for free.
 
         Models Figure 8's oracle: perfect visibility information in the
@@ -695,7 +719,7 @@ class TileJob:
         final depths.
         """
         depth_buffer = context.z_buffer.depth
-        for index in np.flatnonzero(entries.writes_z).tolist():
+        for index in np.flatnonzero(entries.writes_z[start:stop]).tolist():
             frag = batch.fragments(index)
             if frag is None or frag.count == 0:
                 continue
@@ -704,17 +728,17 @@ class TileJob:
 
 
 def _resolves_runs(kernels, features: PipelineFeatures) -> bool:
-    """Whether opaque display-list runs take the backend's one-pass
-    ``resolve_opaque_run`` kernel.
+    """Whether a job's range takes the backend's one-pass
+    ``resolve_range`` kernel.
 
     Needs the kernel and Early-Z (every passing fragment is shaded),
-    and no mechanism that reads per-entry state mid-run or tests with
+    and no mechanism that reads per-entry state mid-list or tests with
     ``<=``: Hierarchical-Z reads ``z_far``, VR-Pipe the destination
     colour, DSR and FHV rewrite the shaded colours, and the oracle and
     charged Z-prepasses test against resolved depths.
     """
     return (
-        hasattr(kernels, "resolve_opaque_run")
+        hasattr(kernels, "resolve_range")
         and features.early_z
         and not (features.hierarchical_z or features.dsr or features.fhv
                  or features.vrpipe_early_termination
@@ -732,7 +756,8 @@ def execute_tile_job(job: TileJob) -> TileResult:
 
     When an event bus is installed in the executing process — the live
     bus in-process, a forwarding buffer in a pool worker — each job
-    emits a :class:`~repro.obs.events.TileJobFinished` with its own
+    emits one :class:`~repro.obs.events.TileJobFinished` for its range,
+    under its first tile, with the range's shaded fragments and its own
     measured wall time and pid: the dashboard's worker-occupancy data.
     """
     key = (job.config.tile_width, job.config.tile_height,

@@ -12,8 +12,8 @@ Measures four things per kernel backend, on a preset workload:
 
 2. **Fragment-kernel throughput** — the hot path the backend seam
    actually abstracts.  The preset's real per-tile display lists are
-   captured from a pipeline run, then replayed through the backend's
-   :func:`prepare_tile`/``fragments`` kernel exactly as
+   captured from a pipeline run, then replayed tile by tile through the
+   backend's :func:`prepare_tile`/``fragments`` kernel exactly as
    :meth:`TileJob.run` drives it under a depth-prepass variant
    (z-prepass/oracle): fragments are requested once for the depth-only
    pass and once for shading.  ``fragments_per_second`` counts the
@@ -26,14 +26,17 @@ Measures four things per kernel backend, on a preset workload:
    implementation, each frame predicting from the FVP Table the
    pipeline run left for it: ``primitives_per_second``.
 
-4. **Execute throughput** — the captured tile jobs replayed through
-   :meth:`TileJob.run` on each backend, the whole raster execute step
-   (rasterization, the Early Depth Test, shading bookkeeping, blending
-   and the memory trace; under EVR the numpy backend resolves opaque
-   runs in one pass): ``tiles_per_second``.
+4. **Execute throughput** — the captured raster jobs, each a range of
+   tiles, replayed through :meth:`TileJob.run` on each backend, the
+   whole raster execute step (rasterization, the Early Depth Test,
+   shading bookkeeping, blending and the memory trace; under EVR the
+   numpy backend renders each range in one array pass):
+   ``tiles_per_second``.
 
 The emitted ``BENCH_<preset>.json`` also records the numpy/python
-ratio of every sweep (``speedup``).  Because a ratio compares two
+ratio of every sweep (``speedup``) and, for each ratio CI gates, its
+spread over the sweep's rounds (``spread``: min, median, max and
+IQR/median of the per-round ratios).  Because a ratio compares two
 measurements from the same process on the same machine, it is far more
 stable across hardware than absolute numbers — the CI perf-smoke job
 gates on the ratios via :func:`check_bench_regression`.
@@ -292,16 +295,24 @@ def _raster_phase_totals(tracer: ChromeTracer) -> Dict[str, float]:
     return totals
 
 
-def _best_seconds(backends: Sequence[str], repeat: int,
-                  seconds: Callable[[str], float]) -> Dict[str, float]:
-    """Best-of-``repeat`` ``seconds(backend)`` per backend, interleaved
-    round by round: CPU-frequency drift over a minutes-long bench would
-    otherwise dominate the cross-backend ratio CI gates on."""
-    best = {backend: float("inf") for backend in backends}
+def _round_seconds(backends: Sequence[str], repeat: int,
+                   seconds: Callable[[str], float]
+                   ) -> Dict[str, List[float]]:
+    """``seconds(backend)`` for ``repeat`` rounds per backend,
+    interleaved round by round: CPU-frequency drift over a minutes-long
+    bench would otherwise dominate the cross-backend ratio CI gates on.
+    A sweep reports the best round (``best_seconds``) and keeps every
+    round (``round_seconds``) for :func:`ratio_spread`."""
+    rounds: Dict[str, List[float]] = {backend: [] for backend in backends}
     for _ in range(max(1, repeat)):
         for backend in backends:
-            best[backend] = min(best[backend], seconds(backend))
-    return best
+            rounds[backend].append(seconds(backend))
+    return rounds
+
+
+def _timed_rounds(rounds: List[float]) -> Dict[str, object]:
+    """A sweep's ``best_seconds`` and ``round_seconds`` fields."""
+    return {"best_seconds": min(rounds), "round_seconds": rounds}
 
 
 def _seconds(fn: Callable, *args) -> float:
@@ -349,38 +360,42 @@ class _DigestedBatch:
 
 def _sweep_once(jobs: Sequence[TileJob], backend: str,
                 digest=None) -> int:
-    """One full kernel sweep: replay every captured display list through
-    ``backend``'s ``prepare_tile``/``fragments`` exactly as
-    :meth:`TileJob.run` drives it under a depth-prepass variant (each
-    entry's fragments requested ``SWEEP_PASSES`` times), feeding
+    """One full kernel sweep: replay every captured display list, tile by
+    tile, through ``backend``'s ``prepare_tile``/``fragments`` exactly
+    as :meth:`TileJob.run` drives it under a depth-prepass variant
+    (each entry's fragments requested ``SWEEP_PASSES`` times), feeding
     ``digest`` (a ``hashlib`` object) if given."""
     kernels = resolve_backend(backend)
     fragments = 0
     for job in jobs:
         config = job.config
-        x0, y0 = tile_origin(job.tile_x, job.tile_y,
-                             config.tile_width, config.tile_height)
-        valid = valid_mask(job.tile_x, job.tile_y,
-                           config.tile_width, config.tile_height,
-                           config.screen_width, config.screen_height)
-        batch = kernels.prepare_tile(
-            job.window, job.attributes, x0, y0,
-            config.tile_width, config.tile_height, valid,
-        )
-        if digest is not None:
-            batch = _DigestedBatch(batch, digest)
-        for _ in range(SWEEP_PASSES):
-            for index in range(len(job.state)):
-                frag = batch.fragments(index)
-                if frag is not None:
-                    fragments += frag.count
+        bounds = job.bounds.tolist()
+        for index, tile in enumerate(job.tiles.tolist()):
+            start, stop = bounds[index], bounds[index + 1]
+            tile_x, tile_y = tile % config.tiles_x, tile // config.tiles_x
+            x0, y0 = tile_origin(tile_x, tile_y,
+                                 config.tile_width, config.tile_height)
+            valid = valid_mask(tile_x, tile_y,
+                               config.tile_width, config.tile_height,
+                               config.screen_width, config.screen_height)
+            batch = kernels.prepare_tile(
+                job.window[start:stop], job.attributes[start:stop], x0, y0,
+                config.tile_width, config.tile_height, valid,
+            )
+            if digest is not None:
+                batch = _DigestedBatch(batch, digest)
+            for _ in range(SWEEP_PASSES):
+                for entry in range(stop - start):
+                    frag = batch.fragments(entry)
+                    if frag is not None:
+                        fragments += frag.count
     return fragments
 
 
 def _kernel_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
                    repeat: int) -> Dict[str, Dict]:
     """Best-of-``repeat`` kernel throughput for every backend
-    (:func:`_best_seconds`).  The warm-up round is the bit-identity
+    (:func:`_round_seconds`).  The warm-up round is the bit-identity
     check: every backend must deliver the first backend's exact
     fragments (:class:`_DigestedBatch`)."""
     def digested(backend: str) -> Tuple[int, str]:
@@ -388,8 +403,9 @@ def _kernel_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
         return _sweep_once(jobs, backend, digest), digest.hexdigest()
 
     outcomes = _warm_up(backends, digested, itemgetter(1), "kernels")
-    best = _best_seconds(backends, repeat,
-                         lambda backend: _seconds(_sweep_once, jobs, backend))
+    rounds = _round_seconds(
+        backends, repeat, lambda backend: _seconds(_sweep_once, jobs,
+                                                   backend))
     entries = sum(len(job.state) for job in jobs)
     return {
         backend: {
@@ -397,8 +413,9 @@ def _kernel_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
             "jobs": len(jobs),
             "entries": entries,
             "fragments": outcomes[backend][0],
-            "best_seconds": best[backend],
-            "fragments_per_second": outcomes[backend][0] / best[backend],
+            **_timed_rounds(rounds[backend]),
+            "fragments_per_second": (outcomes[backend][0]
+                                     / min(rounds[backend])),
         }
         for backend in backends
     }
@@ -433,14 +450,14 @@ def _memsys_sweeps(ops: MemOps, config: GPUConfig,
         itemgetter("snapshot", "dram_cycles"), "memsys")[backends[0]]
     cache_ops = sum(counters.get("accesses", 0)
                     for counters in reference["snapshot"].values())
-    best = _best_seconds(backends, repeat, lambda backend: (
+    rounds = _round_seconds(backends, repeat, lambda backend: (
         _memsys_replay_once(ops, config, backend)["seconds"]))
     return {
         backend: {
             "trace_ops": len(ops),
             "cache_ops": cache_ops,
-            "best_seconds": best[backend],
-            "cache_ops_per_second": cache_ops / best[backend],
+            **_timed_rounds(rounds[backend]),
+            "cache_ops_per_second": cache_ops / min(rounds[backend]),
         }
         for backend in backends
     }
@@ -521,14 +538,14 @@ def _geometry_sweeps(frames: Sequence, fvp_states: Sequence,
             backends, lambda backend: _geometry_once(frames, fvp_states,
                                                      config, backend),
             _geometry_identity, "geometry")[backends[0]]["primitives"]
-        best = _best_seconds(backends, repeat, lambda backend: (
+        rounds = _round_seconds(backends, repeat, lambda backend: (
             _geometry_once(frames, fvp_states, config, backend)["seconds"]))
     return {
         backend: {
             "frames": len(frames),
             "primitives": primitives,
-            "best_seconds": best[backend],
-            "primitives_per_second": primitives / best[backend],
+            **_timed_rounds(rounds[backend]),
+            "primitives_per_second": primitives / min(rounds[backend]),
         }
         for backend in backends
     }
@@ -543,11 +560,12 @@ def _execute_once(jobs: Sequence[TileJob], context: TileContext) -> None:
 
 def _execute_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
                     repeat: int) -> Dict[str, Dict]:
-    """Best-of-``repeat`` tile-job throughput for every backend,
-    interleaved round by round like the other sweeps.  Every backend
-    replays the same captured jobs.  The warm-up round is the
-    bit-identity check: every backend must return the first backend's
-    exact :class:`TileResult` for every job."""
+    """Interleaved rounds of raster-job throughput for every backend,
+    like the other sweeps.  Every backend replays the same captured
+    jobs, each a range of tiles: on numpy the run techniques take the
+    range kernel, on python the per-entry loop tile by tile.  The
+    warm-up round is the bit-identity check: every backend must return
+    the first backend's exact :class:`TileResult` for every job."""
     per_backend = {
         backend: [dataclasses.replace(job, backend=backend) for job in jobs]
         for backend in backends
@@ -556,16 +574,42 @@ def _execute_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
     _warm_up(backends, lambda backend: [job.run(context).fingerprint()
                                         for job in per_backend[backend]],
              lambda fingerprints: fingerprints, "tile jobs")
-    best = _best_seconds(backends, repeat, lambda backend: _seconds(
+    rounds = _round_seconds(backends, repeat, lambda backend: _seconds(
         _execute_once, per_backend[backend], context))
+    tiles = sum(job.tiles.size for job in jobs)
     return {
         backend: {
             "jobs": len(jobs),
-            "best_seconds": best[backend],
-            "tiles_per_second": len(jobs) / best[backend],
+            "tiles": tiles,
+            **_timed_rounds(rounds[backend]),
+            "tiles_per_second": tiles / min(rounds[backend]),
         }
         for backend in backends
     }
+
+
+#: The numpy/python ratios CI gates, by ``speedup`` key: the sweep each
+#: comes from and its label.
+GATED_RATIOS = (
+    ("fragments_per_second", "kernel_sweep", "kernel fragments/sec"),
+    ("cache_ops_per_second", "memsys_sweep", "memsys replay ops/sec"),
+    ("primitives_per_second", "geometry_sweep", "geometry primitives/sec"),
+    ("tiles_per_second", "execute_sweep", "execute tiles/sec"),
+)
+
+
+def ratio_spread(scalar_seconds: Sequence[float],
+                 batched_seconds: Sequence[float]) -> Dict[str, float]:
+    """The spread of a gated ratio over a sweep's rounds: round ``i``'s
+    ratio is ``scalar_seconds[i] / batched_seconds[i]`` (both backends
+    do the same work, so that is the throughput ratio).  Returns the
+    rounds' count, min, median and max, and the interquartile range over
+    the median."""
+    ratios = np.asarray(scalar_seconds) / np.asarray(batched_seconds)
+    low, median, high = np.percentile(ratios, (25, 50, 75))
+    return {"rounds": int(ratios.size), "min": float(ratios.min()),
+            "median": float(median), "max": float(ratios.max()),
+            "iqr_over_median": float((high - low) / median)}
 
 
 def run_bench(preset_name: str,
@@ -667,6 +711,12 @@ def run_bench(preset_name: str,
                 batched["memsys_sweep"]["cache_ops_per_second"]
                 / scalar["memsys_sweep"]["cache_ops_per_second"]
             )
+        record["spread"] = {
+            key: ratio_spread(scalar[sweep]["round_seconds"],
+                              batched[sweep]["round_seconds"])
+            for key, sweep, _ in GATED_RATIOS
+            if sweep in scalar and sweep in batched
+        }
         if bus.enabled:
             for name, value in sorted(record["speedup"].items()):
                 bus.emit(MetricSample(name=f"bench.speedup.{name}",
@@ -720,6 +770,14 @@ def format_bench_summary(record: Dict) -> str:
         line += (f", {speedup['primitives_per_second']:.2f}x geometry"
                  f", {speedup['tiles_per_second']:.2f}x execute")
         lines.append(line)
+    for key, _, label in GATED_RATIOS:
+        spread = record.get("spread", {}).get(key)
+        if spread:
+            lines.append(
+                f"  {label} ratio over {spread['rounds']} rounds: "
+                f"min {spread['min']:.2f}x, median {spread['median']:.2f}x,"
+                f" max {spread['max']:.2f}x, IQR/median "
+                f"{spread['iqr_over_median']:.3f}")
     return "\n".join(lines)
 
 
@@ -748,13 +806,8 @@ def check_bench_regression(record: Dict, baseline_path: str,
             "(both backends must be benched to gate)"
         )
         return failures
-    gated = [("fragments_per_second", "kernel fragments/sec")]
-    if base.get("cache_ops_per_second") is not None:
-        gated.append(("cache_ops_per_second", "memsys replay ops/sec"))
-    if base.get("primitives_per_second") is not None:
-        gated.append(("primitives_per_second", "geometry primitives/sec"))
-    if base.get("tiles_per_second") is not None:
-        gated.append(("tiles_per_second", "execute tiles/sec"))
+    gated = [(key, label) for key, _, label in GATED_RATIOS
+             if key == "fragments_per_second" or base.get(key) is not None]
     for key, label in gated:
         base_speedup = base[key]
         new_speedup = new.get(key)

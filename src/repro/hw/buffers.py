@@ -34,12 +34,14 @@ class ZBuffer:
     def clear(self) -> None:
         self.depth.fill(self._clear_depth)
 
-    def copy(self) -> "ZBuffer":
-        """An independent copy: the same clear value and depths."""
-        clone = ZBuffer.__new__(ZBuffer)
-        clone._clear_depth = self._clear_depth
-        clone.depth = self.depth.copy()
-        return clone
+    @classmethod
+    def holding(cls, depth: np.ndarray,
+                clear_depth: float = 1.0) -> "ZBuffer":
+        """A buffer over ``depth`` itself (no copy)."""
+        buffer = cls.__new__(cls)
+        buffer._clear_depth = clear_depth
+        buffer.depth = depth
+        return buffer
 
     def preload(self, depths: np.ndarray) -> None:
         """Initialize with known depths (used by the oracle Z-prepass)."""
@@ -131,12 +133,13 @@ class LayerBuffer:
         self.layers.fill(self.CLEAR_LAYER)
         self.zr_register = -1
 
-    def copy(self) -> "LayerBuffer":
-        """An independent copy: the same layers and ZR register."""
-        clone = LayerBuffer.__new__(LayerBuffer)
-        clone.layers = self.layers.copy()
-        clone.zr_register = self.zr_register
-        return clone
+    @classmethod
+    def holding(cls, layers: np.ndarray, zr_register: int) -> "LayerBuffer":
+        """A buffer over ``layers`` itself (no copy)."""
+        buffer = cls.__new__(cls)
+        buffer.layers = layers
+        buffer.zr_register = zr_register
+        return buffer
 
     def write(self, mask: np.ndarray, layer: int, is_woz: bool) -> int:
         """Record ``layer`` for the masked (visible, opaque) fragments."""

@@ -37,36 +37,42 @@ Geometry: a backend exports exactly one of these two entry points.
 
 ``prepare_tile(window, attributes, x0, y0, tile_width, tile_height,
 valid)``
-    Build a tile batch for one display list, given as a tile job's
-    columns (see :class:`~repro.engine.tile_job.TileJob`): entry ``i``'s
-    primitive has window-space ``(x, y, z)`` per vertex ``window[i]``
-    (an ``(n, 3, 3)`` float64 array) and ``(r, g, b, a, u, v)`` per
-    vertex ``attributes[i]`` (``(n, 3, 6)`` float64), both in the
-    winding :func:`normalize_winding` gives them: no row has a negative
-    signed area.  Returns an object with a single method
-    ``fragments(index) -> Optional[Fragments]`` yielding the
-    rasterization of entry ``index`` against the tile — ``None`` when
-    the entry covers no on-screen pixel center (bounding-box binning is
-    conservative, so this is common).  ``fragments`` must be
-    side-effect free and stable: calling it twice returns the same
-    values (the prepasses and the main loop share one batch).  Callers
-    use nothing else of a batch: perfbench's traced run hands them a
-    proxy that forwards only ``fragments``.
+    Build a batch for a display list given as a tile job's columns (see
+    :class:`~repro.engine.tile_job.TileJob`), each entry rasterized
+    against its own tile: entry ``i``'s primitive has window-space
+    ``(x, y, z)`` per vertex ``window[i]`` (an ``(n, 3, 3)`` float64
+    array) and ``(r, g, b, a, u, v)`` per vertex ``attributes[i]``
+    (``(n, 3, 6)`` float64), both in the winding
+    :func:`normalize_winding` gives them: no row has a negative signed
+    area.  Its tile's top-left pixel is ``(x0[i], y0[i])`` (``(n,)`` int
+    arrays, or one origin for every entry) and ``valid[i]`` (``(n,
+    tile_height, tile_width)`` bool, or one tile's mask for every entry)
+    marks the tile's on-screen pixels.  Returns an object with a single
+    method ``fragments(index) -> Optional[Fragments]`` yielding the
+    rasterization of entry ``index`` — ``None`` when the entry covers no
+    valid pixel centre (bounding-box binning is conservative, so this is
+    common).  ``fragments`` must be side-effect free and stable: calling
+    it twice returns the same values (the prepasses and the main loop
+    share one batch).  Callers use nothing else of a batch: perfbench's
+    traced run hands them a proxy that forwards only ``fragments``.
 
-Optional, exported only by backends that resolve opaque runs in one
-pass (the numpy backend); ``TileJob`` keeps its per-entry loop when it
-is missing:
+Optional, exported only by backends with a range kernel (the numpy
+backend); ``TileJob`` runs its per-entry loop tile by tile when it is
+missing:
 
-``resolve_opaque_run(run, depth_tested, writes_z, textured, predicted,
-layer_ids, depth, color, pending, taint, layers) -> OpaqueRun``
-    Resolve a run of consecutive ``BlendMode.OPAQUE`` entries under
-    Early-Z with ``less`` depth tests exactly as the per-entry loop
-    would, in one array pass, updating the tile buffers in place
-    (``layers`` may be None).  ``run`` is the batch's
-    ``fragments(slice(start, stop))`` — such a backend's batches also
-    take a slice of entries and return their :class:`RunFragments`,
-    nothing interpolated but depth.  The per-entry flags are
-    ``(stop - start,)`` arrays.  See :class:`OpaqueRun`.
+``resolve_range(run, bounds, opaque, depth_tested, writes_z, textured,
+predicted, layer_ids, shape, clear_depth, clear_color, layers)
+-> RangeResolved``
+    Render a range of tiles' display lists under Early-Z with ``less``
+    depth tests — opaque and blended entries, from cleared tile buffers
+    — exactly as the per-entry loop would, in one array pass.  Tile
+    ``i``'s entries are ``bounds[i]`` to ``bounds[i + 1]``.  ``run`` is
+    the batch's ``fragments(slice(0, n))`` — such a backend's batches
+    also take a slice of entries and return their
+    :class:`RunFragments`, nothing interpolated but depth.  The
+    per-entry flags are ``(n,)`` arrays, ``shape`` is ``(tile_height,
+    tile_width)``, and ``layers`` says whether to track the Layer Buffer.
+    See :class:`RangeResolved`.
 
 Per-fragment array ops (all pure, array-in/array-out; ``mask`` is always
 a tile-shaped bool array and the op touches only masked lanes):
@@ -130,6 +136,10 @@ attribute_values = attrgetter("color.x", "color.y", "color.z", "color.w",
 
 #: Columns of an attribute-table row that raster interpolates.
 RASTER_ATTRIBUTES = 6
+
+#: A blended fragment at or above this alpha counts as opaque for the
+#: overshading counters and the Layer Buffer.
+ALPHA_OPAQUE = 1.0 - 1e-9
 
 
 def non_finite_vertex(command, command_id: int, triangle_index: int,
@@ -275,14 +285,14 @@ class Fragments(NamedTuple):
 
 
 class RunFragments(NamedTuple):
-    """Entries ``start..stop-1`` of a tile batch rasterized, with nothing
+    """Entries ``start..stop-1`` of a batch rasterized, with nothing
     interpolated but depth: what ``fragments(slice(start, stop))``
-    returns.  Rows are the run's live entries (nonzero coverage), in
-    order; the run's other entries are dead.
+    returns.  Rows are the live entries (nonzero coverage), in order;
+    the other entries are dead.
     """
 
-    counts: List[int]        # covered pixels per entry of the run
-    position: np.ndarray     # (r,) intp — each row's place in the run
+    counts: List[int]        # covered pixels per entry
+    position: np.ndarray     # (r,) intp — each row's entry, from start
     covered: np.ndarray      # bool     — (r, h, w) coverage
     depth: np.ndarray        # float64  — (r, h, w) interpolated depth
     bary: np.ndarray         # float64  — (r, 3, h, w) barycentrics
@@ -291,20 +301,32 @@ class RunFragments(NamedTuple):
     attributes: np.ndarray
 
 
-class OpaqueRun(NamedTuple):
-    """What ``resolve_opaque_run`` reports about a run of ``k`` entries.
+class RangeResolved(NamedTuple):
+    """What ``resolve_range`` reports about ``n`` entries of ``t`` tiles.
 
     An entry passes where it covers the pixel and, if depth-tested, its
-    depth is ``<`` the minimum of the Z-buffer and every earlier Z-writer
-    of the run covering the pixel; under Early-Z every passing fragment
-    is shaded and written.  The kernel leaves each buffer as the loop
-    would: depth from the last passing Z-writer, colour, taint and layer
-    from the last passing entry, ``pending`` at 1 where anything passed.
+    depth is ``<`` the minimum of the clear depth and every earlier
+    Z-writer of its tile covering the pixel; under Early-Z every passing
+    fragment is shaded and written.  The tile buffers end as the loop
+    leaves them.
     """
 
-    passed: np.ndarray   # (k,) int64 — passing fragments per entry
-    overdrawn: int       # pending + passes - 1, summed over touched pixels
-    #: per textured entry that passed anywhere, in run order: its place
-    #: in the run and the (u, v) of its passing fragments in row-major
-    #: order
-    texcoords: List[Tuple[int, np.ndarray, np.ndarray]]
+    passed: np.ndarray       # (n,) int64 — passing fragments per entry
+    #: (n,) int64 — fragments per entry that count as opaque (an opaque
+    #: entry's passing ones; a blended entry's at ALPHA_OPAQUE or above):
+    #: its Layer Buffer writes
+    written: np.ndarray
+    #: shaded fragments later overwritten by one that counts as opaque
+    overdrawn: int
+    color: np.ndarray        # (t, h, w, 4) float64
+    depth: np.ndarray        # (t, h, w) float64
+    taint: np.ndarray        # (t,) bool — the tile ends tainted
+    layers: Optional[np.ndarray]       # (t, h, w) int32, or None
+    zr_register: Optional[np.ndarray]  # (t,) int64, or None
+    #: per entry that shaded textured fragments, in entry order: the
+    #: entry, its fragment count, and every such fragment's (u, v) in
+    #: row-major order within its entry, back to back
+    texture_entry: np.ndarray
+    texture_count: np.ndarray
+    u: np.ndarray
+    v: np.ndarray

@@ -5,20 +5,22 @@ point, transforms, clip-tests and culls a whole frame's draw commands at
 once as ``(n, 3)`` coordinate arrays and returns the frame's primitive
 table; no survivor becomes a Python object.
 
-Raster: :func:`prepare_tile` rasterizes a tile's *entire* display list
-in one shot from the tile job's winding-normalized columns: coverage,
-edge functions, barycentrics and depth run as
-``(N, tile_h, tile_w)`` array expressions — no per-fragment or
-per-entry Python arithmetic.  The batch is built for all entries,
-including ones the main loop may later skip via hierarchical-Z
-(rasterization has no side effects, so results are unaffected); the
-z-prepasses and the main loop then share the one batch instead of
-rasterizing twice.  Colour and texture coordinates are
+Raster: :func:`prepare_tile` rasterizes a whole display list in one
+shot from a job's winding-normalized columns, each entry against its own
+tile: an exact corner test (:func:`corner_dead`) first drops the entries
+that cover no pixel centre, then coverage, edge functions, barycentrics
+and depth run as ``(N, tile_h, tile_w)`` array expressions — no
+per-fragment or per-entry Python arithmetic.  The batch is built for all
+entries, including ones the main loop may later skip via
+hierarchical-Z (rasterization has no side effects, so results are
+unaffected); the z-prepasses and the main loop then share the one batch
+instead of rasterizing twice.  Colour and texture coordinates are
 interpolated for every live entry in one einsum when the per-entry loop
-first asks for an entry's fragments.  A run of opaque entries under
-Early-Z asks for none: :func:`resolve_opaque_run` resolves the whole run
-in one array pass, interpolating colour only at each touched pixel's
-last writer and u/v only for passing fragments.
+first asks for an entry's fragments.  A range of tiles under Early-Z
+asks for none: :func:`resolve_range` resolves every tile of the range in
+one array pass, interpolating colour only at each pixel's last opaque
+writer and at the blended entries after it, and u/v only for passing
+fragments.
 
 The per-fragment buffer ops replace the reference backend's
 fancy-indexed gather/scatter with whole-tile arithmetic plus masked
@@ -29,7 +31,8 @@ Bit-identity with :mod:`repro.kernels.reference` is a hard contract
 (cache entries are shared across backends): every expression below
 performs the same IEEE-754 float64 operations in the same association
 order as the scalar reference — edge functions, the explicit
-left-associated ``b0*a0 + b1*a1 + b2*a2`` of depth and of the run path,
+left-associated ``b0*a0 + b1*a1 + b2*a2`` of depth and of the range
+kernel,
 on rows already in the vertex order the reference's winding swap gives
 them (``kernels.api.normalize_winding``).  The one
 einsum contracts in index order without FMA but starts its sum from
@@ -45,17 +48,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import chain
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import PipelineError
 from ..math3d import Mat4
 from .api import (
+    ALPHA_OPAQUE,
     W_EPSILON,
     FrameGeometry,
     Fragments,
-    OpaqueRun,
+    RangeResolved,
     RunFragments,
     attribute_overflow,
     attribute_table,
@@ -63,7 +67,6 @@ from .api import (
     non_finite_vertex,
     overflows_float32,
 )
-from .tile_geometry import pixel_centers
 
 NAME = "numpy"
 
@@ -201,21 +204,20 @@ def assemble_frame(commands: Sequence, mvps: Sequence[Mat4],
 # ---------------------------------------------------------------------------
 
 class BatchedTileBatch:
-    """All entries of one tile, rasterized up front.
-
-    Coverage, counts and the scaled barycentrics are kept for every
-    *live* entry (nonzero coverage after the valid mask; bounding-box
-    binning is conservative, so dead entries are common).  ``_live``
-    lists the live entries in order and ``_slot[index]`` is entry
-    ``index``'s row in the per-row arrays (None when every entry is
-    live), so consecutive live entries have consecutive rows.
+    """A display list rasterized up front: coverage, counts and the
+    scaled barycentrics of every *live* entry (nonzero coverage after
+    the valid mask; bounding-box binning is conservative, so dead
+    entries are common).  ``_live`` lists the live entries in order and
+    ``_slot[index]`` is entry ``index``'s row in the per-row arrays
+    (None when every entry is live), so consecutive live entries have
+    consecutive rows.
 
     ``fragments(index)`` interpolates on request, in one einsum for that
     entry's row and every later row not yet done (the per-entry loop
     asks for nearly every entry, in order).
-    ``fragments(slice(start, stop))`` hands a run of entries to
-    :func:`resolve_opaque_run` with nothing interpolated but depth, so
-    a tile that is all runs is never interpolated in full.
+    ``fragments(slice(start, stop))`` hands entries to
+    :func:`resolve_range` with nothing interpolated but depth, so a
+    range that takes the range kernel is never interpolated in full.
     """
 
     __slots__ = ("_counts", "_mask", "_live", "_slot", "_bary",
@@ -225,7 +227,7 @@ class BatchedTileBatch:
                  live: np.ndarray, slot: Optional[np.ndarray],
                  bary: np.ndarray, attributes: np.ndarray) -> None:
         self._counts = counts
-        self._mask = mask                # (n, h, w) coverage ∧ validity
+        self._mask = mask                # (l, h, w) coverage ∧ validity
         self._live = live
         self._slot = slot
         self._bary = bary                # (l, 3, h, w) ``w_i / area``
@@ -258,7 +260,7 @@ class BatchedTileBatch:
             self._interpolate(k)
         interp = self._interp
         frag = Fragments(
-            mask=self._mask[index],
+            mask=self._mask[k],
             count=count,
             depth=interp[k, 0],
             rgba=self._rgba[k],
@@ -300,20 +302,21 @@ class BatchedTileBatch:
         live = self._live
         if self._slot is None:
             r0, r1 = start, stop
-            covered = self._mask[start:stop]
         else:
             r0, r1 = bisect_left(live, start), bisect_left(live, stop)
-            covered = self._mask[live[r0:r1]]
         bary = self._bary[r0:r1]
         attributes = self._attributes[r0:r1]
-        # The reference's left-associated ``b0*z0 + b1*z1 + b2*z2``.
+        # The reference's left-associated ``b0*z0 + b1*z1 + b2*z2``,
+        # summed in place.
         z = attributes[:, :, 0, None, None]
+        depth = bary[:, 0] * z[:, 0]
+        depth += bary[:, 1] * z[:, 1]
+        depth += bary[:, 2] * z[:, 2]
         return RunFragments(
             counts=self._counts[start:stop],
             position=live[r0:r1] - start,
-            covered=covered,
-            depth=bary[:, 0] * z[:, 0] + bary[:, 1] * z[:, 1]
-            + bary[:, 2] * z[:, 2],
+            covered=self._mask[r0:r1],
+            depth=depth,
             bary=bary,
             attributes=attributes,
         )
@@ -327,196 +330,324 @@ _EDGE_START = np.array((1, 2, 0))
 _EDGE_END = np.array((2, 0, 1))
 
 
-def prepare_tile(window: np.ndarray, attributes: np.ndarray, x0: int,
-                 y0: int, tile_width: int, tile_height: int,
-                 valid: np.ndarray) -> BatchedTileBatch:
-    """Rasterize the whole display list at once: coverage, counts and
-    barycentrics; interpolation waits for ``fragments``."""
-    n = len(window)
-    if n == 0:
-        return BatchedTileBatch([], np.empty((0, tile_height, tile_width),
-                                             dtype=bool),
-                                np.empty(0, dtype=np.intp), None,
-                                np.empty((0, 3, tile_height, tile_width)),
-                                np.empty((0, 3, 7)))
+class Edges(NamedTuple):
+    """A display list's three edges per entry, (v1, v2), (v2, v0) and
+    (v0, v1) in the reference order, and what the fill rule needs."""
 
-    # -- ScreenTriangle.signed_area: never negative, as the rows come
-    #    winding-normalized ----------------------------------------------
+    area: np.ndarray     # (n,) twice the signed area, never negative
+    ax: np.ndarray       # (n, 3) each edge's start
+    ay: np.ndarray
+    dx: np.ndarray       # (n, 3) end minus start, as ``_edge`` rounds it
+    dy: np.ndarray
+    #: (n, 3) the top-left rule as one compare: ``w > bound`` is the
+    #: reference's ``w >= 0 if top-left else w > 0``
+    bound: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "Edges":
+        return Edges(*(column[rows] for column in self))
+
+
+def edges(window: np.ndarray) -> Edges:
+    """The :class:`Edges` of winding-normalized rows ``window``."""
     x, y = window[:, :, 0], window[:, :, 1]
+    # ScreenTriangle.signed_area: never negative, as the rows come
+    # winding-normalized.
     area = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
             - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
-    edge_ax = x[:, _EDGE_START]
-    edge_ay = y[:, _EDGE_START]
-    edge_bx = x[:, _EDGE_END]
-    edge_by = y[:, _EDGE_END]
-    # (n, 3, 7): per vertex (z, r, g, b, a, u, v)
-    channels = np.concatenate((window[:, :, 2:], attributes), axis=2)
+    ax, ay = x[:, _EDGE_START], y[:, _EDGE_START]
+    bx, by = x[:, _EDGE_END], y[:, _EDGE_END]
+    # Inclusive (>=) on top-left edges only.  No float lies strictly
+    # between the smallest negative subnormal and -0.0, so
+    # ``w > -5e-324`` is the same boolean function as ``w >= 0`` (both
+    # zeros pass, NaN fails).
+    top_left = ((ay == by) & (bx < ax)) | (by < ay)
+    return Edges(area, ax, ay, bx - ax, by - ay,
+                 np.where(top_left, -_TINY, 0.0))
 
-    # -- coverage: three edge functions over the pixel-center grid ------
-    px, py = pixel_centers(x0, y0, tile_width, tile_height)
-    grid_x = px[None, None, None, :]                      # (1, 1, 1, w)
-    grid_y = py[None, None, :, None]                      # (1, 1, h, 1)
+
+def corner_dead(edge: Edges, x0: np.ndarray, y0: np.ndarray,
+                tile_width: int, tile_height: int) -> np.ndarray:
+    """Which entries certainly cover no pixel centre of their tile
+    (top-left pixel ``(x0, y0)``): a conservative test on one corner of
+    the tile per edge.
+
+    The rounded edge function ``dx*(py - ay) - dy*(px - ax)`` is
+    monotone in each pixel coordinate (``fl`` is monotone, and each
+    coordinate enters one product with a fixed factor), so over the
+    tile's pixel centres each edge peaks at the corner that maximizes
+    ``dx*(py - ay)`` and minimizes ``dy*(px - ax)``.  An entry is dead
+    when some edge fails the fill rule there, since it then fails
+    everywhere; a NaN corner (an overflowing product) proves nothing
+    and keeps the entry.  Zero-area entries are dead too.
+    """
+    dx, dy = edge.dx, edge.dy
+    # Pixel centres exactly as pixel_centers computes them.
+    px = (x0[:, None] + np.where(dy > 0.0, 0, tile_width - 1)) + 0.5
+    py = (y0[:, None] + np.where(dx > 0.0, tile_height - 1, 0)) + 0.5
+    peak = dx * (py - edge.ay) - dy * (px - edge.ax)
+    return (peak <= edge.bound).any(axis=1) | (edge.area == 0.0)
+
+
+def prepare_tile(window: np.ndarray, attributes: np.ndarray, x0, y0,
+                 tile_width: int, tile_height: int,
+                 valid: np.ndarray) -> BatchedTileBatch:
+    """Rasterize a whole display list at once, each entry against its
+    own tile: coverage, counts and barycentrics; interpolation waits for
+    ``fragments``.  Entries :func:`corner_dead` proves empty skip the
+    per-pixel edge functions."""
+    n = len(window)
+    x0 = np.broadcast_to(x0, (n,))
+    y0 = np.broadcast_to(y0, (n,))
+    edge = edges(window)
+    candidates = np.flatnonzero(~corner_dead(edge, x0, y0, tile_width,
+                                             tile_height))
+    counts = np.zeros(n, dtype=np.int64)
+    if candidates.size < n:
+        edge = edge.take(candidates)
+        x0, y0 = x0[candidates], y0[candidates]
+        if valid.ndim == 3:
+            valid = valid[candidates]
+
+    # -- coverage: three edge functions over each entry's pixel-centre
+    #    grid (pixel_centers' values: integer sums, then + 0.5) ---------
+    grid_x = (x0[:, None] + np.arange(tile_width, dtype=np.float64)
+              + 0.5)[:, None, None, :]                    # (c, 1, 1, w)
+    grid_y = (y0[:, None] + np.arange(tile_height, dtype=np.float64)
+              + 0.5)[:, None, :, None]                    # (c, 1, h, 1)
     # Edge function cross(b - a, p - a), identical term order to the
     # reference ``_edge``.
-    w = ((edge_bx - edge_ax)[:, :, None, None]
-         * (grid_y - edge_ay[:, :, None, None])
-         - (edge_by - edge_ay)[:, :, None, None]
-         * (grid_x - edge_ax[:, :, None, None]))
-
-    # Top-left fill rule, vectorized over (n, 3) edges: inclusive (>=)
-    # on top-left edges only.  No float lies strictly between the
-    # smallest negative subnormal and -0.0, so ``w > -5e-324`` is the
-    # same boolean function as ``w >= 0`` (both zeros pass, NaN fails):
-    # the reference's ``w >= 0 if top-left else w > 0`` is one compare
-    # against a per-edge bound.
-    top_left = ((edge_ay == edge_by) & (edge_bx < edge_ax)) \
-        | (edge_by < edge_ay)
-    bound = np.where(top_left, -_TINY, 0.0)[:, :, None, None]
-    mask = (w > bound).all(axis=1)
-    mask &= valid[None, :, :]
-    mask[area == 0.0] = False
-    counts_arr = np.count_nonzero(mask, axis=(1, 2))
+    w = (edge.dx[:, :, None, None] * (grid_y - edge.ay[:, :, None, None])
+         - edge.dy[:, :, None, None] * (grid_x - edge.ax[:, :, None, None]))
+    mask = (w > edge.bound[:, :, None, None]).all(axis=1)
+    mask &= valid
+    counted = np.count_nonzero(mask, axis=(1, 2))
+    counts[candidates] = counted
 
     # -- barycentrics for live entries only (per-element math is
     #    unchanged, so the subsetting cannot perturb bit-identity) ------
-    live = np.flatnonzero(counts_arr)
-    if live.size == n:
-        slot = None                       # identity mapping
-        bary = w
-    else:
+    rows = np.flatnonzero(counted)
+    live = candidates[rows]
+    area = edge.area
+    if rows.size < candidates.size:
+        w = w[rows]
+        mask = mask[rows]
+        area = area[rows]
+    slot = None                           # identity mapping
+    if live.size < n:
         slot = np.full(n, -1, dtype=np.intp)
         slot[live] = np.arange(live.size)
-        bary = w[live]
-        area = area[live]
-        channels = channels[live]
+        window = window[live]
+        attributes = attributes[live]
     # A live entry's area is positive: its reciprocal, as the reference
     # takes it.
-    bary *= (1.0 / area)[:, None, None, None]
-    return BatchedTileBatch(counts_arr.tolist(), mask, live, slot, bary,
-                            channels)
+    w *= (1.0 / area)[:, None, None, None]
+    # (l, 3, 7): per vertex (z, r, g, b, a, u, v)
+    channels = np.concatenate((window[:, :, 2:], attributes), axis=2)
+    return BatchedTileBatch(counts.tolist(), mask, live, slot, w, channels)
 
 
 # ---------------------------------------------------------------------------
-# A run of opaque entries under Early-Z: one array pass
+# A range of tiles under Early-Z: one array pass
 # ---------------------------------------------------------------------------
 
-def _last_true(flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """For a ``(rows, columns)`` bool array: the columns holding a True
-    and, for each, the index of its last True row."""
-    rows = flags.shape[0] - 1 - flags[::-1].argmax(axis=0)
-    columns = flags[rows, np.arange(flags.shape[1])].nonzero()[0]
-    return columns, rows[columns]
+def _last(flags: np.ndarray, rows: np.ndarray,
+          segments: np.ndarray) -> np.ndarray:
+    """For ``(r, ...)`` flags over rows split into ``segments`` (their
+    first rows, each segment non-empty): each segment's last flagged row
+    per lane, -1 where none is."""
+    marked = np.where(flags, rows.reshape((-1,) + (1,) * (flags.ndim - 1)),
+                      -1)
+    return np.maximum.reduceat(marked, segments, axis=0)
 
 
-def resolve_opaque_run(run: RunFragments, depth_tested: np.ndarray,
-                       writes_z: np.ndarray, textured: np.ndarray,
-                       predicted: np.ndarray, layer_ids: np.ndarray,
-                       depth: np.ndarray, color: np.ndarray,
-                       pending: np.ndarray, taint: np.ndarray,
-                       layers: Optional[np.ndarray]) -> OpaqueRun:
-    """Resolve ``run`` — consecutive opaque entries under Early-Z — as
-    the per-entry loop would.
+def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
+                  depth_tested: np.ndarray, writes_z: np.ndarray,
+                  textured: np.ndarray, predicted: np.ndarray,
+                  layer_ids: np.ndarray, shape: Tuple[int, int],
+                  clear_depth: float, clear_color: np.ndarray,
+                  layers: bool) -> RangeResolved:
+    """Resolve a range of tiles' display lists under Early-Z with
+    ``less`` depth tests, as the per-entry loop would: tile ``i``'s
+    entries are ``bounds[i]`` to ``bounds[i + 1]`` of ``run``, the
+    batch's ``fragments(slice(0, n))``.
 
     Entry ``j`` meets the Z-buffer as the loop leaves it: the minimum of
-    ``depth`` and every earlier Z-writer's covered depth (an exclusive
-    running minimum along the run axis), and passes where it covers the
-    pixel and, if depth-tested, is strictly closer.  The comparisons see
-    the same values as the loop's, so the passing masks are exact; the
-    buffers then take the bits of the last passing entry (the last
-    passing Z-writer for depth) — never a value of the scan itself.
-    Colour is interpolated only at each touched pixel's last entry, u/v
-    only for the passing fragments of textured entries, both with the
-    reference's explicit left-associated sums.  The buffers are the tile
-    context's C-contiguous arrays, written through flat views.
+    the clear depth and every earlier Z-writer of its tile's covered
+    depths (an exclusive running minimum per tile), and passes where it
+    covers the pixel and, if depth-tested, is strictly closer.  The
+    comparisons see the same values as the loop's, so the passing masks
+    are exact; the buffers then take the bits of the last passing entry
+    of the right kind — never a value of the scan itself: depth from
+    the last passing Z-writer, the layer from the last fragment that
+    counts as opaque (an opaque entry's, or a blended one's at alpha
+    ``>= ALPHA_OPAQUE``), the colour from the last opaque entry's,
+    interpolated only there, with every later passing blended entry
+    folded over it in display-list order.  Colour, u/v and the blends
+    use the reference's explicit left-associated sums.
     """
-    k = len(run.counts)
-    passed = np.zeros(k, dtype=np.int64)
-    texcoords: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    position = run.position                  # each row's place in the run
+    n = int(bounds[-1])
+    tiles = bounds.size - 1
+    area = shape[0] * shape[1]
+    color = np.empty((tiles, area, 4))
+    color[:] = clear_color
+    depth = np.full((tiles, area), clear_depth)
+    taint = np.zeros(tiles, dtype=bool)
+    layer_out = np.zeros((tiles, area), np.int32) if layers else None
+    zr_register = np.full(tiles, -1, np.int64) if layers else None
+    passed = np.zeros(n, dtype=np.int64)
+    written = np.zeros(n, dtype=np.int64)
+    position = run.position
     r = position.size
+
+    def resolved(overdrawn=0, texture=None):
+        if texture is None:
+            texture = (np.empty(0, np.int64), np.empty(0, np.int64),
+                       np.empty(0), np.empty(0))
+        return RangeResolved(
+            passed, written, overdrawn,
+            color.reshape((tiles,) + shape + (4,)),
+            depth.reshape((tiles,) + shape), taint,
+            None if layer_out is None
+            else layer_out.reshape((tiles,) + shape),
+            zr_register, *texture)
+
     if r == 0:
-        return OpaqueRun(passed, 0, texcoords)
-    # Rows are the run's live entries; every per-row array is viewed as
+        return resolved()
+    # Rows are the live entries; every per-row array is viewed as
     # (r, area), so ``row * area + pixel`` is one lane (and the
     # barycentrics' lane of vertex i is ``(3 * row + i) * area + pixel``).
-    area = depth.size
+    row_bounds = np.searchsorted(position, bounds)
+    filled = np.flatnonzero(np.diff(row_bounds))      # tiles with rows
+    segments = row_bounds[filled]
+    row_tile = np.repeat(np.arange(filled.size),
+                         row_bounds[filled + 1] - segments)
+    rows = np.arange(r)
     covered = run.covered.reshape(r, area)
     frag_depth = run.depth.reshape(r, area)
     writer = writes_z[position]
 
     # scan[j]: the Z-buffer row j is tested against.  fmin skips NaN
     # depths, which never pass a ``<`` test either.
-    scan = np.empty_like(frag_depth)
-    scan[0] = depth.reshape(-1)
-    if r > 1:
-        scan[1:] = np.where(covered[:-1] & writer[:-1, None],
-                            frag_depth[:-1], np.inf)
-        np.fmin.accumulate(scan, axis=0, out=scan)
+    scan = np.full_like(frag_depth, np.inf)
+    np.copyto(scan[1:], frag_depth[:-1],
+              where=covered[:-1] & writer[:-1, None])
+    scan[segments] = clear_depth
+    for start, stop in zip(segments.tolist(),
+                           row_bounds[filled + 1].tolist()):
+        if stop - start > 1:
+            np.fmin.accumulate(scan[start:stop], axis=0,
+                               out=scan[start:stop])
     passing = frag_depth < scan
     passing |= ~depth_tested[position][:, None]
     passing &= covered
     counts = passing.sum(axis=1)
     passed[position] = counts
-    total = int(counts.sum())
-    if total == 0:
-        return OpaqueRun(passed, 0, texcoords)
-
-    # The last passing row at every touched pixel.
-    pixels, rows = _last_true(passing)
-    lanes = rows * area + pixels
-
-    # Depth: the last passing Z-writer's.  Only pixels whose last
-    # passing row does not write Z need a second search.
-    z_pixels, z_lanes = pixels, lanes
-    others = ~writer[rows]
-    if others.any():
-        search = pixels[others]
-        found, below = _last_true(passing[:, search] & writer[:, None])
-        keep = ~others
-        z_pixels = np.concatenate((pixels[keep], search[found]))
-        z_lanes = np.concatenate((lanes[keep],
-                                  below * area + search[found]))
-    depth.reshape(-1)[z_pixels] = frag_depth.reshape(-1)[z_lanes]
+    if not counts.any():
+        return resolved()
 
     flat_bary = run.bary.reshape(-1)
     vertex = (np.arange(3) * area)[:, None]
-    b0, b1, b2 = flat_bary[rows * (3 * area) + pixels + vertex]
-    a = run.attributes[rows]                                # (px, 3, 7)
-    color.reshape(-1, 4)[pixels] = (
+    row_opaque = opaque[position]
+    last_writer = _last(passing & writer[:, None], rows, segments)
+    # Fragments that count as opaque: an opaque entry's, and a blended
+    # entry's at alpha >= ALPHA_OPAQUE.
+    solid = passing & row_opaque[:, None]
+    blended = np.flatnonzero(~row_opaque)
+    if blended.size:
+        rgba = _interpolate(run.bary[blended].reshape(-1, 3, area),
+                            run.attributes[blended, :, 1:5])
+        solid[blended] = passing[blended] & (rgba[:, :, 3] >= ALPHA_OPAQUE)
+        last_opaque = _last(passing & row_opaque[:, None], rows, segments)
+    last_solid = _last(solid, rows, segments)
+    if not blended.size:
+        last_opaque = last_solid
+
+    # Depth: the last passing Z-writer's.
+    tile_of, pixel = np.nonzero(last_writer >= 0)
+    depth[filled[tile_of], pixel] = frag_depth[
+        last_writer[tile_of, pixel], pixel]
+
+    # Colour: the last passing opaque entry's, interpolated only there.
+    tile_of, pixel = np.nonzero(last_opaque >= 0)
+    chosen = last_opaque[tile_of, pixel]
+    b0, b1, b2 = flat_bary[chosen * (3 * area) + pixel + vertex]
+    a = run.attributes[chosen]                              # (px, 3, 7)
+    colors = color[filled]
+    colors[tile_of, pixel] = (
         b0[:, None] * a[:, 0, 1:5] + b1[:, None] * a[:, 1, 1:5]
         + b2[:, None] * a[:, 2, 1:5])
+    touched = np.zeros((filled.size, area), dtype=bool)
+    touched[tile_of, pixel] = predicted[position][chosen]
 
-    # Each passing fragment overwrites its pixel: the first one there
-    # finds the pixel's pending count, every later one finds 1.
-    flat_pending = pending.reshape(-1)
-    overdrawn = int(flat_pending[pixels].sum()) + total - pixels.size
-    flat_pending[pixels] = 1
-    taint.reshape(-1)[pixels] = predicted[position][rows]
-    if layers is not None:
-        layers.reshape(-1)[pixels] = layer_ids[position][rows]
+    # Every fragment before the last opaque one at its pixel was
+    # overdrawn (it raised the pixel's pending count, which that
+    # opaque write then charged).
+    total = np.add.reduceat(passing, segments, axis=0, dtype=np.int64)
+    overdrawn = int((total - 1)[last_solid >= 0].sum())
+    row_predicted = predicted[position]
+    if blended.size:
+        # Blended entries after the pixel's last opaque entry fold over
+        # its colour in display-list order, one rank of each tile's
+        # blended entries at a time; they add taint, never clear it.
+        blend_tile = row_tile[blended]
+        over = passing[blended] & (
+            blended[:, None] > last_opaque[blend_tile])
+        after = blended[:, None] > last_solid[blend_tile]
+        overdrawn -= int((passing[blended] & ~solid[blended] & after
+                          & (last_solid[blend_tile] >= 0)).sum())
+        rank = np.arange(blended.size) - np.searchsorted(blend_tile,
+                                                         blend_tile)
+        for step in range(int(rank.max()) + 1):
+            sel = np.flatnonzero(rank == step)
+            target = blend_tile[sel]
+            source = rgba[sel]
+            destination = colors[target]
+            alpha = source[:, :, 3:4]
+            mixed = source * alpha + destination * (1.0 - alpha)
+            mixed[:, :, 3] = np.maximum(destination[:, :, 3],
+                                        source[:, :, 3])
+            colors[target] = np.where(over[sel][:, :, None], mixed,
+                                      destination)
+        hit = row_predicted[blended] & over.any(axis=1)
+        touched[blend_tile[hit]] = True
+    color[filled] = colors
+    taint[filled] = touched.any(axis=1)
 
-    textured = textured[position]
-    if textured.any():
-        # Every passing fragment of a textured row, row by row in
-        # row-major pixel order (what ``u[passing]`` gives the loop).
-        shaded = counts
-        if not textured.all():
-            passing &= textured[:, None]
-            shaded = counts * textured
-        lanes = passing.reshape(-1).nonzero()[0]
-        b0, b1, b2 = flat_bary[lanes + lanes // area * (2 * area) + vertex]
+    written_rows = solid.sum(axis=1)
+    written[position] = written_rows
+    if layers:
+        tile_of, pixel = np.nonzero(last_solid >= 0)
+        layer_out[filled[tile_of], pixel] = layer_ids[position][
+            last_solid[tile_of, pixel]]
+        woz = _last(writer & (written_rows > 0), rows, segments)
+        zr_register[filled] = np.where(
+            woz >= 0, layer_ids[position][woz], -1)
+
+    # Every passing fragment of a textured row, row by row in row-major
+    # pixel order (what ``u[passing]`` gives the loop).
+    texture = None
+    textured_rows = np.flatnonzero(textured[position] & (counts > 0))
+    if textured_rows.size:
+        shaded = counts[textured_rows]
+        local, pixel = np.nonzero(passing[textured_rows])
+        b0, b1, b2 = flat_bary[textured_rows[local] * (3 * area) + pixel
+                               + vertex]
         # (u|v, vertex, fragment): each row's texture coordinates,
         # repeated for each of its fragments.
-        uv = np.repeat(run.attributes[:, :, 5:7].transpose(2, 1, 0),
-                       shaded, axis=2)
+        uv = np.repeat(run.attributes[textured_rows, :, 5:7]
+                       .transpose(2, 1, 0), shaded, axis=2)
         u, v = b0 * uv[:, 0] + b1 * uv[:, 1] + b2 * uv[:, 2]
-        end = 0
-        for place, count in zip(position.tolist(), shaded.tolist()):
-            if count:
-                texcoords.append((place, u[end:end + count],
-                                  v[end:end + count]))
-                end += count
-    return OpaqueRun(passed, overdrawn, texcoords)
+        texture = (position[textured_rows].astype(np.int64), shaded, u, v)
+    return resolved(overdrawn, texture)
+
+
+def _interpolate(bary: np.ndarray, attributes: np.ndarray) -> np.ndarray:
+    """``(q, area, c)`` channels at every lane of ``(q, 3, area)``
+    barycentrics, from ``(q, 3, c)`` per-vertex values, with the
+    reference's explicit ``b0*a0 + b1*a1 + b2*a2``."""
+    return (bary[:, 0, :, None] * attributes[:, 0, None, :]
+            + bary[:, 1, :, None] * attributes[:, 1, None, :]
+            + bary[:, 2, :, None] * attributes[:, 2, None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -234,32 +234,34 @@ class ReferenceTileBatch:
     per ``fragments`` request, exactly like the historical inline loop
     (the prepass and main loop each rasterize their own copy)."""
 
-    def __init__(self, window: np.ndarray, attributes: np.ndarray,
-                 x0: int, y0: int, tile_width: int, tile_height: int,
+    def __init__(self, window: np.ndarray, attributes: np.ndarray, x0, y0,
+                 tile_width: int, tile_height: int,
                  valid: np.ndarray) -> None:
+        count = len(window)
         self._window = window.tolist()
         self._attributes = attributes.tolist()
-        self._x0 = x0
-        self._y0 = y0
+        self._x0 = np.broadcast_to(x0, (count,)).tolist()
+        self._y0 = np.broadcast_to(y0, (count,)).tolist()
         self._tile_width = tile_width
         self._tile_height = tile_height
-        self._valid = valid
+        self._valid = np.broadcast_to(valid,
+                                      (count, tile_height, tile_width))
 
     def fragments(self, index: int) -> Optional[Fragments]:
         batch = rasterize_rows(
-            self._window[index], self._attributes[index], self._x0,
-            self._y0, self._tile_width, self._tile_height,
+            self._window[index], self._attributes[index], self._x0[index],
+            self._y0[index], self._tile_width, self._tile_height,
         )
         if batch is None:
             return None
-        mask = batch.mask & self._valid
+        mask = batch.mask & self._valid[index]
         count = int(np.count_nonzero(mask))
         return Fragments(mask=mask, count=count, depth=batch.depth,
                          rgba=batch.rgba, u=batch.u, v=batch.v)
 
 
-def prepare_tile(window: np.ndarray, attributes: np.ndarray, x0: int,
-                 y0: int, tile_width: int, tile_height: int,
+def prepare_tile(window: np.ndarray, attributes: np.ndarray, x0, y0,
+                 tile_width: int, tile_height: int,
                  valid: np.ndarray) -> ReferenceTileBatch:
     """Build the scalar tile batch (no up-front work; see the class)."""
     return ReferenceTileBatch(window, attributes, x0, y0, tile_width,

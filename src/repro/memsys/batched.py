@@ -71,6 +71,7 @@ from .ops import (
     OP_FLUSH,
     OP_PB_READ,
     OP_PB_WRITE,
+    OP_RASTER,
     OP_RESET_STATS,
     OP_TEXTURE,
     OP_VERTEX,
@@ -81,6 +82,7 @@ from .ops import (
     MemOps,
     PBReadOp,
     PBWriteOp,
+    RasterTrace,
     ResetStatsOp,
     TextureOp,
     VertexOp,
@@ -373,6 +375,78 @@ def _segment_expand(reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return row, rank
 
 
+class _Batch:
+    """One marker-free batch of queued traffic, as the drain collects it:
+    object ops as flat rows, raster traces as column chunks."""
+
+    def __init__(self) -> None:
+        self.simple: List[int] = []      # flat (op_idx, kind, f0, f1, f2)
+        self.textures: List[Tuple[int, TextureOp, bool]] = []
+        self._rows: List[np.ndarray] = []
+        self._texture_chunks: List[Tuple[np.ndarray, ...]] = []
+
+    def splice(self, trace: RasterTrace, base: int) -> None:
+        """Add ``trace``'s ops under op numbers ``base`` onward: entry
+        ``e``'s pointer read, record read and texture burst are numbers
+        ``base + 3e``, ``+ 1`` and ``+ 2``."""
+        n = trace.pointer.size
+        rows = np.empty((2 * n, 5), np.int64)
+        rows[:, 0] = base + np.arange(2 * n) // 2 * 3 + np.arange(2 * n) % 2
+        rows[:, 1] = _K_PBR
+        rows[0::2, 2] = trace.pointer
+        rows[1::2, 2] = trace.offset
+        rows[0::2, 3] = trace.pointer_bytes
+        rows[1::2, 3] = trace.record_bytes
+        rows[:, 4] = 0
+        self._rows.append(rows)
+        if trace.texture_entry.size:
+            self._texture_chunks.append((
+                base + 3 * trace.texture_entry + 2, trace.texture_id,
+                trace.texture_size, trace.texture_samples,
+                np.ones(trace.texture_entry.size, bool),
+                trace.texture_count, trace.u, trace.v))
+
+    def simple_rows(self) -> Optional[np.ndarray]:
+        """Every simple request as ``(op_idx, kind, f0, f1, f2)`` rows."""
+        parts = list(self._rows)
+        if self.simple:
+            parts.append(np.array(self.simple, np.int64).reshape(-1, 5))
+        if not parts:
+            return None
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+    def texture_columns(self) -> Optional[Tuple[np.ndarray, ...]]:
+        """Every texture burst as the columns of
+        :meth:`BatchedMemorySystem._expand_textures`."""
+        chunks = list(self._texture_chunks)
+        if self.textures:
+            meta: List[int] = []  # flat (idx, tid, tsize, spf, bilinear, n)
+            us: List[np.ndarray] = []
+            vs: List[np.ndarray] = []
+            for idx, op, bilinear in self.textures:
+                meta.extend((idx, op[0], op[1], op[4], bilinear, op[2].size))
+                us.append(op[2])
+                vs.append(op[3])
+            table = np.array(meta, np.int64).reshape(-1, 6)
+            # The pipeline's coordinate arrays are float64 1-D;
+            # concatenate consumes them without per-op conversion (the
+            # scalar reference computes in the arrays' own dtype too).
+            chunks.append((table[:, 0], table[:, 1], table[:, 2],
+                           table[:, 3], table[:, 4].astype(bool),
+                           table[:, 5], _joined(us), _joined(vs)))
+        if not chunks:
+            return None
+        if len(chunks) == 1:
+            return chunks[0]
+        return tuple(map(_joined, zip(*chunks)))
+
+
+def _joined(arrays) -> np.ndarray:
+    """``arrays`` end to end (the array itself when there is one)."""
+    return np.concatenate(arrays) if len(arrays) > 1 else np.asarray(
+        arrays[0])
+
+
 class BatchedMemorySystem:
     """Drop-in :class:`~repro.memsys.MemorySystem` with deferred,
     vectorized trace consumption.  Public surface and observable
@@ -503,13 +577,18 @@ class BatchedMemorySystem:
         self.dram.read(num_bytes)
 
     def replay_ops(self, ops) -> None:
-        """Consume a recorded trace wholesale (the replay fast path).
+        """Consume a recorded trace wholesale (the replay fast path): an
+        op list, or a :class:`~repro.memsys.ops.RasterTrace` whose
+        columns the drain splices in as arrays.
 
         Unlike the one-call-per-op public methods, validation of a
         replayed trace happens at drain time; traces recorded by the
         pipeline are well-formed by construction.
         """
-        self._pending.extend(ops)
+        if isinstance(ops, RasterTrace):
+            self._pending.append(ops)
+        else:
+            self._pending.extend(ops)
 
     # -- frame lifecycle -----------------------------------------------------
 
@@ -540,62 +619,81 @@ class BatchedMemorySystem:
         # batches so frame/phase boundaries land exactly where the
         # scalar model would put them.  Dispatch is ordered by op
         # frequency and operands are read positionally — at trace scale
-        # the per-op constant is the scan's whole cost.
-        simple: List[int] = []   # flat (op_idx, kind, f0, f1, f2) rows
-        textures: List[Tuple[int, TextureOp, bool]] = []
+        # the per-op constant is the scan's whole cost.  ``idx`` numbers
+        # the ops in call order; a raster trace's columns take a block of
+        # numbers and join the batch as arrays, with no per-op scan.
+        batch = _Batch()
+        simple = batch.simple    # flat (op_idx, kind, f0, f1, f2) rows
+        textures = batch.textures
         dram = self.dram
-        for idx, op in enumerate(pending):
+        # Ops are numbered in call order: the ``item``-th queued op is
+        # number ``item + shift``, and a raster trace's columns take a
+        # block of numbers (``shift`` makes room) and join the batch as
+        # arrays, with no per-op scan.
+        shift = 0
+        for item, op in enumerate(pending):
             code = op.code
             if code == OP_PB_READ:
-                simple.extend((idx, _K_PBR, op[0], op[1], 0))
+                simple.extend((item + shift, _K_PBR, op[0], op[1], 0))
             elif code == OP_PB_WRITE:
-                simple.extend((idx, _K_PBW, op[0], op[1], 0))
+                simple.extend((item + shift, _K_PBW, op[0], op[1], 0))
             elif code == OP_TEXTURE:
-                textures.append((idx, op, idx not in nonbilinear))
+                textures.append((item + shift, op, item not in nonbilinear))
             elif code == OP_VERTEX:
-                simple.extend((idx, _K_VRANGE, op[0], 1, op[1]))
+                simple.extend((item + shift, _K_VRANGE, op[0], 1, op[1]))
             elif code == OP_VERTEX_RANGE:
-                simple.extend((idx, _K_VRANGE, op[0], op[1], op[2]))
+                simple.extend((item + shift, _K_VRANGE, op[0], op[1],
+                               op[2]))
             elif code == OP_FLUSH:
                 if op.num_bytes <= 0:
                     raise MemoryModelError(
                         "framebuffer flush of non-positive size")
                 dram.write(op.num_bytes)
+            elif code == OP_RASTER:
+                batch.splice(op, item + shift)
+                shift += 3 * op.pointer.size
+                if op.flush_bytes <= 0:
+                    raise MemoryModelError(
+                        "framebuffer flush of non-positive size")
+                for _ in range(op.bounds.size - 1):
+                    dram.write(op.flush_bytes)
             elif code == OP_FB_LOAD:
                 if op.num_bytes <= 0:
                     raise MemoryModelError(
                         "framebuffer load of non-positive size")
                 dram.read(op.num_bytes)
             elif code == OP_END_FRAME:
-                self._apply_batch(simple, textures)
-                simple = []
-                textures = []
+                self._apply_batch(batch)
+                batch = _Batch()
+                simple = batch.simple
+                textures = batch.textures
                 dirty = self.tile_cache.flush()
                 dram.write_lines(dirty, self._line)
             elif code == OP_RESET_STATS:
-                self._apply_batch(simple, textures)
-                simple = []
-                textures = []
+                self._apply_batch(batch)
+                batch = _Batch()
+                simple = batch.simple
+                textures = batch.textures
                 for cache in self._l1_caches:
                     cache._zero()
                 self.l2._zero()
                 dram.reset_stats()
             else:  # pragma: no cover - traces are produced in-house
                 raise MemoryModelError(f"unknown memory-trace op {op!r}")
-        self._apply_batch(simple, textures)
+        self._apply_batch(batch)
 
     # -- the vectorized core -------------------------------------------------
 
-    def _apply_batch(self, simple: List[int],
-                     textures: List[Tuple[int, TextureOp, bool]]) -> None:
+    def _apply_batch(self, batch: "_Batch") -> None:
         """Expand one marker-free batch of ops and simulate it."""
-        if not simple and not textures:
+        rows = batch.simple_rows()
+        texture_columns = batch.texture_columns()
+        if rows is None and texture_columns is None:
             return
 
         # -- B1: simple requests (vertex stream + Parameter Buffer) ---------
         req_parts = []
-        if simple:
-            rows = np.array(simple, np.int64).reshape(-1, 5)
+        if rows is not None:
             op_idx, kind, f0, f1, f2 = rows.T
             reps = np.where(kind == _K_VRANGE, f1, 1)
             row, rank = _segment_expand(reps)
@@ -618,8 +716,8 @@ class BatchedMemorySystem:
                               write, np.zeros(row.size, np.int64)))
 
         # -- B2: texture batches --------------------------------------------
-        if textures:
-            req_parts.append(self._expand_textures(textures))
+        if texture_columns is not None:
+            req_parts.append(self._expand_textures(*texture_columns))
 
         parts = list(zip(*req_parts))
         req_op = np.concatenate(parts[0])
@@ -734,26 +832,16 @@ class BatchedMemorySystem:
         self.dram.read_lines(misses, self._line)
         self.dram.write_lines(writebacks, self._line)
 
-    def _expand_textures(self, textures) -> Tuple[np.ndarray, ...]:
+    def _expand_textures(self, op_idx: np.ndarray, tid: np.ndarray,
+                         tsize: np.ndarray, spf: np.ndarray,
+                         bilin: np.ndarray, frags: np.ndarray,
+                         u_all: np.ndarray, v_all: np.ndarray
+                         ) -> Tuple[np.ndarray, ...]:
         """Vectorize texture batches across ops: mip selection, texel
         footprints and per-op unique-line reduction, reproducing the
-        scalar per-op arithmetic expression for expression order."""
-        meta: List[int] = []     # flat (idx, tid, tsize, spf, bilinear)
-        us: List[np.ndarray] = []
-        vs: List[np.ndarray] = []
-        for idx, op, bilinear in textures:
-            meta.extend((idx, op[0], op[1], op[4], bilinear))
-            us.append(op[2])
-            vs.append(op[3])
-        op_idx, tid, tsize, spf, bilin_i = \
-            np.array(meta, np.int64).reshape(-1, 5).T
-        bilin = bilin_i.astype(bool)
-        frags = np.array([u.size for u in us], np.int64)
-        # The pipeline's coordinate arrays are float64 1-D; concatenate
-        # consumes them without per-op conversion (the scalar reference
-        # computes in the arrays' own dtype too).
-        u_all = np.concatenate(us) if len(us) > 1 else np.asarray(us[0])
-        v_all = np.concatenate(vs) if len(vs) > 1 else np.asarray(vs[0])
+        scalar per-op arithmetic expression for expression order.  Op
+        ``i`` samples ``frags[i]`` fragments, its coordinates back to
+        back in ``u_all``/``v_all``."""
         seg_start = _exclusive_cumsum(frags)[:-1]
         seg_of = np.repeat(np.arange(op_idx.size), frags)
 

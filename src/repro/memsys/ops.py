@@ -19,6 +19,8 @@ the "never larger than the raw tuples" property.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
@@ -34,6 +36,7 @@ OP_PB_WRITE = 5
 OP_FB_LOAD = 6
 OP_END_FRAME = 7
 OP_RESET_STATS = 8
+OP_RASTER = 9
 
 
 class PBReadOp(NamedTuple):
@@ -177,15 +180,80 @@ class MemOps(list):
         return (_unpack_memory_ops, _pack_memory_ops(self))
 
 
+@dataclass(frozen=True)
+class RasterTrace:
+    """A raster job's memory trace as columns.
+
+    The op sequence is fixed by the job's display lists: tile ``i``'s
+    entries are rows ``bounds[i]`` to ``bounds[i + 1]``, and each entry
+    reads its pointer (``pointer_bytes`` at ``pointer``) and its
+    attribute record (``record_bytes`` at ``offset``), then, if it
+    shaded textured fragments, samples its texture; each tile ends with
+    one ``flush_bytes`` colour flush.  The texture bursts are rows of
+    the ``texture_*`` columns, in entry order: ``texture_entry`` is the
+    entry, ``texture_count`` its fragment count, and ``u``/``v`` hold
+    every burst's coordinates back to back.  Iterating yields the
+    equivalent op objects in that order; :class:`BatchedMemorySystem`
+    consumes the columns as they are.
+    """
+
+    pointer: np.ndarray          # (n,) int64
+    offset: np.ndarray           # (n,) int64
+    pointer_bytes: int
+    record_bytes: int
+    bounds: np.ndarray           # (t + 1,) int64
+    flush_bytes: int
+    texture_entry: np.ndarray    # (k,) int64, ascending
+    texture_id: np.ndarray       # (k,) int64
+    texture_size: np.ndarray     # (k,) int64
+    texture_samples: np.ndarray  # (k,) int64 — samples per fragment
+    texture_count: np.ndarray    # (k,) int64 — fragments per burst
+    u: np.ndarray                # (sum of texture_count,) float64
+    v: np.ndarray
+
+    code = OP_RASTER
+
+    def __iter__(self):
+        pointers = self.pointer.tolist()
+        offsets = self.offset.tolist()
+        bursts = dict(zip(self.texture_entry.tolist(), zip(
+            self.texture_id.tolist(), self.texture_size.tolist(),
+            self.texture_samples.tolist(),
+            np.cumsum(self.texture_count).tolist(),
+            self.texture_count.tolist())))
+        bounds = self.bounds.tolist()
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            for entry in range(start, stop):
+                yield PBReadOp(pointers[entry], self.pointer_bytes)
+                yield PBReadOp(offsets[entry], self.record_bytes)
+                burst = bursts.get(entry)
+                if burst is not None:
+                    texture_id, size, samples, end, count = burst
+                    yield TextureOp(texture_id, size,
+                                    self.u[end - count:end],
+                                    self.v[end - count:end], samples)
+            yield FlushOp(self.flush_bytes)
+
+    def fingerprint(self) -> tuple:
+        """Every column as exact bits."""
+        return tuple((value.dtype.str, value.tobytes())
+                     if isinstance(value, np.ndarray) else value
+                     for value in map(getattr, repeat(self),
+                                      _TRACE_FIELDS))
+
+
+_TRACE_FIELDS = tuple(field.name for field in fields(RasterTrace))
+
+
 def replay_memory_trace(ops, memory) -> None:
     """Replay recorded accesses into a memory system, in op order.
 
     The scalar reference model executes one method call per op — the
     exact sequence the historical inline loops produced.  A batched
-    model advertises :meth:`replay_ops` and consumes the whole list in
-    one append (the structure-of-arrays drain happens at the next
-    counter observation), so the per-op Python dispatch disappears from
-    the replay hot path.
+    model advertises :meth:`replay_ops` and takes the whole list, or a
+    :class:`RasterTrace`'s columns, in one append (the
+    structure-of-arrays drain happens at the next counter observation),
+    so the per-op Python dispatch disappears from the replay hot path.
     """
     replay = getattr(memory, "replay_ops", None)
     if replay is not None:

@@ -10,14 +10,15 @@ and stored for the next frame.
 Rendering Elimination intercepts tiles before any of this: a signature
 match reuses the previous frame's colors and skips the whole tile.
 
-Since the execution-engine refactor, the per-tile work itself lives in
-:class:`repro.engine.TileJob`; this module *schedules* tiles (the RE skip
-check is a scheduling decision), fans the surviving jobs out through the
-configured :class:`~repro.engine.Scheduler`, and *reduces* the returned
+The work itself lives in :class:`repro.engine.TileJob`, one job per
+contiguous range of rendered tiles, cut at :data:`RANGE_ENTRIES`
+display-list entries; this module *schedules* tiles (the RE skip check is a
+scheduling decision), fans the jobs out through the configured
+:class:`~repro.engine.Scheduler`, and *reduces* the returned
 :class:`~repro.engine.TileResult`s in tile order — merging counters,
-replaying memory traces, updating the FVP/signature state and writing the
-framebuffer.  The reduction order is fixed, so serial and parallel
-schedulers produce identical frames and identical metrics.
+replaying memory traces, updating the FVP/signature state and writing
+the framebuffer.  The cut and the reduction order are fixed, so serial
+and parallel schedulers produce identical frames and identical metrics.
 """
 
 from __future__ import annotations
@@ -41,6 +42,14 @@ from ..memsys.ops import replay_memory_trace
 from ..obs.trace import get_tracer
 from ..timing import FrameStats
 from .features import PipelineFeatures
+
+#: The display-list entries a raster job takes: consecutive rendered
+#: tiles join a job until the next would take it past this many (a tile
+#: with more is a job of its own).  One job's arrays then stay a few MiB
+#: whatever the scheduler.  512 ran 3-4% faster per frame but raised
+#: the suite sweep's peak RSS 7% over the per-tile jobs', against 3%
+#: here (EXPERIMENTS.md, "Tile-range raster").
+RANGE_ENTRIES = 256
 
 
 class RasterPipeline:
@@ -87,75 +96,107 @@ class RasterPipeline:
         """
         config = self.config
         tracer = get_tracer()
-        jobs: List[TileJob] = []
         with tracer.span("schedule", category="raster"):
-            # Each job takes its tile's slice of the frame's display-list
-            # columns, and of the primitive columns gathered into them,
-            # each primitive's winding normalized once for every tile.
-            table = self.parameter_buffer.primitives
-            lists = self.parameter_buffer.lists
-            rows = lists.row
-            window, attributes = normalize_winding(
-                table.window, table.attributes[:, :, :RASTER_ATTRIBUTES])
-            window = window[rows]
-            attributes = attributes[rows]
-            state = table.state[rows]
-            bounds = lists.start.tolist()
-            attribute_bytes = (
-                self.parameter_buffer.attribute_bytes_per_primitive)
+            rendered = []
             for tile_y in range(config.tiles_y):
                 for tile_x in range(config.tiles_x):
                     tile = tile_y * config.tiles_x + tile_x
                     stats.tiles_total += 1
-                    if self._try_skip_tile(tile, tile_x, tile_y, image,
-                                           previous_image, stats):
-                        continue
-                    entries = slice(bounds[tile], bounds[tile + 1])
-                    jobs.append(TileJob(
-                        tile=tile,
-                        tile_x=tile_x,
-                        tile_y=tile_y,
-                        config=config,
-                        features=self.features,
-                        window=window[entries],
-                        attributes=attributes[entries],
-                        state=state[entries],
-                        states=table.states,
-                        layer=lists.layer[entries],
-                        predicted=lists.predicted[entries],
-                        offset=lists.offset[entries],
-                        pointer=lists.pointer[entries],
-                        attribute_bytes=attribute_bytes,
-                        backend=self.backend,
-                        # Technique inputs are resolved here, parent-side,
-                        # so every scheduler renders bit-identically.
-                        dsr_rate=(
-                            self.dsr.rate_for_tile(tile)
-                            if self.dsr is not None else 1.0
-                        ),
-                        history=self._tile_history(
-                            tile_x, tile_y, previous_image
-                        ),
-                    ))
+                    if not self._try_skip_tile(tile, tile_x, tile_y, image,
+                                               previous_image, stats):
+                        rendered.append(tile)
+            jobs = self._jobs(np.array(rendered, dtype=np.int64),
+                              previous_image)
 
-        with tracer.span("execute", category="raster", tiles=len(jobs)):
+        tiles = len(rendered)
+        with tracer.span("execute", category="raster", tiles=tiles,
+                         jobs=len(jobs)):
             results = self.scheduler.map(execute_tile_job, jobs)
         # The reduce phase splits into two independent sub-loops so the
         # bench can attribute its cost: replaying the recorded memory
         # traces (the historical bottleneck) versus folding the
         # functional results into the frame.  ``drain()`` pins deferred
         # batched-model work inside the replay span.
-        with tracer.span("reduce", category="raster", tiles=len(jobs)):
+        with tracer.span("reduce", category="raster", tiles=tiles):
             with tracer.span("reduce-replay", category="raster",
-                             tiles=len(jobs)):
+                             tiles=tiles):
                 for result in results:
                     stats.merge(result.stats)
-                    replay_memory_trace(result.memory_ops, self.memory)
+                    replay_memory_trace(result.trace, self.memory)
                 self.memory.drain()
             with tracer.span("reduce-finalize", category="raster",
-                             tiles=len(jobs)):
-                for job, result in zip(jobs, results):
-                    self._reduce_tile(job, result, image, stats)
+                             tiles=tiles):
+                for result in results:
+                    self._reduce_range(result, image, stats)
+
+    def _jobs(self, tiles: np.ndarray,
+              previous_image: Optional[np.ndarray]) -> List[TileJob]:
+        """The jobs rendering ``tiles``, in order: consecutive tiles, each
+        job cut before the tile that would take it past
+        :data:`RANGE_ENTRIES` entries.  A job takes its tiles' slices of
+        the frame's display-list columns, and of the primitive columns
+        gathered into them, each primitive's winding normalized once for
+        every tile."""
+        config = self.config
+        table = self.parameter_buffer.primitives
+        lists = self.parameter_buffer.lists
+        first = lists.start[tiles]
+        sizes = lists.start[tiles + 1] - first
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        picked = np.arange(bounds[-1]) + np.repeat(first - bounds[:-1],
+                                                   sizes)
+        rows = lists.row[picked]
+        window, attributes = normalize_winding(
+            table.window, table.attributes[:, :, :RASTER_ATTRIBUTES])
+        window = window[rows]
+        attributes = attributes[rows]
+        state = table.state[rows]
+        layer = lists.layer[picked]
+        predicted = lists.predicted[picked]
+        offset = lists.offset[picked]
+        pointer = lists.pointer[picked]
+        attribute_bytes = self.parameter_buffer.attribute_bytes_per_primitive
+
+        cuts = [0]
+        taken = 0
+        for index, size in enumerate(sizes.tolist()):
+            if index > cuts[-1] and taken + size > RANGE_ENTRIES:
+                cuts.append(index)
+                taken = 0
+            taken += size
+        cuts.append(tiles.size)
+        jobs: List[TileJob] = []
+        for first_tile, stop_tile in zip(cuts[:-1], cuts[1:]):
+            if first_tile == stop_tile:
+                continue
+            start, stop = bounds[first_tile], bounds[stop_tile]
+            entries = slice(start, stop)
+            job_tiles = tiles[first_tile:stop_tile]
+            jobs.append(TileJob(
+                tiles=job_tiles,
+                config=config,
+                features=self.features,
+                bounds=bounds[first_tile:stop_tile + 1] - start,
+                window=window[entries],
+                attributes=attributes[entries],
+                state=state[entries],
+                states=table.states,
+                layer=layer[entries],
+                predicted=predicted[entries],
+                offset=offset[entries],
+                pointer=pointer[entries],
+                attribute_bytes=attribute_bytes,
+                backend=self.backend,
+                # Technique inputs are resolved here, parent-side, so
+                # every scheduler renders bit-identically.
+                dsr_rate=(
+                    np.array([self.dsr.rate_for_tile(tile)
+                              for tile in job_tiles.tolist()])
+                    if self.dsr is not None else None
+                ),
+                history=self._history(job_tiles, previous_image),
+            ))
+        return jobs
 
     # -- tile skipping (Rendering Elimination) ------------------------------
 
@@ -184,67 +225,59 @@ class RasterPipeline:
 
     # -- result reduction ----------------------------------------------------
 
-    def _reduce_tile(
+    def _reduce_range(
         self,
-        job: TileJob,
         result: TileResult,
         image: np.ndarray,
         stats: FrameStats,
     ) -> None:
-        """Fold one tile's result into the frame — always in tile order.
+        """Fold one job's tiles into the frame — always in tile order.
 
         Stats merging and memory-trace replay happen in the dedicated
         replay sub-loop of :meth:`render_frame` before this runs.
         """
-        if (
-            self.re is not None
-            and self.features.evr_signature_filter
-            and result.tainted
-        ):
-            self.re.poison_tile(job.tile)
-            stats.signature_poisons += 1
+        poisons = (self.re is not None
+                   and self.features.evr_signature_filter)
+        for index, tile in enumerate(result.tiles.tolist()):
+            if poisons and result.tainted[index]:
+                self.re.poison_tile(tile)
+                stats.signature_poisons += 1
 
-        if self.features.uses_layers:
-            assert self.predictor is not None
-            assert result.layer_buffer is not None
-            assert result.z_buffer is not None
-            self.predictor.record_tile(
-                job.tile, result.layer_buffer, result.z_buffer
-            )
+            if self.features.uses_layers:
+                assert self.predictor is not None
+                self.predictor.record_tile(tile, *result.fvp_inputs(index))
 
-        rows, cols = self._tile_region(job.tile_x, job.tile_y)
-        height = rows.shape[0]
-        width = cols.shape[1]
-        image[rows, cols] = result.color[:height, :width]
-
-        if self.comparator is not None:
-            self.comparator.record_tile(
-                job.tile, result.color[:height, :width]
-            )
+            rows, cols = self._tile_region(tile % self.config.tiles_x,
+                                           tile // self.config.tiles_x)
+            color = result.color[index, :rows.shape[0], :cols.shape[1]]
+            image[rows, cols] = color
+            if self.comparator is not None:
+                self.comparator.record_tile(tile, color)
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _tile_history(
-        self,
-        tile_x: int,
-        tile_y: int,
-        previous_image: Optional[np.ndarray],
-    ) -> Optional[np.ndarray]:
-        """Previous-frame framebuffer slice for FHV reconstruction.
+    def _history(self, tiles: np.ndarray,
+                 previous_image: Optional[np.ndarray]
+                 ) -> Optional[np.ndarray]:
+        """Previous-frame framebuffer slices for FHV reconstruction.
 
-        Returns a full tile-sized array (edge tiles clear-padded) or
-        None when the feature is off / on the first frame.
+        Returns a ``(t, h, w, 4)`` array, one full tile-sized slice per
+        tile of ``tiles`` (edge tiles clear-padded), or None when the
+        feature is off / on the first frame.
         """
         if not self.features.fhv or previous_image is None:
             return None
         config = self.config
-        rows, cols = self._tile_region(tile_x, tile_y)
         history = np.empty(
-            (config.tile_height, config.tile_width, 4),
+            (tiles.size, config.tile_height, config.tile_width, 4),
             dtype=previous_image.dtype,
         )
-        history[:, :] = config.clear_color
-        history[:rows.shape[0], :cols.shape[1]] = previous_image[rows, cols]
+        history[:] = config.clear_color
+        for index, tile in enumerate(tiles.tolist()):
+            rows, cols = self._tile_region(tile % config.tiles_x,
+                                           tile // config.tiles_x)
+            history[index, :rows.shape[0], :cols.shape[1]] = \
+                previous_image[rows, cols]
         return history
 
     def _tile_region(self, tile_x: int, tile_y: int):

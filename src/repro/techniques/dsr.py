@@ -38,10 +38,12 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ..errors import PipelineError
 from ..hw.signature_buffer import SignatureBuffer, row_signatures
 from ..kernels.api import FrameGeometry, attribute_values
 
-__all__ = ["dsr_signature", "dsr_signatures", "DSRController", "DSR_RATES"]
+__all__ = ["coarse_overflow", "dsr_signature", "dsr_signatures",
+           "DSRController", "DSR_RATES"]
 
 #: Quantization steps for the coarse stability signature.
 _QUANT_XY = 1.0        # window-space pixels
@@ -74,18 +76,38 @@ def _coarse_encoding(packed_state: bytes, window: Sequence,
     return b"".join(parts)
 
 
+def coarse_overflow(command_id: int, survivor: int) -> PipelineError:
+    """The error both DSR encoders raise for surviving primitive
+    ``survivor`` of draw command ``command_id`` (its index among the
+    command's survivors) when a quantized window coordinate or
+    attribute does not fit the signature's ``<i`` fields, a non-finite
+    attribute included."""
+    return PipelineError(
+        f"draw command {command_id}: surviving triangle {survivor} has a "
+        f"window coordinate or attribute beyond the DSR signature's "
+        f"int32 range")
+
+
 def dsr_signature(triangle) -> int:
     """Coarse CRC32 of a :class:`ScreenTriangle` for stability tracking.
 
     Unlike ``RenderingElimination.primitive_crc`` (full f64 positions —
     must never false-match), this quantizes positions to whole pixels,
     depths to 1/128 and attributes to 1/256 so near-identical frames
-    produce equal signatures.
+    produce equal signatures.  Raises :func:`coarse_overflow`'s error
+    for a value that does not quantize into ``<i``.
     """
-    return zlib.crc32(_coarse_encoding(
-        triangle.state.pack(),
-        [(p.x, p.y, z) for p, z in zip(triangle.xy, triangle.z)],
-        [attribute_values(a) for a in triangle.attributes]))
+    try:
+        encoding = _coarse_encoding(
+            triangle.state.pack(),
+            [(p.x, p.y, z) for p, z in zip(triangle.xy, triangle.z)],
+            [attribute_values(a) for a in triangle.attributes])
+    except (struct.error, ValueError, OverflowError):
+        # ``round`` raises for NaN (ValueError) and infinities
+        # (OverflowError), ``struct.pack`` for integers beyond ``<i``.
+        raise coarse_overflow(triangle.command_id,
+                              triangle.primitive_id) from None
+    return zlib.crc32(encoding)
 
 
 #: Each window-space and attribute column's quantization step.
@@ -95,20 +117,20 @@ _STEPS = np.array((_QUANT_XY, _QUANT_XY, _QUANT_Z) + (_QUANT_ATTR,) * 9)
 def dsr_signatures(table: FrameGeometry) -> np.ndarray:
     """:func:`dsr_signature` of every row of a frame's primitive table,
     as a ``uint32`` array.  ``np.rint`` rounds half to even, as
-    ``round`` does.  A frame with a quantized value that does not fit
-    the ``<i`` format (or is not finite) is encoded row by row, which
-    raises the error the scalar encoder raises."""
+    ``round`` does.  The first row with a quantized value outside
+    ``<i`` (or not finite) raises the error :func:`dsr_signature`
+    raises for its primitive."""
     values = np.concatenate((table.window, table.attributes), axis=2)
     with np.errstate(invalid="ignore"):
         quantized = np.rint(values / _STEPS)
-        fits = (np.abs(quantized) <= 2 ** 31 - 1).all()
-    if not fits:
-        packed = [state.pack() for state in table.states]
-        return np.array([
-            zlib.crc32(_coarse_encoding(packed[state], window, attributes))
-            for state, window, attributes in zip(
-                table.state.tolist(), table.window.tolist(),
-                table.attributes.tolist())], dtype=np.uint32)
+        fits = ((quantized >= -2 ** 31)
+                & (quantized <= 2 ** 31 - 1)).all(axis=(1, 2))
+    if not fits.all():
+        row = int(np.argmin(fits))
+        command_id = int(table.command[row])
+        raise coarse_overflow(
+            command_id,
+            row - int(np.searchsorted(table.command, command_id)))
     # Per vertex 12 quantized values, packed as <i4.
     return row_signatures(table, quantized.astype("<i4").view(np.uint8)
                           .reshape(len(quantized), 3 * 48))

@@ -149,15 +149,43 @@ class TestKernelSweep:
             _kernel_sweeps(jobs, ("python", "numpy"), repeat=1)
 
 
+class TestRatioSpread:
+    def test_spread_of_paired_rounds(self):
+        from repro.harness.bench import ratio_spread
+
+        # Round ratios 2, 4, 5, 8, 10: quartiles 4 and 8 around 5.
+        spread = ratio_spread([2.0, 8.0, 5.0, 16.0, 10.0],
+                              [1.0, 2.0, 1.0, 2.0, 1.0])
+        assert spread == {"rounds": 5, "min": 2.0, "median": 5.0,
+                          "max": 10.0, "iqr_over_median": 0.8}
+
+    def test_record_reports_each_gated_ratio(self, tiny_record):
+        from repro.harness.bench import GATED_RATIOS
+
+        backends = tiny_record["backends"]
+        for key, sweep, label in GATED_RATIOS:
+            spread = tiny_record["spread"][key]
+            rounds = [backends[backend][sweep]["round_seconds"]
+                      for backend in ("python", "numpy")]
+            assert spread["rounds"] == len(rounds[0]) == len(rounds[1])
+            assert spread["min"] <= spread["median"] <= spread["max"]
+            # One round here, and the best round is the only one.
+            assert spread["median"] == pytest.approx(
+                tiny_record["speedup"][key])
+            assert f"{label} ratio over" in format_bench_summary(
+                tiny_record)
+
+
 class TestExecuteSweep:
     def test_replays_the_captured_jobs(self, tiny_record):
         sweeps = [result["execute_sweep"]
                   for result in tiny_record["backends"].values()]
         # The warm-up round already asserted identical tile results.
         assert sweeps[0]["jobs"] == sweeps[1]["jobs"] > 0
+        assert sweeps[0]["tiles"] == sweeps[1]["tiles"] >= sweeps[0]["jobs"]
         for sweep in sweeps:
             assert sweep["tiles_per_second"] == pytest.approx(
-                sweep["jobs"] / sweep["best_seconds"])
+                sweep["tiles"] / sweep["best_seconds"])
         assert tiny_record["speedup"]["tiles_per_second"] > 0
         assert "execute" in format_bench_summary(tiny_record)
 
@@ -166,13 +194,13 @@ class TestExecuteSweep:
         from repro.kernels import batched
 
         jobs = _pipeline_measurement(BENCH_PRESETS["tiny"], "python")["_jobs"]
-        resolve = batched.resolve_opaque_run
+        resolve = batched.resolve_range
 
         def off_by_one(*args):
             run = resolve(*args)
             return run._replace(overdrawn=run.overdrawn + 1)
 
-        monkeypatch.setattr(batched, "resolve_opaque_run", off_by_one)
+        monkeypatch.setattr(batched, "resolve_range", off_by_one)
         with pytest.raises(AssertionError, match="tile jobs on backend"):
             _execute_sweeps(jobs, ("python", "numpy"), repeat=1)
 

@@ -770,3 +770,31 @@ class TestFloat32Attributes:
                       projection=ORTHO)
         for backend in available_backends():
             GPU(CONFIG, "re", backend=backend).render_frame(frame)
+
+
+class TestDSRQuantization:
+    """Under DSR, a surviving triangle whose quantized window coordinate
+    does not fit the coarse signature's ``<i`` fields fails with the same
+    typed error on both backends, naming the command and the triangle's
+    index among its survivors."""
+
+    WIDE = _tri((0.0, 0.0, 0.0), (4e9, 0.0, 0.0), (0.0, 4.0, 0.0))
+
+    def test_one_fault(self):
+        good = TestFloat32Attributes.GOOD
+        commands = [
+            DrawCommand([good], state=RenderState.sprite_2d(), label="ok"),
+            DrawCommand([good, self.WIDE], state=RenderState.sprite_2d(),
+                        label="wide")]
+        frame = Frame(commands, projection=ORTHO)
+        messages = []
+        for backend in available_backends():
+            with pytest.raises(PipelineError) as caught:
+                GPU(CONFIG, "dsr", backend=backend).render_frame(frame)
+            messages.append(str(caught.value))
+        assert messages == [
+            "draw command 1: surviving triangle 1 has a window coordinate "
+            "or attribute beyond the DSR signature's int32 range"] * 2
+        # Without DSR's signature the frame renders.
+        for backend in available_backends():
+            GPU(CONFIG, "baseline", backend=backend).render_frame(frame)

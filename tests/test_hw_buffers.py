@@ -163,26 +163,25 @@ class TestLayerBuffer:
         assert lb.zr_register == -1
 
 
-class TestCopy:
-    """``copy()`` is how a tile job hands its end-of-tile FVP inputs out
-    of a context the next job reuses: equal now, independent after."""
+class TestHolding:
+    """``holding`` is how a range result hands each tile's end-of-tile
+    FVP inputs to the predictor: a buffer over the given array itself,
+    with the given ZR register."""
 
-    def test_z_buffer_copy(self):
-        zb = ZBuffer(4, 4, clear_depth=0.75)
-        zb.depth[1, 2] = 0.25
-        clone = zb.copy()
-        assert clone.depth.tobytes() == zb.depth.tobytes()
+    def test_z_buffer_holding(self):
+        depth = np.full((4, 4), 0.5)
+        depth[1, 2] = 0.25
+        zb = ZBuffer.holding(depth, clear_depth=0.75)
+        assert zb.depth is depth
+        assert zb.z_far == 0.5
         zb.clear()
-        assert clone.depth[1, 2] == 0.25
-        clone.clear()
-        assert (clone.depth == 0.75).all()
+        assert (depth == 0.75).all()
 
-    def test_layer_buffer_copy(self):
-        lb = LayerBuffer(4, 4)
-        lb.write(full_mask(), 3, is_woz=True)
-        clone = lb.copy()
-        assert clone.layers.tobytes() == lb.layers.tobytes()
-        assert clone.zr_register == 3
-        lb.clear()
-        assert clone.zr_register == 3 and (clone.layers == 3).all()
-        assert clone.fvp_is_woz
+    def test_layer_buffer_holding(self):
+        layers = np.full((4, 4), 3, dtype=np.int32)
+        lb = LayerBuffer.holding(layers, 3)
+        assert lb.layers is layers
+        assert lb.l_far == 3 and lb.fvp_is_woz
+        lb.write(full_mask(), 5, is_woz=False)
+        assert (layers == 5).all() and lb.zr_register == 3
+        assert not lb.fvp_is_woz

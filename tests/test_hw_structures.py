@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -24,7 +23,9 @@ from repro.hw import (
 )
 from repro.hw.fvp_table import KIND_EMPTY, KIND_NWOZ, KIND_WOZ
 from repro.hw.signature_buffer import combine_signature, primitive_signatures
+from repro.errors import PipelineError
 from repro.kernels import reference
+from repro.kernels.api import primitive_table as reference_table
 from repro.techniques.dsr import dsr_signature, dsr_signatures
 from repro.math3d import Mat4, Vec2, Vec3, Vec4, viewport
 
@@ -266,14 +267,29 @@ class TestSignatureBuffer:
         assert str(array.value) == str(scalar.value)
 
     def test_dsr_quantization_beyond_int32_fails_alike(self):
-        primitive = dataclasses.replace(
-            make_primitive(), xy=(Vec2(0.0, 0.0), Vec2(4e9, 0.0),
-                                  Vec2(0.0, 4.0)))
-        with pytest.raises(struct.error) as scalar:
-            dsr_signature(primitive)
-        with pytest.raises(struct.error) as array:
-            dsr_signatures(table_of([primitive]))
-        assert str(array.value) == str(scalar.value)
+        """Both DSR encoders raise the same typed error, naming the
+        command and the primitive's index among its survivors, for the
+        first value outside ``<i``; ``-2**31`` itself still fits."""
+        def wide(x, command_id, primitive_id):
+            return dataclasses.replace(
+                make_primitive(command_id), primitive_id=primitive_id,
+                xy=(Vec2(0.0, 0.0), Vec2(x, 0.0), Vec2(0.0, 4.0)))
+
+        states = [RenderState.sprite_2d()] * 3
+        fitting = [wide(0.0, 0, 0), wide(-2.0 ** 31, 2, 0),
+                   wide(2.0 ** 31 - 1, 2, 1)]
+        assert dsr_signatures(reference_table(fitting, states)).tolist() \
+            == [dsr_signature(primitive) for primitive in fitting]
+        for x in (4e9, 2.0 ** 31, -2.0 ** 31 - 1):
+            primitives = fitting[:2] + [wide(x, 2, 1)]
+            with pytest.raises(PipelineError) as scalar:
+                dsr_signature(primitives[2])
+            with pytest.raises(PipelineError) as array:
+                dsr_signatures(reference_table(primitives, states))
+            assert str(array.value) == str(scalar.value) == (
+                "draw command 2: surviving triangle 1 has a window "
+                "coordinate or attribute beyond the DSR signature's int32 "
+                "range")
 
     def test_incremental_equals_batch(self):
         crcs = [11, 22, 33]

@@ -30,6 +30,7 @@ from repro.memsys.ops import (
     MemOps,
     PBReadOp,
     PBWriteOp,
+    RasterTrace,
     ResetStatsOp,
     TextureOp,
     VertexOp,
@@ -115,6 +116,89 @@ def _apply(memory, op) -> None:
 
 def _observe(memory):
     return memory.snapshot(), memory.dram.cycles()
+
+
+@st.composite
+def _raster_trace(draw):
+    """A raster job's columnar trace and, built independently, the op
+    list it stands for: per entry its pointer read, its record read and
+    its texture burst if it has one; one flush per tile."""
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    pointer_bytes = draw(st.sampled_from([8, 100]))
+    record_bytes = draw(st.sampled_from([48, 144, 200]))
+    flush_bytes = draw(st.sampled_from([64, 1024]))
+    count = sum(sizes)
+    pointers = draw(st.lists(st.integers(0, 5000), min_size=count,
+                             max_size=count))
+    offsets = draw(st.lists(st.integers(0, 5000), min_size=count,
+                            max_size=count))
+    bursts = {entry: draw(st.tuples(st.integers(0, 5),
+                                    st.sampled_from([4, 16, 256]),
+                                    st.integers(1, 3), _uv_lists()))
+              for entry in range(count) if draw(st.booleans())}
+    ops = MemOps()
+    entry = 0
+    for size in sizes:
+        for _ in range(size):
+            ops.append(PBReadOp(pointers[entry], pointer_bytes))
+            ops.append(PBReadOp(offsets[entry], record_bytes))
+            if entry in bursts:
+                texture_id, texture_size, samples, uv = bursts[entry]
+                u = np.array(uv)
+                ops.append(TextureOp(texture_id, texture_size, u,
+                                     u[::-1].copy(), samples))
+            entry += 1
+        ops.append(FlushOp(flush_bytes))
+    textured = sorted(bursts)
+    column = [np.array([bursts[entry][k] for entry in textured],
+                       dtype=np.int64) for k in range(3)]
+    uv = [np.array(bursts[entry][3]) for entry in textured]
+    trace = RasterTrace(
+        pointer=np.array(pointers, dtype=np.int64),
+        offset=np.array(offsets, dtype=np.int64),
+        pointer_bytes=pointer_bytes, record_bytes=record_bytes,
+        bounds=np.concatenate(([0], np.cumsum(sizes))).astype(np.int64),
+        flush_bytes=flush_bytes,
+        texture_entry=np.array(textured, dtype=np.int64),
+        texture_id=column[0], texture_size=column[1],
+        texture_samples=column[2],
+        texture_count=np.array([u.size for u in uv], dtype=np.int64),
+        u=np.concatenate(uv) if uv else np.empty(0),
+        v=np.concatenate([u[::-1] for u in uv]) if uv else np.empty(0))
+    return trace, ops
+
+
+class TestRasterTraceColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(st.one_of(_raster_trace(), _op_strategy()),
+                          max_size=12),
+           config_name=st.sampled_from(sorted(_CONFIGS)))
+    def test_columns_match_the_scalar_op_list(self, parts, config_name):
+        """Raster traces replayed as columns into the batched model,
+        between other traffic, leave the snapshots the scalar model
+        reaches from the op lists they stand for; and a trace iterates
+        as that op list."""
+        config = _CONFIGS[config_name]
+        scalar = MemorySystem(config)
+        batched = BatchedMemorySystem(config)
+        for part in parts:
+            if isinstance(part[0], RasterTrace):
+                trace, ops = part
+                assert ([_op_key(op) for op in trace]
+                        == [_op_key(op) for op in ops])
+                replay_memory_trace(ops, scalar)
+                replay_memory_trace(trace, batched)
+            else:
+                _apply(scalar, part)
+                _apply(batched, part)
+        assert _observe(scalar) == _observe(batched)
+        assert scalar._l2_cursor == batched._l2_cursor
+
+
+def _op_key(op):
+    """An op as comparable values (texture coordinates by their bits)."""
+    return tuple(value.tobytes() if isinstance(value, np.ndarray) else value
+                 for value in op) + (op.code,)
 
 
 class TestFuzzBitIdentity:

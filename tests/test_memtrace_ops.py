@@ -14,7 +14,6 @@ import pickle
 
 import numpy as np
 
-from repro.engine.tile_job import MemoryTrace
 from repro.memsys.ops import (
     FlushOp,
     MemOps,
@@ -26,16 +25,16 @@ from repro.memsys.ops import (
 
 def _sample_trace() -> MemOps:
     """A representative tile trace: pointer reads, texture bursts, flush."""
-    trace = MemoryTrace()
+    ops = MemOps()
     rng = np.random.default_rng(11)
     for index in range(40):
-        trace.parameter_buffer_read(index * 64, 48)
+        ops.append(PBReadOp(index * 64, 48))
     for _ in range(4):
         u = rng.random(37)
         v = rng.random(37)
-        trace.texture_batch(3, 256, u, v, samples_per_fragment=2)
-    trace.framebuffer_flush(16 * 16 * 4)
-    return trace.ops
+        ops.append(TextureOp(3, 256, u, v, 2))
+    ops.append(FlushOp(16 * 16 * 4))
+    return ops
 
 
 class _RecordingMemory:

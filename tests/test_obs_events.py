@@ -324,6 +324,52 @@ def _render(config, scheduler=None, subscribers=()):
     return metrics_from_result("hop", EVR, result)
 
 
+class _KeepJobs(SerialScheduler):
+    """Serial scheduler that also keeps every job and result."""
+
+    def __init__(self):
+        super().__init__()
+        self.jobs = []
+        self.results = []
+
+    def map(self, fn, items):
+        results = super().map(fn, items)
+        self.jobs.extend(items)
+        self.results.extend(results)
+        return results
+
+
+class TestRangeJobEvents:
+    @pytest.mark.parametrize("budget", [1, 512])
+    def test_one_event_per_range_job(self, monkeypatch, budget):
+        """A numpy EVR run logs one ``TileJobFinished`` per raster job:
+        its first tile, the range's shaded fragments, this process's pid
+        and its own wall time."""
+        from repro.pipeline import raster
+
+        monkeypatch.setattr(raster, "RANGE_ENTRIES", budget)
+        config = GPUConfig.tiny(frames=2)
+        scheduler = _KeepJobs()
+        events = []
+        bus = EventBus()
+        bus.subscribe(events.append)
+        with publishing(bus):
+            GPU(config, EVR, backend="numpy",
+                scheduler=scheduler).render_stream(
+                    benchmark_stream("hop", config))
+        finished = [event for event in events
+                    if isinstance(event, TileJobFinished)]
+        assert len(finished) == len(scheduler.jobs)
+        assert (max(job.tiles.size for job in scheduler.jobs) > 1) == (
+            budget > 1)
+        for event, job, result in zip(finished, scheduler.jobs,
+                                      scheduler.results):
+            assert event.tile == job.tile == int(job.tiles[0])
+            assert event.fragments == result.stats.fragments_shaded
+            assert event.worker == os.getpid()
+            assert event.start <= event.end
+
+
 class TestBitIdentity:
     """The one-way contract: subscribers never change what they watch."""
 

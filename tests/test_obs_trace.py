@@ -187,10 +187,14 @@ class TestGoldenTrace:
             assert any(_contained(tile, raster) for raster in rasters)
 
     def test_tile_spans_cover_unskipped_tiles(self):
+        """One tile span per raster job; the jobs take every unskipped
+        tile, a range of them each."""
         tiles = [e for e in self.events if e.get("cat") == "tile"]
         executes = [e for e in self.events
                     if e.get("cat") == "raster" and e["name"] == "execute"]
-        assert len(tiles) == sum(e["args"]["tiles"] for e in executes)
+        assert len(tiles) == sum(e["args"]["jobs"] for e in executes)
+        for execute in executes:
+            assert execute["args"]["jobs"] <= execute["args"]["tiles"]
 
 
 class TestGoldenTraceReduce:

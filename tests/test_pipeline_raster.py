@@ -165,3 +165,34 @@ class TestPartialTiles:
         assert result.image.shape == (24, 40, 4)
         # Every on-screen pixel covered exactly once.
         assert result.stats.fragments_shaded == 40 * 24
+
+
+class TestRangeMemory:
+    def test_raster_phase_peak_is_bounded(self, monkeypatch):
+        """Jobs cut at ``RANGE_ENTRIES`` keep the raster phase of a
+        scaled 192x160 EVR frame under 48 MiB traced: about 30 MiB, most
+        of it the memory-system drain, where one job for the whole frame
+        peaks near 67 MiB."""
+        import tracemalloc
+
+        from repro.pipeline import raster
+        from repro.scenes import scaled_world_stream
+
+        config = GPUConfig(screen_width=192, screen_height=160, frames=1)
+        (frame,) = scaled_world_stream(config, num_boxes=96)
+        render = raster.RasterPipeline.render_frame
+        peaks = []
+
+        def traced(self, *args):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                render(self, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(raster.RasterPipeline, "render_frame", traced)
+        result = GPU(config, "evr", backend="numpy").render_frame(frame)
+        assert result.stats.tiles_rendered == config.num_tiles
+        assert peaks and peaks[0] < 48 * 2 ** 20

@@ -209,3 +209,47 @@ def test_normalized_winding_rasterizes_alike(xy, z, channels):
         for name in ("depth", "rgba", "u", "v"):
             assert (getattr(actual, name)[mask].tobytes()
                     == getattr(expected, name)[mask].tobytes()), name
+
+
+# Corner-test coordinates: around a 2x2-tile screen whose right and
+# bottom tiles are partial (24x20 pixels), often on pixel centres and
+# tile edges, and at magnitudes where the edge products overflow.
+_SCREEN = (24, 20)
+_CORNER_COORD = st.one_of(
+    edge_floats(-8.0, 40.0, ties=(0.5, 7.5, 15.5, 16.0, 16.5, 19.5, 20.0,
+                                  23.5, 24.0, 31.5, 32.0)),
+    st.sampled_from([1e300, -1e300, 1.5e308, -1.5e308, 1e154, -1e154]),
+    st.floats(min_value=-1.7e308, max_value=1.7e308, allow_nan=False),
+)
+
+
+@given(xy=st.lists(_CORNER_COORD, min_size=6, max_size=6),
+       tile=st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]))
+@settings(max_examples=400, deadline=None)
+def test_corner_test_never_drops_a_live_entry(xy, tile):
+    """``corner_dead`` marks an entry dead only when the reference finds
+    no pixel centre of the tile covered; and the numpy batch, which
+    skips the entries it marks, still matches the reference's coverage
+    of the tile's valid pixels."""
+    tri = make_triangle(list(zip(xy[0::2], xy[1::2])))
+    tile_x, tile_y = tile
+    x0, y0 = 16 * tile_x, 16 * tile_y
+    valid = valid_mask(tile_x, tile_y, 16, 16, *_SCREEN)
+    with np.errstate(all="ignore"):
+        table = table_of([tri])
+        window, attributes = normalize_winding(
+            table.window, table.attributes[:, :, :RASTER_ATTRIBUTES])
+        dead = batched.corner_dead(batched.edges(window), np.array([x0]),
+                                   np.array([y0]), 16, 16)[0]
+        expected = rasterize_rows(window[0].tolist(),
+                                  attributes[0].tolist(), x0, y0, 16, 16)
+        actual = batched.prepare_tile(window, attributes, x0, y0, 16, 16,
+                                      valid).fragments(0)
+    if expected is not None:
+        assert not dead
+    covered = (np.zeros((16, 16), dtype=bool) if expected is None
+               else expected.mask & valid)
+    if covered.any():
+        assert np.array_equal(actual.mask, covered)
+    else:
+        assert actual is None

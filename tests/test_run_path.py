@@ -1,25 +1,26 @@
-"""Cross-backend bit-identity of the batched opaque-run path.
+"""Cross-backend bit-identity of the batched range path.
 
 With Early-Z on and none of Hierarchical-Z, DSR, FHV, VR-Pipe or a
-Z-prepass, the numpy backend resolves each maximal run of consecutive
-``BlendMode.OPAQUE`` display-list entries in one array pass
-(``kernels.batched.resolve_opaque_run``) instead of one
+Z-prepass, the numpy backend renders a job's whole range of tiles in one
+array pass (``kernels.batched.resolve_range``) instead of one
 ``_render_primitive`` call per entry; the python backend keeps the
-per-entry loop and is the oracle.  Random display lists mix Z-writers,
-depth-tested non-writers, untested opaque sprites, blended entries that
-break runs and dead entries whose bounding box reaches the tile but
+per-entry loop, tile by tile, and is the oracle.  Random display lists
+mix Z-writers, depth-tested non-writers, untested opaque sprites,
+blended entries and dead entries whose bounding box reaches the tile but
 whose triangle covers no pixel centre, with signed zeros, subnormals and
 exact depth ties in every float.  Each list runs as a ``TileJob`` under
 all 11 techniques on both backends and the ``TileResult``s must match
-field by field; whole frames are compared too.  Directed cases pin
-one-entry runs, an all-dead run, a non-writer between two writers, a
-run that starts from an earlier run's Z-buffer and the contract
-perfbench's traced run relies on.
+field by field; jobs over several tiles and whole frames, cut into
+ranges anywhere, are compared too.  Directed cases pin one-entry runs,
+an all-dead run, a non-writer between two writers, a run that starts
+from an earlier run's Z-buffer and the contract perfbench's traced run
+relies on.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,16 +37,18 @@ from repro import (
     ShaderProfile,
 )
 from repro.engine.scheduler import SerialScheduler
+from repro.pipeline import raster
 from repro.engine.tile_job import _resolves_runs
 from repro.geom import ScreenTriangle, Triangle, Vertex, VertexAttributes
 from repro.hw import FVPEntry, FVPType
 from repro.kernels import batched, resolve_backend
+from repro.kernels.api import ALPHA_OPAQUE
 from repro.math3d import Vec2, Vec3, Vec4, orthographic, translate
 from repro.scenes import scaled_world_stream
 from repro.techniques.registry import resolve_features, technique_names
 
 from tests.strategies import edge_floats
-from tests.tile_jobs import Entry, tile_job
+from tests.tile_jobs import Entry, range_job, tile_job
 
 WIDTH, HEIGHT = 40, 28
 CONFIG = GPUConfig(screen_width=WIDTH, screen_height=HEIGHT, frames=2)
@@ -134,7 +137,7 @@ def _job(entries, technique, backend, tile=(0, 0), dsr_rate=1.0,
     tile_x, tile_y = tile
     return tile_job(
         entries,
-        tile=tile_y * CONFIG.tiles_x + tile_x, tile_x=tile_x, tile_y=tile_y,
+        tile=tile_y * CONFIG.tiles_x + tile_x,
         config=CONFIG, features=resolve_features(technique),
         attribute_bytes=144, backend=backend,
         dsr_rate=dsr_rate, history=history,
@@ -169,6 +172,37 @@ def test_tile_results_match(entries, technique, tile, dsr_rate, history):
         previous = np.linspace(0.0, 1.0, 16 * 16 * 4).reshape(16, 16, 4)
     _both(entries, technique, tile=tile, dsr_rate=dsr_rate,
           history=previous)
+
+
+# ---------------------------------------------------------------------------
+# Random display lists, a range of tiles per job
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(lists=st.lists(st.lists(_entry(), max_size=8), min_size=1,
+                      max_size=CONFIG.num_tiles),
+       technique=st.sampled_from(TECHNIQUES), data=st.data())
+def test_range_results_match(lists, technique, data):
+    """A job over several tiles, some of them partial edge tiles and
+    some with empty lists, renders on numpy exactly as on python."""
+    tiles = sorted(data.draw(st.sets(st.integers(0, CONFIG.num_tiles - 1),
+                                     min_size=len(lists),
+                                     max_size=len(lists))))
+    rates = data.draw(st.lists(st.sampled_from([1.0, 0.5, 0.25]),
+                               min_size=len(tiles), max_size=len(tiles)))
+    history = None
+    if data.draw(st.booleans()):
+        history = np.linspace(0.0, 1.0, len(tiles) * 16 * 16 * 4).reshape(
+            len(tiles), 16, 16, 4)
+    results = [range_job(tiles, lists, dsr_rate=np.array(rates),
+                         history=history, config=CONFIG,
+                         features=resolve_features(technique),
+                         attribute_bytes=144, backend=backend).run()
+               for backend in ("python", "numpy")]
+    assert results[1].fingerprint() == results[0].fingerprint(), technique
+    assert results[0].tiles.tolist() == tiles
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +257,35 @@ def _render(frames, technique, backend):
     return results, [result.fingerprint() for result in keep.results]
 
 
+def _render_state(frames, technique, backend):
+    """Each frame's image, counters and memory-system snapshots, and the
+    FVP Table and signature state the frames leave behind."""
+    gpu = GPU(CONFIG, technique, backend=backend)
+    outcome = [(result.image.tobytes(), result.stats,
+                result.geometry.units, result.raster.units)
+               for result in map(gpu.render_frame, frames)]
+    if gpu.predictor is not None:
+        outcome.append([gpu.predictor.table.lookup(tile)
+                        for tile in range(CONFIG.num_tiles)])
+    if gpu.re is not None:
+        outcome.append((gpu.re.stats, [
+            gpu.re.signature_buffer.current_signature(tile)
+            for tile in range(CONFIG.num_tiles)]))
+    return outcome
+
+
 class _KeepJobs(SerialScheduler):
-    """Serial scheduler that also keeps every job it runs."""
+    """Serial scheduler that also keeps every job it runs, and each
+    frame's jobs as a batch."""
 
     def __init__(self):
         super().__init__()
         self.jobs = []
+        self.batches = []
 
     def map(self, fn, items):
         self.jobs.extend(items)
+        self.batches.append(list(items))
         return super().map(fn, items)
 
 
@@ -268,6 +322,42 @@ def test_frames_match(frames, technique):
         assert a.stats == b.stats, index
         assert a.geometry.units == b.geometry.units, index
         assert a.raster.units == b.raster.units, index
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(frames=_frames(), technique=st.sampled_from(sorted(RUN_PATH)),
+       budget=st.sampled_from([1, 2, 5, 13]))
+def test_range_cuts_match(frames, technique, budget):
+    """Frames whose jobs are cut mid-frame, after every ``budget``
+    entries, render on numpy as on python (images, every counter,
+    memory-system snapshots, job results with their FVP inputs and
+    taint, the FVP Table and the poisoned signatures), and as with one
+    job per frame."""
+    with mock.patch.object(raster, "RANGE_ENTRIES", budget):
+        scalar, scalar_tiles = _render(frames, technique, "python")
+        batched_, batched_tiles = _render(frames, technique, "numpy")
+        cut = _render_state(frames, technique, "numpy")
+        assert cut == _render_state(frames, technique, "python")
+        keep = _KeepJobs()
+        gpu = GPU(CONFIG, technique, backend="numpy", scheduler=keep)
+        for frame in frames:
+            gpu.render_frame(frame)
+    # A frame's jobs take consecutive tiles, each until the next tile
+    # would take it past the budget; only a one-tile job may exceed it.
+    for jobs in keep.batches:
+        for job, after in zip(jobs, jobs[1:] + [None]):
+            assert len(job.state) <= budget or job.tiles.size == 1
+            if after is not None:
+                assert len(job.state) + int(after.bounds[1]) > budget
+    assert batched_tiles == scalar_tiles
+    for a, b in zip(scalar, batched_):
+        assert a.image.tobytes() == b.image.tobytes()
+        assert a.stats == b.stats
+        assert a.raster.units == b.raster.units
+    with mock.patch.object(raster, "RANGE_ENTRIES", 10 ** 9):
+        assert _render_state(frames, technique, "numpy") == cut
 
 
 @settings(max_examples=30, deadline=None,
@@ -347,11 +437,15 @@ def _tile_zero_job(*commands):
     return job
 
 
-def test_pickled_job_holds_only_its_entries():
+def test_pickled_job_holds_only_its_entries(monkeypatch):
     """A job pickles its own entries' slices of the frame's columns: its
-    size follows its entry count, not the frame's."""
+    size follows its entry count, not the frame's.  With a one-entry
+    budget every tile is a job of its own."""
     import pickle
 
+    from repro.pipeline import raster
+
+    monkeypatch.setattr(raster, "RANGE_ENTRIES", 1)
     alone = _tile_zero_job(_quads(2, 2.0, 2.0))
     crowded = _tile_zero_job(_quads(2, 2.0, 2.0), _quads(40, 17.0, 2.0),
                              _quads(40, 2.0, 17.0))
@@ -364,6 +458,17 @@ def test_pickled_job_holds_only_its_entries():
     for name in ("window", "attributes", "state", "layer", "predicted",
                  "offset", "pointer"):
         assert len(getattr(copy, name)) == 4, name
+
+
+def test_over_budget_tile_after_empty_tiles_is_a_job_of_its_own(
+        monkeypatch):
+    """Empty tiles ahead of a tile with more entries than the budget
+    make a job of their own rather than joining it."""
+    monkeypatch.setattr(raster, "RANGE_ENTRIES", 1)
+    frame = Frame([_quads(2, 33.0, 2.0)], projection=ORTHO)
+    jobs = _jobs([frame], "baseline", "numpy")
+    assert [job.tiles.tolist() for job in jobs] == [[0, 1], [2], [3, 4, 5]]
+    assert [len(job.state) for job in jobs] == [0, 4, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +561,17 @@ class TestDirectedRuns:
         result = _both(entries, technique)
         if technique in RUN_PATH:
             assert np.allclose(result.color[0, 0], RED)
+
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    def test_blend_at_the_opaque_threshold(self, technique):
+        # The blended entry's interpolated alpha is exactly ALPHA_OPAQUE
+        # at 26 of its pixels, above it at 2 and below it at 150: only
+        # the first two kinds count as opaque (Layer Buffer, overdraw).
+        entries = [_flat("woz", 0.6, RED, layer=1),
+                   _flat("blend", 0.5, (1.0, 1.0, 1.0, ALPHA_OPAQUE),
+                         layer=2),
+                   _flat("woz", 0.4, GREEN, layer=3)]
+        _both(entries, technique)
 
     @pytest.mark.parametrize("technique", TECHNIQUES)
     @pytest.mark.parametrize("depth", [0.0, -0.0, 5e-324])

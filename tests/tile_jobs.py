@@ -50,13 +50,20 @@ def raster_columns(triangles: Sequence[ScreenTriangle]):
                              table.attributes[:, :, :RASTER_ATTRIBUTES])
 
 
-def tile_job(entries: Sequence[Entry], **fields) -> TileJob:
-    """A job rendering ``entries`` in order; ``fields`` are the job's
-    other fields (tile, config, features, attribute_bytes, ...)."""
+def range_job(tiles: Sequence[int], lists: Sequence[Sequence[Entry]],
+              dsr_rate=None, history=None, **fields) -> TileJob:
+    """A job rendering tile ``tiles[i]``'s display list ``lists[i]``;
+    ``fields`` are the job's other fields (config, features,
+    attribute_bytes, ...)."""
+    entries = [entry for entries in lists for entry in entries]
     table = table_of([entry.primitive for entry in entries])
     window, attributes = normalize_winding(
         table.window, table.attributes[:, :, :RASTER_ATTRIBUTES])
     return TileJob(
+        tiles=np.array(tiles, dtype=np.int64),
+        bounds=np.concatenate(([0], np.cumsum([len(entries)
+                                                for entries in lists]))
+                              ).astype(np.int64),
         window=window,
         attributes=attributes,
         state=table.state,
@@ -68,5 +75,15 @@ def tile_job(entries: Sequence[Entry], **fields) -> TileJob:
                         dtype=np.int64),
         pointer=np.array([entry.pointer_offset for entry in entries],
                          dtype=np.int64),
+        dsr_rate=dsr_rate,
+        history=history,
         **fields,
     )
+
+
+def tile_job(entries: Sequence[Entry], tile: int, dsr_rate: float = 1.0,
+             history=None, **fields) -> TileJob:
+    """A one-tile job rendering ``entries`` in order into ``tile``."""
+    return range_job([tile], [entries], dsr_rate=np.array([dsr_rate]),
+                     history=None if history is None else history[None],
+                     **fields)
