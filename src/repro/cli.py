@@ -48,12 +48,16 @@ Resilience (see :mod:`repro.resilience`): ``--retries N`` /
 ``--job-timeout S`` arm the resilient scheduler (bounded retries with
 deterministic backoff, per-job timeouts and broken-pool recovery under
 ``--jobs``), and ``--inject-faults SPEC`` (or ``$REPRO_FAULTS``) with
-``--fault-seed`` exercises those paths deterministically.  The run
-cache is the checkpoint of ``figure`` and ``report`` sweeps: re-running
-an interrupted sweep's command recomputes only unfinished cells.
-``--strict`` turns permanently failed cells into a non-zero exit (the
-default is graceful degradation: the sweep completes with failed cells
-rendered as ``nan``).
+``--fault-seed`` exercises those paths deterministically.  Every cell of
+``run``, ``figure``, ``report`` and ``profile`` comes from a
+:class:`~repro.harness.runner.SuiteRunner`, and the run cache is the
+checkpoint of ``run``, ``figure`` and ``report``: re-running an
+interrupted command recomputes only unfinished cells.  Runs that export
+per-frame data (``run --csv``, ``--trace``, ``--metrics``, ``--events``,
+``--live``) and ``profile`` always simulate.  ``--strict`` turns
+permanently failed cells into a non-zero exit (the default is graceful
+degradation: the command completes with failed cells rendered as
+``nan``).
 
 Observability (see :mod:`repro.obs`): every subcommand takes ``-v`` /
 ``--verbose`` and ``-q`` / ``--quiet`` *after* the subcommand name;
@@ -104,8 +108,8 @@ from .corpus import (
     replay_families,
 )
 from .config import GPUConfig
-from .engine import DiskCache, default_cache_dir, make_scheduler
-from .engine.diskcache import DEFAULT_QUARANTINE_KEEP, run_cache_key
+from .engine import DiskCache, default_cache_dir
+from .engine.diskcache import DEFAULT_QUARANTINE_KEEP
 from .errors import CommandError, ConfigError, CorpusError, SpecError
 from .harness import (
     ablation_draw_order,
@@ -126,12 +130,7 @@ from .harness.alternatives import culling_alternatives, rival_techniques
 from .harness.balance import pipeline_balance_report
 from .harness.timeseries import frame_series, write_csv
 from .harness.report import render_report
-from .harness.runner import (
-    RunMetrics,
-    SuiteRunner,
-    metrics_from_result,
-    simulate_benchmark,
-)
+from .harness.runner import SuiteRunner
 from .harness.bench import (
     BENCH_PRESETS,
     check_bench_regression,
@@ -171,7 +170,6 @@ from .obs.log import verbosity_from_flags
 from .obs.metrics import frame_record, run_record, spec_record
 from .obs.profile import phase_breakdown
 from .pipeline import GPU
-from .resilience import ResilientScheduler
 from .scenes import BENCHMARKS, benchmark_stream
 from .spec import (
     PRESETS,
@@ -541,115 +539,71 @@ def _command_run(args: argparse.Namespace) -> int:
     config = spec.gpu
     records: List[Dict[str, Any]] = []
     global_registry().reset()
-    policy = spec.resilience.retry_policy()
-    plan = spec.resilience.fault_plan()
-    # Spec-file-driven runs are declarative and therefore cacheable:
-    # distilled metrics are keyed by the spec's content hash, so a second
-    # identical invocation skips simulation entirely.  Exports (and live
-    # telemetry) need the full per-frame results, so they always simulate.
+    # Exports and live telemetry need every frame of every cell, which
+    # the distilled metrics do not carry, so an exporting run simulates
+    # each cell with the run cache off; any other run is a suite sweep.
     exporting = bool(args.csv or spec.obs.trace or spec.obs.metrics
                      or spec.obs.wants_bus())
-    disk = (DiskCache(default_cache_dir())
-            if args.spec and not exporting else None)
-    ledger = RunLedger(spec.obs.ledger)
-    ledger_entries = 0
-    cache_hits = 0
-    cache_misses = 0
-    tables: List[str] = []
     with ExitStack() as stack:
         tracer = stack.enter_context(_command_tracer(spec.obs.trace, out))
         session = stack.enter_context(
             _command_bus(spec.obs.events, spec.obs.live, out, tracer))
         profiler = SchedulerProfiler(tracer) if tracer is not None else None
-        scheduler = make_scheduler(spec.scheduler.jobs, profiler=profiler)
-        if policy is not None:
-            # Tile-level resilience: per-frame tile jobs are retried
-            # (and, under a pool, timed out) individually.
-            scheduler = ResilientScheduler(scheduler, policy=policy,
-                                           fault_plan=plan)
-        with scheduler:
+        runner = stack.enter_context(SuiteRunner(
+            spec=spec, cache_dir=None if exporting else default_cache_dir(),
+            profiler=profiler))
+        if exporting:
+            # Every cell renders here first; run_many then finds them all.
             for benchmark in benchmarks:
-                rows = []
-                baseline_cycles: Optional[float] = None
-                stream = None
                 for mode in modes:
-                    metrics: Optional[RunMetrics] = None
-                    key = ""
-                    if disk is not None:
-                        key = run_cache_key(spec, benchmark, mode.name)
-                        value = disk.get(key)
-                        if isinstance(value, RunMetrics):
-                            metrics = value
-                            cache_hits += 1
-                    if metrics is None:
-                        if disk is not None:
-                            cache_misses += 1
-                        if stream is None:
-                            stream = benchmark_stream(benchmark, config)
-                        out.detail(f"simulating {benchmark}:{mode.name} "
-                                   f"({config.frames} frames, {scheduler!r})")
-                        result = simulate_benchmark(
-                            benchmark, mode, spec=spec,
-                            scheduler=scheduler, stream=stream,
+                    result = runner.simulate(benchmark, mode)
+                    if args.csv:
+                        path = (f"{args.csv.removesuffix('.csv')}"
+                                f"_{mode.name}.csv")
+                        write_csv(frame_series(result), path)
+                        out.info(f"per-frame series -> {path}")
+                    if spec.obs.metrics:
+                        records.extend(
+                            frame_record(benchmark, mode.name, frame,
+                                         result.cost_model,
+                                         result.energy_model,
+                                         result.features)
+                            for frame in result.frames
                         )
-                        if args.csv:
-                            path = (f"{args.csv.removesuffix('.csv')}"
-                                    f"_{mode.name}.csv")
-                            write_csv(frame_series(result), path)
-                            out.info(f"per-frame series -> {path}")
-                        if spec.obs.metrics:
-                            records.extend(
-                                frame_record(benchmark, mode.name, frame,
-                                             result.cost_model,
-                                             result.energy_model,
-                                             result.features)
-                                for frame in result.frames
-                            )
-                            records.append(
-                                run_record(benchmark, mode.name, result)
-                            )
-                        metrics = metrics_from_result(benchmark, mode,
-                                                      result)
-                        if disk is not None:
-                            disk.put(key, metrics)
-                    if ledger.record_run(
-                        spec.spec_hash(), metrics,
-                        phases=session.phases_for(benchmark, mode.name),
-                    ) is not None:
-                        ledger_entries += 1
-                    if baseline_cycles is None:
-                        baseline_cycles = metrics.total_cycles
-                    rows.append([
-                        mode.name,
-                        round(metrics.geometry_cycles),
-                        round(metrics.raster_cycles),
-                        metrics.total_cycles / baseline_cycles,
-                        metrics.energy_joules * 1e3,
-                        metrics.redundant_tile_rate,
-                        metrics.shaded_fragments_per_pixel,
-                    ])
-                tables.append(format_table(
-                    ["mode", "geom cyc", "raster cyc", "time vs first",
-                     "energy (mJ)", "tiles skipped", "frags/px"],
-                    rows,
-                    title=f"{benchmark} @ {config.screen_width}x"
-                          f"{config.screen_height}, {config.frames} frames",
-                ))
+                        records.append(
+                            run_record(benchmark, mode.name, result))
+        cells = runner.run_many(benchmarks, modes)
     if spec.obs.metrics:
         records.insert(0, spec_record(spec))
         records.append({"record": "registry",
                         **global_registry().as_dict()})
         _write_metrics(records, spec.obs.metrics, out)
-    if disk is not None:
-        out.info(f"run cache: {cache_hits} hits, "
-                 f"{cache_misses} misses ({disk.directory})")
-    if ledger_entries:
-        out.detail(f"ledger: {ledger_entries} entries -> {ledger.path}")
+    if not exporting:
+        out.info(runner.cache_summary())
+    _ledger_record_suite(spec, runner, session, out, source="run")
     # Tables last, so the primary payload is the tail of the output
     # whatever observability chatter preceded it.
-    for table in tables:
-        out.result(table)
-    return 0
+    for benchmark in benchmarks:
+        base = cells[(benchmark, modes[0].name)].total_cycles
+        rows = []
+        for mode in modes:
+            metrics = cells[(benchmark, mode.name)]
+            geometry, raster = metrics.geometry_cycles, metrics.raster_cycles
+            if not metrics.failed:  # a failed cell's NaNs print as nan
+                geometry, raster = round(geometry), round(raster)
+            rows.append([
+                mode.name, geometry, raster, metrics.total_cycles / base,
+                metrics.energy_joules * 1e3, metrics.redundant_tile_rate,
+                metrics.shaded_fragments_per_pixel,
+            ])
+        out.result(format_table(
+            ["mode", "geom cyc", "raster cyc", "time vs first",
+             "energy (mJ)", "tiles skipped", "frags/px"],
+            rows,
+            title=f"{benchmark} @ {config.screen_width}x"
+                  f"{config.screen_height}, {config.frames} frames",
+        ))
+    return _report_failures(runner, out, spec.resilience.strict)
 
 
 def _command_figure(args: argparse.Namespace) -> int:
@@ -737,10 +691,8 @@ def _command_profile(args: argparse.Namespace) -> int:
     profiler = SchedulerProfiler(tracer)
     with tracing(tracer), _command_bus(spec.obs.events, spec.obs.live,
                                        out, tracer):
-        with make_scheduler(spec.scheduler.jobs,
-                            profiler=profiler) as scheduler:
-            simulate_benchmark(args.benchmark, mode, spec=spec,
-                               scheduler=scheduler)
+        with SuiteRunner(spec=spec, profiler=profiler) as runner:
+            runner.simulate(args.benchmark, mode)
 
     phase_rows = [
         [row["span"], row["count"], row["total_ms"], row["mean_ms"]]

@@ -70,7 +70,7 @@ from ..memsys.ops import (
     EndFrameOp,
     FBLoadOp,
     FlushOp,
-    MemOps,
+    MemOp,
     PBReadOp,
     PBWriteOp,
     TextureOp,
@@ -156,15 +156,15 @@ class _TraceRecorder(MemorySystem):
 
     Captures the run's complete memory traffic — geometry-side vertex
     and Parameter Buffer writes as well as the replayed raster tile
-    traces — as one flat :class:`MemOps` list for the memsys replay
-    sweep.  Frame boundaries are recorded (``end_frame`` traffic is part
-    of replay cost); stat resets are not, so replaying the trace once
-    yields lifetime counters both implementations must agree on.
+    traces — as one flat op list for the memsys replay sweep.  Frame
+    boundaries are recorded (``end_frame`` traffic is part of replay
+    cost); stat resets are not, so replaying the trace once yields
+    lifetime counters both implementations must agree on.
     """
 
     def __init__(self, config: GPUConfig):
         super().__init__(config)
-        self.ops = MemOps()
+        self.ops: List[MemOp] = []
         self._in_range = False
 
     def fetch_vertex(self, vertex_index, vertex_bytes=48):
@@ -421,7 +421,7 @@ def _kernel_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
     }
 
 
-def _memsys_replay_once(ops: MemOps, config: GPUConfig,
+def _memsys_replay_once(ops: List[MemOp], config: GPUConfig,
                         backend: str) -> Dict[str, object]:
     """Replay the recorded trace through a fresh ``backend`` memory
     system; returns the elapsed seconds and the final snapshot."""
@@ -434,7 +434,7 @@ def _memsys_replay_once(ops: MemOps, config: GPUConfig,
             "dram_cycles": memory.dram.cycles()}
 
 
-def _memsys_sweeps(ops: MemOps, config: GPUConfig,
+def _memsys_sweeps(ops: List[MemOp], config: GPUConfig,
                    backends: Sequence[str], repeat: int) -> Dict[str, Dict]:
     """Best-of-``repeat`` memory-trace replay throughput per backend.
 
@@ -628,7 +628,7 @@ def run_bench(preset_name: str,
 
     results: Dict[str, Dict] = {}
     jobs: Optional[List[TileJob]] = None
-    trace: Optional[MemOps] = None
+    trace: Optional[List[MemOp]] = None
     fvp_states: Optional[List] = None
     for backend in chosen:
         # The scalar run doubles as the trace recorder: traffic is

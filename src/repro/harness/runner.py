@@ -6,7 +6,12 @@ the scalar metrics every figure consumes.  A :class:`~repro.spec.RunSpec`
 is the only description of a run: it carries the GPU configuration
 (frames included), feature overrides, cost/energy parameters and the
 execution policy (jobs, retries, faults, strict), and every entry point
-here takes one.  Three layers of reuse stack on top of each other:
+here takes one.
+
+:class:`SuiteRunner` is the one place a (benchmark, mode) cell is
+computed, cached and settled: every cell of ``repro run``, ``figure``,
+``report`` and ``profile`` comes from one.  Three layers of reuse stack
+on top of each other:
 
 * an in-memory memo per :class:`SuiteRunner` instance (several figures
   share the same underlying runs — Figures 6, 7, 10 and 11 all need
@@ -18,7 +23,15 @@ here takes one.  Three layers of reuse stack on top of each other:
   constructing a GPU;
 * an optional :class:`~repro.engine.ProcessPoolScheduler` fan-out, so the
   independent (benchmark, mode) simulations of a suite sweep run in
-  parallel (``scheduler.jobs`` — ``--jobs N`` / ``REPRO_JOBS``).
+  parallel (``scheduler.jobs`` — ``--jobs N`` / ``REPRO_JOBS``).  A lone
+  missing cell would keep one worker busy, so unless resilience is armed
+  it renders in this process instead, with the pool fanning each frame's
+  tile jobs out.
+
+:meth:`SuiteRunner.simulate` renders one cell that way on request and
+returns the full :class:`~repro.pipeline.RunResult`, for callers that
+need every frame (per-frame exports, traces, live telemetry, the
+profiler); the distilled metrics do not carry frames.
 
 The run cache is also the sweep's checkpoint: every sweep, serial or
 pooled, stores each cell as it settles, so re-running a killed sweep's
@@ -37,10 +50,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..commands import FrameStream
 from ..engine.diskcache import DiskCache, run_cache_key
 from ..engine.scheduler import Scheduler, make_scheduler
 from ..obs.events import MetricSample, RunFinished, RunStarted, get_bus
+from ..obs.log import get_logger
 from ..obs.profile import SchedulerProfiler
 from ..obs.trace import get_tracer
 from ..pipeline import GPU, RunResult
@@ -53,6 +66,8 @@ from ..resilience import (
 from ..scenes import benchmark_stream
 from ..spec import RunSpec
 from ..techniques import Technique, metric_extras, resolve_technique
+
+logger = get_logger("harness")
 
 
 class _NaNBreakdown(dict):
@@ -161,18 +176,17 @@ def simulate_benchmark(
     mode: object,
     spec: Optional[RunSpec] = None,
     scheduler: Optional[Scheduler] = None,
-    stream: Optional[FrameStream] = None,
 ) -> RunResult:
     """Render one benchmark under one mode and return the full result.
 
-    The one simulate path behind ``run_benchmark``, ``repro run`` and
-    ``repro profile``: it owns the run's ``RunStarted``/``RunFinished``
-    events and its ``run <benchmark>:<mode>`` trace span.  ``spec``
-    supplies the GPU configuration, feature overrides and cost/energy
-    parameters (default: the ``scaled`` preset).  ``scheduler``
-    optionally fans the per-frame tile work out (see
-    :mod:`repro.engine`); results are identical whichever scheduler
-    runs.  ``stream`` reuses a built frame stream.
+    The one simulate path behind ``run_benchmark`` and
+    :meth:`SuiteRunner.simulate`: it owns the run's
+    ``RunStarted``/``RunFinished`` events and its ``run
+    <benchmark>:<mode>`` trace span.  ``spec`` supplies the GPU
+    configuration, feature overrides and cost/energy parameters
+    (default: the ``scaled`` preset).  ``scheduler`` optionally fans the
+    per-frame tile work out (see :mod:`repro.engine`); results are
+    identical whichever scheduler runs.
     """
     mode = resolve_technique(mode)
     spec = spec or RunSpec.preset("scaled")
@@ -183,8 +197,7 @@ def simulate_benchmark(
                             frames=spec.gpu.frames))
     with get_tracer().span(f"run {benchmark}:{mode.name}",
                            category="harness"):
-        if stream is None:
-            stream = benchmark_stream(benchmark, spec.gpu)
+        stream = benchmark_stream(benchmark, spec.gpu)
         gpu = GPU.from_spec(spec, mode, scheduler=scheduler)
         result = gpu.render_stream(stream)
     if bus.enabled:
@@ -378,6 +391,22 @@ class SuiteRunner:
 
     # -- running ------------------------------------------------------------
 
+    def simulate(self, benchmark: str, mode: object) -> RunResult:
+        """Render one cell in this process, with the runner's scheduler
+        fanning each frame's tile jobs out; store the cell's metrics and
+        return the full result.  Under an armed retry policy a tile job
+        that exhausts its attempts raises its typed error: a cell that
+        did not render has no frames to hand back."""
+        mode = resolve_technique(mode)
+        scheduler = self._suite_scheduler()
+        logger.debug("simulating %s:%s (%d frames, %r)", benchmark,
+                     mode.name, self.spec.gpu.frames, scheduler)
+        result = simulate_benchmark(benchmark, mode, spec=self.spec,
+                                    scheduler=scheduler)
+        self._store((benchmark, mode),
+                    metrics_from_result(benchmark, mode, result))
+        return result
+
     def run(self, benchmark: str, mode: object) -> RunMetrics:
         """One (benchmark, mode) cell, through :meth:`run_many`."""
         mode = resolve_technique(mode)
@@ -388,13 +417,16 @@ class SuiteRunner:
     ) -> Dict[Tuple[str, str], RunMetrics]:
         """Run the (benchmark, mode) cross product, mapping the uncached
         pairs through the suite scheduler (a process pool when it has
-        more than one worker)."""
+        more than one worker).  A lone uncached pair on a pool goes
+        through :meth:`simulate` instead, so its tile jobs use the
+        workers one cell would leave idle; a resilient runner always
+        maps, so its retries, faults and failed cells stay per cell."""
         techniques = [resolve_technique(mode) for mode in modes]
         pairs = [(benchmark, mode) for benchmark in benchmarks
                  for mode in techniques]
         missing: List[Tuple[str, Technique]] = []
         for key in pairs:
-            if key in self._cache:
+            if key in self._cache or key in missing:
                 continue
             cached = self._load_cached(*key)
             if cached is not None:
@@ -404,35 +436,43 @@ class SuiteRunner:
 
         if missing:
             self.cache_misses += len(missing)
-            payloads = [
-                (benchmark, mode, self.spec)
-                for benchmark, mode in missing
-            ]
-            total = len(missing)
             settled = [0]  # suite-progress MetricSample numerator
+
+            def _progress() -> None:
+                settled[0] += 1
+                bus = get_bus()
+                if bus.enabled:
+                    bus.emit(MetricSample(name="suite.progress",
+                                          value=settled[0] / len(missing)))
 
             def _settle(index: int, value: Any) -> None:
                 if isinstance(value, JobFailure):
                     self._record_failure(missing[index], value)
                 else:
                     self._store(missing[index], value)
-                settled[0] += 1
-                bus = get_bus()
-                if bus.enabled:
-                    bus.emit(MetricSample(name="suite.progress",
-                                          value=settled[0] / total))
+                _progress()
 
-            # Each cell is stored as it settles, so a kill or a raising
-            # cell loses only the cells not yet settled.
             scheduler = self._suite_scheduler()
-            fan_out = (scheduler.map_resilient if self.resilient
-                       else scheduler.map)
-            with get_tracer().span("suite.map", category="harness",
-                                   runs=len(missing)):
-                fan_out(_run_pair, payloads, on_result=_settle)
+            if (len(missing) == 1 and scheduler.jobs > 1
+                    and not self.resilient):
+                self.simulate(*missing[0])
+                _progress()
+            else:
+                for benchmark, mode in missing:
+                    logger.debug("simulating %s:%s (%d frames, %r)",
+                                 benchmark, mode.name, self.spec.gpu.frames,
+                                 scheduler)
+                payloads = [(benchmark, mode, self.spec)
+                            for benchmark, mode in missing]
+                # Each cell is stored as it settles, so a kill or a
+                # raising cell loses only the cells not yet settled.
+                fan_out = (scheduler.map_resilient if self.resilient
+                           else scheduler.map)
+                with get_tracer().span("suite.map", category="harness",
+                                       runs=len(missing)):
+                    fan_out(_run_pair, payloads, on_result=_settle)
 
         return {
             (benchmark, mode.name): self._cache[(benchmark, mode)]
             for benchmark, mode in pairs
         }
-

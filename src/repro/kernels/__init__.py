@@ -18,10 +18,13 @@ Two backends implement the contract declared in
 ``numpy``
     The batched backend (:mod:`repro.kernels.batched`): transforms and
     culls a whole frame's draw commands as ``(n, 3)`` coordinate arrays,
-    rasterizes a tile's whole display list as ``(N, h, w)`` array
-    expressions, and resolves each run of consecutive opaque entries
-    under Early-Z in one array pass.  Bit-identical to the reference by
-    construction and by test, several times faster — the default.
+    rasterizes display lists as ``(N, h, w)`` array expressions.  Under
+    baseline, RE and EVR (Early-Z, and nothing that reads per-entry
+    state mid-list) it takes a raster job's whole range of tiles at once
+    and resolves it, opaque and blended entries alike, in one array pass
+    (``resolve_range``); the other techniques go tile by tile through
+    the per-entry loop.  Bit-identical to the reference by construction
+    and by test, several times faster — the default.
 
 Because backends are proven bit-identical, the selected backend is
 execution policy: it lives in ``RunSpec.scheduler`` (excluded from

@@ -20,7 +20,7 @@ from .batched import BatchedCache, BatchedMemorySystem
 from .cache import AccessResult, Cache
 from .dram import DRAMChannelModel
 from .hierarchy import MemorySystem
-from .ops import MemOp, MemOps, replay_memory_trace
+from .ops import MemOp, replay_memory_trace
 
 
 def create_memory_system(config, backend: Optional[str] = None):
@@ -47,6 +47,5 @@ __all__ = [
     "BatchedMemorySystem",
     "create_memory_system",
     "MemOp",
-    "MemOps",
     "replay_memory_trace",
 ]

@@ -77,9 +77,6 @@ from .ops import (
     OP_VERTEX,
     OP_VERTEX_RANGE,
     EndFrameOp,
-    FBLoadOp,
-    FlushOp,
-    MemOps,
     PBReadOp,
     PBWriteOp,
     RasterTrace,

@@ -1,4 +1,4 @@
-"""Typed memory-trace operations: the wire format of recorded traffic.
+"""Typed memory-trace operations: the recorded form of memory traffic.
 
 Every public :class:`~repro.memsys.MemorySystem` entry point has a
 matching op type here, so a full run's memory traffic — raster-side tile
@@ -10,23 +10,17 @@ model (one structure-of-arrays drain per phase).
 The op types live here, not in :mod:`repro.engine.tile_job` (which
 records them), so the memory system can consume traces natively without
 an engine/memsys layering cycle.
-
-``MemOps`` lists pickle in packed form (one code byte per op, all int
-operands in one flat tuple) because tile results cross process
-boundaries under the pool scheduler; ``tests/test_memtrace_ops.py`` pins
-the "never larger than the raw tuples" property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-# Memory-trace opcodes: small ints dispatch faster than strings and pack
-# to one byte each on the wire (see MemOps).
+# Memory-trace opcodes: small ints dispatch faster than strings.
 OP_PB_READ = 0
 OP_TEXTURE = 1
 OP_FLUSH = 2
@@ -112,72 +106,6 @@ ResetStatsOp.code = OP_RESET_STATS
 
 #: Any recorded memory-trace operation.
 MemOp = Tuple  # typing alias: PBReadOp | TextureOp | ... | ResetStatsOp
-
-# Int-only op types by code, for the generic pack/unpack paths.
-_INT_OP_TYPES = {
-    OP_PB_READ: PBReadOp,
-    OP_FLUSH: FlushOp,
-    OP_VERTEX: VertexOp,
-    OP_VERTEX_RANGE: VertexRangeOp,
-    OP_PB_WRITE: PBWriteOp,
-    OP_FB_LOAD: FBLoadOp,
-    OP_END_FRAME: EndFrameOp,
-    OP_RESET_STATS: ResetStatsOp,
-}
-
-
-def _pack_memory_ops(ops: "MemOps") -> Tuple[bytes, Tuple, Tuple]:
-    """Compact wire form: one code byte per op, all int operands in one
-    flat tuple, texture coordinate arrays kept as-is."""
-    codes = bytearray()
-    ints: List[int] = []
-    arrays: List[np.ndarray] = []
-    for op in ops:
-        code = op.code
-        codes.append(code)
-        if code == OP_TEXTURE:
-            ints.extend((op.texture_id, op.texture_size,
-                         op.samples_per_fragment))
-            arrays.append(op.u)
-            arrays.append(op.v)
-        else:
-            ints.extend(op)
-    return bytes(codes), tuple(ints), tuple(arrays)
-
-
-def _unpack_memory_ops(codes: bytes, ints: Tuple, arrays: Tuple) -> "MemOps":
-    """Inverse of :func:`_pack_memory_ops` (the pickle reconstructor)."""
-    ops = MemOps()
-    cursor = 0
-    array_cursor = 0
-    for code in codes:
-        if code == OP_TEXTURE:
-            ops.append(TextureOp(
-                ints[cursor], ints[cursor + 1],
-                arrays[array_cursor], arrays[array_cursor + 1],
-                ints[cursor + 2],
-            ))
-            cursor += 3
-            array_cursor += 2
-        else:
-            op_type = _INT_OP_TYPES[code]
-            width = len(op_type._fields)
-            ops.append(op_type(*ints[cursor:cursor + width]))
-            cursor += width
-    return ops
-
-
-class MemOps(list):
-    """An op list that pickles in packed form.
-
-    Tile results cross process boundaries under the pool scheduler, so
-    the trace's wire size matters.  Packing (code bytes + one int tuple)
-    undercuts both the historical raw-tuple encoding and naive
-    NamedTuple pickling.
-    """
-
-    def __reduce__(self):
-        return (_unpack_memory_ops, _pack_memory_ops(self))
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,17 @@ class TestCommands:
         assert "baseline" in out and "evr" in out
         assert "tiles skipped" in out
 
+    def test_second_run_is_served_from_the_run_cache(self, capsys):
+        argv = ["run", "hop"] + self.SMALL
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert "run cache: 0 hits, 3 misses" in first
+        assert "run cache: 3 hits, 0 misses" in second
+        # The table: title, header, rule and one row per mode.
+        assert second.splitlines()[-6:] == first.splitlines()[-6:]
+
     def test_figure_table2(self, capsys):
         assert main(["figure", "table2"] + self.SMALL) == 0
         assert "400 MHz" in capsys.readouterr().out
@@ -164,8 +175,9 @@ class TestObservabilityFlags:
     def test_verbose_adds_detail(self, capsys):
         assert main(["run", "hop", "--modes", "baseline", "-v"]
                     + self.SMALL) == 0
-        out = capsys.readouterr().out
-        assert "simulating hop:baseline" in out
+        # The suite runner names each cell it simulates on the
+        # ``repro.harness`` logger, which -v shows on stderr.
+        assert "simulating hop:baseline" in capsys.readouterr().err
 
     def test_run_trace_and_metrics_export(self, tmp_path, capsys):
         trace_path = str(tmp_path / "trace.json")
@@ -239,9 +251,10 @@ class TestObservabilityFlags:
             def render_stream(self, stream):
                 raise RuntimeError("boom")
 
-        monkeypatch.setattr(repro.cli, "make_scheduler",
+        # `repro run` computes its cells through the suite runner, which
+        # builds the scheduler and, in its one simulate path, the GPU.
+        monkeypatch.setattr(repro.harness.runner, "make_scheduler",
                             lambda jobs, profiler=None: _SpyScheduler())
-        # `repro run` builds its GPU in the runner's one simulate path.
         monkeypatch.setattr(repro.harness.runner, "GPU", _ExplodingGPU)
         with pytest.raises(RuntimeError):
             main(["run", "hop"] + self.SMALL)
@@ -289,14 +302,23 @@ class TestResilienceFlags:
         assert resilience.fault_plan() is None
 
     def test_run_with_retries_armed_matches_plain_run(self, monkeypatch,
-                                                      capsys):
+                                                      tmp_path, capsys):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         argv = ["run", "hop", "--modes", "baseline", "evr"] + self.SMALL
+
+        def table(out):
+            return [line for line in out.splitlines()
+                    if not line.startswith("run cache:")]
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "plain"))
         assert main(argv) == 0
         plain = capsys.readouterr().out
+        # Its own cache, so the armed run simulates every cell.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "armed"))
         assert main(argv + ["--retries", "3"]) == 0
         armed = capsys.readouterr().out
-        assert armed == plain  # resilience wrapper is bit-transparent
+        assert "run cache: 0 hits, 2 misses" in armed
+        assert table(armed) == table(plain)  # the wrapper is transparent
 
     def test_figure_with_faults_injected_completes(self, monkeypatch,
                                                    tmp_path, capsys):
@@ -314,6 +336,18 @@ class TestResilienceFlags:
         assert main(argv) == 0  # graceful degradation by default
         out = capsys.readouterr().out
         assert "FAILED" in out and "nan" in out
+        assert main(argv + ["--strict"]) == 1
+
+    def test_run_reports_failed_cells(self, capsys):
+        argv = ["run", "hop", "--modes", "baseline", "evr",
+                "--inject-faults", "raise:1.0", "--retries", "1"] + self.SMALL
+        assert main(argv) == 0  # graceful degradation by default
+        out = capsys.readouterr().out
+        assert "FAILED hop:baseline" in out and "FAILED hop:evr" in out
+        rows = [line.split() for line in out.splitlines()
+                if line.split()[:1] in (["baseline"], ["evr"])]
+        assert len(rows) == 2
+        assert all(cell == "nan" for row in rows for cell in row[1:])
         assert main(argv + ["--strict"]) == 1
 
     def test_rerun_recomputes_only_the_missing_cell(self, monkeypatch,

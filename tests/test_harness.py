@@ -72,6 +72,27 @@ class TestRunner:
         assert sorted(timing.label for timing in profiler.timings) == [
             "cde:baseline", "cde:re", "hop:baseline", "hop:re"]
 
+    def test_repeated_mode_is_one_cell(self):
+        runner = SuiteRunner(RunSpec.from_config(GPUConfig.tiny(frames=2)))
+        results = runner.run_many(["hop"], ["evr", "evr"])
+        assert list(results) == [("hop", "evr")]
+        assert runner.cache_misses == 1
+
+    def test_lone_missing_cell_fans_its_tile_jobs_out(self):
+        """One uncached cell on a pool renders in this process, with its
+        frames' tile jobs on the workers one cell job would leave idle;
+        its metrics are the serial run's."""
+        config = GPUConfig.tiny(frames=2)  # ata: 3 tile jobs per frame
+        profiler = SchedulerProfiler()
+        spec = RunSpec.from_config(config, scheduler=SchedulerSpec(jobs=2))
+        with SuiteRunner(spec=spec, profiler=profiler) as runner:
+            pooled = runner.run("ata", BASELINE)
+        labels = [timing.label for timing in profiler.timings]
+        assert labels and all(label.startswith("tile ") for label in labels)
+        assert {timing.worker for timing in profiler.timings} - {os.getpid()}
+        serial = SuiteRunner(RunSpec.from_config(config)).run("ata", BASELINE)
+        assert pooled == serial
+
 
 class TestTables:
     def test_table2_renders(self):

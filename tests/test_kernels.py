@@ -235,8 +235,8 @@ def test_prepare_tile_keeps_negative_zero_sums(red):
 def test_negative_zero_color_renders_identically(technique):
     """A sprite coloured ``Vec4(-0.0, 0.5, 0.5, 1.0)`` renders to the same
     bytes on both backends, -0.0 red included, whether the numpy backend
-    resolves it as an opaque run (baseline) or in the per-entry loop
-    (hiz)."""
+    resolves it with the range kernel (baseline) or in the per-entry
+    loop (hiz)."""
     import hashlib
 
     from repro import DrawCommand, Frame, RenderState

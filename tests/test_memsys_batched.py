@@ -27,7 +27,6 @@ from repro.memsys.ops import (
     EndFrameOp,
     FBLoadOp,
     FlushOp,
-    MemOps,
     PBReadOp,
     PBWriteOp,
     RasterTrace,
@@ -136,7 +135,7 @@ def _raster_trace(draw):
                                     st.sampled_from([4, 16, 256]),
                                     st.integers(1, 3), _uv_lists()))
               for entry in range(count) if draw(st.booleans())}
-    ops = MemOps()
+    ops = []
     entry = 0
     for size in sizes:
         for _ in range(size):
@@ -228,7 +227,7 @@ class TestFuzzBitIdentity:
         """A whole recorded trace (markers included) replayed through
         ``replay_memory_trace``: the scalar model dispatches per op, the
         batched model consumes the list in one drain."""
-        trace = MemOps()
+        trace = []
         for op in ops:
             kind = op[0]
             if kind == "vertex":

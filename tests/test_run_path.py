@@ -54,7 +54,7 @@ WIDTH, HEIGHT = 40, 28
 CONFIG = GPUConfig(screen_width=WIDTH, screen_height=HEIGHT, frames=2)
 ORTHO = orthographic(0.0, float(WIDTH), float(HEIGHT), 0.0, -1.0, 1.0)
 TECHNIQUES = technique_names()
-#: The techniques whose opaque runs take the one-pass kernel.
+#: The techniques whose jobs numpy renders with the one-pass range kernel.
 RUN_PATH = {"baseline", "re", "evr", "evr-reorder-only"}
 #: Interior, right-edge (partial) and bottom-right (partial) tiles.
 TILES = ((0, 0), (2, 0), (2, 1))

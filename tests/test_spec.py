@@ -341,7 +341,8 @@ class TestCliIntegration:
     def test_spec_file_run_matches_flag_run(self, tmp_path, capsys):
         """Acceptance: a spec-file-driven run is bit-identical to the
         equivalent CLI-flag run."""
-        assert main(["run", "hop", "--modes", "baseline", "evr"]
+        # Both quiet: the flag run prints its cache line otherwise.
+        assert main(["run", "hop", "--modes", "baseline", "evr", "-q"]
                     + self.SMALL) == 0
         flag_out = capsys.readouterr().out
 
