@@ -558,8 +558,10 @@ def _command_run(args: argparse.Namespace) -> int:
                 for mode in modes:
                     result = runner.simulate(benchmark, mode)
                     if args.csv:
-                        path = (f"{args.csv.removesuffix('.csv')}"
-                                f"_{mode.name}.csv")
+                        # Several benchmarks' series must not share a file.
+                        cell = (f"{benchmark}_{mode.name}"
+                                if len(benchmarks) > 1 else mode.name)
+                        path = f"{args.csv.removesuffix('.csv')}_{cell}.csv"
                         write_csv(frame_series(result), path)
                         out.info(f"per-frame series -> {path}")
                     if spec.obs.metrics:
@@ -1190,8 +1192,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "workload.benchmarks)")
     run_parser.add_argument(
         "--csv", default="", metavar="PREFIX",
-        help="also dump a per-frame CSV per mode to PREFIX_<mode>.csv "
-             "(a trailing .csv on PREFIX is dropped)",
+        help="also dump a per-frame CSV per mode to PREFIX_<mode>.csv, "
+             "or PREFIX_<benchmark>_<mode>.csv when the run covers "
+             "several benchmarks (a trailing .csv on PREFIX is dropped)",
     )
     run_parser.add_argument(
         "--modes", nargs="+", default=None,

@@ -17,23 +17,29 @@ array-based exact-LRU model:
 * **SoA expansion** — queued ops are expanded into flat request arrays
   (address, size, write, stream base) in exact scalar call order;
   requests expand into per-line accesses with closed-form arithmetic.
-  A draw command's vertex fetches and a texture batch's unique lines
-  never touch Python loops.
+  The raster and geometry phases hand their traffic over as columns
+  (:class:`~repro.memsys.ops.RasterTrace`,
+  :class:`~repro.memsys.ops.GeometryTrace`) that join the request
+  arrays with no per-op scan.  A texture batch's fragments collapse
+  into runs of equal lines before its unique lines are sorted out.
 
 * **Exact LRU without per-line walks** — per set, LRU has the stack
   property: the resident lines are exactly the ``ways`` most recently
-  used distinct lines, so a reference hits iff fewer than ``ways``
-  distinct lines intervened since its last access (its reuse distance).
-  Two consequences drive the layout: an immediate re-reference to the
-  set's MRU line is an unconditional hit (such runs are collapsed out
-  of the stream up front and counted as hits wholesale), and the state
-  a set needs is just its recency-ordered tag/dirty matrix.  The
-  collapsed per-set streams are then stepped *rank by rank*: iteration
-  ``r`` applies the ``r``-th surviving access of every set at once as a
+  used distinct lines.  An immediate re-reference to the set's MRU line
+  is an unconditional hit, so such runs are collapsed out of the stream
+  up front and counted as hits wholesale.  A collapsed stream never
+  repeats its previous line, so a set of at most two ways (the vertex
+  and texture caches) holds exactly its last ``ways`` accesses: access
+  ``k`` hits iff it repeats access ``k - ways``, a miss evicts that
+  access's line, and its dirty bit is the OR of the writes along the
+  stride-``ways`` chain that kept it resident.  Those sets settle in
+  closed form, a fixed number of array passes per batch.  Wider sets
+  (the tile cache and L2) are stepped *rank by rank*: iteration ``r``
+  applies the ``r``-th surviving access of every such set at once as a
   vectorized update of the ``(num_sets, ways)`` tag/dirty/recency
   matrices — the Python loop runs over within-set ranks (tens per
   phase), not over millions of lines.  All first-level caches share one
-  lane space so their sets advance in the same iterations.
+  lane space; each set's associativity picks its path.
 
 * **Closed-form L2 refill stream** — the scalar model forwards each
   first-level miss/writeback to L2 at a round-robin cursor address.
@@ -69,6 +75,7 @@ from .ops import (
     OP_END_FRAME,
     OP_FB_LOAD,
     OP_FLUSH,
+    OP_GEOMETRY,
     OP_PB_READ,
     OP_PB_WRITE,
     OP_RASTER,
@@ -77,6 +84,7 @@ from .ops import (
     OP_VERTEX,
     OP_VERTEX_RANGE,
     EndFrameOp,
+    GeometryTrace,
     PBReadOp,
     PBWriteOp,
     RasterTrace,
@@ -112,6 +120,9 @@ class _LaneLRU:
         self.ways = ways_per_lane.astype(np.int64)
         self.num_lanes = int(ways_per_lane.size)
         self.max_ways = int(ways_per_lane.max()) if ways_per_lane.size else 1
+        # Sets of at most two ways settle in closed form; wider sets are
+        # stepped rank by rank.
+        self._narrow = self.ways <= 2
         # One matrix carries both tag and dirty bit per way
         # (``tag << 1 | dirty``, -1 = empty): the rank loop then costs a
         # single gather/scatter per iteration instead of two.
@@ -165,6 +176,135 @@ class _LaneLRU:
         c_wr = np.maximum.reduceat(s_wr, starts)
         c_pos = order[starts]
 
+        # The collapsed stream is lane-major; a lane's associativity
+        # picks its path.
+        narrow = self._narrow[c_lane]
+        wide = ~narrow
+        settled = stepped = tail_lanes = 0
+        if narrow.any():
+            settled = self._settle(c_lane[narrow], c_tag[narrow],
+                                   c_wr[narrow], c_pos[narrow],
+                                   hit_out, wb_out)
+        if wide.any():
+            stepped, tail_lanes = self._step(c_lane[wide], c_tag[wide],
+                                             c_wr[wide], c_pos[wide],
+                                             hit_out, wb_out)
+
+        # Batching telemetry (observability-only): how much of the
+        # stream the run-collapse absorbed, how many sets settled in
+        # closed form and how many fell to the scalar tail — the
+        # dashboard's memsys panel reads these.
+        registry = global_registry()
+        registry.counter("memsys.line_accesses").inc(n)
+        registry.counter("memsys.collapsed_runs").inc(int(dup.sum()))
+        registry.counter("memsys.batch_lanes").inc(settled + stepped)
+        registry.counter("memsys.closed_form_lanes").inc(settled)
+        registry.counter("memsys.scalar_tail_lanes").inc(tail_lanes)
+        return hit_out, wb_out
+
+    def _settle(self, c_lane, c_tag, c_wr, c_pos, hit_out, wb_out) -> int:
+        """Closed-form LRU for lanes of at most two ways; returns the
+        number of lanes settled.
+
+        With runs collapsed, a set's stream never repeats its previous
+        line, so a ``w``-way set (``w <= 2``) holds exactly its last
+        ``w`` accesses.  The lines it carries in enter the stream first
+        as pseudo-accesses, LRU first.  Access ``k`` then hits iff it
+        repeats access ``k - w``, and a miss evicts the line of access
+        ``k - w``.  A line stays resident along a chain of accesses at
+        stride ``w`` from its miss: the chain's writes (the carried
+        dirty bit included) make the line dirty, and the access that
+        evicts it is charged the writeback.  The set ends holding its
+        last ``w`` entries.
+        """
+        m = c_lane.size
+        first = np.flatnonzero(np.concatenate(
+            ([True], c_lane[1:] != c_lane[:-1])))
+        lanes = c_lane[first]
+        count = np.diff(np.append(first, m))
+        ways = self.ways[lanes]
+        mru = self.state[lanes, 0]
+        lru = (self.state[lanes, 1] if self.max_ways > 1
+               else np.full(lanes.size, -1, np.int64))
+        # A batch opening on the carried MRU line extends that line's
+        # run: the access hits and stands in for the carried line,
+        # taking over its dirty bit.
+        join = (mru >> 1) == c_tag[first]
+
+        # The extended stream, lane-major: per lane the lines it carries
+        # (``head`` of them, LRU first), then its accesses.
+        has_lru = lru != -1
+        has_mru = (mru != -1) & ~join
+        head = has_lru.astype(np.int64) + has_mru
+        ext = head + count
+        ext_start = _exclusive_cumsum(ext)
+        lane_start = ext_start[:-1]
+        total = int(ext_start[-1])
+        e_tag = np.empty(total, np.int64)
+        e_wr = np.empty(total, bool)
+        at = np.arange(m) + np.repeat(lane_start + head - first, count)
+        e_tag[at] = c_tag
+        e_wr[at] = c_wr
+        for line, where in ((lru[has_lru], lane_start[has_lru]),
+                            (mru[has_mru], (lane_start + has_lru)[has_mru])):
+            e_tag[where] = line >> 1
+            e_wr[where] = (line & 1) == 1
+        e_wr[at[first[join]]] |= (mru[join] & 1) == 1
+
+        # Access k hits iff it repeats access k - w of its lane; a 1-way
+        # set never hits, since the stream never repeats its last line.
+        rank = np.arange(total) - np.repeat(lane_start, ext)
+        e_ways = np.repeat(ways, ext)
+        full = rank >= e_ways
+        hit = np.zeros(total, bool)
+        hit[2:] = e_tag[2:] == e_tag[:-2]
+        hit &= full & (e_ways == 2)
+        # Each entry's residency chain decides its line's dirty bit.
+        # Only a write or a dirty carried line makes a chain dirty, so a
+        # batch with neither (all of the pipeline's vertex and texture
+        # traffic) skips the chains.
+        dirty = np.zeros(total, bool)
+        wb = dirty
+        if e_wr.any():
+            # Laying each lane out by ``rank % w`` makes every
+            # stride-``w`` chain contiguous; each non-hit opens one.
+            lane_of = np.repeat(np.arange(lanes.size), ext)
+            slot = (lane_start[lane_of] + (rank % e_ways)
+                    * ((ext[lane_of] + e_ways - 1) // e_ways)
+                    + rank // e_ways)
+            laid = np.empty(total, np.int64)
+            laid[slot] = np.arange(total)
+            opens = ~hit[laid]
+            chain = (np.cumsum(opens) - 1)[slot]
+            chain_dirty = np.zeros(int(np.count_nonzero(opens)), bool)
+            chain_dirty[chain[e_wr]] = True
+            dirty = chain_dirty[chain]
+            back = np.maximum(np.arange(total) - e_ways, 0)
+            wb = full & ~hit & dirty[back]
+        hit_out[c_pos] = hit[at]
+        hit_out[c_pos[first[join]]] = True
+        wb_out[c_pos] = wb[at]
+
+        # Final state: each lane's last ``w`` entries, MRU first.
+        last = ext_start[1:] - 1
+        self.state[lanes, 0] = (e_tag[last] << 1) | dirty[last]
+        if self.max_ways > 1:
+            pair = ways == 2
+            prev = last[pair] - 1
+            self.state[lanes[pair], 1] = np.where(
+                ext[pair] >= 2, (e_tag[prev] << 1) | dirty[prev], -1)
+        return int(lanes.size)
+
+    def _step(self, c_lane, c_tag, c_wr, c_pos, hit_out, wb_out
+              ) -> Tuple[int, int]:
+        """Exact LRU by rank stepping, for lanes of any associativity;
+        returns the number of lanes stepped and of scalar stragglers.
+
+        Iteration ``r`` applies the ``r``-th access of every lane at
+        once as a vectorized update of the ``(lanes, ways)`` state
+        matrix, so the Python loop runs over within-lane ranks, not
+        over lines.
+        """
         counts = np.bincount(c_lane, minlength=self.num_lanes)
         lane_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
         # The collapsed stream is lane-major (stable sort), so lane L's
@@ -225,17 +365,7 @@ class _LaneLRU:
                                     int(lane_start[lane]) + vec_ranks,
                                     int(lane_start[lane] + counts[lane]),
                                     hit_out, wb_out)
-
-        # Batching telemetry (observability-only): how much of the
-        # stream the run-collapse absorbed and how much fell to the
-        # scalar tail — the dashboard's memsys panel reads these.
-        registry = global_registry()
-        registry.counter("memsys.line_accesses").inc(n)
-        registry.counter("memsys.collapsed_runs").inc(int(dup.sum()))
-        registry.counter("memsys.batch_lanes").inc(
-            int(np.count_nonzero(counts)))
-        registry.counter("memsys.scalar_tail_lanes").inc(tail_lanes)
-        return hit_out, wb_out
+        return int(np.count_nonzero(counts)), tail_lanes
 
     def _simulate_tail(self, lane: int, c_tag, c_wr, c_pos,
                        lo: int, hi: int, hit_out, wb_out) -> None:
@@ -363,6 +493,15 @@ def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each run of equal neighbours in ``values`` as (value, length)."""
+    if values.size == 0:
+        return values, np.empty(0, np.int64)
+    heads = np.flatnonzero(np.concatenate(([True],
+                                           values[1:] != values[:-1])))
+    return values[heads], np.diff(np.append(heads, values.size))
+
+
 def _segment_expand(reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Expand per-row repeat counts into (row_of_item, rank_in_row)."""
     offsets = _exclusive_cumsum(reps)
@@ -374,7 +513,8 @@ def _segment_expand(reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 class _Batch:
     """One marker-free batch of queued traffic, as the drain collects it:
-    object ops as flat rows, raster traces as column chunks."""
+    object ops as flat rows, raster and geometry traces as column
+    chunks."""
 
     def __init__(self) -> None:
         self.simple: List[int] = []      # flat (op_idx, kind, f0, f1, f2)
@@ -402,6 +542,18 @@ class _Batch:
                 trace.texture_size, trace.texture_samples,
                 np.ones(trace.texture_entry.size, bool),
                 trace.texture_count, trace.u, trace.v))
+
+    def splice_geometry(self, trace: GeometryTrace, base: int) -> None:
+        """Add ``trace``'s rows as ops number ``base`` onward."""
+        n = trace.start.size
+        rows = np.zeros((n, 5), np.int64)
+        rows[:, 0] = base + np.arange(n)
+        rows[:, 1] = _K_PBW
+        rows[trace.vertex_at, 1] = _K_VRANGE
+        rows[:, 2] = trace.start
+        rows[:, 3] = trace.count
+        rows[trace.vertex_at, 4] = trace.vertex_bytes
+        self._rows.append(rows)
 
     def simple_rows(self) -> Optional[np.ndarray]:
         """Every simple request as ``(op_idx, kind, f0, f1, f2)`` rows."""
@@ -575,14 +727,15 @@ class BatchedMemorySystem:
 
     def replay_ops(self, ops) -> None:
         """Consume a recorded trace wholesale (the replay fast path): an
-        op list, or a :class:`~repro.memsys.ops.RasterTrace` whose
-        columns the drain splices in as arrays.
+        op list, or a :class:`~repro.memsys.ops.RasterTrace` or
+        :class:`~repro.memsys.ops.GeometryTrace` whose columns the drain
+        splices in as arrays.
 
         Unlike the one-call-per-op public methods, validation of a
         replayed trace happens at drain time; traces recorded by the
         pipeline are well-formed by construction.
         """
-        if isinstance(ops, RasterTrace):
+        if isinstance(ops, (RasterTrace, GeometryTrace)):
             self._pending.append(ops)
         else:
             self._pending.extend(ops)
@@ -646,6 +799,9 @@ class BatchedMemorySystem:
                     raise MemoryModelError(
                         "framebuffer flush of non-positive size")
                 dram.write(op.num_bytes)
+            elif code == OP_GEOMETRY:
+                batch.splice_geometry(op, item + shift)
+                shift += op.start.size
             elif code == OP_RASTER:
                 batch.splice(op, item + shift)
                 shift += 3 * op.pointer.size
@@ -840,7 +996,6 @@ class BatchedMemorySystem:
         ``i`` samples ``frags[i]`` fragments, its coordinates back to
         back in ``u_all``/``v_all``."""
         seg_start = _exclusive_cumsum(frags)[:-1]
-        seg_of = np.repeat(np.arange(op_idx.size), frags)
 
         # Mip level, exactly as _select_mip_level computes it per op.
         ts_f = tsize.astype(np.float64)
@@ -860,30 +1015,43 @@ class BatchedMemorySystem:
         )
         level_size = np.maximum(4, tsize >> level)
 
-        ls_el = level_size[seg_of]
-        tx = np.clip((u_all * ls_el.astype(np.float64)).astype(np.int64),
-                     0, ls_el - 1)
-        ty = np.clip((v_all * ls_el.astype(np.float64)).astype(np.int64),
-                     0, ls_el - 1)
-        base_lines = (ty * ls_el + tx) * _TEXEL_BYTES // self._line
-        bilin_el = bilin[seg_of]
-        fx = np.minimum(tx + 1, ls_el - 1)
-        fy = np.minimum(ty + 1, ls_el - 1)
-        foot_lines = ((fy * ls_el + fx) * _TEXEL_BYTES // self._line)[bilin_el]
+        # Each fragment's base line and bilinear footprint line, as
+        # composite (op, line) keys.  Per-op values reach the fragments
+        # by ``np.repeat``, and the texel columns are updated in place.
+        shift = 44  # lines < 2^44 (texel_index * 4 / 64 of any sane size)
+        ls_el = np.repeat(level_size, frags)
+        top = np.repeat(level_size - 1, frags)
+        scale = np.repeat(level_size.astype(np.float64), frags)
+        tx = (u_all * scale).astype(np.int64)
+        np.clip(tx, 0, top, out=tx)
+        ty = (v_all * scale).astype(np.int64)
+        np.clip(ty, 0, top, out=ty)
+        seg_key = np.repeat(np.arange(op_idx.size) << shift, frags)
+        base_keys = seg_key | (ty * ls_el + tx) * _TEXEL_BYTES // self._line
+        np.minimum(tx + 1, top, out=tx)
+        np.minimum(ty + 1, top, out=ty)
+        foot_keys = seg_key | (ty * ls_el + tx) * _TEXEL_BYTES // self._line
+        if not bilin.all():
+            foot_keys = foot_keys[np.repeat(bilin, frags)]
 
         # Per-op unique lines, ascending (scalar np.unique order): sort
-        # composite (op, line) keys once across every batch.
-        shift = 44  # lines < 2^44 (texel_index * 4 / 64 of any sane size)
-        base_keys = (seg_of << shift) | base_lines
-        keys = np.sort(np.concatenate(
-            [base_keys, (seg_of[bilin_el] << shift) | foot_lines]))
+        # the keys once across every batch.  Neighbouring fragments
+        # mostly share a line, so runs of equal keys collapse first, in
+        # fragment order; a line's base-sample count is the sum of its
+        # base runs' lengths (footprint runs weigh nothing).
+        base_keys, base_runs = _runs(base_keys)
+        foot_keys, _ = _runs(foot_keys)
+        keys = np.concatenate([base_keys, foot_keys])
+        weights = np.zeros(keys.size, np.int64)
+        weights[:base_keys.size] = base_runs
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
         uniq = np.flatnonzero(
             np.concatenate(([True], keys[1:] != keys[:-1])))
         ukeys = keys[uniq]
         useg = ukeys >> shift
         uline = ukeys & ((1 << shift) - 1)
-        counts = np.zeros(ukeys.size, np.int64)
-        np.add.at(counts, np.searchsorted(ukeys, base_keys), 1)
+        counts = np.add.reduceat(weights[by_key], uniq)
 
         # Request metadata, in scalar call order: op order, then line
         # ascending within each op (= rank within the op's uniques).

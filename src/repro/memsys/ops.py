@@ -31,6 +31,7 @@ OP_FB_LOAD = 6
 OP_END_FRAME = 7
 OP_RESET_STATS = 8
 OP_RASTER = 9
+OP_GEOMETRY = 10
 
 
 class PBReadOp(NamedTuple):
@@ -173,15 +174,46 @@ class RasterTrace:
 _TRACE_FIELDS = tuple(field.name for field in fields(RasterTrace))
 
 
+@dataclass(frozen=True)
+class GeometryTrace:
+    """The geometry phase's memory trace as columns.
+
+    Row ``i`` is the phase's ``i``-th op.  The rows in ``vertex_at``
+    (ascending) are the draw commands' vertex-range fetches: ``count``
+    vertices of ``vertex_bytes`` each from vertex ``start``.  Every
+    other row is a Parameter Buffer write of ``count`` bytes at offset
+    ``start``.  Iterating yields the equivalent op objects in row
+    order; :class:`BatchedMemorySystem` consumes the columns as they
+    are.
+    """
+
+    start: np.ndarray       # (k,) int64
+    count: np.ndarray       # (k,) int64
+    vertex_at: np.ndarray   # (c,) int64, ascending
+    vertex_bytes: int
+
+    code = OP_GEOMETRY
+
+    def __iter__(self):
+        vertex_rows = set(self.vertex_at.tolist())
+        for row, (start, count) in enumerate(zip(self.start.tolist(),
+                                                 self.count.tolist())):
+            if row in vertex_rows:
+                yield VertexRangeOp(start, count, self.vertex_bytes)
+            else:
+                yield PBWriteOp(start, count)
+
+
 def replay_memory_trace(ops, memory) -> None:
     """Replay recorded accesses into a memory system, in op order.
 
     The scalar reference model executes one method call per op — the
     exact sequence the historical inline loops produced.  A batched
     model advertises :meth:`replay_ops` and takes the whole list, or a
-    :class:`RasterTrace`'s columns, in one append (the
-    structure-of-arrays drain happens at the next counter observation),
-    so the per-op Python dispatch disappears from the replay hot path.
+    :class:`RasterTrace`'s or :class:`GeometryTrace`'s columns, in one
+    append (the structure-of-arrays drain happens at the next counter
+    observation), so the per-op Python dispatch disappears from the
+    replay hot path.
     """
     replay = getattr(memory, "replay_ops", None)
     if replay is not None:

@@ -309,6 +309,7 @@ def memsys_panel(metrics_path: Optional[str]) -> str:
     accesses = counters.get("memsys.line_accesses", 0)
     collapsed = counters.get("memsys.collapsed_runs", 0)
     tail = counters.get("memsys.scalar_tail_lanes", 0)
+    closed = counters.get("memsys.closed_form_lanes", 0)
     lanes = counters.get("memsys.batch_lanes", 0)
     if accesses:
         rows.append(("same-tag run-collapse ratio",
@@ -316,6 +317,10 @@ def memsys_panel(metrics_path: Optional[str]) -> str:
                      f"{collapsed:,.0f} of {accesses:,.0f} line accesses "
                      "collapsed into a predecessor's run"))
     if lanes:
+        rows.append(("closed-form set fraction",
+                     f"{closed / lanes:.2%}",
+                     f"{closed:,.0f} of {lanes:,.0f} batched sets settled "
+                     "in closed form (at most two ways)"))
         rows.append(("scalar-tail lane fraction",
                      f"{tail / lanes:.2%}",
                      f"{tail:,.0f} of {lanes:,.0f} batched lanes fell to "
@@ -328,7 +333,8 @@ def memsys_panel(metrics_path: Optional[str]) -> str:
                      f"{drain.get('max', 0):,.0f} ops"))
     for name in sorted(counters):
         if name not in ("memsys.line_accesses", "memsys.collapsed_runs",
-                        "memsys.scalar_tail_lanes", "memsys.batch_lanes"):
+                        "memsys.scalar_tail_lanes", "memsys.batch_lanes",
+                        "memsys.closed_form_lanes"):
             rows.append((name, f"{counters[name]:,.0f}", ""))
     cells = "".join(
         f"<tr><td>{_esc(label)}</td><td><b>{_esc(value)}</b></td>"

@@ -20,7 +20,6 @@ oracle the array form is tested against.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -43,7 +42,7 @@ from ..kernels import DEFAULT_BACKEND, resolve_backend
 from ..kernels.api import FrameGeometry, primitive_table
 from ..math3d import Mat4, viewport
 from ..memsys import MemorySystem
-from ..memsys.ops import PBWriteOp, VertexRangeOp, replay_memory_trace
+from ..memsys.ops import GeometryTrace, replay_memory_trace
 from ..obs.trace import get_tracer
 from ..techniques.dsr import dsr_signature, dsr_signatures
 from ..timing import FrameStats
@@ -218,12 +217,11 @@ class GeometryPipeline:
         them in — and every hook then takes all of them in one call:
         the LGT's layers, the FVP prediction, the RE/DSR signatures and
         Algorithm 1's display-list order.  The memory traffic goes to
-        the memory system as one op list, in the loop's exact order.
+        the memory system as one :class:`~repro.memsys.ops.GeometryTrace`
+        of columns, in the loop's exact op order.
 
         The display lists stay columns (:class:`DisplayLists`) beside
-        the table; the one op per Parameter Buffer write is built with
-        ``tuple.__new__`` over zipped columns: the same named tuples,
-        without a Python-level ``__new__`` call each.
+        the table.
         """
         config = self.config
         features = self.features
@@ -232,8 +230,8 @@ class GeometryPipeline:
         count = len(table.command)
 
         # -- per command: vertex fetch and the vertex-side counters -----
-        vertex_ops = [VertexRangeOp(*self._fetch_vertices(command, stats))
-                      for command in commands]
+        vertex_ranges = [self._fetch_vertices(command, stats)[:2]
+                         for command in commands]
         stats.commands_processed += len(commands)
         stats.primitives_culled += (
             sum(command.triangle_count for command in commands) - count)
@@ -289,14 +287,13 @@ class GeometryPipeline:
         pair_op = np.arange(pairs) + (row_op + records - first_pair)[pair_row]
         addresses[pair_op] = pointer_base + pointer_bytes * np.arange(pairs)
         sizes[pair_op] = pointer_bytes
-        ops = list(map(tuple.__new__, repeat(PBWriteOp),
-                       zip(addresses.tolist(), sizes.tolist())))
         ops_before = np.concatenate(([0], np.cumsum(row_ops)))
         vertex_at = np.arange(len(commands)) + ops_before[
             np.searchsorted(owner, np.arange(len(commands)))]
-        for position, op in zip(vertex_at.tolist(), vertex_ops):
-            ops[position] = op
-        replay_memory_trace(ops, self.memory)
+        addresses[vertex_at], sizes[vertex_at] = np.array(
+            vertex_ranges, dtype=np.int64).reshape(-1, 2).T
+        replay_memory_trace(GeometryTrace(addresses, sizes, vertex_at,
+                                          _VERTEX_BYTES), self.memory)
         self._pointer_cursor += pairs * pointer_bytes
 
         # -- the EVR and RE hooks, in arrival order ---------------------

@@ -111,6 +111,26 @@ class TestCommands:
         with open(out / written) as handle:
             assert len(handle.readlines()) == 1 + 3  # header + 3 frames
 
+    def test_run_csv_per_benchmark(self, tmp_path):
+        """A run over two benchmarks writes one series per benchmark and
+        mode, each the one a single-benchmark run writes."""
+        small = ["--modes", "baseline", "-q", "--frames", "2", "--width",
+                 "64", "--height", "48"]
+        both = tmp_path / "both"
+        both.mkdir()
+        assert main(["run", "--set", "workload.benchmarks=ata,hop",
+                     "--csv", str(both / "out.csv")] + small) == 0
+        assert sorted(os.listdir(both)) == ["out_ata_baseline.csv",
+                                            "out_hop_baseline.csv"]
+        for benchmark in ("ata", "hop"):
+            alone = tmp_path / benchmark
+            alone.mkdir()
+            assert main(["run", benchmark, "--csv", str(alone / "out")]
+                        + small) == 0
+            with open(alone / "out_baseline.csv") as expected, open(
+                    both / f"out_{benchmark}_baseline.csv") as actual:
+                assert actual.read() == expected.read()
+
     def test_render(self, tmp_path, capsys):
         output = str(tmp_path / "frames")
         assert main(["render", "hop", "--output", output, "--mode",

@@ -6,8 +6,9 @@ snapshots, DRAM traffic and cycle estimates, frame-flush behaviour —
 bit for bit on arbitrary traces.  Random op sequences (mixed streams,
 line-straddling sizes, frame boundaries, mid-sequence counter
 observations) are the proof; a handful of directed tests pin the
-mechanisms (exact LRU via rank stepping, run collapse, L2 cursor
-continuity).
+mechanisms (the closed-form LRU of sets of at most two ways and the
+rank stepping of wider ones, run collapse, the texture runs' sample
+counts, L2 cursor continuity).
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from repro.memsys.ops import (
     EndFrameOp,
     FBLoadOp,
     FlushOp,
+    GeometryTrace,
     PBReadOp,
     PBWriteOp,
     RasterTrace,
@@ -167,6 +169,52 @@ def _raster_trace(draw):
     return trace, ops
 
 
+@st.composite
+def _geometry_trace(draw):
+    """A geometry phase's columnar trace and, built independently, the
+    op list it stands for: per draw command its vertex-range fetch, then
+    its Parameter Buffer writes (records and display-list pointers)."""
+    vertex_bytes = draw(st.sampled_from([30, 48]))
+    commands = draw(st.lists(st.tuples(
+        st.integers(0, 100), st.integers(0, 20),
+        st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 300)),
+                 max_size=8)), max_size=5))
+    ops = []
+    vertex_at = []
+    for start, count, writes in commands:
+        vertex_at.append(len(ops))
+        ops.append(VertexRangeOp(start, count, vertex_bytes))
+        ops.extend(PBWriteOp(offset, size) for offset, size in writes)
+    trace = GeometryTrace(
+        start=np.array([op[0] for op in ops], dtype=np.int64),
+        count=np.array([op[1] for op in ops], dtype=np.int64),
+        vertex_at=np.array(vertex_at, dtype=np.int64),
+        vertex_bytes=vertex_bytes)
+    return trace, ops
+
+
+def _replay_parts(parts, config_name):
+    """Replay ``parts`` (columnar traces with their op lists, or single
+    ops) into both models: the scalar one takes each trace's op list,
+    the batched one its columns.  Each trace must iterate as its op
+    list, and both models must end in the same state."""
+    config = _CONFIGS[config_name]
+    scalar = MemorySystem(config)
+    batched = BatchedMemorySystem(config)
+    for part in parts:
+        if isinstance(part[0], (RasterTrace, GeometryTrace)):
+            trace, ops = part
+            assert ([_op_key(op) for op in trace]
+                    == [_op_key(op) for op in ops])
+            replay_memory_trace(ops, scalar)
+            replay_memory_trace(trace, batched)
+        else:
+            _apply(scalar, part)
+            _apply(batched, part)
+    assert _observe(scalar) == _observe(batched)
+    assert scalar._l2_cursor == batched._l2_cursor
+
+
 class TestRasterTraceColumns:
     @settings(max_examples=60, deadline=None)
     @given(parts=st.lists(st.one_of(_raster_trace(), _op_strategy()),
@@ -177,21 +225,20 @@ class TestRasterTraceColumns:
         between other traffic, leave the snapshots the scalar model
         reaches from the op lists they stand for; and a trace iterates
         as that op list."""
-        config = _CONFIGS[config_name]
-        scalar = MemorySystem(config)
-        batched = BatchedMemorySystem(config)
-        for part in parts:
-            if isinstance(part[0], RasterTrace):
-                trace, ops = part
-                assert ([_op_key(op) for op in trace]
-                        == [_op_key(op) for op in ops])
-                replay_memory_trace(ops, scalar)
-                replay_memory_trace(trace, batched)
-            else:
-                _apply(scalar, part)
-                _apply(batched, part)
-        assert _observe(scalar) == _observe(batched)
-        assert scalar._l2_cursor == batched._l2_cursor
+        _replay_parts(parts, config_name)
+
+
+class TestGeometryTraceColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(st.one_of(_geometry_trace(), _raster_trace(),
+                                    _op_strategy()), max_size=10),
+           config_name=st.sampled_from(sorted(_CONFIGS)))
+    def test_columns_match_the_scalar_op_list(self, parts, config_name):
+        """Geometry traces replayed as columns into the batched model,
+        between raster traces and other traffic, leave the snapshots
+        and L2 cursor the scalar model reaches from the op lists they
+        stand for; and a trace iterates as that op list."""
+        _replay_parts(parts, config_name)
 
 
 def _op_key(op):
@@ -260,29 +307,50 @@ class TestFuzzBitIdentity:
 
 
 class TestLaneLRU:
-    """The rank-stepping LRU against the OrderedDict reference."""
+    """The lane LRU against the OrderedDict reference: sets of at most
+    two ways settle in closed form, wider sets step rank by rank."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(data=st.data(),
-           sets=st.sampled_from([1, 2, 8]),
-           ways=st.sampled_from([1, 2, 8]))
-    def test_matches_scalar_cache(self, data, sets, ways):
-        n = data.draw(st.integers(0, 120))
-        lines = data.draw(st.lists(
-            st.integers(0, 4 * sets * ways), min_size=n, max_size=n))
-        writes = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-
-        cache = Cache(CacheConfig("ref", sets * ways * 64, 64, ways, 1, 1))
-        expected = []
-        for line, write in zip(lines, writes):
-            result = cache.access(line * 64, 64, write=write)
-            expected.append((bool(result.hits), bool(result.writebacks)))
-
-        lru = _LaneLRU(np.full(sets, ways, np.int64))
-        line_arr = np.array(lines, np.int64)
-        hit, wb = lru.simulate(line_arr % sets, line_arr // sets,
-                               np.array(writes, bool))
-        assert list(zip(hit.tolist(), wb.tolist())) == expected
+           ways=st.lists(st.sampled_from([1, 2, 8]), min_size=1,
+                         max_size=6),
+           span=st.integers(1, 12))
+    def test_matches_scalar_cache(self, data, ways, span):
+        """Sets of mixed associativity share one lane space, as the
+        first-level caches do, and the stream is split over several
+        calls, so sets enter a call holding 0, 1 or 2 lines, clean and
+        dirty.  Every hit and writeback, and every set's resident lines
+        in recency order with their dirty bits, match one OrderedDict
+        cache per set."""
+        caches = [Cache(CacheConfig("ref", w * 64, 64, w, 1, 1))
+                  for w in ways]
+        lru = _LaneLRU(np.array(ways, np.int64))
+        for _ in range(data.draw(st.integers(1, 4))):
+            n = data.draw(st.integers(0, 60))
+            lanes = data.draw(st.lists(st.integers(0, len(ways) - 1),
+                                       min_size=n, max_size=n))
+            tags = data.draw(st.lists(st.integers(0, span), min_size=n,
+                                      max_size=n))
+            writes = data.draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n))
+            expected = []
+            for lane, tag, write in zip(lanes, tags, writes):
+                result = caches[lane].access(tag * 64, 64, write=write)
+                expected.append((bool(result.hits),
+                                 bool(result.writebacks)))
+            hit, wb = lru.simulate(np.array(lanes, np.int64),
+                                   np.array(tags, np.int64),
+                                   np.array(writes, bool))
+            assert list(zip(hit.tolist(), wb.tolist())) == expected
+            for lane, cache in enumerate(caches):
+                # OrderedDict order is LRU first; the lane state is MRU
+                # first, padded with empties.
+                lines = list(cache._sets[0].lines.items())[::-1]
+                live = lru.tags[lane] != -1
+                assert lru.tags[lane][live].tolist() == [
+                    tag for tag, _ in lines]
+                assert lru.dirty[lane][live].tolist() == [
+                    dirty for _, dirty in lines]
 
     def test_chunked_equals_single_shot(self):
         """State carries across simulate() calls: splitting a stream at
@@ -306,6 +374,54 @@ class TestLaneLRU:
         assert np.array_equal(one.tags, chunked.tags)
         assert np.array_equal(one.dirty, chunked.dirty)
 
+    @staticmethod
+    def _two_way(*calls):
+        """Run each ``(tags, writes)`` call through one 2-way set and
+        return each call's ``(hits, writebacks)`` lists."""
+        lru = _LaneLRU(np.full(1, 2, np.int64))
+        out = []
+        for tags, writes in calls:
+            hit, wb = lru.simulate(np.zeros(len(tags), np.int64),
+                                   np.array(tags, np.int64),
+                                   np.array(writes, bool))
+            out.append((hit.tolist(), wb.tolist()))
+        return out
+
+    def test_writeback_charged_to_the_evicting_access(self):
+        """A dirty line two accesses back is written back by exactly the
+        access that evicts it; the miss that refilled its way starts a
+        clean residency, so the eviction after that writes nothing."""
+        [(hits, wbs)] = self._two_way(
+            ([0, 1, 2, 3, 4], [True, False, False, False, False]))
+        assert hits == [False] * 5
+        assert wbs == [False, False, True, False, False]
+
+    def test_hit_at_distance_two_extends_the_residency(self):
+        """Re-touching the line two accesses back is a hit that keeps the
+        line resident, so a write earlier in its chain still dirties
+        the eviction that finally ends it."""
+        [(hits, wbs)] = self._two_way(
+            ([0, 1, 0, 2, 3], [True, False, False, False, False]))
+        assert hits == [False, False, True, False, False]
+        assert wbs == [False, False, False, False, True]
+
+    def test_carried_mru_line_retouched_first_is_a_hit(self):
+        """A batch whose first access is the line the set carries as MRU
+        hits, and that access's write dirties the carried line; the
+        carried LRU line is the one the next miss evicts."""
+        first, second = self._two_way(([0, 1], [False, False]),
+                                      ([1, 2, 3], [True, False, False]))
+        assert first == ([False, False], [False, False])
+        assert second == ([True, False, False], [False, False, True])
+
+    def test_carried_lines_enter_lru_first(self):
+        """The first miss of a batch evicts the carried LRU line (here
+        dirty, so it is written back), and the next miss the carried
+        MRU line."""
+        _, second = self._two_way(([0, 1], [True, False]),
+                                  ([2, 0], [False, False]))
+        assert second == ([False, False], [True, False])
+
     def test_run_collapse_counts_dirty_correctly(self):
         """A same-line run with one write anywhere leaves the line dirty
         (the collapse ORs the run's write flags)."""
@@ -318,6 +434,29 @@ class TestLaneLRU:
         _, wb = lru.simulate(np.zeros(1, np.int64), np.ones(1, np.int64),
                              np.zeros(1, bool))
         assert wb.tolist() == [True]
+
+
+class TestTextureExpansion:
+    def test_runs_count_base_samples_only(self):
+        """One bilinear burst whose fragments form long runs of a single
+        line, with footprint lines that equal base lines: each line's
+        extra hits count its base samples (all its runs together), and
+        a line only the footprint reaches is charged its first touch."""
+        # A 16-texel texture row is one 64-byte line, so a fragment's
+        # line is its texel row; row 15's footprint clamps to row 15.
+        v = np.array([0.99] * 30 + [0.2] * 10 + [0.99] * 5)
+        u = np.full(v.size, 0.5)
+        batched = BatchedMemorySystem(GPUConfig.default())
+        columns = batched._expand_textures(
+            np.array([0]), np.array([1]), np.array([16]), np.array([2]),
+            np.array([True]), np.array([v.size]), u, v)
+        line = (columns[4] - columns[4][0]) // 64
+        assert line.tolist() == [0, 1, 12]   # rows 3, 4 (footprint), 15
+        assert columns[7].tolist() == [2 * 10 - 1, 0, 2 * 35 - 1]
+        scalar = MemorySystem(GPUConfig.default())
+        for memory in (scalar, batched):
+            memory.texture_batch(1, 16, u, v, samples_per_fragment=2)
+        assert _observe(scalar) == _observe(batched)
 
 
 class TestDrainBoundaries:
@@ -390,15 +529,19 @@ class TestBatchingTelemetry:
     def test_lane_collapse_counters(self):
         batched = BatchedMemorySystem(GPUConfig.default())
         # Same vertex fetched repeatedly: consecutive same-line accesses
-        # collapse into runs inside one lane.
+        # collapse into runs inside one lane of the 2-way vertex cache,
+        # which settles in closed form.  The one L2 refill goes to an
+        # 8-way set, which is stepped: a lone straggler, so the scalar
+        # tail takes it.
         for _ in range(8):
             batched.fetch_vertex(0)
         batched.snapshot()
         counters = global_registry().as_dict()["counters"]
-        assert counters["memsys.line_accesses"] >= 8
-        assert counters["memsys.collapsed_runs"] >= 1
-        assert counters["memsys.batch_lanes"] >= 1
-        assert "memsys.scalar_tail_lanes" in counters
+        assert counters["memsys.line_accesses"] == 8 + 1
+        assert counters["memsys.collapsed_runs"] == 7
+        assert counters["memsys.closed_form_lanes"] == 1
+        assert counters["memsys.batch_lanes"] == 2
+        assert counters["memsys.scalar_tail_lanes"] == 1
 
     def test_telemetry_never_changes_results(self):
         config = GPUConfig.default()

@@ -1,8 +1,9 @@
 """Tests for the typed memory-trace ops (``repro.memsys.ops``).
 
-Geometry-side traffic and ``repro bench``'s recorded trace are plain op
-lists, replayed in the process that recorded them: a scalar memory
-system receives one method call per op, in op order.
+``repro bench``'s recorded trace is a plain op list, and the geometry
+and raster phases' traces are columns that iterate as op lists; all are
+replayed in the process that recorded them: a scalar memory system
+receives one method call per op, in op order.
 """
 
 from __future__ import annotations
@@ -10,9 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memsys.ops import (
+    EndFrameOp,
+    FBLoadOp,
     FlushOp,
+    GeometryTrace,
     PBReadOp,
+    PBWriteOp,
+    RasterTrace,
+    ResetStatsOp,
     TextureOp,
+    VertexOp,
+    VertexRangeOp,
     replay_memory_trace,
 )
 
@@ -53,6 +62,9 @@ class TestReplay:
 
 class TestOpCodes:
     def test_codes_are_distinct_single_bytes(self):
-        codes = {PBReadOp.code, TextureOp.code, FlushOp.code}
-        assert len(codes) == 3
+        kinds = (PBReadOp, TextureOp, FlushOp, VertexOp, VertexRangeOp,
+                 PBWriteOp, FBLoadOp, EndFrameOp, ResetStatsOp,
+                 RasterTrace, GeometryTrace)
+        codes = {kind.code for kind in kinds}
+        assert len(codes) == len(kinds)
         assert all(0 <= code <= 255 for code in codes)

@@ -76,6 +76,7 @@ def metrics_export(tmp_path):
         "counters": {"memsys.line_accesses": 1000,
                      "memsys.collapsed_runs": 400,
                      "memsys.batch_lanes": 64,
+                     "memsys.closed_form_lanes": 48,
                      "memsys.scalar_tail_lanes": 8},
         "gauges": {},
         "histograms": {"memsys.drain_batch_ops":
@@ -131,8 +132,10 @@ class TestPanels:
 
     def test_memsys_panel_derives_ratios(self, tmp_path):
         panel = memsys_panel(metrics_export(tmp_path))
-        # 400/1000 collapse ratio and 8/64 tail fraction.
+        # 400/1000 collapse ratio, 48/64 closed-form set fraction and
+        # 8/64 tail fraction.
         assert "40.00%" in panel
+        assert "closed-form set fraction" in panel and "75.00%" in panel
         assert "12.50%" in panel
 
     def test_empty_inputs_render_explicit_notes(self, tmp_path):
