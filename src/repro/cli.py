@@ -684,17 +684,25 @@ def _command_report(args: argparse.Namespace) -> int:
 
 def _command_profile(args: argparse.Namespace) -> int:
     """Render one (benchmark, mode) run under a tracer + profiler and
-    print the phase, job and worker-occupancy breakdowns."""
+    print the phase, job and worker-occupancy breakdowns.  As under
+    ``run``, ``--trace`` is written even when the run raises, and the
+    cell is appended to the ledger."""
     resolved, spec, out = _resolve(args)
     config = spec.gpu
     mode = get_technique(args.mode)
     global_registry().reset()
-    tracer = ChromeTracer()
-    profiler = SchedulerProfiler(tracer)
-    with tracing(tracer), _command_bus(spec.obs.events, spec.obs.live,
-                                       out, tracer):
-        with SuiteRunner(spec=spec, profiler=profiler) as runner:
-            runner.simulate(args.benchmark, mode)
+    with ExitStack() as stack:
+        tracer = stack.enter_context(_command_tracer(spec.obs.trace, out))
+        if tracer is None:  # the breakdowns need one, written or not
+            tracer = ChromeTracer()
+            stack.enter_context(tracing(tracer))
+        profiler = SchedulerProfiler(tracer)
+        session = stack.enter_context(
+            _command_bus(spec.obs.events, spec.obs.live, out, tracer))
+        runner = stack.enter_context(SuiteRunner(spec=spec,
+                                                 profiler=profiler))
+        runner.simulate(args.benchmark, mode)
+    _ledger_record_suite(spec, runner, session, out, source="profile")
 
     phase_rows = [
         [row["span"], row["count"], row["total_ms"], row["mean_ms"]]
@@ -725,9 +733,6 @@ def _command_profile(args: argparse.Namespace) -> int:
         ["worker", "jobs", "busy ms", "occupancy"], worker_rows,
         title="worker occupancy",
     ))
-    if spec.obs.trace:
-        tracer.write(spec.obs.trace)
-        out.info(f"trace ({len(tracer.events)} events) -> {spec.obs.trace}")
     if spec.obs.metrics:
         _write_metrics(
             [spec_record(spec),

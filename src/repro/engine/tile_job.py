@@ -757,8 +757,9 @@ def execute_tile_job(job: TileJob) -> TileResult:
     When an event bus is installed in the executing process — the live
     bus in-process, a forwarding buffer in a pool worker — each job
     emits one :class:`~repro.obs.events.TileJobFinished` for its range,
-    under its first tile, with the range's shaded fragments and its own
-    measured wall time and pid: the dashboard's worker-occupancy data.
+    under its first tile and its tile count, with the range's shaded
+    fragments and its own measured wall time and pid: the dashboard's
+    worker-occupancy data.
     """
     key = (job.config.tile_width, job.config.tile_height,
            job.config.clear_depth, job.config.clear_color)
@@ -777,5 +778,6 @@ def execute_tile_job(job: TileJob) -> TileResult:
         worker=os.getpid(),
         start=start,
         end=time.perf_counter(),
+        tiles=int(job.tiles.size),
     ))
     return result

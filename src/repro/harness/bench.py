@@ -65,19 +65,7 @@ from ..engine.tile_job import TileContext, TileJob
 from ..errors import ConfigError
 from ..kernels import available_backends, resolve_backend
 from ..kernels.tile_geometry import tile_origin, valid_mask
-from ..memsys import MemorySystem, create_memory_system
-from ..memsys.ops import (
-    EndFrameOp,
-    FBLoadOp,
-    FlushOp,
-    MemOp,
-    PBReadOp,
-    PBWriteOp,
-    TextureOp,
-    VertexOp,
-    VertexRangeOp,
-    replay_memory_trace,
-)
+from ..memsys import BatchedMemorySystem, create_memory_system
 from ..obs.events import MetricSample, cache_ops_of, get_bus
 from ..obs.profile import phase_breakdown
 from ..obs.trace import ChromeTracer, tracing
@@ -151,63 +139,31 @@ class _CaptureScheduler(SerialScheduler):
         return super().map(fn, items)
 
 
-class _TraceRecorder(MemorySystem):
-    """A scalar memory system that also records its op stream.
+class _TraceRecorder(BatchedMemorySystem):
+    """The batched memory system, also keeping the traffic a numpy run
+    hands it: each frame's traces, in the order ``replay_ops`` received
+    them, closed by ``end_frame``.
 
-    Captures the run's complete memory traffic — geometry-side vertex
-    and Parameter Buffer writes as well as the replayed raster tile
-    traces — as one flat op list for the memsys replay sweep.  Frame
-    boundaries are recorded (``end_frame`` traffic is part of replay
-    cost); stat resets are not, so replaying the trace once yields
-    lifetime counters both implementations must agree on.
+    The numpy pipeline hands over only traces, so this is the run's
+    complete memory traffic (geometry-side vertex fetches and Parameter
+    Buffer writes as well as the raster tile traces) for the memsys
+    replay sweep.  Frame boundaries are kept (``end_frame`` traffic is
+    part of replay cost); stat resets are not, so replaying the traffic
+    once yields lifetime counters both implementations must agree on.
     """
 
     def __init__(self, config: GPUConfig):
         super().__init__(config)
-        self.ops: List[MemOp] = []
-        self._in_range = False
+        self.frames: List[List] = []
+        self._open: List = []
 
-    def fetch_vertex(self, vertex_index, vertex_bytes=48):
-        # The scalar range loop re-enters here per vertex; the range op
-        # already covers those, so don't record them twice.
-        if not self._in_range:
-            self.ops.append(VertexOp(vertex_index, vertex_bytes))
-        super().fetch_vertex(vertex_index, vertex_bytes)
+    def replay_ops(self, trace) -> None:
+        self._open.append(trace)
+        super().replay_ops(trace)
 
-    def fetch_vertex_range(self, start, count, vertex_bytes=48):
-        self.ops.append(VertexRangeOp(start, count, vertex_bytes))
-        self._in_range = True
-        try:
-            super().fetch_vertex_range(start, count, vertex_bytes)
-        finally:
-            self._in_range = False
-
-    def parameter_buffer_write(self, offset, size):
-        self.ops.append(PBWriteOp(offset, size))
-        super().parameter_buffer_write(offset, size)
-
-    def parameter_buffer_read(self, offset, size):
-        self.ops.append(PBReadOp(offset, size))
-        super().parameter_buffer_read(offset, size)
-
-    def texture_batch(self, texture_id, texture_size, u, v,
-                      samples_per_fragment=1, bilinear=True):
-        if u.size and samples_per_fragment > 0 and bilinear:
-            self.ops.append(TextureOp(texture_id, texture_size, u, v,
-                                      samples_per_fragment))
-        super().texture_batch(texture_id, texture_size, u, v,
-                              samples_per_fragment, bilinear)
-
-    def framebuffer_flush(self, num_bytes):
-        self.ops.append(FlushOp(num_bytes))
-        super().framebuffer_flush(num_bytes)
-
-    def framebuffer_load(self, num_bytes):
-        self.ops.append(FBLoadOp(num_bytes))
-        super().framebuffer_load(num_bytes)
-
-    def end_frame(self):
-        self.ops.append(EndFrameOp())
+    def end_frame(self) -> None:
+        self.frames.append(self._open)
+        self._open = []
         super().end_frame()
 
 
@@ -242,11 +198,12 @@ def _pipeline_measurement(preset: BenchPreset, backend: str,
                           record_trace: bool = False) -> Dict:
     """One full EVR-mode run: frames/sec, cache ops/sec, phase times.
 
-    With ``record_trace`` the run's memory system is a scalar
-    :class:`_TraceRecorder` and the measurement carries the captured op
-    stream under ``"_trace"`` (recording is per-op list appends — noise
-    next to the scalar model it rides on), and the FVP state each
-    frame's geometry phase starts from under ``"_fvp"``.
+    With ``record_trace`` the run's memory system is a
+    :class:`_TraceRecorder` and the measurement carries each frame's
+    traces under ``"_trace"`` (recording is one list append per trace),
+    and the FVP state each frame's geometry phase starts from under
+    ``"_fvp"``.  That state is copied before each frame's span opens
+    and the copying is left out of the run's timings.
     """
     config = preset.config()
     capture = _CaptureScheduler()
@@ -254,18 +211,22 @@ def _pipeline_measurement(preset: BenchPreset, backend: str,
     gpu = GPU(config, "evr", scheduler=capture, backend=backend,
               memory_system=recorder)
     fvp_states: List[Dict[str, object]] = []
+    capture_seconds = 0.0
     if record_trace:
-        process_frame = gpu.geometry.process_frame
+        render_frame = gpu.render_frame
 
-        def capturing(frame, stats):
+        def capturing(frame):
+            nonlocal capture_seconds
+            start = time.perf_counter()
             fvp_states.append(_fvp_state(gpu.predictor))
-            process_frame(frame, stats)
-        gpu.geometry.process_frame = capturing
+            capture_seconds += time.perf_counter() - start
+            return render_frame(frame)
+        gpu.render_frame = capturing
     tracer = ChromeTracer()
     start = time.perf_counter()
     with tracing(tracer):
         result = gpu.render_stream(preset.stream())
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - start - capture_seconds
     stats = result.total_stats(warmup=0)
     cache_ops = sum(cache_ops_of(frame.geometry) + cache_ops_of(frame.raster)
                     for frame in result.frames)
@@ -281,7 +242,7 @@ def _pipeline_measurement(preset: BenchPreset, backend: str,
         "_jobs": capture.jobs,
     }
     if recorder is not None:
-        measurement["_trace"] = recorder.ops
+        measurement["_trace"] = recorder.frames
         measurement["_fvp"] = fvp_states
     return measurement
 
@@ -421,40 +382,47 @@ def _kernel_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
     }
 
 
-def _memsys_replay_once(ops: List[MemOp], config: GPUConfig,
+def _memsys_replay_once(frames: Sequence[Sequence], config: GPUConfig,
                         backend: str) -> Dict[str, object]:
-    """Replay the recorded trace through a fresh ``backend`` memory
-    system; returns the elapsed seconds and the final snapshot."""
+    """Replay the recorded traffic through a fresh ``backend`` memory
+    system, each frame's traces then its ``end_frame``; returns the
+    elapsed seconds and the final snapshot."""
     memory = create_memory_system(config, backend)
     start = time.perf_counter()
-    replay_memory_trace(ops, memory)
+    for traces in frames:
+        for trace in traces:
+            memory.replay_ops(trace)
+        memory.end_frame()
     memory.drain()
     elapsed = time.perf_counter() - start
     return {"seconds": elapsed, "snapshot": memory.snapshot(),
             "dram_cycles": memory.dram.cycles()}
 
 
-def _memsys_sweeps(ops: List[MemOp], config: GPUConfig,
+def _memsys_sweeps(frames: Sequence[Sequence], config: GPUConfig,
                    backends: Sequence[str], repeat: int) -> Dict[str, Dict]:
     """Best-of-``repeat`` memory-trace replay throughput per backend.
 
-    The memory-system analogue of :func:`_kernel_sweeps`: the same
-    recorded op stream replays through every implementation,
-    interleaved round by round for ratio stability.  The warm-up round
-    doubles as the bit-identity check — every backend must produce the
-    scalar reference's exact counters and DRAM cycle count, so a bench
-    can never report a speedup for a model that diverged.
+    The memory-system analogue of :func:`_kernel_sweeps`: the traces the
+    numpy pipeline run handed its memory system replay through every
+    implementation, interleaved round by round for ratio stability.  The
+    warm-up round doubles as the bit-identity check — every backend must
+    produce the first backend's exact counters and DRAM cycle count, so
+    a bench can never report a speedup for a model that diverged.
     """
     reference = _warm_up(
-        backends, lambda backend: _memsys_replay_once(ops, config, backend),
+        backends, lambda backend: _memsys_replay_once(frames, config,
+                                                      backend),
         itemgetter("snapshot", "dram_cycles"), "memsys")[backends[0]]
     cache_ops = sum(counters.get("accesses", 0)
                     for counters in reference["snapshot"].values())
     rounds = _round_seconds(backends, repeat, lambda backend: (
-        _memsys_replay_once(ops, config, backend)["seconds"]))
+        _memsys_replay_once(frames, config, backend)["seconds"]))
+    # Every trace's ops, and one end-of-frame op per frame.
+    trace_ops = sum(trace.ops for traces in frames for trace in traces)
     return {
         backend: {
-            "trace_ops": len(ops),
+            "trace_ops": trace_ops + len(frames),
             "cache_ops": cache_ops,
             **_timed_rounds(rounds[backend]),
             "cache_ops_per_second": cache_ops / min(rounds[backend]),
@@ -628,13 +596,13 @@ def run_bench(preset_name: str,
 
     results: Dict[str, Dict] = {}
     jobs: Optional[List[TileJob]] = None
-    trace: Optional[List[MemOp]] = None
+    trace: Optional[List[List]] = None
     fvp_states: Optional[List] = None
     for backend in chosen:
-        # The scalar run doubles as the trace recorder: traffic is
-        # backend-independent (bit-identical contract), so one captured
-        # stream feeds every memsys sweep.
-        record_trace = backend == "python"
+        # The numpy run doubles as the trace recorder: traffic is
+        # backend-independent (bit-identical contract), so the traces
+        # it hands its memory system feed every memsys sweep.
+        record_trace = backend == "numpy"
         measurement = _pipeline_measurement(preset, backend,
                                             record_trace=record_trace)
         captured = measurement.pop("_jobs")
@@ -663,7 +631,7 @@ def run_bench(preset_name: str,
             results[backend]["memsys_sweep"] = sweep
     frames = list(preset.stream())
     if fvp_states is None:
-        # Without the scalar run there is no capture: replay from empty
+        # Without the numpy run there is no capture: replay from empty
         # FVP Tables (a fresh predictor's state).
         fvp_states = [{}] * len(frames)
     sweeps = _geometry_sweeps(frames, fvp_states, preset.config(), chosen,

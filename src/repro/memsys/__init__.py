@@ -9,7 +9,9 @@ cache models play inside the paper's Teapot simulator.
 Two implementations sit behind one surface: the scalar
 :class:`MemorySystem` (the semantic reference — one ``OrderedDict`` walk
 per line) and the batched :class:`BatchedMemorySystem` (structure-of-
-arrays trace consumption, bit-identical counters).  Pick one with
+arrays trace consumption, bit-identical counters).  Each phase hands its
+traffic over as one columnar trace (:mod:`repro.memsys.ops`) through
+``replay_ops``.  Pick one with
 :func:`create_memory_system`; the choice rides on the same
 ``scheduler.backend`` execution-policy knob as the fragment kernels.
 """
@@ -20,7 +22,6 @@ from .batched import BatchedCache, BatchedMemorySystem
 from .cache import AccessResult, Cache
 from .dram import DRAMChannelModel
 from .hierarchy import MemorySystem
-from .ops import MemOp, replay_memory_trace
 
 
 def create_memory_system(config, backend: Optional[str] = None):
@@ -46,6 +47,4 @@ __all__ = [
     "BatchedCache",
     "BatchedMemorySystem",
     "create_memory_system",
-    "MemOp",
-    "replay_memory_trace",
 ]

@@ -7,21 +7,23 @@ of recorded traffic as structure-of-arrays and replays them through an
 array-based exact-LRU model:
 
 * **Deferred drain** — the public API (``fetch_vertex``,
-  ``parameter_buffer_read`` …) only queues typed ops
-  (:mod:`repro.memsys.ops`).  The queue is drained — expanded, grouped
-  and simulated — the first time counters are observed (``snapshot`` /
-  ``instrumentation`` / a counter property) and at frame boundaries.
-  The pipeline reads counters only at phase boundaries, so a whole
-  phase's traffic is one batch.
+  ``parameter_buffer_read`` …) validates each op and appends it to the
+  pending batch as a row or a texture burst, numbered in call order;
+  ``replay_ops`` joins a :class:`~repro.memsys.ops.RasterTrace`'s or
+  :class:`~repro.memsys.ops.GeometryTrace`'s columns to the batch as
+  arrays.  The batch is drained — expanded, grouped and simulated — the
+  first time counters are observed (``snapshot`` / ``instrumentation`` /
+  a counter property) and before ``end_frame``, ``reset_stats`` and a
+  direct ``framebuffer_flush``, which then act at once.  The pipeline
+  reads counters only at phase boundaries, so a whole phase's traffic
+  is one batch.
 
-* **SoA expansion** — queued ops are expanded into flat request arrays
-  (address, size, write, stream base) in exact scalar call order;
-  requests expand into per-line accesses with closed-form arithmetic.
-  The raster and geometry phases hand their traffic over as columns
-  (:class:`~repro.memsys.ops.RasterTrace`,
-  :class:`~repro.memsys.ops.GeometryTrace`) that join the request
-  arrays with no per-op scan.  A texture batch's fragments collapse
-  into runs of equal lines before its unique lines are sorted out.
+* **SoA expansion** — the batch's requests become flat arrays
+  (address, size, write, stream base) in exact scalar call order, and
+  requests expand into per-line accesses with closed-form arithmetic;
+  no op is scanned one at a time.  A texture batch's fragments
+  collapse into runs of equal lines before its unique lines are sorted
+  out.
 
 * **Exact LRU without per-line walks** — per set, LRU has the stack
   property: the resident lines are exactly the ``ways`` most recently
@@ -56,7 +58,7 @@ suite (``tests/test_memsys_batched.py``) enforces it on random traces.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,30 +71,8 @@ from .hierarchy import (
     _TEXEL_BYTES,
     _TEXTURE_BASE,
     _VERTEX_BASE,
-    MemorySystem,
 )
-from .ops import (
-    OP_END_FRAME,
-    OP_FB_LOAD,
-    OP_FLUSH,
-    OP_GEOMETRY,
-    OP_PB_READ,
-    OP_PB_WRITE,
-    OP_RASTER,
-    OP_RESET_STATS,
-    OP_TEXTURE,
-    OP_VERTEX,
-    OP_VERTEX_RANGE,
-    EndFrameOp,
-    GeometryTrace,
-    PBReadOp,
-    PBWriteOp,
-    RasterTrace,
-    ResetStatsOp,
-    TextureOp,
-    VertexOp,
-    VertexRangeOp,
-)
+from .ops import GeometryTrace, RasterTrace
 
 #: First-level cache slots (index into the unified lane space).
 _VERTEX, _TILE, _TEX0 = 0, 1, 2
@@ -512,20 +492,41 @@ def _segment_expand(reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _Batch:
-    """One marker-free batch of queued traffic, as the drain collects it:
-    object ops as flat rows, raster and geometry traces as column
-    chunks."""
+    """The traffic queued since the last drain, its ops numbered in call
+    order: per-op requests as flat rows and texture bursts (each with
+    its bilinear flag), raster and geometry traces as column chunks, and
+    the tile flushes the raster traces carry."""
 
     def __init__(self) -> None:
-        self.simple: List[int] = []      # flat (op_idx, kind, f0, f1, f2)
-        self.textures: List[Tuple[int, TextureOp, bool]] = []
+        self.ops = 0   # ops queued; a trace counts the ops it stands for
+        self._next = 0  # the next op number
+        self._simple: List[int] = []  # flat (op_idx, kind, f0, f1, f2)
+        # (op_idx, tid, tsize, spf, bilinear, u, v) per texture burst
+        self._textures: List[tuple] = []
         self._rows: List[np.ndarray] = []
         self._texture_chunks: List[Tuple[np.ndarray, ...]] = []
+        self.flushes: List[Tuple[int, int]] = []  # (bytes, tiles)
 
-    def splice(self, trace: RasterTrace, base: int) -> None:
-        """Add ``trace``'s ops under op numbers ``base`` onward: entry
-        ``e``'s pointer read, record read and texture burst are numbers
-        ``base + 3e``, ``+ 1`` and ``+ 2``."""
+    def request(self, kind: int, f0: int, f1: int, f2: int) -> None:
+        """Add one simple request (vertex range, Parameter Buffer read or
+        write) as the next op."""
+        self._simple.extend((self._next, kind, f0, f1, f2))
+        self._next += 1
+        self.ops += 1
+
+    def texture(self, texture_id: int, texture_size: int, u: np.ndarray,
+                v: np.ndarray, samples: int, bilinear: bool) -> None:
+        """Add one texture burst as the next op."""
+        self._textures.append((self._next, texture_id, texture_size,
+                               samples, bilinear, u, v))
+        self._next += 1
+        self.ops += 1
+
+    def raster(self, trace: RasterTrace) -> None:
+        """Add ``trace``'s ops: entry ``e``'s pointer read, record read
+        and texture burst take numbers ``3e``, ``3e + 1`` and ``3e + 2``
+        after the ops already queued."""
+        base = self._next
         n = trace.pointer.size
         rows = np.empty((2 * n, 5), np.int64)
         rows[:, 0] = base + np.arange(2 * n) // 2 * 3 + np.arange(2 * n) % 2
@@ -542,24 +543,30 @@ class _Batch:
                 trace.texture_size, trace.texture_samples,
                 np.ones(trace.texture_entry.size, bool),
                 trace.texture_count, trace.u, trace.v))
+        if trace.bounds.size > 1:
+            self.flushes.append((trace.flush_bytes, trace.bounds.size - 1))
+        self._next += 3 * n
+        self.ops += trace.ops
 
-    def splice_geometry(self, trace: GeometryTrace, base: int) -> None:
-        """Add ``trace``'s rows as ops number ``base`` onward."""
+    def geometry(self, trace: GeometryTrace) -> None:
+        """Add ``trace``'s rows as the next ops."""
         n = trace.start.size
         rows = np.zeros((n, 5), np.int64)
-        rows[:, 0] = base + np.arange(n)
+        rows[:, 0] = self._next + np.arange(n)
         rows[:, 1] = _K_PBW
         rows[trace.vertex_at, 1] = _K_VRANGE
         rows[:, 2] = trace.start
         rows[:, 3] = trace.count
         rows[trace.vertex_at, 4] = trace.vertex_bytes
         self._rows.append(rows)
+        self._next += n
+        self.ops += trace.ops
 
     def simple_rows(self) -> Optional[np.ndarray]:
         """Every simple request as ``(op_idx, kind, f0, f1, f2)`` rows."""
         parts = list(self._rows)
-        if self.simple:
-            parts.append(np.array(self.simple, np.int64).reshape(-1, 5))
+        if self._simple:
+            parts.append(np.array(self._simple, np.int64).reshape(-1, 5))
         if not parts:
             return None
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
@@ -568,21 +575,17 @@ class _Batch:
         """Every texture burst as the columns of
         :meth:`BatchedMemorySystem._expand_textures`."""
         chunks = list(self._texture_chunks)
-        if self.textures:
-            meta: List[int] = []  # flat (idx, tid, tsize, spf, bilinear, n)
-            us: List[np.ndarray] = []
-            vs: List[np.ndarray] = []
-            for idx, op, bilinear in self.textures:
-                meta.extend((idx, op[0], op[1], op[4], bilinear, op[2].size))
-                us.append(op[2])
-                vs.append(op[3])
-            table = np.array(meta, np.int64).reshape(-1, 6)
+        if self._textures:
+            idx, tid, tsize, spf, bilinear, us, vs = zip(*self._textures)
             # The pipeline's coordinate arrays are float64 1-D;
             # concatenate consumes them without per-op conversion (the
             # scalar reference computes in the arrays' own dtype too).
-            chunks.append((table[:, 0], table[:, 1], table[:, 2],
-                           table[:, 3], table[:, 4].astype(bool),
-                           table[:, 5], _joined(us), _joined(vs)))
+            chunks.append((np.array(idx, np.int64), np.array(tid, np.int64),
+                           np.array(tsize, np.int64),
+                           np.array(spf, np.int64),
+                           np.array(bilinear, bool),
+                           np.array([u.size for u in us], np.int64),
+                           _joined(us), _joined(vs)))
         if not chunks:
             return None
         if len(chunks) == 1:
@@ -639,12 +642,7 @@ class BatchedMemorySystem:
         self.dram = DRAMChannelModel(config)
         self._line = 64
         self._l2_cursor: Dict[int, int] = {}
-        self._pending: List = []
-        self._nonbilinear: Set[int] = set()
-
-    # Scalar per-op helper, shared for API parity (the drain vectorizes
-    # the same arithmetic across ops in _expand_textures).
-    _select_mip_level = staticmethod(MemorySystem._select_mip_level)
+        self._batch = _Batch()
 
     # -- public API: queue ops, validate eagerly -----------------------------
 
@@ -655,7 +653,7 @@ class BatchedMemorySystem:
                 f"cache vertex: access size {vertex_bytes} <= 0")
         if _VERTEX_BASE + vertex_index * vertex_bytes < 0:
             raise MemoryModelError("cache vertex: negative address")
-        self._pending.append(VertexOp(vertex_index, vertex_bytes))
+        self._batch.request(_K_VRANGE, vertex_index, 1, vertex_bytes)
 
     def fetch_vertex_range(self, start: int, count: int,
                            vertex_bytes: int = 48) -> None:
@@ -669,7 +667,7 @@ class BatchedMemorySystem:
                 f"cache vertex: access size {vertex_bytes} <= 0")
         if _VERTEX_BASE + start * vertex_bytes < 0:
             raise MemoryModelError("cache vertex: negative address")
-        self._pending.append(VertexRangeOp(start, count, vertex_bytes))
+        self._batch.request(_K_VRANGE, start, count, vertex_bytes)
 
     def parameter_buffer_write(self, offset: int, size: int) -> None:
         """Polygon List Builder stores primitive attributes / pointers."""
@@ -677,7 +675,7 @@ class BatchedMemorySystem:
             raise MemoryModelError(f"cache tile: access size {size} <= 0")
         if _PARAMETER_BASE + offset < 0:
             raise MemoryModelError("cache tile: negative address")
-        self._pending.append(PBWriteOp(offset, size))
+        self._batch.request(_K_PBW, offset, size, 0)
 
     def parameter_buffer_read(self, offset: int, size: int) -> None:
         """Raster pipeline dereferences Display List pointers."""
@@ -685,7 +683,7 @@ class BatchedMemorySystem:
             raise MemoryModelError(f"cache tile: access size {size} <= 0")
         if _PARAMETER_BASE + offset < 0:
             raise MemoryModelError("cache tile: negative address")
-        self._pending.append(PBReadOp(offset, size))
+        self._batch.request(_K_PBR, offset, size, 0)
 
     def texture_batch(
         self,
@@ -699,55 +697,54 @@ class BatchedMemorySystem:
         """Sample a (mipmapped) texture for a batch of fragments."""
         if u.size == 0 or samples_per_fragment <= 0:
             return
-        if not bilinear:
-            self._nonbilinear.add(len(self._pending))
-        self._pending.append(TextureOp(texture_id, texture_size, u, v,
-                                       samples_per_fragment))
+        self._batch.texture(texture_id, texture_size, u, v,
+                            samples_per_fragment, bilinear)
 
     def framebuffer_flush(self, num_bytes: int) -> None:
         """End-of-tile Color Buffer flush to main memory (write-only).
 
         Applied eagerly (after draining what came before): callers may
         read ``dram.stats`` directly, and the DRAM model has no deferred
-        façade.  Replayed traces keep their ``FlushOp``s deferred — the
-        drain scan applies them in order.
+        façade.  A raster trace's tile flushes reach DRAM when its batch
+        drains.
         """
         if num_bytes <= 0:
             raise MemoryModelError("framebuffer flush of non-positive size")
         self._drain()
         self.dram.write(num_bytes)
 
-    def framebuffer_load(self, num_bytes: int) -> None:
-        """Preload of a tile's previous color contents (eager, like
-        :meth:`framebuffer_flush`)."""
-        if num_bytes <= 0:
-            raise MemoryModelError("framebuffer load of non-positive size")
-        self._drain()
-        self.dram.read(num_bytes)
+    def replay_ops(self, trace) -> None:
+        """Take a phase's recorded traffic: a
+        :class:`~repro.memsys.ops.RasterTrace`'s or
+        :class:`~repro.memsys.ops.GeometryTrace`'s columns join the
+        pending batch as arrays.
 
-    def replay_ops(self, ops) -> None:
-        """Consume a recorded trace wholesale (the replay fast path): an
-        op list, or a :class:`~repro.memsys.ops.RasterTrace` or
-        :class:`~repro.memsys.ops.GeometryTrace` whose columns the drain
-        splices in as arrays.
-
-        Unlike the one-call-per-op public methods, validation of a
-        replayed trace happens at drain time; traces recorded by the
-        pipeline are well-formed by construction.
+        Unlike the per-op methods, a trace is validated when its batch
+        drains; traces recorded by the pipeline are well-formed by
+        construction.
         """
-        if isinstance(ops, (RasterTrace, GeometryTrace)):
-            self._pending.append(ops)
+        if isinstance(trace, RasterTrace):
+            self._batch.raster(trace)
         else:
-            self._pending.extend(ops)
+            self._batch.geometry(trace)
 
     # -- frame lifecycle -----------------------------------------------------
 
     def end_frame(self) -> None:
-        """Frame boundary: retire the Parameter Buffer (deferred)."""
-        self._pending.append(EndFrameOp())
+        """Frame boundary: retire the Parameter Buffer (see
+        :meth:`MemorySystem.end_frame <repro.memsys.MemorySystem.end_frame>`),
+        after draining what came before."""
+        self._drain()
+        self.dram.write_lines(self.tile_cache.flush(), self._line)
 
     def reset_stats(self) -> None:
-        self._pending.append(ResetStatsOp())
+        """Zero every counter, after draining what came before; cache
+        contents survive."""
+        self._drain()
+        for cache in self._l1_caches:
+            cache._zero()
+        self.l2._zero()
+        self.dram.reset_stats()
 
     # -- draining ------------------------------------------------------------
 
@@ -756,89 +753,24 @@ class BatchedMemorySystem:
         self._drain()
 
     def _drain(self) -> None:
-        pending = self._pending
-        if not pending:
+        batch = self._batch
+        if not batch.ops:
             return
-        self._pending = []
+        self._batch = _Batch()
         global_registry().histogram(
-            "memsys.drain_batch_ops").observe(len(pending))
-        nonbilinear = self._nonbilinear
-        self._nonbilinear = set()
-
-        # One tight pass buckets ops; markers cut the stream into
-        # batches so frame/phase boundaries land exactly where the
-        # scalar model would put them.  Dispatch is ordered by op
-        # frequency and operands are read positionally — at trace scale
-        # the per-op constant is the scan's whole cost.  ``idx`` numbers
-        # the ops in call order; a raster trace's columns take a block of
-        # numbers and join the batch as arrays, with no per-op scan.
-        batch = _Batch()
-        simple = batch.simple    # flat (op_idx, kind, f0, f1, f2) rows
-        textures = batch.textures
-        dram = self.dram
-        # Ops are numbered in call order: the ``item``-th queued op is
-        # number ``item + shift``, and a raster trace's columns take a
-        # block of numbers (``shift`` makes room) and join the batch as
-        # arrays, with no per-op scan.
-        shift = 0
-        for item, op in enumerate(pending):
-            code = op.code
-            if code == OP_PB_READ:
-                simple.extend((item + shift, _K_PBR, op[0], op[1], 0))
-            elif code == OP_PB_WRITE:
-                simple.extend((item + shift, _K_PBW, op[0], op[1], 0))
-            elif code == OP_TEXTURE:
-                textures.append((item + shift, op, item not in nonbilinear))
-            elif code == OP_VERTEX:
-                simple.extend((item + shift, _K_VRANGE, op[0], 1, op[1]))
-            elif code == OP_VERTEX_RANGE:
-                simple.extend((item + shift, _K_VRANGE, op[0], op[1],
-                               op[2]))
-            elif code == OP_FLUSH:
-                if op.num_bytes <= 0:
-                    raise MemoryModelError(
-                        "framebuffer flush of non-positive size")
-                dram.write(op.num_bytes)
-            elif code == OP_GEOMETRY:
-                batch.splice_geometry(op, item + shift)
-                shift += op.start.size
-            elif code == OP_RASTER:
-                batch.splice(op, item + shift)
-                shift += 3 * op.pointer.size
-                if op.flush_bytes <= 0:
-                    raise MemoryModelError(
-                        "framebuffer flush of non-positive size")
-                for _ in range(op.bounds.size - 1):
-                    dram.write(op.flush_bytes)
-            elif code == OP_FB_LOAD:
-                if op.num_bytes <= 0:
-                    raise MemoryModelError(
-                        "framebuffer load of non-positive size")
-                dram.read(op.num_bytes)
-            elif code == OP_END_FRAME:
-                self._apply_batch(batch)
-                batch = _Batch()
-                simple = batch.simple
-                textures = batch.textures
-                dirty = self.tile_cache.flush()
-                dram.write_lines(dirty, self._line)
-            elif code == OP_RESET_STATS:
-                self._apply_batch(batch)
-                batch = _Batch()
-                simple = batch.simple
-                textures = batch.textures
-                for cache in self._l1_caches:
-                    cache._zero()
-                self.l2._zero()
-                dram.reset_stats()
-            else:  # pragma: no cover - traces are produced in-house
-                raise MemoryModelError(f"unknown memory-trace op {op!r}")
+            "memsys.drain_batch_ops").observe(batch.ops)
+        for num_bytes, tiles in batch.flushes:
+            if num_bytes <= 0:
+                raise MemoryModelError(
+                    "framebuffer flush of non-positive size")
+            for _ in range(tiles):
+                self.dram.write(num_bytes)
         self._apply_batch(batch)
 
     # -- the vectorized core -------------------------------------------------
 
     def _apply_batch(self, batch: "_Batch") -> None:
-        """Expand one marker-free batch of ops and simulate it."""
+        """Expand one batch of ops and simulate it."""
         rows = batch.simple_rows()
         texture_columns = batch.texture_columns()
         if rows is None and texture_columns is None:
@@ -997,7 +929,8 @@ class BatchedMemorySystem:
         back in ``u_all``/``v_all``."""
         seg_start = _exclusive_cumsum(frags)[:-1]
 
-        # Mip level, exactly as _select_mip_level computes it per op.
+        # Mip level, exactly as MemorySystem._select_mip_level computes
+        # it per op.
         ts_f = tsize.astype(np.float64)
         span_u = (np.maximum.reduceat(u_all, seg_start)
                   - np.minimum.reduceat(u_all, seg_start)) + 1.0 / ts_f

@@ -29,7 +29,6 @@ from .dram import DRAMChannelModel
 _VERTEX_BASE = 0x0000_0000
 _PARAMETER_BASE = 0x4000_0000
 _TEXTURE_BASE = 0x8000_0000
-_FRAMEBUFFER_BASE = 0xC000_0000
 
 _TEXEL_BYTES = 4
 
@@ -212,12 +211,12 @@ class MemorySystem:
             raise MemoryModelError("framebuffer flush of non-positive size")
         self.dram.write(num_bytes)
 
-    def framebuffer_load(self, num_bytes: int) -> None:
-        """Preload of a tile's previous color contents (used when a tile
-        is partially redrawn and needs its old colors)."""
-        if num_bytes <= 0:
-            raise MemoryModelError("framebuffer load of non-positive size")
-        self.dram.read(num_bytes)
+    def replay_ops(self, trace) -> None:
+        """Take a phase's recorded traffic (a
+        :class:`~repro.memsys.ops.RasterTrace` or
+        :class:`~repro.memsys.ops.GeometryTrace`): the trace calls this
+        model's methods once per op, in op order."""
+        trace.replay(self)
 
     # -- frame lifecycle ---------------------------------------------------------
 

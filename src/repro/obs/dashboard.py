@@ -283,7 +283,8 @@ def occupancy_panel(events_path: Optional[str]) -> str:
         body.append(_rect(
             x, 22 + index * lane_h + 2, w, lane_h - 6,
             PALETTE[index % len(PALETTE)],
-            title=(f"tile {job.tile} on pid {job.worker}: "
+            title=(f"{job.tiles} tile(s) from tile {job.tile} on pid "
+                   f"{job.worker}: "
                    f"{(job.end - job.start) * 1e3:.2f}ms, "
                    f"{job.fragments} fragments"),
         ))

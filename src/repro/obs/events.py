@@ -108,6 +108,8 @@ class PhaseCompleted:
 class TileJobFinished:
     """One tile job finished executing (in whichever process ran it).
 
+    A job renders a range of tiles: ``tile`` is its first and ``tiles``
+    how many it rendered (logs written before the field read as 1).
     ``start``/``end`` are ``time.perf_counter`` endpoints measured in
     the executing process (system-wide monotonic, so comparable across
     workers); ``worker`` is that process's pid — together they are the
@@ -119,6 +121,7 @@ class TileJobFinished:
     worker: int = 0
     start: float = 0.0
     end: float = 0.0
+    tiles: int = 1
     seq: int = 0
     ts: float = 0.0
 

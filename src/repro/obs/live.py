@@ -143,7 +143,7 @@ class LiveRenderer:
         elif isinstance(event, TileJobFinished):
             progress = self._current()
             if progress is not None:
-                progress.tiles += 1
+                progress.tiles += event.tiles
         elif isinstance(event, RunFinished):
             progress = self._runs.pop((event.benchmark, event.mode), None)
             fragments = event.fragments or (

@@ -42,7 +42,7 @@ from ..kernels import DEFAULT_BACKEND, resolve_backend
 from ..kernels.api import FrameGeometry, primitive_table
 from ..math3d import Mat4, viewport
 from ..memsys import MemorySystem
-from ..memsys.ops import GeometryTrace, replay_memory_trace
+from ..memsys.ops import GeometryTrace
 from ..obs.trace import get_tracer
 from ..techniques.dsr import dsr_signature, dsr_signatures
 from ..timing import FrameStats
@@ -292,8 +292,8 @@ class GeometryPipeline:
             np.searchsorted(owner, np.arange(len(commands)))]
         addresses[vertex_at], sizes[vertex_at] = np.array(
             vertex_ranges, dtype=np.int64).reshape(-1, 2).T
-        replay_memory_trace(GeometryTrace(addresses, sizes, vertex_at,
-                                          _VERTEX_BYTES), self.memory)
+        self.memory.replay_ops(GeometryTrace(addresses, sizes, vertex_at,
+                                             _VERTEX_BYTES))
         self._pointer_cursor += pairs * pointer_bytes
 
         # -- the EVR and RE hooks, in arrival order ---------------------

@@ -38,7 +38,6 @@ from ..kernels import DEFAULT_BACKEND, normalize_backend
 from ..kernels.api import RASTER_ATTRIBUTES, normalize_winding
 from ..kernels.tile_geometry import tile_region
 from ..memsys import MemorySystem
-from ..memsys.ops import replay_memory_trace
 from ..obs.trace import get_tracer
 from ..timing import FrameStats
 from .features import PipelineFeatures
@@ -122,7 +121,7 @@ class RasterPipeline:
                              tiles=tiles):
                 for result in results:
                     stats.merge(result.stats)
-                    replay_memory_trace(result.trace, self.memory)
+                    self.memory.replay_ops(result.trace)
                 self.memory.drain()
             with tracer.span("reduce-finalize", category="raster",
                              tiles=tiles):

@@ -229,7 +229,7 @@ class TestGeometrySweep:
         from repro.harness.bench import _geometry_once, _pipeline_measurement
 
         preset = BENCH_PRESETS["tiny"]
-        states = _pipeline_measurement(preset, "python",
+        states = _pipeline_measurement(preset, "numpy",
                                        record_trace=True)["_fvp"]
         frames = list(preset.stream())
         assert len(states) == len(frames)

@@ -486,6 +486,17 @@ class TestEventBusCli:
         assert any(entry["phases"].get("raster", 0) > 0
                    for entry in entries)
 
+    def test_profile_records_ledger_entry(self, tmp_path, capsys):
+        ledger_dir = str(tmp_path / "ledger")
+        assert main(["profile", "hop", "--mode", "evr", "--frames", "2",
+                     "--width", "64", "--height", "48",
+                     "--ledger", ledger_dir, "-q"]) == 0
+        from repro.obs.ledger import RunLedger
+        entries = RunLedger(ledger_dir).entries()
+        assert len(entries) == 1
+        assert (entries[0]["benchmark"], entries[0]["mode"]) == ("hop",
+                                                                 "evr")
+
     def test_bench_records_ledger_entry(self, tmp_path, capsys,
                                         monkeypatch):
         monkeypatch.chdir(tmp_path)

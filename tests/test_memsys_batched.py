@@ -20,24 +20,14 @@ from hypothesis import strategies as st
 
 from repro import GPUConfig
 from repro.config import CacheConfig
+from repro.pipeline import GPU
+from repro.scenes import benchmark_stream
+from repro.techniques import technique_names
 from repro.memsys import BatchedMemorySystem, MemorySystem
 from repro.memsys.batched import _LaneLRU
 from repro.memsys.cache import Cache
 from repro.obs.metrics import global_registry
-from repro.memsys.ops import (
-    EndFrameOp,
-    FBLoadOp,
-    FlushOp,
-    GeometryTrace,
-    PBReadOp,
-    PBWriteOp,
-    RasterTrace,
-    ResetStatsOp,
-    TextureOp,
-    VertexOp,
-    VertexRangeOp,
-    replay_memory_trace,
-)
+from repro.memsys.ops import GeometryTrace, RasterTrace
 
 from tests.strategies import edge_floats
 
@@ -83,7 +73,6 @@ def _op_strategy():
                   st.sampled_from([4, 16, 100, 256]), _uv_lists(),
                   st.integers(1, 4), st.booleans()),
         st.tuples(st.just("fb_flush"), st.integers(1, 4096)),
-        st.tuples(st.just("fb_load"), st.integers(1, 4096)),
         st.tuples(st.just("end_frame")),
         st.tuples(st.just("reset_stats")),
     )
@@ -105,8 +94,6 @@ def _apply(memory, op) -> None:
                              samples_per_fragment=op[4], bilinear=op[5])
     elif kind == "fb_flush":
         memory.framebuffer_flush(op[1])
-    elif kind == "fb_load":
-        memory.framebuffer_load(op[1])
     elif kind == "end_frame":
         memory.end_frame()
     elif kind == "reset_stats":
@@ -121,9 +108,10 @@ def _observe(memory):
 
 @st.composite
 def _raster_trace(draw):
-    """A raster job's columnar trace and, built independently, the op
-    list it stands for: per entry its pointer read, its record read and
-    its texture burst if it has one; one flush per tile."""
+    """A raster job's columnar trace and, built independently, the calls
+    it stands for (as :func:`_apply` takes them): per entry its pointer
+    read, its record read and its texture burst if it has one; one
+    flush per tile."""
     sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
     pointer_bytes = draw(st.sampled_from([8, 100]))
     record_bytes = draw(st.sampled_from([48, 144, 200]))
@@ -137,23 +125,22 @@ def _raster_trace(draw):
                                     st.sampled_from([4, 16, 256]),
                                     st.integers(1, 3), _uv_lists()))
               for entry in range(count) if draw(st.booleans())}
-    ops = []
+    calls = []
     entry = 0
     for size in sizes:
         for _ in range(size):
-            ops.append(PBReadOp(pointers[entry], pointer_bytes))
-            ops.append(PBReadOp(offsets[entry], record_bytes))
+            calls.append(("pb_read", pointers[entry], pointer_bytes))
+            calls.append(("pb_read", offsets[entry], record_bytes))
             if entry in bursts:
                 texture_id, texture_size, samples, uv = bursts[entry]
-                u = np.array(uv)
-                ops.append(TextureOp(texture_id, texture_size, u,
-                                     u[::-1].copy(), samples))
+                calls.append(("texture", texture_id, texture_size, uv,
+                              samples, True))
             entry += 1
-        ops.append(FlushOp(flush_bytes))
+        calls.append(("fb_flush", flush_bytes))
     textured = sorted(bursts)
     column = [np.array([bursts[entry][k] for entry in textured],
                        dtype=np.int64) for k in range(3)]
-    uv = [np.array(bursts[entry][3]) for entry in textured]
+    uv = [np.array(bursts[entry][3], np.float64) for entry in textured]
     trace = RasterTrace(
         pointer=np.array(pointers, dtype=np.int64),
         offset=np.array(offsets, dtype=np.int64),
@@ -166,48 +153,85 @@ def _raster_trace(draw):
         texture_count=np.array([u.size for u in uv], dtype=np.int64),
         u=np.concatenate(uv) if uv else np.empty(0),
         v=np.concatenate([u[::-1] for u in uv]) if uv else np.empty(0))
-    return trace, ops
+    return trace, calls
 
 
 @st.composite
 def _geometry_trace(draw):
     """A geometry phase's columnar trace and, built independently, the
-    op list it stands for: per draw command its vertex-range fetch, then
+    calls it stands for: per draw command its vertex-range fetch, then
     its Parameter Buffer writes (records and display-list pointers)."""
     vertex_bytes = draw(st.sampled_from([30, 48]))
     commands = draw(st.lists(st.tuples(
         st.integers(0, 100), st.integers(0, 20),
         st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 300)),
                  max_size=8)), max_size=5))
-    ops = []
+    calls = []
     vertex_at = []
     for start, count, writes in commands:
-        vertex_at.append(len(ops))
-        ops.append(VertexRangeOp(start, count, vertex_bytes))
-        ops.extend(PBWriteOp(offset, size) for offset, size in writes)
+        vertex_at.append(len(calls))
+        calls.append(("vertex_range", start, count, vertex_bytes))
+        calls.extend(("pb_write", offset, size) for offset, size in writes)
     trace = GeometryTrace(
-        start=np.array([op[0] for op in ops], dtype=np.int64),
-        count=np.array([op[1] for op in ops], dtype=np.int64),
+        start=np.array([call[1] for call in calls], dtype=np.int64),
+        count=np.array([call[2] for call in calls], dtype=np.int64),
         vertex_at=np.array(vertex_at, dtype=np.int64),
         vertex_bytes=vertex_bytes)
-    return trace, ops
+    return trace, calls
+
+
+class _CallLog:
+    """Duck-typed memory system logging the calls a trace replays, in
+    the form :func:`_call_key` gives :func:`_apply`'s tuples."""
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def fetch_vertex_range(self, start, count, vertex_bytes=48):
+        self.calls.append(("vertex_range", start, count, vertex_bytes))
+
+    def parameter_buffer_write(self, offset, size):
+        self.calls.append(("pb_write", offset, size))
+
+    def parameter_buffer_read(self, offset, size):
+        self.calls.append(("pb_read", offset, size))
+
+    def texture_batch(self, texture_id, texture_size, u, v,
+                      samples_per_fragment=1, bilinear=True):
+        self.calls.append(("texture", texture_id, texture_size, u.tobytes(),
+                           v.tobytes(), samples_per_fragment, bilinear))
+
+    def framebuffer_flush(self, num_bytes):
+        self.calls.append(("fb_flush", num_bytes))
+
+
+def _call_key(call):
+    """A call tuple as :class:`_CallLog` logs it (texture coordinates as
+    the bits of the arrays :func:`_apply` builds)."""
+    if call[0] != "texture":
+        return call
+    u = np.array(call[3], np.float64)
+    return call[:3] + (u.tobytes(), u[::-1].tobytes()) + call[4:]
 
 
 def _replay_parts(parts, config_name):
-    """Replay ``parts`` (columnar traces with their op lists, or single
-    ops) into both models: the scalar one takes each trace's op list,
-    the batched one its columns.  Each trace must iterate as its op
-    list, and both models must end in the same state."""
+    """Replay ``parts`` (columnar traces with the calls they stand for,
+    or single calls) into both models: the scalar one takes each trace's
+    calls, the batched one its columns.  Each trace must replay as its
+    calls, and both models must end in the same state."""
     config = _CONFIGS[config_name]
     scalar = MemorySystem(config)
     batched = BatchedMemorySystem(config)
     for part in parts:
         if isinstance(part[0], (RasterTrace, GeometryTrace)):
-            trace, ops = part
-            assert ([_op_key(op) for op in trace]
-                    == [_op_key(op) for op in ops])
-            replay_memory_trace(ops, scalar)
-            replay_memory_trace(trace, batched)
+            trace, calls = part
+            log = _CallLog()
+            trace.replay(log)
+            assert log.calls == [_call_key(call) for call in calls]
+            assert trace.ops == len(calls)
+            for call in calls:
+                _apply(scalar, call)
+            batched.replay_ops(trace)
         else:
             _apply(scalar, part)
             _apply(batched, part)
@@ -223,8 +247,8 @@ class TestRasterTraceColumns:
     def test_columns_match_the_scalar_op_list(self, parts, config_name):
         """Raster traces replayed as columns into the batched model,
         between other traffic, leave the snapshots the scalar model
-        reaches from the op lists they stand for; and a trace iterates
-        as that op list."""
+        reaches from the calls they stand for; and a trace replays as
+        those calls."""
         _replay_parts(parts, config_name)
 
 
@@ -236,15 +260,9 @@ class TestGeometryTraceColumns:
     def test_columns_match_the_scalar_op_list(self, parts, config_name):
         """Geometry traces replayed as columns into the batched model,
         between raster traces and other traffic, leave the snapshots
-        and L2 cursor the scalar model reaches from the op lists they
-        stand for; and a trace iterates as that op list."""
+        and L2 cursor the scalar model reaches from the calls they
+        stand for; and a trace replays as those calls."""
         _replay_parts(parts, config_name)
-
-
-def _op_key(op):
-    """An op as comparable values (texture coordinates by their bits)."""
-    return tuple(value.tobytes() if isinstance(value, np.ndarray) else value
-                 for value in op) + (op.code,)
 
 
 class TestFuzzBitIdentity:
@@ -264,44 +282,6 @@ class TestFuzzBitIdentity:
             _apply(batched, op)
             if index % observe_every == 0:
                 assert _observe(scalar) == _observe(batched)
-        assert _observe(scalar) == _observe(batched)
-        assert scalar._l2_cursor == batched._l2_cursor
-
-    @settings(max_examples=40, deadline=None)
-    @given(ops=st.lists(_op_strategy(), max_size=80),
-           config_name=st.sampled_from(sorted(_CONFIGS)))
-    def test_recorded_trace_replay_matches(self, ops, config_name):
-        """A whole recorded trace (markers included) replayed through
-        ``replay_memory_trace``: the scalar model dispatches per op, the
-        batched model consumes the list in one drain."""
-        trace = []
-        for op in ops:
-            kind = op[0]
-            if kind == "vertex":
-                trace.append(VertexOp(op[1], op[2]))
-            elif kind == "vertex_range":
-                trace.append(VertexRangeOp(op[1], op[2], op[3]))
-            elif kind == "pb_write":
-                trace.append(PBWriteOp(op[1], op[2]))
-            elif kind == "pb_read":
-                trace.append(PBReadOp(op[1], op[2]))
-            elif kind == "texture":
-                u = np.array(op[3], np.float64)
-                trace.append(TextureOp(op[1], op[2], u, u[::-1].copy(),
-                                       op[4]))
-            elif kind == "fb_flush":
-                trace.append(FlushOp(op[1]))
-            elif kind == "fb_load":
-                trace.append(FBLoadOp(op[1]))
-            elif kind == "end_frame":
-                trace.append(EndFrameOp())
-            elif kind == "reset_stats":
-                trace.append(ResetStatsOp())
-        config = _CONFIGS[config_name]
-        scalar = MemorySystem(config)
-        batched = BatchedMemorySystem(config)
-        replay_memory_trace(trace, scalar)
-        replay_memory_trace(trace, batched)
         assert _observe(scalar) == _observe(batched)
         assert scalar._l2_cursor == batched._l2_cursor
 
@@ -524,7 +504,32 @@ class TestBatchingTelemetry:
         summary = global_registry().as_dict()
         histogram = summary["histograms"]["memsys.drain_batch_ops"]
         assert histogram["count"] == 1
-        assert histogram["max"] >= 5
+        assert histogram["max"] == 5
+
+    def test_drain_counts_every_op_a_trace_stands_for(self):
+        """One drain observes the ops of its batch: a raster trace's two
+        reads per entry, texture bursts and tile flushes, a geometry
+        trace's rows and each per-op call; ``end_frame`` drains and
+        queues nothing."""
+        batched = BatchedMemorySystem(GPUConfig.default())
+        u = np.array([0.25, 0.5])
+        batched.replay_ops(GeometryTrace(
+            start=np.array([0, 64, 128]), count=np.array([3, 48, 8]),
+            vertex_at=np.array([0]), vertex_bytes=48))
+        batched.replay_ops(RasterTrace(
+            pointer=np.array([0, 8, 16]), offset=np.array([64, 128, 192]),
+            pointer_bytes=8, record_bytes=48, bounds=np.array([0, 2, 3]),
+            flush_bytes=1024, texture_entry=np.array([1]),
+            texture_id=np.array([0]), texture_size=np.array([16]),
+            texture_samples=np.array([1]), texture_count=np.array([2]),
+            u=u, v=u))
+        batched.parameter_buffer_read(0, 8)
+        batched.texture_batch(1, 16, u, u)
+        batched.end_frame()
+        histogram = global_registry().as_dict()["histograms"][
+            "memsys.drain_batch_ops"]
+        assert histogram["count"] == 1
+        assert histogram["max"] == 3 + (2 * 3 + 1 + 2) + 2
 
     def test_lane_collapse_counters(self):
         batched = BatchedMemorySystem(GPUConfig.default())
@@ -554,3 +559,31 @@ class TestBatchingTelemetry:
         for vertex in range(32):
             second.fetch_vertex(vertex % 7)
         assert _observe(second) == baseline
+
+
+class TestPipelineTraffic:
+    _PER_OP = ("fetch_vertex", "fetch_vertex_range", "parameter_buffer_write",
+               "parameter_buffer_read", "texture_batch", "framebuffer_flush")
+
+    @pytest.mark.parametrize("technique", technique_names())
+    def test_numpy_frames_hand_over_only_traces(self, monkeypatch,
+                                                technique):
+        """A numpy frame hands the memory system its traffic as traces
+        alone (``replay_ops``): with every per-op method raising, each
+        technique's frames render as they do without the patch."""
+        config = GPUConfig.tiny(frames=2)
+
+        def render():
+            result = GPU(config, technique, backend="numpy").render_stream(
+                benchmark_stream("tib", config))
+            return [(frame.image.tobytes(), frame.stats, frame.geometry,
+                     frame.raster) for frame in result.frames]
+
+        expected = render()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-op memory traffic from the pipeline")
+
+        for name in self._PER_OP:
+            monkeypatch.setattr(BatchedMemorySystem, name, refuse)
+        assert render() == expected

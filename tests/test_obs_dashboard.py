@@ -129,6 +129,9 @@ class TestPanels:
         panel = occupancy_panel(event_log(tmp_path))
         assert "<svg" in panel
         assert "pid 100" in panel and "pid 101" in panel
+        # Each job's tooltip names its first tile and its tile count
+        # (a log without the count reads as one tile a job).
+        assert "1 tile(s) from tile 2 on pid 100" in panel
 
     def test_memsys_panel_derives_ratios(self, tmp_path):
         panel = memsys_panel(metrics_export(tmp_path))

@@ -11,6 +11,7 @@ subscriber attached is bit-identical to a bare run).
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 
@@ -21,6 +22,7 @@ from repro.engine import ProcessPoolScheduler, SerialScheduler
 from repro.engine.job import Job, JobRecord, settle
 from repro.harness.runner import metrics_from_result
 from repro.obs import ChromeTracer, MetricsRegistry
+from repro.obs.live import LiveRenderer
 from repro.obs.events import (
     CorpusFamilyChecked,
     EVENT_SCHEMA_VERSION,
@@ -368,6 +370,29 @@ class TestRangeJobEvents:
             assert event.fragments == result.stats.fragments_shaded
             assert event.worker == os.getpid()
             assert event.start <= event.end
+            assert event.tiles == job.tiles.size
+
+    def test_tiles_sum_to_the_tiles_rendered(self):
+        """Each event counts its range's tiles: summed, they are the
+        run's rendered tiles, and that is the count an interactive
+        ``LiveRenderer`` shows, not the number of jobs."""
+        config = GPUConfig.tiny(frames=2)
+        terminal = io.StringIO()
+        events = []
+        bus = EventBus()
+        bus.subscribe(events.append)
+        bus.subscribe(LiveRenderer(terminal, interactive=True))
+        with publishing(bus):
+            bus.emit(RunStarted(benchmark="tib", mode="evr", frames=2))
+            result = GPU(config, EVR, backend="numpy").render_stream(
+                benchmark_stream("tib", config))
+        rendered = sum(frame.stats.tiles_rendered for frame in result.frames)
+        finished = [event for event in events
+                    if isinstance(event, TileJobFinished)]
+        assert len(finished) < rendered
+        assert sum(event.tiles for event in finished) == rendered
+        status = terminal.getvalue().rsplit("\r", 1)[-1]
+        assert f"  {rendered} tiles  " in status
 
 
 class TestBitIdentity:

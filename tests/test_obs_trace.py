@@ -304,6 +304,26 @@ class TestFlushOnCrash:
         assert any(e.get("name") == "doomed"
                    for e in trace["traceEvents"])
 
+    def test_profile_trace_written_when_it_raises(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # ``repro profile`` writes its trace as ``run`` does: an
+        # exception escaping the profiled cell leaves the partial trace.
+        import repro.cli as cli
+
+        def explode(runner, benchmark, mode):
+            with get_tracer().span("doomed", category="test"):
+                raise RuntimeError("mid-run crash")
+
+        monkeypatch.setattr(cli.SuiteRunner, "simulate", explode)
+        path = str(tmp_path / "partial.json")
+        with pytest.raises(RuntimeError):
+            cli.main(["profile", "hop", "--trace", path,
+                      "--frames", "2", "--width", "64", "--height", "48"])
+        with open(path) as handle:
+            trace = json.load(handle)
+        assert any(e.get("name") == "doomed"
+                   for e in trace["traceEvents"])
+
     def test_faulted_run_leaves_valid_trace_and_event_log(self, tmp_path,
                                                           monkeypatch,
                                                           capsys):
