@@ -16,14 +16,19 @@ from __future__ import annotations
 import json
 from typing import IO, Any, Dict, List, Union
 
+import numpy as np
+
 from ..errors import CommandError
-from ..geom import Triangle, Vertex, VertexAttributes
-from ..math3d import Mat4, Vec2, Vec3, Vec4
+from ..math3d import Mat4
 from .draw import DrawCommand
 from .state import BlendMode, RenderState, ShaderProfile
 from .stream import Frame, FrameStream
 
 TRACE_FORMAT_VERSION = 1
+
+#: A vertex's values in a trace: its position, then its attributes in
+#: ``VertexAttributes.pack`` order.
+_VERTEX_VALUES = 12
 
 
 # -- encoding ---------------------------------------------------------------
@@ -48,25 +53,14 @@ def _encode_state(state: RenderState) -> Dict[str, Any]:
     }
 
 
-def _encode_vertex(vertex: Vertex) -> List[float]:
-    attrs = vertex.attributes
-    return [
-        vertex.position.x, vertex.position.y, vertex.position.z,
-        attrs.color.x, attrs.color.y, attrs.color.z, attrs.color.w,
-        attrs.uv.x, attrs.uv.y,
-        attrs.normal.x, attrs.normal.y, attrs.normal.z,
-    ]
-
-
 def _encode_command(command: DrawCommand) -> Dict[str, Any]:
     encoded: Dict[str, Any] = {
         "label": command.label,
         "model": _encode_matrix(command.model),
         "state": _encode_state(command.state),
-        "triangles": [
-            [_encode_vertex(v) for v in triangle.vertices]
-            for triangle in command.triangles
-        ],
+        # Per triangle, per vertex: x, y, z, r, g, b, a, u, v, nx, ny, nz.
+        "triangles": np.concatenate((command.positions, command.attributes),
+                                    axis=2).tolist(),
     }
     if command.view is not None:
         encoded["view"] = _encode_matrix(command.view)
@@ -126,25 +120,20 @@ def _decode_state(data: Dict[str, Any]) -> RenderState:
     )
 
 
-def _decode_vertex(values: List[float]) -> Vertex:
-    (px, py, pz, cr, cg, cb, ca, u, v, nx, ny, nz) = values
-    return Vertex(
-        Vec3(px, py, pz),
-        VertexAttributes(
-            color=Vec4(cr, cg, cb, ca),
-            uv=Vec2(u, v),
-            normal=Vec3(nx, ny, nz),
-        ),
-    )
-
-
 def _decode_command(data: Dict[str, Any]) -> DrawCommand:
-    triangles = [
-        Triangle(*(_decode_vertex(v) for v in triangle))
-        for triangle in data["triangles"]
-    ]
+    try:
+        vertices = np.array(data["triangles"], dtype=np.float64)
+    except (TypeError, ValueError):
+        vertices = None
+    if vertices is None or (vertices.size
+                            and vertices.shape[1:] != (3, _VERTEX_VALUES)):
+        raise CommandError(
+            f"draw command {data.get('label', '')!r}: every triangle needs "
+            f"3 vertices of {_VERTEX_VALUES} values")
+    vertices = vertices.reshape(-1, 3, _VERTEX_VALUES)
     return DrawCommand(
-        triangles,
+        vertices[:, :, :3],
+        vertices[:, :, 3:],
         model=_decode_matrix(data["model"]),
         state=_decode_state(data["state"]),
         label=data.get("label", ""),

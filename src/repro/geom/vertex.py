@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..math3d import Vec2, Vec3, Vec4
 
 _PACK_FORMAT = struct.Struct("<4f2f3f")
+
+#: A :class:`VertexAttributes`' nine values, in :meth:`~VertexAttributes.pack`
+#: order: ``(r, g, b, a, u, v, nx, ny, nz)``.
+attribute_values = attrgetter("color.x", "color.y", "color.z", "color.w",
+                               "uv.x", "uv.y",
+                               "normal.x", "normal.y", "normal.z")
 
 
 @dataclass(frozen=True)
@@ -28,17 +35,7 @@ class VertexAttributes:
 
     def pack(self) -> bytes:
         """Canonical byte encoding used for RE signatures."""
-        return _PACK_FORMAT.pack(
-            self.color.x,
-            self.color.y,
-            self.color.z,
-            self.color.w,
-            self.uv.x,
-            self.uv.y,
-            self.normal.x,
-            self.normal.y,
-            self.normal.z,
-        )
+        return _PACK_FORMAT.pack(*attribute_values(self))
 
     def with_color(self, color: Vec4) -> "VertexAttributes":
         return VertexAttributes(color=color, uv=self.uv, normal=self.normal)

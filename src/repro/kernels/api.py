@@ -26,14 +26,20 @@ Geometry: a backend exports exactly one of these two entry points.
     :func:`attribute_overflow` (within a triangle: clip, then window,
     then attribute).
 
-``assemble_frame(commands, mvps, viewport) -> FrameGeometry``
+``assemble_frame(commands, mvps, viewport, bin_earlier=None)
+-> FrameGeometry``
     ``assemble`` for every command of a frame at once, command ``i``
     under ``mvps[i]`` with command id ``i``: the frame's primitive table
     (:class:`FrameGeometry`), whose rows are the survivors of all
     commands in submission order — ``primitive_table`` of what
-    ``assemble`` returns, built in array passes without a
+    ``assemble`` returns, built in array passes from the commands'
+    ``positions`` and ``attributes`` arrays without a ``Triangle`` or a
     ``ScreenTriangle``.  It raises the error ``assemble`` would raise
     for the frame's first faulty triangle, and never returns None.
+    Before it raises, it calls ``bin_earlier`` (when given) with the
+    table of the survivors of the commands before the faulty one: the
+    scalar pipeline has binned those by the time it assembles the
+    faulty command, so an error binning raises there comes first.
 
 ``prepare_tile(window, attributes, x0, y0, tile_width, tile_height,
 valid)``
@@ -98,7 +104,6 @@ lets the disk cache share entries across backends.
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -112,6 +117,7 @@ from typing import (
 import numpy as np
 
 from ..errors import PipelineError
+from ..geom.vertex import attribute_values
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..commands.state import RenderState
@@ -128,11 +134,6 @@ W_EPSILON = 1e-6
 #: attribute at or beyond it cannot be stored (``struct.pack('<f')``
 #: raises there; a numpy cast gives ``inf``).
 FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
-
-#: A vertex's attribute-table row, in ``VertexAttributes.pack`` order.
-attribute_values = attrgetter("color.x", "color.y", "color.z", "color.w",
-                               "uv.x", "uv.y",
-                               "normal.x", "normal.y", "normal.z")
 
 #: Columns of an attribute-table row that raster interpolates.
 RASTER_ATTRIBUTES = 6

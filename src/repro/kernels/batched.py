@@ -1,9 +1,10 @@
 """The batched numpy backend (``backend="numpy"``).
 
 Geometry: :func:`assemble_frame`, the backend's only geometry entry
-point, transforms, clip-tests and culls a whole frame's draw commands at
-once as ``(n, 3)`` coordinate arrays and returns the frame's primitive
-table; no survivor becomes a Python object.
+point, joins a whole frame's draw commands' vertex arrays, transforms,
+clip-tests and culls them at once as ``(n, 3)`` coordinate arrays and
+returns the frame's primitive table; no triangle becomes a Python
+object.
 
 Raster: :func:`prepare_tile` rasterizes a whole display list in one
 shot from a job's winding-normalized columns, each entry against its own
@@ -46,9 +47,15 @@ can happen.  The property suites in
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
-from operator import attrgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -62,7 +69,6 @@ from .api import (
     RangeResolved,
     RunFragments,
     attribute_overflow,
-    attribute_table,
     frame_geometry,
     non_finite_vertex,
     overflows_float32,
@@ -79,19 +85,6 @@ def _rows(matrix: Mat4, count: int) -> np.ndarray:
     """The first ``count`` rows of ``matrix`` as a ``(count, 4, 1, 1)``
     column block, ready to broadcast against ``(n, 3)`` coordinates."""
     return np.array(matrix.m[:4 * count]).reshape(count, 4, 1, 1)
-
-
-#: A triangle's nine object-space position coordinates, vertex by vertex.
-_POSITION = attrgetter(*(f"v{vertex}.position.{axis}"
-                         for vertex in range(3) for axis in "xyz"))
-_ATTRIBUTES = attrgetter("v0.attributes", "v1.attributes", "v2.attributes")
-
-
-def _positions(triangles: Sequence) -> np.ndarray:
-    """Object-space vertex positions as an ``(n, 3, 3)`` float64 array."""
-    return np.fromiter(chain.from_iterable(map(_POSITION, triangles)),
-                       dtype=np.float64,
-                       count=9 * len(triangles)).reshape(-1, 3, 3)
 
 
 def _clip(positions: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -142,12 +135,13 @@ def _assemble_clip(clip: np.ndarray, viewport: Mat4,
 
 def _first_fault(commands: Sequence, owner: np.ndarray, clip: np.ndarray,
                  sources: np.ndarray, window: np.ndarray,
-                 attributes: np.ndarray) -> PipelineError:
-    """The reference's error for a frame with a faulty triangle: the
-    first in submission order whose clip-space coordinate is not
-    finite, or that survived with a non-finite window-space coordinate
-    or a finite attribute beyond float32 range (within a triangle in
-    that order, as the reference tests them)."""
+                 attributes: np.ndarray) -> Tuple[int, PipelineError]:
+    """The reference's error for a frame with a faulty triangle, and
+    the triangle's command: the first in submission order whose
+    clip-space coordinate is not finite, or that survived with a
+    non-finite window-space coordinate or a finite attribute beyond
+    float32 range (within a triangle in that order, as the reference
+    tests them)."""
     clip_fault = ~np.isfinite(clip).all(axis=(0, 2))
     window_fault = np.zeros_like(clip_fault)
     window_fault[sources[~np.isfinite(window).all(axis=(1, 2))]] = True
@@ -158,45 +152,53 @@ def _first_fault(commands: Sequence, owner: np.ndarray, clip: np.ndarray,
     command = commands[command_id]
     index = first - int(np.searchsorted(owner, command_id))
     if clip_fault[first]:
-        return non_finite_vertex(command, command_id, index)
+        return command_id, non_finite_vertex(command, command_id, index)
     if window_fault[first]:
-        return non_finite_vertex(command, command_id, index, "window")
-    return attribute_overflow(command, command_id, index)
+        return command_id, non_finite_vertex(command, command_id, index,
+                                             "window")
+    return command_id, attribute_overflow(command, command_id, index)
 
 
 def assemble_frame(commands: Sequence, mvps: Sequence[Mat4],
-                   viewport: Mat4) -> FrameGeometry:
+                   viewport: Mat4,
+                   bin_earlier: Optional[Callable[[FrameGeometry], object]]
+                   = None) -> FrameGeometry:
     """Vertex shading and Primitive Assembly for a whole frame in one
     array pass: :func:`repro.kernels.reference.assemble` for every
     command, command ``i`` under ``mvps[i]``, with each triangle's MVP
-    rows gathered from its command's.  Rejection and culling are masks,
-    and the survivors' attributes are read into the table in one pass.
-    Raises the reference's ``PipelineError`` for the frame's first
-    triangle with a non-finite clip-space or surviving window-space
-    coordinate, or a surviving attribute beyond float32 range."""
-    counts = [len(command.triangles) for command in commands]
-    triangles = [triangle for command in commands
-                 for triangle in command.triangles]
+    rows gathered from its command's.  The commands' vertex arrays are
+    joined, rejection and culling are masks, and the survivors'
+    attributes are one gather.  Raises the reference's
+    ``PipelineError`` for the frame's first triangle with a non-finite
+    clip-space or surviving window-space coordinate, or a surviving
+    attribute beyond float32 range; ``bin_earlier`` first gets the table
+    of the earlier commands' survivors (see ``kernels.api``)."""
+    counts = [len(command.positions) for command in commands]
     owner = np.repeat(np.arange(len(commands)), counts)
     matrices = np.array([mvp.m for mvp in mvps]).reshape(-1, 4, 4)
     cull_backface = np.array([command.state.cull_backface
                               for command in commands])
+    states = [command.state for command in commands]
     # The scalar reference never warns on float overflow: neither do we.
     with np.errstate(all="ignore"):
-        clip = _clip(_positions(triangles), matrices[owner])
+        clip = _clip(np.concatenate([command.positions
+                                     for command in commands]),
+                     matrices[owner])
         sources, window = _assemble_clip(clip, viewport,
                                          cull_backface[owner])
-        attributes = attribute_table(
-            chain.from_iterable(map(_ATTRIBUTES,
-                                    map(triangles.__getitem__,
-                                        sources.tolist()))),
-            len(sources))
+        attributes = np.concatenate([command.attributes
+                                     for command in commands])[sources]
         if not (np.isfinite(clip).all() and np.isfinite(window).all()
                 and not overflows_float32(attributes).any()):
-            raise _first_fault(commands, owner, clip, sources, window,
-                               attributes)
-    return frame_geometry([command.state for command in commands],
-                          owner[sources], window, attributes)
+            command_id, error = _first_fault(commands, owner, clip, sources,
+                                             window, attributes)
+            if bin_earlier is not None:
+                earlier = owner[sources] < command_id
+                bin_earlier(frame_geometry(
+                    states, owner[sources][earlier], window[earlier],
+                    attributes[earlier]))
+            raise error
+    return frame_geometry(states, owner[sources], window, attributes)
 
 
 # ---------------------------------------------------------------------------

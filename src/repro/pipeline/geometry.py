@@ -119,8 +119,12 @@ class GeometryPipeline:
         if self._assemble_frame is not None:
             mvps = [self._mvp(frame, command, view_projections)
                     for command in frame.commands]
+            # The scalar loop bins each command before it assembles the
+            # next, so DSR's encoding error in an earlier command comes
+            # before an assembly fault in a later one.
             self._bin_frame(frame, self._assemble_frame(
-                frame.commands, mvps, self._viewport), stats)
+                frame.commands, mvps, self._viewport,
+                dsr_signatures if self.dsr is not None else None), stats)
             return
         tracer = get_tracer()
         survivors: List[ScreenTriangle] = []

@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..commands import BlendMode, DrawCommand, Frame, FrameStream, RenderState, ShaderProfile
 from ..errors import SceneError
-from ..geom import Mesh, grid_mesh
-from ..math3d import Mat4, Vec2, Vec3, Vec4, orthographic
+from ..geom import Mesh, grid_meshes
+from ..math3d import Mat4, Vec2, Vec4, orthographic
 from .motion import Motion, StaticMotion
 
 
@@ -67,25 +69,25 @@ class Layer2D:
     subdivisions: int = 2
 
     def build_mesh(self, frame: int) -> Mesh:
-        mesh = Mesh()
-        for sprite in self.sprites:
-            offset = sprite.motion.offset(frame)
-            corner = Vec3(
-                sprite.center.x + offset.x - sprite.size.x / 2.0,
-                sprite.center.y + offset.y - sprite.size.y / 2.0,
-                0.0,
-            )
-            mesh.extend(
-                grid_mesh(
-                    corner,
-                    Vec3(sprite.size.x, 0.0, 0.0),
-                    Vec3(0.0, sprite.size.y, 0.0),
-                    self.subdivisions,
-                    self.subdivisions,
-                    sprite.color,
-                )
-            )
-        return mesh
+        """Every sprite's grid at ``frame``, sprite by sprite, in one
+        array pass: the sprite's corner is ``(center + offset) - size /
+        2.0`` at z = 0, its edges ``(size.x, 0, 0)`` and ``(0, size.y,
+        0)``."""
+        if not self.sprites:
+            return Mesh()
+        rows = np.array([
+            (sprite.center.x, sprite.center.y, *sprite.motion.offset(frame),
+             sprite.size.x, sprite.size.y, *sprite.color)
+            for sprite in self.sprites], dtype=np.float64)
+        center, offset, size = rows[:, 0:2], rows[:, 2:4], rows[:, 5:7]
+        corner = np.zeros((len(rows), 3))
+        corner[:, :2] = (center + offset) - size / 2.0
+        edge_u = np.zeros((len(rows), 3))
+        edge_u[:, 0] = size[:, 0]
+        edge_v = np.zeros((len(rows), 3))
+        edge_v[:, 1] = size[:, 1]
+        return grid_meshes(corner, edge_u, edge_v, self.subdivisions,
+                           self.subdivisions, rows[:, 7:])
 
     @property
     def state(self) -> RenderState:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..commands import (
     BlendMode,
@@ -29,7 +29,7 @@ from ..commands import (
     ShaderProfile,
 )
 from ..errors import SceneError
-from ..geom import Mesh, box_mesh, grid_mesh, quad, screen_quad
+from ..geom import Mesh, box_mesh, box_meshes, grid_mesh, quad, screen_quad
 from ..math3d import Mat4, Vec3, Vec4, look_at, orthographic, perspective
 from .motion import Motion, StaticMotion
 from .scene import HUDSpec
@@ -121,10 +121,11 @@ class Scene3D:
         self.world_shader = world_shader
 
         # Static meshes, built on the first frame that draws them and
-        # reused after: the ground grid, keyed by its parameters, and
-        # each StaticMotion box, keyed by identity (the cache holds the
-        # spec, so the id stays its own).
-        self._ground_mesh: Optional[Tuple[tuple, Mesh]] = None
+        # reused after: the backdrop, the ground grid and the HUD, each
+        # keyed by what it is built from, and each StaticMotion box,
+        # keyed by identity (the cache holds the spec, so the id stays
+        # its own).
+        self._static: Dict[str, Tuple[object, object]] = {}
         self._box_meshes: Dict[int, Tuple[BoxSpec, Mesh]] = {}
 
         self._screen_projection = orthographic(
@@ -169,9 +170,20 @@ class Scene3D:
 
     # -- command builders -------------------------------------------------------
 
+    def _cached(self, name: str, key: object,
+                build: Callable[[], object]):
+        """``build()``, built again only when ``key`` changes."""
+        cached = self._static.get(name)
+        if cached is None or cached[0] != key:
+            cached = (key, build())
+            self._static[name] = cached
+        return cached[1]
+
     def _background_command(self) -> DrawCommand:
-        mesh = screen_quad(0, 0, self.width, self.height,
-                           color=self.background_color)
+        mesh = self._cached(
+            "background", (self.width, self.height, self.background_color),
+            lambda: screen_quad(0, 0, self.width, self.height,
+                                color=self.background_color))
         return DrawCommand.from_mesh(
             mesh,
             state=RenderState.sprite_2d(
@@ -189,12 +201,14 @@ class Scene3D:
         if self.ground_size > 0.0:
             key = (self.ground_size, self.ground_divisions,
                    self.ground_color)
-            if self._ground_mesh is None or self._ground_mesh[0] != key:
-                self._ground_mesh = (key, _grid_ground(*key))
-            entries.append((Vec3(0.0, 0.0, 0.0), self._ground_mesh[1],
+            entries.append((Vec3(0.0, 0.0, 0.0),
+                            self._cached("ground", key,
+                                         lambda: _grid_ground(*key)),
                             "ground"))
+        moving: List[Tuple[int, Vec3, BoxSpec]] = []
         for box in self.boxes:
             center = box.center + box.motion.offset(index)
+            mesh = None
             if isinstance(box.motion, StaticMotion):
                 cached = self._box_meshes.get(id(box))
                 if cached is None:
@@ -202,8 +216,16 @@ class Scene3D:
                     self._box_meshes[id(box)] = cached
                 mesh = cached[1]
             else:
-                mesh = box_mesh(center, box.size, box.color)
+                moving.append((len(entries), center, box))
             entries.append((center, mesh, box.name))
+        if moving:
+            # Every moving box in one array pass, 12 triangles each.
+            meshes = box_meshes([tuple(center) for _, center, _ in moving],
+                                [tuple(box.size) for _, _, box in moving],
+                                [tuple(box.color) for _, _, box in moving])
+            for number, (slot, center, box) in enumerate(moving):
+                entries[slot] = (center, meshes[12 * number:12 * number + 12],
+                                 box.name)
 
         if self.draw_order == "back_to_front":
             entries.sort(key=lambda item: -_distance(item[0], eye))
@@ -244,11 +266,16 @@ class Scene3D:
     def _hud_command(self) -> Optional[DrawCommand]:
         if self.hud is None or not self.hud.panels:
             return None
-        layer = self.hud.build_layer()
-        mesh = layer.build_mesh(0)  # HUDs are static by construction
+
+        def build():
+            layer = self.hud.build_layer()
+            # HUDs are static by construction.
+            return layer.build_mesh(0), layer.state
+
+        mesh, state = self._cached("hud", self.hud, build)
         return DrawCommand.from_mesh(
             mesh,
-            state=layer.state,
+            state=state,
             label="hud",
             view=Mat4.identity(),
             projection=self._screen_projection,

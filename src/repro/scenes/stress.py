@@ -28,6 +28,8 @@ from __future__ import annotations
 import random
 from typing import List
 
+import numpy as np
+
 from ..commands import (
     BlendMode,
     DrawCommand,
@@ -37,8 +39,7 @@ from ..commands import (
     ShaderProfile,
 )
 from ..config import GPUConfig
-from ..geom import Mesh, Triangle, Vertex, VertexAttributes
-from ..geom.mesh import grid_mesh, screen_quad, sprite_quad
+from ..geom import Mesh, grid_meshes, quads, screen_quad, sprite_quad
 from ..math3d import Mat4, Vec2, Vec3, Vec4, orthographic
 from .motion import JitterMotion, LinearOscillation
 from .scene import HUDSpec, Layer2D, Scene2D, SpriteSpec
@@ -66,13 +67,31 @@ def _screen_projection(config: GPUConfig) -> Mat4:
     )
 
 
-def _tri(a: Vec3, b: Vec3, c: Vec3, color: Vec4) -> Triangle:
-    normal = Vec3(0.0, 0.0, 1.0)
-    return Triangle(
-        Vertex(a, VertexAttributes(color, Vec2(0.0, 0.0), normal)),
-        Vertex(b, VertexAttributes(color, Vec2(1.0, 0.0), normal)),
-        Vertex(c, VertexAttributes(color, Vec2(0.0, 1.0), normal)),
-    )
+def _triangles(points, color: Vec4) -> Mesh:
+    """Hand-made triangles at ``points`` (``(k, 3, 3)``: per triangle,
+    three ``(x, y, z)``), every vertex ``color`` with normal ``(0, 0,
+    1)`` and the uv ``(0, 0)``, ``(1, 0)``, ``(0, 1)`` in turn."""
+    positions = np.array(points, dtype=np.float64).reshape(-1, 3, 3)
+    attributes = np.empty((len(positions), 3, 9))
+    attributes[:, :, :4] = tuple(color)
+    attributes[:, :, 4:6] = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    attributes[:, :, 6:] = (0.0, 0.0, 1.0)
+    return Mesh(positions, attributes)
+
+
+def _sprites(rects, color) -> Mesh:
+    """:func:`~repro.geom.sprite_quad` of every ``(center_x, center_y,
+    width, height)`` row of ``rects`` at z = 0, in one array pass
+    (``color``: one RGBA, or one per row)."""
+    rects = np.array(rects, dtype=np.float64).reshape(-1, 4)
+    center, size = rects[:, :2], rects[:, 2:]
+    corner = np.zeros((len(rects), 3))
+    corner[:, :2] = center - size / 2.0
+    edge_u = np.zeros((len(rects), 3))
+    edge_u[:, 0] = size[:, 0]
+    edge_v = np.zeros((len(rects), 3))
+    edge_v[:, 1] = size[:, 1]
+    return quads(corner, edge_u, edge_v, color)
 
 
 def _background_command(config: GPUConfig, color: Vec4) -> DrawCommand:
@@ -117,36 +136,30 @@ def degenerate_stream(config: GPUConfig, seed: int = 0) -> FrameStream:
     colors = [_color(rng) for _ in range(8)]
 
     def build(index: int) -> Frame:
-        mesh = Mesh()
         a = anchors[0]
-        # Collinear (zero signed area) and point-collapsed triangles.
-        mesh.triangles.append(_tri(
-            Vec3(a.x, a.y, 0.0),
-            Vec3(a.x + 10.0, a.y + 10.0, 0.0),
-            Vec3(a.x + 20.0, a.y + 20.0, 0.0),
-            colors[0],
-        ))
         p = anchors[1]
-        mesh.triangles.append(_tri(
-            Vec3(p.x, p.y, 0.0), Vec3(p.x, p.y, 0.0), Vec3(p.x, p.y, 0.0),
-            colors[1],
-        ))
-        # Zero-width and zero-height quads.
-        mesh.extend(screen_quad(anchors[2].x, anchors[2].y, 0.0, 12.0,
-                                color=colors[2]))
-        mesh.extend(screen_quad(anchors[3].x, anchors[3].y, 12.0, 0.0,
-                                color=colors[3]))
-        # Entirely off-screen, far beyond the guard band.
-        mesh.extend(screen_quad(width * 4.0, height * 4.0, 9.0, 9.0,
-                                color=colors[4]))
-        mesh.extend(screen_quad(-width * 3.0, -height * 3.0, 9.0, 9.0,
-                                color=colors[5]))
         # A sub-pixel quad drifting between pixel centers: coverage can
         # flip on/off frame to frame, but must flip the same way in
         # every mode.
         drift = _r(0.05 * (index % 8))
-        mesh.extend(screen_quad(anchors[4].x + drift, anchors[4].y + 0.3,
-                                0.4, 0.4, color=colors[6]))
+        mesh = Mesh().extend(
+            # Collinear (zero signed area) and point-collapsed triangles.
+            _triangles(((a.x, a.y, 0.0), (a.x + 10.0, a.y + 10.0, 0.0),
+                        (a.x + 20.0, a.y + 20.0, 0.0)), colors[0]),
+            _triangles(((p.x, p.y, 0.0),) * 3, colors[1]),
+            # Zero-width and zero-height quads.
+            screen_quad(anchors[2].x, anchors[2].y, 0.0, 12.0,
+                        color=colors[2]),
+            screen_quad(anchors[3].x, anchors[3].y, 12.0, 0.0,
+                        color=colors[3]),
+            # Entirely off-screen, far beyond the guard band.
+            screen_quad(width * 4.0, height * 4.0, 9.0, 9.0,
+                        color=colors[4]),
+            screen_quad(-width * 3.0, -height * 3.0, 9.0, 9.0,
+                        color=colors[5]),
+            screen_quad(anchors[4].x + drift, anchors[4].y + 0.3, 0.4, 0.4,
+                        color=colors[6]),
+        )
         commands = [
             _background_command(config, Vec4(0.2, 0.22, 0.3, 1.0)),
             DrawCommand.from_mesh(mesh, state=state, label="degenerate"),
@@ -181,25 +194,23 @@ def sliver_stream(config: GPUConfig, seed: int = 0) -> FrameStream:
     colors = [_color(rng) for _ in range(9)]
 
     def build(index: int) -> Frame:
-        mesh = Mesh()
         # Horizontal hairline bands, drifting by fractions of a pixel.
-        for band_index, band_y in enumerate(bands):
-            y = band_y + _r(0.125 * ((index + band_index) % 8))
-            mesh.extend(screen_quad(0.0, y, width, 0.45,
-                                    color=colors[band_index]))
-        # Diagonal slivers corner-to-corner: ~1px wide at one end,
-        # vanishing at the other.
-        mesh.triangles.append(_tri(
-            Vec3(0.0, 0.0, 0.0), Vec3(width, height - 1.2, 0.0),
-            Vec3(width, height, 0.0), colors[5],
-        ))
-        mesh.triangles.append(_tri(
-            Vec3(width, 0.0, 0.0), Vec3(0.0, height, 0.0),
-            Vec3(0.0, height - 1.0, 0.0), colors[6],
-        ))
+        hairlines = [
+            screen_quad(0.0, band_y + _r(0.125 * ((index + band_index) % 8)),
+                        width, 0.45, color=colors[band_index])
+            for band_index, band_y in enumerate(bands)]
         # A vertical hairline sweeping one pixel column per frame.
         x = float((index * 7) % max(1, config.screen_width))
-        mesh.extend(screen_quad(x, 0.0, 0.5, height, color=colors[7]))
+        mesh = Mesh().extend(
+            *hairlines,
+            # Diagonal slivers corner-to-corner: ~1px wide at one end,
+            # vanishing at the other.
+            _triangles(((0.0, 0.0, 0.0), (width, height - 1.2, 0.0),
+                        (width, height, 0.0)), colors[5]),
+            _triangles(((width, 0.0, 0.0), (0.0, height, 0.0),
+                        (0.0, height - 1.0, 0.0)), colors[6]),
+            screen_quad(x, 0.0, 0.5, height, color=colors[7]),
+        )
         commands = [
             _background_command(config, Vec4(0.16, 0.2, 0.24, 1.0)),
             DrawCommand.from_mesh(mesh, state=state, label="slivers"),
@@ -243,27 +254,21 @@ def particle_storm_stream(config: GPUConfig, seed: int = 0) -> FrameStream:
         for emitter_index, (origin, color) in enumerate(emitters):
             burst = random.Random(
                 (seed * 1009 + emitter_index) * 7919 + index)
-            mesh = Mesh()
-            for _ in range(per_emitter):
-                mesh.extend(sprite_quad(
-                    Vec2(_r(origin.x + burst.uniform(-0.45, 0.45) * width),
-                         _r(origin.y + burst.uniform(-0.45, 0.45) * height)),
-                    Vec2(_r(burst.uniform(1.0, 3.0)),
-                         _r(burst.uniform(1.0, 3.0))),
-                    color=color,
-                ))
+            # Per particle its center, then its size.
+            mesh = _sprites([
+                (_r(origin.x + burst.uniform(-0.45, 0.45) * width),
+                 _r(origin.y + burst.uniform(-0.45, 0.45) * height),
+                 _r(burst.uniform(1.0, 3.0)), _r(burst.uniform(1.0, 3.0)))
+                for _ in range(per_emitter)], color)
             commands.append(DrawCommand.from_mesh(
                 mesh, state=state, label=f"emitter{emitter_index}"))
-        embers = Mesh()
         ember_rng = random.Random(seed * 31 + index)
-        for _ in range(max(8, per_emitter // 4)):
-            embers.extend(sprite_quad(
-                Vec2(_r(ember_rng.uniform(0.0, width)),
-                     _r(ember_rng.uniform(0.0, height))),
-                Vec2(_r(ember_rng.uniform(2.0, 5.0)),
-                     _r(ember_rng.uniform(2.0, 5.0))),
-                color=Vec4(1.0, 0.7, 0.3, 0.5),
-            ))
+        embers = _sprites([
+            (_r(ember_rng.uniform(0.0, width)),
+             _r(ember_rng.uniform(0.0, height)),
+             _r(ember_rng.uniform(2.0, 5.0)), _r(ember_rng.uniform(2.0, 5.0)))
+            for _ in range(max(8, per_emitter // 4))],
+            Vec4(1.0, 0.7, 0.3, 0.5))
         commands.append(DrawCommand.from_mesh(embers, state=blend_state,
                                               label="embers"))
         return _frame_2d(config, commands, index)
@@ -354,15 +359,16 @@ def stereo_stream(config: GPUConfig, seed: int = 0) -> FrameStream:
         commands = [
             _background_command(config, Vec4(0.18, 0.2, 0.28, 1.0)),
         ]
+        swings = []
+        for center, size, color, amplitude, period in sprites:
+            phase = 2.0 * (index % period) / period
+            swings.append(_r(amplitude * (phase if phase <= 1.0
+                                          else 2.0 - phase)))
         for eye_index, eye_offset in ((0, 0.0), (1, half + parallax)):
-            mesh = Mesh()
-            for center, size, color, amplitude, period in sprites:
-                phase = 2.0 * (index % period) / period
-                swing = amplitude * (phase if phase <= 1.0 else 2.0 - phase)
-                mesh.extend(sprite_quad(
-                    Vec2(center.x + _r(swing) + eye_offset, center.y),
-                    size, color=color,
-                ))
+            mesh = _sprites(
+                [(center.x + swing + eye_offset, center.y, size.x, size.y)
+                 for (center, size, *_), swing in zip(sprites, swings)],
+                [tuple(color) for _, _, color, _, _ in sprites])
             commands.append(DrawCommand.from_mesh(
                 mesh, state=state, label=f"eye{eye_index}"))
         divider = screen_quad(half - 0.5, 0.0, 1.0, height,
@@ -396,20 +402,24 @@ def depth_stack_stream(config: GPUConfig, seed: int = 0) -> FrameStream:
     insets = [_r(1.5 * layer_index) for layer_index in range(layers)]
     mover_color = _color(rng)
 
+    # Back-to-front: z from deep (0.9) toward near (0.1).  The stack is
+    # static: its grids are built once, in one array pass.
+    stack = grid_meshes(
+        [(inset, inset, _r(0.9 - 0.8 * layer_index / (layers - 1)))
+         for layer_index, inset in enumerate(insets)],
+        [(width - 2.0 * inset, 0.0, 0.0) for inset in insets],
+        [(0.0, height - 2.0 * inset, 0.0) for inset in insets],
+        2, 2, [tuple(color) for color in colors])
+    per_layer = len(stack) // layers
+    stack_meshes = [stack[per_layer * layer_index:
+                          per_layer * (layer_index + 1)]
+                    for layer_index in range(layers)]
+
     def build(index: int) -> Frame:
         commands = [
             _background_command(config, Vec4(0.12, 0.12, 0.16, 1.0)),
         ]
-        # Back-to-front: z from deep (0.9) toward near (0.1).
-        for layer_index in range(layers):
-            z = _r(0.9 - 0.8 * layer_index / (layers - 1))
-            inset = insets[layer_index]
-            mesh = grid_mesh(
-                Vec3(inset, inset, z),
-                Vec3(width - 2.0 * inset, 0.0, 0.0),
-                Vec3(0.0, height - 2.0 * inset, 0.0),
-                2, 2, colors[layer_index],
-            )
+        for layer_index, mesh in enumerate(stack_meshes):
             commands.append(DrawCommand.from_mesh(
                 mesh, state=state, label=f"stack{layer_index}"))
         # A mover sandwiched mid-stack: occluded by the six layers above

@@ -152,23 +152,19 @@ class TestMeshBuilders:
 
     def test_quad_normal_along_cross(self):
         mesh = quad(Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0))
-        for tri in mesh:
-            for vertex in tri.vertices:
-                assert vertex.attributes.normal == Vec3(0, 0, 1)
+        assert (mesh.attributes[:, :, 6:] == (0.0, 0.0, 1.0)).all()
 
     def test_screen_quad_covers_rect(self):
         mesh = screen_quad(10, 20, 30, 40)
-        xs = [v.position.x for tri in mesh for v in tri.vertices]
-        ys = [v.position.y for tri in mesh for v in tri.vertices]
-        assert min(xs) == 10 and max(xs) == 40
-        assert min(ys) == 20 and max(ys) == 60
+        xs, ys = mesh.positions[:, :, 0], mesh.positions[:, :, 1]
+        assert xs.min() == 10 and xs.max() == 40
+        assert ys.min() == 20 and ys.max() == 60
 
     def test_sprite_quad_centered(self):
         mesh = sprite_quad(Vec2(50, 50), Vec2(20, 10))
-        xs = [v.position.x for tri in mesh for v in tri.vertices]
-        ys = [v.position.y for tri in mesh for v in tri.vertices]
-        assert min(xs) == 40 and max(xs) == 60
-        assert min(ys) == 45 and max(ys) == 55
+        xs, ys = mesh.positions[:, :, 0], mesh.positions[:, :, 1]
+        assert xs.min() == 40 and xs.max() == 60
+        assert ys.min() == 45 and ys.max() == 55
 
     def test_grid_mesh_count(self):
         mesh = grid_mesh(Vec3(0, 0, 0), Vec3(4, 0, 0), Vec3(0, 4, 0), 4, 3)
@@ -183,20 +179,17 @@ class TestMeshBuilders:
 
     def test_box_mesh_extents(self):
         mesh = box_mesh(Vec3(1, 2, 3), Vec3(2, 4, 6))
-        xs = [v.position.x for tri in mesh for v in tri.vertices]
-        ys = [v.position.y for tri in mesh for v in tri.vertices]
-        zs = [v.position.z for tri in mesh for v in tri.vertices]
-        assert (min(xs), max(xs)) == (0, 2)
-        assert (min(ys), max(ys)) == (0, 4)
-        assert (min(zs), max(zs)) == (0, 6)
+        assert mesh.positions.min(axis=(0, 1)).tolist() == [0, 0, 0]
+        assert mesh.positions.max(axis=(0, 1)).tolist() == [2, 4, 6]
 
     def test_recolored(self):
         mesh = quad(Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)).recolored(
             Vec4(0.1, 0.2, 0.3, 1.0)
         )
-        for tri in mesh:
-            for vertex in tri.vertices:
-                assert vertex.attributes.color == Vec4(0.1, 0.2, 0.3, 1.0)
+        assert (mesh.attributes[:, :, :4] == (0.1, 0.2, 0.3, 1.0)).all()
+        assert (mesh.attributes[:, :, 4:] == quad(
+            Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)
+        ).attributes[:, :, 4:]).all()
 
     def test_mesh_extend(self):
         a = quad(Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0))

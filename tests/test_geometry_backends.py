@@ -798,3 +798,36 @@ class TestDSRQuantization:
         # Without DSR's signature the frame renders.
         for backend in available_backends():
             GPU(CONFIG, "baseline", backend=backend).render_frame(frame)
+
+    BROKEN = _tri((4.0, 4.0, 0.0), (math.nan, 4.0, 0.0), (4.0, 30.0, 0.0))
+    DSR_FAULT = ("draw command {}: surviving triangle 0 has a window "
+                 "coordinate or attribute beyond the DSR signature's int32 "
+                 "range")
+    VERTEX_FAULT = ("draw command {} ('{}'): triangle {} has a non-finite "
+                    "clip-space vertex")
+
+    #: Per command its triangles; the error both backends raise under
+    #: DSR, and without it.
+    @pytest.mark.parametrize("commands, dsr, baseline", [
+        # The scalar loop bins command 0 before it assembles command 1,
+        # so command 0's encoding error comes first.
+        (("WIDE", "BROKEN"), DSR_FAULT.format(0),
+         VERTEX_FAULT.format(1, "c1", 0)),
+        (("BROKEN", "WIDE"), VERTEX_FAULT.format(0, "c0", 0),
+         VERTEX_FAULT.format(0, "c0", 0)),
+        # Within a command, assembly comes before binning.
+        (("WIDE BROKEN",), VERTEX_FAULT.format(0, "c0", 1),
+         VERTEX_FAULT.format(0, "c0", 1)),
+    ], ids=["dsr-then-vertex", "vertex-then-dsr", "one-command"])
+    def test_dsr_and_vertex_faults(self, commands, dsr, baseline):
+        frame = Frame(
+            [DrawCommand([getattr(self, name) for name in names.split()],
+                         state=RenderState.sprite_2d(), label=f"c{index}")
+             for index, names in enumerate(commands)],
+            projection=ORTHO)
+        for technique, expected in (("dsr", dsr), ("baseline", baseline)):
+            for backend in available_backends():
+                with pytest.raises(PipelineError) as caught:
+                    GPU(CONFIG, technique, backend=backend).render_frame(
+                        frame)
+                assert str(caught.value) == expected, (technique, backend)

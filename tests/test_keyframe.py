@@ -81,6 +81,6 @@ class TestMotionProtocol:
         layer = Layer2D("kf", [
             SpriteSpec(Vec2(10, 10), Vec2(4, 4), motion=path)
         ])
-        start = layer.build_mesh(0).triangles[0].v0.position
-        end = layer.build_mesh(8).triangles[0].v0.position
-        assert end.x - start.x == pytest.approx(20.0)
+        start = layer.build_mesh(0).positions[0, 0]
+        end = layer.build_mesh(8).positions[0, 0]
+        assert end[0] - start[0] == pytest.approx(20.0)

@@ -1,7 +1,6 @@
 """Tests for the scene generators and the benchmark suite."""
 
-import struct
-
+import numpy as np
 import pytest
 
 from repro import BlendMode, GPUConfig, SceneError
@@ -164,24 +163,23 @@ class TestScene3D:
         scene = Scene3D(64, 48, boxes=boxes)
         frames = [scene.build_frame(index) for index in range(3)]
 
-        def triangles(frame, label):
-            return next(command.triangles for command in frame.commands
-                        if command.label == label)
+        def arrays(frame, label):
+            command = next(command for command in frame.commands
+                           if command.label == label)
+            return command.positions, command.attributes
 
-        # The ground and the static box reuse their first-frame objects;
-        # the moving box is rebuilt every frame.
-        for label in ("ground", "static"):
-            assert all(a is b for a, b in zip(triangles(frames[0], label),
-                                              triangles(frames[2], label)))
-        assert triangles(frames[0], "moving")[0] is not \
-            triangles(frames[2], "moving")[0]
+        # The backdrop, the ground and the static box reuse their
+        # first-frame arrays; the moving box is rebuilt every frame.
+        for label in ("background", "ground", "static"):
+            assert all(a is b for a, b in zip(arrays(frames[0], label),
+                                              arrays(frames[2], label)))
+        assert not np.shares_memory(arrays(frames[0], "moving")[0],
+                                    arrays(frames[2], "moving")[0])
 
         def bits(frame):
-            return [struct.pack("<3d", vertex.position.x, vertex.position.y,
-                                vertex.position.z) + vertex.attributes.pack()
-                    for command in frame.commands
-                    for triangle in command.triangles
-                    for vertex in triangle.vertices]
+            return [np.concatenate(arrays(frame, command.label),
+                                   axis=2).tobytes()
+                    for command in frame.commands]
 
         # Every bit as a scene that builds each mesh afresh, signed
         # zeros included.

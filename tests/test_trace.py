@@ -42,9 +42,11 @@ class TestRoundtrip:
         replayed = load_trace(path)
         for original, loaded in zip(stream, replayed):
             for cmd_a, cmd_b in zip(original.commands, loaded.commands):
-                packs_a = [t.pack() for t in cmd_a.triangles]
-                packs_b = [t.pack() for t in cmd_b.triangles]
-                assert packs_a == packs_b
+                for array_a, array_b in ((cmd_a.positions, cmd_b.positions),
+                                         (cmd_a.attributes,
+                                          cmd_b.attributes)):
+                    assert array_a.shape == array_b.shape
+                    assert array_a.tobytes() == array_b.tobytes()
                 assert cmd_a.model == cmd_b.model
 
     def test_replay_renders_identical_images(self, config, stream, tmp_path):
@@ -70,6 +72,19 @@ class TestValidation:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(CommandError):
             load_trace(str(path))
+
+    @pytest.mark.parametrize("triangles", [
+        [[[0.0] * 12, [0.0] * 12]],
+        [[[0.0] * 11] * 3],
+        [[[0.0] * 12] * 3, [[0.0] * 12] * 2],
+    ], ids=["two-vertices", "short-vertex", "ragged"])
+    def test_rejects_malformed_triangles(self, stream, triangles):
+        buffer = io.StringIO()
+        save_trace(stream, buffer)
+        document = json.loads(buffer.getvalue())
+        document["frames"][0]["commands"][0]["triangles"] = triangles
+        with pytest.raises(CommandError, match="3 vertices of 12 values"):
+            load_trace(io.StringIO(json.dumps(document)))
 
     def test_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "bad.json"
