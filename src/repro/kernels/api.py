@@ -29,13 +29,17 @@ Geometry: a backend exports exactly one of these two entry points.
 ``assemble_frame(commands, mvps, viewport, bin_earlier=None)
 -> FrameGeometry``
     ``assemble`` for every command of a frame at once, command ``i``
-    under ``mvps[i]`` with command id ``i``: the frame's primitive table
-    (:class:`FrameGeometry`), whose rows are the survivors of all
-    commands in submission order — ``primitive_table`` of what
-    ``assemble`` returns, built in array passes from the commands'
-    ``positions`` and ``attributes`` arrays without a ``Triangle`` or a
-    ``ScreenTriangle``.  It raises the error ``assemble`` would raise
-    for the frame's first faulty triangle, and never returns None.
+    under ``mvps[i]`` with command id ``i`` — ``mvps`` is an ``(n, 4,
+    4)`` float64 array of row-major matrices, each entry's bits those of
+    the ``Mat4`` product ``assemble`` would get (the pipeline builds it
+    with ``math3d.mat4_products``) — and returns the frame's
+    primitive table (:class:`FrameGeometry`), whose rows are the
+    survivors of all commands in submission order: ``primitive_table``
+    of what ``assemble`` returns, built in array passes from the
+    commands' ``positions`` and ``attributes`` arrays without a
+    ``Triangle`` or a ``ScreenTriangle``.  It raises the error
+    ``assemble`` would raise for the frame's first faulty triangle, and
+    never returns None.
     Before it raises, it calls ``bin_earlier`` (when given) with the
     table of the survivors of the commands before the faulty one: the
     scalar pipeline has binned those by the time it assembles the

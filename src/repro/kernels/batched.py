@@ -159,23 +159,23 @@ def _first_fault(commands: Sequence, owner: np.ndarray, clip: np.ndarray,
     return command_id, attribute_overflow(command, command_id, index)
 
 
-def assemble_frame(commands: Sequence, mvps: Sequence[Mat4],
+def assemble_frame(commands: Sequence, mvps: np.ndarray,
                    viewport: Mat4,
                    bin_earlier: Optional[Callable[[FrameGeometry], object]]
                    = None) -> FrameGeometry:
     """Vertex shading and Primitive Assembly for a whole frame in one
     array pass: :func:`repro.kernels.reference.assemble` for every
-    command, command ``i`` under ``mvps[i]``, with each triangle's MVP
-    rows gathered from its command's.  The commands' vertex arrays are
-    joined, rejection and culling are masks, and the survivors'
-    attributes are one gather.  Raises the reference's
-    ``PipelineError`` for the frame's first triangle with a non-finite
-    clip-space or surviving window-space coordinate, or a surviving
-    attribute beyond float32 range; ``bin_earlier`` first gets the table
-    of the earlier commands' survivors (see ``kernels.api``)."""
+    command, command ``i`` under ``mvps[i]`` (an ``(n, 4, 4)`` row-major
+    array), with each triangle's MVP rows gathered from its command's.
+    The commands' vertex arrays are joined, rejection and culling are
+    masks, and the survivors' attributes are one gather.  Raises the
+    reference's ``PipelineError`` for the frame's first triangle with a
+    non-finite clip-space or surviving window-space coordinate, or a
+    surviving attribute beyond float32 range; ``bin_earlier`` first gets
+    the table of the earlier commands' survivors (see
+    ``kernels.api``)."""
     counts = [len(command.positions) for command in commands]
     owner = np.repeat(np.arange(len(commands)), counts)
-    matrices = np.array([mvp.m for mvp in mvps]).reshape(-1, 4, 4)
     cull_backface = np.array([command.state.cull_backface
                               for command in commands])
     states = [command.state for command in commands]
@@ -183,7 +183,7 @@ def assemble_frame(commands: Sequence, mvps: Sequence[Mat4],
     with np.errstate(all="ignore"):
         clip = _clip(np.concatenate([command.positions
                                      for command in commands]),
-                     matrices[owner])
+                     mvps[owner])
         sources, window = _assemble_clip(clip, viewport,
                                          cull_backface[owner])
         attributes = np.concatenate([command.attributes
@@ -452,14 +452,17 @@ def prepare_tile(window: np.ndarray, attributes: np.ndarray, x0, y0,
 # A range of tiles under Early-Z: one array pass
 # ---------------------------------------------------------------------------
 
-def _last(flags: np.ndarray, rows: np.ndarray,
+def _last(flags: np.ndarray, marks: np.ndarray,
           segments: np.ndarray) -> np.ndarray:
     """For ``(r, ...)`` flags over rows split into ``segments`` (their
     first rows, each segment non-empty): each segment's last flagged row
-    per lane, -1 where none is."""
-    marked = np.where(flags, rows.reshape((-1,) + (1,) * (flags.ndim - 1)),
-                      -1)
-    return np.maximum.reduceat(marked, segments, axis=0)
+    per lane, -1 where none is.  ``marks`` are the rows' numbers plus 1,
+    as ``int32``: a flagged lane keeps its row's mark, an unflagged one
+    0, so the maximum mark less 1 is the answer."""
+    marked = flags * marks.reshape((-1,) + (1,) * (flags.ndim - 1))
+    last = np.maximum.reduceat(marked, segments, axis=0)
+    last -= 1
+    return last
 
 
 def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
@@ -518,12 +521,15 @@ def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
     # Rows are the live entries; every per-row array is viewed as
     # (r, area), so ``row * area + pixel`` is one lane (and the
     # barycentrics' lane of vertex i is ``(3 * row + i) * area + pixel``).
+    # Row marks, and the last rows ``_last`` picks from them, are int32;
+    # a pick is widened to intp before it is scaled to a lane offset,
+    # which can pass 2**31.
     row_bounds = np.searchsorted(position, bounds)
     filled = np.flatnonzero(np.diff(row_bounds))      # tiles with rows
     segments = row_bounds[filled]
     row_tile = np.repeat(np.arange(filled.size),
                          row_bounds[filled + 1] - segments)
-    rows = np.arange(r)
+    marks = np.arange(1, r + 1, dtype=np.int32)
     covered = run.covered.reshape(r, area)
     frag_depth = run.depth.reshape(r, area)
     writer = writes_z[position]
@@ -548,9 +554,10 @@ def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
         return resolved()
 
     flat_bary = run.bary.reshape(-1)
-    vertex = (np.arange(3) * area)[:, None]
+    # (channel, vertex, row): each per-vertex channel one contiguous row.
+    vertex_channels = np.ascontiguousarray(run.attributes.transpose(2, 1, 0))
     row_opaque = opaque[position]
-    last_writer = _last(passing & writer[:, None], rows, segments)
+    last_writer = _last(passing & writer[:, None], marks, segments)
     # Fragments that count as opaque: an opaque entry's, and a blended
     # entry's at alpha >= ALPHA_OPAQUE.
     solid = passing & row_opaque[:, None]
@@ -559,34 +566,44 @@ def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
         rgba = _interpolate(run.bary[blended].reshape(-1, 3, area),
                             run.attributes[blended, :, 1:5])
         solid[blended] = passing[blended] & (rgba[:, :, 3] >= ALPHA_OPAQUE)
-        last_opaque = _last(passing & row_opaque[:, None], rows, segments)
-    last_solid = _last(solid, rows, segments)
+        last_opaque = _last(passing & row_opaque[:, None], marks, segments)
+    last_solid = _last(solid, marks, segments)
     if not blended.size:
         last_opaque = last_solid
+    # Each filled tile's first lane in the output buffers.
+    tile_base = filled * area
 
     # Depth: the last passing Z-writer's.
-    tile_of, pixel = np.nonzero(last_writer >= 0)
-    depth[filled[tile_of], pixel] = frag_depth[
-        last_writer[tile_of, pixel], pixel]
+    lanes = np.flatnonzero(last_writer >= 0)
+    pixel = lanes % area
+    depth.reshape(-1)[tile_base[lanes // area] + pixel] = (
+        frag_depth.reshape(-1).take(
+            last_writer.reshape(-1).take(lanes).astype(np.intp) * area
+            + pixel))
 
-    # Colour: the last passing opaque entry's, interpolated only there.
-    tile_of, pixel = np.nonzero(last_opaque >= 0)
-    chosen = last_opaque[tile_of, pixel]
-    b0, b1, b2 = flat_bary[chosen * (3 * area) + pixel + vertex]
-    a = run.attributes[chosen]                              # (px, 3, 7)
+    # Colour: the last passing opaque entry's, interpolated only there,
+    # channel by channel from 1-D takes.
+    lanes = np.flatnonzero(last_opaque >= 0)
+    chosen = last_opaque.reshape(-1).take(lanes).astype(np.intp)
+    at = chosen * (3 * area) + lanes % area
+    b0 = flat_bary.take(at)
+    b1 = flat_bary.take(at + area)
+    b2 = flat_bary.take(at + 2 * area)
+    shade = np.empty((4, lanes.size))
+    for channel, (a0, a1, a2) in enumerate(vertex_channels[1:5]):
+        shade[channel] = (b0 * a0.take(chosen) + b1 * a1.take(chosen)
+                          + b2 * a2.take(chosen))
     colors = color[filled]
-    colors[tile_of, pixel] = (
-        b0[:, None] * a[:, 0, 1:5] + b1[:, None] * a[:, 1, 1:5]
-        + b2[:, None] * a[:, 2, 1:5])
+    colors.reshape(-1, 4)[lanes] = shade.T
     touched = np.zeros((filled.size, area), dtype=bool)
-    touched[tile_of, pixel] = predicted[position][chosen]
+    row_predicted = predicted[position]
+    touched.reshape(-1)[lanes] = row_predicted.take(chosen)
 
     # Every fragment before the last opaque one at its pixel was
     # overdrawn (it raised the pixel's pending count, which that
     # opaque write then charged).
-    total = np.add.reduceat(passing, segments, axis=0, dtype=np.int64)
+    total = np.add.reduceat(passing, segments, axis=0, dtype=np.int32)
     overdrawn = int((total - 1)[last_solid >= 0].sum())
-    row_predicted = predicted[position]
     if blended.size:
         # Blended entries after the pixel's last opaque entry fold over
         # its colour in display-list order, one rank of each tile's
@@ -618,12 +635,13 @@ def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
     written_rows = solid.sum(axis=1)
     written[position] = written_rows
     if layers:
-        tile_of, pixel = np.nonzero(last_solid >= 0)
-        layer_out[filled[tile_of], pixel] = layer_ids[position][
-            last_solid[tile_of, pixel]]
-        woz = _last(writer & (written_rows > 0), rows, segments)
-        zr_register[filled] = np.where(
-            woz >= 0, layer_ids[position][woz], -1)
+        row_layer = layer_ids[position]
+        lanes = np.flatnonzero(last_solid >= 0)
+        layer_out.reshape(-1)[tile_base[lanes // area]
+                              + lanes % area] = row_layer.take(
+            last_solid.reshape(-1).take(lanes))
+        woz = _last(writer & (written_rows > 0), marks, segments)
+        zr_register[filled] = np.where(woz >= 0, row_layer[woz], -1)
 
     # Every passing fragment of a textured row, row by row in row-major
     # pixel order (what ``u[passing]`` gives the loop).
@@ -631,14 +649,15 @@ def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
     textured_rows = np.flatnonzero(textured[position] & (counts > 0))
     if textured_rows.size:
         shaded = counts[textured_rows]
-        local, pixel = np.nonzero(passing[textured_rows])
-        b0, b1, b2 = flat_bary[textured_rows[local] * (3 * area) + pixel
-                               + vertex]
-        # (u|v, vertex, fragment): each row's texture coordinates,
-        # repeated for each of its fragments.
-        uv = np.repeat(run.attributes[textured_rows, :, 5:7]
-                       .transpose(2, 1, 0), shaded, axis=2)
-        u, v = b0 * uv[:, 0] + b1 * uv[:, 1] + b2 * uv[:, 2]
+        local, pixel = np.divmod(np.flatnonzero(passing[textured_rows]),
+                                 area)
+        row = textured_rows.take(local)
+        at = row * (3 * area) + pixel
+        b0 = flat_bary.take(at)
+        b1 = flat_bary.take(at + area)
+        b2 = flat_bary.take(at + 2 * area)
+        u, v = (b0 * a0.take(row) + b1 * a1.take(row) + b2 * a2.take(row)
+                for a0, a1, a2 in vertex_channels[5:7])
         texture = (position[textured_rows].astype(np.int64), shaded, u, v)
     return resolved(overdrawn, texture)
 

@@ -9,6 +9,8 @@ from .vector import Vec2, Vec3, Vec4
 from .matrix import (
     Mat4,
     look_at,
+    mat4_array,
+    mat4_products,
     orthographic,
     perspective,
     rotate_x,
@@ -24,6 +26,8 @@ __all__ = [
     "Vec3",
     "Vec4",
     "Mat4",
+    "mat4_array",
+    "mat4_products",
     "translate",
     "scale",
     "rotate_x",

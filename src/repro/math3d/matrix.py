@@ -3,13 +3,17 @@
 Matrices are row-major tuples of 16 floats.  ``Mat4 @ Mat4`` composes
 transforms and ``Mat4 @ Vec4`` applies one to a homogeneous point, matching
 the column-vector convention used by OpenGL (``M @ v`` transforms ``v``).
+``mat4_products`` multiplies stacks of them in one array pass with the
+same summation order, so its bits equal ``Mat4 @ Mat4``'s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union, overload
+from typing import Iterable, Tuple, Union, overload
+
+import numpy as np
 
 from .vector import Vec3, Vec4
 
@@ -90,6 +94,26 @@ class Mat4:
 
     def transpose(self) -> "Mat4":
         return Mat4(tuple(self.m[4 * j + i] for i in range(4) for j in range(4)))
+
+
+def mat4_array(matrices: Iterable[Mat4]) -> np.ndarray:
+    """``Mat4``s as an ``(n, 4, 4)`` float64 array, row-major."""
+    return np.array([matrix.m for matrix in matrices],
+                    dtype=np.float64).reshape(-1, 4, 4)
+
+
+def mat4_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left[i] @ right[i]`` for ``(n, 4, 4)`` arrays, each entry as
+    ``Mat4.__matmul__`` computes it: the left-associated
+    ``r0*c0 + r1*c1 + r2*c2 + r3*c3`` of row ``r`` and column ``c``, so
+    the bits match (never ``matmul``, whose BLAS kernels may fuse
+    multiply-adds or reorder the sum).  Like ``Mat4``, it never warns
+    on overflow or NaN."""
+    with np.errstate(all="ignore"):
+        out = left[:, :, 0, None] * right[:, None, 0, :]
+        for k in range(1, 4):
+            out += left[:, :, k, None] * right[:, None, k, :]
+    return out
 
 
 def translate(offset: Vec3) -> Mat4:

@@ -38,10 +38,16 @@ array-based exact-LRU model:
   closed form, a fixed number of array passes per batch.  Wider sets
   (the tile cache and L2) are stepped *rank by rank*: iteration ``r``
   applies the ``r``-th surviving access of every such set at once as a
-  vectorized update of the ``(num_sets, ways)`` tag/dirty/recency
-  matrices — the Python loop runs over within-set ranks (tens per
-  phase), not over millions of lines.  All first-level caches share one
-  lane space; each set's associativity picks its path.
+  vectorized update of their state rows — the Python loop runs over
+  within-set ranks (tens per phase), not over millions of lines.  The
+  stepped sets are laid out once per call, most accesses first, so the
+  sets active at rank ``r`` are a prefix: their rows copied into one
+  contiguous matrix and their accesses gathered rank-major, so a rank
+  reads and writes contiguous slices and picks only the hit or victim
+  way per row; state, hits and writebacks go back once after the loop.
+  Below 24 active sets the stragglers finish in a scalar loop.  All
+  first-level caches share one lane space; each set's associativity
+  picks its path.
 
 * **Closed-form L2 refill stream** — the scalar model forwards each
   first-level miss/writeback to L2 at a round-robin cursor address.
@@ -86,6 +92,10 @@ _L2_WINDOW = 1 << 20
 #: Rank stepping stays vectorized while this many lanes are active;
 #: below it, straggler lanes finish in the exact scalar tail loop.
 _TAIL_LANES = 24
+
+#: A way's state ``tag << 1 | dirty`` ANDed with this is 1 exactly when
+#: it holds a dirty line (an empty way, -1, has the sign bit set).
+_RESIDENT_DIRTY = np.int64(-(1 << 63) | 1)
 
 
 class _LaneLRU:
@@ -137,7 +147,11 @@ class _LaneLRU:
         if n == 0:
             return hit_out, wb_out
 
-        order = np.argsort(lane_idx, kind="stable")
+        # numpy's stable sort is a radix sort on 16-bit keys (a timsort
+        # on int64), and every lane space here fits in 16 bits.
+        key = (lane_idx.astype(np.uint16) if self.num_lanes <= 1 << 16
+               else lane_idx)
+        order = np.argsort(key, kind="stable")
         s_lane = lane_idx[order]
         s_tag = tags[order]
         s_wr = writes[order]
@@ -283,21 +297,21 @@ class _LaneLRU:
         Iteration ``r`` applies the ``r``-th access of every lane at
         once as a vectorized update of the ``(lanes, ways)`` state
         matrix, so the Python loop runs over within-lane ranks, not
-        over lines.
+        over lines.  The stepped lanes are laid out once per call:
+        sorted by how many accesses they carry, so rank ``r``'s active
+        lanes are a prefix; their state rows copied into one contiguous
+        matrix; their accesses gathered rank-major, so rank ``r``'s are
+        one contiguous slice.  A rank then works on slices and on one
+        per-row pick of the hit or victim way; state, hits and
+        writebacks go back once after the loop.
         """
         counts = np.bincount(c_lane, minlength=self.num_lanes)
-        lane_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        lane_start = _exclusive_cumsum(counts)[:-1]
         # The collapsed stream is lane-major (stable sort), so lane L's
         # accesses occupy [lane_start[L], lane_start[L] + counts[L]).
-        # Ordering lanes by how many accesses they carry makes every
-        # rank's active set a *prefix* of one precomputed permutation —
-        # no per-rank scan for active lanes.
         lane_order = np.argsort(-counts, kind="stable")
-        ls_sorted = lane_start[lane_order]
-        wl_sorted = self.ways[lane_order]
-        active_n = counts.size - np.cumsum(np.bincount(counts))
-        state = self.state
-        max_count = int(counts.max())
+        sorted_counts = counts[lane_order]
+        max_count = int(sorted_counts[0])
         # Rank stepping amortizes beautifully while many lanes are
         # active, but a skewed batch leaves a long tail of ranks with a
         # handful of straggler lanes — there the fixed cost of the array
@@ -305,36 +319,55 @@ class _LaneLRU:
         # _TAIL_LANES lanes participate; hand the stragglers' remaining
         # accesses to an exact per-lane scalar loop.
         if counts.size > _TAIL_LANES:
-            vec_ranks = int(np.partition(counts, -_TAIL_LANES)[-_TAIL_LANES])
+            vec_ranks = int(sorted_counts[_TAIL_LANES - 1])
         else:
             vec_ranks = max_count
-        col1 = np.arange(1, self.max_ways)[None, :]
-        arows = np.arange(int(active_n[0]) if max_count else 0)
-        for rank in range(min(vec_ranks, max_count)):
-            num_active = int(active_n[rank])
-            lanes_a = lane_order[:num_active]
-            pos = ls_sorted[:num_active] + rank
-            t = c_tag[pos]
-            wr = c_wr[pos]
-            rows = state[lanes_a]
-            wl = wl_sorted[:num_active]
-            match = (rows >> 1) == t[:, None]
-            hit = match.any(axis=1)
-            way = np.where(hit, match.argmax(axis=1), wl - 1)
-            # One gather serves both cases: the hit way's state (for its
-            # dirty bit) or, on a miss, the victim way's state.
-            chosen = rows[arows[:num_active], way]
-            evict = ~hit & (chosen != -1)
-            wb = evict & ((chosen & 1) == 1)
-            # Insert at MRU (column 0), shifting columns 1..way right.
-            shift = col1 <= way[:, None]
-            new = np.empty_like(rows)
-            new[:, 0] = np.where(hit, chosen | wr, (t << 1) | wr)
-            new[:, 1:] = np.where(shift, rows[:, :-1], rows[:, 1:])
-            state[lanes_a] = new
-            opos = c_pos[pos]
-            hit_out[opos] = hit
-            wb_out[opos] = wb
+        stepped = int(np.count_nonzero(counts))
+        ranks = min(vec_ranks, max_count)
+        if ranks:
+            lanes = lane_order[:stepped]
+            # Rank-major gather: rank r's accesses are the r-th of every
+            # lane with more than r, and those lanes are a prefix.
+            rank = np.arange(ranks)[:, None]
+            live = rank < sorted_counts[:stepped]
+            take = (lane_start[lanes] + rank)[live]
+            bounds = _exclusive_cumsum(
+                np.count_nonzero(live, axis=1)).tolist()
+            tag = c_tag[take]
+            insert = (tag << 1) | c_wr[take]       # the MRU entry on a miss
+            state = self.state[lanes]
+            flat = state.reshape(-1)
+            row_base = np.arange(stepped) * self.max_ways
+            last_way = self.ways[lanes] - 1
+            col1 = np.arange(1, self.max_ways)
+            hit = np.empty(tag.size, bool)
+            wb = np.empty(tag.size, bool)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                num = hi - lo
+                rows = state[:num]
+                match = (rows >> 1) == tag[lo:hi, None]
+                # A set never holds a tag twice: the first match is the
+                # hit, and a row without one picks its last way.
+                way = match.argmax(axis=1)
+                base = row_base[:num]
+                hit_r = match.reshape(-1).take(base + way)
+                way = np.where(hit_r, way, last_way[:num])
+                # One pick serves both cases: the hit way's state (for
+                # its dirty bit) or, on a miss, the victim way's state.
+                chosen = flat.take(base + way)
+                victim_dirty = (chosen & _RESIDENT_DIRTY) == 1
+                hit[lo:hi] = hit_r
+                wb[lo:hi] = victim_dirty & ~hit_r
+                # Insert at MRU (column 0), shifting columns 1..way
+                # right; a hit keeps its dirty bit.
+                first = insert[lo:hi] | (chosen & hit_r)
+                np.copyto(rows[:, 1:], rows[:, :-1],
+                          where=col1 <= way[:, None])
+                rows[:, 0] = first
+            self.state[lanes] = state
+            position = c_pos[take]
+            hit_out[position] = hit
+            wb_out[position] = wb
 
         tail_lanes = 0
         if vec_ranks < max_count:
@@ -345,7 +378,7 @@ class _LaneLRU:
                                     int(lane_start[lane]) + vec_ranks,
                                     int(lane_start[lane] + counts[lane]),
                                     hit_out, wb_out)
-        return int(np.count_nonzero(counts)), tail_lanes
+        return stepped, tail_lanes
 
     def _simulate_tail(self, lane: int, c_tag, c_wr, c_pos,
                        lo: int, hi: int, hit_out, wb_out) -> None:

@@ -40,7 +40,7 @@ from ..hw.parameter_buffer import (
 )
 from ..kernels import DEFAULT_BACKEND, resolve_backend
 from ..kernels.api import FrameGeometry, primitive_table
-from ..math3d import Mat4, viewport
+from ..math3d import Mat4, mat4_array, mat4_products, viewport
 from ..memsys import MemorySystem
 from ..memsys.ops import GeometryTrace
 from ..obs.trace import get_tracer
@@ -117,8 +117,11 @@ class GeometryPipeline:
         # matrix alive while the dict lives.
         view_projections = {}
         if self._assemble_frame is not None:
-            mvps = [self._mvp(frame, command, view_projections)
-                    for command in frame.commands]
+            mvps = mat4_products(
+                mat4_array(self._view_projection(frame, command,
+                                                 view_projections)
+                           for command in frame.commands),
+                mat4_array(command.model for command in frame.commands))
             # The scalar loop bins each command before it assembles the
             # next, so DSR's encoding error in an earlier command comes
             # before an assembly fault in a later one.
@@ -143,7 +146,8 @@ class GeometryPipeline:
             survivors, [command.state for command in frame.commands]))
 
     @staticmethod
-    def _mvp(frame: Frame, command: DrawCommand, view_projections) -> Mat4:
+    def _view_projection(frame: Frame, command: DrawCommand,
+                         view_projections) -> Mat4:
         projection = command.projection or frame.projection
         view = command.view or frame.view
         key = (id(projection), id(view))
@@ -151,7 +155,13 @@ class GeometryPipeline:
         if view_projection is None:
             view_projection = projection @ view
             view_projections[key] = view_projection
-        return view_projection @ command.model
+        return view_projection
+
+    @classmethod
+    def _mvp(cls, frame: Frame, command: DrawCommand,
+             view_projections) -> Mat4:
+        return cls._view_projection(frame, command,
+                                    view_projections) @ command.model
 
     def _shade_and_assemble(
         self,

@@ -54,6 +54,8 @@ from repro.math3d import (
     Vec3,
     Vec4,
     look_at,
+    mat4_array,
+    mat4_products,
     orthographic,
     perspective,
     rotate_x,
@@ -62,9 +64,10 @@ from repro.math3d import (
     viewport,
 )
 from repro.memsys import MemorySystem
+from repro.pipeline.geometry import GeometryPipeline
 from repro.techniques.registry import resolve_features, technique_names
 
-from tests.strategies import edge_floats
+from tests.strategies import EDGE_FLOATS, edge_floats
 
 WIDTH, HEIGHT = 64, 48
 CONFIG = GPUConfig(screen_width=WIDTH, screen_height=HEIGHT, frames=3)
@@ -351,7 +354,8 @@ def _table(backend, command, mvp):
     one-command frame."""
     if backend == "python":
         return primitive_table(_assemble(command, mvp), [command.state])
-    return batched.assemble_frame([command], [mvp], VIEWPORT)
+    return batched.assemble_frame(
+        [command], np.array(mvp.m).reshape(1, 4, 4), VIEWPORT)
 
 
 def _assemble_both(command, mvp):
@@ -438,6 +442,57 @@ class TestDirectedCases:
         (survivor,) = _assemble_both(_command_of(near), clamp)
         assert survivor.z[0] == 0.0 and survivor.z[1] == 1.0
         assert all(type(z) is float for z in survivor.z)
+
+
+#: Matrix entries where a batched product could part from ``Mat4``'s:
+#: signed zeros, subnormals, infinities (``inf * 0`` is NaN), NaNs of
+#: both signs, overflow to infinity and ordinary values.
+_MATRIX_ENTRY = st.one_of(
+    st.sampled_from(EDGE_FLOATS + (
+        math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0, 0.5,
+        1e308, -1e308)),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+_MATRIX = st.lists(_MATRIX_ENTRY, min_size=16, max_size=16).map(
+    lambda values: Mat4(tuple(values)))
+
+
+class TestMVPProducts:
+    """The numpy path multiplies a frame's MVPs in one array pass
+    (``mat4_products``); every entry must carry the bits of the
+    ``Mat4`` product the python path computes per command."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_MATRIX, _MATRIX), max_size=6))
+    def test_bits_match_mat4_products(self, pairs):
+        left = mat4_array(a for a, _ in pairs)
+        right = mat4_array(b for _, b in pairs)
+        expected = mat4_array(a @ b for a, b in pairs)
+        assert mat4_products(left, right).tobytes() == expected.tobytes()
+
+    def test_frame_mvps_follow_command_overrides(self):
+        """A command with its own view or projection gets its own
+        ``projection @ view``; the rest share the frame's."""
+        own_view = look_at(Vec3(1.0, 2.0, 5.0), Vec3(0.0, 0.0, 0.0),
+                           Vec3(0.0, 1.0, 0.0))
+        triangle = _tri((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.5, 0.0))
+        commands = [
+            dataclasses.replace(_command_of(triangle),
+                                model=rotate_y(0.3)),
+            dataclasses.replace(_command_of(triangle), view=own_view),
+            dataclasses.replace(_command_of(triangle), projection=ORTHO,
+                                model=translate(Vec3(0.1, 0.2, 0.3))),
+        ]
+        frame = Frame(commands, projection=perspective(1.0, 1.3, 0.1,
+                                                       50.0),
+                      view=rotate_x(0.2))
+        mvps = mat4_products(
+            mat4_array(GeometryPipeline._view_projection(frame, command, {})
+                      for command in commands),
+            mat4_array(command.model for command in commands))
+        expected = mat4_array(GeometryPipeline._mvp(frame, command, {})
+                             for command in commands)
+        assert mvps.tobytes() == expected.tobytes()
 
 
 class TestPrimitiveIdRule:

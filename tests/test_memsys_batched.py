@@ -24,7 +24,7 @@ from repro.pipeline import GPU
 from repro.scenes import benchmark_stream
 from repro.techniques import technique_names
 from repro.memsys import BatchedMemorySystem, MemorySystem
-from repro.memsys.batched import _LaneLRU
+from repro.memsys.batched import _TAIL_LANES, _LaneLRU
 from repro.memsys.cache import Cache
 from repro.obs.metrics import global_registry
 from repro.memsys.ops import GeometryTrace, RasterTrace
@@ -332,6 +332,65 @@ class TestLaneLRU:
                 assert lru.dirty[lane][live].tolist() == [
                     dirty for _, dirty in lines]
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           narrow=st.integers(0, 6),
+           skew=st.floats(0.5, 2.5),
+           span=st.integers(9, 24),
+           calls=st.lists(st.integers(0, 1500), min_size=1, max_size=3))
+    def test_rank_stepping_matches_scalar_cache(self, seed, narrow, skew,
+                                                span, calls):
+        """More than ``_TAIL_LANES`` 8-way sets (some 2-way ones among
+        them) with Zipf-skewed access counts, so the active prefix
+        shrinks rank by rank and the deepest sets finish in the scalar
+        tail.  A first call fills every 8-way set with eight dirty
+        lines, so the random calls after it open on full, dirty sets
+        and evict from them; the stream is split over those calls.
+        Every hit, writeback and resident line matches one OrderedDict
+        cache per set."""
+        rng = np.random.default_rng(seed)
+        ways = [2] * narrow + [8] * (2 * _TAIL_LANES)
+        rng.shuffle(ways)
+        caches = [Cache(CacheConfig("ref", w * 64, 64, w, 1, 1))
+                  for w in ways]
+        lru = _LaneLRU(np.array(ways, np.int64))
+        wide = [lane for lane, w in enumerate(ways) if w == 8]
+        fill = (np.repeat(wide, 8),
+                np.tile(np.arange(span - 8, span), len(wide)),
+                np.ones(8 * len(wide), bool))
+        # Lane popularity falls off as 1 / rank^skew, in a random order.
+        weight = 1.0 / np.arange(1, len(ways) + 1) ** skew
+        popular = rng.permutation(len(ways))
+        streams = [fill] + [
+            (rng.choice(popular, size=n, p=weight / weight.sum()),
+             rng.integers(0, span, n), rng.random(n) < 0.4)
+            for n in calls]
+        registry = global_registry()
+        tail_before = registry.counter("memsys.scalar_tail_lanes").value
+        for lanes, tags, writes in streams:
+            expected = [
+                (bool(result.hits), bool(result.writebacks))
+                for result in (
+                    caches[lane].access(tag * 64, 64, write=bool(write))
+                    for lane, tag, write in zip(lanes.tolist(),
+                                                tags.tolist(),
+                                                writes.tolist()))]
+            hit, wb = lru.simulate(np.asarray(lanes, np.int64),
+                                   np.asarray(tags, np.int64),
+                                   np.asarray(writes, bool))
+            assert list(zip(hit.tolist(), wb.tolist())) == expected
+        for lane, cache in enumerate(caches):
+            lines = list(cache._sets[0].lines.items())[::-1]
+            live = lru.tags[lane] != -1
+            assert lru.tags[lane][live].tolist() == [
+                tag for tag, _ in lines]
+            assert lru.dirty[lane][live].tolist() == [
+                dirty for _, dirty in lines]
+        if max(calls) >= 1000 and skew >= 1.5:
+            # A long, skewed call leaves stragglers to the scalar tail.
+            assert (registry.counter("memsys.scalar_tail_lanes").value
+                    > tail_before)
+
     def test_chunked_equals_single_shot(self):
         """State carries across simulate() calls: splitting a stream at
         arbitrary points (as drains do) must not change any outcome."""
@@ -414,6 +473,18 @@ class TestLaneLRU:
         _, wb = lru.simulate(np.zeros(1, np.int64), np.ones(1, np.int64),
                              np.zeros(1, bool))
         assert wb.tolist() == [True]
+
+    def test_lane_space_wider_than_16_bits(self):
+        """Lanes 0 and 65536 share their low 16 bits; a lane space that
+        wide must still keep them apart (the lane sort takes a 16-bit
+        key only when every lane fits)."""
+        lru = _LaneLRU(np.full(65537, 1, np.int64))
+        lanes = np.array([0, 65536, 0, 65536], np.int64)
+        hit, wb = lru.simulate(lanes, np.array([1, 2, 3, 2], np.int64),
+                               np.array([True, False, False, False]))
+        assert hit.tolist() == [False, False, False, True]
+        assert wb.tolist() == [False, False, True, False]
+        assert lru.tags[[0, 65536], 0].tolist() == [3, 2]
 
 
 class TestTextureExpansion:

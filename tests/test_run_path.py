@@ -476,15 +476,17 @@ def test_over_budget_tile_after_empty_tiles_is_a_job_of_its_own(
 # ---------------------------------------------------------------------------
 
 def _flat(kind, depth, color, x0=-4.0, y0=-4.0, x1=24.0, y1=24.0,
-          layer=1, predicted=False, fetches=1):
-    """A right triangle over most of tile (0, 0) at constant depth."""
+          layer=1, predicted=False, fetches=1,
+          uvs=((0.25, 0.75),) * 3):
+    """A right triangle over most of tile (0, 0) at constant depth, with
+    per-vertex texture coordinates ``uvs``."""
     state = RenderState(shader=ShaderProfile(texture_fetches=fetches),
                         **_STATES[kind])
-    attributes = VertexAttributes(color=Vec4(*color),
-                                  uv=Vec2(0.25, 0.75))
     primitive = ScreenTriangle(
         xy=(Vec2(x0, y0), Vec2(x1, y0), Vec2(x0, y1)),
-        z=(depth, depth, depth), attributes=(attributes,) * 3,
+        z=(depth, depth, depth),
+        attributes=tuple(VertexAttributes(color=Vec4(*color),
+                                          uv=Vec2(*uv)) for uv in uvs),
         command_id=0, primitive_id=0, state=state)
     return Entry(primitive=primitive, offset=64 * layer, layer=layer,
                  predicted_occluded=predicted, pointer_offset=4 * layer)
@@ -580,6 +582,34 @@ class TestDirectedRuns:
                    _flat("woz", -depth, GREEN, layer=2),
                    _flat("woz", 0.0, BLUE, layer=3)]
         _both(entries, technique)
+
+    @pytest.mark.parametrize("technique", sorted(RUN_PATH))
+    @pytest.mark.parametrize("fetches", [(1, 2, 1), (1, 0, 2)],
+                             ids=["all-textured", "some-textured"])
+    def test_texture_coordinates_in_fragment_order(self, technique,
+                                                   fetches):
+        """A range whose passing rows are all textured, and one where
+        the middle row is not: the texture burst of each textured row
+        carries its passing fragments' u and v row by row in pixel
+        order, over both tiles, exactly as the per-entry loop does."""
+        uvs = ((0.0, 1.0), (0.5, -0.25), (0.125, 0.375))
+        lists = [
+            [_flat("woz", 0.5, RED, layer=1, fetches=fetches[0], uvs=uvs),
+             _flat("tested", 0.4, GREEN, x1=20.0, layer=2,
+                   fetches=fetches[1], uvs=uvs[::-1])],
+            [_flat("woz", 0.3, BLUE, x0=10.0, x1=40.0, layer=3,
+                   fetches=fetches[2], uvs=uvs[1:] + uvs[:1])],
+        ]
+        results = [range_job([0, 1], lists, config=CONFIG,
+                             features=resolve_features(technique),
+                             attribute_bytes=144, backend=backend).run()
+                   for backend in ("python", "numpy")]
+        assert results[1].fingerprint() == results[0].fingerprint()
+        trace = results[1].trace
+        textured = [0, 1, 2] if fetches[1] else [0, 2]
+        assert trace.texture_entry.tolist() == textured
+        # Not one value repeated: the order is what is compared.
+        assert np.unique(trace.u).size > trace.texture_entry.size
 
 
 # ---------------------------------------------------------------------------
