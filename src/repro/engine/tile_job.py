@@ -193,7 +193,10 @@ class TileJob:
     then second — Algorithm 1's order): the slices of the frame's
     display-list columns, and of the primitive columns gathered into
     them, for the range's tiles.  A pickled job holds only its own
-    entries.
+    entries: at most ``pipeline.raster.RANGE_ENTRIES`` (1024) unless one
+    tile alone has more.  On the range path such a job peaks at 6-9 MiB
+    traced, because the batch keeps each live entry's edge factors
+    rather than its ``(3, h, w)`` barycentrics.
 
     Attributes:
         tiles: ``(t,)`` int64 — the linear tile indices, ascending.
@@ -300,9 +303,12 @@ class TileJob:
                                      config.screen_height)
                           for x, y in zip(tile_x.tolist(), tile_y.tolist())])
         owner = np.repeat(np.arange(self.tiles.size), np.diff(self.bounds))
+        # resolve_range rebuilds barycentrics where it gathers them, so
+        # the batch keeps only the edge factors.
         batch = kernels.prepare_tile(
             self.window, self.attributes, (tile_x * width)[owner],
-            (tile_y * height)[owner], width, height, valid[owner])
+            (tile_y * height)[owner], width, height, valid[owner],
+            barycentrics=False)
         count = len(self.state)
         fragments = batch.fragments(slice(0, count))
         entries = _entry_states(self.states, self.state)

@@ -79,7 +79,12 @@ predicted, layer_ids, shape, clear_depth, clear_color, layers)
     ``i``'s entries are ``bounds[i]`` to ``bounds[i + 1]``.  ``run`` is
     the batch's ``fragments(slice(0, n))`` — such a backend's batches
     also take a slice of entries and return their
-    :class:`RunFragments`, nothing interpolated but depth.  The
+    :class:`RunFragments`, nothing interpolated but depth and the
+    barycentrics kept as edge factors, which ``resolve_range`` expands
+    only at the lanes it gathers.  Such a backend's ``prepare_tile``
+    also takes ``barycentrics=False``, for a batch that keeps only
+    those factors and answers only slices (by default a batch keeps
+    dense barycentrics for the per-entry loop).  The
     per-entry flags are ``(n,)`` arrays, ``shape`` is ``(tile_height,
     tile_width)``, and ``layers`` says whether to track the Layer Buffer.
     See :class:`RangeResolved`.
@@ -294,15 +299,24 @@ class RunFragments(NamedTuple):
     interpolated but depth: what ``fragments(slice(start, stop))``
     returns.  Rows are the live entries (nonzero coverage), in order;
     the other entries are dead.
+
+    Barycentrics are not stored, only what rebuilds them: row ``k``'s
+    edge function ``i`` (edges (v1, v2), (v2, v0), (v0, v1)) at pixel
+    ``(y, x)`` is ``fa[k, i, y] - fb[k, i, x]``, the reference
+    ``_edge``'s ``dx*(py - ay) - dy*(px - ax)`` bit for bit, and its
+    barycentric ``b_i`` is that times ``inv[k]``.  ``depth`` is
+    ``b0*z0 + b1*z1 + b2*z2`` of those, left-associated.
     """
 
     counts: List[int]        # covered pixels per entry
     position: np.ndarray     # (r,) intp — each row's entry, from start
     covered: np.ndarray      # bool     — (r, h, w) coverage
     depth: np.ndarray        # float64  — (r, h, w) interpolated depth
-    bary: np.ndarray         # float64  — (r, 3, h, w) barycentrics
-    #: (r, 3, 7) per-vertex (z, r, g, b, a, u, v), in the
-    #: winding-normalized vertex order the barycentrics use
+    fa: np.ndarray           # float64  — (r, 3, h) ``dx*(py - ay)``
+    fb: np.ndarray           # float64  — (r, 3, w) ``dy*(px - ax)``
+    inv: np.ndarray          # float64  — (r,) ``1.0 / area``
+    #: (r, 3, 6) per-vertex (r, g, b, a, u, v), in the
+    #: winding-normalized vertex order the edges use
     attributes: np.ndarray
 
 

@@ -9,19 +9,22 @@ object.
 Raster: :func:`prepare_tile` rasterizes a whole display list in one
 shot from a job's winding-normalized columns, each entry against its own
 tile: an exact corner test (:func:`corner_dead`) first drops the entries
-that cover no pixel centre, then coverage, edge functions, barycentrics
-and depth run as ``(N, tile_h, tile_w)`` array expressions — no
-per-fragment or per-entry Python arithmetic.  The batch is built for all
-entries, including ones the main loop may later skip via
-hierarchical-Z (rasterization has no side effects, so results are
-unaffected); the z-prepasses and the main loop then share the one batch
-instead of rasterizing twice.  Colour and texture coordinates are
-interpolated for every live entry in one einsum when the per-entry loop
-first asks for an entry's fragments.  A range of tiles under Early-Z
-asks for none: :func:`resolve_range` resolves every tile of the range in
-one array pass, interpolating colour only at each pixel's last opaque
-writer and at the blended entries after it, and u/v only for passing
-fragments.
+that cover no pixel centre, then coverage and depth run as
+``(N, tile_h, tile_w)`` array expressions — no per-fragment or
+per-entry Python arithmetic.  Each edge function is kept as its two
+factors, one per pixel row and one per pixel column, with the entry's
+``1/area``.  The batch is built for all entries, including ones the
+main loop may later skip via hierarchical-Z (rasterization has no side
+effects, so results are unaffected); the z-prepasses and the main loop
+then share the one batch instead of rasterizing twice.  The per-entry
+loop's batch keeps every live entry's barycentrics too, and colour and
+texture coordinates are interpolated for every live entry in one einsum
+when the loop first asks for an entry's fragments.  A range of tiles
+under Early-Z asks for none: its batch keeps only the factors, and
+:func:`resolve_range` resolves every tile of the range in one array
+pass, rebuilding barycentrics and interpolating colour only at each
+pixel's last opaque writer and at the blended entries after it, and u/v
+only for passing fragments.
 
 The per-fragment buffer ops replace the reference backend's
 fancy-indexed gather/scatter with whole-tile arithmetic plus masked
@@ -32,14 +35,14 @@ Bit-identity with :mod:`repro.kernels.reference` is a hard contract
 (cache entries are shared across backends): every expression below
 performs the same IEEE-754 float64 operations in the same association
 order as the scalar reference — edge functions, the explicit
-left-associated ``b0*a0 + b1*a1 + b2*a2`` of depth and of the range
-kernel,
+left-associated ``b0*a0 + b1*a1 + b2*a2`` of the range path's depth and
+of the range kernel,
 on rows already in the vertex order the reference's winding swap gives
-them (``kernels.api.normalize_winding``).  The one
-einsum contracts in index order without FMA but starts its sum from
-+0.0, so it would return +0.0 where all three products are -0.0 and the
-reference returns -0.0; the batch recomputes every channel where that
-can happen.  The property suites in
+them (``kernels.api.normalize_winding``).  The per-entry loop's two
+einsums (depth, and the other channels) contract in index order
+without FMA but start their sums from +0.0, so they would return +0.0
+where all three products are -0.0 and the reference returns -0.0; the
+batch recomputes every channel where that can happen.  The property suites in
 ``tests/test_kernels.py``, ``tests/test_geometry_backends.py`` and
 ``tests/test_run_path.py`` enforce all of this on fuzzed scenes.
 """
@@ -206,35 +209,54 @@ def assemble_frame(commands: Sequence, mvps: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class BatchedTileBatch:
-    """A display list rasterized up front: coverage, counts and the
-    scaled barycentrics of every *live* entry (nonzero coverage after
-    the valid mask; bounding-box binning is conservative, so dead
-    entries are common).  ``_live`` lists the live entries in order and
-    ``_slot[index]`` is entry ``index``'s row in the per-row arrays
-    (None when every entry is live), so consecutive live entries have
-    consecutive rows.
+    """A display list rasterized up front: coverage, counts, depth and,
+    for every *live* entry (nonzero coverage after the valid mask;
+    bounding-box binning is conservative, so dead entries are common),
+    its three edge functions as two factors and its ``1/area``.
+    ``_live`` lists the live entries in order and ``_slot[index]`` is
+    entry ``index``'s row in the per-row arrays (None when every entry
+    is live), so consecutive live entries have consecutive rows.
 
-    ``fragments(index)`` interpolates on request, in one einsum for that
-    entry's row and every later row not yet done (the per-entry loop
-    asks for nearly every entry, in order).
+    Edge ``i`` of row ``k`` at pixel ``(y, x)`` is ``_fa[k, i, y] -
+    _fb[k, i, x]``, the reference ``_edge``'s ``dx*(py - ay) -
+    dy*(px - ax)`` bit for bit, and its barycentric is that times
+    ``_inv[k]``: every barycentric is rebuilt from these with the
+    reference's operations, so no ``(l, 3, h, w)`` array need live
+    through a range.
+
+    ``fragments(index)`` interpolates colour and u/v on request, in one
+    einsum for that entry's row and every later row not yet done (the
+    per-entry loop asks for nearly every entry, in order), over the
+    dense barycentrics the batch keeps; a batch prepared without them
+    (a range's) answers only slices.
     ``fragments(slice(start, stop))`` hands entries to
     :func:`resolve_range` with nothing interpolated but depth, so a
     range that takes the range kernel is never interpolated in full.
     """
 
-    __slots__ = ("_counts", "_mask", "_live", "_slot", "_bary",
-                 "_attributes", "_interp", "_done", "_rgba", "_built")
+    __slots__ = ("_counts", "_mask", "_depth", "_live", "_slot", "_fa",
+                 "_fb", "_inv", "_attributes", "_bary", "_interp",
+                 "_done", "_rgba", "_built")
 
     def __init__(self, counts: List[int], mask: np.ndarray,
-                 live: np.ndarray, slot: Optional[np.ndarray],
-                 bary: np.ndarray, attributes: np.ndarray) -> None:
+                 depth: np.ndarray, live: np.ndarray,
+                 slot: Optional[np.ndarray], fa: np.ndarray, fb: np.ndarray,
+                 inv: np.ndarray, attributes: np.ndarray,
+                 bary: Optional[np.ndarray]) -> None:
         self._counts = counts
         self._mask = mask                # (l, h, w) coverage ∧ validity
+        self._depth = depth              # (l, h, w) interpolated depth
         self._live = live
         self._slot = slot
-        self._bary = bary                # (l, 3, h, w) ``w_i / area``
-        self._attributes = attributes    # (l, 3, 7) (z, r, g, b, a, u, v)
-        # (l, 7, h, w) interpolated channels; rows from _done on are done.
+        self._fa = fa                    # (l, 3, h) ``dx*(py - ay)``
+        self._fb = fb                    # (l, 3, w) ``dy*(px - ax)``
+        self._inv = inv                  # (l,) ``1/area``
+        self._attributes = attributes    # (l, 3, 6) (r, g, b, a, u, v)
+        # (l, 3, h, w) ``w_i * (1/area)`` for the per-entry loop; None in
+        # a range's batch.
+        self._bary = bary
+        # (l, 6, h, w) interpolated (r, g, b, a, u, v); rows from _done on
+        # are done.
         self._interp: Optional[np.ndarray] = None
         self._done = len(live)
         self._rgba: Optional[np.ndarray] = None
@@ -264,21 +286,21 @@ class BatchedTileBatch:
         frag = Fragments(
             mask=self._mask[k],
             count=count,
-            depth=interp[k, 0],
+            depth=self._depth[k],
             rgba=self._rgba[k],
-            u=interp[k, 5],
-            v=interp[k, 6],
+            u=interp[k, 4],
+            v=interp[k, 5],
         )
         self._built[index] = frag
         return frag
 
     def _interpolate(self, start: int) -> None:
-        """All seven channels of rows ``start`` up to the first row
-        already done, in one einsum."""
+        """Colour and u/v of rows ``start`` up to the first row already
+        done, in one einsum."""
         if self._interp is None:
-            self._interp = np.empty((self._bary.shape[0], 7)
+            self._interp = np.empty((self._bary.shape[0], 6)
                                     + self._bary.shape[2:])
-            self._rgba = self._interp[:, 1:5].transpose(0, 2, 3, 1)
+            self._rgba = self._interp[:, :4].transpose(0, 2, 3, 1)
         stop = self._done
         bary = self._bary[start:stop]
         attributes = self._attributes[start:stop]
@@ -306,22 +328,56 @@ class BatchedTileBatch:
             r0, r1 = start, stop
         else:
             r0, r1 = bisect_left(live, start), bisect_left(live, stop)
-        bary = self._bary[r0:r1]
-        attributes = self._attributes[r0:r1]
-        # The reference's left-associated ``b0*z0 + b1*z1 + b2*z2``,
-        # summed in place.
-        z = attributes[:, :, 0, None, None]
-        depth = bary[:, 0] * z[:, 0]
-        depth += bary[:, 1] * z[:, 1]
-        depth += bary[:, 2] * z[:, 2]
         return RunFragments(
             counts=self._counts[start:stop],
             position=live[r0:r1] - start,
             covered=self._mask[r0:r1],
-            depth=depth,
-            bary=bary,
-            attributes=attributes,
+            depth=self._depth[r0:r1],
+            fa=self._fa[r0:r1],
+            fb=self._fb[r0:r1],
+            inv=self._inv[r0:r1],
+            attributes=self._attributes[r0:r1],
         )
+
+
+def _barycentric_grid(fa: np.ndarray, fb: np.ndarray,
+                      inv: np.ndarray) -> np.ndarray:
+    """Rows' ``(q, 3, h, w)`` barycentrics ``w_i * (1/area)`` from their
+    factors ``fa`` ``(q, 3, h)``, ``fb`` ``(q, 3, w)`` and ``inv``
+    ``(q,)``, with the reference's operations."""
+    # ``fa`` repeated along x, then ``fb`` subtracted in place: the
+    # broadcast ``fa - fb``, a little faster with one operand contiguous.
+    bary = np.repeat(fa, fb.shape[2], axis=2).reshape(fa.shape + fb.shape[2:])
+    bary -= fb[:, :, None, :]
+    bary *= inv[:, None, None, None]
+    return bary
+
+
+def _barycentrics(run: RunFragments, row: np.ndarray, pixel: np.ndarray,
+                  width: int) -> List[np.ndarray]:
+    """The three barycentrics ``w_i * (1/area)`` of lanes ``(row,
+    pixel)`` (``pixel`` row-major in a tile ``width`` wide), rebuilt
+    from the run's factors with the reference's operations."""
+    height = run.fa.shape[2]
+    fa = run.fa.reshape(-1)
+    fb = run.fb.reshape(-1)
+    # Each lane's offsets of its edge 0 factors, ``(3 * row) * height + y``
+    # and ``(3 * row) * width + x``; edge i's lie ``i * height`` and
+    # ``i * width`` further on.
+    at_a, at_b = np.divmod(pixel, width)
+    at_a += row * (3 * height)
+    at_b += row * (3 * width)
+    inv = run.inv.take(row)
+    bary = []
+    for i in range(3):
+        if i:
+            at_a += height
+            at_b += width
+        b = fa.take(at_a)
+        b -= fb.take(at_b)
+        b *= inv
+        bary.append(b)
+    return bary
 
 
 #: The smallest positive (subnormal) float64.
@@ -391,12 +447,20 @@ def corner_dead(edge: Edges, x0: np.ndarray, y0: np.ndarray,
 
 
 def prepare_tile(window: np.ndarray, attributes: np.ndarray, x0, y0,
-                 tile_width: int, tile_height: int,
-                 valid: np.ndarray) -> BatchedTileBatch:
+                 tile_width: int, tile_height: int, valid: np.ndarray,
+                 barycentrics: bool = True) -> BatchedTileBatch:
     """Rasterize a whole display list at once, each entry against its
-    own tile: coverage, counts and barycentrics; interpolation waits for
-    ``fragments``.  Entries :func:`corner_dead` proves empty skip the
-    per-pixel edge functions."""
+    own tile: coverage, counts, depth, and the live entries' edge factors
+    and ``1/area``, with their dense barycentrics unless
+    ``barycentrics`` is false (a batch that then answers only slices);
+    interpolation waits for ``fragments``.  Entries :func:`corner_dead`
+    proves empty skip the per-pixel edge functions.
+
+    The per-entry loop's batch, one tile's display list, tests all three
+    edges at once, in a few numpy calls.  A range's batch, for
+    :func:`resolve_range`, runs one edge at a time in one ``(c, h, w)``
+    scratch and keeps no ``(c, 3, h, w)`` array: the range kernel
+    rebuilds barycentrics from the factors where it gathers them."""
     n = len(window)
     x0 = np.broadcast_to(x0, (n,))
     y0 = np.broadcast_to(y0, (n,))
@@ -406,46 +470,80 @@ def prepare_tile(window: np.ndarray, attributes: np.ndarray, x0, y0,
     counts = np.zeros(n, dtype=np.int64)
     if candidates.size < n:
         edge = edge.take(candidates)
+        window = window[candidates]
         x0, y0 = x0[candidates], y0[candidates]
         if valid.ndim == 3:
             valid = valid[candidates]
 
-    # -- coverage: three edge functions over each entry's pixel-centre
-    #    grid (pixel_centers' values: integer sums, then + 0.5) ---------
-    grid_x = (x0[:, None] + np.arange(tile_width, dtype=np.float64)
-              + 0.5)[:, None, None, :]                    # (c, 1, 1, w)
-    grid_y = (y0[:, None] + np.arange(tile_height, dtype=np.float64)
-              + 0.5)[:, None, :, None]                    # (c, 1, h, 1)
-    # Edge function cross(b - a, p - a), identical term order to the
-    # reference ``_edge``.
-    w = (edge.dx[:, :, None, None] * (grid_y - edge.ay[:, :, None, None])
-         - edge.dy[:, :, None, None] * (grid_x - edge.ax[:, :, None, None]))
-    mask = (w > edge.bound[:, :, None, None]).all(axis=1)
+    # -- the edge function cross(b - a, p - a) in the reference
+    #    ``_edge``'s term order, ``dx*(py - ay) - dy*(px - ax)``, as its
+    #    two factors over each entry's pixel-centre rows and columns
+    #    (pixel_centers' values: integer sums, then + 0.5) -------------
+    py = y0[:, None] + np.arange(tile_height, dtype=np.float64) + 0.5
+    px = x0[:, None] + np.arange(tile_width, dtype=np.float64) + 0.5
+    fa = edge.dx[:, :, None] * (py[:, None, :] - edge.ay[:, :, None])
+    fb = edge.dy[:, :, None] * (px[:, None, :] - edge.ax[:, :, None])
+    inv = 1.0 / edge.area          # a candidate's area is nonzero
+    z = window[:, :, 2, None, None]
+    if barycentrics:
+        # -- coverage: every edge function at once --------------------
+        bary = fa[:, :, :, None] - fb[:, :, None, :]
+        mask = (bary > edge.bound[:, :, None, None]).all(axis=1)
+    else:
+        # -- coverage and depth, one edge at a time: coverage ANDs each
+        #    edge's fill-rule test, and depth sums the reference's
+        #    ``b0*z0 + b1*z1 + b2*z2`` left to right, ``b_i = w_i *
+        #    (1/area)`` ---------------------------------------------------
+        bary = None
+        shape = (candidates.size, tile_height, tile_width)
+        scale = inv[:, None, None]
+        w = np.empty(shape)
+        depth = np.empty(shape)
+        inside = np.empty(shape, dtype=bool)
+        mask = np.empty(shape, dtype=bool)
+        for i in range(3):
+            np.subtract(fa[:, i, :, None], fb[:, i, None, :], out=w)
+            np.greater(w, edge.bound[:, i, None, None],
+                       out=inside if i else mask)
+            w *= scale
+            w *= z[:, i]
+            if i:
+                mask &= inside
+                depth += w
+            else:
+                # The first term is the running sum; its buffer is free.
+                depth, w = w, depth
     mask &= valid
     counted = np.count_nonzero(mask, axis=(1, 2))
     counts[candidates] = counted
 
-    # -- barycentrics for live entries only (per-element math is
-    #    unchanged, so the subsetting cannot perturb bit-identity) ------
+    # -- live entries only (per-element math is unchanged, so the
+    #    subsetting cannot perturb bit-identity) ------------------------
     rows = np.flatnonzero(counted)
     live = candidates[rows]
-    area = edge.area
     if rows.size < candidates.size:
-        w = w[rows]
-        mask = mask[rows]
-        area = area[rows]
+        fa, fb, inv, mask = fa[rows], fb[rows], inv[rows], mask[rows]
+        if bary is None:
+            depth = depth[rows]
+        else:
+            bary, z = bary[rows], z[rows]
+    if bary is not None:
+        # The barycentrics ``w_i * (1/area)``, and depth from them in one
+        # einsum; as in ``_interpolate``, rows with a vertex depth whose
+        # sign bit is set take the explicit sum.
+        bary *= inv[:, None, None, None]
+        z = z[:, :, 0, 0]
+        depth = np.einsum("lkhw,lk->lhw", bary, z)
+        for k in np.flatnonzero(np.signbit(z).any(axis=1)).tolist():
+            b0, b1, b2 = bary[k]
+            depth[k] = b0 * z[k, 0] + b1 * z[k, 1] + b2 * z[k, 2]
     slot = None                           # identity mapping
     if live.size < n:
         slot = np.full(n, -1, dtype=np.intp)
         slot[live] = np.arange(live.size)
-        window = window[live]
         attributes = attributes[live]
-    # A live entry's area is positive: its reciprocal, as the reference
-    # takes it.
-    w *= (1.0 / area)[:, None, None, None]
-    # (l, 3, 7): per vertex (z, r, g, b, a, u, v)
-    channels = np.concatenate((window[:, :, 2:], attributes), axis=2)
-    return BatchedTileBatch(counts.tolist(), mask, live, slot, w, channels)
+    return BatchedTileBatch(counts.tolist(), mask, depth, live, slot, fa,
+                            fb, inv, attributes, bary)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +617,8 @@ def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
     if r == 0:
         return resolved()
     # Rows are the live entries; every per-row array is viewed as
-    # (r, area), so ``row * area + pixel`` is one lane (and the
-    # barycentrics' lane of vertex i is ``(3 * row + i) * area + pixel``).
+    # (r, area), so ``row * area + pixel`` is one lane.  Barycentrics are
+    # rebuilt from the factors only at the lanes that need them.
     # Row marks, and the last rows ``_last`` picks from them, are int32;
     # a pick is widened to intp before it is scaled to a lane offset,
     # which can pass 2**31.
@@ -553,7 +651,7 @@ def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
     if not counts.any():
         return resolved()
 
-    flat_bary = run.bary.reshape(-1)
+    width = shape[1]
     # (channel, vertex, row): each per-vertex channel one contiguous row.
     vertex_channels = np.ascontiguousarray(run.attributes.transpose(2, 1, 0))
     row_opaque = opaque[position]
@@ -563,8 +661,10 @@ def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
     solid = passing & row_opaque[:, None]
     blended = np.flatnonzero(~row_opaque)
     if blended.size:
-        rgba = _interpolate(run.bary[blended].reshape(-1, 3, area),
-                            run.attributes[blended, :, 1:5])
+        rgba = _interpolate(
+            _barycentric_grid(run.fa[blended], run.fb[blended],
+                              run.inv[blended]).reshape(-1, 3, area),
+            run.attributes[blended, :, :4])
         solid[blended] = passing[blended] & (rgba[:, :, 3] >= ALPHA_OPAQUE)
         last_opaque = _last(passing & row_opaque[:, None], marks, segments)
     last_solid = _last(solid, marks, segments)
@@ -585,12 +685,9 @@ def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
     # channel by channel from 1-D takes.
     lanes = np.flatnonzero(last_opaque >= 0)
     chosen = last_opaque.reshape(-1).take(lanes).astype(np.intp)
-    at = chosen * (3 * area) + lanes % area
-    b0 = flat_bary.take(at)
-    b1 = flat_bary.take(at + area)
-    b2 = flat_bary.take(at + 2 * area)
+    b0, b1, b2 = _barycentrics(run, chosen, lanes % area, width)
     shade = np.empty((4, lanes.size))
-    for channel, (a0, a1, a2) in enumerate(vertex_channels[1:5]):
+    for channel, (a0, a1, a2) in enumerate(vertex_channels[:4]):
         shade[channel] = (b0 * a0.take(chosen) + b1 * a1.take(chosen)
                           + b2 * a2.take(chosen))
     colors = color[filled]
@@ -649,15 +746,11 @@ def resolve_range(run: RunFragments, bounds: np.ndarray, opaque: np.ndarray,
     textured_rows = np.flatnonzero(textured[position] & (counts > 0))
     if textured_rows.size:
         shaded = counts[textured_rows]
-        local, pixel = np.divmod(np.flatnonzero(passing[textured_rows]),
-                                 area)
-        row = textured_rows.take(local)
-        at = row * (3 * area) + pixel
-        b0 = flat_bary.take(at)
-        b1 = flat_bary.take(at + area)
-        b2 = flat_bary.take(at + 2 * area)
+        row, pixel = np.divmod(np.flatnonzero(passing[textured_rows]), area)
+        row = textured_rows.take(row)
+        b0, b1, b2 = _barycentrics(run, row, pixel, width)
         u, v = (b0 * a0.take(row) + b1 * a1.take(row) + b2 * a2.take(row)
-                for a0, a1, a2 in vertex_channels[5:7])
+                for a0, a1, a2 in vertex_channels[4:])
         texture = (position[textured_rows].astype(np.int64), shaded, u, v)
     return resolved(overdrawn, texture)
 

@@ -55,7 +55,13 @@ array-based exact-LRU model:
   miss/writeback counts expands to the exact L2 address stream in one
   shot; the same lane simulation then runs once for L2, and the DRAM
   model receives the summed line traffic (its counters are additive,
-  so totals are order-independent).
+  so totals are order-independent).  No access of that stream ever
+  hits: a stream's cursor line recurs only after 16,384 of its forwards
+  (its 1 MiB window in 64-byte lines), by when its set of the 256 KiB
+  8-way L2 (one of 512) has taken 31 other lines of the same stream,
+  so every first-level miss is a DRAM read and perfbench's
+  ``memsys.l2_hit_rate`` reads 0.0.  ROADMAP.md item 3 forwards each
+  line's own address instead.
 
 Counters, snapshots, DRAM cycle estimates and ``end_frame`` flush
 behaviour match the scalar model bit for bit; the cross-backend fuzz

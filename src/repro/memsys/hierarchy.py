@@ -54,9 +54,12 @@ class MemorySystem:
         """Send first-level misses and writebacks down to L2, then DRAM.
 
         Addresses of refills are approximated by fresh line-granular
-        addresses inside the stream's region; what matters for the model
-        is the volume and the L2 reuse across pipeline stages, both of
-        which are preserved.
+        addresses inside the stream's region (:meth:`_next_l2_address`).
+        That keeps the traffic's volume but models no L2 reuse: with the
+        default 256 KiB 8-way L2, no access ever hits (see
+        :meth:`_next_l2_address`), so every first-level miss is a DRAM
+        read.  Forwarding each line's own address instead is ROADMAP.md
+        item 3.
         """
         for _ in range(result.misses):
             l2_result = self.l2.access(self._next_l2_address(base), self._line)
@@ -71,8 +74,12 @@ class MemorySystem:
                 self.dram.write_lines(l2_result.writebacks, self._line)
 
     def _next_l2_address(self, base: int) -> int:
-        # Round-robin addresses within a 1 MiB window per stream: preserves
-        # stream separation and produces realistic L2 conflict behaviour.
+        # Round-robin addresses within a 1 MiB window per stream, which
+        # keeps the streams apart but never repeats a line in reach of
+        # the L2: a stream's cursor line recurs only after 16,384 of its
+        # forwards (1 MiB / 64 B), by when its 8-way set (one of 512) has
+        # taken 31 other lines of the same stream.  So the L2 never hits
+        # (ROADMAP.md, item 3).
         cursor = self._l2_cursor.get(base, 0)
         self._l2_cursor[base] = (cursor + self._line) % (1 << 20)
         return base + cursor

@@ -44,11 +44,17 @@ from .features import PipelineFeatures
 
 #: The display-list entries a raster job takes: consecutive rendered
 #: tiles join a job until the next would take it past this many (a tile
-#: with more is a job of its own).  One job's arrays then stay a few MiB
-#: whatever the scheduler.  512 ran 3-4% faster per frame but raised
-#: the suite sweep's peak RSS 7% over the per-tile jobs', against 3%
-#: here (EXPERIMENTS.md, "Tile-range raster").
-RANGE_ENTRIES = 256
+#: with more is a job of its own).  A job costs about 0.6-1.0 ms of
+#: numpy call overhead whatever its size, so 1024 entries cut the
+#: stream workloads' jobs per frame from 16 to 4 and raster execute by
+#: 16-22% against 256.  The range path keeps edge factors instead of
+#: barycentrics, so the largest job of a stream pass peaks at 6.5-8.0
+#: MiB traced (9.7-11.8 MiB with barycentrics stored, 3.0-4.2 MiB at
+#: 256 entries); EXPERIMENTS.md, "1024-entry ranges".  The cut
+#: ignores the scheduler, so serial and pooled runs stay bit-identical
+#: (``fhv`` sums a float per job); a 1196x768 frame is still about 20
+#: jobs, and two workers beat serial there at this budget.
+RANGE_ENTRIES = 1024
 
 
 class RasterPipeline:

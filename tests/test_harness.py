@@ -78,11 +78,19 @@ class TestRunner:
         assert list(results) == [("hop", "evr")]
         assert runner.cache_misses == 1
 
-    def test_lone_missing_cell_fans_its_tile_jobs_out(self):
+    def test_lone_missing_cell_fans_its_tile_jobs_out(self, monkeypatch):
         """One uncached cell on a pool renders in this process, with its
         frames' tile jobs on the workers one cell job would leave idle;
         its metrics are the serial run's."""
-        config = GPUConfig.tiny(frames=2)  # ata: 3 tile jobs per frame
+        from repro.pipeline import raster
+
+        # The pool runs a lone job in this process, so the fan-out shows
+        # only with several jobs a frame.  ata holds about 530 entries a
+        # frame at this size: one job at the default budget, 3 at 256.
+        # (At 1196x768 a frame is still some 20 jobs at the default
+        # budget; EXPERIMENTS.md, "1024-entry ranges".)
+        monkeypatch.setattr(raster, "RANGE_ENTRIES", 256)
+        config = GPUConfig.tiny(frames=2)
         profiler = SchedulerProfiler()
         spec = RunSpec.from_config(config, scheduler=SchedulerSpec(jobs=2))
         with SuiteRunner(spec=spec, profiler=profiler) as runner:

@@ -173,8 +173,8 @@ class TestPrepareTile:
        st.integers(min_value=1, max_value=40))
 @settings(max_examples=50, deadline=None)
 def test_einsum_matches_left_associated_sum(seed, entries):
-    """The batched backend's eager ``prepare_tile`` interpolates all
-    channels with one einsum.
+    """The batched backend's per-entry loop forms depth with one einsum
+    and interpolates the other channels with another.
 
     Bit-identity with the scalar ``b0*a0 + b1*a1 + b2*a2`` is only safe
     because einsum contracts k in index order with a running scalar sum
@@ -185,8 +185,8 @@ def test_einsum_matches_left_associated_sum(seed, entries):
     starts from +0.0, so where all three products are -0.0 einsum
     returns +0.0 and the explicit sum -0.0.  The batch recomputes any
     channel with a sign-bit vertex value explicitly (see
-    ``test_prepare_tile_keeps_negative_zero_sums``); depth and the
-    opaque-run path never use einsum.
+    ``test_prepare_tile_keeps_negative_zero_sums``); the range path
+    never uses einsum.
     """
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((entries, 3, 16, 16))
@@ -196,13 +196,20 @@ def test_einsum_matches_left_associated_sum(seed, entries):
               + w[:, 1, None] * attrs[:, 1, :, None, None]
               + w[:, 2, None] * attrs[:, 2, :, None, None])
     np.testing.assert_array_equal(via_einsum, manual)
+    z = attrs[:, :, 0]
+    np.testing.assert_array_equal(np.einsum("lkhw,lk->lhw", w, z),
+                                  manual[:, 0])
 
 
-@pytest.mark.parametrize("red", [-0.0, -5e-324])
-def test_prepare_tile_keeps_negative_zero_sums(red):
-    """Every product ``b_i * a_i`` of a -0.0 or tiny negative attribute
-    is -0.0: the reference sums them to -0.0, einsum alone would give
-    +0.0."""
+@pytest.mark.parametrize("red, z", [
+    pytest.param(-0.0, 0.5, id="-0.0"),
+    pytest.param(-5e-324, 0.5, id="-5e-324"),
+    pytest.param(0.5, -0.0, id="depth-0.0"),
+])
+def test_prepare_tile_keeps_negative_zero_sums(red, z):
+    """Every product ``b_i * a_i`` of a -0.0 or tiny negative attribute,
+    or of a -0.0 vertex depth, is -0.0: the reference sums them to -0.0,
+    einsum alone would give +0.0."""
     from repro import RenderState
     from repro.geom import ScreenTriangle, VertexAttributes
     from repro.kernels.reference import ReferenceTileBatch
@@ -211,7 +218,7 @@ def test_prepare_tile_keeps_negative_zero_sums(red):
     attributes = VertexAttributes(color=Vec4(red, 0.5, 0.5, 1.0))
     triangle = ScreenTriangle(
         xy=(Vec2(0.0, 0.0), Vec2(30.0, 0.0), Vec2(0.0, 30.0)),
-        z=(0.5, 0.5, 0.5), attributes=(attributes,) * 3,
+        z=(z, z, z), attributes=(attributes,) * 3,
         command_id=0, primitive_id=0,
         state=RenderState.sprite_2d(),
     )
@@ -219,16 +226,17 @@ def test_prepare_tile_keeps_negative_zero_sums(red):
     valid = valid_mask(0, 0, 16, 16, 64, 48)
     expected = ReferenceTileBatch(*columns, 0, 0, 16, 16,
                                   valid).fragments(0)
-    red = expected.rgba[:, :, 0][expected.mask]
-    assert np.signbit(red).any()          # the case einsum gets wrong
+    sums = (expected.rgba[:, :, 0] if red < 0.5 else expected.depth)
+    assert np.signbit(sums[expected.mask]).any()  # what einsum gets wrong
     actual = resolve_backend("numpy").prepare_tile(
         *columns, 0, 0, 16, 16, valid).fragments(0)
     for name in ("depth", "u", "v"):
         np.testing.assert_array_equal(
             np.signbit(getattr(actual, name)[actual.mask]),
             np.signbit(getattr(expected, name)[expected.mask]))
-    assert (actual.rgba[actual.mask].tobytes()
-            == expected.rgba[expected.mask].tobytes())
+    for name in ("rgba", "depth"):
+        assert (getattr(actual, name)[actual.mask].tobytes()
+                == getattr(expected, name)[expected.mask].tobytes())
 
 
 @pytest.mark.parametrize("technique", ["baseline", "hiz"])

@@ -167,19 +167,27 @@ class TestPartialTiles:
         assert result.stats.fragments_shaded == 40 * 24
 
 
+def _scaled_evr_frame():
+    """The first frame of the scaled 192x160 EVR world scene, and its
+    configuration."""
+    from repro.scenes import scaled_world_stream
+
+    config = GPUConfig(screen_width=192, screen_height=160, frames=1)
+    (frame,) = scaled_world_stream(config, num_boxes=96)
+    return config, frame
+
+
 class TestRangeMemory:
     def test_raster_phase_peak_is_bounded(self, monkeypatch):
         """Jobs cut at ``RANGE_ENTRIES`` keep the raster phase of a
-        scaled 192x160 EVR frame under 48 MiB traced: about 30 MiB, most
+        scaled 192x160 EVR frame under 36 MiB traced: about 28 MiB, most
         of it the memory-system drain, where one job for the whole frame
-        peaks near 67 MiB."""
+        peaks near 42 MiB."""
         import tracemalloc
 
         from repro.pipeline import raster
-        from repro.scenes import scaled_world_stream
 
-        config = GPUConfig(screen_width=192, screen_height=160, frames=1)
-        (frame,) = scaled_world_stream(config, num_boxes=96)
+        config, frame = _scaled_evr_frame()
         render = raster.RasterPipeline.render_frame
         peaks = []
 
@@ -195,4 +203,35 @@ class TestRangeMemory:
         monkeypatch.setattr(raster.RasterPipeline, "render_frame", traced)
         result = GPU(config, "evr", backend="numpy").render_frame(frame)
         assert result.stats.tiles_rendered == config.num_tiles
-        assert peaks and peaks[0] < 48 * 2 ** 20
+        assert peaks and peaks[0] < 36 * 2 ** 20
+
+    def test_largest_range_job_peak_is_bounded(self, monkeypatch):
+        """At the default budget the largest raster job of the scaled
+        192x160 EVR frame peaks under 9.5 MiB traced: about 8 MiB with
+        the range path's edge factors, where keeping every live entry's
+        ``(3, h, w)`` barycentrics through ``resolve_range`` peaks near
+        11-12 MiB."""
+        import tracemalloc
+
+        from repro.engine import tile_job
+
+        config, frame = _scaled_evr_frame()
+        run = tile_job.TileJob.run
+        peaks = []
+
+        def traced(self, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                result = run(self, *args, **kwargs)
+                peaks.append((tracemalloc.get_traced_memory()[1] - start,
+                              len(self.state)))
+            finally:
+                tracemalloc.stop()
+            return result
+
+        monkeypatch.setattr(tile_job.TileJob, "run", traced)
+        GPU(config, "evr", backend="numpy").render_frame(frame)
+        peak, entries = max(peaks)
+        assert max(size for _, size in peaks) > 768
+        assert peak < 9.5 * 2 ** 20, (peak, entries)

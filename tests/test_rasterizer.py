@@ -9,8 +9,12 @@ from repro import RenderState
 from repro.geom import ScreenTriangle, VertexAttributes
 from repro.kernels import batched
 from repro.kernels.api import RASTER_ATTRIBUTES, normalize_winding
-from repro.kernels.reference import ReferenceTileBatch, rasterize_rows
-from repro.kernels.tile_geometry import valid_mask
+from repro.kernels.reference import (
+    ReferenceTileBatch,
+    _edge,
+    rasterize_rows,
+)
+from repro.kernels.tile_geometry import pixel_centers, valid_mask
 from repro.math3d import Vec2, Vec4
 
 from tests.strategies import edge_floats
@@ -253,3 +257,74 @@ def test_corner_test_never_drops_a_live_entry(xy, tile):
         assert np.array_equal(actual.mask, covered)
     else:
         assert actual is None
+
+
+_TILES = ((0, 0), (1, 0), (0, 1), (1, 1))
+_TILE_COORD = edge_floats(-8.0, 40.0, ties=(0.5, 7.5, 15.5, 16.0, 16.5,
+                                           19.5, 20.0, 23.5, 24.0))
+
+
+@st.composite
+def _rebuild_row(draw):
+    """One display-list entry: a tile of the 24x20 screen (the right and
+    bottom ones partial) and three window-space vertices: around the
+    tiles (signed zeros, subnormals, pixel centres, tile edges), at
+    magnitudes up to 1.7e308, or a sliver whose third vertex sits on or
+    a subnormal or 1e-12 off the line through the first two."""
+    tile = draw(st.sampled_from(_TILES))
+    kind = draw(st.sampled_from(("tile", "tile", "huge", "sliver")))
+    coord = _CORNER_COORD if kind == "huge" else _TILE_COORD
+    xy = draw(st.lists(coord, min_size=6, max_size=6))
+    if kind == "sliver":
+        t = draw(st.sampled_from((0.5, 0.25, 2.0)))
+        nudge = draw(st.sampled_from((0.0, 5e-324, -5e-324, 1e-12,
+                                      -1e-12)))
+        xy[4:] = [xy[0] + t * (xy[2] - xy[0]) + nudge,
+                  xy[1] + t * (xy[3] - xy[1])]
+    z = draw(st.lists(_DEPTH, min_size=3, max_size=3))
+    return tile, [(xy[2 * i], xy[2 * i + 1], z[i]) for i in range(3)]
+
+
+def _reference_barycentrics(row, x0, y0):
+    """``w_i * (1/area)`` of a winding-normalized row over its tile's
+    pixel centres, as ``rasterize_rows`` forms them."""
+    (xa, ya, _), (xb, yb, _), (xc, yc, _) = row
+    area = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
+    grid_x, grid_y = np.meshgrid(*pixel_centers(x0, y0, 16, 16))
+    inv_area = 1.0 / area
+    return [_edge(ax, ay, bx, by, grid_x, grid_y) * inv_area
+            for ax, ay, bx, by in ((xb, yb, xc, yc), (xc, yc, xa, ya),
+                                   (xa, ya, xb, yb))]
+
+
+@given(rows=st.lists(_rebuild_row(), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_rebuilt_barycentrics_match_the_reference(rows):
+    """Every barycentric the range path rebuilds from a batch's edge
+    factors, at every lane of every live entry, and the dense array the
+    per-entry loop's batch keeps, are the bits of ``_edge``'s ``w_i``
+    times ``1/area``."""
+    tiles = np.array([tile for tile, _ in rows])
+    window = np.array([vertices for _, vertices in rows], dtype=np.float64)
+    attributes = np.zeros(window.shape[:2] + (RASTER_ATTRIBUTES,))
+    x0, y0 = 16 * tiles[:, 0], 16 * tiles[:, 1]
+    valid = np.stack([valid_mask(x, y, 16, 16, *_SCREEN)
+                      for x, y in tiles.tolist()])
+    with np.errstate(all="ignore"):
+        window, attributes = normalize_winding(window, attributes)
+        run = batched.prepare_tile(
+            window, attributes, x0, y0, 16, 16, valid,
+            barycentrics=False).fragments(slice(0, len(rows)))
+        count = run.position.size
+        row, pixel = np.divmod(np.arange(count * 256), 256)
+        rebuilt = np.stack(batched._barycentrics(run, row, pixel, 16))
+        kept = batched.prepare_tile(window, attributes, x0, y0, 16, 16,
+                                    valid)
+        expected = [_reference_barycentrics(window[entry].tolist(),
+                                            int(x0[entry]), int(y0[entry]))
+                    for entry in run.position.tolist()]
+    rebuilt = rebuilt.reshape(3, count, 16, 16)
+    for k, bary in enumerate(expected):
+        for i in range(3):
+            assert rebuilt[i, k].tobytes() == bary[i].tobytes(), (k, i)
+            assert kept._bary[k, i].tobytes() == bary[i].tobytes(), (k, i)
