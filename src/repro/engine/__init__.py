@@ -7,7 +7,7 @@ Every outer loop of the simulator goes through this layer:
   :class:`TileJob` is a stateless, picklable description of a range of
   tiles' rendering (display lists, config, features); executing it
   yields a :class:`TileResult` (each tile's colour patch and end-of-tile
-  FVP state, the range's counter totals and columnar memory trace).  A
+  FVP state, the range's counter totals and texture bursts).  A
   :class:`TileContext` owns the per-tile Z/Color/Layer buffers the
   per-entry loop renders into and is reused across jobs within one
   worker.

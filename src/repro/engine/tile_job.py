@@ -7,14 +7,14 @@ system, no shared buffers.  Executing it (:func:`execute_tile_job`) is a
 pure function of the job, so jobs can run in any order, in any process,
 and still produce bit-identical results.
 
-Tile-order-dependent side effects are *recorded*, not performed: memory
-traffic becomes a columnar :class:`~repro.memsys.ops.RasterTrace` that
-the engine replays into the real :class:`~repro.memsys.MemorySystem` in
-tile order, and each tile's end-of-tile FVP state (Layer/Z buffers)
-travels back in the :class:`TileResult` for the parent-side predictor.
-This is what makes the parallel and serial schedulers equal by
-construction: the compute parallelizes, the stateful reduction stays
-deterministic.
+Tile-order-dependent side effects are *returned*, not performed: a job
+touches no memory system.  Its entries' texture bursts travel back as
+columns (:class:`TextureBursts`) in the :class:`TileResult`, from which
+the raster pipeline builds the frame's one memory trace in tile order,
+and each tile's end-of-tile FVP state (Layer/Z buffers) travels back
+for the parent-side predictor.  This is what makes the parallel and
+serial schedulers equal by construction: the compute parallelizes, the
+stateful reduction stays deterministic.
 
 The per-fragment arithmetic itself is dispatched through the kernel
 backend seam (:mod:`repro.kernels`): ``TileJob.backend`` names the
@@ -39,11 +39,9 @@ from ..commands.state import BlendMode, RenderState
 from ..config import GPUConfig
 from ..geom.triangle import INTERPOLATED_ATTRIBUTES
 from ..hw.buffers import ColorBuffer, LayerBuffer, ZBuffer
-from ..hw.parameter_buffer import POINTER_BYTES
 from ..kernels import DEFAULT_BACKEND, resolve_backend
 from ..kernels.api import ALPHA_OPAQUE
 from ..kernels.tile_geometry import tile_origin, valid_mask
-from ..memsys.ops import RasterTrace
 from ..obs.events import TileJobFinished, get_bus
 from ..pipeline.features import PipelineFeatures
 from ..timing.stats import FrameStats
@@ -65,7 +63,8 @@ class _TextureLog:
         self.v.append(v)
 
     def columns(self) -> Tuple[np.ndarray, ...]:
-        """``(entry, count, u, v)`` columns."""
+        """``(entry, count, u, v)`` columns, as
+        :meth:`_EntryStates.bursts` takes them."""
         return (np.array(self.entries, dtype=np.int64),
                 np.array([u.size for u in self.u], dtype=np.int64),
                 _joined(self.u), _joined(self.v))
@@ -73,6 +72,28 @@ class _TextureLog:
 
 def _joined(arrays: List[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.empty(0)
+
+
+def tile_flush_bytes(config: GPUConfig) -> int:
+    """A tile's end-of-tile colour flush (RGBA8 in the real
+    framebuffer)."""
+    return config.tile_width * config.tile_height * 4
+
+
+class TextureBursts(NamedTuple):
+    """A job's texture bursts as columns, one row per entry that shaded
+    textured fragments, in entry order: its ``count`` fragments sample
+    texture ``texture_id`` (of ``texture_size`` texels a side)
+    ``samples`` times each, at the coordinates ``u``/``v`` hold for
+    every burst back to back."""
+
+    entry: np.ndarray         # (k,) int64 — numbered within the job
+    texture_id: np.ndarray    # (k,) int64
+    texture_size: np.ndarray  # (k,) int64
+    samples: np.ndarray       # (k,) int64 — samples per fragment
+    count: np.ndarray         # (k,) int64 — fragments per burst
+    u: np.ndarray             # (sum of count,) float64
+    v: np.ndarray
 
 
 @dataclass
@@ -110,7 +131,8 @@ class TileResult:
         color: ``(t, h, w, 4)`` — each tile's rendered colours (full
             tile-sized; edge tiles are cropped by the consumer).
         stats: the range's counter totals (merged into the frame's).
-        trace: the recorded memory accesses, replayed in tile order.
+        bursts: the range's texture bursts, which the raster pipeline
+            joins into the frame's memory trace.
         tainted: ``(t,)`` bool — a predicted-occluded primitive survived
             the depth test somewhere in the tile without being exactly
             overwritten afterwards (triggers the signature poison).
@@ -122,7 +144,7 @@ class TileResult:
     tiles: np.ndarray
     color: np.ndarray
     stats: FrameStats
-    trace: RasterTrace
+    bursts: TextureBursts
     tainted: np.ndarray
     layers: Optional[np.ndarray] = None
     zr_register: Optional[np.ndarray] = None
@@ -140,18 +162,18 @@ class TileResult:
                 ZBuffer.holding(self.depth[index]))
 
     def fingerprint(self) -> tuple:
-        """Every field as exact bits — arrays by dtype, shape and bytes,
-        counters by type and repr, the trace column by column — so two
-        results compare equal only when they are bit-identical, which is
-        what kernel backends promise."""
+        """Every field as exact bits — arrays (the burst columns among
+        them) by dtype, shape and bytes, counters by type and repr — so
+        two results compare equal only when they are bit-identical,
+        which is what kernel backends promise."""
         stats = tuple((name, type(value).__name__, repr(value))
                       for name, value in self.stats.as_dict().items())
         arrays = tuple(None if value is None
                        else (value.dtype.str, value.shape, value.tobytes())
                        for value in (self.tiles, self.color, self.tainted,
                                      self.layers, self.zr_register,
-                                     self.depth))
-        return arrays + (stats, self.trace.fingerprint())
+                                     self.depth, *self.bursts))
+        return arrays + (stats,)
 
 
 class _EntryStates(NamedTuple):
@@ -166,6 +188,17 @@ class _EntryStates(NamedTuple):
     costs: np.ndarray
     #: (n, 2) int64 — the shader's texture id and size
     texture: np.ndarray
+
+    def bursts(self, entry: np.ndarray, count: np.ndarray, u: np.ndarray,
+               v: np.ndarray) -> TextureBursts:
+        """The bursts of the entries ``entry``, which shaded ``count``
+        textured fragments at ``u``/``v``: each with its shader's
+        texture and samples per fragment."""
+        texture = self.texture[entry]
+        return TextureBursts(entry=entry, texture_id=texture[:, 0],
+                             texture_size=texture[:, 1],
+                             samples=self.costs[entry, 3], count=count,
+                             u=u, v=v)
 
 
 def _entry_states(states: Tuple[RenderState, ...],
@@ -213,11 +246,6 @@ class TileJob:
         states: the frame's distinct render states.
         layer: ``(n,)`` int64 — the entry's layer id in its tile.
         predicted: ``(n,)`` bool — EVR's prediction for the entry.
-        offset: ``(n,)`` int64 — its primitive's attribute record
-            address in the Parameter Buffer.
-        pointer: ``(n,)`` int64 — the entry's own display-list address.
-        attribute_bytes: Parameter Buffer bytes per primitive record
-            (models the pointer-dereference traffic).
         backend: kernel backend name (``repro.kernels``); execution
             policy — every backend produces bit-identical results.
         dsr_rate: ``(t,)`` — each tile's Dynamic-Sampling-Rate fraction
@@ -238,9 +266,6 @@ class TileJob:
     states: Tuple[RenderState, ...]
     layer: np.ndarray
     predicted: np.ndarray
-    offset: np.ndarray
-    pointer: np.ndarray
-    attribute_bytes: int
     backend: str = DEFAULT_BACKEND
     dsr_rate: Optional[np.ndarray] = None
     history: Optional[np.ndarray] = None
@@ -264,25 +289,6 @@ class TileJob:
         if context is None:
             context = TileContext.for_config(self.config)
         return self._run_tiles(kernels, context)
-
-    def _flush_bytes(self) -> int:
-        """A tile's colour flush (RGBA8 in the real framebuffer)."""
-        return self.config.tile_width * self.config.tile_height * 4
-
-    def _trace(self, entries: _EntryStates, texture_entry: np.ndarray,
-               texture_count: np.ndarray, u: np.ndarray,
-               v: np.ndarray) -> RasterTrace:
-        """The range's memory trace: every entry's two Parameter Buffer
-        reads and, for ``texture_entry``, its texture burst."""
-        texture = entries.texture[texture_entry]
-        return RasterTrace(
-            pointer=self.pointer, offset=self.offset,
-            pointer_bytes=POINTER_BYTES, record_bytes=self.attribute_bytes,
-            bounds=self.bounds, flush_bytes=self._flush_bytes(),
-            texture_entry=texture_entry, texture_id=texture[:, 0],
-            texture_size=texture[:, 1],
-            texture_samples=entries.costs[texture_entry, 3],
-            texture_count=texture_count, u=u, v=v)
 
     def _run_range(self, kernels) -> TileResult:
         """Every tile at once: one ``prepare_tile`` over the range's
@@ -340,7 +346,7 @@ class TileJob:
         stats.texture_samples += samples
         stats.blend_operations += shaded
         stats.overdrawn_fragments += out.overdrawn
-        stats.color_flush_bytes += tiles * self._flush_bytes()
+        stats.color_flush_bytes += tiles * tile_flush_bytes(config)
         if features.uses_layers:
             stats.fvp_updates += tiles
             stats.layer_buffer_writes += int(out.written.sum())
@@ -357,8 +363,8 @@ class TileJob:
         layers = features.uses_layers
         return TileResult(
             tiles=self.tiles, color=out.color, stats=stats,
-            trace=self._trace(entries, out.texture_entry, out.texture_count,
-                              out.u, out.v),
+            bursts=entries.bursts(out.texture_entry, out.texture_count,
+                                  out.u, out.v),
             tainted=out.taint,
             layers=out.layers if layers else None,
             zr_register=out.zr_register if layers else None,
@@ -399,7 +405,7 @@ class TileJob:
             stats.merge(tile_stats)
         return TileResult(
             tiles=self.tiles, color=color, stats=stats,
-            trace=self._trace(entries, *log.columns()),
+            bursts=entries.bursts(*log.columns()),
             tainted=tainted, layers=layers, zr_register=zr_register,
             depth=depth)
 
@@ -452,7 +458,7 @@ class TileJob:
                                index, index - start, dsr_rate, history,
                                pending, taint, stats)
 
-        stats.color_flush_bytes += self._flush_bytes()
+        stats.color_flush_bytes += tile_flush_bytes(config)
         if features.uses_layers:
             stats.fvp_updates += 1
         return bool(taint.any())
@@ -504,7 +510,8 @@ class TileJob:
         z_buffer = context.z_buffer
         color_buffer = context.color_buffer
 
-        # The pointer and record reads are the trace's for every entry.
+        # Every entry's pointer and record reads are in the frame's
+        # memory trace.
         stats.display_list_reads += 1
 
         if (

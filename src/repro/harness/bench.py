@@ -29,7 +29,7 @@ Measures four things per kernel backend, on a preset workload:
 4. **Execute throughput** — the captured raster jobs, each a range of
    tiles, replayed through :meth:`TileJob.run` on each backend, the
    whole raster execute step (rasterization, the Early Depth Test,
-   shading bookkeeping, blending and the memory trace; under EVR the
+   shading bookkeeping, blending and the texture bursts; under EVR the
    numpy backend renders each range in one array pass):
    ``tiles_per_second``.
 
@@ -140,16 +140,19 @@ class _CaptureScheduler(SerialScheduler):
 
 
 class _TraceRecorder(BatchedMemorySystem):
-    """The batched memory system, also keeping the traffic a numpy run
-    hands it: each frame's traces, in the order ``replay_ops`` received
-    them, closed by ``end_frame``.
+    """The batched memory system, also keeping the traffic a run hands
+    it: each frame's traces, in the order ``replay_ops`` received them,
+    closed by ``end_frame``.
 
-    The numpy pipeline hands over only traces, so this is the run's
-    complete memory traffic (geometry-side vertex fetches and Parameter
-    Buffer writes as well as the raster tile traces) for the memsys
-    replay sweep.  Frame boundaries are kept (``end_frame`` traffic is
-    part of replay cost); stat resets are not, so replaying the traffic
-    once yields lifetime counters both implementations must agree on.
+    ``replay_ops`` is the only way traffic reaches a memory system, so
+    this is the run's complete memory traffic for the memsys replay
+    sweep: per frame two traces, its geometry trace (vertex fetches and
+    Parameter Buffer writes) and its raster trace (display-list reads,
+    texture bursts and tile flushes), or the geometry trace alone when
+    Rendering Elimination skipped every tile.  Frame boundaries are
+    kept (``end_frame`` traffic is part of replay cost); stat resets are
+    not, so replaying the traffic once yields lifetime counters both
+    implementations must agree on.
     """
 
     def __init__(self, config: GPUConfig):

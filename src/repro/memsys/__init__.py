@@ -9,9 +9,10 @@ cache models play inside the paper's Teapot simulator.
 Two implementations sit behind one surface: the scalar
 :class:`MemorySystem` (the semantic reference — one ``OrderedDict`` walk
 per line) and the batched :class:`BatchedMemorySystem` (structure-of-
-arrays trace consumption, bit-identical counters).  Each phase hands its
-traffic over as one columnar trace (:mod:`repro.memsys.ops`) through
-``replay_ops``.  Pick one with
+arrays trace consumption, bit-identical counters).  Each phase of a
+frame hands its traffic over as one columnar trace
+(:mod:`repro.memsys.ops`) through ``replay_ops``, the only way traffic
+reaches either model.  Pick one with
 :func:`create_memory_system`; the choice rides on the same
 ``scheduler.backend`` execution-policy knob as the fragment kernels.
 """

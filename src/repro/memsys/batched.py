@@ -6,17 +6,15 @@ This is the ``numpy`` backend of the memory-system seam.  The scalar
 of recorded traffic as structure-of-arrays and replays them through an
 array-based exact-LRU model:
 
-* **Deferred drain** — the public API (``fetch_vertex``,
-  ``parameter_buffer_read`` …) validates each op and appends it to the
-  pending batch as a row or a texture burst, numbered in call order;
-  ``replay_ops`` joins a :class:`~repro.memsys.ops.RasterTrace`'s or
-  :class:`~repro.memsys.ops.GeometryTrace`'s columns to the batch as
-  arrays.  The batch is drained — expanded, grouped and simulated — the
-  first time counters are observed (``snapshot`` / ``instrumentation`` /
-  a counter property) and before ``end_frame``, ``reset_stats`` and a
-  direct ``framebuffer_flush``, which then act at once.  The pipeline
-  reads counters only at phase boundaries, so a whole phase's traffic
-  is one batch.
+* **Deferred drain** — traffic arrives only through ``replay_ops``, one
+  trace per phase: a :class:`~repro.memsys.ops.GeometryTrace`'s or a
+  :class:`~repro.memsys.ops.RasterTrace`'s columns join the pending
+  batch as arrays, numbered in op order.  The batch is drained —
+  validated, expanded, grouped and simulated — the first time counters
+  are observed (``snapshot`` / ``instrumentation`` / a counter
+  property) and before ``end_frame`` and ``reset_stats``, which then
+  act at once.  The pipeline reads counters only at phase boundaries,
+  so a whole phase's traffic is one batch.
 
 * **SoA expansion** — the batch's requests become flat arrays
   (address, size, write, stream base) in exact scalar call order, and
@@ -531,35 +529,17 @@ def _segment_expand(reps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _Batch:
-    """The traffic queued since the last drain, its ops numbered in call
-    order: per-op requests as flat rows and texture bursts (each with
-    its bilinear flag), raster and geometry traces as column chunks, and
-    the tile flushes the raster traces carry."""
+    """The traces queued since the last drain, their ops numbered in op
+    order: the Parameter Buffer and vertex-range rows and the texture
+    bursts as column chunks, and the tile flushes the raster traces
+    carry."""
 
     def __init__(self) -> None:
         self.ops = 0   # ops queued; a trace counts the ops it stands for
         self._next = 0  # the next op number
-        self._simple: List[int] = []  # flat (op_idx, kind, f0, f1, f2)
-        # (op_idx, tid, tsize, spf, bilinear, u, v) per texture burst
-        self._textures: List[tuple] = []
         self._rows: List[np.ndarray] = []
         self._texture_chunks: List[Tuple[np.ndarray, ...]] = []
         self.flushes: List[Tuple[int, int]] = []  # (bytes, tiles)
-
-    def request(self, kind: int, f0: int, f1: int, f2: int) -> None:
-        """Add one simple request (vertex range, Parameter Buffer read or
-        write) as the next op."""
-        self._simple.extend((self._next, kind, f0, f1, f2))
-        self._next += 1
-        self.ops += 1
-
-    def texture(self, texture_id: int, texture_size: int, u: np.ndarray,
-                v: np.ndarray, samples: int, bilinear: bool) -> None:
-        """Add one texture burst as the next op."""
-        self._textures.append((self._next, texture_id, texture_size,
-                               samples, bilinear, u, v))
-        self._next += 1
-        self.ops += 1
 
     def raster(self, trace: RasterTrace) -> None:
         """Add ``trace``'s ops: entry ``e``'s pointer read, record read
@@ -576,12 +556,19 @@ class _Batch:
         rows[1::2, 3] = trace.record_bytes
         rows[:, 4] = 0
         self._rows.append(rows)
-        if trace.texture_entry.size:
-            self._texture_chunks.append((
-                base + 3 * trace.texture_entry + 2, trace.texture_id,
-                trace.texture_size, trace.texture_samples,
-                np.ones(trace.texture_entry.size, bool),
-                trace.texture_count, trace.u, trace.v))
+        columns = (base + 3 * trace.texture_entry + 2, trace.texture_id,
+                   trace.texture_size, trace.texture_samples,
+                   trace.texture_count)
+        u, v = trace.u, trace.v
+        # A burst without fragments or samples touches nothing, as the
+        # scalar ``texture_batch`` returns early for it.
+        live = (trace.texture_count > 0) & (trace.texture_samples > 0)
+        if not live.all():
+            sampled = np.repeat(live, trace.texture_count)
+            columns = tuple(column[live] for column in columns)
+            u, v = u[sampled], v[sampled]
+        if columns[0].size:
+            self._texture_chunks.append(columns + (u, v))
         if trace.bounds.size > 1:
             self.flushes.append((trace.flush_bytes, trace.bounds.size - 1))
         self._next += 3 * n
@@ -602,40 +589,21 @@ class _Batch:
         self.ops += trace.ops
 
     def simple_rows(self) -> Optional[np.ndarray]:
-        """Every simple request as ``(op_idx, kind, f0, f1, f2)`` rows."""
-        parts = list(self._rows)
-        if self._simple:
-            parts.append(np.array(self._simple, np.int64).reshape(-1, 5))
-        if not parts:
-            return None
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        """Every Parameter Buffer and vertex-range request as
+        ``(op_idx, kind, f0, f1, f2)`` rows."""
+        return _joined(self._rows) if self._rows else None
 
     def texture_columns(self) -> Optional[Tuple[np.ndarray, ...]]:
         """Every texture burst as the columns of
         :meth:`BatchedMemorySystem._expand_textures`."""
-        chunks = list(self._texture_chunks)
-        if self._textures:
-            idx, tid, tsize, spf, bilinear, us, vs = zip(*self._textures)
-            # The pipeline's coordinate arrays are float64 1-D;
-            # concatenate consumes them without per-op conversion (the
-            # scalar reference computes in the arrays' own dtype too).
-            chunks.append((np.array(idx, np.int64), np.array(tid, np.int64),
-                           np.array(tsize, np.int64),
-                           np.array(spf, np.int64),
-                           np.array(bilinear, bool),
-                           np.array([u.size for u in us], np.int64),
-                           _joined(us), _joined(vs)))
-        if not chunks:
+        if not self._texture_chunks:
             return None
-        if len(chunks) == 1:
-            return chunks[0]
-        return tuple(map(_joined, zip(*chunks)))
+        return tuple(map(_joined, zip(*self._texture_chunks)))
 
 
 def _joined(arrays) -> np.ndarray:
     """``arrays`` end to end (the array itself when there is one)."""
-    return np.concatenate(arrays) if len(arrays) > 1 else np.asarray(
-        arrays[0])
+    return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
 
 
 class BatchedMemorySystem:
@@ -683,85 +651,14 @@ class BatchedMemorySystem:
         self._l2_cursor: Dict[int, int] = {}
         self._batch = _Batch()
 
-    # -- public API: queue ops, validate eagerly -----------------------------
-
-    def fetch_vertex(self, vertex_index: int, vertex_bytes: int = 48) -> None:
-        """Geometry pipeline fetches one vertex's data from memory."""
-        if vertex_bytes <= 0:
-            raise MemoryModelError(
-                f"cache vertex: access size {vertex_bytes} <= 0")
-        if _VERTEX_BASE + vertex_index * vertex_bytes < 0:
-            raise MemoryModelError("cache vertex: negative address")
-        self._batch.request(_K_VRANGE, vertex_index, 1, vertex_bytes)
-
-    def fetch_vertex_range(self, start: int, count: int,
-                           vertex_bytes: int = 48) -> None:
-        """Fetch ``count`` consecutive vertices starting at ``start``."""
-        if count < 0:
-            raise MemoryModelError("vertex range with negative count")
-        if count == 0:
-            return
-        if vertex_bytes <= 0:
-            raise MemoryModelError(
-                f"cache vertex: access size {vertex_bytes} <= 0")
-        if _VERTEX_BASE + start * vertex_bytes < 0:
-            raise MemoryModelError("cache vertex: negative address")
-        self._batch.request(_K_VRANGE, start, count, vertex_bytes)
-
-    def parameter_buffer_write(self, offset: int, size: int) -> None:
-        """Polygon List Builder stores primitive attributes / pointers."""
-        if size <= 0:
-            raise MemoryModelError(f"cache tile: access size {size} <= 0")
-        if _PARAMETER_BASE + offset < 0:
-            raise MemoryModelError("cache tile: negative address")
-        self._batch.request(_K_PBW, offset, size, 0)
-
-    def parameter_buffer_read(self, offset: int, size: int) -> None:
-        """Raster pipeline dereferences Display List pointers."""
-        if size <= 0:
-            raise MemoryModelError(f"cache tile: access size {size} <= 0")
-        if _PARAMETER_BASE + offset < 0:
-            raise MemoryModelError("cache tile: negative address")
-        self._batch.request(_K_PBR, offset, size, 0)
-
-    def texture_batch(
-        self,
-        texture_id: int,
-        texture_size: int,
-        u: np.ndarray,
-        v: np.ndarray,
-        samples_per_fragment: int = 1,
-        bilinear: bool = True,
-    ) -> None:
-        """Sample a (mipmapped) texture for a batch of fragments."""
-        if u.size == 0 or samples_per_fragment <= 0:
-            return
-        self._batch.texture(texture_id, texture_size, u, v,
-                            samples_per_fragment, bilinear)
-
-    def framebuffer_flush(self, num_bytes: int) -> None:
-        """End-of-tile Color Buffer flush to main memory (write-only).
-
-        Applied eagerly (after draining what came before): callers may
-        read ``dram.stats`` directly, and the DRAM model has no deferred
-        façade.  A raster trace's tile flushes reach DRAM when its batch
-        drains.
-        """
-        if num_bytes <= 0:
-            raise MemoryModelError("framebuffer flush of non-positive size")
-        self._drain()
-        self.dram.write(num_bytes)
-
     def replay_ops(self, trace) -> None:
         """Take a phase's recorded traffic: a
         :class:`~repro.memsys.ops.RasterTrace`'s or
         :class:`~repro.memsys.ops.GeometryTrace`'s columns join the
-        pending batch as arrays.
-
-        Unlike the per-op methods, a trace is validated when its batch
-        drains; traces recorded by the pipeline are well-formed by
-        construction.
-        """
+        pending batch as arrays.  They are validated when the batch
+        drains: an op the scalar model rejects with a
+        :class:`MemoryModelError` makes the drain raise one, before the
+        batch changes any state."""
         if isinstance(trace, RasterTrace):
             self._batch.raster(trace)
         else:
@@ -798,13 +695,16 @@ class BatchedMemorySystem:
         self._batch = _Batch()
         global_registry().histogram(
             "memsys.drain_batch_ops").observe(batch.ops)
+        # The whole batch is validated before any state changes: an
+        # invalid one raises and is dropped, leaving the model as it was
+        # before the batch.  The tile flushes reach the additive DRAM
+        # counters last.
+        if any(num_bytes <= 0 for num_bytes, _ in batch.flushes):
+            raise MemoryModelError("framebuffer flush of non-positive size")
+        self._apply_batch(batch)
         for num_bytes, tiles in batch.flushes:
-            if num_bytes <= 0:
-                raise MemoryModelError(
-                    "framebuffer flush of non-positive size")
             for _ in range(tiles):
                 self.dram.write(num_bytes)
-        self._apply_batch(batch)
 
     # -- the vectorized core -------------------------------------------------
 
@@ -820,6 +720,8 @@ class BatchedMemorySystem:
         if rows is not None:
             op_idx, kind, f0, f1, f2 = rows.T
             reps = np.where(kind == _K_VRANGE, f1, 1)
+            if np.any(reps < 0):
+                raise MemoryModelError("vertex range with negative count")
             row, rank = _segment_expand(reps)
             r_kind = kind[row]
             is_v = r_kind == _K_VRANGE
@@ -958,9 +860,8 @@ class BatchedMemorySystem:
 
     def _expand_textures(self, op_idx: np.ndarray, tid: np.ndarray,
                          tsize: np.ndarray, spf: np.ndarray,
-                         bilin: np.ndarray, frags: np.ndarray,
-                         u_all: np.ndarray, v_all: np.ndarray
-                         ) -> Tuple[np.ndarray, ...]:
+                         frags: np.ndarray, u_all: np.ndarray,
+                         v_all: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Vectorize texture batches across ops: mip selection, texel
         footprints and per-op unique-line reduction, reproducing the
         scalar per-op arithmetic expression for expression order.  Op
@@ -1003,8 +904,6 @@ class BatchedMemorySystem:
         np.minimum(tx + 1, top, out=tx)
         np.minimum(ty + 1, top, out=ty)
         foot_keys = seg_key | (ty * ls_el + tx) * _TEXEL_BYTES // self._line
-        if not bilin.all():
-            foot_keys = foot_keys[np.repeat(bilin, frags)]
 
         # Per-op unique lines, ascending (scalar np.unique order): sort
         # the keys once across every batch.  Neighbouring fragments

@@ -151,7 +151,6 @@ class MemorySystem:
         u: np.ndarray,
         v: np.ndarray,
         samples_per_fragment: int = 1,
-        bilinear: bool = True,
     ) -> None:
         """Sample a (mipmapped) texture for a batch of fragments.
 
@@ -175,19 +174,17 @@ class MemorySystem:
         base_lines = (
             (texel_y * level_size + texel_x) * _TEXEL_BYTES // self._line
         )
-        touched = base_lines
-        if bilinear:
-            # 2x2 footprint: the filter also reads the neighbors to the
-            # right and below (clamped), widening the set of lines the
-            # batch *touches*.  A bilinear sample is still one cache
-            # access — the footprint must not inflate the per-line
-            # repeat counts below, only the unique-line set.
-            foot_x = np.minimum(texel_x + 1, level_size - 1)
-            foot_y = np.minimum(texel_y + 1, level_size - 1)
-            foot_lines = (
-                (foot_y * level_size + foot_x) * _TEXEL_BYTES // self._line
-            )
-            touched = np.concatenate([base_lines, foot_lines])
+        # 2x2 footprint: the filter also reads the neighbors to the right
+        # and below (clamped), widening the set of lines the batch
+        # *touches*.  A bilinear sample is still one cache access — the
+        # footprint must not inflate the per-line repeat counts below,
+        # only the unique-line set.
+        foot_x = np.minimum(texel_x + 1, level_size - 1)
+        foot_y = np.minimum(texel_y + 1, level_size - 1)
+        foot_lines = (
+            (foot_y * level_size + foot_x) * _TEXEL_BYTES // self._line
+        )
+        touched = np.concatenate([base_lines, foot_lines])
         line_index = np.unique(touched)
         # Repeat counts come from the fragments' *base* texels alone:
         # each fragment performs ``samples_per_fragment`` accesses, and

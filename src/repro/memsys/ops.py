@@ -1,41 +1,41 @@
 """Columnar memory traces: the recorded form of memory traffic.
 
-A phase hands its memory traffic to the memory system as one trace of
-columns: a raster job's Parameter Buffer reads, texture bursts and tile
-flushes (:class:`RasterTrace`), or a frame's vertex fetches and
-Parameter Buffer writes (:class:`GeometryTrace`).  Both models take a
-trace through ``replay_ops``: the scalar
-:class:`~repro.memsys.MemorySystem` has the trace replay itself, one
-method call per op in op order (:meth:`RasterTrace.replay`), and the
+Each phase of a frame hands its memory traffic to the memory system as
+one trace of columns: the geometry phase its vertex fetches and
+Parameter Buffer writes (:class:`GeometryTrace`), the raster phase its
+Parameter Buffer reads, texture bursts and tile flushes
+(:class:`RasterTrace`).  ``replay_ops`` is the only way traffic reaches
+either model: the scalar :class:`~repro.memsys.MemorySystem` has the
+trace replay itself, one method call per op in op order
+(:meth:`RasterTrace.replay`), and the
 :class:`~repro.memsys.BatchedMemorySystem` joins the columns to its
 pending batch as arrays.
 
-The trace types live here, not in :mod:`repro.engine.tile_job` (which
-records raster traces), so the memory system can consume them without
-an engine/memsys layering cycle.
+The trace types live here, not in the pipeline that records them, so
+the memory system can consume them without a layering cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from itertools import repeat
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class RasterTrace:
-    """A raster job's memory trace as columns.
+    """A frame's raster memory trace as columns.
 
-    The op sequence is fixed by the job's display lists: tile ``i``'s
-    entries are rows ``bounds[i]`` to ``bounds[i + 1]``, and each entry
-    reads its pointer (``pointer_bytes`` at ``pointer``) and its
-    attribute record (``record_bytes`` at ``offset``), then, if it
-    shaded textured fragments, samples its texture; each tile ends with
-    one ``flush_bytes`` colour flush.  The texture bursts are rows of
-    the ``texture_*`` columns, in entry order: ``texture_entry`` is the
-    entry, ``texture_count`` its fragment count, and ``u``/``v`` hold
-    every burst's coordinates back to back.
+    The op sequence is fixed by the rendered tiles' display lists, in
+    tile order: tile ``i``'s entries are rows ``bounds[i]`` to
+    ``bounds[i + 1]``, and each entry reads its pointer
+    (``pointer_bytes`` at ``pointer``) and its attribute record
+    (``record_bytes`` at ``offset``), then, if it shaded textured
+    fragments, samples its texture; each tile ends with one
+    ``flush_bytes`` colour flush.  The texture bursts are rows of the
+    ``texture_*`` columns, in entry order: ``texture_entry`` is the
+    entry, ``texture_count`` its fragment count (at least one), and
+    ``u``/``v`` hold every burst's coordinates back to back.
     """
 
     pointer: np.ndarray          # (n,) int64
@@ -82,16 +82,6 @@ class RasterTrace:
                                          self.u[end - count:end],
                                          self.v[end - count:end], samples)
             memory.framebuffer_flush(self.flush_bytes)
-
-    def fingerprint(self) -> tuple:
-        """Every column as exact bits."""
-        return tuple((value.dtype.str, value.tobytes())
-                     if isinstance(value, np.ndarray) else value
-                     for value in map(getattr, repeat(self),
-                                      _TRACE_FIELDS))
-
-
-_TRACE_FIELDS = tuple(field.name for field in fields(RasterTrace))
 
 
 @dataclass(frozen=True)

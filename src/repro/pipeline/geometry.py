@@ -15,7 +15,9 @@ Vertex shading and Primitive Assembly run behind the kernel-backend seam
 assembles the whole frame at once and the Polygon List Builder bins the
 frame's (primitive, tile) pairs in array passes; the scalar reference
 assembles and bins one command at a time in a sequential loop, the
-oracle the array form is tested against.
+oracle the array form is tested against.  Either way the frame's vertex
+fetches and Parameter Buffer writes reach the memory system as one
+:class:`~repro.memsys.ops.GeometryTrace`.
 """
 
 from __future__ import annotations
@@ -104,7 +106,9 @@ class GeometryPipeline:
 
         A backend with ``assemble_frame`` (numpy) assembles and bins the
         whole frame in array passes; the scalar reference assembles and
-        bins each command in turn.
+        bins each command in turn, recording each memory op as a row of
+        the frame's trace, which it hands over after the last command.
+        A frame that raises part-way hands over no memory traffic.
         """
         self.parameter_buffer.reset()
         if self.lgt is not None:
@@ -131,17 +135,33 @@ class GeometryPipeline:
             return
         tracer = get_tracer()
         survivors: List[ScreenTriangle] = []
+        # The frame's memory ops as (start, count) rows, in op order;
+        # the rows at ``vertex_at`` are vertex-range fetches, the others
+        # Parameter Buffer writes.
+        ops: List[Tuple[int, int]] = []
+        vertex_at: List[int] = []
         for command_id, command in enumerate(frame.commands):
             stats.commands_processed += 1
             with tracer.span("command", category="geometry",
                              label=command.label, frame=frame.index):
+                # The whole command's vertex stream is one consecutive
+                # index range and nothing else touches memory until
+                # binning, so the per-vertex fetch loop collapses into a
+                # single ranged access — the same address sequence, one
+                # row.
+                vertex_at.append(len(ops))
+                ops.append(self._fetch_vertices(command, stats))
                 triangles = self._shade_and_assemble(
                     command_id, command,
                     self._mvp(frame, command, view_projections), stats,
                 )
                 self._bin_command(triangles, len(survivors), command_id,
-                                  command, stats)
+                                  command, stats, ops)
             survivors.extend(triangles)
+        rows = np.array(ops, dtype=np.int64).reshape(-1, 2)
+        self.memory.replay_ops(GeometryTrace(
+            rows[:, 0], rows[:, 1], np.array(vertex_at, dtype=np.int64),
+            _VERTEX_BYTES))
         self.parameter_buffer.close_display_lists(primitive_table(
             survivors, [command.state for command in frame.commands]))
 
@@ -170,12 +190,7 @@ class GeometryPipeline:
         mvp: Mat4,
         stats: FrameStats,
     ) -> List[ScreenTriangle]:
-        """Vertex fetch + shade + primitive assembly for one command."""
-        # The whole command's vertex stream is one consecutive index
-        # range and nothing else touches memory until binning, so the
-        # per-vertex fetch loop collapses into a single ranged access —
-        # the same address sequence, one call.
-        self.memory.fetch_vertex_range(*self._fetch_vertices(command, stats))
+        """Vertex shading + primitive assembly for one command."""
         survivors = self._kernels.assemble(command, command_id, mvp,
                                            self._viewport)
         stats.primitives_culled += command.triangle_count - len(survivors)
@@ -183,9 +198,9 @@ class GeometryPipeline:
         return survivors
 
     def _fetch_vertices(self, command: DrawCommand, stats: FrameStats
-                        ) -> Tuple[int, int, int]:
+                        ) -> Tuple[int, int]:
         """Count one command's vertex work; returns its vertex-range
-        fetch as ``(start, count, vertex_bytes)``."""
+        fetch as ``(start, count)`` (of ``_VERTEX_BYTES`` each)."""
         start = self._vertex_base
         self._vertex_base += command.vertex_count
         count = command.triangle_count
@@ -202,7 +217,7 @@ class GeometryPipeline:
             stats.vertex_instructions += (
                 3 * count * max(4, vertex_instructions // 2)
             )
-        return start, 3 * count, _VERTEX_BYTES
+        return start, 3 * count
 
     def _prediction_depth(self, triangle: ScreenTriangle) -> float:
         """The primitive depth compared against ``Z_far`` (Section III-A).
@@ -244,7 +259,7 @@ class GeometryPipeline:
         count = len(table.command)
 
         # -- per command: vertex fetch and the vertex-side counters -----
-        vertex_ranges = [self._fetch_vertices(command, stats)[:2]
+        vertex_ranges = [self._fetch_vertices(command, stats)
                          for command in commands]
         stats.commands_processed += len(commands)
         stats.primitives_culled += (
@@ -372,10 +387,12 @@ class GeometryPipeline:
         command_id: int,
         command: DrawCommand,
         stats: FrameStats,
+        ops: List[Tuple[int, int]],
     ) -> None:
         """Sort one command's assembled primitives, in order, into all
         tiles each one overlaps; ``triangles[i]`` is row ``first_row + i``
-        of the frame's primitive table.
+        of the frame's primitive table.  Each Parameter Buffer write is
+        appended to ``ops`` as ``(offset, size)``.
 
         Everything that is fixed per command or per primitive — the
         command's WOZ class, the pointer size, a primitive's bounding
@@ -384,7 +401,6 @@ class GeometryPipeline:
         """
         config = self.config
         features = self.features
-        memory = self.memory
         parameter_buffer = self.parameter_buffer
         lgt = self.lgt
         predictor = self.predictor
@@ -407,7 +423,7 @@ class GeometryPipeline:
 
         for row, triangle in enumerate(triangles, first_row):
             offset = parameter_buffer.store_primitive(triangle)
-            memory.parameter_buffer_write(offset, attribute_bytes)
+            ops.append((offset, attribute_bytes))
             stats.parameter_buffer_bytes += attribute_bytes
 
             crc = (
@@ -422,8 +438,7 @@ class GeometryPipeline:
             if prepass:
                 # The depth-only pass stores its own (position-only) records.
                 prepass_offset = parameter_buffer.store_primitive(triangle)
-                memory.parameter_buffer_write(prepass_offset,
-                                              _PREPASS_RECORD_BYTES)
+                ops.append((prepass_offset, _PREPASS_RECORD_BYTES))
                 stats.parameter_buffer_bytes += _PREPASS_RECORD_BYTES
 
             bbox = triangle.bounding_box()
@@ -459,7 +474,7 @@ class GeometryPipeline:
                                      predicted_occluded, pointer),
                     writes_z, predicted_occluded, reorder,
                 )
-                memory.parameter_buffer_write(pointer, pointer_bytes)
+                ops.append((pointer, pointer_bytes))
                 pointer += pointer_bytes
 
                 if re is not None and re.on_primitive_binned(

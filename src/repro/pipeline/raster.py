@@ -16,14 +16,16 @@ display-list entries; this module *schedules* tiles (the RE skip check is a
 scheduling decision), fans the jobs out through the configured
 :class:`~repro.engine.Scheduler`, and *reduces* the returned
 :class:`~repro.engine.TileResult`s in tile order — merging counters,
-replaying memory traces, updating the FVP/signature state and writing
-the framebuffer.  The cut and the reduction order are fixed, so serial
-and parallel schedulers produce identical frames and identical metrics.
+handing the frame's memory traffic to the memory system as one
+:class:`~repro.memsys.ops.RasterTrace`, updating the FVP/signature state
+and writing the framebuffer.  The cut and the reduction order are fixed,
+so serial and parallel schedulers produce identical frames and identical
+metrics.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,12 +34,18 @@ from ..core.evr import VisibilityPredictor
 from ..core.oracle import OracleTileComparator
 from ..core.rendering_elimination import RenderingElimination
 from ..engine.scheduler import Scheduler, SerialScheduler
-from ..engine.tile_job import TileJob, TileResult, execute_tile_job
-from ..hw.parameter_buffer import ParameterBuffer
+from ..engine.tile_job import (
+    TileJob,
+    TileResult,
+    execute_tile_job,
+    tile_flush_bytes,
+)
+from ..hw.parameter_buffer import POINTER_BYTES, ParameterBuffer
 from ..kernels import DEFAULT_BACKEND, normalize_backend
 from ..kernels.api import RASTER_ATTRIBUTES, normalize_winding
 from ..kernels.tile_geometry import tile_region
 from ..memsys import MemorySystem
+from ..memsys.ops import RasterTrace
 from ..obs.trace import get_tracer
 from ..timing import FrameStats
 from .features import PipelineFeatures
@@ -110,16 +118,16 @@ class RasterPipeline:
                     if not self._try_skip_tile(tile, tile_x, tile_y, image,
                                                previous_image, stats):
                         rendered.append(tile)
-            jobs = self._jobs(np.array(rendered, dtype=np.int64),
-                              previous_image)
+            jobs, reads = self._jobs(np.array(rendered, dtype=np.int64),
+                                     previous_image)
 
         tiles = len(rendered)
         with tracer.span("execute", category="raster", tiles=tiles,
                          jobs=len(jobs)):
             results = self.scheduler.map(execute_tile_job, jobs)
         # The reduce phase splits into two independent sub-loops so the
-        # bench can attribute its cost: replaying the recorded memory
-        # traces (the historical bottleneck) versus folding the
+        # bench can attribute its cost: replaying the frame's memory
+        # trace (the historical bottleneck) versus folding the
         # functional results into the frame.  ``drain()`` pins deferred
         # batched-model work inside the replay span.
         with tracer.span("reduce", category="raster", tiles=tiles):
@@ -127,7 +135,8 @@ class RasterPipeline:
                              tiles=tiles):
                 for result in results:
                     stats.merge(result.stats)
-                    self.memory.replay_ops(result.trace)
+                if results:
+                    self.memory.replay_ops(self._trace(*reads, results))
                 self.memory.drain()
             with tracer.span("reduce-finalize", category="raster",
                              tiles=tiles):
@@ -135,13 +144,16 @@ class RasterPipeline:
                     self._reduce_range(result, image, stats)
 
     def _jobs(self, tiles: np.ndarray,
-              previous_image: Optional[np.ndarray]) -> List[TileJob]:
+              previous_image: Optional[np.ndarray]
+              ) -> Tuple[List[TileJob], Tuple[np.ndarray, ...]]:
         """The jobs rendering ``tiles``, in order: consecutive tiles, each
         job cut before the tile that would take it past
         :data:`RANGE_ENTRIES` entries.  A job takes its tiles' slices of
         the frame's display-list columns, and of the primitive columns
         gathered into them, each primitive's winding normalized once for
-        every tile."""
+        every tile.  Also returns what :meth:`_trace` reads of the
+        tiles' display lists: each tile's entry bounds, and each entry's
+        pointer and record offset."""
         config = self.config
         table = self.parameter_buffer.primitives
         lists = self.parameter_buffer.lists
@@ -158,9 +170,7 @@ class RasterPipeline:
         state = table.state[rows]
         layer = lists.layer[picked]
         predicted = lists.predicted[picked]
-        offset = lists.offset[picked]
-        pointer = lists.pointer[picked]
-        attribute_bytes = self.parameter_buffer.attribute_bytes_per_primitive
+        reads = bounds, lists.pointer[picked], lists.offset[picked]
 
         cuts = [0]
         taken = 0
@@ -188,9 +198,6 @@ class RasterPipeline:
                 states=table.states,
                 layer=layer[entries],
                 predicted=predicted[entries],
-                offset=offset[entries],
-                pointer=pointer[entries],
-                attribute_bytes=attribute_bytes,
                 backend=self.backend,
                 # Technique inputs are resolved here, parent-side, so
                 # every scheduler renders bit-identically.
@@ -201,7 +208,36 @@ class RasterPipeline:
                 ),
                 history=self._history(job_tiles, previous_image),
             ))
-        return jobs
+        return jobs, reads
+
+    def _trace(self, bounds: np.ndarray, pointer: np.ndarray,
+               offset: np.ndarray, results: Sequence[TileResult]
+               ) -> RasterTrace:
+        """The frame's raster trace: the rendered entries' pointer and
+        record reads (tile ``i``'s are rows ``bounds[i]`` to
+        ``bounds[i + 1]``), and the jobs' texture bursts joined in job
+        order, each job's entries shifted by its first entry in the
+        frame."""
+        first_tile = np.cumsum([0] + [result.tiles.size
+                                      for result in results[:-1]])
+        bursts = [result.bursts for result in results]
+
+        def joined(field: str) -> np.ndarray:
+            return np.concatenate([getattr(burst, field)
+                                   for burst in bursts])
+
+        return RasterTrace(
+            pointer=pointer, offset=offset,
+            pointer_bytes=POINTER_BYTES,
+            record_bytes=self.parameter_buffer.attribute_bytes_per_primitive,
+            bounds=bounds, flush_bytes=tile_flush_bytes(self.config),
+            texture_entry=np.concatenate([
+                burst.entry + first for burst, first
+                in zip(bursts, bounds[first_tile].tolist())]),
+            texture_id=joined("texture_id"),
+            texture_size=joined("texture_size"),
+            texture_samples=joined("samples"),
+            texture_count=joined("count"), u=joined("u"), v=joined("v"))
 
     # -- tile skipping (Rendering Elimination) ------------------------------
 

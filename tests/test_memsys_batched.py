@@ -3,12 +3,14 @@
 The scalar :class:`~repro.memsys.MemorySystem` defines the semantics;
 the batched model must reproduce every observable — per-cache counters,
 snapshots, DRAM traffic and cycle estimates, frame-flush behaviour —
-bit for bit on arbitrary traces.  Random op sequences (mixed streams,
-line-straddling sizes, frame boundaries, mid-sequence counter
-observations) are the proof; a handful of directed tests pin the
-mechanisms (the closed-form LRU of sets of at most two ways and the
+bit for bit on arbitrary traces.  Random geometry and raster traces
+(mixed streams, line-straddling sizes, frame boundaries, mid-sequence
+counter observations) are the proof; a handful of directed tests pin
+the mechanisms (the closed-form LRU of sets of at most two ways and the
 rank stepping of wider ones, run collapse, the texture runs' sample
-counts, L2 cursor continuity).
+counts, L2 cursor continuity).  Traffic reaches either model only
+through ``replay_ops``: the scalar model replays a trace one method
+call per op, which is what each trace is checked against.
 """
 
 import dataclasses
@@ -23,12 +25,15 @@ from repro.config import CacheConfig
 from repro.pipeline import GPU
 from repro.scenes import benchmark_stream
 from repro.techniques import technique_names
+from repro.engine.scheduler import SerialScheduler
 from repro.memsys import BatchedMemorySystem, MemorySystem
 from repro.memsys.batched import _TAIL_LANES, _LaneLRU
 from repro.memsys.cache import Cache
 from repro.obs.metrics import global_registry
 from repro.memsys.ops import GeometryTrace, RasterTrace
+from repro.pipeline import raster
 
+from tests.memtraces import parameter_writes, raster_trace, vertex_fetches
 from tests.strategies import edge_floats
 
 #: A deliberately tiny hierarchy: single-digit sets and constant
@@ -59,30 +64,16 @@ def _uv_lists():
     return st.lists(floats, min_size=1, max_size=40)
 
 
-def _op_strategy():
-    return st.one_of(
-        st.tuples(st.just("vertex"), st.integers(0, 200),
-                  st.sampled_from([4, 30, 48, 100])),
-        st.tuples(st.just("vertex_range"), st.integers(0, 100),
-                  st.integers(0, 20), st.sampled_from([30, 48])),
-        st.tuples(st.just("pb_write"), st.integers(0, 5000),
-                  st.integers(1, 300)),
-        st.tuples(st.just("pb_read"), st.integers(0, 5000),
-                  st.integers(1, 300)),
-        st.tuples(st.just("texture"), st.integers(0, 5),
-                  st.sampled_from([4, 16, 100, 256]), _uv_lists(),
-                  st.integers(1, 4), st.booleans()),
-        st.tuples(st.just("fb_flush"), st.integers(1, 4096)),
-        st.tuples(st.just("end_frame")),
-        st.tuples(st.just("reset_stats")),
-    )
+def _lifecycle():
+    """The calls between traces: a frame boundary or a counter reset."""
+    return st.tuples(st.sampled_from(["end_frame", "reset_stats"]))
 
 
 def _apply(memory, op) -> None:
+    """One call a trace stands for (the scalar model's per-op methods),
+    or a lifecycle call."""
     kind = op[0]
-    if kind == "vertex":
-        memory.fetch_vertex(op[1], op[2])
-    elif kind == "vertex_range":
+    if kind == "vertex_range":
         memory.fetch_vertex_range(op[1], op[2], op[3])
     elif kind == "pb_write":
         memory.parameter_buffer_write(op[1], op[2])
@@ -91,7 +82,7 @@ def _apply(memory, op) -> None:
     elif kind == "texture":
         u = np.array(op[3], np.float64)
         memory.texture_batch(op[1], op[2], u, u[::-1].copy(),
-                             samples_per_fragment=op[4], bilinear=op[5])
+                             samples_per_fragment=op[4])
     elif kind == "fb_flush":
         memory.framebuffer_flush(op[1])
     elif kind == "end_frame":
@@ -113,17 +104,19 @@ def _raster_trace(draw):
     read, its record read and its texture burst if it has one; one
     flush per tile."""
     sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
-    pointer_bytes = draw(st.sampled_from([8, 100]))
-    record_bytes = draw(st.sampled_from([48, 144, 200]))
-    flush_bytes = draw(st.sampled_from([64, 1024]))
+    # Line-straddling sizes among the pipeline's own (8 and 144).
+    pointer_bytes = draw(st.integers(1, 300))
+    record_bytes = draw(st.integers(1, 300))
+    flush_bytes = draw(st.integers(1, 4096))
     count = sum(sizes)
     pointers = draw(st.lists(st.integers(0, 5000), min_size=count,
                              max_size=count))
     offsets = draw(st.lists(st.integers(0, 5000), min_size=count,
                             max_size=count))
+    # Non-power-of-two sizes take other mip and base arithmetic.
     bursts = {entry: draw(st.tuples(st.integers(0, 5),
-                                    st.sampled_from([4, 16, 256]),
-                                    st.integers(1, 3), _uv_lists()))
+                                    st.sampled_from([4, 16, 100, 256]),
+                                    st.integers(1, 4), _uv_lists()))
               for entry in range(count) if draw(st.booleans())}
     calls = []
     entry = 0
@@ -134,7 +127,7 @@ def _raster_trace(draw):
             if entry in bursts:
                 texture_id, texture_size, samples, uv = bursts[entry]
                 calls.append(("texture", texture_id, texture_size, uv,
-                              samples, True))
+                              samples))
             entry += 1
         calls.append(("fb_flush", flush_bytes))
     textured = sorted(bursts)
@@ -161,9 +154,9 @@ def _geometry_trace(draw):
     """A geometry phase's columnar trace and, built independently, the
     calls it stands for: per draw command its vertex-range fetch, then
     its Parameter Buffer writes (records and display-list pointers)."""
-    vertex_bytes = draw(st.sampled_from([30, 48]))
+    vertex_bytes = draw(st.sampled_from([4, 30, 48, 100]))
     commands = draw(st.lists(st.tuples(
-        st.integers(0, 100), st.integers(0, 20),
+        st.integers(0, 200), st.integers(0, 20),
         st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 300)),
                  max_size=8)), max_size=5))
     calls = []
@@ -197,9 +190,9 @@ class _CallLog:
         self.calls.append(("pb_read", offset, size))
 
     def texture_batch(self, texture_id, texture_size, u, v,
-                      samples_per_fragment=1, bilinear=True):
+                      samples_per_fragment=1):
         self.calls.append(("texture", texture_id, texture_size, u.tobytes(),
-                           v.tobytes(), samples_per_fragment, bilinear))
+                           v.tobytes(), samples_per_fragment))
 
     def framebuffer_flush(self, num_bytes):
         self.calls.append(("fb_flush", num_bytes))
@@ -214,15 +207,17 @@ def _call_key(call):
     return call[:3] + (u.tobytes(), u[::-1].tobytes()) + call[4:]
 
 
-def _replay_parts(parts, config_name):
+def _replay_parts(parts, config_name, observe_every=None):
     """Replay ``parts`` (columnar traces with the calls they stand for,
-    or single calls) into both models: the scalar one takes each trace's
-    calls, the batched one its columns.  Each trace must replay as its
-    calls, and both models must end in the same state."""
+    or lifecycle calls) into both models: the scalar one takes each
+    trace's calls, the batched one its columns.  Each trace must replay
+    as its calls, and both models must end in the same state — and be
+    in the same state after every ``observe_every``-th part, an
+    observation that drains the batched model mid-stream."""
     config = _CONFIGS[config_name]
     scalar = MemorySystem(config)
     batched = BatchedMemorySystem(config)
-    for part in parts:
+    for index, part in enumerate(parts):
         if isinstance(part[0], (RasterTrace, GeometryTrace)):
             trace, calls = part
             log = _CallLog()
@@ -235,13 +230,15 @@ def _replay_parts(parts, config_name):
         else:
             _apply(scalar, part)
             _apply(batched, part)
+        if observe_every and index % observe_every == 0:
+            assert _observe(scalar) == _observe(batched)
     assert _observe(scalar) == _observe(batched)
     assert scalar._l2_cursor == batched._l2_cursor
 
 
 class TestRasterTraceColumns:
     @settings(max_examples=60, deadline=None)
-    @given(parts=st.lists(st.one_of(_raster_trace(), _op_strategy()),
+    @given(parts=st.lists(st.one_of(_raster_trace(), _lifecycle()),
                           max_size=12),
            config_name=st.sampled_from(sorted(_CONFIGS)))
     def test_columns_match_the_scalar_op_list(self, parts, config_name):
@@ -255,7 +252,7 @@ class TestRasterTraceColumns:
 class TestGeometryTraceColumns:
     @settings(max_examples=60, deadline=None)
     @given(parts=st.lists(st.one_of(_geometry_trace(), _raster_trace(),
-                                    _op_strategy()), max_size=10),
+                                    _lifecycle()), max_size=10),
            config_name=st.sampled_from(sorted(_CONFIGS)))
     def test_columns_match_the_scalar_op_list(self, parts, config_name):
         """Geometry traces replayed as columns into the batched model,
@@ -267,23 +264,16 @@ class TestGeometryTraceColumns:
 
 class TestFuzzBitIdentity:
     @settings(max_examples=60, deadline=None)
-    @given(ops=st.lists(_op_strategy(), max_size=60),
+    @given(parts=st.lists(st.one_of(_geometry_trace(), _raster_trace(),
+                                    _lifecycle()), max_size=30),
            config_name=st.sampled_from(sorted(_CONFIGS)),
-           observe_every=st.integers(5, 25))
-    def test_direct_calls_match(self, ops, config_name, observe_every):
-        """Op-by-op public-API calls: every counter matches, including
-        at observation points *inside* the sequence (which force the
+           observe_every=st.integers(1, 8))
+    def test_direct_calls_match(self, parts, config_name, observe_every):
+        """Long runs of geometry and raster traces with frame boundaries
+        and counter resets: every counter matches, including at
+        observation points *inside* the sequence (which force the
         batched model to drain mid-stream)."""
-        config = _CONFIGS[config_name]
-        scalar = MemorySystem(config)
-        batched = BatchedMemorySystem(config)
-        for index, op in enumerate(ops):
-            _apply(scalar, op)
-            _apply(batched, op)
-            if index % observe_every == 0:
-                assert _observe(scalar) == _observe(batched)
-        assert _observe(scalar) == _observe(batched)
-        assert scalar._l2_cursor == batched._l2_cursor
+        _replay_parts(parts, config_name, observe_every)
 
 
 class TestLaneLRU:
@@ -500,14 +490,36 @@ class TestTextureExpansion:
         batched = BatchedMemorySystem(GPUConfig.default())
         columns = batched._expand_textures(
             np.array([0]), np.array([1]), np.array([16]), np.array([2]),
-            np.array([True]), np.array([v.size]), u, v)
+            np.array([v.size]), u, v)
         line = (columns[4] - columns[4][0]) // 64
         assert line.tolist() == [0, 1, 12]   # rows 3, 4 (footprint), 15
         assert columns[7].tolist() == [2 * 10 - 1, 0, 2 * 35 - 1]
         scalar = MemorySystem(GPUConfig.default())
         for memory in (scalar, batched):
-            memory.texture_batch(1, 16, u, v, samples_per_fragment=2)
+            memory.replay_ops(raster_trace([(0, 0)], burst=(1, 16, u, v, 2)))
         assert _observe(scalar) == _observe(batched)
+
+    def test_bursts_without_fragments_or_samples_touch_nothing(self):
+        """A burst with no fragments, or none of its fragments' samples,
+        is no traffic on either model (the scalar ``texture_batch``
+        returns early for it), beside a live burst of the same trace."""
+        u = np.linspace(0.0, 1.0, 8)
+        trace = dataclasses.replace(
+            raster_trace([(0, 0)] * 3),
+            texture_entry=np.array([0, 1, 2], dtype=np.int64),
+            texture_id=np.array([0, 1, 2], dtype=np.int64),
+            texture_size=np.array([16, 16, 16], dtype=np.int64),
+            texture_samples=np.array([1, 0, 2], dtype=np.int64),
+            texture_count=np.array([0, 8, 8], dtype=np.int64),
+            u=np.concatenate([u, u]), v=np.concatenate([u, u]))
+        scalar = MemorySystem(GPUConfig.default())
+        batched = BatchedMemorySystem(GPUConfig.default())
+        for memory in (scalar, batched):
+            memory.replay_ops(trace)
+        assert _observe(scalar) == _observe(batched)
+        snap = batched.snapshot()
+        assert [snap[f"texture{index}"]["accesses"] > 0
+                for index in range(3)] == [False, False, True]
 
 
 class TestDrainBoundaries:
@@ -516,17 +528,17 @@ class TestDrainBoundaries:
         scalar = MemorySystem(config)
         batched = BatchedMemorySystem(config)
         for memory in (scalar, batched):
-            memory.fetch_vertex_range(0, 64, 48)
+            memory.replay_ops(vertex_fetches((0, 64)))
             memory.snapshot()  # force a drain mid-frame
-            memory.parameter_buffer_write(0, 4096)
+            memory.replay_ops(parameter_writes((0, 4096)))
             memory.end_frame()
-            memory.fetch_vertex_range(64, 64, 48)
+            memory.replay_ops(vertex_fetches((64, 64)))
         assert _observe(scalar) == _observe(batched)
         assert scalar._l2_cursor == batched._l2_cursor
 
     def test_end_frame_flushes_dirty_parameter_buffer(self):
         batched = BatchedMemorySystem(GPUConfig.default())
-        batched.parameter_buffer_write(0, 4096)
+        batched.replay_ops(parameter_writes((0, 4096)))
         batched.end_frame()
         snap = batched.snapshot()
         assert snap["tile"]["writebacks"] > 0
@@ -534,29 +546,73 @@ class TestDrainBoundaries:
 
     def test_counter_reads_force_drain(self):
         batched = BatchedMemorySystem(GPUConfig.default())
-        batched.fetch_vertex(0)
+        batched.replay_ops(vertex_fetches((0, 1)))
         assert batched.vertex_cache.accesses == 1
         assert batched.vertex_cache.misses == 1
-        batched.fetch_vertex(0)
+        batched.replay_ops(vertex_fetches((0, 1)))
         assert batched.vertex_cache.hits == 1
         assert batched.vertex_cache.hit_rate == 0.5
 
     def test_eager_validation_matches_scalar(self):
+        """A trace with an invalid op raises the scalar model's
+        ``MemoryModelError`` on both models: the scalar one as it
+        replays the op, the batched one when it drains the trace."""
         from repro import MemoryModelError
 
-        scalar = MemorySystem(GPUConfig.default())
+        invalid = [vertex_fetches((0, 1), vertex_bytes=0),
+                   vertex_fetches((0, -1)),
+                   parameter_writes((0, -5)),
+                   parameter_writes((-(1 << 31), 8)),
+                   raster_trace([(0, 0)], pointer_bytes=0),
+                   raster_trace(flush_bytes=0),
+                   raster_trace([(0, 0)], flush_bytes=-1)]
+        for trace in invalid:
+            scalar = MemorySystem(GPUConfig.default())
+            batched = BatchedMemorySystem(GPUConfig.default())
+            with pytest.raises(MemoryModelError):
+                scalar.replay_ops(trace)
+            batched.replay_ops(trace)
+            with pytest.raises(MemoryModelError):
+                batched.drain()
+
+    def test_invalid_batch_leaves_the_model_untouched(self):
+        """The batched model validates a whole batch before it changes
+        any state, so an invalid batch is dropped whole: neither the
+        valid traces queued before the invalid one nor a trace's valid
+        first tile are applied.  The scalar model has applied every op
+        before the invalid one: here the first tile's reads and
+        burst."""
+        from repro import MemoryModelError
+
+        u = np.linspace(0.0, 1.0, 32)
+        two_tiles = dataclasses.replace(
+            raster_trace([(0, 0), (512, 1024)], burst=(1, 16, u, u, 1),
+                         flush_bytes=0),
+            bounds=np.array([0, 1, 2], dtype=np.int64))
+        batches = (
+            [two_tiles],
+            [vertex_fetches((64, 8)), raster_trace([(0, 0)],
+                                                   flush_bytes=-1)],
+            [raster_trace([(0, 0)], burst=(2, 100, u, u, 4)),
+             parameter_writes((0, -5))],
+        )
         batched = BatchedMemorySystem(GPUConfig.default())
-        for memory in (scalar, batched):
+        batched.replay_ops(vertex_fetches((0, 64)))
+        before = _observe(batched)
+        for traces in batches:
+            for trace in traces:
+                batched.replay_ops(trace)
             with pytest.raises(MemoryModelError):
-                memory.fetch_vertex(0, 0)
-            with pytest.raises(MemoryModelError):
-                memory.fetch_vertex_range(0, -1)
-            with pytest.raises(MemoryModelError):
-                memory.parameter_buffer_read(0, -5)
-            with pytest.raises(MemoryModelError):
-                memory.framebuffer_flush(0)
-        # Nothing leaked into the counters on either side.
-        assert _observe(scalar) == _observe(batched)
+                batched.drain()
+            assert _observe(batched) == before
+
+        scalar = MemorySystem(GPUConfig.default())
+        with pytest.raises(MemoryModelError):
+            scalar.replay_ops(two_tiles)
+        snap = scalar.snapshot()
+        assert snap["tile"]["accesses"] == 2
+        assert snap["texture1"]["accesses"] > 0
+        assert snap["dram"]["write_bytes"] == 0
 
 
 class TestBatchingTelemetry:
@@ -569,8 +625,8 @@ class TestBatchingTelemetry:
 
     def test_drain_batch_sizes_are_observed(self):
         batched = BatchedMemorySystem(GPUConfig.default())
-        for vertex in range(5):
-            batched.fetch_vertex(vertex)
+        batched.replay_ops(vertex_fetches(*((vertex, 1)
+                                            for vertex in range(5))))
         batched.snapshot()  # forces one drain of 5 pending ops
         summary = global_registry().as_dict()
         histogram = summary["histograms"]["memsys.drain_batch_ops"]
@@ -579,9 +635,9 @@ class TestBatchingTelemetry:
 
     def test_drain_counts_every_op_a_trace_stands_for(self):
         """One drain observes the ops of its batch: a raster trace's two
-        reads per entry, texture bursts and tile flushes, a geometry
-        trace's rows and each per-op call; ``end_frame`` drains and
-        queues nothing."""
+        reads per entry, texture bursts and tile flushes, and each
+        geometry trace's rows; ``end_frame`` drains and queues
+        nothing."""
         batched = BatchedMemorySystem(GPUConfig.default())
         u = np.array([0.25, 0.5])
         batched.replay_ops(GeometryTrace(
@@ -594,8 +650,7 @@ class TestBatchingTelemetry:
             texture_id=np.array([0]), texture_size=np.array([16]),
             texture_samples=np.array([1]), texture_count=np.array([2]),
             u=u, v=u))
-        batched.parameter_buffer_read(0, 8)
-        batched.texture_batch(1, 16, u, u)
+        batched.replay_ops(parameter_writes((0, 8), (8, 8)))
         batched.end_frame()
         histogram = global_registry().as_dict()["histograms"][
             "memsys.drain_batch_ops"]
@@ -609,8 +664,7 @@ class TestBatchingTelemetry:
         # which settles in closed form.  The one L2 refill goes to an
         # 8-way set, which is stepped: a lone straggler, so the scalar
         # tail takes it.
-        for _ in range(8):
-            batched.fetch_vertex(0)
+        batched.replay_ops(vertex_fetches(*[(0, 1)] * 8))
         batched.snapshot()
         counters = global_registry().as_dict()["counters"]
         assert counters["memsys.line_accesses"] == 8 + 1
@@ -621,40 +675,103 @@ class TestBatchingTelemetry:
 
     def test_telemetry_never_changes_results(self):
         config = GPUConfig.default()
+        trace = vertex_fetches(*((vertex % 7, 1) for vertex in range(32)))
         first = BatchedMemorySystem(config)
-        for vertex in range(32):
-            first.fetch_vertex(vertex % 7)
+        first.replay_ops(trace)
         baseline = _observe(first)
         global_registry().reset()
         second = BatchedMemorySystem(config)
-        for vertex in range(32):
-            second.fetch_vertex(vertex % 7)
+        second.replay_ops(trace)
         assert _observe(second) == baseline
+
+
+class _CountJobs(SerialScheduler):
+    """Serial scheduler that also counts each frame's raster jobs."""
+
+    def __init__(self):
+        super().__init__()
+        self.jobs = []
+
+    def map(self, fn, items):
+        self.jobs.append(len(items))
+        return super().map(fn, items)
 
 
 class TestPipelineTraffic:
     _PER_OP = ("fetch_vertex", "fetch_vertex_range", "parameter_buffer_write",
                "parameter_buffer_read", "texture_batch", "framebuffer_flush")
 
-    @pytest.mark.parametrize("technique", technique_names())
-    def test_numpy_frames_hand_over_only_traces(self, monkeypatch,
-                                                technique):
-        """A numpy frame hands the memory system its traffic as traces
-        alone (``replay_ops``): with every per-op method raising, each
-        technique's frames render as they do without the patch."""
+    @classmethod
+    def _one_trace_per_phase(cls, monkeypatch, technique, backend):
+        """With several raster jobs a frame, each frame hands the memory
+        system one geometry trace, then at most one raster trace (none
+        when every tile was skipped), and nothing else: every per-op
+        method of the scalar model fails outside ``replay_ops``.  The
+        frames render as they do without the checks."""
         config = GPUConfig.tiny(frames=2)
+        monkeypatch.setattr(raster, "RANGE_ENTRIES", 64)
 
-        def render():
-            result = GPU(config, technique, backend="numpy").render_stream(
+        def render(scheduler=None):
+            result = GPU(config, technique, backend=backend,
+                         scheduler=scheduler).render_stream(
                 benchmark_stream("tib", config))
             return [(frame.image.tobytes(), frame.stats, frame.geometry,
                      frame.raster) for frame in result.frames]
 
         expected = render()
+        handed = []
+        replaying = []
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-op memory traffic from the pipeline")
+        def recording(replay_ops):
+            def recorded(self, trace):
+                handed.append(type(trace))
+                replaying.append(trace)
+                try:
+                    return replay_ops(self, trace)
+                finally:
+                    replaying.pop()
+            return recorded
 
-        for name in self._PER_OP:
-            monkeypatch.setattr(BatchedMemorySystem, name, refuse)
-        assert render() == expected
+        def frame_end(end_frame):
+            def ended(self):
+                handed.append("end_frame")
+                return end_frame(self)
+            return ended
+
+        def inside_replay(method):
+            def guarded(self, *args, **kwargs):
+                assert replaying, "per-op memory traffic from the pipeline"
+                return method(self, *args, **kwargs)
+            return guarded
+
+        for system in (MemorySystem, BatchedMemorySystem):
+            monkeypatch.setattr(system, "replay_ops",
+                                recording(system.replay_ops))
+            monkeypatch.setattr(system, "end_frame",
+                                frame_end(system.end_frame))
+        for name in cls._PER_OP:
+            monkeypatch.setattr(MemorySystem, name,
+                                inside_replay(getattr(MemorySystem, name)))
+        count = _CountJobs()
+        assert render(count) == expected
+        assert min(count.jobs) > 1
+        frames, kinds = [], []
+        for kind in handed:
+            if kind == "end_frame":
+                frames.append(kinds)
+                kinds = []
+            else:
+                kinds.append(kind)
+        assert not kinds and len(frames) == config.frames
+        for kinds in frames:
+            assert kinds in ([GeometryTrace, RasterTrace], [GeometryTrace])
+
+    @pytest.mark.parametrize("technique", technique_names())
+    def test_numpy_frames_hand_over_only_traces(self, monkeypatch,
+                                                technique):
+        self._one_trace_per_phase(monkeypatch, technique, "numpy")
+
+    @pytest.mark.parametrize("technique", technique_names())
+    def test_python_frames_hand_over_only_traces(self, monkeypatch,
+                                                 technique):
+        self._one_trace_per_phase(monkeypatch, technique, "python")

@@ -1,10 +1,17 @@
-"""Tests for the wired memory hierarchy."""
+"""Tests for the wired memory hierarchy.
+
+Traffic reaches either model only as a trace (``replay_ops``); the
+scalar model replays it one method call per op, the batched model
+drains it when a counter is observed.
+"""
 
 import numpy as np
 import pytest
 
 from repro import GPUConfig, MemoryModelError
 from repro.memsys import BatchedMemorySystem, MemorySystem
+
+from tests.memtraces import parameter_writes, raster_trace, vertex_fetches
 
 
 @pytest.fixture(params=[MemorySystem, BatchedMemorySystem],
@@ -13,81 +20,89 @@ def memory(request):
     return request.param(GPUConfig.default())
 
 
+def _sample(memory, texture_id, texture_size, u, v, samples=1):
+    """One entry's texture burst (its display-list reads go to the tile
+    cache, its flush to DRAM)."""
+    memory.replay_ops(raster_trace(
+        [(0, 0)], burst=(texture_id, texture_size, u, v, samples)))
+
+
 class TestVertexPath:
     def test_fetch_counts_and_forwards(self, memory):
-        memory.fetch_vertex(0)
+        memory.replay_ops(vertex_fetches((0, 1)))
         assert memory.vertex_cache.accesses == 1
         assert memory.vertex_cache.misses >= 1
         assert memory.l2.accesses >= 1
         assert memory.dram.stats.read_bytes > 0
 
     def test_repeat_fetch_hits(self, memory):
-        memory.fetch_vertex(0)
+        memory.replay_ops(vertex_fetches((0, 1)))
         misses_before = memory.vertex_cache.misses
-        memory.fetch_vertex(0)
+        memory.replay_ops(vertex_fetches((0, 1)))
         assert memory.vertex_cache.misses == misses_before
 
 
 class TestParameterBufferPath:
     def test_write_then_read(self, memory):
-        memory.parameter_buffer_write(0, 144)
-        memory.parameter_buffer_read(0, 144)
-        assert memory.tile_cache.accesses == 2
-        assert memory.tile_cache.hits >= 1  # read hits the written lines
+        """A record written in the geometry phase is read twice in the
+        raster phase (as a pointer and as a record): both reads hit
+        its three lines."""
+        memory.replay_ops(parameter_writes((0, 144)))
+        memory.replay_ops(raster_trace([(0, 0)], pointer_bytes=144,
+                                       record_bytes=144))
+        assert memory.tile_cache.accesses == 3
+        assert memory.tile_cache.misses == 3
+        assert memory.tile_cache.hits == 6
 
 
 class TestTexturePath:
     def test_empty_batch_is_noop(self, memory):
-        memory.texture_batch(0, 256, np.array([]), np.array([]))
+        """An entry that shades no textured fragment has no burst and
+        touches no texture cache."""
+        memory.replay_ops(raster_trace([(0, 0)]))
         assert memory.texture_caches[0].accesses == 0
 
     def test_batch_locality_collapses_to_unique_lines(self, memory):
+        # A 16-texel row is one 64-byte line, and the last row's 2x2
+        # footprint clamps to that row: 100 fragments on texel (8, 15)
+        # touch one line -> 1 miss, 99 extra hits.
         u = np.full(100, 0.5)
-        v = np.full(100, 0.5)
-        memory.texture_batch(0, 256, u, v, bilinear=False)
+        v = np.full(100, 0.99)
+        _sample(memory, 0, 16, u, v)
         cache = memory.texture_caches[0]
-        # 100 fragments, one unique texel -> 1 miss, 99 extra hits.
         assert cache.misses == 1
         assert cache.hits == 99
 
     def test_bilinear_widens_footprint(self, memory):
         u = np.full(100, 0.5)
         v = np.full(100, 0.5)
-        memory.texture_batch(0, 256, u, v, bilinear=True)
+        _sample(memory, 0, 256, u, v)
         cache = memory.texture_caches[0]
-        # Filtering widens the *touched line set* (the base texel's line
-        # plus the 2x2 footprint neighbor's line) but a bilinear sample
-        # is still one access: repeat counts come from the 100 base
-        # texels alone.  100 identical fragments -> 2 first-touch lines,
-        # 99 repeat hits on the base line, nothing double-counted.
+        # Filtering widens the *touched line set* (the base texel
+        # (128, 128)'s line 2056 plus the footprint neighbour (129,
+        # 129)'s line 2072) but a bilinear sample is still one access:
+        # repeat counts come from the 100 base texels alone.  100
+        # identical fragments -> 2 first-touch lines, 99 repeat hits on
+        # the base line, nothing double-counted.
         assert cache.misses == 2
         assert cache.hits == 99
         assert cache.accesses == 101
 
     def test_bilinear_does_not_inflate_repeat_counts(self, memory):
-        """The footprint concatenation must not feed the per-line repeat
-        counts: with filtering on, a batch's hits can exceed the
-        non-bilinear count only by the extra first-touch lines' hits,
-        never by a doubling of the base counts."""
+        """The footprint must not feed the per-line repeat counts: 64
+        fragments x 4 samples on texel (64, 64) are 255 repeat hits on
+        its line, and the footprint texel (65, 65)'s line (another row)
+        is charged its first touch alone."""
         u = np.full(64, 0.25)
         v = np.full(64, 0.25)
-        memory.texture_batch(0, 256, u, v, samples_per_fragment=4,
-                             bilinear=False)
-        plain = memory.texture_caches[0].snapshot()
-        memory.texture_caches[0].reset_stats()
-        memory.texture_batch(1, 256, u, v, samples_per_fragment=4,
-                             bilinear=True)
-        filtered = memory.texture_caches[1].snapshot()
-        # 64 fragments x 4 samples on one texel: 255 repeat hits either
-        # way; bilinear adds exactly one extra first-touch line.
-        assert plain["hits"] == 255
-        assert filtered["hits"] == 255
-        assert filtered["misses"] == plain["misses"] + 1
+        _sample(memory, 1, 256, u, v, samples=4)
+        assert memory.texture_caches[1].snapshot() == {
+            "accesses": 2 + 255, "hits": 255, "misses": 2, "writebacks": 0}
 
     def test_texture_id_selects_cache(self, memory):
         u = np.array([0.1])
         v = np.array([0.1])
-        memory.texture_batch(2, 256, u, v)
+        _sample(memory, 2, 256, u, v)
         assert memory.texture_caches[2].accesses >= 1
         assert memory.texture_caches[0].accesses == 0
 
@@ -95,7 +110,7 @@ class TestTexturePath:
         rng = np.random.default_rng(0)
         u = rng.random(256)
         v = rng.random(256)
-        memory.texture_batch(1, 1024, u, v)
+        _sample(memory, 1, 1024, u, v)
         assert memory.texture_caches[1].misses > 5
 
     def test_mip_selection_tames_sparse_batches(self, memory):
@@ -105,7 +120,7 @@ class TestTexturePath:
         rng = np.random.default_rng(1)
         u = rng.random(64)
         v = rng.random(64)
-        memory.texture_batch(1, 1024, u, v)
+        _sample(memory, 1, 1024, u, v)
         # Base level point sampling would touch up to 64 distinct lines;
         # the coarse level collapses them.
         assert memory.texture_caches[1].misses < 40
@@ -135,14 +150,16 @@ class TestTexturePath:
 
 class TestFramebufferPath:
     def test_flush_is_dram_write(self, memory):
-        memory.framebuffer_flush(1024)
-        assert memory.dram.stats.write_bytes == 1024
+        memory.replay_ops(raster_trace(flush_bytes=1024))
+        assert memory.snapshot()["dram"]["write_bytes"] == 1024
 
     def test_invalid_sizes(self, memory):
-        with pytest.raises(MemoryModelError):
-            memory.framebuffer_flush(0)
-        with pytest.raises(MemoryModelError):
-            memory.framebuffer_flush(-1)
+        """The scalar model raises as it replays the flush, the batched
+        one when it drains it."""
+        for num_bytes in (0, -1):
+            with pytest.raises(MemoryModelError):
+                memory.replay_ops(raster_trace(flush_bytes=num_bytes))
+                memory.drain()
 
 
 class TestSnapshotAndReset:
@@ -152,10 +169,10 @@ class TestSnapshotAndReset:
         assert {"texture0", "texture1", "texture2", "texture3"} <= set(snap)
 
     def test_reset_clears_counters_not_contents(self, memory):
-        memory.fetch_vertex(0)
+        memory.replay_ops(vertex_fetches((0, 1)))
         memory.reset_stats()
         assert memory.vertex_cache.accesses == 0
         assert memory.dram.stats.total_bytes == 0
         # Cache contents survive: same vertex now hits.
-        memory.fetch_vertex(0)
+        memory.replay_ops(vertex_fetches((0, 1)))
         assert memory.vertex_cache.misses == 0

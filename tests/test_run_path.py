@@ -44,6 +44,7 @@ from repro.hw import FVPEntry, FVPType
 from repro.kernels import batched, resolve_backend
 from repro.kernels.api import ALPHA_OPAQUE
 from repro.math3d import Vec2, Vec3, Vec4, orthographic, translate
+from repro.memsys.ops import RasterTrace
 from repro.scenes import scaled_world_stream
 from repro.techniques.registry import resolve_features, technique_names
 
@@ -125,10 +126,8 @@ def _entry(draw, index=0):
     )
     return Entry(
         primitive=primitive,
-        offset=draw(st.integers(0, 1 << 16)),
         layer=draw(st.integers(0, 6)),
         predicted_occluded=draw(st.booleans()),
-        pointer_offset=draw(st.integers(0, 1 << 16)),
     )
 
 
@@ -139,8 +138,7 @@ def _job(entries, technique, backend, tile=(0, 0), dsr_rate=1.0,
         entries,
         tile=tile_y * CONFIG.tiles_x + tile_x,
         config=CONFIG, features=resolve_features(technique),
-        attribute_bytes=144, backend=backend,
-        dsr_rate=dsr_rate, history=history,
+        backend=backend, dsr_rate=dsr_rate, history=history,
     )
 
 
@@ -199,7 +197,7 @@ def test_range_results_match(lists, technique, data):
     results = [range_job(tiles, lists, dsr_rate=np.array(rates),
                          history=history, config=CONFIG,
                          features=resolve_features(technique),
-                         attribute_bytes=144, backend=backend).run()
+                         backend=backend).run()
                for backend in ("python", "numpy")]
     assert results[1].fingerprint() == results[0].fingerprint(), technique
     assert results[0].tiles.tolist() == tiles
@@ -257,11 +255,14 @@ def _render(frames, technique, backend):
     return results, [result.fingerprint() for result in keep.results]
 
 
-def _render_state(frames, technique, backend):
+def _render_state(frames, technique, backend, integers_only=False):
     """Each frame's image, counters and memory-system snapshots, and the
-    FVP Table and signature state the frames leave behind."""
+    FVP Table and signature state the frames leave behind.  With
+    ``integers_only`` the float counters are left out."""
     gpu = GPU(CONFIG, technique, backend=backend)
-    outcome = [(result.image.tobytes(), result.stats,
+    outcome = [(result.image.tobytes(),
+                {name: value for name, value in result.stats.as_dict().items()
+                 if not (integers_only and isinstance(value, float))},
                 result.geometry.units, result.raster.units)
                for result in map(gpu.render_frame, frames)]
     if gpu.predictor is not None:
@@ -289,17 +290,46 @@ class _KeepJobs(SerialScheduler):
         return super().map(fn, items)
 
 
-def _jobs(frames, technique, backend, seed_fvp=()):
-    """Every job the frames' render ran; ``seed_fvp`` is FVP Table
-    entries stored (under EVR) before the first frame."""
+def _raster_traces(gpu):
+    """The list of raster traces ``gpu`` hands its memory system from
+    now on, filled as it renders."""
+    traces = []
+    replay = gpu.memory.replay_ops
+
+    def recording(trace):
+        if isinstance(trace, RasterTrace):
+            traces.append(trace)
+        replay(trace)
+
+    gpu.memory.replay_ops = recording
+    return traces
+
+
+def _binned(frames, technique, backend, seed_fvp=()):
+    """Every job the frames' render ran, and every raster trace it
+    handed the memory system; ``seed_fvp`` is FVP Table entries stored
+    (under EVR) before the first frame."""
     keep = _KeepJobs()
     gpu = GPU(CONFIG, technique, backend=backend, scheduler=keep)
     if gpu.predictor is not None:
         for tile, entry in seed_fvp:
             gpu.predictor.table.update(tile, entry)
+    traces = _raster_traces(gpu)
     for frame in frames:
         gpu.render_frame(frame)
-    return keep.jobs
+    return keep.jobs, traces
+
+
+def _jobs(frames, technique, backend, seed_fvp=()):
+    """Every job the frames' render ran (see :func:`_binned`)."""
+    return _binned(frames, technique, backend, seed_fvp)[0]
+
+
+def _bits(trace):
+    """Every column of a raster trace as exact bits."""
+    return [(value.dtype.str, value.tobytes())
+            if isinstance(value, np.ndarray) else value
+            for value in vars(trace).values()]
 
 
 #: FVP Table entries: a WOZ tile's farthest depth or an NWOZ tile's
@@ -327,21 +357,28 @@ def test_frames_match(frames, technique):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
-@given(frames=_frames(), technique=st.sampled_from(sorted(RUN_PATH)),
+@given(frames=_frames(), technique=st.sampled_from(TECHNIQUES),
        budget=st.sampled_from([1, 2, 5, 13]))
 def test_range_cuts_match(frames, technique, budget):
     """Frames whose jobs are cut mid-frame, after every ``budget``
     entries, render on numpy as on python (images, every counter,
     memory-system snapshots, job results with their FVP inputs and
     taint, the FVP Table and the poisoned signatures), and as with one
-    job per frame."""
+    job per frame: the frame's raster trace, which joins the jobs'
+    texture bursts from the range kernel or the per-entry loop, is the
+    same column for column wherever the cuts fall.  ``fhv`` sums its
+    float reconstruction error per job, so against one job per frame
+    its float counter is left out."""
+    integers_only = technique == "fhv"
     with mock.patch.object(raster, "RANGE_ENTRIES", budget):
         scalar, scalar_tiles = _render(frames, technique, "python")
         batched_, batched_tiles = _render(frames, technique, "numpy")
-        cut = _render_state(frames, technique, "numpy")
-        assert cut == _render_state(frames, technique, "python")
+        cut = _render_state(frames, technique, "numpy", integers_only)
+        assert cut == _render_state(frames, technique, "python",
+                                    integers_only)
         keep = _KeepJobs()
         gpu = GPU(CONFIG, technique, backend="numpy", scheduler=keep)
+        cut_traces = _raster_traces(gpu)
         for frame in frames:
             gpu.render_frame(frame)
     # A frame's jobs take consecutive tiles, each until the next tile
@@ -357,7 +394,10 @@ def test_range_cuts_match(frames, technique, budget):
         assert a.stats == b.stats
         assert a.raster.units == b.raster.units
     with mock.patch.object(raster, "RANGE_ENTRIES", 10 ** 9):
-        assert _render_state(frames, technique, "numpy") == cut
+        assert _render_state(frames, technique, "numpy",
+                             integers_only) == cut
+        whole_traces = _binned(frames, technique, "numpy")[1]
+    assert list(map(_bits, cut_traces)) == list(map(_bits, whole_traces))
 
 
 @settings(max_examples=30, deadline=None,
@@ -370,14 +410,20 @@ def test_range_cuts_match(frames, technique, budget):
 def test_binned_jobs_match(frames, technique, seed_fvp):
     """Tile jobs sliced from the numpy binner's columns equal the scalar
     binner's jobs column for column, and render to the same
-    ``TileResult`` on either raster backend."""
-    scalar_jobs = _jobs(frames, technique, "python", seed_fvp)
-    batched_jobs = _jobs(frames, technique, "numpy", seed_fvp)
+    ``TileResult`` on either raster backend.  Each frame's raster trace,
+    built from the display-list columns (every rendered entry's pointer
+    and record offset, each tile's entry bounds) and the jobs' texture
+    bursts, is the same on both."""
+    scalar_jobs, scalar_traces = _binned(frames, technique, "python",
+                                         seed_fvp)
+    batched_jobs, batched_traces = _binned(frames, technique, "numpy",
+                                           seed_fvp)
+    assert list(map(_bits, batched_traces)) == list(map(_bits,
+                                                        scalar_traces))
     assert len(batched_jobs) == len(scalar_jobs)
     for scalar, batched_ in zip(scalar_jobs, batched_jobs):
         assert batched_.tile == scalar.tile
-        for name in ("window", "attributes", "layer", "predicted",
-                     "offset", "pointer"):
+        for name in ("window", "attributes", "layer", "predicted"):
             expected, actual = getattr(scalar, name), getattr(batched_, name)
             assert actual.dtype == expected.dtype, name
             assert actual.tobytes() == expected.tobytes(), name
@@ -455,8 +501,7 @@ def test_pickled_job_holds_only_its_entries(monkeypatch):
     assert len(pickle.dumps(crowded)) == len(pickle.dumps(alone))
     assert len(pickle.dumps(doubled)) > len(pickle.dumps(alone))
     copy = pickle.loads(pickle.dumps(crowded))
-    for name in ("window", "attributes", "state", "layer", "predicted",
-                 "offset", "pointer"):
+    for name in ("window", "attributes", "state", "layer", "predicted"):
         assert len(getattr(copy, name)) == 4, name
 
 
@@ -488,8 +533,8 @@ def _flat(kind, depth, color, x0=-4.0, y0=-4.0, x1=24.0, y1=24.0,
         attributes=tuple(VertexAttributes(color=Vec4(*color),
                                           uv=Vec2(*uv)) for uv in uvs),
         command_id=0, primitive_id=0, state=state)
-    return Entry(primitive=primitive, offset=64 * layer, layer=layer,
-                 predicted_occluded=predicted, pointer_offset=4 * layer)
+    return Entry(primitive=primitive, layer=layer,
+                 predicted_occluded=predicted)
 
 
 def _dead(layer=2):
@@ -602,14 +647,14 @@ class TestDirectedRuns:
         ]
         results = [range_job([0, 1], lists, config=CONFIG,
                              features=resolve_features(technique),
-                             attribute_bytes=144, backend=backend).run()
+                             backend=backend).run()
                    for backend in ("python", "numpy")]
         assert results[1].fingerprint() == results[0].fingerprint()
-        trace = results[1].trace
+        bursts = results[1].bursts
         textured = [0, 1, 2] if fetches[1] else [0, 2]
-        assert trace.texture_entry.tolist() == textured
+        assert bursts.entry.tolist() == textured
         # Not one value repeated: the order is what is compared.
-        assert np.unique(trace.u).size > trace.texture_entry.size
+        assert np.unique(bursts.u).size > bursts.entry.size
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,8 @@ class Entry(NamedTuple):
     """One display-list entry with its primitive itself."""
 
     primitive: ScreenTriangle
-    offset: int
     layer: int
     predicted_occluded: bool = False
-    pointer_offset: int = 0
 
 
 def table_of(triangles: Sequence[ScreenTriangle]) -> FrameGeometry:
@@ -53,8 +51,8 @@ def raster_columns(triangles: Sequence[ScreenTriangle]):
 def range_job(tiles: Sequence[int], lists: Sequence[Sequence[Entry]],
               dsr_rate=None, history=None, **fields) -> TileJob:
     """A job rendering tile ``tiles[i]``'s display list ``lists[i]``;
-    ``fields`` are the job's other fields (config, features,
-    attribute_bytes, ...)."""
+    ``fields`` are the job's other fields (config, features, backend,
+    ...)."""
     entries = [entry for entries in lists for entry in entries]
     table = table_of([entry.primitive for entry in entries])
     window, attributes = normalize_winding(
@@ -71,10 +69,6 @@ def range_job(tiles: Sequence[int], lists: Sequence[Sequence[Entry]],
         layer=np.array([entry.layer for entry in entries], dtype=np.int64),
         predicted=np.array([entry.predicted_occluded for entry in entries],
                            dtype=bool),
-        offset=np.array([entry.offset for entry in entries],
-                        dtype=np.int64),
-        pointer=np.array([entry.pointer_offset for entry in entries],
-                         dtype=np.int64),
         dsr_rate=dsr_rate,
         history=history,
         **fields,
