@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Walkthrough of the paper's Figure 3: FVP computation in hybrid tiles.
 
-Reconstructs both Figure 3 scenarios with the actual hardware-structure
-models (Layer Buffer, Z-buffer, ZR register) and shows how the FVP-type
-and FVP depth are derived, then demonstrates the Section III-C prediction
-rules against the stored FVP.
+Reconstructs both Figure 3 scenarios on the tile's buffers as the
+raster jobs hold them — a Layer Buffer and a Z-buffer array and the ZR
+register — written with the per-fragment ops of the scalar kernel
+backend, and shows how the FVP-type and FVP depth are derived, then
+demonstrates the Section III-C prediction rules against the stored FVP.
 
 Usage::
 
@@ -14,7 +15,8 @@ Usage::
 import numpy as np
 
 from repro.core import compute_fvp, predict_occluded
-from repro.hw import FVPType, LayerBuffer, ZBuffer
+from repro.hw import FVPType
+from repro.kernels import reference as ops
 
 
 def banner(text: str) -> None:
@@ -31,23 +33,27 @@ def halves():
     return left, ~left
 
 
+def cleared_tile():
+    """A cleared 4x4 tile: layer 0, ZR -1 and the far depth 1.0."""
+    return np.zeros((4, 4), dtype=np.int32), -1, np.ones((4, 4))
+
+
 def scenario_3a() -> None:
     """Four NWOZ layers; layers 3 and 4 are visible, so L_far = 3 and
     the FVP is a layer identifier."""
     banner("Figure 3a: NWOZ layers only")
-    z_buffer = ZBuffer(4, 4)
-    layer_buffer = LayerBuffer(4, 4)
+    layers, zr_register, depth = cleared_tile()
 
-    layer_buffer.write(full(), 1, is_woz=False)
-    print("layer 1 drawn (covers tile)   -> L_far =", layer_buffer.l_far)
-    layer_buffer.write(full(), 2, is_woz=False)
-    print("layer 2 drawn (covers layer 1)-> L_far =", layer_buffer.l_far)
+    ops.layer_write(layers, full(), 1)
+    print("layer 1 drawn (covers tile)   -> L_far =", layers.min())
+    ops.layer_write(layers, full(), 2)
+    print("layer 2 drawn (covers layer 1)-> L_far =", layers.min())
     left, right = halves()
-    layer_buffer.write(left, 3, is_woz=False)
-    layer_buffer.write(right, 4, is_woz=False)
-    print("layers 3+4 drawn (split tile) -> L_far =", layer_buffer.l_far)
+    ops.layer_write(layers, left, 3)
+    ops.layer_write(layers, right, 4)
+    print("layers 3+4 drawn (split tile) -> L_far =", layers.min())
 
-    entry = compute_fvp(layer_buffer, z_buffer)
+    entry = compute_fvp(layers, zr_register, depth)
     assert entry.fvp_type is FVPType.NWOZ
     print(f"FVP: type={entry.fvp_type.name}, value=L_far={entry.value}")
 
@@ -64,27 +70,29 @@ def scenario_3b() -> None:
     fully hidden, the farthest *visible* point is WOZ geometry at depth
     0.5, so the FVP is Z_far = 0.5."""
     banner("Figure 3b: WOZ geometry (FVP is a Z value)")
-    z_buffer = ZBuffer(4, 4)
-    layer_buffer = LayerBuffer(4, 4)
+    layers, zr_register, depth = cleared_tile()
     left, right = halves()
 
-    def draw_woz(mask, depth):
-        plane = np.full((4, 4), depth)
-        passing = z_buffer.test(mask, plane)
-        z_buffer.write(passing, plane)
-        layer_buffer.write(passing, 1, is_woz=True)
-        print(f"  WOZ fragments at z={depth}: "
-              f"{int(passing.sum())} visible")
+    def draw_woz(mask, z, zr_register):
+        plane = np.full((4, 4), z)
+        passing = ops.depth_test(depth, mask, plane)
+        ops.depth_write(depth, passing, plane)
+        # The ZR register holds the layer of the last visible WOZ
+        # fragment.
+        if ops.layer_write(layers, passing, 1):
+            zr_register = 1
+        print(f"  WOZ fragments at z={z}: {int(passing.sum())} visible")
+        return zr_register
 
     print("drawing WOZ batch (all layer 1):")
-    draw_woz(full(), 0.9)
-    draw_woz(right, 0.5)
-    draw_woz(left, 0.0)
+    zr_register = draw_woz(full(), 0.9, zr_register)
+    zr_register = draw_woz(right, 0.5, zr_register)
+    zr_register = draw_woz(left, 0.0, zr_register)
 
-    print("Layer Buffer L_far =", layer_buffer.l_far,
-          "| ZR register =", layer_buffer.zr_register,
-          "-> FVP type is WOZ" if layer_buffer.fvp_is_woz else "NWOZ")
-    entry = compute_fvp(layer_buffer, z_buffer)
+    l_far = layers.min()
+    print("Layer Buffer L_far =", l_far, "| ZR register =", zr_register,
+          "-> FVP type is WOZ" if zr_register == l_far else "NWOZ")
+    entry = compute_fvp(layers, zr_register, depth)
     assert entry.fvp_type is FVPType.WOZ
     print(f"FVP: type={entry.fvp_type.name}, value=Z_far={entry.value}")
 

@@ -790,10 +790,15 @@ def _command_bench(args: argparse.Namespace) -> int:
                 for name in names if name in entry.get("speedup", {}))
             out.result(f"{_entry_stamp(entry)}  {ratios or '-'}")
         return 0
+    path = args.output or f"BENCH_{args.preset}.json"
+    if args.check and os.path.realpath(path) == os.path.realpath(args.check):
+        # Writing the record over its baseline first would check the
+        # fresh record against itself.
+        raise ConfigError(f"bench: the output {path!r} is the --check "
+                          f"baseline; pass another --output")
     with _command_bus(args.events or "", args.live, out):
         record = run_bench(args.preset, backends=args.backends,
                            repeat=args.repeat)
-    path = args.output or f"BENCH_{args.preset}.json"
     write_bench_json(record, path)
     out.result(format_bench_summary(record))
     out.result(f"wrote {path}")

@@ -192,10 +192,6 @@ class GPUConfig:
         return self.tiles_x * self.tiles_y
 
     @property
-    def pixels_per_tile(self) -> int:
-        return self.tile_width * self.tile_height
-
-    @property
     def num_pixels(self) -> int:
         return self.screen_width * self.screen_height
 

@@ -9,6 +9,9 @@ point* (FVP) is either:
 * ``L_far`` — the minimum layer identifier left in the Layer Buffer, when
   it belongs to a NWOZ primitive.
 
+Both buffers are a raster job's result rows for the tile
+(:class:`repro.engine.TileResult`), read here as they are.
+
 During the next frame's binning, a primitive is *predicted occluded* in a
 tile when (Section III-C):
 
@@ -30,21 +33,24 @@ from typing import Optional
 
 import numpy as np
 
-from ..hw.buffers import LayerBuffer, ZBuffer
 from ..hw.fvp_table import KIND_NWOZ, KIND_WOZ, FVPEntry, FVPTable, FVPType
 
 
-def compute_fvp(layer_buffer: LayerBuffer, z_buffer: ZBuffer) -> FVPEntry:
-    """End-of-tile FVP computation (Sections III-C and V-B).
+def compute_fvp(layers: np.ndarray, zr_register: int,
+                depth: np.ndarray) -> FVPEntry:
+    """End-of-tile FVP computation (Sections III-C and V-B) from the
+    tile's Layer Buffer ``layers``, ZR register and Z-buffer ``depth``.
 
-    The FVP-type is resolved by comparing the ZR register (layer of the
-    last visible WOZ fragment) with ``L_far``: equality means the farthest
-    visible layer belongs to WOZ geometry, so the useful depth is
-    ``Z_far``; otherwise it is the layer identifier ``L_far``.
+    ``L_far`` is the minimum stored layer, the oldest layer still visible
+    anywhere in the tile.  The FVP-type is resolved by comparing the ZR
+    register (layer of the last visible WOZ fragment) with ``L_far``:
+    equality means the farthest visible layer belongs to WOZ geometry,
+    so the useful depth is ``Z_far``, the maximum stored depth;
+    otherwise it is the layer identifier ``L_far``.
     """
-    l_far = layer_buffer.l_far
-    if layer_buffer.fvp_is_woz:
-        return FVPEntry(FVPType.WOZ, z_buffer.z_far)
+    l_far = int(layers.min())
+    if zr_register == l_far:
+        return FVPEntry(FVPType.WOZ, float(depth.max()))
     return FVPEntry(FVPType.NWOZ, l_far)
 
 
@@ -152,10 +158,11 @@ class VisibilityPredictor:
         self.stats.predicted_occluded += int(np.count_nonzero(occluded))
         return occluded
 
-    def record_tile(self, tile: int, layer_buffer: LayerBuffer,
-                    z_buffer: ZBuffer) -> FVPEntry:
-        """Compute and store the tile's FVP for next frame's predictions."""
-        entry = compute_fvp(layer_buffer, z_buffer)
+    def record_tile(self, tile: int, layers: np.ndarray, zr_register: int,
+                    depth: np.ndarray) -> FVPEntry:
+        """Compute (:func:`compute_fvp`) and store the tile's FVP for next
+        frame's predictions."""
+        entry = compute_fvp(layers, zr_register, depth)
         if self.history > 1:
             past = self._past_entries[tile]
             past.append(entry)

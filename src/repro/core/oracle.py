@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -45,10 +45,6 @@ class OracleTileComparator:
         if equal:
             self.tiles_equal += 1
         return equal
-
-    def previous_colors(self, tile: int) -> Optional[np.ndarray]:
-        """Last frame's colors for ``tile`` (used when RE skips a tile)."""
-        return self._previous.get(tile)
 
     def end_frame(self) -> None:
         """Rotate: current frame becomes the reference for the next."""

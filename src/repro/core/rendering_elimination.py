@@ -117,10 +117,3 @@ class RenderingElimination:
 
     def end_frame(self) -> None:
         self.signature_buffer.rotate_frame()
-
-    @property
-    def detection_rate(self) -> float:
-        """Fraction of checked tiles detected as redundant."""
-        if not self.stats.tiles_checked:
-            return 0.0
-        return self.stats.tiles_matched / self.stats.tiles_checked

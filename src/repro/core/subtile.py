@@ -20,7 +20,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..hw.buffers import LayerBuffer, ZBuffer
 from ..hw.fvp_table import FVPEntry, FVPType
 from .evr import PredictionStats, predict_occluded
 
@@ -28,24 +27,24 @@ _QUADRANTS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (qx, qy)
 
 
 def compute_quadrant_fvps(
-    layer_buffer: LayerBuffer, z_buffer: ZBuffer
+    layers: np.ndarray, zr_register: int, depth: np.ndarray
 ) -> Tuple[FVPEntry, FVPEntry, FVPEntry, FVPEntry]:
-    """Compute one FVP per 8x8 quadrant of the tile.
+    """Compute one FVP per 8x8 quadrant of the tile, from its Layer
+    Buffer ``layers``, ZR register and Z-buffer ``depth``.
 
     The FVP-type test reuses the tile-global ZR register (the hardware
     has a single ZR): a quadrant whose ``L_far`` equals ZR is treated as
     WOZ-terminated, like the full-tile rule of Section V-B.
     """
-    height, width = layer_buffer.layers.shape
+    height, width = layers.shape
     half_h, half_w = height // 2, width // 2
     entries: List[FVPEntry] = []
     for qx, qy in _QUADRANTS:
         rows = slice(qy * half_h, (qy + 1) * half_h or None)
         cols = slice(qx * half_w, (qx + 1) * half_w or None)
-        layers = layer_buffer.layers[rows, cols]
-        l_far = int(layers.min())
-        if l_far == layer_buffer.zr_register:
-            z_far = float(z_buffer.depth[rows, cols].max())
+        l_far = int(layers[rows, cols].min())
+        if l_far == zr_register:
+            z_far = float(depth[rows, cols].max())
             entries.append(FVPEntry(FVPType.WOZ, z_far))
         else:
             entries.append(FVPEntry(FVPType.NWOZ, l_far))
@@ -132,10 +131,10 @@ class SubTileVisibilityPredictor:
                 map(tuple, bboxes.tolist())),
             dtype=bool, count=len(tiles))
 
-    def record_tile(self, tile: int, layer_buffer: LayerBuffer,
-                    z_buffer: ZBuffer) -> Tuple[FVPEntry, ...]:
+    def record_tile(self, tile: int, layers: np.ndarray, zr_register: int,
+                    depth: np.ndarray) -> Tuple[FVPEntry, ...]:
         """Compute and store all four quadrant FVPs."""
-        entries = compute_quadrant_fvps(layer_buffer, z_buffer)
+        entries = compute_quadrant_fvps(layers, zr_register, depth)
         self._entries[tile] = entries
         self.updates += 1
         return entries

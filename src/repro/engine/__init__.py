@@ -7,10 +7,9 @@ Every outer loop of the simulator goes through this layer:
   :class:`TileJob` is a stateless, picklable description of a range of
   tiles' rendering (display lists, config, features); executing it
   yields a :class:`TileResult` (each tile's colour patch and end-of-tile
-  FVP state, the range's counter totals and texture bursts).  A
-  :class:`TileContext` owns the per-tile Z/Color/Layer buffers the
-  per-entry loop renders into and is reused across jobs within one
-  worker.
+  FVP state, the range's counter totals and texture bursts).  A tile's
+  Z, Color and Layer buffers are its rows of the result's arrays,
+  which the job clears and renders into in place.
 * :mod:`repro.engine.scheduler` — the :class:`Scheduler` protocol with
   :class:`SerialScheduler` (default; bit-identical to the historical
   inline loop) and :class:`ProcessPoolScheduler` implementations.  The
@@ -37,7 +36,7 @@ from .scheduler import (
     make_scheduler,
 )
 from .diskcache import DiskCache, default_cache_dir
-from .tile_job import TileContext, TileJob, TileResult, execute_tile_job
+from .tile_job import TileJob, TileResult, execute_tile_job
 
 __all__ = [
     "Instrumentation",
@@ -46,7 +45,6 @@ __all__ = [
     "SerialScheduler",
     "ProcessPoolScheduler",
     "make_scheduler",
-    "TileContext",
     "TileJob",
     "TileResult",
     "execute_tile_job",

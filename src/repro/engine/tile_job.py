@@ -9,11 +9,12 @@ and still produce bit-identical results.
 
 Tile-order-dependent side effects are *returned*, not performed: a job
 touches no memory system.  Its entries' texture bursts travel back as
-columns (:class:`TextureBursts`) in the :class:`TileResult`, from which
-the raster pipeline builds the frame's one memory trace in tile order,
-and each tile's end-of-tile FVP state (Layer/Z buffers) travels back
-for the parent-side predictor.  This is what makes the parallel and
-serial schedulers equal by construction: the compute parallelizes, the
+columns (:class:`~repro.memsys.ops.TextureBursts`) in the
+:class:`TileResult`, from which the raster pipeline builds the frame's
+one memory trace in tile order, and each tile's end-of-tile FVP state
+(its Layer Buffer, ZR register and Z-buffer rows) travels back for the
+parent-side predictor.  This is what makes the parallel and serial
+schedulers equal by construction: the compute parallelizes, the
 stateful reduction stays deterministic.
 
 The per-fragment arithmetic itself is dispatched through the kernel
@@ -23,7 +24,9 @@ the backend's pure array kernels — backends are bit-identical by
 contract, so the choice is execution policy, not part of the result.
 With a backend's range kernel and the features it covers, a job renders
 all of its tiles in one array pass; otherwise it runs the per-entry loop
-tile by tile, which stays the oracle.
+tile by tile, which stays the oracle.  Either way a tile's on-chip
+buffers are its rows of the result's arrays: the per-entry loop clears
+row ``i`` and renders into it in place.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ import numpy as np
 from ..commands.state import BlendMode, RenderState
 from ..config import GPUConfig
 from ..geom.triangle import INTERPOLATED_ATTRIBUTES
-from ..hw.buffers import ColorBuffer, LayerBuffer, ZBuffer
 from ..kernels import DEFAULT_BACKEND, resolve_backend
 from ..kernels.api import ALPHA_OPAQUE
 from ..kernels.tile_geometry import tile_origin, valid_mask
+from ..memsys.ops import TextureBursts
 from ..obs.events import TileJobFinished, get_bus
 from ..pipeline.features import PipelineFeatures
 from ..timing.stats import FrameStats
@@ -80,46 +83,6 @@ def tile_flush_bytes(config: GPUConfig) -> int:
     return config.tile_width * config.tile_height * 4
 
 
-class TextureBursts(NamedTuple):
-    """A job's texture bursts as columns, one row per entry that shaded
-    textured fragments, in entry order: its ``count`` fragments sample
-    texture ``texture_id`` (of ``texture_size`` texels a side)
-    ``samples`` times each, at the coordinates ``u``/``v`` hold for
-    every burst back to back."""
-
-    entry: np.ndarray         # (k,) int64 — numbered within the job
-    texture_id: np.ndarray    # (k,) int64
-    texture_size: np.ndarray  # (k,) int64
-    samples: np.ndarray       # (k,) int64 — samples per fragment
-    count: np.ndarray         # (k,) int64 — fragments per burst
-    u: np.ndarray             # (sum of count,) float64
-    v: np.ndarray
-
-
-@dataclass
-class TileContext:
-    """The per-tile working buffers the per-entry loop renders into.
-
-    One context per worker is enough: each tile clears the buffers
-    first, so contexts are reusable across tiles and frames (exactly how
-    the hardware's on-chip tile memory behaves).
-    """
-
-    z_buffer: ZBuffer
-    color_buffer: ColorBuffer
-    layer_buffer: LayerBuffer
-
-    @classmethod
-    def for_config(cls, config: GPUConfig) -> "TileContext":
-        return cls(
-            z_buffer=ZBuffer(config.tile_width, config.tile_height,
-                             config.clear_depth),
-            color_buffer=ColorBuffer(config.tile_width, config.tile_height,
-                                     config.clear_color),
-            layer_buffer=LayerBuffer(config.tile_width, config.tile_height),
-        )
-
-
 @dataclass
 class TileResult:
     """Everything a job produced, ready for deterministic reduction.
@@ -136,9 +99,10 @@ class TileResult:
         tainted: ``(t,)`` bool — a predicted-occluded primitive survived
             the depth test somewhere in the tile without being exactly
             overwritten afterwards (triggers the signature poison).
-        layers / zr_register / depth: each tile's end-of-tile FVP inputs
-            (``(t, h, w)`` int32, ``(t,)`` and ``(t, h, w)`` float64),
-            present only when the EVR structures are enabled.
+        layers / zr_register / depth: each tile's end-of-tile FVP inputs,
+            its Layer Buffer, ZR register and Z-buffer (``(t, h, w)``
+            int32, ``(t,)`` int64 and ``(t, h, w)`` float64), present
+            only when the EVR structures are enabled.
     """
 
     tiles: np.ndarray
@@ -154,12 +118,6 @@ class TileResult:
     def tile(self) -> int:
         """The range's first tile."""
         return int(self.tiles[0])
-
-    def fvp_inputs(self, index: int) -> Tuple[LayerBuffer, ZBuffer]:
-        """Tile ``index``'s end-of-tile Layer and Z buffers (views)."""
-        return (LayerBuffer.holding(self.layers[index],
-                                    int(self.zr_register[index])),
-                ZBuffer.holding(self.depth[index]))
 
     def fingerprint(self) -> tuple:
         """Every field as exact bits — arrays (the burst columns among
@@ -277,18 +235,12 @@ class TileJob:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, context: Optional[TileContext] = None) -> TileResult:
-        """Render the range and return its result.
-
-        ``context`` supplies reusable working buffers for the per-entry
-        loop; omitted, a fresh one is created (convenient in tests).
-        """
+    def run(self) -> TileResult:
+        """Render the range and return its result."""
         kernels = resolve_backend(self.backend)
         if _resolves_runs(kernels, self.features):
             return self._run_range(kernels)
-        if context is None:
-            context = TileContext.for_config(self.config)
-        return self._run_tiles(kernels, context)
+        return self._run_tiles(kernels)
 
     def _run_range(self, kernels) -> TileResult:
         """Every tile at once: one ``prepare_tile`` over the range's
@@ -370,61 +322,65 @@ class TileJob:
             zr_register=out.zr_register if layers else None,
             depth=out.depth if layers else None)
 
-    def _run_tiles(self, kernels, context: TileContext) -> TileResult:
-        """Tile after tile through the per-entry loop, each tile's
-        counters merged into the range's in tile order."""
+    def _run_tiles(self, kernels) -> TileResult:
+        """Tile after tile through the per-entry loop, each into its rows
+        of the result's arrays, its counters merged into the range's in
+        tile order."""
         config = self.config
-        features = self.features
         width, height = config.tile_width, config.tile_height
         tiles = self.tiles.size
         color = np.empty((tiles, height, width, 4))
+        depth = np.empty((tiles, height, width))
         tainted = np.zeros(tiles, dtype=bool)
-        layers = zr_register = depth = None
-        if features.uses_layers:
+        layers = zr_register = None
+        if self.features.uses_layers:
             layers = np.empty((tiles, height, width), dtype=np.int32)
             zr_register = np.empty(tiles, dtype=np.int64)
-            depth = np.empty((tiles, height, width))
         entries = _entry_states(self.states, self.state)
         log = _TextureLog()
         stats = FrameStats()
         bounds = self.bounds.tolist()
         for index, tile in enumerate(self.tiles.tolist()):
+            color[index] = config.clear_color
+            depth[index] = config.clear_depth
+            if layers is not None:
+                # Layer 0 and ZR -1: a pixel no opaque fragment covers
+                # keeps L_far at 0, below every primitive's layer, so
+                # the tile's prediction stays conservative.
+                layers[index] = 0
+                zr_register[index] = -1
             tile_stats = FrameStats()
             tainted[index] = self._render_tile(
-                context, log, kernels, entries, tile, bounds[index],
+                color[index], depth[index],
+                None if layers is None else layers[index],
+                None if layers is None else zr_register[index:index + 1],
+                log, kernels, entries, tile, bounds[index],
                 bounds[index + 1],
                 1.0 if self.dsr_rate is None
                 else float(self.dsr_rate[index]),
                 None if self.history is None else self.history[index],
                 tile_stats)
-            color[index] = context.color_buffer.color
-            if layers is not None:
-                layers[index] = context.layer_buffer.layers
-                zr_register[index] = context.layer_buffer.zr_register
-                depth[index] = context.z_buffer.depth
             stats.merge(tile_stats)
         return TileResult(
             tiles=self.tiles, color=color, stats=stats,
             bursts=entries.bursts(*log.columns()),
             tainted=tainted, layers=layers, zr_register=zr_register,
-            depth=depth)
+            depth=None if layers is None else depth)
 
-    def _render_tile(self, context: TileContext, log: _TextureLog,
+    def _render_tile(self, color: np.ndarray, depth: np.ndarray,
+                     layers: Optional[np.ndarray],
+                     zr_register: Optional[np.ndarray], log: _TextureLog,
                      kernels, entries: _EntryStates, tile: int, start: int,
                      stop: int, dsr_rate: float,
                      history: Optional[np.ndarray],
                      stats: FrameStats) -> bool:
         """Render entries ``start..stop-1``, tile ``tile``'s display
-        list, one entry at a time into ``context``; returns whether the
-        tile ends tainted."""
+        list, one entry at a time into the tile's cleared colour, depth
+        and (with the EVR structures) layer rows and one-element ZR
+        register; returns whether the tile ends tainted."""
         config = self.config
         features = self.features
         stats.tiles_rendered += 1
-
-        context.z_buffer.clear()
-        context.color_buffer.clear()
-        if features.uses_layers:
-            context.layer_buffer.clear()
 
         tile_x, tile_y = tile % config.tiles_x, tile // config.tiles_x
         x0, y0 = tile_origin(tile_x, tile_y, config.tile_width,
@@ -438,10 +394,10 @@ class TileJob:
         )
 
         if features.oracle_z:
-            self._oracle_depth_prepass(context, kernels, batch, entries,
+            self._oracle_depth_prepass(depth, kernels, batch, entries,
                                        start, stop)
         elif features.z_prepass:
-            self._charged_depth_prepass(context, kernels, batch, entries,
+            self._charged_depth_prepass(depth, kernels, batch, entries,
                                         start, stop, stats)
 
         # Per-pixel count of shaded contributions not yet made useless by
@@ -454,16 +410,19 @@ class TileJob:
         # signature (see DESIGN.md, "Correctness repair").
         taint = np.zeros((config.tile_height, config.tile_width), dtype=bool)
         for index in range(start, stop):
-            self._render_entry(context, log, kernels, batch, entries,
-                               index, index - start, dsr_rate, history,
-                               pending, taint, stats)
+            self._render_entry(color, depth, layers, zr_register, log,
+                               kernels, batch, entries, index,
+                               index - start, dsr_rate, history, pending,
+                               taint, stats)
 
         stats.color_flush_bytes += tile_flush_bytes(config)
         if features.uses_layers:
             stats.fvp_updates += 1
         return bool(taint.any())
 
-    def _render_entry(self, context: TileContext, log: _TextureLog,
+    def _render_entry(self, color: np.ndarray, depth: np.ndarray,
+                      layers: Optional[np.ndarray],
+                      zr_register: Optional[np.ndarray], log: _TextureLog,
                       kernels, batch, entries: _EntryStates, index: int,
                       local: int, dsr_rate: float,
                       history: Optional[np.ndarray], pending: np.ndarray,
@@ -474,8 +433,9 @@ class TileJob:
         (repro.obs.metrics)."""
         predicted = bool(self.predicted[index])
         contributed = self._render_primitive(
-            context, log, kernels, batch, entries, index, local, dsr_rate,
-            history, predicted, pending, taint, stats,
+            color, depth, layers, zr_register, log, kernels, batch, entries,
+            index, local, dsr_rate, history, predicted, pending, taint,
+            stats,
         )
         if self.features.evr_hardware:
             if predicted:
@@ -490,7 +450,10 @@ class TileJob:
 
     def _render_primitive(
         self,
-        context: TileContext,
+        color: np.ndarray,
+        depth: np.ndarray,
+        layers: Optional[np.ndarray],
+        zr_register: Optional[np.ndarray],
         log: _TextureLog,
         kernels,
         batch,
@@ -507,8 +470,6 @@ class TileJob:
         """Render one display-list entry; True if it contributed color."""
         features = self.features
         state = self.states[self.state[index]]
-        z_buffer = context.z_buffer
-        color_buffer = context.color_buffer
 
         # Every entry's pointer and record reads are in the frame's
         # memory trace.
@@ -517,13 +478,13 @@ class TileJob:
         if (
             features.hierarchical_z
             and state.depth_test
-            and self.window[index, :, 2].min() > z_buffer.z_far
+            and self.window[index, :, 2].min() > depth.max()
         ):
             # Top-of-the-Z-pyramid rejection (Section VIII): the whole
             # primitive (its nearest vertex, z_near) is farther than
-            # every stored depth, so no fragment can pass; skip
-            # rasterization entirely.  Safe because unwritten pixels
-            # hold the far clear depth.
+            # every stored depth (the tile's Z_far), so no fragment can
+            # pass; skip rasterization entirely.  Safe because unwritten
+            # pixels hold the far clear depth.
             stats.hiz_tests += 1
             stats.hiz_culled += 1
             return False
@@ -541,7 +502,7 @@ class TileJob:
 
         resolved_z = features.oracle_z or features.z_prepass
         if state.depth_test:
-            passing = kernels.depth_test(z_buffer.depth, mask, frag.depth,
+            passing = kernels.depth_test(depth, mask, frag.depth,
                                          less_equal=resolved_z)
             if features.early_z:
                 # Early Depth Test: occluded fragments never reach the
@@ -566,7 +527,7 @@ class TileJob:
             # Opaque writes replace (delta = |src - dst|); blends move
             # rgb by a*(src-dst) and alpha by max(src_a - dst_a, 0).
             # Depth writes are NOT suppressed — visibility stays exact.
-            destination = color_buffer.color
+            destination = color
             threshold = features.vrpipe_threshold
             if blend_mode is BlendMode.OPAQUE:
                 delta = np.abs(frag.rgba - destination).max(axis=2)
@@ -619,7 +580,7 @@ class TileJob:
 
         if state.writes_z:
             stats.depth_writes += kernels.depth_write(
-                z_buffer.depth, passing, frag.depth
+                depth, passing, frag.depth
             )
 
         reconstruct = (
@@ -660,10 +621,10 @@ class TileJob:
         write_mask = passing if vr_kill is None else passing & ~vr_kill
         if blend_mode is BlendMode.OPAQUE:
             opaque_mask = passing
-            kernels.color_write(color_buffer.color, write_mask, rgba)
+            kernels.color_write(color, write_mask, rgba)
         else:
             opaque_mask = passing & (rgba[:, :, 3] >= ALPHA_OPAQUE)
-            kernels.color_blend(color_buffer.color, write_mask, rgba)
+            kernels.color_blend(color, write_mask, rgba)
         stats.blend_operations += int(np.count_nonzero(write_mask))
 
         translucent_mask = passing & ~opaque_mask
@@ -685,19 +646,19 @@ class TileJob:
             kernels.taint_or(taint, passing)
 
         if features.uses_layers and opaque_mask.any():
-            layer_buffer = context.layer_buffer
+            # The Layer Buffer keeps each pixel's visible opaque layer,
+            # and the ZR register the layer of the last visible WOZ
+            # fragment (Section V-B).
             layer = int(self.layer[index])
-            written = kernels.layer_write(
-                layer_buffer.layers, opaque_mask, layer
-            )
+            written = kernels.layer_write(layers, opaque_mask, layer)
             if state.writes_z and written:
-                layer_buffer.zr_register = layer
+                zr_register[0] = layer
             stats.layer_buffer_writes += written
         return True
 
     # -- charged Z pre-pass -------------------------------------------------
 
-    def _charged_depth_prepass(self, context: TileContext, kernels, batch,
+    def _charged_depth_prepass(self, depth: np.ndarray, kernels, batch,
                                entries: _EntryStates, start: int,
                                stop: int, stats: FrameStats) -> None:
         """Depth-only first pass over the tile's WOZ geometry, with the
@@ -706,7 +667,6 @@ class TileJob:
         depth-tested again and the Z-buffer is written — only fragment
         *shading* is saved for the second pass.
         """
-        depth_buffer = context.z_buffer.depth
         woz = np.flatnonzero((entries.writes_z & entries.depth_tested)
                              [start:stop])
         stats.prepass_primitives += len(woz)
@@ -715,29 +675,29 @@ class TileJob:
             if frag is None or frag.count == 0:
                 continue
             stats.prepass_fragments += frag.count
-            closer = kernels.depth_test(depth_buffer, frag.mask, frag.depth)
+            closer = kernels.depth_test(depth, frag.mask, frag.depth)
             stats.prepass_depth_writes += kernels.depth_write(
-                depth_buffer, closer, frag.depth
+                depth, closer, frag.depth
             )
 
     # -- oracle Z pre-pass --------------------------------------------------
 
-    def _oracle_depth_prepass(self, context: TileContext, kernels, batch,
+    def _oracle_depth_prepass(self, depth: np.ndarray, kernels, batch,
                               entries: _EntryStates, start: int,
                               stop: int) -> None:
-        """Fill the Z-buffer with the tile's final depths, for free.
+        """Fill the Z-buffer (``depth``) with the tile's final depths, for
+        free.
 
         Models Figure 8's oracle: perfect visibility information in the
         Z-buffer before the tile executes.  Only WOZ primitives determine
         final depths.
         """
-        depth_buffer = context.z_buffer.depth
         for index in np.flatnonzero(entries.writes_z[start:stop]).tolist():
             frag = batch.fragments(index)
             if frag is None or frag.count == 0:
                 continue
-            closer = kernels.depth_test(depth_buffer, frag.mask, frag.depth)
-            kernels.depth_write(depth_buffer, closer, frag.depth)
+            closer = kernels.depth_test(depth, frag.mask, frag.depth)
+            kernels.depth_write(depth, closer, frag.depth)
 
 
 def _resolves_runs(kernels, features: PipelineFeatures) -> bool:
@@ -759,11 +719,6 @@ def _resolves_runs(kernels, features: PipelineFeatures) -> bool:
     )
 
 
-# Worker-side context cache: one set of tile buffers per (geometry, clear)
-# signature per process, mirroring the hardware's reusable on-chip memory.
-_CONTEXT_CACHE: dict = {}
-
-
 def execute_tile_job(job: TileJob) -> TileResult:
     """Module-level job entry point (picklable for process pools).
 
@@ -774,17 +729,11 @@ def execute_tile_job(job: TileJob) -> TileResult:
     fragments and its own measured wall time and pid: the dashboard's
     worker-occupancy data.
     """
-    key = (job.config.tile_width, job.config.tile_height,
-           job.config.clear_depth, job.config.clear_color)
-    context = _CONTEXT_CACHE.get(key)
-    if context is None:
-        context = TileContext.for_config(job.config)
-        _CONTEXT_CACHE[key] = context
     bus = get_bus()
     if not bus.enabled:
-        return job.run(context)
+        return job.run()
     start = time.perf_counter()
-    result = job.run(context)
+    result = job.run()
     bus.emit(TileJobFinished(
         tile=job.tile,
         fragments=result.stats.fragments_shaded,

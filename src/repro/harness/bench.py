@@ -61,7 +61,7 @@ import numpy as np
 
 from ..config import GPUConfig
 from ..engine.scheduler import SerialScheduler
-from ..engine.tile_job import TileContext, TileJob
+from ..engine.tile_job import TileJob
 from ..errors import ConfigError
 from ..kernels import available_backends, resolve_backend
 from ..kernels.tile_geometry import tile_origin, valid_mask
@@ -522,11 +522,10 @@ def _geometry_sweeps(frames: Sequence, fvp_states: Sequence,
     }
 
 
-def _execute_once(jobs: Sequence[TileJob], context: TileContext) -> None:
-    """Run every job through :meth:`TileJob.run` on one reused context,
-    as a worker does."""
+def _execute_once(jobs: Sequence[TileJob]) -> None:
+    """Run every job through :meth:`TileJob.run`, as a worker does."""
     for job in jobs:
-        job.run(context)
+        job.run()
 
 
 def _execute_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
@@ -541,12 +540,11 @@ def _execute_sweeps(jobs: Sequence[TileJob], backends: Sequence[str],
         backend: [dataclasses.replace(job, backend=backend) for job in jobs]
         for backend in backends
     }
-    context = TileContext.for_config(jobs[0].config) if jobs else None
-    _warm_up(backends, lambda backend: [job.run(context).fingerprint()
+    _warm_up(backends, lambda backend: [job.run().fingerprint()
                                         for job in per_backend[backend]],
              lambda fingerprints: fingerprints, "tile jobs")
     rounds = _round_seconds(backends, repeat, lambda backend: _seconds(
-        _execute_once, per_backend[backend], context))
+        _execute_once, per_backend[backend]))
     tiles = sum(job.tiles.size for job in jobs)
     return {
         backend: {

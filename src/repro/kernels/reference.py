@@ -2,11 +2,11 @@
 
 This is the historical per-triangle and per-entry hot path, moved here
 verbatim from ``repro.pipeline.geometry`` (vertex transform and
-Primitive Assembly), ``repro.pipeline.rasterizer`` and the
-``repro.hw.buffers`` method bodies when the kernel seam was introduced —
-it defines the bit-exact semantics every other backend must reproduce.
-The pipeline and the buffer classes delegate to these functions, so
-there is exactly one copy of each rule.
+Primitive Assembly), ``repro.pipeline.rasterizer`` and the per-tile
+buffer classes when the kernel seam was introduced — it defines the
+bit-exact semantics every other backend must reproduce.  The pipeline
+calls these functions on a tile's buffer arrays, so there is exactly
+one copy of each rule.
 
 Everything here is a pure function: objects or arrays in, objects,
 arrays (or counts) out.  The only state is the caller's buffers, mutated
@@ -141,10 +141,6 @@ class FragmentBatch:
     u: np.ndarray           # float64  — texture coordinate
     v: np.ndarray           # float64  — texture coordinate
 
-    @property
-    def fragment_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
 
 def _edge(ax: float, ay: float, bx: float, by: float,
           px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -269,7 +265,7 @@ def prepare_tile(window: np.ndarray, attributes: np.ndarray, x0, y0,
 
 
 # ---------------------------------------------------------------------------
-# Per-fragment buffer ops (the moved ``repro.hw.buffers`` method bodies)
+# Per-fragment buffer ops on a tile's Z-buffer, Color Buffer and Layer Buffer
 # ---------------------------------------------------------------------------
 
 def depth_test(depth: np.ndarray, mask: np.ndarray,

@@ -556,15 +556,15 @@ class _Batch:
         rows[1::2, 3] = trace.record_bytes
         rows[:, 4] = 0
         self._rows.append(rows)
-        columns = (base + 3 * trace.texture_entry + 2, trace.texture_id,
-                   trace.texture_size, trace.texture_samples,
-                   trace.texture_count)
-        u, v = trace.u, trace.v
+        bursts = trace.bursts
+        columns = (base + 3 * bursts.entry + 2, bursts.texture_id,
+                   bursts.texture_size, bursts.samples, bursts.count)
+        u, v = bursts.u, bursts.v
         # A burst without fragments or samples touches nothing, as the
         # scalar ``texture_batch`` returns early for it.
-        live = (trace.texture_count > 0) & (trace.texture_samples > 0)
+        live = (bursts.count > 0) & (bursts.samples > 0)
         if not live.all():
-            sampled = np.repeat(live, trace.texture_count)
+            sampled = np.repeat(live, bursts.count)
             columns = tuple(column[live] for column in columns)
             u, v = u[sampled], v[sampled]
         if columns[0].size:

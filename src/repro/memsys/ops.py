@@ -18,8 +18,26 @@ the memory system can consume them without a layering cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+
+class TextureBursts(NamedTuple):
+    """Texture bursts as columns, one row per entry that shaded textured
+    fragments, in entry order: its ``count`` fragments sample texture
+    ``texture_id`` (of ``texture_size`` texels a side) ``samples`` times
+    each, at the coordinates ``u``/``v`` hold for every burst back to
+    back.  A raster job numbers ``entry`` within the job, a frame's
+    :class:`RasterTrace` within the frame."""
+
+    entry: np.ndarray         # (k,) int64, ascending
+    texture_id: np.ndarray    # (k,) int64
+    texture_size: np.ndarray  # (k,) int64
+    samples: np.ndarray       # (k,) int64 — samples per fragment
+    count: np.ndarray         # (k,) int64 — fragments per burst
+    u: np.ndarray             # (sum of count,) float64
+    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -32,10 +50,8 @@ class RasterTrace:
     (``pointer_bytes`` at ``pointer``) and its attribute record
     (``record_bytes`` at ``offset``), then, if it shaded textured
     fragments, samples its texture; each tile ends with one
-    ``flush_bytes`` colour flush.  The texture bursts are rows of the
-    ``texture_*`` columns, in entry order: ``texture_entry`` is the
-    entry, ``texture_count`` its fragment count (at least one), and
-    ``u``/``v`` hold every burst's coordinates back to back.
+    ``flush_bytes`` colour flush.  ``bursts`` holds the entries' texture
+    bursts, each entry numbered within the frame.
     """
 
     pointer: np.ndarray          # (n,) int64
@@ -44,30 +60,24 @@ class RasterTrace:
     record_bytes: int
     bounds: np.ndarray           # (t + 1,) int64
     flush_bytes: int
-    texture_entry: np.ndarray    # (k,) int64, ascending
-    texture_id: np.ndarray       # (k,) int64
-    texture_size: np.ndarray     # (k,) int64
-    texture_samples: np.ndarray  # (k,) int64 — samples per fragment
-    texture_count: np.ndarray    # (k,) int64 — fragments per burst
-    u: np.ndarray                # (sum of texture_count,) float64
-    v: np.ndarray
+    bursts: TextureBursts
 
     @property
     def ops(self) -> int:
         """The ops the trace stands for: two reads per entry, one
         texture burst per row, one flush per tile."""
-        return (2 * self.pointer.size + self.texture_entry.size
+        return (2 * self.pointer.size + self.bursts.entry.size
                 + self.bounds.size - 1)
 
     def replay(self, memory) -> None:
         """Call ``memory``'s methods once per op, in op order."""
         pointers = self.pointer.tolist()
         offsets = self.offset.tolist()
-        bursts = dict(zip(self.texture_entry.tolist(), zip(
-            self.texture_id.tolist(), self.texture_size.tolist(),
-            self.texture_samples.tolist(),
-            np.cumsum(self.texture_count).tolist(),
-            self.texture_count.tolist())))
+        texture = self.bursts
+        bursts = dict(zip(texture.entry.tolist(), zip(
+            texture.texture_id.tolist(), texture.texture_size.tolist(),
+            texture.samples.tolist(), np.cumsum(texture.count).tolist(),
+            texture.count.tolist())))
         bounds = self.bounds.tolist()
         for start, stop in zip(bounds[:-1], bounds[1:]):
             for entry in range(start, stop):
@@ -79,8 +89,9 @@ class RasterTrace:
                 if burst is not None:
                     texture_id, size, samples, end, count = burst
                     memory.texture_batch(texture_id, size,
-                                         self.u[end - count:end],
-                                         self.v[end - count:end], samples)
+                                         texture.u[end - count:end],
+                                         texture.v[end - count:end],
+                                         samples)
             memory.framebuffer_flush(self.flush_bytes)
 
 

@@ -45,7 +45,7 @@ from ..kernels import DEFAULT_BACKEND, normalize_backend
 from ..kernels.api import RASTER_ATTRIBUTES, normalize_winding
 from ..kernels.tile_geometry import tile_region
 from ..memsys import MemorySystem
-from ..memsys.ops import RasterTrace
+from ..memsys.ops import RasterTrace, TextureBursts
 from ..obs.trace import get_tracer
 from ..timing import FrameStats
 from .features import PipelineFeatures
@@ -220,24 +220,15 @@ class RasterPipeline:
         frame."""
         first_tile = np.cumsum([0] + [result.tiles.size
                                       for result in results[:-1]])
-        bursts = [result.bursts for result in results]
-
-        def joined(field: str) -> np.ndarray:
-            return np.concatenate([getattr(burst, field)
-                                   for burst in bursts])
-
+        shifted = (result.bursts._replace(entry=result.bursts.entry + first)
+                   for result, first
+                   in zip(results, bounds[first_tile].tolist()))
         return RasterTrace(
             pointer=pointer, offset=offset,
             pointer_bytes=POINTER_BYTES,
             record_bytes=self.parameter_buffer.attribute_bytes_per_primitive,
             bounds=bounds, flush_bytes=tile_flush_bytes(self.config),
-            texture_entry=np.concatenate([
-                burst.entry + first for burst, first
-                in zip(bursts, bounds[first_tile].tolist())]),
-            texture_id=joined("texture_id"),
-            texture_size=joined("texture_size"),
-            texture_samples=joined("samples"),
-            texture_count=joined("count"), u=joined("u"), v=joined("v"))
+            bursts=TextureBursts(*map(np.concatenate, zip(*shifted))))
 
     # -- tile skipping (Rendering Elimination) ------------------------------
 
@@ -286,7 +277,9 @@ class RasterPipeline:
 
             if self.features.uses_layers:
                 assert self.predictor is not None
-                self.predictor.record_tile(tile, *result.fvp_inputs(index))
+                self.predictor.record_tile(
+                    tile, result.layers[index],
+                    int(result.zr_register[index]), result.depth[index])
 
             rows, cols = self._tile_region(tile % self.config.tiles_x,
                                            tile // self.config.tiles_x)

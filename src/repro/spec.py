@@ -72,7 +72,6 @@ from .resilience.policy import RetryPolicy
 from .techniques import (
     Technique,
     get_technique,
-    resolve_features,
     unknown_mode_message,
 )
 from .timing import CostParameters
@@ -387,13 +386,6 @@ class RunSpec:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     # -- derived ------------------------------------------------------------
-
-    def features_for(self, mode: Union[Technique, PipelineFeatures, str]
-                     ) -> PipelineFeatures:
-        """The concrete feature set for ``mode`` (any technique
-        designator the registry resolves, or a raw feature set) under
-        this spec's overrides."""
-        return self.features.apply(resolve_features(mode))
 
     def diff(self, other: "RunSpec") -> List[Tuple[str, Any, Any]]:
         """Field-wise differences: ``(dotted_path, self_value,

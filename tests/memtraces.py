@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.memsys.ops import GeometryTrace, RasterTrace
+from repro.memsys.ops import GeometryTrace, RasterTrace, TextureBursts
 
 
 def vertex_fetches(*ranges: Tuple[int, int],
@@ -51,7 +51,8 @@ def raster_trace(reads: Sequence[Tuple[int, int]] = (), burst=None,
         record_bytes=record_bytes,
         bounds=np.array([0, len(reads)], dtype=np.int64),
         flush_bytes=flush_bytes,
-        texture_entry=np.zeros(len(bursts), dtype=np.int64),
-        texture_id=texture_id, texture_size=size, texture_samples=samples,
-        texture_count=np.array([u.size] * len(bursts), dtype=np.int64),
-        u=u, v=v)
+        bursts=TextureBursts(
+            entry=np.zeros(len(bursts), dtype=np.int64),
+            texture_id=texture_id, texture_size=size, samples=samples,
+            count=np.array([u.size] * len(bursts), dtype=np.int64),
+            u=u, v=v))

@@ -11,7 +11,7 @@ from repro.harness import (
 )
 from repro.harness.runner import SuiteRunner
 from repro.spec import FeatureOverrides
-from repro.hw import FVPEntry, FVPType, LayerBuffer, ZBuffer
+from repro.hw import FVPEntry, FVPType
 from repro.scenes import benchmark_stream
 
 import numpy as np
@@ -41,12 +41,9 @@ class TestFeatureValidation:
 
 class TestPredictorHistory:
     def _record(self, predictor, tile, depth):
-        z = ZBuffer(4, 4)
-        lb = LayerBuffer(4, 4)
-        mask = np.ones((4, 4), dtype=bool)
-        z.write(mask, np.full((4, 4), depth))
-        lb.write(mask, 1, is_woz=True)
-        predictor.record_tile(tile, lb, z)
+        # A tile one WOZ entry of layer 1 covers at ``depth``.
+        layers = np.ones((4, 4), dtype=np.int32)
+        predictor.record_tile(tile, layers, 1, np.full((4, 4), depth))
 
     def test_history_one_uses_latest_only(self):
         predictor = VisibilityPredictor(4, history=1)

@@ -497,6 +497,27 @@ class TestEventBusCli:
         assert (entries[0]["benchmark"], entries[0]["mode"]) == ("hop",
                                                                  "evr")
 
+    @pytest.mark.parametrize("output", [[], ["--output", "BENCH_tiny.json"],
+                                        ["--output", "./BENCH_tiny.json"]])
+    def test_bench_refuses_to_overwrite_its_baseline(self, tmp_path,
+                                                     monkeypatch, output):
+        """An output path that is the ``--check`` baseline is a usage
+        error before the bench runs, so the baseline is not overwritten
+        and then passed against itself."""
+        monkeypatch.chdir(tmp_path)
+        baseline = tmp_path / "BENCH_tiny.json"
+        baseline.write_text('{"speedup": {}}\n')
+        before = baseline.read_bytes()
+
+        def run_bench(*args, **kwargs):
+            raise AssertionError("the bench ran")
+
+        monkeypatch.setattr(repro.cli, "run_bench", run_bench)
+        assert main(["bench", "--preset", "tiny", *output,
+                     "--check", str(baseline), "--ledger", "off",
+                     "-q"]) == 2
+        assert baseline.read_bytes() == before
+
     def test_bench_records_ledger_entry(self, tmp_path, capsys,
                                         monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -61,7 +61,7 @@ class TestGPUConfig:
     def test_tiny(self):
         config = GPUConfig.tiny()
         assert config.num_tiles == 12
-        assert config.pixels_per_tile == 256
+        assert config.tile_width * config.tile_height == 256
 
     def test_scaled_override(self):
         config = GPUConfig.default().scaled(frames=3)

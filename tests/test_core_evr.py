@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.core import VisibilityPredictor, compute_fvp, predict_occluded
-from repro.hw import FVPEntry, FVPType, LayerBuffer, ZBuffer
+from repro.hw import FVPEntry, FVPType
+from repro.kernels import reference as ops
 
 
 def full_mask():
@@ -17,6 +18,11 @@ def full_mask():
 
 def depth_plane(value):
     return np.full((4, 4), value)
+
+
+def cleared():
+    """A cleared 4x4 tile's Layer Buffer and Z-buffer."""
+    return np.zeros((4, 4), dtype=np.int32), np.ones((4, 4))
 
 
 class TestPredictOccluded:
@@ -48,24 +54,23 @@ class TestPredictOccluded:
 
 class TestComputeFVP:
     def test_pure_woz_tile(self):
-        z = ZBuffer(4, 4)
-        lb = LayerBuffer(4, 4)
-        z.write(full_mask(), depth_plane(0.42))
-        lb.write(full_mask(), 2, is_woz=True)
-        entry = compute_fvp(lb, z)
+        layers, depth = cleared()
+        ops.depth_write(depth, full_mask(), depth_plane(0.42))
+        ops.layer_write(layers, full_mask(), 2)
+        entry = compute_fvp(layers, 2, depth)
         assert entry.fvp_type is FVPType.WOZ
         assert entry.value == pytest.approx(0.42)
 
     def test_nwoz_covering_tile(self):
-        z = ZBuffer(4, 4)
-        lb = LayerBuffer(4, 4)
-        lb.write(full_mask(), 3, is_woz=False)
-        entry = compute_fvp(lb, z)
+        layers, depth = cleared()
+        ops.layer_write(layers, full_mask(), 3)
+        entry = compute_fvp(layers, -1, depth)
         assert entry.fvp_type is FVPType.NWOZ
         assert entry.value == 3
 
     def test_empty_tile_is_conservative(self):
-        entry = compute_fvp(LayerBuffer(4, 4), ZBuffer(4, 4))
+        layers, depth = cleared()
+        entry = compute_fvp(layers, -1, depth)
         assert entry.fvp_type is FVPType.NWOZ
         assert entry.value == 0  # no layer is below 0 -> nothing occluded
 
@@ -80,16 +85,15 @@ class TestFigure3Scenarios:
         # Layers: 1 (NWOZ, occluded by 2), 2 (NWOZ, occluded by 3 and 4),
         # 3 (NWOZ, visible), 4 (NWOZ, visible, nearer).  L_far = 3 and
         # the FVP is a layer.
-        z = ZBuffer(4, 4)
-        lb = LayerBuffer(4, 4)
-        lb.write(full_mask(), 1, is_woz=False)        # layer 1 everywhere
-        lb.write(full_mask(), 2, is_woz=False)        # layer 2 covers 1
+        layers, depth = cleared()
+        ops.layer_write(layers, full_mask(), 1)       # layer 1 everywhere
+        ops.layer_write(layers, full_mask(), 2)       # layer 2 covers 1
         left = np.zeros((4, 4), dtype=bool)
         left[:, :2] = True
         right = ~left
-        lb.write(left, 3, is_woz=False)               # layer 3 visible left
-        lb.write(right, 4, is_woz=False)              # layer 4 visible right
-        entry = compute_fvp(lb, z)
+        ops.layer_write(layers, left, 3)              # layer 3 visible left
+        ops.layer_write(layers, right, 4)             # layer 4 visible right
+        entry = compute_fvp(layers, -1, depth)        # no WOZ: ZR is -1
         assert entry.fvp_type is FVPType.NWOZ
         assert entry.value == 3
 
@@ -98,23 +102,23 @@ class TestFigure3Scenarios:
         # tile; deeper-z parts are occluded by nearer WOZ geometry except
         # where only z=0.5 covers.  The tile's farthest *visible* point
         # belongs to WOZ geometry, so the FVP is Z_far = 0.5.
-        z = ZBuffer(4, 4)
-        lb = LayerBuffer(4, 4)
+        layers, depth = cleared()
         near = np.zeros((4, 4), dtype=bool)
         near[:, :2] = True
         far = ~near
-        # WOZ batch (all layer 1): fragment depths.
-        z.write(full_mask(), depth_plane(1.0))        # depth-1 geometry
-        lb.write(full_mask(), 1, is_woz=True)
+        # WOZ batch (all layer 1, so the ZR register holds 1): fragment
+        # depths.
+        ops.depth_write(depth, full_mask(), depth_plane(1.0))  # depth-1
+        ops.layer_write(layers, full_mask(), 1)
         mid = depth_plane(0.5)
-        passing = z.test(far, mid)
-        z.write(passing, mid)                          # 0.5 covers right half
-        lb.write(passing, 1, is_woz=True)
+        passing = ops.depth_test(depth, far, mid)
+        ops.depth_write(depth, passing, mid)          # 0.5 covers right half
+        ops.layer_write(layers, passing, 1)
         zero = depth_plane(0.0)
-        passing = z.test(near, zero)
-        z.write(passing, zero)                         # 0 covers left half
-        lb.write(passing, 1, is_woz=True)
-        entry = compute_fvp(lb, z)
+        passing = ops.depth_test(depth, near, zero)
+        ops.depth_write(depth, passing, zero)         # 0 covers left half
+        ops.layer_write(layers, passing, 1)
+        entry = compute_fvp(layers, 1, depth)
         assert entry.fvp_type is FVPType.WOZ
         assert entry.value == pytest.approx(0.5)
 
@@ -122,11 +126,10 @@ class TestFigure3Scenarios:
 class TestVisibilityPredictor:
     def test_records_and_predicts(self):
         predictor = VisibilityPredictor(num_tiles=4)
-        z = ZBuffer(4, 4)
-        lb = LayerBuffer(4, 4)
-        z.write(full_mask(), depth_plane(0.5))
-        lb.write(full_mask(), 1, is_woz=True)
-        predictor.record_tile(2, lb, z)
+        layers, depth = cleared()
+        ops.depth_write(depth, full_mask(), depth_plane(0.5))
+        ops.layer_write(layers, full_mask(), 1)
+        predictor.record_tile(2, layers, 1, depth)
         assert predictor.predict(2, writes_z=True, z_near=0.7, layer=1)
         assert not predictor.predict(2, writes_z=True, z_near=0.3, layer=1)
         assert predictor.stats.predictions == 2

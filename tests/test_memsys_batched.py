@@ -30,7 +30,7 @@ from repro.memsys import BatchedMemorySystem, MemorySystem
 from repro.memsys.batched import _TAIL_LANES, _LaneLRU
 from repro.memsys.cache import Cache
 from repro.obs.metrics import global_registry
-from repro.memsys.ops import GeometryTrace, RasterTrace
+from repro.memsys.ops import GeometryTrace, RasterTrace, TextureBursts
 from repro.pipeline import raster
 
 from tests.memtraces import parameter_writes, raster_trace, vertex_fetches
@@ -140,12 +140,13 @@ def _raster_trace(draw):
         pointer_bytes=pointer_bytes, record_bytes=record_bytes,
         bounds=np.concatenate(([0], np.cumsum(sizes))).astype(np.int64),
         flush_bytes=flush_bytes,
-        texture_entry=np.array(textured, dtype=np.int64),
-        texture_id=column[0], texture_size=column[1],
-        texture_samples=column[2],
-        texture_count=np.array([u.size for u in uv], dtype=np.int64),
-        u=np.concatenate(uv) if uv else np.empty(0),
-        v=np.concatenate([u[::-1] for u in uv]) if uv else np.empty(0))
+        bursts=TextureBursts(
+            entry=np.array(textured, dtype=np.int64),
+            texture_id=column[0], texture_size=column[1],
+            samples=column[2],
+            count=np.array([u.size for u in uv], dtype=np.int64),
+            u=np.concatenate(uv) if uv else np.empty(0),
+            v=np.concatenate([u[::-1] for u in uv]) if uv else np.empty(0)))
     return trace, calls
 
 
@@ -506,12 +507,13 @@ class TestTextureExpansion:
         u = np.linspace(0.0, 1.0, 8)
         trace = dataclasses.replace(
             raster_trace([(0, 0)] * 3),
-            texture_entry=np.array([0, 1, 2], dtype=np.int64),
-            texture_id=np.array([0, 1, 2], dtype=np.int64),
-            texture_size=np.array([16, 16, 16], dtype=np.int64),
-            texture_samples=np.array([1, 0, 2], dtype=np.int64),
-            texture_count=np.array([0, 8, 8], dtype=np.int64),
-            u=np.concatenate([u, u]), v=np.concatenate([u, u]))
+            bursts=TextureBursts(
+                entry=np.array([0, 1, 2], dtype=np.int64),
+                texture_id=np.array([0, 1, 2], dtype=np.int64),
+                texture_size=np.array([16, 16, 16], dtype=np.int64),
+                samples=np.array([1, 0, 2], dtype=np.int64),
+                count=np.array([0, 8, 8], dtype=np.int64),
+                u=np.concatenate([u, u]), v=np.concatenate([u, u])))
         scalar = MemorySystem(GPUConfig.default())
         batched = BatchedMemorySystem(GPUConfig.default())
         for memory in (scalar, batched):
@@ -646,10 +648,10 @@ class TestBatchingTelemetry:
         batched.replay_ops(RasterTrace(
             pointer=np.array([0, 8, 16]), offset=np.array([64, 128, 192]),
             pointer_bytes=8, record_bytes=48, bounds=np.array([0, 2, 3]),
-            flush_bytes=1024, texture_entry=np.array([1]),
-            texture_id=np.array([0]), texture_size=np.array([16]),
-            texture_samples=np.array([1]), texture_count=np.array([2]),
-            u=u, v=u))
+            flush_bytes=1024, bursts=TextureBursts(
+                entry=np.array([1]), texture_id=np.array([0]),
+                texture_size=np.array([16]), samples=np.array([1]),
+                count=np.array([2]), u=u, v=u)))
         batched.replay_ops(parameter_writes((0, 8), (8, 8)))
         batched.end_frame()
         histogram = global_registry().as_dict()["histograms"][

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro import GPUConfig
 from repro.memsys import MemorySystem
-from repro.memsys.ops import GeometryTrace, RasterTrace
+from repro.memsys.ops import GeometryTrace, RasterTrace, TextureBursts
 
 
 class _RecordingMemory:
@@ -45,10 +45,11 @@ def _raster_trace() -> RasterTrace:
         pointer=np.array([64, 72, 80]), offset=np.array([128, 256, 384]),
         pointer_bytes=8, record_bytes=48,
         bounds=np.array([0, 2, 3, 3]), flush_bytes=1024,
-        texture_entry=np.array([1, 2]), texture_id=np.array([3, 0]),
-        texture_size=np.array([256, 16]), texture_samples=np.array([2, 1]),
-        texture_count=np.array([2, 1]), u=np.array([0.25, 0.5, 0.125]),
-        v=np.array([0.75, 1.0, 0.0]))
+        bursts=TextureBursts(
+            entry=np.array([1, 2]), texture_id=np.array([3, 0]),
+            texture_size=np.array([256, 16]), samples=np.array([2, 1]),
+            count=np.array([2, 1]), u=np.array([0.25, 0.5, 0.125]),
+            v=np.array([0.75, 1.0, 0.0])))
 
 
 class TestReplay:
@@ -58,7 +59,7 @@ class TestReplay:
         trace = _raster_trace()
         memory = _RecordingMemory()
         trace.replay(memory)
-        u, v = trace.u, trace.v
+        u, v = trace.bursts.u, trace.bursts.v
         assert memory.calls == [
             ("pb", 64, 8), ("pb", 128, 48),
             ("pb", 72, 8), ("pb", 256, 48),

@@ -11,7 +11,9 @@ from repro import RenderState
 from repro.core import predict_occluded
 from repro.core.rendering_elimination import RenderingElimination
 from repro.geom import ScreenTriangle, VertexAttributes
-from repro.hw import FVPEntry, FVPType, LayerBuffer, SignatureBuffer, ZBuffer
+from repro.core import compute_fvp
+from repro.hw import FVPEntry, FVPType, SignatureBuffer
+from repro.kernels import reference as ops
 from repro.hw.signature_buffer import combine_signature
 from repro.math3d import Vec2
 
@@ -108,29 +110,39 @@ class TestLayerBufferProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_l_far_is_min_of_written_or_clear(self, writes):
-        buffer = LayerBuffer(4, 4)
+        """``L_far`` is the minimum stored layer: the oldest layer left
+        visible, or the clear layer 0 where a column stayed unwritten;
+        the FVP is WOZ exactly when it equals the ZR register, the
+        layer of the last WOZ write."""
+        layers = np.zeros((4, 4), dtype=np.int32)
+        zr_register = -1
         for layer, is_woz, column in writes:
             mask = np.zeros((4, 4), dtype=bool)
             mask[:, column % 4] = True
-            buffer.write(mask, layer, is_woz)
-        assert buffer.l_far <= min(
-            (layer for layer, _, _ in writes), default=0
-        ) or buffer.l_far >= 0
-        assert buffer.l_far == int(buffer.layers.min())
+            if ops.layer_write(layers, mask, layer) and is_woz:
+                zr_register = layer
+        visible = {column % 4: layer for layer, _, column in writes}
+        l_far = min(visible.values()) if len(visible) == 4 else 0
+        entry = compute_fvp(layers, zr_register, np.ones((4, 4)))
+        if zr_register == l_far:
+            assert entry == FVPEntry(FVPType.WOZ, 1.0)
+        else:
+            assert entry == FVPEntry(FVPType.NWOZ, l_far)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0,
                               allow_nan=False), max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_z_far_tracks_running_min_per_pixel(self, depths):
-        z = ZBuffer(2, 2)
+        depth = np.ones((2, 2))
         mask = np.ones((2, 2), dtype=bool)
         expected = 1.0
-        for depth in depths:
-            plane = np.full((2, 2), depth)
-            passing = z.test(mask, plane)
-            z.write(passing, plane)
-            expected = min(expected, depth)
-        assert z.z_far == pytest.approx(expected)
+        for value in depths:
+            plane = np.full((2, 2), value)
+            passing = ops.depth_test(depth, mask, plane)
+            ops.depth_write(depth, passing, plane)
+            expected = min(expected, value)
+        layers = np.zeros((2, 2), dtype=np.int32)
+        assert compute_fvp(layers, 0, depth).value == pytest.approx(expected)
 
 
 class TestRenderingEliminationProperties:

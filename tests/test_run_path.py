@@ -326,10 +326,13 @@ def _jobs(frames, technique, backend, seed_fvp=()):
 
 
 def _bits(trace):
-    """Every column of a raster trace as exact bits."""
+    """Every column of a raster trace, its bursts' among them, as exact
+    bits."""
+    values = [value for name, value in vars(trace).items()
+              if name != "bursts"]
     return [(value.dtype.str, value.tobytes())
             if isinstance(value, np.ndarray) else value
-            for value in vars(trace).values()]
+            for value in values + list(trace.bursts)]
 
 
 #: FVP Table entries: a WOZ tile's farthest depth or an NWOZ tile's

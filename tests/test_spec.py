@@ -15,6 +15,7 @@ import textwrap
 
 import pytest
 
+from repro import GPU
 from repro.cli import main
 from repro.errors import ConfigError, SpecError
 from repro.obs.log import reset_warn_once
@@ -189,9 +190,11 @@ class TestFeatureOverrides:
         assert FeatureOverrides().apply(features) is features
 
     def test_features_for(self):
+        """The GPU a spec builds for a mode runs the mode's features
+        under the spec's overrides."""
         spec = resolve_spec(sets=["features.evr_reorder=false"], env={}).spec
-        assert not spec.features_for(EVR).evr_reorder
-        assert spec.features_for(BASELINE).early_z
+        assert not GPU.from_spec(spec, EVR).features.evr_reorder
+        assert GPU.from_spec(spec, BASELINE).features.early_z
 
     def test_invalid_override_rejected(self):
         with pytest.raises(SpecError):

@@ -8,13 +8,19 @@ from repro.core.subtile import (
     SubTileVisibilityPredictor,
     compute_quadrant_fvps,
 )
-from repro.hw import FVPType, LayerBuffer, ZBuffer
+from repro.hw import FVPType
+from repro.kernels import reference as ops
 from repro.scenes import benchmark_stream
 from repro.techniques import BASELINE
 
 
 def full():
     return np.ones((16, 16), dtype=bool)
+
+
+def cleared():
+    """A cleared tile's Layer Buffer and Z-buffer."""
+    return np.zeros((16, 16), dtype=np.int32), np.ones((16, 16))
 
 
 def quadrant_mask(qx, qy):
@@ -25,33 +31,30 @@ def quadrant_mask(qx, qy):
 
 class TestQuadrantFVPs:
     def test_uniform_woz_tile(self):
-        z = ZBuffer(16, 16)
-        lb = LayerBuffer(16, 16)
-        z.write(full(), np.full((16, 16), 0.4))
-        lb.write(full(), 1, is_woz=True)
-        entries = compute_quadrant_fvps(lb, z)
+        layers, depth = cleared()
+        ops.depth_write(depth, full(), np.full((16, 16), 0.4))
+        ops.layer_write(layers, full(), 1)
+        entries = compute_quadrant_fvps(layers, 1, depth)
         assert all(e.fvp_type is FVPType.WOZ for e in entries)
         assert all(e.value == pytest.approx(0.4) for e in entries)
 
     def test_mixed_depth_quadrants(self):
         """Per-quadrant Z_far refines the tile-wide maximum."""
-        z = ZBuffer(16, 16)
-        lb = LayerBuffer(16, 16)
-        lb.write(full(), 1, is_woz=True)
-        z.write(quadrant_mask(0, 0), np.full((16, 16), 0.2))
-        z.write(quadrant_mask(1, 0), np.full((16, 16), 0.8))
-        z.write(quadrant_mask(0, 1), np.full((16, 16), 0.3))
-        z.write(quadrant_mask(1, 1), np.full((16, 16), 0.5))
-        entries = compute_quadrant_fvps(lb, z)
+        layers, depth = cleared()
+        ops.layer_write(layers, full(), 1)
+        ops.depth_write(depth, quadrant_mask(0, 0), np.full((16, 16), 0.2))
+        ops.depth_write(depth, quadrant_mask(1, 0), np.full((16, 16), 0.8))
+        ops.depth_write(depth, quadrant_mask(0, 1), np.full((16, 16), 0.3))
+        ops.depth_write(depth, quadrant_mask(1, 1), np.full((16, 16), 0.5))
+        entries = compute_quadrant_fvps(layers, 1, depth)
         values = [e.value for e in entries]
         assert values == [pytest.approx(v) for v in (0.2, 0.8, 0.3, 0.5)]
 
     def test_nwoz_quadrant(self):
-        z = ZBuffer(16, 16)
-        lb = LayerBuffer(16, 16)
-        lb.write(full(), 1, is_woz=True)
-        lb.write(quadrant_mask(1, 1), 3, is_woz=False)  # sprite covers one
-        entries = compute_quadrant_fvps(lb, z)
+        layers, depth = cleared()
+        ops.layer_write(layers, full(), 1)
+        ops.layer_write(layers, quadrant_mask(1, 1), 3)  # sprite covers one
+        entries = compute_quadrant_fvps(layers, 1, depth)
         assert entries[0].fvp_type is FVPType.WOZ
         assert entries[3].fvp_type is FVPType.NWOZ
         assert entries[3].value == 3
@@ -62,14 +65,13 @@ class TestSubTilePredictor:
         predictor = SubTileVisibilityPredictor(
             num_tiles=4, tile_width=16, tile_height=16, tiles_x=2
         )
-        z = ZBuffer(16, 16)
-        lb = LayerBuffer(16, 16)
-        lb.write(full(), 1, is_woz=True)
-        z.write(quadrant_mask(0, 0), np.full((16, 16), 0.2))
-        z.write(quadrant_mask(1, 0), np.full((16, 16), 0.8))
-        z.write(quadrant_mask(0, 1), np.full((16, 16), 0.3))
-        z.write(quadrant_mask(1, 1), np.full((16, 16), 0.5))
-        predictor.record_tile(0, lb, z)
+        layers, depth = cleared()
+        ops.layer_write(layers, full(), 1)
+        ops.depth_write(depth, quadrant_mask(0, 0), np.full((16, 16), 0.2))
+        ops.depth_write(depth, quadrant_mask(1, 0), np.full((16, 16), 0.8))
+        ops.depth_write(depth, quadrant_mask(0, 1), np.full((16, 16), 0.3))
+        ops.depth_write(depth, quadrant_mask(1, 1), np.full((16, 16), 0.5))
+        predictor.record_tile(0, layers, 1, depth)
         return predictor
 
     def test_unknown_tile_predicts_visible(self):

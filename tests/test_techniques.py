@@ -251,7 +251,7 @@ class TestFeatureOverridesParity:
         spec = spec_from_dict({
             "features": {"vrpipe_threshold": 0.5, "dsr": True},
         })
-        features = spec.features_for("baseline")
+        features = spec.features.apply(resolve_features("baseline"))
         assert features.vrpipe_threshold == 0.5
         assert features.dsr is True
 
